@@ -60,9 +60,6 @@ from .numerics import (
     QuadratureRule,
     endpoint_graded_rule,
     gauss_legendre,
-    integrate_halfline,
-    integrate_interval,
-    kahan_sum,
     refine_root,
 )
 from .specfun import (

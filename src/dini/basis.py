@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,8 +58,22 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
     return endpoint_graded_rule(n, m_l, m_r)
 
 
+SUP_PROBE_MODES = 48
+SUP_SAFETY = 1.5
+
+
+class _SupProbe:
+    """Per-basis cache of the probe-grid part of ``certified_sup``."""
+
+    @cached_property
+    def probe_sup(self) -> float:
+        """max |basis_n| over the fixed 10^4-point probe grid, computed on first
+        use (never at construction) and then kept on the basis."""
+        return _mode_abs_max(self, np.linspace(1e-4, 1.0 - 1e-4, 10_000))
+
+
 @dataclass
-class BasisSpec:
+class BasisSpec(_SupProbe):
     """Normalizing constants, eigenvalues and evaluation for the psi system.
 
     Arrays are indexed by n = 0..n_max; in the PLUS regime the n=0 slots are
@@ -186,7 +201,7 @@ def eval_psi(b: BasisSpec, n: int, x):
 
 
 @dataclass
-class JacobiBasisSpec:
+class JacobiBasisSpec(_SupProbe):
     """Constants C_k, eigenvalues Lambda_k and evaluation for the Phi system."""
 
     jp: JacobiParams
@@ -293,19 +308,26 @@ def apply_operator(
     return out
 
 
-def certified_sup(basis, xs: np.ndarray, probe: int = 48, safety: float = 1.5) -> float:
+def _mode_abs_max(basis, xs: np.ndarray) -> float:
+    """max |basis_n(x)| over the first SUP_PROBE_MODES + 1 modes and the points xs."""
+    if isinstance(basis, JacobiBasisSpec):
+        vals = basis.phi_matrix(xs)[: min(SUP_PROBE_MODES, basis.k_max) + 1]
+    else:
+        vals = basis.psi_matrix(xs, n_upper=min(SUP_PROBE_MODES, basis.n_max))
+    return float(np.max(np.abs(vals)))
+
+
+def certified_sup(basis, xs: np.ndarray) -> float:
     """Empirical uniform bound M >= sup_n sup_x |basis_n(x)| over the probe.
 
-    Evaluates the first ``probe`` modes on a 10^4-point grid united with the
-    requested points and applies the safety factor; used by series truncation
-    certificates. Works for both basis flavors.
+    The first 48 modes are evaluated on a 10^4-point grid (cached on the
+    basis) and on the requested points xs; M is 1.5 times the larger of the
+    two maxima, which equals the maximum over the union of both point sets.
+    Used by series truncation certificates; works for both basis flavors.
     """
-    grid = np.union1d(np.linspace(1e-4, 1.0 - 1e-4, 10_000), np.asarray(xs, dtype=float))
-    if isinstance(basis, JacobiBasisSpec):
-        vals = basis.phi_matrix(grid)[: min(probe, basis.k_max) + 1]
-    else:
-        vals = basis.psi_matrix(grid, n_upper=min(probe, basis.n_max))
-    return safety * float(np.max(np.abs(vals)))
+    xs = np.asarray(xs, dtype=float)
+    coord = _mode_abs_max(basis, xs) if xs.size else 0.0
+    return SUP_SAFETY * max(basis.probe_sup, coord)
 
 
 def gram_matrix(basis, n_points: int = 512) -> np.ndarray:

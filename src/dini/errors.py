@@ -25,14 +25,6 @@ class MaxIterationsError(DiniError, RuntimeError):
     """Root refinement failed to reach the requested tolerance."""
 
 
-class TailNotDecayingError(DiniError, RuntimeError):
-    """Half-line integrand violates the caller's tail-decay hint."""
-
-
-class MaxPanelsError(DiniError, RuntimeError):
-    """Adaptive integration exceeded its panel budget."""
-
-
 class BracketScanFailure(DiniError, RuntimeError):
     """Zero bracketing scan could not certify the expected sign change."""
 

@@ -6,16 +6,24 @@ negative powers (computed both as a spectral series and as a time integral
 of the Poisson kernel), and semigroup application to functions.
 
 Truncation strategy: an empirical uniform bound M on the basis functions is
-certified on the evaluation points (plus a dense probe grid) with a safety
-factor; the series cutoff N is then chosen so that M^2 times a closed-form
-tail comparison (Gaussian tail for heat multipliers, geometric for Poisson,
-incomplete-gamma for potentials) is below the requested tolerance.
+taken over the evaluation points and a dense probe grid (the probe part is
+computed once per basis and cached on it) with a safety factor; the series
+cutoff N is then chosen so that M^2 times a closed-form tail comparison
+(Gaussian tail for heat multipliers, geometric for Poisson, incomplete-gamma
+for potentials) is below the requested tolerance.
 
 For times too small for the available mode budget, the Poisson kernel is
 evaluated by exact subordination: the first K modes are summed directly and
 the remainder is the integral of the heat-tail kernel against the stable-1/2
 subordination measure, with closed-form erfc corrections below the smallest
 resolvable time scale.
+
+The time-integral route of the potentials is one log-panelled Gauss rule in
+t shared by all pairs, evaluated a block of nodes at a time (direct series
+above the direct-series time threshold, subordination below it), with a
+doubled-rule error estimate and stated bounds for the two ends it leaves
+out: the short-time Poisson envelope below t_lo and M^2 sum_n e^{-t sqrt(lam_n)}
+above t_hi.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ from .errors import (
     SpectrumNotPositiveError,
     TailBoundFailure,
 )
-from .numerics import integrate_halfline
 from .specfun import JacobiParams, SpectralParams
 
 # Engineering constant for envelope-based skip bounds below the resolvable
@@ -47,6 +54,9 @@ from .specfun import JacobiParams, SpectralParams
 ENVELOPE_SAFETY = 16.0
 DIAGONAL_EXCLUSION = 1e-4
 LOG45 = 45.0
+# Time nodes evaluated per array operation in potential_time_integral; bounds
+# the exp(-t sqrt(lam)) temporaries at TIME_BLOCK x n_max.
+TIME_BLOCK = 48
 
 
 class KernelKind(enum.Enum):
@@ -203,11 +213,9 @@ class PairEngine:
             )
         return lam
 
-    def poisson_values(
-        self, t: float, d: float, tol: float, rescale: float = 0.0
-    ) -> tuple[np.ndarray, int, float]:
-        """Values of exp(rescale*t) * Poisson kernel (see heat_values)."""
-        lam = self._shifted(d)
+    def _poisson_cut(self, t: float, tol: float, rescale: float = 0.0):
+        """Smallest direct-series cutoff N with certified geometric tail below
+        tol, as (N, bound); None when it exceeds the mode budget."""
         m2 = self.M * self.M
         grow = math.exp(min(t * rescale, 700.0))
         need = self.c_off + math.log(
@@ -218,11 +226,34 @@ class PairEngine:
             while n <= self.n_max:
                 bound = m2 * grow * _exp_tail(t, n, self.c_off)
                 if bound <= tol:
-                    mult = np.zeros(self.n_max + 1)
-                    sl = slice(self.n_min, n + 1)
-                    mult[sl] = np.exp(-t * (np.sqrt(lam[sl]) - rescale))
-                    return mult @ self.U, n - self.n_min + 1, bound
+                    return n, bound
                 n += max(1, n // 16)
+        return None
+
+    def _direct_floor(self, tol: float) -> float:
+        """Time above which the direct Poisson series reaches tol (bisection
+        in log t, with a factor-2 margin)."""
+        t_lo, t_hi = 1e-8, 10.0
+        for _ in range(80):
+            t_mid = math.sqrt(t_lo * t_hi)
+            if self._poisson_cut(t_mid, tol) is None:
+                t_lo = t_mid
+            else:
+                t_hi = t_mid
+        return 2.0 * t_hi
+
+    def poisson_values(
+        self, t: float, d: float, tol: float, rescale: float = 0.0
+    ) -> tuple[np.ndarray, int, float]:
+        """Values of exp(rescale*t) * Poisson kernel (see heat_values)."""
+        lam = self._shifted(d)
+        cut = self._poisson_cut(t, tol, rescale)
+        if cut is not None:
+            n, bound = cut
+            mult = np.zeros(self.n_max + 1)
+            sl = slice(self.n_min, n + 1)
+            mult[sl] = np.exp(-t * (np.sqrt(lam[sl]) - rescale))
+            return mult @ self.U, n - self.n_min + 1, bound
         if rescale != 0.0:
             raise TailBoundFailure(
                 "rescaled Poisson evaluation requires the direct-series regime"
@@ -240,9 +271,17 @@ class PairEngine:
     def _poisson_subordinated(self, t, d, tol) -> tuple[np.ndarray, int, float]:
         master = self._master(d, tol)
         vals, bound = master.eval(t)
-        return vals, master.n_terms, bound
+        return vals, master.n_terms, float(bound)
 
     # ----- potentials ---------------------------------------------------
+
+    def _potential_spectrum(self, d0: float) -> np.ndarray:
+        lam = self._shifted(d0)
+        if np.any(lam[self.n_min :] <= 0.0):
+            raise SpectrumNotPositiveError(
+                "potential requires strictly positive shifted spectrum"
+            )
+        return lam
 
     def potential_series(
         self, sigma: float, d0: float, tol: float
@@ -254,11 +293,7 @@ class PairEngine:
         incomplete gamma weights) plus (1/Gamma(sigma)) times the integral of
         t^{sigma-1} times the heat kernel over (0, delta).
         """
-        lam = self._shifted(d0)
-        if np.any(lam[self.n_min :] <= 0.0):
-            raise SpectrumNotPositiveError(
-                "potential requires strictly positive shifted spectrum"
-            )
+        lam = self._potential_spectrum(d0)
         m2 = self.M * self.M
         delta = 1e-3
         lam_min_next = (math.pi * max(1.0, self.n_max + 1 - self.c_off)) ** 2
@@ -349,54 +384,111 @@ class PairEngine:
         return out
 
     def potential_time_integral(self, sigma, d: float, tol: float) -> np.ndarray:
-        """(1/Gamma(2 sigma)) * int_0^inf t^{2 sigma - 1} H_t dt, per pair."""
-        gamma2s = math.gamma(2.0 * sigma)
-        lam = self._shifted(d)
-        rate = math.sqrt(max(float(np.min(lam[self.n_min :])), 1e-6))
-        out = np.empty(self.n_pairs)
-        for i in range(self.n_pairs):
-            fi = self._single_pair_poisson(i, d, tol)
+        """(1/Gamma(2 sigma)) * int_0^inf t^{2 sigma - 1} H_t dt, per pair.
 
-            def f(t: float) -> float:
-                if t <= 0.0:
-                    return 0.0
-                return t ** (2.0 * sigma - 1.0) * fi(t)
+        One log-panelled Gauss rule in t on [t_lo, t_hi] serves all pairs;
+        H_t is evaluated for a block of nodes at a time. The parts left out
+        are bounded by the short-time envelope below t_lo and by
+        M^2 sum_n e^{-t sqrt(lam_n)} above t_hi; with the doubled-rule error
+        estimate they must stay below tol.
+        """
+        lam = self._potential_spectrum(d)
+        s2 = 2.0 * sigma
+        t_lo, skip = self._short_time_cut(sigma, tol)
+        t_hi, late = self._late_time_cut(sigma, np.sqrt(lam[self.n_min :]), tol)
+        t_direct = self._direct_floor(tol)
+        master = self._master(d, tol) if t_lo < t_direct else None
+        rules = []
+        for per_decade in (4, 8):
+            nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=per_decade, order=16)
+            weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
+            total = np.zeros(self.n_pairs)
+            for i in range(0, nodes.size, TIME_BLOCK):
+                blk = slice(i, i + TIME_BLOCK)
+                total += weights[blk] @ self._poisson_rows(nodes[blk], lam, tol, t_direct, master)
+            rules.append(total)
+        quad_err = float(np.max(np.abs(rules[1] - rules[0])))
+        bound = quad_err + skip + late
+        if not bound <= tol:
+            raise TailBoundFailure(
+                f"potential time-integral certificate {bound:.2e} exceeds tol {tol:.2e} "
+                f"(quadrature {quad_err:.2e}, t < {t_lo:.1e}: {skip:.2e}, "
+                f"t > {t_hi:g}: {late:.2e})"
+            )
+        return rules[1]
 
-            out[i] = integrate_halfline(f, tol * gamma2s, tail_rate=rate) / gamma2s
+    def _poisson_rows(self, ts, lam, tol, t_direct, master) -> np.ndarray:
+        """Poisson kernel rows [H_t(pair)] for ascending times ts: the direct
+        series at and above t_direct (cutoff from the smallest such t), the
+        subordination master below."""
+        out = np.empty((ts.size, self.n_pairs))
+        sub = ts < t_direct
+        if np.any(sub):
+            out[sub] = master.eval(ts[sub])[0]
+        direct = ts[~sub]
+        if direct.size:
+            cut = self._poisson_cut(float(direct[0]), tol)
+            if cut is None:
+                raise TailBoundFailure(
+                    f"poisson tail cannot reach tol={tol:.2e} at t={direct[0]:.3e}"
+                )
+            sl = slice(self.n_min, cut[0] + 1)
+            out[~sub] = np.exp(-np.multiply.outer(direct, np.sqrt(lam[sl]))) @ self.U[sl]
         return out
 
-    def _single_pair_poisson(self, i: int, d: float, tol: float):
-        master = self._master(d, tol)
-        lam_sqrt = np.sqrt(self._shifted(d))
-        u_col = np.ascontiguousarray(self.U[:, i])
+    def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
+        """t_lo and the bound on (1/Gamma(2 sigma)) int_0^t_lo t^{2 sigma-1} |H_t| dt.
 
-        def fi(t: float) -> float:
-            if t >= master.t_direct:
-                n, _ = _poisson_cut_scalar(
-                    self.M, t, tol, self.c_off, self.n_max, self.n_min
-                )
-                sl = slice(self.n_min, n + 1)
-                return float(np.exp(-t * lam_sqrt[sl]) @ u_col[sl])
-            vals, _ = master.eval(t, only_pair=i)
-            return float(vals)
-
-        return fi
-
-
-def _poisson_cut_scalar(M, t, tol, c_off, n_max, n_min):
-    m2 = M * M
-    n = n_min
-    if t * math.pi < 700:
-        n = max(
-            n_min,
-            int(c_off + math.log(max(m2, 1.0) / (tol * (1.0 - math.exp(-t * math.pi)))) / (t * math.pi)),
+        Uses ENVELOPE_SAFETY times the short-time Poisson envelope
+        (sqrt(xy)/(t+x+y))^{2 nu+1} t/(t^2+|x-y|^2), with the same factor in
+        1-x, 1-y and 2 beta+1 for a Jacobi basis (2 alpha+1 at the left end);
+        t_lo is lowered from 1e-3 by factors of 8 until the bound is below
+        tol/8.
+        """
+        xs = np.array([p[0] for p in self.pairs])
+        ys = np.array([p[1] for p in self.pairs])
+        if isinstance(self.basis, JacobiBasisSpec):
+            jp = self.basis.jp
+            ends = ((xs, ys, 2.0 * jp.alpha + 1.0), (1.0 - xs, 1.0 - ys, 2.0 * jp.beta + 1.0))
+        else:
+            ends = ((xs, ys, 2.0 * self.basis.params.nu + 1.0),)
+        s2 = 2.0 * sigma
+        t_lo = 1e-3
+        while t_lo > 1e-13:
+            # Each end factor is monotone in t: its sup over (0, t_lo) is at an end.
+            boundary = 1.0
+            for p, q, a in ends:
+                r, s = np.sqrt(p * q), p + q
+                boundary = boundary * np.maximum((r / s) ** a, (r / (t_lo + s)) ** a)
+            with np.errstate(divide="ignore"):
+                off = t_lo ** (s2 + 1.0) / ((s2 + 1.0) * self.dist**2)
+            on = t_lo ** (s2 - 1.0) / (s2 - 1.0) if s2 > 1.0 else math.inf
+            skip = ENVELOPE_SAFETY * float(np.max(boundary * np.minimum(off, on)))
+            skip /= math.gamma(s2)
+            if skip <= 0.125 * tol:
+                return t_lo, skip
+            t_lo /= 8.0
+        raise TailBoundFailure(
+            f"potential time integral: short-time envelope bound {skip:.2e} stays above "
+            f"tol/8 at sigma={sigma:g}; pair too close to the diagonal"
         )
-    while n <= n_max:
-        bound = m2 * _exp_tail(t, n, c_off)
-        if bound <= tol:
-            return n, bound
-        n += max(1, n // 16)
-    raise TailBoundFailure(f"poisson tail cannot reach tol={tol:.2e} at t={t:.3e}")
+
+    def _late_time_cut(self, sigma, sq, tol) -> tuple[float, float]:
+        """t_hi and the bound M^2 sum_n (1/Gamma(2 sigma)) int_t_hi^inf
+        t^{2 sigma-1} e^{-t sqrt(lam_n)} dt; modes beyond n_max are bounded at
+        the frequencies pi*(n - c_off). t_hi doubles from 1 until the bound
+        is below tol/8."""
+        s2 = 2.0 * sigma
+        w = math.pi * (self.n_max + 1.0 - self.c_off)
+        t_hi = 1.0
+        for _ in range(60):
+            stored = float(np.sum(sq**-s2 * _gammaincc(s2, t_hi * sq)))
+            beyond = w**-s2 * float(_gammaincc(s2, t_hi * w)) / (1.0 - math.exp(-t_hi * math.pi))
+            late = self.M * self.M * (stored + beyond)
+            if late <= 0.125 * tol:
+                return t_hi, late
+            t_hi *= 2.0
+        raise TailBoundFailure(f"potential time integral: late-time bound {late:.2e} above tol/8")
 
 
 def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):
@@ -433,21 +525,6 @@ class _SubordinationMaster:
         self.lam = engine._shifted(d)
         n_head = min(96, max(engine.n_min + 8, engine.n_max // 8))
         self.K = n_head
-        m2 = engine.M * engine.M
-        self.t_direct = None  # set below
-
-        # Direct series is viable when the needed cutoff fits the budget.
-        # Find the time above which poisson_values uses the plain series.
-        t_lo, t_hi = 1e-8, 10.0
-        for _ in range(80):
-            t_mid = math.sqrt(t_lo * t_hi)
-            try:
-                _poisson_cut_scalar(engine.M, t_mid, tol, engine.c_off, engine.n_max, engine.n_min)
-                t_hi = t_mid
-            except TailBoundFailure:
-                t_lo = t_mid
-        self.t_direct = 2.0 * t_hi
-
         u_cache = LOG45 / (math.pi * max(1.0, engine.n_max - engine.c_off)) ** 2
         self.u_floor = u_cache
         # Pairs closer than this need modes beyond the budget once the
@@ -479,15 +556,12 @@ class _SubordinationMaster:
         sl = slice(e.n_min, self.K + 1)
         return np.exp(-u * self.lam[sl]) @ e.U[sl]
 
-    def _head_poisson(self, t: float, only_pair=None) -> np.ndarray:
+    def _head_poisson(self, t) -> np.ndarray:
         e = self.engine
         sl = slice(e.n_min, self.K + 1)
-        mult = np.exp(-t * np.sqrt(self.lam[sl]))
-        if only_pair is None:
-            return mult @ e.U[sl]
-        return mult @ e.U[sl, only_pair]
+        return np.exp(-np.multiply.outer(t, np.sqrt(self.lam[sl]))) @ e.U[sl]
 
-    def _subfloor_head(self, t: float, only_pair=None) -> np.ndarray:
+    def _subfloor_head(self, t) -> np.ndarray:
         """Exact integral of -head against m_t over (0, u_floor) via erfc.
 
         int_0^U m_t(u) e^{-lam u} du
@@ -499,6 +573,7 @@ class _SubordinationMaster:
         sl = slice(e.n_min, self.K + 1)
         lam = self.lam[sl]
         s = np.sqrt(lam)
+        t = np.asarray(t)[..., None]
         w = t / (2.0 * math.sqrt(U))
         a_minus = w - s * math.sqrt(U)
         a_plus = w + s * math.sqrt(U)
@@ -508,36 +583,35 @@ class _SubordinationMaster:
             np.exp(-t * s) * _erfc(a_minus)
             + _erfcx(a_plus) * np.exp(-w * w - lam * U)
         )
-        if only_pair is None:
-            return -(part @ e.U[sl])
-        return -(part @ e.U[sl, only_pair])
+        return -(part @ e.U[sl])
 
-    def eval(self, t: float, only_pair=None):
-        e = self.engine
+    def eval(self, t):
+        """Values and certificate at time t; for a 1-D array of times, one
+        row of values and one certificate per time."""
+        t = np.asarray(t, dtype=float)
+        tc = t[..., None]
         results = []
         for nd, wt, T in self.grids:
             with np.errstate(over="ignore", under="ignore"):
-                meas = (t / (2.0 * math.sqrt(math.pi))) * np.exp(
-                    -np.minimum(t * t / (4.0 * nd), 700.0)
+                meas = (tc / (2.0 * math.sqrt(math.pi))) * np.exp(
+                    -np.minimum(tc * tc / (4.0 * nd), 700.0)
                 ) * nd**-1.5 * wt
-            Tm = T if only_pair is None else T[:, only_pair]
-            results.append(meas @ Tm)
+            results.append(meas @ T)
         r_master, r_master2 = results
-        quad_err = np.max(np.abs(r_master2 - r_master)) if only_pair is None else abs(
-            r_master2 - r_master
-        )
-        head = self._head_poisson(t, only_pair)
-        sub_head = self._subfloor_head(t, only_pair)
-        mass_below = float(_erfc(t / (2.0 * math.sqrt(self.u_floor))))
+        quad_err = np.max(np.abs(r_master2 - r_master), axis=-1)
+        head = self._head_poisson(t)
+        sub_head = self._subfloor_head(t)
+        mass_below = _erfc(tc / (2.0 * math.sqrt(self.u_floor)))
         kb = self.sub_floor_kernel_bound
-        kb = kb if only_pair is None else kb[only_pair]
         kernel_leak = np.where(mass_below > 0.0, kb * mass_below, 0.0)
         vals = head + r_master2 + sub_head
-        bound = float(np.max(quad_err)) + float(np.max(kernel_leak)) + 0.25 * self.tol
-        if not bound <= 4.0 * self.tol:
+        bound = quad_err + np.max(kernel_leak, axis=-1) + 0.25 * self.tol
+        bad = ~(bound <= 4.0 * self.tol)
+        if np.any(bad):
             raise TailBoundFailure(
-                f"subordinated Poisson certificate {bound:.2e} too large at "
-                f"t={t:.3e}; pair too close to the diagonal or mode budget too small"
+                f"subordinated Poisson certificate {np.max(bound):.2e} too large at "
+                f"t={np.min(np.where(bad, t, np.inf)):.3e}; pair too close to the "
+                "diagonal or mode budget too small"
             )
         return vals, bound
 

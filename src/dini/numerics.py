@@ -1,26 +1,20 @@
 """Shared numerical primitives.
 
-Root bracketing/refinement, Gauss-Legendre quadrature mapped to (0,1),
-adaptive integration over the half-line, and compensated summation.
-All arithmetic is binary64; no multiprecision dependency.
+Root bracketing/refinement and Gauss-Legendre quadrature mapped to (0,1),
+plain or graded toward the endpoints. All arithmetic is binary64; no
+multiprecision dependency.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import (
-    DomainError,
-    MaxIterationsError,
-    MaxPanelsError,
-    NoSignChangeError,
-    TailNotDecayingError,
-)
+from .errors import DomainError, MaxIterationsError, NoSignChangeError
 
 MAX_ROOT_ITERATIONS = 200
 
@@ -148,12 +142,25 @@ def refine_root(
     )
 
 
+_GL_RULES: dict[int, QuadratureRule] = {}
+
+
 def gauss_legendre(n: int) -> QuadratureRule:
-    """n-point Gauss-Legendre rule mapped to (0,1); exact up to degree 2n-1."""
-    if not (1 <= n <= 4096):
-        raise DomainError(f"gauss_legendre order must be in [1, 4096], got {n}")
-    x, w = roots_legendre(n)
-    return QuadratureRule(0.5 * (x + 1.0), 0.5 * w, exact_degree=2 * n - 1)
+    """n-point Gauss-Legendre rule mapped to (0,1); exact up to degree 2n-1.
+
+    Rules are memoized per n; their node and weight arrays are read-only,
+    so the shared rule cannot be altered by a caller.
+    """
+    rule = _GL_RULES.get(n)
+    if rule is None:
+        if not (1 <= n <= 4096):
+            raise DomainError(f"gauss_legendre order must be in [1, 4096], got {n}")
+        x, w = roots_legendre(n)
+        nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+        nodes.flags.writeable = False
+        weights.flags.writeable = False
+        rule = _GL_RULES[n] = QuadratureRule(nodes, weights, exact_degree=2 * n - 1)
+    return rule
 
 
 def endpoint_graded_rule(n: int, m_left: int = 1, m_right: int = 1) -> QuadratureRule:
@@ -180,96 +187,3 @@ def endpoint_graded_rule(n: int, m_left: int = 1, m_right: int = 1) -> Quadratur
     # to rounding; renormalize the last few ulps to honor the type invariant.
     weights = weights / weights.sum()
     return QuadratureRule(nodes, weights, exact_degree=None)
-
-
-def kahan_sum(values: Sequence[float]) -> float:
-    """Compensated summation (Neumaier's variant of the Kahan algorithm)."""
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
-_GL_PANEL = roots_legendre(15)
-
-
-def _panel_gl(f, a: float, b: float) -> float:
-    x, w = _GL_PANEL
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * kahan_sum(w[i] * f(mid + half * x[i]) for i in range(len(x)))
-
-
-def _adaptive_panel(f, a, b, tol, budget) -> float:
-    whole = _panel_gl(f, a, b)
-    stack = [(a, b, whole, tol, 0)]
-    total = 0.0
-    used = 0
-    while stack:
-        a, b, whole, tol_here, depth = stack.pop()
-        used += 1
-        if used > budget:
-            raise MaxPanelsError(f"adaptive integration exceeded {budget} panels")
-        mid = 0.5 * (a + b)
-        left = _panel_gl(f, a, mid)
-        right = _panel_gl(f, mid, b)
-        if abs(left + right - whole) <= tol_here or depth >= 60:
-            total += left + right
-        else:
-            stack.append((a, mid, left, 0.5 * tol_here, depth + 1))
-            stack.append((mid, b, right, 0.5 * tol_here, depth + 1))
-    return total
-
-
-def integrate_interval(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
-    """Adaptive Gauss panel integration of f on [a, b], absolute tolerance."""
-    if not b > a:
-        raise DomainError("integration interval must satisfy a < b")
-    return _adaptive_panel(f, a, b, tol, budget=4000)
-
-
-def integrate_halfline(
-    f: Callable[[float], float],
-    tol: float,
-    tail_rate: float = 1.0,
-    split: float = 1.0,
-) -> float:
-    """Integrate f over (0, infinity) to absolute tolerance tol.
-
-    The domain is split at ``split`` and the tail mapped by t = split + u/(1-u).
-    ``tail_rate`` is the caller's hint for the eventual exponential decay rate
-    of f; it is checked empirically on geometric probe points.
-    """
-    if tol <= 0.0:
-        raise DomainError("tol must be positive")
-    if tail_rate <= 0.0:
-        raise DomainError("tail_rate hint must be positive")
-
-    # Empirical tail check against the decay hint: far out, |f| must not grow.
-    probes = [split * 2.0**k for k in range(10, 16)]
-    vals = [abs(f(t)) for t in probes]
-    floor = max(tol, 1e-300)
-    for k in range(len(vals) - 1):
-        if vals[k + 1] > max(1.01 * vals[k], 100.0 * floor):
-            raise TailNotDecayingError(
-                f"|f({probes[k + 1]:.3g})| = {vals[k + 1]:.3g} grew beyond "
-                f"|f({probes[k]:.3g})| = {vals[k]:.3g}; decay hint "
-                f"rate={tail_rate:.3g} violated"
-            )
-
-    near = _adaptive_panel(f, 0.0, split, 0.5 * tol, budget=4000)
-
-    def mapped(u: float) -> float:
-        if u >= 1.0:
-            return 0.0
-        t = split + u / (1.0 - u)
-        return f(t) / (1.0 - u) ** 2
-
-    far = _adaptive_panel(mapped, 0.0, 1.0 - 1e-12, 0.5 * tol, budget=4000)
-    return near + far

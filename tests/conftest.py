@@ -6,16 +6,21 @@ from dini.specfun import SpectralParams
 from dini.zeros import build_zero_table
 
 _TABLE_CACHE = {}
+_BASIS_CACHE = {}
 
 
 def shared_basis(nu: float, h: float = 0.5, n_max: int = 300) -> BasisSpec:
-    """Session-wide basis cache; zero tables dominate test startup cost."""
-    key = (nu, h)
-    have = _TABLE_CACHE.get(key)
-    if have is None or have.n_max < n_max:
-        have = build_zero_table(SpectralParams(nu, h), n_max)
-        _TABLE_CACHE[key] = have
-    return BasisSpec(SpectralParams(nu, h), have, n_max)
+    """Session-wide basis cache: one BasisSpec per (nu, h, n_max), so zero
+    tables and each basis's sup probe are built once per session."""
+    key = (nu, h, n_max)
+    basis = _BASIS_CACHE.get(key)
+    if basis is None:
+        table = _TABLE_CACHE.get((nu, h))
+        if table is None or table.n_max < n_max:
+            table = build_zero_table(SpectralParams(nu, h), n_max)
+            _TABLE_CACHE[(nu, h)] = table
+        basis = _BASIS_CACHE[key] = BasisSpec(SpectralParams(nu, h), table, n_max)
+    return basis
 
 
 @pytest.fixture(scope="session")

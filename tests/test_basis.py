@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import shared_basis
 from dini.basis import (
+    BasisSpec,
+    JacobiBasisSpec,
     apply_operator,
     build_basis,
     build_jacobi_basis,
+    certified_sup,
     default_coefficient_rule,
     dini_coefficients,
     eval_phi,
@@ -17,6 +20,7 @@ from dini.basis import (
     gram_matrix,
 )
 from dini.errors import RegimeMismatchError, SpectrumNotPositiveError
+from dini.kernels import PairEngine
 from dini.numerics import gauss_legendre
 from dini.specfun import JacobiParams, SpectralParams
 
@@ -203,3 +207,67 @@ class TestNormalizationConstants:
         assert build_basis(SpectralParams(-0.5, 0.5), 5).eigen[0] == 0.0
         b = build_basis(SpectralParams(0.5, 0.5), 5)
         assert np.all(np.diff(b.eigen[b.n_min :]) > 0.0)
+
+
+def union_grid_sup(basis, xs):
+    """M as computed before the probe was cached on the basis: the first 48
+    modes on the 10^4-point grid united with xs, times 1.5."""
+    grid = np.union1d(np.linspace(1e-4, 1.0 - 1e-4, 10_000), np.asarray(xs, dtype=float))
+    if isinstance(basis, JacobiBasisSpec):
+        vals = basis.phi_matrix(grid)[: min(48, basis.k_max) + 1]
+    else:
+        vals = basis.psi_matrix(grid, n_upper=min(48, basis.n_max))
+    return 1.5 * float(np.max(np.abs(vals)))
+
+
+SUP_COORDS = (
+    np.array([0.3, 0.6]),
+    np.array([1e-7, 3e-6, 5e-5, 0.5]),
+    np.array([0.2, 1.0 - 5e-5, 1.0 - 1e-7]),
+    np.concatenate([np.geomspace(1e-8, 1e-4, 7), np.linspace(0.1, 0.9, 9),
+                    1.0 - np.geomspace(1e-8, 1e-4, 7)]),
+)
+
+
+class TestCertifiedSup:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: build_basis(SpectralParams(0.7, 0.5), 60),  # PLUS
+            lambda: build_basis(SpectralParams(-0.5, 0.5), 60),  # ZERO
+            lambda: build_basis(SpectralParams(-0.75, 0.5), 60),  # MINUS
+            lambda: build_basis(SpectralParams(3.0, 0.5), 30),
+            lambda: build_jacobi_basis(JacobiParams(0.7, -0.5), 60),
+        ],
+    )
+    def test_bit_identical_to_union_grid(self, make):
+        b = make()
+        for xs in SUP_COORDS:
+            assert certified_sup(b, xs) == union_grid_sup(b, xs)
+
+    @staticmethod
+    def _count_probe_evaluations(monkeypatch):
+        sizes = []
+        original = BasisSpec.psi_matrix
+
+        def spy(self, x, n_upper=None):
+            sizes.append(np.size(x))
+            return original(self, x, n_upper)
+
+        monkeypatch.setattr(BasisSpec, "psi_matrix", spy)
+        return lambda: sum(n >= 10_000 for n in sizes)
+
+    def test_build_evaluates_no_probe(self, monkeypatch):
+        probes = self._count_probe_evaluations(monkeypatch)
+        build_basis(SpectralParams(0.7, 0.5), 60)
+        assert probes() == 0
+
+    def test_probe_evaluated_once_per_basis(self, monkeypatch):
+        probes = self._count_probe_evaluations(monkeypatch)
+        b = build_basis(SpectralParams(0.7, 0.5), 60)
+        PairEngine(b, [(0.3, 0.6)])
+        PairEngine(b, [(0.1, 0.2), (0.4, 0.9)])
+        assert probes() == 1
+        other = build_basis(SpectralParams(0.7, 0.5), 60, table=b.table)
+        PairEngine(other, [(0.3, 0.6)])
+        assert probes() == 2

@@ -29,6 +29,11 @@ from dini.specfun import JacobiParams, SpectralParams
 PAIRS = [(0.3, 0.6), (0.45, 0.5), (0.1, 0.9), (0.05, 0.08), (0.7, 0.75)]
 
 
+def neumann_green(x, y):
+    """Green function of -u'' + u with u' = 0 at both ends."""
+    return math.cosh(min(x, y)) * math.cosh(1.0 - max(x, y)) / math.sinh(1.0)
+
+
 def heat_cosine_oracle(t, x, y, n_terms=4000):
     n = np.arange(1, n_terms + 1)
     return 1.0 + 2.0 * float(
@@ -245,6 +250,23 @@ class TestPotentialKernels:
         v2 = eng.potential_time_integral(sigma, 1.0, 1e-9)
         assert np.max(np.abs(v1 - v2) / np.abs(v1)) < 1e-6
         assert np.all(v1 > 0.0)
+
+    @pytest.mark.parametrize(
+        "make,d0,oracle",
+        [
+            (lambda: shared_basis(-0.5, n_max=2500), 1.0, neumann_green),
+            (lambda: build_jacobi_basis(JacobiParams(-0.5, -0.5), 2500), 1.0, neumann_green),
+            (lambda: shared_basis(0.5, n_max=2500), 0.0, lambda x, y: min(x, y)),
+        ],
+    )
+    def test_time_integral_green_function_oracle(self, make, d0, oracle):
+        # sigma = 1: the time integral of the Poisson kernel is the Green
+        # function, closed form for the cosine (nu = -1/2 or Jacobi
+        # (-1/2, -1/2), d = 1) and half-sine (nu = 1/2, d = 0) systems.
+        pairs = [(0.3, 0.6), (0.1, 0.9), (0.45, 0.5), (0.05, 0.2), (0.7, 0.95)]
+        vals = PairEngine(make(), pairs).potential_time_integral(1.0, d0, 1e-9)
+        ref = np.array([oracle(x, y) for x, y in pairs])
+        assert np.max(np.abs(vals - ref)) < 1e-8
 
     def test_positivity_across_regimes(self):
         pairs = [(0.3, 0.6), (0.1, 0.85), (0.45, 0.5)]
