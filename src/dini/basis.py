@@ -60,6 +60,8 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
 
 SUP_PROBE_MODES = 48
 SUP_SAFETY = 1.5
+PSI_BLOCK_MODES = 128
+PSI_RULES_PER_BASIS = 4
 
 
 class _SupProbe:
@@ -86,6 +88,7 @@ class BasisSpec(_SupProbe):
     n_max: int
     c: np.ndarray = field(init=False)
     eigen: np.ndarray = field(init=False)
+    _psi_by_rule: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max > self.table.n_max:
@@ -130,22 +133,45 @@ class BasisSpec(_SupProbe):
 
         The unused n=0 row in the PLUS regime is identically zero.
         """
-        p = self.params
         n_upper = self.n_max if n_upper is None else min(n_upper, self.n_max)
-        x = np.asarray(x, dtype=float)
+        return self._psi_rows(np.asarray(x, dtype=float), n_upper, n_upper)
+
+    def _psi_rows(self, x: np.ndarray, n_upper: int, block: int) -> np.ndarray:
+        """psi_0..psi_{n_upper} at x, evaluating ``block`` Bessel rows at a time
+        so that no temporary is larger than the result."""
+        p = self.params
         if np.any((x <= 0.0) | (x >= 1.0)):
             raise DomainError("evaluation points must lie in the open interval (0,1)")
-        z = self.table.zeros[1 : n_upper + 1]
         sq = np.sqrt(x)
         out = np.zeros((n_upper + 1, x.size))
-        out[1:] = self.c[1 : n_upper + 1, None] * sq[None, :] * bessel_j(
-            p.nu, z[:, None] * x[None, :]
-        )
+        for lo in range(1, n_upper + 1, max(block, 1)):
+            hi = min(lo + block, n_upper + 1)
+            out[lo:hi] = self.c[lo:hi, None] * sq[None, :] * bessel_j(
+                p.nu, self.table.zeros[lo:hi, None] * x[None, :]
+            )
         if p.regime is Regime.MINUS:
             out[0] = self.c[0] * sq * bessel_i(p.nu, self.table.zeros[0] * x)
         elif p.regime is Regime.ZERO:
             out[0] = self.c[0] * x ** (p.nu + 0.5)
         return out
+
+    def _rule_psi(self, quad: QuadratureRule) -> np.ndarray:
+        """Read-only psi_matrix(quad.nodes), kept on the basis per rule.
+
+        Filled on first use for each rule (never at construction), in blocks
+        of PSI_BLOCK_MODES modes; at most PSI_RULES_PER_BASIS rules are kept,
+        the oldest being dropped first. Entries hold their rule, so a key
+        (the rule's id) cannot be reused by another rule while cached.
+        """
+        hit = self._psi_by_rule.get(id(quad))
+        if hit is not None:
+            return hit[1]
+        mat = self._psi_rows(quad.nodes, self.n_max, PSI_BLOCK_MODES)
+        mat.flags.writeable = False
+        if len(self._psi_by_rule) >= PSI_RULES_PER_BASIS:
+            del self._psi_by_rule[next(iter(self._psi_by_rule))]
+        self._psi_by_rule[id(quad)] = (quad, mat)
+        return mat
 
     def psi_prime_matrix(self, x: np.ndarray) -> np.ndarray:
         """Derivatives psi_n'(x) through the Bessel recurrence identities."""
@@ -273,11 +299,15 @@ def default_coefficient_rule(b: BasisSpec, n: int = 512) -> QuadratureRule:
 def dini_coefficients(
     b: BasisSpec, f: Callable[[np.ndarray], np.ndarray], quad: QuadratureRule
 ) -> np.ndarray:
-    """Coefficients a_n = <f, psi_n> for n = 0..n_max (0 slot zero in PLUS)."""
+    """Coefficients a_n = <f, psi_n> for n = 0..n_max (0 slot zero in PLUS).
+
+    psi at the rule's nodes comes from the basis's per-rule cache, so a
+    repeated call with the same rule costs f(nodes) and one mat-vec.
+    """
     fx = np.asarray(f(quad.nodes), dtype=float)
     if fx.shape != quad.nodes.shape:
         raise DomainError("f must map the node array to an equal-shape array")
-    return b.psi_matrix(quad.nodes) @ (quad.weights * fx)
+    return b._rule_psi(quad) @ (quad.weights * fx)
 
 
 def apply_operator(

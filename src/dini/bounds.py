@@ -10,6 +10,7 @@ and Jacobi-type heat kernels with the bounded generator difference F.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -382,23 +383,48 @@ def mapping_exponents(nu: float) -> tuple[float, float]:
     return p0, p1
 
 
+def _trial_grams(
+    nu: float, n_terms: int, quad: QuadratureRule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram matrices of psi_n/x^2 and psi_n'/x (n = 1..n_terms) under ``quad``,
+    with the eigenvalues z_n^2, for the basis (nu, H = 1/2)."""
+    b = build_basis(SpectralParams(nu, 0.5), n_terms)
+    x = quad.nodes
+    a = b.psi_matrix(x)[1:] / x**2
+    d = b.psi_prime_matrix(x)[1:] / x
+    grams = ((a * quad.weights) @ a.T, (d * quad.weights) @ d.T, b.eigen[1:])
+    for arr in grams:
+        arr.flags.writeable = False
+    return grams
+
+
+@functools.lru_cache(maxsize=32)
+def _default_trial_grams(nu: float, n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_trial_grams`` under the default 2048-point rule, kept per (nu, n_terms)."""
+    return _trial_grams(nu, n_terms, inner_product_rule(2048, 2.0 * nu - 3.0))
+
+
 def _trial_function_norms(
     nu: float, trial_coeffs: Sequence[float], quad: Optional[QuadratureRule]
 ) -> tuple[float, float, float]:
-    """(||f/x^2||, ||f'/x||, ||Lf||) for f = sum_n coeffs[n-1] psi_n (n >= 1)."""
+    """(||f/x^2||, ||f'/x||, ||Lf||) for f = sum_n coeffs[n-1] psi_n (n >= 1).
+
+    The two weighted norms are the quadratic forms a^T G a in the
+    coefficients, with G the Gram matrices of psi_n/x^2 and psi_n'/x under
+    ``quad``; ||Lf|| is |(z_n^2 a_n)| by orthonormality. Without ``quad`` the
+    Gram matrices come from the default 2048-point rule, graded for the
+    x^{2 nu - 3} endpoint behavior, and are built once per (nu, n_terms), so
+    rellich_check and hardy_check share them across trials.
+    """
     coeffs = np.asarray(trial_coeffs, dtype=float)
     n_terms = coeffs.size
-    b = build_basis(SpectralParams(nu, 0.5), n_terms)
-    full = np.zeros(b.n_max + 1)
-    full[1 : n_terms + 1] = coeffs
     if quad is None:
-        quad = inner_product_rule(2048, 2.0 * nu - 3.0)
-    x = quad.nodes
-    f = full @ b.psi_matrix(x)
-    fp = full @ b.psi_prime_matrix(x)
-    lhs = math.sqrt(float(np.dot(quad.weights, (f / x**2) ** 2)))
-    hardy = math.sqrt(float(np.dot(quad.weights, (fp / x) ** 2)))
-    op_norm = math.sqrt(float(np.sum((coeffs * b.eigen[1 : n_terms + 1]) ** 2)))
+        g_lhs, g_hardy, eigen = _default_trial_grams(float(nu), n_terms)
+    else:
+        g_lhs, g_hardy, eigen = _trial_grams(nu, n_terms, quad)
+    lhs = math.sqrt(max(float(coeffs @ g_lhs @ coeffs), 0.0))
+    hardy = math.sqrt(max(float(coeffs @ g_hardy @ coeffs), 0.0))
+    op_norm = math.sqrt(float(np.sum((coeffs * eigen) ** 2)))
     return lhs, hardy, op_norm
 
 

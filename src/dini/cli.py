@@ -2,14 +2,16 @@
 
 Deterministic verification sweeps and kernel-surface emission; identical
 configurations produce byte-identical CSV/JSON artifacts. Exit codes:
-0 = all checks passed, 1 = a verification failed, 2 = usage error.
+0 = all checks passed, 1 = a verification failed, 2 = usage or numerical error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+import traceback
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -24,6 +26,7 @@ from .errors import (
     SandwichViolation,
 )
 from .kernels import KernelKind, KernelRequest, semigroup_apply
+from .numerics import _fmt
 from .specfun import JacobiParams, SpectralParams, bessel_ih
 from .zeros import build_zero_table, cached_zero_table, x0_bound
 
@@ -37,10 +40,6 @@ KIND_BY_NAME = {
     "riesz": KernelKind.RIESZ_POT,
     "bessel": KernelKind.BESSEL_POT,
 }
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -353,6 +352,29 @@ def _parse_floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(",") if v)
 
 
+def _positive_float(text: str) -> float:
+    v = float(text)
+    if not (math.isfinite(v) and v > 0.0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {v}")
+    return v
+
+
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
+    return n
+
+
+def _half_only(text: str) -> float:
+    h = float(text)
+    if h != 0.5:
+        raise argparse.ArgumentTypeError(
+            f"the sandwich compares heat kernels at H = 1/2 only, got {h}"
+        )
+    return h
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="dini",
@@ -361,11 +383,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, nu_required=True):
+    def common(p, nu_required=True, h_type=float):
         p.add_argument("--nu", type=float, required=nu_required, help="order nu > -1")
-        p.add_argument("--h", type=float, default=0.5, help="boundary parameter H")
+        p.add_argument("--h", type=h_type, default=0.5, help="boundary parameter H")
         p.add_argument("--n-max", type=int, default=200)
-        p.add_argument("--tol", type=float, default=1e-10)
+        p.add_argument("--tol", type=_positive_float, default=1e-10)
         p.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
         p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
 
@@ -384,13 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", dest="t_values", type=_parse_floats, default=(0.1,))
     p.add_argument("--sigma", dest="sigma_values", type=_parse_floats, default=(1.0,))
     p.add_argument("--d-nu", type=float, default=1.0)
-    p.add_argument("--grid", dest="grid_n", type=int, default=20)
+    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
     p.add_argument("--no-refine", dest="refine", action="store_false")
 
     p = sub.add_parser("verify-sandwich", help="two-sided heat-kernel comparison")
-    common(p)
+    common(p, h_type=_half_only)
     p.add_argument("--t", dest="t_values", type=_parse_floats, default=(0.01, 0.1, 0.5, 1.0))
-    p.add_argument("--grid", dest="grid_n", type=int, default=20)
+    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
     p.add_argument("--no-refine", dest="refine", action="store_false")
     p.set_defaults(n_max=400, fmt="json")
 
@@ -400,28 +422,28 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", dest="t_values", type=_parse_floats, default=(1e-4, 1e-3, 1e-2, 1e-1, 1.0))
     p.add_argument("--sigma", dest="sigma_values", type=_parse_floats, default=(0.5, 1.0, 1.6))
     p.add_argument("--d-nu", type=float, default=1.0)
-    p.add_argument("--grid", dest="grid_n", type=int, default=20)
+    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
     p.add_argument("--no-refine", dest="refine", action="store_false")
     p.add_argument("--max-spread", type=float, default=1e3)
     p.set_defaults(n_max=400, fmt="json")
 
     p = sub.add_parser("verify-rellich", help="weighted-norm inequality trials")
     common(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--terms", type=int, default=5)
     p.add_argument("--seed", type=int, default=12345)
     p.set_defaults(fmt="json")
 
     p = sub.add_parser("verify-zero-bound", help="z0 < x0 < 1/2 on a nu grid")
     common(p, nu_required=False)
-    p.add_argument("--nu-grid", dest="nu_grid_n", type=int, default=32)
+    p.add_argument("--nu-grid", dest="nu_grid_n", type=_positive_int, default=32)
     p.set_defaults(nu=-0.75, fmt="json")
 
     p = sub.add_parser("convergence", help="sup-norm decay of T_t f - f as t -> 0")
     common(p)
     p.add_argument("--t", dest="t_values", type=_parse_floats,
                    default=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
-    p.add_argument("--grid", dest="grid_n", type=int, default=200)
+    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=200)
     p.set_defaults(n_max=1200)
     return ap
 
@@ -454,6 +476,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     except DiniError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except Exception:
+        # Exit code 1 means only that an inequality failed; anything
+        # unforeseen is reported with its traceback as a numerical error.
+        sys.stderr.write("error: unexpected failure\n" + traceback.format_exc())
         return 2
 
 

@@ -39,7 +39,13 @@ from scipy.special import erfcx as _erfcx
 from scipy.special import gammaincc as _gammaincc
 from scipy.special import roots_legendre
 
-from .basis import BasisSpec, JacobiBasisSpec, certified_sup, dini_coefficients
+from .basis import (
+    BasisSpec,
+    JacobiBasisSpec,
+    certified_sup,
+    default_coefficient_rule,
+    dini_coefficients,
+)
 from .errors import (
     DiagonalSlowConvergence,
     DomainError,
@@ -82,10 +88,14 @@ class KernelRequest:
     cross_check: bool = True
 
     def __post_init__(self):
-        if self.tol < 1e-12:
-            raise DomainError("kernel tolerance must be >= 1e-12")
-        if self.time_or_sigma <= 0.0:
-            raise DomainError("time (or sigma) must be positive")
+        if not (math.isfinite(self.tol) and self.tol >= 1e-12):
+            raise DomainError(f"kernel tolerance must be finite and >= 1e-12, got {self.tol}")
+        if not (math.isfinite(self.time_or_sigma) and self.time_or_sigma > 0.0):
+            raise DomainError(
+                f"time (or sigma) must be finite and positive, got {self.time_or_sigma}"
+            )
+        if not math.isfinite(self.d_nu):
+            raise DomainError(f"shift d must be finite, got {self.d_nu}")
         if self.kind is KernelKind.JACOBI_HEAT:
             if not isinstance(self.params, JacobiParams):
                 raise DomainError("JACOBI_HEAT requires JacobiParams")
@@ -700,17 +710,25 @@ def semigroup_apply(
     quad=None,
     tol: float = 1e-10,
 ) -> np.ndarray:
-    """Apply the heat semigroup to f spectrally and evaluate on x_grid."""
-    from .basis import default_coefficient_rule
+    """Apply the heat semigroup to f spectrally and evaluate on x_grid.
 
-    if t < 0.0:
-        raise DomainError("time must be >= 0")
+    The coefficients a_n = <f, psi_n> use ``quad`` (default: the 1024-point
+    coefficient rule), whose psi matrix is cached on the basis, so each call
+    of a time sweep costs f at the nodes and one mat-vec. The series
+    sum_n e^{-t lambda_n} a_n psi_n(x) is cut at the smallest N whose tail
+    bound max|a_n| * M * (Gaussian tail from N) is <= tol, with M the
+    certified sup of the basis on x_grid, and psi is evaluated on x_grid only
+    up to N. At t = 0 all n_max modes are summed.
+    """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise DomainError(f"time must be finite and >= 0, got {t}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     quad = quad or default_coefficient_rule(b, 1024)
     coeffs = dini_coefficients(b, f, quad)
     xs = np.asarray(x_grid, dtype=float)
-    mat = b.psi_matrix(xs)
     if t == 0.0:
-        return coeffs @ mat
+        return coeffs @ b.psi_matrix(xs)
     sup_m = certified_sup(b, xs)
     fnorm = float(np.max(np.abs(coeffs)))
     n = b.n_min
@@ -723,7 +741,7 @@ def semigroup_apply(
             f"semigroup tail cannot reach tol={tol:.2e} at t={t:.3e} with "
             f"{b.n_max} modes"
         )
-    mult = np.zeros(b.n_max + 1)
+    damped = np.zeros(n + 1)
     sl = slice(b.n_min, n + 1)
-    mult[sl] = np.exp(-t * b.eigen[sl])
-    return (coeffs * mult) @ mat
+    damped[sl] = coeffs[sl] * np.exp(-t * b.eigen[sl])
+    return damped @ b.psi_matrix(xs, n_upper=n)

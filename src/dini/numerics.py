@@ -27,6 +27,11 @@ def _sign(v: float) -> int:
     return 0
 
 
+def _fmt(x: float) -> str:
+    """Binary64 round-trip text (17 significant digits) for CSV artifacts."""
+    return "%.17g" % float(x)
+
+
 @dataclass(frozen=True)
 class Bracket:
     """Interval [lo, hi] with certified opposite signs at the endpoints."""
@@ -163,13 +168,22 @@ def gauss_legendre(n: int) -> QuadratureRule:
     return rule
 
 
+_GRADED_RULES: dict[tuple[int, int, int], QuadratureRule] = {}
+
+
 def endpoint_graded_rule(n: int, m_left: int = 1, m_right: int = 1) -> QuadratureRule:
     """Composite rule on (0,1) graded toward the endpoints.
 
     Applies x = u**m_left on (0, 1/2) and x = 1 - u**m_right on (1/2, 1),
     which restores fast quadrature convergence for integrands with algebraic
     endpoint behavior (basis functions behave like x**(nu+1/2) near 0).
+    Rules are memoized per (n, m_left, m_right) with read-only arrays, like
+    ``gauss_legendre``, so caches keyed by the rule see one object per key.
     """
+    key = (n, m_left, m_right)
+    rule = _GRADED_RULES.get(key)
+    if rule is not None:
+        return rule
     if m_left < 1 or m_right < 1:
         raise DomainError("grading powers must be >= 1")
     base = gauss_legendre(n)
@@ -186,4 +200,7 @@ def endpoint_graded_rule(n: int, m_left: int = 1, m_right: int = 1) -> Quadratur
     # Endpoint maps are exact changes of variables, so the weight sum is 1 up
     # to rounding; renormalize the last few ulps to honor the type invariant.
     weights = weights / weights.sum()
-    return QuadratureRule(nodes, weights, exact_degree=None)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    rule = _GRADED_RULES[key] = QuadratureRule(nodes, weights, exact_degree=None)
+    return rule

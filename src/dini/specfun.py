@@ -41,8 +41,10 @@ class SpectralParams:
     regime: Regime = field(init=False)
 
     def __post_init__(self):
-        if not self.nu > -1.0:
-            raise DomainError(f"order nu must exceed -1, got {self.nu}")
+        if not (math.isfinite(self.nu) and self.nu > -1.0):
+            raise DomainError(f"order nu must be finite and exceed -1, got {self.nu}")
+        if not math.isfinite(self.h):
+            raise DomainError(f"boundary parameter H must be finite, got {self.h}")
         s = self.nu + self.h
         if abs(s) <= REGIME_TOL:
             regime = Regime.ZERO
@@ -66,9 +68,12 @@ class JacobiParams:
     beta: float
 
     def __post_init__(self):
-        if not (self.alpha > -1.0 and self.beta > -1.0):
+        if not (
+            math.isfinite(self.alpha) and math.isfinite(self.beta)
+            and self.alpha > -1.0 and self.beta > -1.0
+        ):
             raise DomainError(
-                f"Jacobi parameters must exceed -1, got ({self.alpha}, {self.beta})"
+                f"Jacobi parameters must be finite and exceed -1, got ({self.alpha}, {self.beta})"
             )
 
 

@@ -25,7 +25,7 @@ from .errors import (
     DomainError,
     RegimeMismatchError,
 )
-from .numerics import Bracket, refine_root
+from .numerics import Bracket, _fmt, _sign, refine_root
 from .specfun import (
     Regime,
     SpectralParams,
@@ -39,10 +39,6 @@ from .specfun import (
 RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 1024.0
 CACHE_ENV_VAR = "DINI_CACHE_DIR"
-
-
-def _fmt(x: float) -> str:
-    return "%.17g" % x
 
 
 def _mcmahon_guess(nu: float, k: int) -> float:
@@ -115,7 +111,7 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
         g = _mcmahon_guess(nu, k)
         lo = max(g - 0.6, prev_hi + 1e-9 * (1.0 + prev_hi))
         hi = max(g + 0.6, lo + 0.1)
-        s_lo, s_hi = _sign_of(f, lo), _sign_of(f, hi)
+        s_lo, s_hi = _sign(f(lo)), _sign(f(hi))
         if s_lo * s_hi >= 0:
             start = prev_hi + max(1e-9, 1e-6 * prev_hi) if prev_hi > 0 else 1e-8
             lo, hi, s_lo, s_hi = _scan_first_sign_change(f, start, g + 2.5)
@@ -127,13 +123,6 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
         f, fp, np.array(los), np.array(his), np.array(slos), tol
     )
     return roots
-
-
-def _sign_of(f, x: float) -> int:
-    v = f(x)
-    if isinstance(v, np.ndarray):
-        v = float(v.reshape(-1)[0])
-    return 1 if v > 0 else (-1 if v < 0 else 0)
 
 
 @dataclass
@@ -167,7 +156,10 @@ class ZeroTable:
             raise ConsistencyError(
                 f"zero residual {self.max_residual:.3e} exceeds {RESIDUAL_SCALE:.1e}"
             )
-        if np.any(np.diff(self.zeros[self.n_min :]) <= 0.0):
+        # Only the J_{nu,H} zeros are ordered: z_0 of I_{nu,H} may exceed z_1
+        # (nu = -0.75, H = -1.5 gives z_0 = 1.92 > z_1 = 1.81), while the
+        # eigenvalues -z_0^2 < z_1^2 stay ordered whatever z_0 is.
+        if np.any(np.diff(self.zeros[1:]) <= 0.0):
             raise ConsistencyError("zeros are not strictly increasing")
 
     @property
@@ -237,10 +229,10 @@ class ZeroTable:
 def _z0_bracket(p: SpectralParams) -> Bracket:
     f = lambda x: bessel_ih(p, x)
     eps = 1e-8
-    if _sign_of(f, eps) >= 0:
+    if _sign(f(eps)) >= 0:
         raise ConsistencyError("I_{nu,H} unexpectedly non-negative near 0")
     x_hi = 1.0
-    while _sign_of(f, x_hi) <= 0:
+    while _sign(f(x_hi)) <= 0:
         x_hi *= 2.0
         if x_hi > Z0_SEARCH_CAP:
             raise BracketScanFailure(
@@ -255,8 +247,8 @@ def build_zero_table(
     """Compute z_n for n = n_min..n_max, certified by interlacing brackets."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    if tol < 1e-13:
-        raise DomainError("tol must be >= 1e-13")
+    if not (math.isfinite(tol) and tol >= 1e-13):
+        raise DomainError(f"tol must be finite and >= 1e-13, got {tol}")
 
     need_j = n_max if p.regime is Regime.PLUS else n_max + 1
     j = bessel_j_zeros(p.nu, need_j, tol)

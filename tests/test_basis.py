@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import shared_basis
 from dini.basis import (
+    PSI_BLOCK_MODES,
+    PSI_RULES_PER_BASIS,
     BasisSpec,
     JacobiBasisSpec,
     apply_operator,
@@ -21,7 +23,7 @@ from dini.basis import (
 )
 from dini.errors import RegimeMismatchError, SpectrumNotPositiveError
 from dini.kernels import PairEngine
-from dini.numerics import gauss_legendre
+from dini.numerics import endpoint_graded_rule, gauss_legendre
 from dini.specfun import JacobiParams, SpectralParams
 
 
@@ -271,3 +273,55 @@ class TestCertifiedSup:
         other = build_basis(SpectralParams(0.7, 0.5), 60, table=b.table)
         PairEngine(other, [(0.3, 0.6)])
         assert probes() == 2
+
+
+class TestRulePsiCache:
+    """psi at a coefficient rule's nodes is kept on the basis, once per rule."""
+
+    @staticmethod
+    def _count_rule_evaluations(monkeypatch, n_nodes):
+        calls = []
+        original = BasisSpec._psi_rows
+
+        def spy(self, x, n_upper, block):
+            calls.append(np.size(x))
+            return original(self, x, n_upper, block)
+
+        monkeypatch.setattr(BasisSpec, "_psi_rows", spy)
+        return lambda: sum(n == n_nodes for n in calls)
+
+    def test_filled_once_per_rule_never_at_build(self, monkeypatch):
+        evaluations = self._count_rule_evaluations(monkeypatch, 256)
+        b = build_basis(SpectralParams(0.7, 0.5), 40)
+        assert b._psi_by_rule == {} and evaluations() == 0
+        rule = gauss_legendre(256)
+        f = lambda x: x * (1.0 - x)
+        first = dini_coefficients(b, f, rule)
+        second = dini_coefficients(b, lambda x: np.cos(x), rule)
+        assert evaluations() == 1
+        assert np.array_equal(dini_coefficients(b, f, rule), first)
+        assert not np.array_equal(first, second)
+        other = build_basis(SpectralParams(0.7, 0.5), 40, table=b.table)
+        dini_coefficients(other, f, rule)
+        assert evaluations() == 2
+
+    def test_read_only_and_bounded(self):
+        b = build_basis(SpectralParams(0.7, 0.5), 20)
+        rules = [gauss_legendre(n) for n in (64, 65, 66, 67, 68)]
+        mat = b._rule_psi(rules[0])
+        assert b._rule_psi(rules[0]) is mat
+        with pytest.raises(ValueError):
+            mat[1, 0] = 0.0
+        for rule in rules[1:]:
+            b._rule_psi(rule)
+        assert len(b._psi_by_rule) == PSI_RULES_PER_BASIS
+        assert b._rule_psi(rules[0]) is not mat  # the oldest rule was dropped
+
+    @pytest.mark.parametrize("nu", [0.7, -0.5, -0.75])  # PLUS, ZERO, MINUS
+    def test_blocks_bit_identical_to_psi_matrix(self, nu):
+        b = shared_basis(nu, n_max=2 * PSI_BLOCK_MODES + 37)
+        for rule in (default_coefficient_rule(b, 300), endpoint_graded_rule(200, 3, 1)):
+            assert np.array_equal(b._rule_psi(rule), b.psi_matrix(rule.nodes))
+            f = lambda x: x**1.5 * (1.0 - x)
+            fx = rule.weights * f(rule.nodes)
+            assert np.array_equal(dini_coefficients(b, f, rule), b.psi_matrix(rule.nodes) @ fx)

@@ -6,10 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import shared_basis
+from dini.basis import build_basis, inner_product_rule
 from dini.bounds import (
     Envelope,
     EnvelopeKind,
     F_nu,
+    _default_trial_grams,
+    _trial_function_norms,
     boundary_refined_coords,
     envelope_eval,
     hardy_check,
@@ -27,6 +30,8 @@ from dini.bounds import (
     sandwich_check,
 )
 from dini.errors import DomainError, NonFiniteRatioError, SandwichViolation
+from dini.numerics import gauss_legendre
+from dini.specfun import SpectralParams
 
 
 class TestF:
@@ -234,6 +239,51 @@ class TestWeightedInequalities:
     def test_requires_nu_above_one(self):
         with pytest.raises(DomainError):
             rellich_check(0.9, [1.0])
+
+    @staticmethod
+    def direct_norms(nu, coeffs, quad):
+        """||f/x^2||, ||f'/x||, ||Lf|| by quadrature of f itself (the
+        computation the Gram forms replace)."""
+        b = build_basis(SpectralParams(nu, 0.5), coeffs.size)
+        full = np.concatenate([[0.0], coeffs])
+        x = quad.nodes
+        f = full @ b.psi_matrix(x)
+        fp = full @ b.psi_prime_matrix(x)
+        return (
+            math.sqrt(float(np.dot(quad.weights, (f / x**2) ** 2))),
+            math.sqrt(float(np.dot(quad.weights, (fp / x) ** 2))),
+            math.sqrt(float(np.sum((coeffs * b.eigen[1:]) ** 2))),
+        )
+
+    @pytest.mark.parametrize("nu", [1.05, 1.2, 2.0, 5.0])
+    def test_gram_forms_match_direct_quadrature(self, nu, rng):
+        quad = inner_product_rule(2048, 2.0 * nu - 3.0)
+        for n_terms in range(1, 9):
+            coeffs = rng.standard_normal(n_terms)
+            got = _trial_function_norms(nu, coeffs, None)
+            ref = self.direct_norms(nu, coeffs, quad)
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_cache_hit_equals_miss(self, rng):
+        coeffs = rng.standard_normal(6)
+        _default_trial_grams.cache_clear()
+        miss = (rellich_check(2.5, coeffs), hardy_check(2.5, coeffs))
+        assert _default_trial_grams.cache_info().misses == 1
+        hit = (rellich_check(2.5, coeffs), hardy_check(2.5, coeffs))
+        assert _default_trial_grams.cache_info().hits == 3
+        assert miss == hit
+        # An explicit rule bypasses the cache; the default rule passed
+        # explicitly gives the same bits.
+        quad = inner_product_rule(2048, 2.0 * 2.5 - 3.0)
+        assert rellich_check(2.5, coeffs, quad) == miss[0]
+        assert _default_trial_grams.cache_info().currsize == 1
+
+    def test_explicit_rule_honoured(self):
+        coeffs = np.array([1.0, -0.5, 0.25])
+        coarse = gauss_legendre(24)
+        got = _trial_function_norms(2.0, coeffs, coarse)
+        assert got == pytest.approx(self.direct_norms(2.0, coeffs, coarse), rel=1e-12)
+        assert got[0] != _trial_function_norms(2.0, coeffs, None)[0]
 
 
 class TestGrids:

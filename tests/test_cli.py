@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from dini import cli
 from dini.cli import main
 
 
@@ -140,6 +141,60 @@ class TestKernelCommand:
 
     def test_missing_command(self, capsys):
         assert main([]) == 2
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_time(self, value, capsys):
+        code, _, err = run_cli(["kernel", "--nu", "0", "--t", value, "--grid", "4"], capsys)
+        assert code == 2
+        assert "finite" in err
+
+    @pytest.mark.parametrize("command", ["zeros", "convergence", "verify-envelopes"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0"])
+    def test_bad_tolerance_is_usage_error(self, command, value, capsys):
+        # convergence --tol inf used to exit 1 (a failed inequality) and
+        # zeros --tol nan to exit 0 with NaN in the tol column.
+        code, _, err = run_cli([command, "--nu", "0", "--tol", value, "--out", "-"], capsys)
+        assert code == 2
+        assert "usage:" in err and "--tol" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_h_names_h(self, value, capsys):
+        code, _, err = run_cli(
+            ["zeros", "--nu", "0", f"--h={value}", "--n-max", "3", "--out", "-"], capsys
+        )
+        assert code == 2
+        assert "H must be finite" in err
+
+    @pytest.mark.parametrize("command", ["kernel", "verify-sandwich", "verify-envelopes", "convergence"])
+    @pytest.mark.parametrize("grid", ["0", "-3"])
+    def test_non_positive_grid_is_usage_error(self, command, grid, capsys):
+        code, _, err = run_cli([command, "--nu", "0", "--grid", grid], capsys)
+        assert code == 2
+        assert "usage:" in err and "--grid" in err
+
+    @pytest.mark.parametrize("args", [["verify-rellich", "--nu", "2", "--trials", "0"],
+                                      ["verify-zero-bound", "--nu-grid", "0"]])
+    def test_empty_sweep_is_usage_error(self, args, capsys):
+        # Zero trials or grid points would check nothing and report a pass.
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        assert "usage:" in err
+
+    def test_sandwich_h_other_than_half_is_usage_error(self, capsys):
+        code, _, err = run_cli(["verify-sandwich", "--nu", "2", "--h", "7"], capsys)
+        assert code == 2
+        assert "usage:" in err and "H = 1/2" in err
+
+    def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
+        def broken(cfg):
+            raise ValueError("boom")
+
+        monkeypatch.setitem(cli.DISPATCH, "zeros", broken)
+        code, _, err = run_cli(["zeros", "--nu", "0"], capsys)
+        assert code == 2
+        assert "ValueError: boom" in err
 
 
 class TestDeterminism:

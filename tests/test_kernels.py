@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import shared_basis
-from dini.basis import build_jacobi_basis, eval_psi
+from dini.basis import build_jacobi_basis, certified_sup, default_coefficient_rule, eval_psi
 from dini.errors import (
     DiagonalSlowConvergence,
     DomainError,
@@ -18,12 +18,13 @@ from dini.kernels import (
     KernelKind,
     KernelRequest,
     PairEngine,
+    _gauss_tail,
     heat_kernel,
     poisson_kernel,
     potential_kernel,
     semigroup_apply,
 )
-from dini.numerics import gauss_legendre
+from dini.numerics import endpoint_graded_rule, gauss_legendre
 from dini.specfun import JacobiParams, SpectralParams
 
 PAIRS = [(0.3, 0.6), (0.45, 0.5), (0.1, 0.9), (0.05, 0.08), (0.7, 0.75)]
@@ -101,6 +102,15 @@ class TestHeatKernel:
                 grid=PAIRS,
                 tol=1e-13,
             )
+
+    @pytest.mark.parametrize("field", ["time_or_sigma", "tol", "d_nu"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_request_rejected(self, field, bad):
+        args = dict(kind=KernelKind.HEAT, params=SpectralParams(0.0, 0.5),
+                    time_or_sigma=0.1, grid=PAIRS)
+        args[field] = bad
+        with pytest.raises(DomainError, match="finite"):
+            KernelRequest(**args)
 
 
 class TestJacobiHeatKernel:
@@ -319,7 +329,62 @@ class TestPotentialKernels:
         assert out[0].cross_check < 1e-6 * abs(out[0].value)
 
 
+def uncached_semigroup(b, f, t_values, xs, quad, tol):
+    """The time sweep as it was before the psi caches: psi is evaluated at all
+    n_max modes on the rule and on xs, and every time sums all of them."""
+    coeffs = b.psi_matrix(quad.nodes) @ (quad.weights * f(quad.nodes))
+    mat = b.psi_matrix(xs)
+    sup_m = certified_sup(b, xs)
+    fnorm = float(np.max(np.abs(coeffs)))
+    out = []
+    for t in t_values:
+        if t == 0.0:
+            out.append(coeffs @ mat)
+            continue
+        n = b.n_min
+        while fnorm * sup_m * _gauss_tail(t, n, b.table.freq_offset) > tol:
+            n += max(1, n // 16)
+        mult = np.zeros(b.n_max + 1)
+        mult[b.n_min : n + 1] = np.exp(-t * b.eigen[b.n_min : n + 1])
+        out.append((coeffs * mult) @ mat)
+    return out
+
+
 class TestSemigroupApply:
+    # PLUS, ZERO, and MINUS (whose default coefficient rule is graded).
+    @pytest.mark.parametrize("nu", [0.7, -0.5, -0.75])
+    def test_matches_uncached(self, nu):
+        b = shared_basis(nu)
+        f = lambda x: x * (1.0 - x) ** 2
+        xs = np.linspace(0.01, 0.99, 41)
+        times = (0.0, 1e-4, 1e-2, 0.3)
+        refs = uncached_semigroup(b, f, times, xs, default_coefficient_rule(b, 1024), 1e-9)
+        for t, ref in zip(times, refs):
+            out = semigroup_apply(b, f, t, xs, tol=1e-9)
+            assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_explicit_rule_honoured(self):
+        b = shared_basis(0.7, n_max=200)
+        f = lambda x: x**1.2 * (1.0 - x) ** 2
+        xs = np.linspace(0.05, 0.95, 19)
+        graded = endpoint_graded_rule(300, 4, 1)
+        out = semigroup_apply(b, f, 1e-3, xs, quad=graded)
+        (ref,) = uncached_semigroup(b, f, (1e-3,), xs, graded, 1e-10)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert id(graded) in b._psi_by_rule
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
+    def test_rejects_bad_time(self, t):
+        b = shared_basis(0.7, n_max=60)
+        with pytest.raises(DomainError):
+            semigroup_apply(b, lambda x: x, t, np.array([0.5]))
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0])
+    def test_rejects_bad_tolerance(self, tol):
+        b = shared_basis(0.7, n_max=60)
+        with pytest.raises(DomainError):
+            semigroup_apply(b, lambda x: x, 0.1, np.array([0.5]), tol=tol)
+
     def test_eigenfunction_decay(self):
         b = shared_basis(0.7, n_max=60)
         t = 0.3

@@ -128,6 +128,15 @@ class TestGradedRule:
         assert np.all(np.diff(rule.nodes) > 0)
         assert abs(rule.weights.sum() - 1.0) <= 1e-14
 
+    def test_memoized_read_only(self):
+        rule = endpoint_graded_rule(96, 3, 2)
+        assert endpoint_graded_rule(96, 3, 2) is rule
+        assert endpoint_graded_rule(96, 2, 3) is not rule
+        for arr in (rule.nodes, rule.weights):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.5
+
 
 def test_quadrature_rule_validation():
     with pytest.raises(DomainError):

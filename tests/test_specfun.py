@@ -37,6 +37,17 @@ class TestSpectralParams:
         with pytest.raises(DomainError):
             JacobiParams(-1.2, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN fails every comparison, so without a finiteness check H = NaN
+        # would be classified MINUS and reach the zero search.
+        with pytest.raises(DomainError, match="H must be finite"):
+            SpectralParams(0.0, bad)
+        with pytest.raises(DomainError):
+            SpectralParams(bad, 0.5)
+        with pytest.raises(DomainError):
+            JacobiParams(bad, -0.5)
+
 
 class TestBesselJ:
     def test_closed_form_minus_half(self):

@@ -103,6 +103,18 @@ class TestBuildZeroTable:
         with pytest.raises(DomainError):
             build_zero_table(SpectralParams(0.0, 0.5), 5, tol=1e-14)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            build_zero_table(SpectralParams(0.0, 0.5), 5, tol=tol)
+
+    def test_i_zero_may_exceed_first_j_zero(self):
+        # z_0 (a zero of I_{nu,H}) and z_1 (of J_{nu,H}) are unrelated, so
+        # only z_1 < z_2 < ... is required; the eigenvalues stay ordered.
+        table = build_zero_table(SpectralParams(-0.75, -1.5), 8)
+        assert table.zeros[0] > table.zeros[1]
+        assert np.all(np.diff(table.zeros[1:]) > 0.0)
+
     @given(st.floats(-0.95, 3.0), st.floats(-1.5, 2.0))
     @settings(max_examples=25, deadline=None)
     def test_interlacing_property(self, nu, h):
