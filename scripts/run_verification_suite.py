@@ -2,12 +2,14 @@
 """Full desk-scale verification sweep.
 
 Drives the CLI across the default order grid and writes one artifact per
-check into the output directory. Exits nonzero if any verification fails.
+check into the output directory. Each status line carries the step's wall
+time, and the last line the total. Exits nonzero if any verification fails.
 
 Usage: python scripts/run_verification_suite.py [outdir]
 """
 
 import sys
+import time
 from pathlib import Path
 
 from dini.cli import main
@@ -19,11 +21,13 @@ SANDWICH_NUS = ("-0.75", "-0.25", "0.25", "2")
 def run(outdir: Path) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     failures = []
+    start = time.perf_counter()
 
     def step(name, args):
+        t0 = time.perf_counter()
         code = main(args)
         status = "ok" if code == 0 else f"FAIL({code})"
-        print(f"[{status}] {name}")
+        print(f"[{status}] {name} ({time.perf_counter() - t0:.2f} s)")
         if code != 0:
             failures.append(name)
 
@@ -58,10 +62,11 @@ def run(outdir: Path) -> int:
               "--grid", "200", "--n-max", "1500",
               "--out", str(outdir / f"convergence_nu{nu}.csv")])
 
+    total = f"{time.perf_counter() - start:.2f} s"
     if failures:
-        print(f"\n{len(failures)} verification(s) failed: {failures}")
+        print(f"\n{len(failures)} verification(s) failed in {total}: {failures}")
         return 1
-    print(f"\nall verifications passed; artifacts in {outdir}")
+    print(f"\nall verifications passed in {total}; artifacts in {outdir}")
     return 0
 
 

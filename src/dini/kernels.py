@@ -18,6 +18,14 @@ the remainder is the integral of the heat-tail kernel against the stable-1/2
 subordination measure, with closed-form erfc corrections below the smallest
 resolvable time scale.
 
+Where many heat times are needed at once (the subordination master's grids
+and the short-time heat integral of the potential series), the heat kernel
+is evaluated a block of TIME_BLOCK times per array operation: every time
+keeps its own certified cutoff (its multipliers beyond it are zero, so each
+row is the per-time truncated sum up to rounding), and the sup check on M
+runs once, at the largest cutoff. A single heat time keeps the full-length
+multiplier against the stored products.
+
 The time-integral route of the potentials is one log-panelled Gauss rule in
 t shared by all pairs, evaluated a block of nodes at a time (direct series
 above the direct-series time threshold, subordination below it), with a
@@ -60,8 +68,9 @@ from .specfun import JacobiParams, SpectralParams
 ENVELOPE_SAFETY = 16.0
 DIAGONAL_EXCLUSION = 1e-4
 LOG45 = 45.0
-# Time nodes evaluated per array operation in potential_time_integral; bounds
-# the exp(-t sqrt(lam)) temporaries at TIME_BLOCK x n_max.
+# Time nodes evaluated per array operation in potential_time_integral and
+# PairEngine._heat_rows; bounds the exponential temporaries at
+# TIME_BLOCK x n_max.
 TIME_BLOCK = 48
 
 
@@ -118,6 +127,11 @@ class KernelValue:
     n_terms: int
     tail_bound: float
     cross_check: Optional[float] = None
+
+
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
 
 
 def _gauss_tail(t: float, n_cut: float, c_off: float) -> float:
@@ -178,19 +192,51 @@ class PairEngine:
 
     def heat_cut(self, t: float, tol: float, rescale: float = 0.0) -> tuple[int, float]:
         """Smallest cutoff N with certified Gaussian tail below tol."""
+        _check_tol(tol)
+        n, bound = self._heat_cuts(np.array([t], dtype=float), tol, rescale)
+        return int(n[0]), float(bound[0])
+
+    def _heat_cuts(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Cutoffs N and tail bounds for an array of times: from the guess,
+        N grows by max(1, N//16) until M^2 times the Gaussian tail is below
+        tol. Raises for the first time whose N passes n_max."""
         m2 = self.M * self.M
-        grow = math.exp(min(t * rescale, 700.0))
-        guess = self.c_off + math.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / t) / math.pi
-        n = max(self.n_min, min(self.n_max, int(guess)))
-        while n <= self.n_max:
-            bound = m2 * grow * _gauss_tail(t, n, self.c_off)
-            if bound <= tol:
-                return n, bound
-            n += max(1, n // 16)
-        raise TailBoundFailure(
-            f"heat tail cannot reach tol={tol:.2e} at t={t:.3e} with "
-            f"{self.n_max} modes"
-        )
+        grow = np.exp(np.minimum(ts * rescale, 700.0))
+        a = ts * math.pi**2
+        guess = self.c_off + np.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / ts) / math.pi
+        n = np.maximum(self.n_min, np.minimum(guess, self.n_max).astype(np.int64))
+        bound = np.full(ts.size, math.inf)
+        todo = np.arange(ts.size)
+        while todo.size:
+            nt, at = n[todo], a[todo]
+            tail = 0.5 * np.sqrt(math.pi / at) * _erfc(np.sqrt(at) * (nt - self.c_off))
+            b = m2 * grow[todo] * np.where(nt > self.c_off, tail, math.inf)
+            done = b <= tol
+            bound[todo[done]] = b[done]
+            todo = todo[~done]
+            n[todo] += np.maximum(1, n[todo] // 16)
+            todo = todo[n[todo] <= self.n_max]
+        failed = np.flatnonzero(n > self.n_max)
+        if failed.size:
+            raise TailBoundFailure(
+                f"heat tail cannot reach tol={tol:.2e} at t={ts[failed[0]]:.3e} with "
+                f"{self.n_max} modes"
+            )
+        return n, bound
+
+    def _certified_cuts(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray]:
+        """_heat_cuts after one sup check over the stored rows up to the
+        largest cutoff: a peak above M^2 raises M to 1.5 sqrt(peak) and the
+        cutoffs are re-derived (at most 4 times)."""
+        for _ in range(4):
+            cuts, bounds = self._heat_cuts(ts, tol, rescale)
+            top = int(cuts.max(initial=self.n_min))
+            peak = float(np.max(np.abs(self.U[self.n_min : top + 1])))
+            if peak <= self.M * self.M:
+                return cuts, bounds
+            # Empirical bound exceeded mid-sum: enlarge and re-derive the cut.
+            self.M = 1.5 * math.sqrt(peak)
+        raise TailBoundFailure("basis sup certificate failed to stabilize")
 
     def heat_values(
         self, t: float, tol: float, rescale: float = 0.0
@@ -198,20 +244,35 @@ class PairEngine:
         """Values of exp(rescale*t) * kernel, computed by an exact spectral
         shift (rescale=0 gives the plain kernel; a positive rescale keeps
         large-time evaluation on an O(1) scale without overflow)."""
-        for _ in range(4):
-            n_cut, bound = self.heat_cut(t, tol, rescale)
-            sl = slice(self.n_min, n_cut + 1)
-            peak = float(np.max(np.abs(self.U[sl])))
-            if peak <= self.M * self.M:
-                break
-            # Empirical bound exceeded mid-sum: enlarge and re-derive the cut.
-            self.M = 1.5 * math.sqrt(peak)
-        else:
-            raise TailBoundFailure("basis sup certificate failed to stabilize")
+        _check_tol(tol)
+        (n_cut,), (bound,) = self._certified_cuts(np.array([t], dtype=float), tol, rescale)
+        sl = slice(self.n_min, n_cut + 1)
         mult = np.zeros(self.n_max + 1)
         mult[sl] = np.exp(-t * (self.lam[sl] - rescale))
         vals = mult @ self.U
-        return vals, n_cut - self.n_min + 1, bound
+        return vals, int(n_cut) - self.n_min + 1, float(bound)
+
+    def _heat_rows(self, ts, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Heat kernel rows [G_t(pair)] for an ascending array of times, with
+        each time's cutoff N and tail bound.
+
+        Each row is the truncated sum of heat_values at its time, up to
+        rounding; TIME_BLOCK times are evaluated per array operation, with
+        exponentials up to the block's largest cutoff and each row's
+        multipliers beyond its own cutoff set to zero. The smallest time has
+        the largest cutoff, where one heat_values call per time, in this
+        order, would make its sup check first: M ends the same either way.
+        """
+        cuts, bounds = self._certified_cuts(ts, tol)
+        rows = np.empty((ts.size, self.n_pairs))
+        for i in range(0, ts.size, TIME_BLOCK):
+            blk = slice(i, i + TIME_BLOCK)
+            n = cuts[blk]
+            sl = slice(self.n_min, int(n.max()) + 1)
+            mult = np.exp(-np.multiply.outer(ts[blk], self.lam[sl]))
+            mult[np.arange(sl.start, sl.stop) > n[:, None]] = 0.0
+            rows[blk] = mult @ self.U[sl]
+        return rows, cuts, bounds
 
     # ----- poisson ------------------------------------------------------
 
@@ -256,6 +317,7 @@ class PairEngine:
         self, t: float, d: float, tol: float, rescale: float = 0.0
     ) -> tuple[np.ndarray, int, float]:
         """Values of exp(rescale*t) * Poisson kernel (see heat_values)."""
+        _check_tol(tol)
         lam = self._shifted(d)
         cut = self._poisson_cut(t, tol, rescale)
         if cut is not None:
@@ -303,6 +365,7 @@ class PairEngine:
         incomplete gamma weights) plus (1/Gamma(sigma)) times the integral of
         t^{sigma-1} times the heat kernel over (0, delta).
         """
+        _check_tol(tol)
         lam = self._potential_spectrum(d0)
         m2 = self.M * self.M
         delta = 1e-3
@@ -337,36 +400,25 @@ class PairEngine:
         the resolvable time floor is skipped with an envelope-based bound.
         """
         t_cache = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
-        dist_min = float(np.min(self.dist))
         floors = np.maximum(self.dist**2 / 240.0, t_cache)
         t_floor = max(min(float(np.min(floors)), delta * 0.5), t_cache)
         skip = self._heat_skip_bound(sigma, t_floor=np.minimum(floors, delta))
         v_floor = (t_floor / delta) ** sigma
-        nodes, weights = _log_panel_rule(v_floor, 1.0, per_decade=5, order=16)
         pref = delta**sigma / (sigma * math.gamma(sigma))
-        total = np.zeros(self.n_pairs)
-        worst_tail = 0.0
-        n_used = 0
-        for v, w in zip(nodes, weights):
-            tv = delta * v ** (1.0 / sigma)
-            if tv < t_cache:
-                continue
-            vals, n_t, bnd = self.heat_values(tv, tol / max(len(nodes), 1))
-            total += w * math.exp(-d0 * d0 * tv) * vals
-            worst_tail = max(worst_tail, bnd)
-            n_used = max(n_used, n_t)
-        # Quadrature certificate: compare against a doubled rule.
-        nodes2, weights2 = _log_panel_rule(v_floor, 1.0, per_decade=10, order=16)
-        total2 = np.zeros(self.n_pairs)
-        for v, w in zip(nodes2, weights2):
-            tv = delta * v ** (1.0 / sigma)
-            if tv < t_cache:
-                continue
-            vals, _, _ = self.heat_values(tv, tol / max(len(nodes2), 1))
-            total2 += w * math.exp(-d0 * d0 * tv) * vals
-        quad_err = float(np.max(np.abs(total2 - total))) * pref
+        rules = []
+        for per_decade in (5, 10):
+            nodes, weights = _log_panel_rule(v_floor, 1.0, per_decade=per_decade, order=16)
+            tv = delta * nodes ** (1.0 / sigma)
+            keep = tv >= t_cache
+            rows, cuts, bounds = self._heat_rows(tv[keep], tol / nodes.size)
+            rules.append((weights[keep] * np.exp(-d0 * d0 * tv[keep])) @ rows)
+            if per_decade == 5:
+                worst_tail = float(bounds.max(initial=0.0))
+                n_used = int(cuts.max(initial=self.n_min - 1)) - self.n_min + 1
+        # Quadrature certificate: compare against the doubled rule.
+        quad_err = float(np.max(np.abs(rules[1] - rules[0]))) * pref
         bound = float(np.max(skip)) / math.gamma(sigma) + worst_tail * pref + quad_err
-        return pref * total2, n_used, bound
+        return pref * rules[1], n_used, bound
 
     def _heat_skip_bound(self, sigma, t_floor) -> np.ndarray:
         """Envelope bound for int_0^{t_floor} t^{sigma-1} G_t dt, per pair."""
@@ -402,6 +454,7 @@ class PairEngine:
         M^2 sum_n e^{-t sqrt(lam_n)} above t_hi; with the doubled-rule error
         estimate they must stay below tol.
         """
+        _check_tol(tol)
         lam = self._potential_spectrum(d)
         s2 = 2.0 * sigma
         t_lo, skip = self._short_time_cut(sigma, tol)
@@ -522,19 +575,24 @@ class _SubordinationMaster:
     H_t = head(t) + R_K(t), where head sums the first K modes exactly and
     R_K(t) = int_0^inf m_t(u) T(u) du with T(u) the heat-tail kernel
     (modes > K) and m_t the stable-1/2 subordination density. T is sampled
-    once on a log-paneled master grid; each evaluation is then a dot product.
-    Below the smallest resolvable u the integral of the head part is restored
-    with closed-form erfc terms, and the remaining kernel contribution is
-    bounded by the short-time envelope.
+    once on two log-paneled master grids (the second with twice the panels,
+    for the quadrature estimate), each from one blocked heat evaluation
+    (PairEngine._heat_rows) minus the head sum; each evaluation is then a
+    dot product. Below the smallest resolvable u the integral of the head
+    part is restored with closed-form erfc terms, and the remaining kernel
+    contribution is bounded by the short-time envelope.
+
+    The master keeps the head modes' eigenvalues and pair products, not the
+    engine, so that an engine holding its masters is freed by refcounting.
     """
 
     def __init__(self, engine: PairEngine, d: float, tol: float):
-        self.engine = engine
         self.d = d
         self.tol = tol
-        self.lam = engine._shifted(d)
-        n_head = min(96, max(engine.n_min + 8, engine.n_max // 8))
-        self.K = n_head
+        self.K = min(96, max(engine.n_min + 8, engine.n_max // 8))
+        head = slice(engine.n_min, self.K + 1)
+        self.lam_head = engine._shifted(d)[head]
+        self.U_head = engine.U[head].copy()
         u_cache = LOG45 / (math.pi * max(1.0, engine.n_max - engine.c_off)) ** 2
         self.u_floor = u_cache
         # Pairs closer than this need modes beyond the budget once the
@@ -542,15 +600,11 @@ class _SubordinationMaster:
         self.min_usable_dist = math.sqrt(200.0 * u_cache)
         lam_next = (math.pi * max(1.0, self.K + 1 - engine.c_off)) ** 2 + d * d
         u_hi = LOG45 / lam_next * 4.0
-        nodes, weights = _log_panel_rule(self.u_floor, u_hi, per_decade=6, order=24)
-        nodes2, weights2 = _log_panel_rule(self.u_floor, u_hi, per_decade=12, order=24)
         self.grids = []
-        for nd, wt in ((nodes, weights), (nodes2, weights2)):
-            T = np.empty((nd.size, engine.n_pairs))
-            for j, u in enumerate(nd):
-                vals, _, _ = engine.heat_values(u, 0.25 * tol)
-                head_u = self._head_heat(u)
-                T[j] = vals * math.exp(-d * d * u) - head_u
+        for per_decade in (6, 12):
+            nd, wt = _log_panel_rule(self.u_floor, u_hi, per_decade=per_decade, order=24)
+            heat, _, _ = engine._heat_rows(nd, 0.25 * tol)
+            T = heat * np.exp(-d * d * nd)[:, None] - self._head_heat(nd)
             self.grids.append((nd, wt, T))
         # Envelope bound for |G| below the master floor, per pair; pairs too
         # close to the diagonal cannot be certified at any small t.
@@ -561,15 +615,11 @@ class _SubordinationMaster:
         self.sub_floor_kernel_bound = g_bound
         self.n_terms = engine.n_max - engine.n_min + 1
 
-    def _head_heat(self, u: float) -> np.ndarray:
-        e = self.engine
-        sl = slice(e.n_min, self.K + 1)
-        return np.exp(-u * self.lam[sl]) @ e.U[sl]
+    def _head_heat(self, u) -> np.ndarray:
+        return np.exp(-np.multiply.outer(u, self.lam_head)) @ self.U_head
 
     def _head_poisson(self, t) -> np.ndarray:
-        e = self.engine
-        sl = slice(e.n_min, self.K + 1)
-        return np.exp(-np.multiply.outer(t, np.sqrt(self.lam[sl]))) @ e.U[sl]
+        return np.exp(-np.multiply.outer(t, np.sqrt(self.lam_head))) @ self.U_head
 
     def _subfloor_head(self, t) -> np.ndarray:
         """Exact integral of -head against m_t over (0, u_floor) via erfc.
@@ -578,10 +628,8 @@ class _SubordinationMaster:
           = 0.5*[e^{-t sqrt(lam)} erfc(t/(2 sqrt(U)) - sqrt(lam U))
                + e^{+t sqrt(lam)} erfc(t/(2 sqrt(U)) + sqrt(lam U))].
         """
-        e = self.engine
         U = self.u_floor
-        sl = slice(e.n_min, self.K + 1)
-        lam = self.lam[sl]
+        lam = self.lam_head
         s = np.sqrt(lam)
         t = np.asarray(t)[..., None]
         w = t / (2.0 * math.sqrt(U))
@@ -593,7 +641,7 @@ class _SubordinationMaster:
             np.exp(-t * s) * _erfc(a_minus)
             + _erfcx(a_plus) * np.exp(-w * w - lam * U)
         )
-        return -(part @ e.U[sl])
+        return -(part @ self.U_head)
 
     def eval(self, t):
         """Values and certificate at time t; for a 1-D array of times, one
@@ -722,8 +770,7 @@ def semigroup_apply(
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and >= 0, got {t}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    _check_tol(tol)
     quad = quad or default_coefficient_rule(b, 1024)
     coeffs = dini_coefficients(b, f, quad)
     xs = np.asarray(x_grid, dtype=float)

@@ -199,6 +199,17 @@ class TestRatioSweeps:
             assert r.spread < 100.0
 
 
+class TestToleranceChecks:
+    def test_heat_envelope_reports_rejects_nan_tol(self):
+        b = shared_basis(0.0, n_max=300)
+        with pytest.raises(DomainError, match="tolerance"):
+            heat_envelope_reports(b, [(0.3, 0.6)], [0.1], heat_short_envelope(0.0), tol=math.nan)
+
+    def test_sandwich_check_rejects_inf_tol(self):
+        with pytest.raises(DomainError, match="tolerance"):
+            sandwich_check(0.25, [0.1], [(0.3, 0.6)], n_max=250, tol=math.inf)
+
+
 class TestMappingExponents:
     def test_values(self):
         p0, p1 = mapping_exponents(-0.75)

@@ -1,5 +1,7 @@
 import cmath
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -13,11 +15,13 @@ from dini.errors import (
     DomainError,
     ShiftTooSmallError,
     SpectrumNotPositiveError,
+    TailBoundFailure,
 )
 from dini.kernels import (
     KernelKind,
     KernelRequest,
     PairEngine,
+    _SubordinationMaster,
     _gauss_tail,
     heat_kernel,
     poisson_kernel,
@@ -348,6 +352,158 @@ def uncached_semigroup(b, f, t_values, xs, quad, tol):
         mult[b.n_min : n + 1] = np.exp(-t * b.eigen[b.n_min : n + 1])
         out.append((coeffs * mult) @ mat)
     return out
+
+
+AGREEMENT_PAIRS = [(0.3, 0.6), (0.15, 0.45), (0.1, 0.9), (0.55, 0.8), (0.05, 0.2), (0.65, 0.95)]
+
+
+def blocked_engines():
+    """PLUS, ZERO, MINUS and nu = 3/2 Bessel engines and a Jacobi engine."""
+    bases = [
+        shared_basis(0.0, 0.5, n_max=300),
+        shared_basis(0.0, 0.0, n_max=300),
+        shared_basis(-0.75, -1.5, n_max=300),
+        shared_basis(1.5, 0.5, n_max=300),
+        build_jacobi_basis(JacobiParams(0.3, -0.5), 300),
+    ]
+    return [PairEngine(b, PAIRS + [(0.5, 0.5)]) for b in bases]
+
+
+def old_heat_cut(eng, t, tol):
+    """The scalar cutoff search that heat_cut used before its array form;
+    None where it raised."""
+    m2 = eng.M * eng.M
+    guess = eng.c_off + math.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / t) / math.pi
+    n = max(eng.n_min, min(eng.n_max, int(guess)))
+    while n <= eng.n_max:
+        bound = m2 * _gauss_tail(t, n, eng.c_off)
+        if bound <= tol:
+            return n, bound
+        n += max(1, n // 16)
+    return None
+
+
+def sequential_heat_rows(eng, ts, tol):
+    """One heat_values call per time, in the layout of PairEngine._heat_rows."""
+    out = [eng.heat_values(t, tol) for t in ts]
+    rows = np.array([o[0] for o in out]).reshape(len(ts), eng.n_pairs)
+    cuts = np.array([o[1] for o in out], dtype=np.int64) + eng.n_min - 1
+    return rows, cuts, np.array([o[2] for o in out])
+
+
+def assert_rows_close(rows, ref, rel=1e-14):
+    # Relative to each row's largest value: entries far below it (a heat
+    # kernel far from the diagonal at small t) carry only rounding noise.
+    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert np.all(np.abs(rows - ref) <= rel * scale)
+
+
+class TestBlockedHeat:
+    TIMES = np.geomspace(1e-6, 10.0, 400)
+
+    def test_cutoffs_match_scalar_search(self):
+        for eng in blocked_engines():
+            for tol in (1e-6, 1e-9, 1e-11, 1e-12):
+                old = [old_heat_cut(eng, t, tol) for t in self.TIMES]
+                ok = np.array([o is not None for o in old])
+                assert ok.any() and not ok.all()
+                n, bound = eng._heat_cuts(self.TIMES[ok], tol)
+                assert list(n) == [o[0] for o in old if o is not None]
+                assert list(bound) == [o[1] for o in old if o is not None]
+                for t, o in zip(self.TIMES, old):
+                    if o is None:
+                        with pytest.raises(TailBoundFailure, match=f"t={t:.3e}"):
+                            eng.heat_cut(t, tol)
+                    else:
+                        assert eng.heat_cut(t, tol) == o
+                first_bad = self.TIMES[~ok][0]
+                with pytest.raises(TailBoundFailure, match=f"t={first_bad:.3e}"):
+                    eng._heat_cuts(self.TIMES, tol)
+
+    def test_rows_match_heat_values(self):
+        ts = np.geomspace(1e-4, 5.0, 150)
+        for eng in blocked_engines():
+            rows, cuts, bounds = eng._heat_rows(ts, 1e-10)
+            ref, ref_cuts, ref_bounds = sequential_heat_rows(eng, ts, 1e-10)
+            assert np.array_equal(cuts, ref_cuts)
+            assert np.array_equal(bounds, ref_bounds)
+            assert_rows_close(rows, ref)
+
+    def test_master_grids_match_per_time_loop(self):
+        for eng, d in zip(blocked_engines(), (0.0, 0.0, 2.0, 1.0, 1.0)):
+            master = _SubordinationMaster(eng, d, 1e-9)
+            lam = eng._shifted(d)
+            head = slice(eng.n_min, master.K + 1)
+            for nd, _, T in master.grids:
+                heat = np.empty_like(T)
+                old = np.empty_like(T)
+                for j, u in enumerate(nd):
+                    vals, _, _ = eng.heat_values(u, 0.25e-9)
+                    heat[j] = vals * math.exp(-d * d * u)
+                    old[j] = heat[j] - np.exp(-u * lam[head]) @ eng.U[head]
+                # T is the heat tail beyond the head modes: compare it on the
+                # scale of the heat values it is the difference of.
+                scale = np.max(np.abs(heat), axis=1, keepdims=True)
+                assert np.all(np.abs(T - old) <= 1e-14 * scale)
+
+    def test_sup_raise_matches_sequential(self):
+        ts = np.geomspace(1e-4, 1.0, 60)
+        for blocked, sequential in zip(blocked_engines(), blocked_engines()):
+            low = 0.1 * blocked.M
+            blocked.M = sequential.M = low
+            rows, cuts, _ = blocked._heat_rows(ts, 1e-10)
+            ref, ref_cuts, _ = sequential_heat_rows(sequential, ts, 1e-10)
+            assert blocked.M == sequential.M > low
+            assert np.array_equal(cuts, ref_cuts)
+            assert_rows_close(rows, ref)
+
+    def test_potentials_match_sequential_rows(self, monkeypatch):
+        cases = [(1.0, -0.75), (1.0, 0.0), (1.0, 1.5), (0.0, 0.0), (0.0, 1.5)]
+        blocked = {}
+        for d0, nu in cases:
+            eng = PairEngine(shared_basis(nu, n_max=3000), AGREEMENT_PAIRS)
+            series = [eng.potential_series(s, d0, 1e-9) for s in (0.3, 1.6)]
+            blocked[d0, nu] = series, eng.potential_time_integral(0.3, d0, 1e-9)
+        monkeypatch.setattr(PairEngine, "_heat_rows", sequential_heat_rows)
+        for d0, nu in cases:
+            eng = PairEngine(shared_basis(nu, n_max=3000), AGREEMENT_PAIRS)
+            series, timed = blocked[d0, nu]
+            for s, (vals, n_terms, bound) in zip((0.3, 1.6), series):
+                ref, ref_terms, ref_bound = eng.potential_series(s, d0, 1e-9)
+                assert n_terms == ref_terms
+                assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-14
+                assert bound <= 1e-9 and bound == pytest.approx(ref_bound, rel=1e-3)
+            # The master's grids are heat tails, differences of heat values
+            # near 1e3 at the smallest u, so rounding enters them ~1e3 larger.
+            ref = eng.potential_time_integral(0.3, d0, 1e-9)
+            assert np.max(np.abs(timed - ref) / np.abs(ref)) <= 1e-12
+
+    def test_engine_freed_without_cycle_collection(self):
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
+        eng._master(1.0, 1e-9)
+        ref = weakref.ref(eng)
+        gc.disable()
+        try:
+            del eng
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+class TestToleranceChecks:
+    CALLS = {
+        "heat_values": lambda e, tol: e.heat_values(0.1, tol),
+        "poisson_values": lambda e, tol: e.poisson_values(0.1, 0.0, tol),
+        "potential_series": lambda e, tol: e.potential_series(1.0, 1.0, tol),
+        "potential_time_integral": lambda e, tol: e.potential_time_integral(1.0, 1.0, tol),
+    }
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, 0.0])
+    def test_rejected(self, call, tol):
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
+        with pytest.raises(DomainError, match="tolerance"):
+            self.CALLS[call](eng, tol)
 
 
 class TestSemigroupApply:
