@@ -3,11 +3,13 @@
 
 Drives the CLI across the default order grid and writes one artifact per
 check into the output directory. Each status line carries the step's wall
-time, and the last line the total. Exits nonzero if any verification fails.
+time, and the last line the total and the process's peak resident set size.
+Exits nonzero if any verification fails.
 
 Usage: python scripts/run_verification_suite.py [outdir]
 """
 
+import resource
 import sys
 import time
 from pathlib import Path
@@ -16,6 +18,12 @@ from dini.cli import main
 
 NU_GRID = ("-0.9", "-0.75", "-0.5", "0", "0.5", "1.5", "3")
 SANDWICH_NUS = ("-0.75", "-0.25", "0.25", "2")
+
+
+def peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return rss / 2**20 if sys.platform == "darwin" else rss / 2**10
 
 
 def run(outdir: Path) -> int:
@@ -62,7 +70,7 @@ def run(outdir: Path) -> int:
               "--grid", "200", "--n-max", "1500",
               "--out", str(outdir / f"convergence_nu{nu}.csv")])
 
-    total = f"{time.perf_counter() - start:.2f} s"
+    total = f"{time.perf_counter() - start:.2f} s (peak RSS {peak_rss_mb():.1f} MB)"
     if failures:
         print(f"\n{len(failures)} verification(s) failed in {total}: {failures}")
         return 1

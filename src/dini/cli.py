@@ -185,7 +185,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
 
     dispatch = {
         KernelKind.HEAT: kmod.heat_kernel,
-        KernelKind.JACOBI_HEAT: kmod.jacobi_heat_kernel,
+        KernelKind.JACOBI_HEAT: kmod.heat_kernel,
         KernelKind.POISSON: kmod.poisson_kernel,
         KernelKind.POISSON_SHIFTED: kmod.poisson_kernel,
         KernelKind.RIESZ_POT: kmod.potential_kernel,

@@ -18,13 +18,18 @@ the remainder is the integral of the heat-tail kernel against the stable-1/2
 subordination measure, with closed-form erfc corrections below the smallest
 resolvable time scale.
 
+A PairEngine keeps the basis on the unique coordinates of its pairs, not
+the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
+the pair products of the modes it sums (up to its cutoff, or
+PSI_BLOCK_MODES modes at a time for the full-length potential series), so
+memory grows with n_max * n_coords rather than n_max * n_pairs.
+
 Where many heat times are needed at once (the subordination master's grids
 and the short-time heat integral of the potential series), the heat kernel
 is evaluated a block of TIME_BLOCK times per array operation: every time
 keeps its own certified cutoff (its multipliers beyond it are zero, so each
 row is the per-time truncated sum up to rounding), and the sup check on M
-runs once, at the largest cutoff. A single heat time keeps the full-length
-multiplier against the stored products.
+runs once, at the largest cutoff, on the same pair products the sums use.
 
 The time-integral route of the potentials is one log-panelled Gauss rule in
 t shared by all pairs, evaluated a block of nodes at a time (direct series
@@ -61,7 +66,7 @@ from .errors import (
     SpectrumNotPositiveError,
     TailBoundFailure,
 )
-from .specfun import JacobiParams, SpectralParams
+from .specfun import X_MAX_J, JacobiParams, SpectralParams
 
 # Engineering constant for envelope-based skip bounds below the resolvable
 # time scale; validated end-to-end against closed-form oracles in the tests.
@@ -72,6 +77,13 @@ LOG45 = 45.0
 # PairEngine._heat_rows; bounds the exponential temporaries at
 # TIME_BLOCK x n_max.
 TIME_BLOCK = 48
+# Modes per pair-product block in potential_series; bounds its temporaries at
+# PSI_BLOCK_MODES x n_pairs.
+PSI_BLOCK_MODES = 128
+# A single-time series runs from mode 0 to a multiple of SUM_ALIGN modes
+# (PairEngine._series), so that BLAS groups its terms as in a sum over all
+# n_max + 1 modes.
+SUM_ALIGN = 4
 
 
 class KernelKind(enum.Enum):
@@ -142,6 +154,15 @@ def _gauss_tail(t: float, n_cut: float, c_off: float) -> float:
     return 0.5 * math.sqrt(math.pi / a) * float(_erfc(math.sqrt(a) * (n_cut - c_off)))
 
 
+def _poisson_need(t: float, tol: float, m2: float, c_off: float, rescale: float = 0.0) -> float:
+    """Mode index from which M^2 e^{rescale t} times the geometric Poisson
+    tail sum_{n>N} e^{-t pi (n - c_off)} is below tol (for t pi < 700)."""
+    grow = math.exp(min(t * rescale, 700.0))
+    return c_off + math.log(
+        max(m2, 1.0) * grow / (tol * (1.0 - math.exp(-t * math.pi)))
+    ) / (t * math.pi)
+
+
 def _exp_tail(t: float, n_cut: float, c_off: float) -> float:
     """Upper bound for sum_{n>n_cut} exp(-t pi (n-c_off))."""
     r = math.exp(-t * math.pi)
@@ -151,10 +172,14 @@ def _exp_tail(t: float, n_cut: float, c_off: float) -> float:
 
 
 class PairEngine:
-    """Cached basis products psi_n(x_p) psi_n(y_p) over a fixed pair set.
+    """Kernel series over a fixed pair set.
 
-    All kernel multipliers reduce to weighted dot products against the rows
-    of U, so sweeping a multiplier family over many times is cheap.
+    The engine keeps psi, the basis functions (phi for a Jacobi basis) on
+    the unique coordinates of its pairs, one row per mode, and the index
+    arrays ix and iy of each pair's x and y into them. Every kernel
+    multiplier reduces to a weighted sum over modes of the pair products
+    psi_n(x_p) psi_n(y_p), which each call forms only for the modes it sums
+    (_pair_products).
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
@@ -176,17 +201,40 @@ class PairEngine:
             self.n_max = basis.n_max
             self.lam = basis.eigen.copy()
             self.c_off = basis.table.freq_offset
-        ix = np.searchsorted(coords, xs)
-        iy = np.searchsorted(coords, ys)
-        self.U = mat[:, ix] * mat[:, iy]
+        self.psi = mat
+        self.ix = np.searchsorted(coords, xs)
+        self.iy = np.searchsorted(coords, ys)
         self.M = certified_sup(basis, coords)
         self.dist = np.abs(xs - ys)
-        self.xy = xs * ys
         self._masters: dict = {}
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+    def _pair_products(self, lo: int, hi: int) -> np.ndarray:
+        """psi_n(x_p) psi_n(y_p) for the modes lo <= n < hi, one row per mode."""
+        prods = self.psi[lo:hi, self.ix]
+        prods *= self.psi[lo:hi, self.iy]
+        return prods
+
+    def _series_top(self, n_cut: int) -> int:
+        """End of the mode range _series sums for a cutoff n_cut."""
+        return min(self.n_max + 1, -(-(n_cut + 1) // SUM_ALIGN) * SUM_ALIGN)
+
+    def _series(self, mult: np.ndarray, n_cut: int, prods=None) -> np.ndarray:
+        """sum_{n_min <= n <= n_cut} mult[n - n_min] psi_n(x_p) psi_n(y_p).
+
+        The sum runs over the modes 0.._series_top(n_cut) - 1 with zero
+        multipliers outside [n_min, n_cut] (prods, when given, holds their
+        pair products), so BLAS groups its terms as in a sum over all
+        n_max + 1 modes: on the OpenBLAS gemv kernels tested, the values are
+        those of that sum to the last bit.
+        """
+        top = self._series_top(n_cut)
+        full = np.zeros(top)
+        full[self.n_min : n_cut + 1] = mult
+        return full @ (self._pair_products(0, top) if prods is None else prods)
 
     # ----- heat ---------------------------------------------------------
 
@@ -224,16 +272,20 @@ class PairEngine:
             )
         return n, bound
 
-    def _certified_cuts(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray]:
-        """_heat_cuts after one sup check over the stored rows up to the
-        largest cutoff: a peak above M^2 raises M to 1.5 sqrt(peak) and the
-        cutoffs are re-derived (at most 4 times)."""
+    def _certified_cuts(self, ts, tol, rescale=0.0):
+        """_heat_cuts after one sup check over the pair products of the modes
+        n_min..largest cutoff: a peak above M^2 raises M to 1.5 sqrt(peak)
+        and the cutoffs are re-derived (at most 4 times). Returns the
+        cutoffs, their tail bounds and the pair products of the modes
+        0.._series_top(largest cutoff) - 1."""
         for _ in range(4):
             cuts, bounds = self._heat_cuts(ts, tol, rescale)
             top = int(cuts.max(initial=self.n_min))
-            peak = float(np.max(np.abs(self.U[self.n_min : top + 1])))
+            prods = self._pair_products(0, self._series_top(top))
+            checked = prods[self.n_min : top + 1]
+            peak = max(float(checked.max()), -float(checked.min()))
             if peak <= self.M * self.M:
-                return cuts, bounds
+                return cuts, bounds, prods
             # Empirical bound exceeded mid-sum: enlarge and re-derive the cut.
             self.M = 1.5 * math.sqrt(peak)
         raise TailBoundFailure("basis sup certificate failed to stabilize")
@@ -245,12 +297,9 @@ class PairEngine:
         shift (rescale=0 gives the plain kernel; a positive rescale keeps
         large-time evaluation on an O(1) scale without overflow)."""
         _check_tol(tol)
-        (n_cut,), (bound,) = self._certified_cuts(np.array([t], dtype=float), tol, rescale)
-        sl = slice(self.n_min, n_cut + 1)
-        mult = np.zeros(self.n_max + 1)
-        mult[sl] = np.exp(-t * (self.lam[sl] - rescale))
-        vals = mult @ self.U
-        return vals, int(n_cut) - self.n_min + 1, float(bound)
+        (n_cut,), (bound,), prods = self._certified_cuts(np.array([t], dtype=float), tol, rescale)
+        mult = np.exp(-t * (self.lam[self.n_min : n_cut + 1] - rescale))
+        return self._series(mult, n_cut, prods), int(n_cut) - self.n_min + 1, float(bound)
 
     def _heat_rows(self, ts, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Heat kernel rows [G_t(pair)] for an ascending array of times, with
@@ -263,7 +312,7 @@ class PairEngine:
         the largest cutoff, where one heat_values call per time, in this
         order, would make its sup check first: M ends the same either way.
         """
-        cuts, bounds = self._certified_cuts(ts, tol)
+        cuts, bounds, prods = self._certified_cuts(ts, tol)
         rows = np.empty((ts.size, self.n_pairs))
         for i in range(0, ts.size, TIME_BLOCK):
             blk = slice(i, i + TIME_BLOCK)
@@ -271,7 +320,7 @@ class PairEngine:
             sl = slice(self.n_min, int(n.max()) + 1)
             mult = np.exp(-np.multiply.outer(ts[blk], self.lam[sl]))
             mult[np.arange(sl.start, sl.stop) > n[:, None]] = 0.0
-            rows[blk] = mult @ self.U[sl]
+            rows[blk] = mult @ prods[sl]
         return rows, cuts, bounds
 
     # ----- poisson ------------------------------------------------------
@@ -289,9 +338,10 @@ class PairEngine:
         tol, as (N, bound); None when it exceeds the mode budget."""
         m2 = self.M * self.M
         grow = math.exp(min(t * rescale, 700.0))
-        need = self.c_off + math.log(
-            max(m2, 1.0) * grow / (tol * (1.0 - math.exp(-t * math.pi)))
-        ) / (t * math.pi) if t * math.pi < 700 else self.n_min
+        if t * math.pi < 700:
+            need = _poisson_need(t, tol, m2, self.c_off, rescale)
+        else:
+            need = self.n_min
         if need <= self.n_max - 1:
             n = max(self.n_min, int(need))
             while n <= self.n_max:
@@ -322,10 +372,8 @@ class PairEngine:
         cut = self._poisson_cut(t, tol, rescale)
         if cut is not None:
             n, bound = cut
-            mult = np.zeros(self.n_max + 1)
-            sl = slice(self.n_min, n + 1)
-            mult[sl] = np.exp(-t * (np.sqrt(lam[sl]) - rescale))
-            return mult @ self.U, n - self.n_min + 1, bound
+            mult = np.exp(-t * (np.sqrt(lam[self.n_min : n + 1]) - rescale))
+            return self._series(mult, n), n - self.n_min + 1, bound
         if rescale != 0.0:
             raise TailBoundFailure(
                 "rescaled Poisson evaluation requires the direct-series regime"
@@ -375,7 +423,10 @@ class PairEngine:
         mult = np.zeros(self.n_max + 1)
         sl = slice(self.n_min, self.n_max + 1)
         mult[sl] = lam[sl] ** (-sigma) * _gammaincc(sigma, delta * lam[sl])
-        direct = mult @ self.U
+        direct = np.zeros(self.n_pairs)
+        for lo in range(self.n_min, self.n_max + 1, PSI_BLOCK_MODES):
+            hi = min(lo + PSI_BLOCK_MODES, self.n_max + 1)
+            direct += mult[lo:hi] @ self._pair_products(lo, hi)
         # Direct-part tail beyond n_max: term_n is decreasing in lambda, so
         # bound it at the analytic lower frequencies pi*(n - c_off) and sum.
         ns = np.arange(self.n_max + 1, self.n_max + 5001, dtype=float)
@@ -495,8 +546,8 @@ class PairEngine:
                 raise TailBoundFailure(
                     f"poisson tail cannot reach tol={tol:.2e} at t={direct[0]:.3e}"
                 )
-            sl = slice(self.n_min, cut[0] + 1)
-            out[~sub] = np.exp(-np.multiply.outer(direct, np.sqrt(lam[sl]))) @ self.U[sl]
+            mult = np.exp(-np.multiply.outer(direct, np.sqrt(lam[self.n_min : cut[0] + 1])))
+            out[~sub] = mult @ self._pair_products(self.n_min, cut[0] + 1)
         return out
 
     def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
@@ -592,7 +643,7 @@ class _SubordinationMaster:
         self.K = min(96, max(engine.n_min + 8, engine.n_max // 8))
         head = slice(engine.n_min, self.K + 1)
         self.lam_head = engine._shifted(d)[head]
-        self.U_head = engine.U[head].copy()
+        self.U_head = engine._pair_products(head.start, head.stop)
         u_cache = LOG45 / (math.pi * max(1.0, engine.n_max - engine.c_off)) ** 2
         self.u_floor = u_cache
         # Pairs closer than this need modes beyond the budget once the
@@ -614,6 +665,10 @@ class _SubordinationMaster:
         g_bound[alive] = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
         self.sub_floor_kernel_bound = g_bound
         self.n_terms = engine.n_max - engine.n_min + 1
+        # For the failure message: what the direct series would need instead.
+        self.min_dist = float(np.min(engine.dist, initial=math.inf))
+        self.m2 = engine.M * engine.M
+        self.c_off = engine.c_off
 
     def _head_heat(self, u) -> np.ndarray:
         return np.exp(-np.multiply.outer(u, self.lam_head)) @ self.U_head
@@ -667,11 +722,24 @@ class _SubordinationMaster:
         bad = ~(bound <= 4.0 * self.tol)
         if np.any(bad):
             raise TailBoundFailure(
-                f"subordinated Poisson certificate {np.max(bound):.2e} too large at "
-                f"t={np.min(np.where(bad, t, np.inf)):.3e}; pair too close to the "
-                "diagonal or mode budget too small"
+                self._failure_message(float(np.max(bound)), float(np.min(t[bad])))
             )
         return vals, bound
+
+    def _failure_message(self, bound: float, t: float) -> str:
+        """Why the certificate failed at t: the closest pair against
+        min_usable_dist, and the --n-max the direct series would need at t
+        (the _poisson_cut formula) against the Bessel cap."""
+        cap = int(X_MAX_J / math.pi)
+        need = math.ceil(_poisson_need(t, self.tol, self.m2, self.c_off)) + 1
+        return (
+            f"subordinated Poisson certificate {bound:.2e} too large at t={t:.3e}: the "
+            f"closest pair is {self.min_dist:.3e} apart, and pairs closer than "
+            f"min_usable_dist = {self.min_usable_dist:.3e} have no bound below the "
+            f"resolvable time scale; the direct series would need --n-max >= {need} at "
+            f"this t, {'above' if need > cap else 'within'} the Bessel cap of about "
+            f"{cap} modes"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -694,24 +762,19 @@ def _engine_for(req: KernelRequest, basis=None) -> PairEngine:
     return PairEngine(b, req.grid)
 
 
-def heat_kernel(req: KernelRequest, basis: Optional[BasisSpec] = None) -> list[KernelValue]:
-    """Heat kernel values G_t(x,y) with certified truncation."""
-    if req.kind is not KernelKind.HEAT:
-        raise DomainError("heat_kernel requires a HEAT request")
-    eng = _engine_for(req, basis)
-    vals, n_terms, bound = eng.heat_values(req.time_or_sigma, req.tol)
-    return [KernelValue(float(v), n_terms, bound) for v in vals]
-
-
-def jacobi_heat_kernel(
-    req: KernelRequest, basis: Optional[JacobiBasisSpec] = None
+def heat_kernel(
+    req: KernelRequest, basis: Union[BasisSpec, JacobiBasisSpec, None] = None
 ) -> list[KernelValue]:
-    """Jacobi heat kernel values K_t(x,y) with certified truncation."""
-    if req.kind is not KernelKind.JACOBI_HEAT:
-        raise DomainError("jacobi_heat_kernel requires a JACOBI_HEAT request")
+    """Heat kernel values G_t(x,y) (HEAT) or Jacobi heat kernel values
+    K_t(x,y) (JACOBI_HEAT) with certified truncation."""
+    if req.kind not in (KernelKind.HEAT, KernelKind.JACOBI_HEAT):
+        raise DomainError("heat_kernel requires a HEAT or JACOBI_HEAT request")
     eng = _engine_for(req, basis)
     vals, n_terms, bound = eng.heat_values(req.time_or_sigma, req.tol)
     return [KernelValue(float(v), n_terms, bound) for v in vals]
+
+
+jacobi_heat_kernel = heat_kernel
 
 
 def poisson_kernel(req: KernelRequest, basis: Optional[BasisSpec] = None) -> list[KernelValue]:

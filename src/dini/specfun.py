@@ -19,7 +19,7 @@ from scipy.special import jv as _jv
 
 from .errors import DomainError, OverflowRangeError, PoleError
 
-X_MAX_J = 1.0e4
+X_MAX_J = 1.0e5
 X_MAX_I = 700.0
 REGIME_TOL = 1e-14
 
@@ -83,7 +83,7 @@ def _check_order(nu: float) -> None:
 
 
 def bessel_j(nu: float, x):
-    """Bessel function of the first kind J_nu on (0, 1e4]."""
+    """Bessel function of the first kind J_nu on (0, 1e5]."""
     _check_order(nu)
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0.0):

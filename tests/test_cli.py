@@ -43,6 +43,13 @@ class TestZerosCommand:
         assert list(tmp_path.glob("*.csv"))
 
 
+    def test_mode_budget_above_former_cap(self, capsys):
+        # z_3500 ~ 1.1e4 lies beyond the former bessel_j cap of 1e4.
+        code, out, _ = run_cli(["zeros", "--nu", "0", "--n-max", "3500", "--out", "-"], capsys)
+        assert code == 0
+        assert out.strip().splitlines()[-1].split(",")[2] == "3500"
+
+
 class TestVerificationCommands:
     def test_basis_check(self, capsys):
         code, out, _ = run_cli(
@@ -74,6 +81,15 @@ class TestVerificationCommands:
         obj = json.loads(out)
         assert obj["pass"] is True
         assert all(r["spread"] < 1e3 for r in obj["reports"])
+
+    def test_poisson_envelopes_default_failure_names_mode_budget(self, capsys):
+        # The default grid has diagonal pairs, which the subordinated Poisson
+        # certificate cannot cover at t = 1e-4: the message says what would.
+        code, _, err = run_cli(["verify-envelopes", "--kind", "poisson", "--nu", "0"], capsys)
+        assert code == 2
+        assert "closest pair is 0.000e+00 apart" in err
+        assert "min_usable_dist" in err
+        assert "--n-max >=" in err and "above the Bessel cap" in err
 
     def test_envelopes_failure_exit_code(self, capsys):
         code, _, err = run_cli(

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.special import gammaincc
 from hypothesis import strategies as st
 
 from conftest import shared_basis
@@ -17,13 +18,18 @@ from dini.errors import (
     SpectrumNotPositiveError,
     TailBoundFailure,
 )
+from dini.bounds import boundary_refined_coords, pair_grid
 from dini.kernels import (
+    LOG45,
+    PSI_BLOCK_MODES,
+    TIME_BLOCK,
     KernelKind,
     KernelRequest,
     PairEngine,
     _SubordinationMaster,
     _gauss_tail,
     heat_kernel,
+    jacobi_heat_kernel,
     poisson_kernel,
     potential_kernel,
     semigroup_apply,
@@ -143,6 +149,22 @@ class TestJacobiHeatKernel:
             k, _, _ = eng_k.heat_values(t, 1e-12)
             scale = np.maximum(np.abs(g), 1e-2)
             assert np.max(np.abs(g - k) / scale) < 1e-10
+
+    def test_one_function_for_both_heat_kinds(self):
+        req = KernelRequest(
+            kind=KernelKind.JACOBI_HEAT,
+            params=JacobiParams(0.7, -0.5),
+            time_or_sigma=0.05,
+            grid=PAIRS,
+            n_max=200,
+        )
+        assert jacobi_heat_kernel is heat_kernel
+        assert [v.value for v in heat_kernel(req)] == [v.value for v in jacobi_heat_kernel(req)]
+        poisson = KernelRequest(
+            kind=KernelKind.POISSON, params=SpectralParams(0.5), time_or_sigma=0.1, grid=PAIRS
+        )
+        with pytest.raises(DomainError, match="HEAT or JACOBI_HEAT"):
+            jacobi_heat_kernel(poisson)
 
     def test_symmetry(self):
         jb = build_jacobi_basis(JacobiParams(0.7, -0.5), 200)
@@ -369,6 +391,11 @@ def blocked_engines():
     return [PairEngine(b, PAIRS + [(0.5, 0.5)]) for b in bases]
 
 
+def old_table(eng):
+    """The n_max x n_pairs table psi_n(x_p) psi_n(y_p) engines used to store."""
+    return eng.psi[:, eng.ix] * eng.psi[:, eng.iy]
+
+
 def old_heat_cut(eng, t, tol):
     """The scalar cutoff search that heat_cut used before its array form;
     None where it raised."""
@@ -391,10 +418,10 @@ def sequential_heat_rows(eng, ts, tol):
     return rows, cuts, np.array([o[2] for o in out])
 
 
-def assert_rows_close(rows, ref, rel=1e-14):
+def assert_rows_close(rows, ref, rel=1e-14, scale=None):
     # Relative to each row's largest value: entries far below it (a heat
     # kernel far from the diagonal at small t) carry only rounding noise.
-    scale = np.max(np.abs(ref), axis=1, keepdims=True)
+    scale = np.max(np.abs(ref if scale is None else scale), axis=1, keepdims=True)
     assert np.all(np.abs(rows - ref) <= rel * scale)
 
 
@@ -440,7 +467,7 @@ class TestBlockedHeat:
                 for j, u in enumerate(nd):
                     vals, _, _ = eng.heat_values(u, 0.25e-9)
                     heat[j] = vals * math.exp(-d * d * u)
-                    old[j] = heat[j] - np.exp(-u * lam[head]) @ eng.U[head]
+                    old[j] = heat[j] - np.exp(-u * lam[head]) @ old_table(eng)[head]
                 # T is the heat tail beyond the head modes: compare it on the
                 # scale of the heat values it is the difference of.
                 scale = np.max(np.abs(heat), axis=1, keepdims=True)
@@ -488,6 +515,166 @@ class TestBlockedHeat:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def old_certified_cuts(eng, U, ts, tol, rescale=0.0):
+    for _ in range(4):
+        cuts, bounds = eng._heat_cuts(ts, tol, rescale)
+        top = int(cuts.max(initial=eng.n_min))
+        peak = float(np.max(np.abs(U[eng.n_min : top + 1])))
+        if peak <= eng.M * eng.M:
+            return cuts, bounds
+        eng.M = 1.5 * math.sqrt(peak)
+    raise TailBoundFailure("basis sup certificate failed to stabilize")
+
+
+def old_heat_values(eng, U, t, tol, rescale=0.0):
+    (n_cut,), (bound,) = old_certified_cuts(eng, U, np.array([t]), tol, rescale)
+    sl = slice(eng.n_min, n_cut + 1)
+    mult = np.zeros(eng.n_max + 1)
+    mult[sl] = np.exp(-t * (eng.lam[sl] - rescale))
+    return mult @ U, int(n_cut) - eng.n_min + 1, float(bound)
+
+
+def old_heat_rows(eng, U, ts, tol):
+    cuts, bounds = old_certified_cuts(eng, U, ts, tol)
+    rows = np.empty((ts.size, eng.n_pairs))
+    for i in range(0, ts.size, TIME_BLOCK):
+        blk = slice(i, i + TIME_BLOCK)
+        n = cuts[blk]
+        sl = slice(eng.n_min, int(n.max()) + 1)
+        mult = np.exp(-np.multiply.outer(ts[blk], eng.lam[sl]))
+        mult[np.arange(sl.start, sl.stop) > n[:, None]] = 0.0
+        rows[blk] = mult @ U[sl]
+    return rows, cuts, bounds
+
+
+def old_poisson_direct(eng, U, t, d, tol):
+    lam = eng._shifted(d)
+    n, bound = eng._poisson_cut(t, tol)
+    mult = np.zeros(eng.n_max + 1)
+    sl = slice(eng.n_min, n + 1)
+    mult[sl] = np.exp(-t * np.sqrt(lam[sl]))
+    return mult @ U, n - eng.n_min + 1, bound
+
+
+def old_poisson_rows(self, ts, lam, tol, t_direct, master):
+    U = old_table(self)
+    out = np.empty((ts.size, self.n_pairs))
+    sub = ts < t_direct
+    if np.any(sub):
+        out[sub] = master.eval(ts[sub])[0]
+    direct = ts[~sub]
+    if direct.size:
+        cut = self._poisson_cut(float(direct[0]), tol)
+        sl = slice(self.n_min, cut[0] + 1)
+        out[~sub] = np.exp(-np.multiply.outer(direct, np.sqrt(lam[sl]))) @ U[sl]
+    return out
+
+
+def old_potential_direct(eng, U, sigma, d0):
+    """The mode sum of potential_series and its split time delta."""
+    lam = eng._potential_spectrum(d0)
+    delta = 1e-3
+    lam_min_next = (math.pi * max(1.0, eng.n_max + 1 - eng.c_off)) ** 2
+    if delta * lam_min_next < LOG45:
+        delta = LOG45 / lam_min_next
+    mult = np.zeros(eng.n_max + 1)
+    sl = slice(eng.n_min, eng.n_max + 1)
+    mult[sl] = lam[sl] ** (-sigma) * gammaincc(sigma, delta * lam[sl])
+    return mult @ U, delta
+
+
+def engine_pairs():
+    """The blocked_engines() bases, once on the blocked pairs (with a diagonal
+    pair) and once on off-diagonal pairs for the potentials."""
+    for eng in blocked_engines():
+        yield eng, PairEngine(eng.basis, eng.pairs), PairEngine(eng.basis, AGREEMENT_PAIRS)
+
+
+class TestCoordinateProducts:
+    """Engines keep psi on their coordinates; every sum matches the formula
+    over the stored product table it replaces, with identical cutoffs,
+    bounds and M."""
+
+    def test_no_pair_table_stored(self):
+        coords = boundary_refined_coords(60)
+        eng = PairEngine(shared_basis(0.5, n_max=3000), pair_grid(coords))
+        assert (eng.n_pairs, eng.psi.shape) == (5184, (3001, 72))
+        eng.heat_values(1e-3, 1e-10)
+        arrays = [v for v in vars(eng).values() if isinstance(v, np.ndarray)]
+        for a in arrays:
+            assert not (a.ndim == 2 and a.shape[1] == eng.n_pairs and a.shape[0] > PSI_BLOCK_MODES)
+        assert sum(a.nbytes for a in arrays) <= 2 * 3001 * 72 * 8
+
+    def test_pair_products(self):
+        for eng in blocked_engines():
+            U = old_table(eng)
+            assert np.array_equal(eng._pair_products(0, eng.n_max + 1), U)
+            assert np.array_equal(eng._pair_products(eng.n_min, 17), U[eng.n_min : 17])
+
+    def test_heat_values(self):
+        for new, old, _ in engine_pairs():
+            U = old_table(old)
+            for scale in (1.0, 0.1):  # 0.1 M: the sup check raises M
+                new.M = old.M = scale * new.M
+                for t in np.geomspace(1e-4, 5.0, 12):
+                    for rescale in (0.0, 10.0):
+                        vals, n, bound = new.heat_values(t, 1e-10, rescale)
+                        ref, ref_n, ref_bound = old_heat_values(old, U, t, 1e-10, rescale)
+                        assert (n, bound, new.M) == (ref_n, ref_bound, old.M)
+                        assert_rows_close(vals[None], ref[None])
+
+    def test_heat_rows(self):
+        ts = np.geomspace(1e-4, 5.0, 150)
+        for new, old, _ in engine_pairs():
+            new.M = old.M = 0.1 * new.M
+            rows, cuts, bounds = new._heat_rows(ts, 1e-10)
+            ref, ref_cuts, ref_bounds = old_heat_rows(old, old_table(old), ts, 1e-10)
+            assert np.array_equal(cuts, ref_cuts) and np.array_equal(bounds, ref_bounds)
+            assert new.M == old.M
+            assert_rows_close(rows, ref)
+
+    def test_direct_poisson(self):
+        for (new, old, _), d in zip(engine_pairs(), (0.0, 0.0, 2.0, 1.0, 1.0)):
+            U = old_table(old)
+            for t in (0.05, 0.3, 2.0):
+                vals, n, bound = new.poisson_values(t, d, 1e-10)
+                ref, ref_n, ref_bound = old_poisson_direct(old, U, t, d, 1e-10)
+                assert (n, bound) == (ref_n, ref_bound)
+                assert_rows_close(vals[None], ref[None])
+
+    def test_master_grids(self):
+        for (new, old, _), d in zip(engine_pairs(), (0.0, 0.0, 2.0, 1.0, 1.0)):
+            master = _SubordinationMaster(new, d, 1e-9)
+            U = old_table(old)
+            head = slice(old.n_min, master.K + 1)
+            assert np.array_equal(master.U_head, U[head])
+            for nd, _, T in master.grids:
+                heat, _, _ = old_heat_rows(old, U, nd, 0.25e-9)
+                heat *= np.exp(-d * d * nd)[:, None]
+                ref = heat - np.exp(-np.multiply.outer(nd, old._shifted(d)[head])) @ U[head]
+                assert_rows_close(T, ref, scale=heat)
+            assert new.M == old.M
+
+    def test_potentials(self, monkeypatch):
+        cases = []
+        for (_, _, eng), d in zip(engine_pairs(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+            series = eng.potential_series(0.6, d, 1e-9)
+            timed = eng.potential_time_integral(0.6, d, 1e-9)
+            cases.append((eng.basis, d, series, timed, eng.M))
+        monkeypatch.setattr(
+            PairEngine, "_heat_rows", lambda self, ts, tol: old_heat_rows(self, old_table(self), ts, tol)
+        )
+        monkeypatch.setattr(PairEngine, "_poisson_rows", old_poisson_rows)
+        for basis, d, (vals, n_terms, bound), timed, m in cases:
+            old = PairEngine(basis, AGREEMENT_PAIRS)
+            direct, delta = old_potential_direct(old, old_table(old), 0.6, d)
+            near, _, _ = old._near_heat_integral(0.6, d, delta, 1e-9)
+            assert old.potential_series(0.6, d, 1e-9)[1:] == (n_terms, bound)
+            assert_rows_close(vals[None], (direct + near)[None])
+            assert_rows_close(timed[None], old.potential_time_integral(0.6, d, 1e-9)[None])
+            assert old.M == m
 
 
 class TestToleranceChecks:
