@@ -29,6 +29,7 @@ from .specfun import (
     SpectralParams,
     bessel_i,
     bessel_j,
+    bessel_modulus,
     jacobi_poly_all,
 )
 from .zeros import ZeroTable, build_zero_table
@@ -58,24 +59,19 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
     return endpoint_graded_rule(n, m_l, m_r)
 
 
-SUP_PROBE_MODES = 48
-SUP_SAFETY = 1.5
 PSI_BLOCK_MODES = 128
 PSI_RULES_PER_BASIS = 4
-
-
-class _SupProbe:
-    """Per-basis cache of the probe-grid part of ``certified_sup``."""
-
-    @cached_property
-    def probe_sup(self) -> float:
-        """max |basis_n| over the fixed 10^4-point probe grid, computed on first
-        use (never at construction) and then kept on the basis."""
-        return _mode_abs_max(self, np.linspace(1e-4, 1.0 - 1e-4, 10_000))
+# Relative allowance on the closed-form sup bound for the rounding of the
+# Bessel values it bounds and of its own evaluation.
+SUP_ROUNDING = 1e-12
+# The Jacobi sup rule: JACOBI_SUP_SAFETY times the maximum of the first
+# JACOBI_PROBE_MODES + 1 modes over a probe grid and the requested points.
+JACOBI_PROBE_MODES = 48
+JACOBI_SUP_SAFETY = 1.5
 
 
 @dataclass
-class BasisSpec(_SupProbe):
+class BasisSpec:
     """Normalizing constants, eigenvalues and evaluation for the psi system.
 
     Arrays are indexed by n = 0..n_max; in the PLUS regime the n=0 slots are
@@ -149,11 +145,17 @@ class BasisSpec(_SupProbe):
             out[lo:hi] = self.c[lo:hi, None] * sq[None, :] * bessel_j(
                 p.nu, self.table.zeros[lo:hi, None] * x[None, :]
             )
-        if p.regime is Regime.MINUS:
-            out[0] = self.c[0] * sq * bessel_i(p.nu, self.table.zeros[0] * x)
-        elif p.regime is Regime.ZERO:
-            out[0] = self.c[0] * x ** (p.nu + 0.5)
+        if p.regime is not Regime.PLUS:
+            out[0] = self._psi0(x)
         return out
+
+    def _psi0(self, x: np.ndarray) -> np.ndarray:
+        """The n=0 mode at x: c_0 sqrt(x) I_nu(z_0 x) (MINUS) or
+        c_0 x^{nu+1/2} (ZERO)."""
+        p = self.params
+        if p.regime is Regime.MINUS:
+            return self.c[0] * np.sqrt(x) * bessel_i(p.nu, self.table.zeros[0] * x)
+        return self.c[0] * x ** (p.nu + 0.5)
 
     def _rule_psi(self, quad: QuadratureRule) -> np.ndarray:
         """Read-only psi_matrix(quad.nodes), kept on the basis per rule.
@@ -219,15 +221,13 @@ def eval_psi(b: BasisSpec, n: int, x):
         raise DomainError("evaluation points must lie in the open interval (0,1)")
     if n >= 1:
         out = b.c[n] * np.sqrt(xs) * bessel_j(p.nu, b.table.zeros[n] * xs)
-    elif p.regime is Regime.MINUS:
-        out = b.c[0] * np.sqrt(xs) * bessel_i(p.nu, b.table.zeros[0] * xs)
     else:
-        out = b.c[0] * xs ** (p.nu + 0.5)
+        out = b._psi0(xs)
     return float(out) if np.isscalar(x) else out
 
 
 @dataclass
-class JacobiBasisSpec(_SupProbe):
+class JacobiBasisSpec:
     """Constants C_k, eigenvalues Lambda_k and evaluation for the Phi system."""
 
     jp: JacobiParams
@@ -270,6 +270,17 @@ class JacobiBasisSpec(_SupProbe):
         c = np.cos(0.5 * math.pi * x) ** (b + 0.5)
         P = jacobi_poly_all(self.jp, self.k_max, np.cos(math.pi * x))
         return self.C[:, None] * (s * c)[None, :] * P
+
+    @cached_property
+    def probe_sup(self) -> float:
+        """max |Phi_k| over the fixed 10^4-point probe grid, computed on first
+        use (never at construction) and then kept on the basis."""
+        return self._probe_max(np.linspace(1e-4, 1.0 - 1e-4, 10_000))
+
+    def _probe_max(self, x: np.ndarray) -> float:
+        """max |Phi_k(x)| over the first JACOBI_PROBE_MODES + 1 modes."""
+        vals = self.phi_matrix(x)[: min(JACOBI_PROBE_MODES, self.k_max) + 1]
+        return float(np.max(np.abs(vals)))
 
 
 def build_jacobi_basis(jp: JacobiParams, k_max: int) -> JacobiBasisSpec:
@@ -338,26 +349,116 @@ def apply_operator(
     return out
 
 
-def _mode_abs_max(basis, xs: np.ndarray) -> float:
-    """max |basis_n(x)| over the first SUP_PROBE_MODES + 1 modes and the points xs."""
-    if isinstance(basis, JacobiBasisSpec):
-        vals = basis.phi_matrix(xs)[: min(SUP_PROBE_MODES, basis.k_max) + 1]
+def _split_constant(nu: float) -> float:
+    """sup_r sqrt(r) |J_nu(r)| <= G for nu > 1/2, with G the smallest over
+    split points r1 of max(sqrt(r1) (r1/2)^nu / Gamma(nu+1), modulus(r1)).
+
+    Below r1, |J_nu(r)| <= (r/2)^nu / Gamma(nu+1) (Watson §3.31), and that
+    bound times sqrt(r) increases with r. Above r1, sqrt(r) |J_nu(r)| is at
+    most the modulus sqrt(r (J_nu^2 + Y_nu^2)), which does not increase in r
+    for |nu| >= 1/2 (Watson §13.74). Every r1 gives a bound; the smallest
+    over a fixed grid of r1 is taken (an overflowing modulus counts as inf).
+    """
+    r1 = np.geomspace(1e-2, 4.0 * nu + 8.0, 512)
+    with np.errstate(over="ignore", invalid="ignore"):
+        small = np.exp(0.5 * np.log(r1) + nu * np.log(0.5 * r1) - gammaln(nu + 1.0))
+        mod = bessel_modulus(nu, r1)
+    return float(np.min(np.maximum(small, np.where(np.isfinite(mod), mod, np.inf))))
+
+
+def _tail_amplitude(b: BasisSpec) -> float:
+    """Bound on a_n = c_n / sqrt(z_n) for every n > n_max.
+
+    With u(z) = sqrt(z) J_nu(z) and q(z) = 1 - (nu^2 - 1/4)/z^2, u'' = -q u,
+    so W = u^2 + u'^2/q has W' = -u'^2 q'/q^2 wherever q > 0, and W -> 2/pi
+    as z -> inf. At a Robin zero z J_nu' + H J_nu = 0, so u' = (1/2 - H) u/z,
+    and c_n = sqrt(2) z / (|J_nu(z)| sqrt(z^2 - nu^2 + H^2)) gives
+        a_n^2 = 2 / (W(z_n) R(z_n)),
+        R(z) = (1 - A/z^2)(1 - B/z^2) / (1 - C/z^2),
+    with A = nu^2 - H^2, B = nu^2 - 1/4 and C = A + H - 1/2. Every n > n_max
+    has z_n > Z = z_{n_max}. For |nu| < 1/2, q' < 0 and W does not decrease,
+    so W(z_n) >= W(Z); for |nu| >= 1/2, W does not increase on q > 0, so
+    W(z_n) >= 2/pi once Z^2 > B. For z >= Z, R(z) >= (1 - max(A,0)/Z^2)
+    (1 - max(B,0)/Z^2) / (1 + max(-C,0)/Z^2).
+    """
+    p = b.params
+    if b.n_max < 1:
+        raise DomainError("the sup bound needs a basis with n_max >= 1")
+    z = float(b.table.zeros[b.n_max])
+    s = z * z
+    A, B = p.nu * p.nu - p.h * p.h, p.nu * p.nu - 0.25
+    C = A + p.h - 0.5
+    if B < 0.0:
+        u = math.sqrt(z) * bessel_j(p.nu, z)
+        du = math.sqrt(z) * ((p.nu + 0.5) / z * bessel_j(p.nu, z) - bessel_j(p.nu + 1.0, z))
+        w = u * u + du * du / (1.0 - B / s)
+    elif s > B:
+        w = 2.0 / math.pi
     else:
-        vals = basis.psi_matrix(xs, n_upper=min(SUP_PROBE_MODES, basis.n_max))
-    return float(np.max(np.abs(vals)))
+        raise DomainError(
+            f"the sup bound for nu = {p.nu:g} needs z_(n_max)^2 > nu^2 - 1/4; raise n_max"
+        )
+    r = (1.0 - max(A, 0.0) / s) * (1.0 - max(B, 0.0) / s) / (1.0 + max(-C, 0.0) / s)
+    if not r > 0.0:
+        raise DomainError(f"the sup bound for (nu, H) = ({p.nu:g}, {p.h:g}) needs a larger n_max")
+    return math.sqrt(2.0 / (w * r))
+
+
+def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
+    """max over all modes n >= n_min and points of xs of a bound on |psi_n(x)|.
+
+    For n >= 1, psi_n(x) = a_n sqrt(r) J_nu(r) with a_n = c_n / sqrt(z_n) and
+    r = z_n x, and sqrt(r) |J_nu(r)| <= G:
+      - |nu| <= 1/2: r (J_nu^2 + Y_nu^2) <= 2/pi (Watson §13.74), G = sqrt(2/pi);
+      - nu > 1/2: G = _split_constant(nu);
+      - -1 < nu < -1/2: the modulus does not increase in r (Watson §13.74),
+        so G = modulus(z_n min(xs)).
+    Stored modes use their own a_n and z_n; modes n > n_max use
+    _tail_amplitude and, for nu < -1/2, the modulus at z_{n_max} min(xs).
+    The n=0 mode (MINUS, ZERO) is a sum of powers x^p with positive
+    coefficients, convex in log x, so its maximum over xs is at min(xs) or
+    max(xs) and is taken there exactly.
+    """
+    if np.any((xs <= 0.0) | (xs >= 1.0)):
+        raise DomainError("evaluation points must lie in the open interval (0,1)")
+    if xs.size == 0:
+        return 0.0
+    nu = b.params.nu
+    z = b.table.zeros[1 : b.n_max + 1]
+    amp = b.c[1:] / np.sqrt(z)
+    x_lo, x_hi = float(xs.min()), float(xs.max())
+    if abs(nu) <= 0.5:
+        g = g_tail = math.sqrt(2.0 / math.pi)
+    elif nu > 0.5:
+        g = g_tail = _split_constant(nu)
+    else:
+        g = bessel_modulus(nu, z * x_lo)
+        g_tail = bessel_modulus(nu, z[-1] * x_lo)
+    m = max(float(np.max(amp * g, initial=0.0)), _tail_amplitude(b) * g_tail)
+    if b.params.regime is not Regime.PLUS:
+        m = max(m, float(np.max(np.abs(b._psi0(np.array([x_lo, x_hi]))))))
+    return (1.0 + SUP_ROUNDING) * m
 
 
 def certified_sup(basis, xs: np.ndarray) -> float:
-    """Empirical uniform bound M >= sup_n sup_x |basis_n(x)| over the probe.
+    """Uniform bound M >= |basis_n(x)| for every mode n and every point x in xs.
 
-    The first 48 modes are evaluated on a 10^4-point grid (cached on the
-    basis) and on the requested points xs; M is 1.5 times the larger of the
-    two maxima, which equals the maximum over the union of both point sets.
-    Used by series truncation certificates; works for both basis flavors.
+    Series truncation certificates bound each term they leave out by M^2
+    (or M times a coefficient bound), so M covers the modes beyond n_max too.
+    For the Bessel system M comes from the stated bounds of _bessel_sup
+    (Watson §3.31 and §13.74 for sqrt(r) J_nu(r), _tail_amplitude for the
+    modes beyond n_max), enlarged by SUP_ROUNDING for floating-point
+    rounding; it depends on xs only through min(xs) (nu < -1/2) and the n=0
+    mode. For the Jacobi system no stated bound covers every (alpha, beta),
+    and M is JACOBI_SUP_SAFETY times the maximum of the first
+    JACOBI_PROBE_MODES + 1 modes over a 10^4-point probe grid (kept on the
+    basis) and xs, an empirical bound.
     """
     xs = np.asarray(xs, dtype=float)
-    coord = _mode_abs_max(basis, xs) if xs.size else 0.0
-    return SUP_SAFETY * max(basis.probe_sup, coord)
+    if isinstance(basis, JacobiBasisSpec):
+        coord = basis._probe_max(xs) if xs.size else 0.0
+        return JACOBI_SUP_SAFETY * max(basis.probe_sup, coord)
+    return _bessel_sup(basis, xs)
 
 
 def gram_matrix(basis, n_points: int = 512) -> np.ndarray:

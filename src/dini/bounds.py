@@ -20,8 +20,8 @@ import numpy as np
 
 from .basis import BasisSpec, JacobiBasisSpec, build_basis, build_jacobi_basis, inner_product_rule
 from .errors import (
-    ConsistencyError,
     DomainError,
+    InequalityViolation,
     NonFiniteRatioError,
     SandwichViolation,
 )
@@ -437,7 +437,7 @@ def rellich_check(
     lhs, _, op_norm = _trial_function_norms(nu, trial_coeffs, quad)
     rhs = op_norm / (nu * nu - 1.0)
     if lhs > rhs * (1.0 + 1e-6):
-        raise ConsistencyError(
+        raise InequalityViolation(
             f"weighted-norm inequality violated: lhs={lhs:.12e} > rhs={rhs:.12e}"
         )
     return lhs, rhs
@@ -452,7 +452,7 @@ def hardy_check(
     lhs, hardy, _ = _trial_function_norms(nu, trial_coeffs, quad)
     rhs = (2.0 / 3.0) * hardy
     if lhs > rhs * (1.0 + 1e-6):
-        raise ConsistencyError(
+        raise InequalityViolation(
             f"first-order weighted inequality violated: lhs={lhs:.12e} > rhs={rhs:.12e}"
         )
     return lhs, rhs

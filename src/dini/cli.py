@@ -19,12 +19,7 @@ import numpy as np
 
 from . import bounds as bnd
 from .basis import build_basis, gram_matrix
-from .errors import (
-    ConsistencyError,
-    DiniError,
-    NonFiniteRatioError,
-    SandwichViolation,
-)
+from .errors import DiniError, InequalityViolation, NonFiniteRatioError
 from .kernels import KernelKind, KernelRequest, semigroup_apply
 from .numerics import _fmt
 from .specfun import JacobiParams, SpectralParams, bessel_ih
@@ -471,7 +466,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     try:
         return DISPATCH[cfg.command](cfg)
-    except (SandwichViolation, ConsistencyError, NonFiniteRatioError) as exc:
+    except (InequalityViolation, NonFiniteRatioError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
     except DiniError as exc:

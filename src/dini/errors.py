@@ -53,7 +53,11 @@ class DiagonalSlowConvergence(DiniError, RuntimeError):
     """Potential kernel requested too close to the diagonal for sigma <= 1/2."""
 
 
-class SandwichViolation(DiniError, AssertionError):
+class InequalityViolation(DiniError, AssertionError):
+    """An inequality being verified failed (CLI exit code 1)."""
+
+
+class SandwichViolation(InequalityViolation):
     """Two-sided kernel comparison failed at a grid point."""
 
     def __init__(self, message, point=None):
@@ -66,4 +70,5 @@ class NonFiniteRatioError(DiniError, ArithmeticError):
 
 
 class ConsistencyError(DiniError, RuntimeError):
-    """An internal invariant asserted by the construction failed."""
+    """An internal invariant asserted by the construction failed (a numerical
+    error, CLI exit code 2, not a failed inequality)."""

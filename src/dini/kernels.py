@@ -5,10 +5,14 @@ square-root semigroup (with optional spectral shift), potential kernels as
 negative powers (computed both as a spectral series and as a time integral
 of the Poisson kernel), and semigroup application to functions.
 
-Truncation strategy: an empirical uniform bound M on the basis functions is
-taken over the evaluation points and a dense probe grid (the probe part is
-computed once per basis and cached on it) with a safety factor; the series
-cutoff N is then chosen so that M^2 times a closed-form tail comparison
+Truncation strategy: M = certified_sup(basis, coordinates) bounds |psi_n|
+at the evaluation points for every mode, the ones beyond n_max included. For
+the Bessel system it is a stated bound (Watson §3.31 and §13.74 for
+sqrt(r) J_nu(r), an energy argument for the normalizing constants beyond
+n_max; see basis.certified_sup), for the Jacobi system 1.5 times a probe
+maximum. An engine fixes M at construction and never changes it; a pair
+product above M^2 is a broken invariant and raises ConsistencyError. The
+series cutoff N is chosen so that M^2 times a closed-form tail comparison
 (Gaussian tail for heat multipliers, geometric for Poisson, incomplete-gamma
 for potentials) is below the requested tolerance.
 
@@ -28,8 +32,9 @@ Where many heat times are needed at once (the subordination master's grids
 and the short-time heat integral of the potential series), the heat kernel
 is evaluated a block of TIME_BLOCK times per array operation: every time
 keeps its own certified cutoff (its multipliers beyond it are zero, so each
-row is the per-time truncated sum up to rounding), and the sup check on M
-runs once, at the largest cutoff, on the same pair products the sums use.
+row is the per-time truncated sum up to rounding), and the sup invariant
+is checked once, at the largest cutoff, on the same pair products the sums
+use.
 
 The time-integral route of the potentials is one log-panelled Gauss rule in
 t shared by all pairs, evaluated a block of nodes at a time (direct series
@@ -60,6 +65,7 @@ from .basis import (
     dini_coefficients,
 )
 from .errors import (
+    ConsistencyError,
     DiagonalSlowConvergence,
     DomainError,
     ShiftTooSmallError,
@@ -273,22 +279,21 @@ class PairEngine:
         return n, bound
 
     def _certified_cuts(self, ts, tol, rescale=0.0):
-        """_heat_cuts after one sup check over the pair products of the modes
-        n_min..largest cutoff: a peak above M^2 raises M to 1.5 sqrt(peak)
-        and the cutoffs are re-derived (at most 4 times). Returns the
-        cutoffs, their tail bounds and the pair products of the modes
-        0.._series_top(largest cutoff) - 1."""
-        for _ in range(4):
-            cuts, bounds = self._heat_cuts(ts, tol, rescale)
-            top = int(cuts.max(initial=self.n_min))
-            prods = self._pair_products(0, self._series_top(top))
-            checked = prods[self.n_min : top + 1]
-            peak = max(float(checked.max()), -float(checked.min()))
-            if peak <= self.M * self.M:
-                return cuts, bounds, prods
-            # Empirical bound exceeded mid-sum: enlarge and re-derive the cut.
-            self.M = 1.5 * math.sqrt(peak)
-        raise TailBoundFailure("basis sup certificate failed to stabilize")
+        """_heat_cuts, and the pair products of the modes
+        0.._series_top(largest cutoff) - 1. The products of the modes
+        n_min..largest cutoff are checked against M^2 once: M is a stated
+        bound fixed at construction, so a product above it is a broken
+        invariant (ConsistencyError), not a reason to change M."""
+        cuts, bounds = self._heat_cuts(ts, tol, rescale)
+        top = int(cuts.max(initial=self.n_min))
+        prods = self._pair_products(0, self._series_top(top))
+        checked = prods[self.n_min : top + 1]
+        peak = max(float(checked.max()), -float(checked.min()))
+        if peak > self.M * self.M:
+            raise ConsistencyError(
+                f"pair product {peak:.6e} exceeds the sup bound M^2 = {self.M * self.M:.6e}"
+            )
+        return cuts, bounds, prods
 
     def heat_values(
         self, t: float, tol: float, rescale: float = 0.0
@@ -308,17 +313,19 @@ class PairEngine:
         Each row is the truncated sum of heat_values at its time, up to
         rounding; TIME_BLOCK times are evaluated per array operation, with
         exponentials up to the block's largest cutoff and each row's
-        multipliers beyond its own cutoff set to zero. The smallest time has
-        the largest cutoff, where one heat_values call per time, in this
-        order, would make its sup check first: M ends the same either way.
+        multipliers beyond its own cutoff set to zero. The blocks share one
+        multiplier buffer: a fresh block-sized temporary per block is, under
+        glibc's malloc, a fresh mapping whose pages fault in again.
         """
         cuts, bounds, prods = self._certified_cuts(ts, tol)
         rows = np.empty((ts.size, self.n_pairs))
+        buf = np.empty((min(TIME_BLOCK, ts.size), int(cuts.max(initial=0)) + 1))
         for i in range(0, ts.size, TIME_BLOCK):
             blk = slice(i, i + TIME_BLOCK)
             n = cuts[blk]
             sl = slice(self.n_min, int(n.max()) + 1)
-            mult = np.exp(-np.multiply.outer(ts[blk], self.lam[sl]))
+            mult = buf[: n.size, : sl.stop - sl.start]
+            np.exp(np.multiply.outer(-ts[blk], self.lam[sl], out=mult), out=mult)
             mult[np.arange(sl.start, sl.stop) > n[:, None]] = 0.0
             rows[blk] = mult @ prods[sl]
         return rows, cuts, bounds
@@ -388,7 +395,21 @@ class PairEngine:
         self._masters[key] = m
         return m
 
+    def _subordination_floor(self) -> tuple[float, float]:
+        """(u_floor, min_usable_dist) of a subordination master on this engine:
+        the smallest heat time it samples, and the pair distance below which
+        it has no bound for the part of the measure below u_floor."""
+        u_floor = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
+        return u_floor, math.sqrt(200.0 * u_floor)
+
     def _poisson_subordinated(self, t, d, tol) -> tuple[np.ndarray, int, float]:
+        u_floor, min_usable = self._subordination_floor()
+        min_dist = float(np.min(self.dist, initial=math.inf))
+        if min_dist < min_usable and _erfc(t / (2.0 * math.sqrt(u_floor))) > 0.0:
+            # The master's certificate would be infinite: fail before building it.
+            raise TailBoundFailure(_subordination_failure(
+                math.inf, t, tol, min_dist, min_usable, self.M * self.M, self.c_off
+            ))
         master = self._master(d, tol)
         vals, bound = master.eval(t)
         return vals, master.n_terms, float(bound)
@@ -644,11 +665,9 @@ class _SubordinationMaster:
         head = slice(engine.n_min, self.K + 1)
         self.lam_head = engine._shifted(d)[head]
         self.U_head = engine._pair_products(head.start, head.stop)
-        u_cache = LOG45 / (math.pi * max(1.0, engine.n_max - engine.c_off)) ** 2
-        self.u_floor = u_cache
-        # Pairs closer than this need modes beyond the budget once the
-        # subordination measure reaches below the resolvable u scale.
-        self.min_usable_dist = math.sqrt(200.0 * u_cache)
+        # Pairs closer than min_usable_dist need modes beyond the budget once
+        # the subordination measure reaches below the resolvable u scale.
+        self.u_floor, self.min_usable_dist = engine._subordination_floor()
         lam_next = (math.pi * max(1.0, self.K + 1 - engine.c_off)) ** 2 + d * d
         u_hi = LOG45 / lam_next * 4.0
         self.grids = []
@@ -721,25 +740,27 @@ class _SubordinationMaster:
         bound = quad_err + np.max(kernel_leak, axis=-1) + 0.25 * self.tol
         bad = ~(bound <= 4.0 * self.tol)
         if np.any(bad):
-            raise TailBoundFailure(
-                self._failure_message(float(np.max(bound)), float(np.min(t[bad])))
-            )
+            raise TailBoundFailure(_subordination_failure(
+                float(np.max(bound)), float(np.min(t[bad])), self.tol, self.min_dist,
+                self.min_usable_dist, self.m2, self.c_off,
+            ))
         return vals, bound
 
-    def _failure_message(self, bound: float, t: float) -> str:
-        """Why the certificate failed at t: the closest pair against
-        min_usable_dist, and the --n-max the direct series would need at t
-        (the _poisson_cut formula) against the Bessel cap."""
-        cap = int(X_MAX_J / math.pi)
-        need = math.ceil(_poisson_need(t, self.tol, self.m2, self.c_off)) + 1
-        return (
-            f"subordinated Poisson certificate {bound:.2e} too large at t={t:.3e}: the "
-            f"closest pair is {self.min_dist:.3e} apart, and pairs closer than "
-            f"min_usable_dist = {self.min_usable_dist:.3e} have no bound below the "
-            f"resolvable time scale; the direct series would need --n-max >= {need} at "
-            f"this t, {'above' if need > cap else 'within'} the Bessel cap of about "
-            f"{cap} modes"
-        )
+
+def _subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off) -> str:
+    """Why a subordinated Poisson certificate failed at t: the closest pair
+    against min_usable_dist, and the --n-max the direct series would need at
+    t (the _poisson_cut formula) against the Bessel cap."""
+    cap = int(X_MAX_J / math.pi)
+    need = math.ceil(_poisson_need(t, tol, m2, c_off)) + 1
+    return (
+        f"subordinated Poisson certificate {bound:.2e} too large at t={t:.3e}: the "
+        f"closest pair is {min_dist:.3e} apart, and pairs closer than "
+        f"min_usable_dist = {min_usable_dist:.3e} have no bound below the "
+        f"resolvable time scale; the direct series would need --n-max >= {need} at "
+        f"this t, {'above' if need > cap else 'within'} the Bessel cap of about "
+        f"{cap} modes"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -827,20 +848,24 @@ def semigroup_apply(
     coefficient rule), whose psi matrix is cached on the basis, so each call
     of a time sweep costs f at the nodes and one mat-vec. The series
     sum_n e^{-t lambda_n} a_n psi_n(x) is cut at the smallest N whose tail
-    bound max|a_n| * M * (Gaussian tail from N) is <= tol, with M the
-    certified sup of the basis on x_grid, and psi is evaluated on x_grid only
-    up to N. At t = 0 all n_max modes are summed.
+    bound ||f||_2 * M * (Gaussian tail from N) is <= tol: |a_n| <= ||f||_2
+    for every n, computed or not (Bessel's inequality), with ||f||_2 from
+    the same rule, and M = certified_sup on x_grid. psi is evaluated on
+    x_grid only up to N. At t = 0 all n_max modes are summed. The
+    certificate covers truncation only; the quadrature error of the a_n and
+    of ||f||_2 stays outside it.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and >= 0, got {t}")
     _check_tol(tol)
     quad = quad or default_coefficient_rule(b, 1024)
-    coeffs = dini_coefficients(b, f, quad)
+    fx = np.asarray(f(quad.nodes), dtype=float)
+    coeffs = dini_coefficients(b, lambda _: fx, quad)
     xs = np.asarray(x_grid, dtype=float)
     if t == 0.0:
         return coeffs @ b.psi_matrix(xs)
     sup_m = certified_sup(b, xs)
-    fnorm = float(np.max(np.abs(coeffs)))
+    fnorm = math.sqrt(float(quad.weights @ (fx * fx)))
     n = b.n_min
     while n <= b.n_max:
         if fnorm * sup_m * _gauss_tail(t, n, b.table.freq_offset) <= tol:

@@ -2,8 +2,8 @@
 polynomials, the Gamma function, and the cross-product Wronskian.
 
 Orders are restricted to (-1, inf) throughout, matching the standing
-assumption of the spectral construction. J_nu and I_nu are delegated to
-scipy.special (AMOS); the Robin combinations are always formed through the
+assumption of the spectral construction. J_nu, Y_nu and I_nu are delegated
+to scipy.special (AMOS); the Robin combinations are always formed through the
 recurrence identities, never by numerical differentiation.
 """
 
@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import hankel1 as _hankel1
 from scipy.special import iv as _iv
 from scipy.special import jv as _jv
 
@@ -103,6 +104,20 @@ def bessel_i(nu: float, x):
     if np.any(xs > X_MAX_I):
         raise OverflowRangeError(f"bessel_i overflows beyond x = {X_MAX_I:g}")
     out = _iv(nu, xs)
+    return float(out) if np.isscalar(x) else out
+
+
+def bessel_modulus(nu: float, x):
+    """sqrt(x (J_nu(x)^2 + Y_nu(x)^2)) = sqrt(x) |H^(1)_nu(x)| on (0, 1e5]; it
+    bounds sqrt(x) |J_nu(x)|. The modulus is even in nu (|H^(1)_{-nu}| =
+    |H^(1)_nu|), and is evaluated at |nu|."""
+    _check_order(nu)
+    xs = np.asarray(x, dtype=float)
+    if np.any(xs <= 0.0):
+        raise DomainError("bessel_modulus requires x > 0")
+    if np.any(xs > X_MAX_J):
+        raise DomainError(f"bessel_modulus supports x <= {X_MAX_J:g}")
+    out = np.sqrt(xs) * np.abs(_hankel1(abs(nu), xs))
     return float(out) if np.isscalar(x) else out
 
 

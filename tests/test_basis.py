@@ -21,10 +21,11 @@ from dini.basis import (
     eval_psi,
     gram_matrix,
 )
-from dini.errors import RegimeMismatchError, SpectrumNotPositiveError
+from dini.errors import DomainError, RegimeMismatchError, SpectrumNotPositiveError
 from dini.kernels import PairEngine
 from dini.numerics import endpoint_graded_rule, gauss_legendre
-from dini.specfun import JacobiParams, SpectralParams
+from dini.specfun import JacobiParams, Regime, SpectralParams
+from dini.zeros import build_zero_table
 
 
 class TestPsiClosedForms:
@@ -212,14 +213,10 @@ class TestNormalizationConstants:
 
 
 def union_grid_sup(basis, xs):
-    """M as computed before the probe was cached on the basis: the first 48
-    modes on the 10^4-point grid united with xs, times 1.5."""
+    """The Jacobi M: the first 48 modes on the 10^4-point grid united with
+    xs, times 1.5."""
     grid = np.union1d(np.linspace(1e-4, 1.0 - 1e-4, 10_000), np.asarray(xs, dtype=float))
-    if isinstance(basis, JacobiBasisSpec):
-        vals = basis.phi_matrix(grid)[: min(48, basis.k_max) + 1]
-    else:
-        vals = basis.psi_matrix(grid, n_upper=min(48, basis.n_max))
-    return 1.5 * float(np.max(np.abs(vals)))
+    return 1.5 * float(np.max(np.abs(basis.phi_matrix(grid)[: min(48, basis.k_max) + 1])))
 
 
 SUP_COORDS = (
@@ -230,49 +227,115 @@ SUP_COORDS = (
                     1.0 - np.geomspace(1e-8, 1e-4, 7)]),
 )
 
+# PLUS, ZERO, MINUS (nu = 0, H = -1), nu = 3 and nu = -0.9 (MINUS).
+ORACLE_BASES = [(0.0, 0.5), (-0.5, 0.5), (0.0, -1.0), (3.0, 0.5), (-0.9, 0.5)]
+
 
 class TestCertifiedSup:
-    @pytest.mark.parametrize(
-        "make",
-        [
-            lambda: build_basis(SpectralParams(0.7, 0.5), 60),  # PLUS
-            lambda: build_basis(SpectralParams(-0.5, 0.5), 60),  # ZERO
-            lambda: build_basis(SpectralParams(-0.75, 0.5), 60),  # MINUS
-            lambda: build_basis(SpectralParams(3.0, 0.5), 30),
-            lambda: build_jacobi_basis(JacobiParams(0.7, -0.5), 60),
-        ],
-    )
-    def test_bit_identical_to_union_grid(self, make):
-        b = make()
+    def test_jacobi_bit_identical_to_union_grid(self):
+        b = build_jacobi_basis(JacobiParams(0.7, -0.5), 60)
         for xs in SUP_COORDS:
             assert certified_sup(b, xs) == union_grid_sup(b, xs)
+
+    @pytest.mark.parametrize("nu,h", ORACLE_BASES)
+    def test_bound_holds_on_dense_grid(self, nu, h):
+        """Closed-form M >= max |psi_n| over every stored mode on a 2e4-point
+        grid united with coordinates down to 1e-8 from either end."""
+        b = shared_basis(nu, h, n_max=100)
+        grid = np.linspace(1e-4, 1.0 - 1e-4, 20_000)
+        grid_max = float(np.max(np.abs(b._psi_rows(grid, b.n_max, 16))))
+        for xs in SUP_COORDS:
+            peak = max(grid_max, float(np.max(np.abs(b.psi_matrix(xs)))))
+            m = certified_sup(b, np.union1d(grid, xs))
+            assert peak <= m
+            assert certified_sup(b, xs) >= float(np.max(np.abs(b.psi_matrix(xs))))
+
+    @pytest.mark.parametrize("nu,h", ORACLE_BASES + [(0.3, 3.0), (-0.75, -1.5), (10.0, -4.0)])
+    def test_bound_covers_modes_beyond_n_max(self, nu, h):
+        """M of a 60-mode basis bounds psi_n at its points for n up to 3000."""
+        table = build_zero_table(SpectralParams(nu, h), 3000)
+        big = BasisSpec(SpectralParams(nu, h), table, 3000)
+        small = BasisSpec(SpectralParams(nu, h), table, 60)
+        for xs in SUP_COORDS:
+            assert float(np.max(np.abs(big.psi_matrix(xs)))) <= certified_sup(small, xs)
+
+    def test_half_order_bound_is_sharp(self):
+        """At nu = H = 1/2, psi_n(x) = sqrt(2) sin((n - 1/2) pi x): M is sqrt(2)
+        up to the rounding allowance."""
+        m = certified_sup(shared_basis(0.5, n_max=300), np.array([0.3, 0.6]))
+        assert math.sqrt(2.0) <= m <= math.sqrt(2.0) * (1.0 + 1e-11)
+
+    def test_values_of_the_stated_bounds(self):
+        xs = np.linspace(0.01, 0.99, 20)
+        for nu, expected in ((0.0, math.sqrt(2.0)), (0.5, math.sqrt(2.0)), (1.5, 1.766),
+                             (3.0, 2.2335), (-0.75, 2.919), (-0.9, 5.1784)):
+            assert certified_sup(shared_basis(nu, n_max=300), xs) == pytest.approx(
+                expected, abs=0.001)
+
+    def test_points_outside_interval_rejected(self):
+        b = shared_basis(0.0, n_max=60)
+        for xs in ([0.0, 0.5], [0.5, 1.0]):
+            with pytest.raises(DomainError):
+                certified_sup(b, np.array(xs))
 
     @staticmethod
     def _count_probe_evaluations(monkeypatch):
         sizes = []
-        original = BasisSpec.psi_matrix
+        for cls, name in ((BasisSpec, "psi_matrix"), (JacobiBasisSpec, "phi_matrix")):
+            original = getattr(cls, name)
 
-        def spy(self, x, n_upper=None):
-            sizes.append(np.size(x))
-            return original(self, x, n_upper)
+            def spy(self, x, *args, _original=original):
+                sizes.append(np.size(x))
+                return _original(self, x, *args)
 
-        monkeypatch.setattr(BasisSpec, "psi_matrix", spy)
+            monkeypatch.setattr(cls, name, spy)
         return lambda: sum(n >= 10_000 for n in sizes)
 
     def test_build_evaluates_no_probe(self, monkeypatch):
         probes = self._count_probe_evaluations(monkeypatch)
         build_basis(SpectralParams(0.7, 0.5), 60)
+        build_jacobi_basis(JacobiParams(0.7, -0.5), 60)
         assert probes() == 0
 
     def test_probe_evaluated_once_per_basis(self, monkeypatch):
+        """Only the Jacobi rule uses a probe, kept per basis; Bessel engines
+        evaluate none."""
         probes = self._count_probe_evaluations(monkeypatch)
         b = build_basis(SpectralParams(0.7, 0.5), 60)
         PairEngine(b, [(0.3, 0.6)])
-        PairEngine(b, [(0.1, 0.2), (0.4, 0.9)])
+        assert probes() == 0
+        jb = build_jacobi_basis(JacobiParams(0.7, -0.5), 60)
+        PairEngine(jb, [(0.3, 0.6)])
+        PairEngine(jb, [(0.1, 0.2), (0.4, 0.9)])
         assert probes() == 1
-        other = build_basis(SpectralParams(0.7, 0.5), 60, table=b.table)
-        PairEngine(other, [(0.3, 0.6)])
+        PairEngine(build_jacobi_basis(JacobiParams(0.7, -0.5), 60), [(0.3, 0.6)])
         assert probes() == 2
+
+
+class TestMpmathConstants:
+    """z_n and c_n against mpmath at 30 digits."""
+
+    @pytest.mark.parametrize("h", [0.5, -1.0])
+    @pytest.mark.parametrize("nu", [-0.75, 0.0, 0.3, 3.0])
+    def test_zeros_and_constants(self, nu, h):
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 30
+        b = shared_basis(nu, h, n_max=300)
+        nu_, h_ = mp.mpf(nu), mp.mpf(h)
+        for n in (b.n_min, 1, 2, 10, 100, 300):
+            z = float(b.table.zeros[n])
+            if n == 0:
+                if b.params.regime is not Regime.MINUS:
+                    continue
+                robin = lambda x: x * mp.besseli(nu_, x, 1) + h_ * mp.besseli(nu_, x)
+                zr = mp.findroot(robin, z)
+                c = mp.sqrt(2) * zr / (mp.besseli(nu_, zr) * mp.sqrt(zr**2 + nu_**2 - h_**2))
+            else:
+                robin = lambda x: x * mp.besselj(nu_, x, 1) + h_ * mp.besselj(nu_, x)
+                zr = mp.findroot(robin, z)
+                c = mp.sqrt(2) * zr / (abs(mp.besselj(nu_, zr)) * mp.sqrt(zr**2 - nu_**2 + h_**2))
+            assert abs(z - float(zr)) <= 1e-13 * max(1.0, float(zr))
+            assert abs(b.c[n] - float(c)) <= 1e-12 * float(c)
 
 
 class TestRulePsiCache:

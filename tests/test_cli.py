@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from dini import cli
+from dini import bounds, cli, kernels
 from dini.cli import main
 
 
@@ -211,6 +211,49 @@ class TestInputValidation:
         code, _, err = run_cli(["zeros", "--nu", "0"], capsys)
         assert code == 2
         assert "ValueError: boom" in err
+
+
+class TestExitCodes:
+    """1 means an inequality failed; a broken internal invariant is a
+    numerical error, 2."""
+
+    def test_invariant_failure_exits_2(self, monkeypatch, capsys):
+        # A sup bound below the basis values breaks the engine's invariant.
+        monkeypatch.setattr(kernels, "certified_sup", lambda basis, xs: 1e-3)
+        code, _, err = run_cli(
+            ["kernel", "--kind", "heat", "--nu", "0.5", "--t", "0.05", "--grid", "5",
+             "--n-max", "100", "--out", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert "exceeds the sup bound" in err and "verification failure" not in err
+
+    def test_rellich_violation_exits_1(self, monkeypatch, capsys):
+        monkeypatch.setattr(bounds, "_trial_function_norms", lambda nu, c, q: (10.0, 1.0, 1.0))
+        code, _, err = run_cli(["verify-rellich", "--nu", "2", "--trials", "3"], capsys)
+        assert code == 1
+        assert "verification failure: weighted-norm inequality violated" in err
+
+    def test_poisson_leak_fails_before_master(self, monkeypatch, capsys):
+        """Diagonal pairs below the resolvable time scale: exit 2 with the
+        subordination message, before any heat row of a master is built."""
+        calls = []
+        original = kernels.PairEngine._heat_rows
+
+        def spy(self, ts, tol):
+            calls.append(ts.size)
+            return original(self, ts, tol)
+
+        monkeypatch.setattr(kernels.PairEngine, "_heat_rows", spy)
+        code, _, err = run_cli(
+            ["kernel", "--kind", "poisson", "--nu", "0.5", "--t", "0.001", "--grid", "60",
+             "--n-max", "3000", "--out", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert "subordinated Poisson certificate inf too large at t=1.000e-03" in err
+        assert "closest pair is 0.000e+00 apart" in err and "min_usable_dist" in err
+        assert calls == []
 
 
 class TestDeterminism:

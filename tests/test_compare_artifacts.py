@@ -54,3 +54,33 @@ def test_usage_and_io_errors_exit_2(tmp_path):
     b = write_dir(tmp_path, "b", 0.75)
     (b / "r.json").write_text("{not json")
     assert compare(a, b)[0] == 2
+
+
+@pytest.mark.parametrize("rel,code", [(1e-14, 0), (3e-6, 1)])
+def test_last_line_names_largest_difference(tmp_path, rel, code):
+    a = write_dir(tmp_path, "a", 0.75)
+    b = write_dir(tmp_path, "b", 0.75 * (1 + rel))
+    (b / "r.json").write_text(json.dumps({"worst": {"rellich": 0.75 * (1 + rel / 3)},
+                                          "pass": True, "tag": "x"}))
+    got, out = compare(a, b)
+    assert got == code
+    last = out.strip().splitlines()[-1]
+    assert last.startswith("largest relative difference: ")
+    assert "c.csv[1][1]" in last
+    assert float(last.split()[3]) == pytest.approx(rel, rel=1e-3)
+
+
+def test_last_line_without_differences(tmp_path):
+    a = write_dir(tmp_path, "a", 0.75)
+    b = write_dir(tmp_path, "b", 0.75)
+    got, out = compare(a, b)
+    assert got == 0
+    assert out.strip().splitlines()[-1] == "largest relative difference: 0"
+
+
+def test_infinity_against_number_differs(tmp_path):
+    a = write_dir(tmp_path, "a", float("inf"))
+    b = write_dir(tmp_path, "b", 0.75)
+    code, out = compare(a, b)
+    assert code == 1
+    assert out.strip().splitlines()[-1].startswith("largest relative difference: inf")

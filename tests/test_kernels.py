@@ -10,8 +10,15 @@ from scipy.special import gammaincc
 from hypothesis import strategies as st
 
 from conftest import shared_basis
-from dini.basis import build_jacobi_basis, certified_sup, default_coefficient_rule, eval_psi
+from dini.basis import (
+    build_basis,
+    build_jacobi_basis,
+    certified_sup,
+    default_coefficient_rule,
+    eval_psi,
+)
 from dini.errors import (
+    ConsistencyError,
     DiagonalSlowConvergence,
     DomainError,
     ShiftTooSmallError,
@@ -357,11 +364,13 @@ class TestPotentialKernels:
 
 def uncached_semigroup(b, f, t_values, xs, quad, tol):
     """The time sweep as it was before the psi caches: psi is evaluated at all
-    n_max modes on the rule and on xs, and every time sums all of them."""
-    coeffs = b.psi_matrix(quad.nodes) @ (quad.weights * f(quad.nodes))
+    n_max modes on the rule and on xs, and every time sums all of them. The
+    coefficients are bounded by ||f||_2 from the same rule."""
+    fx = f(quad.nodes)
+    coeffs = b.psi_matrix(quad.nodes) @ (quad.weights * fx)
     mat = b.psi_matrix(xs)
     sup_m = certified_sup(b, xs)
-    fnorm = float(np.max(np.abs(coeffs)))
+    fnorm = math.sqrt(float(quad.weights @ fx**2))
     out = []
     for t in t_values:
         if t == 0.0:
@@ -474,15 +483,17 @@ class TestBlockedHeat:
                 assert np.all(np.abs(T - old) <= 1e-14 * scale)
 
     def test_sup_raise_matches_sequential(self):
+        """With M lowered by hand, the sup invariant raises on both paths and
+        M stays as it was set."""
         ts = np.geomspace(1e-4, 1.0, 60)
         for blocked, sequential in zip(blocked_engines(), blocked_engines()):
             low = 0.1 * blocked.M
             blocked.M = sequential.M = low
-            rows, cuts, _ = blocked._heat_rows(ts, 1e-10)
-            ref, ref_cuts, _ = sequential_heat_rows(sequential, ts, 1e-10)
-            assert blocked.M == sequential.M > low
-            assert np.array_equal(cuts, ref_cuts)
-            assert_rows_close(rows, ref)
+            with pytest.raises(ConsistencyError, match="exceeds the sup bound"):
+                blocked._heat_rows(ts, 1e-10)
+            with pytest.raises(ConsistencyError, match="exceeds the sup bound"):
+                sequential_heat_rows(sequential, ts, 1e-10)
+            assert blocked.M == sequential.M == low
 
     def test_potentials_match_sequential_rows(self, monkeypatch):
         cases = [(1.0, -0.75), (1.0, 0.0), (1.0, 1.5), (0.0, 0.0), (0.0, 1.5)]
@@ -505,6 +516,19 @@ class TestBlockedHeat:
             ref = eng.potential_time_integral(0.3, d0, 1e-9)
             assert np.max(np.abs(timed - ref) / np.abs(ref)) <= 1e-12
 
+    def test_leak_failure_before_master_matches_master(self, monkeypatch):
+        """poisson_values refuses a pair closer than min_usable_dist below the
+        resolvable time scale before building a master, with the message the
+        master's own certificate gives."""
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS + [(0.5, 0.5)])
+        with pytest.raises(TailBoundFailure) as from_master:
+            _SubordinationMaster(eng, 0.0, 1e-10).eval(1e-3)
+        monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any master build fails
+        with pytest.raises(TailBoundFailure) as early:
+            eng.poisson_values(1e-3, 0.0, 1e-10)
+        assert str(early.value) == str(from_master.value)
+        assert "certificate inf too large" in str(early.value)
+
     def test_engine_freed_without_cycle_collection(self):
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
         eng._master(1.0, 1e-9)
@@ -518,14 +542,11 @@ class TestBlockedHeat:
 
 
 def old_certified_cuts(eng, U, ts, tol, rescale=0.0):
-    for _ in range(4):
-        cuts, bounds = eng._heat_cuts(ts, tol, rescale)
-        top = int(cuts.max(initial=eng.n_min))
-        peak = float(np.max(np.abs(U[eng.n_min : top + 1])))
-        if peak <= eng.M * eng.M:
-            return cuts, bounds
-        eng.M = 1.5 * math.sqrt(peak)
-    raise TailBoundFailure("basis sup certificate failed to stabilize")
+    cuts, bounds = eng._heat_cuts(ts, tol, rescale)
+    top = int(cuts.max(initial=eng.n_min))
+    if float(np.max(np.abs(U[eng.n_min : top + 1]))) > eng.M * eng.M:
+        raise ConsistencyError("pair product exceeds the sup bound")
+    return cuts, bounds
 
 
 def old_heat_values(eng, U, t, tol, rescale=0.0):
@@ -616,24 +637,31 @@ class TestCoordinateProducts:
     def test_heat_values(self):
         for new, old, _ in engine_pairs():
             U = old_table(old)
-            for scale in (1.0, 0.1):  # 0.1 M: the sup check raises M
-                new.M = old.M = scale * new.M
-                for t in np.geomspace(1e-4, 5.0, 12):
-                    for rescale in (0.0, 10.0):
-                        vals, n, bound = new.heat_values(t, 1e-10, rescale)
-                        ref, ref_n, ref_bound = old_heat_values(old, U, t, 1e-10, rescale)
-                        assert (n, bound, new.M) == (ref_n, ref_bound, old.M)
-                        assert_rows_close(vals[None], ref[None])
+            for t in np.geomspace(1e-4, 5.0, 12):
+                for rescale in (0.0, 10.0):
+                    vals, n, bound = new.heat_values(t, 1e-10, rescale)
+                    ref, ref_n, ref_bound = old_heat_values(old, U, t, 1e-10, rescale)
+                    assert (n, bound, new.M) == (ref_n, ref_bound, old.M)
+                    assert_rows_close(vals[None], ref[None])
+            new.M = old.M = 0.1 * new.M  # below the products: the invariant raises
+            for call in (lambda: new.heat_values(1e-3, 1e-10),
+                         lambda: old_heat_values(old, U, 1e-3, 1e-10)):
+                with pytest.raises(ConsistencyError):
+                    call()
 
     def test_heat_rows(self):
         ts = np.geomspace(1e-4, 5.0, 150)
         for new, old, _ in engine_pairs():
-            new.M = old.M = 0.1 * new.M
             rows, cuts, bounds = new._heat_rows(ts, 1e-10)
             ref, ref_cuts, ref_bounds = old_heat_rows(old, old_table(old), ts, 1e-10)
             assert np.array_equal(cuts, ref_cuts) and np.array_equal(bounds, ref_bounds)
             assert new.M == old.M
             assert_rows_close(rows, ref)
+            new.M = old.M = 0.1 * new.M  # below the products: the invariant raises
+            with pytest.raises(ConsistencyError):
+                new._heat_rows(ts, 1e-10)
+            with pytest.raises(ConsistencyError):
+                old_heat_rows(old, old_table(old), ts, 1e-10)
 
     def test_direct_poisson(self):
         for (new, old, _), d in zip(engine_pairs(), (0.0, 0.0, 2.0, 1.0, 1.0)):
@@ -715,6 +743,17 @@ class TestSemigroupApply:
         (ref,) = uncached_semigroup(b, f, (1e-3,), xs, graded, 1e-10)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert id(graded) in b._psi_by_rule
+
+    def test_tail_bound_covers_uncomputed_coefficients(self):
+        """f = psi_200 of a larger basis has coefficients ~0 on the 40 stored
+        modes, but its semigroup image e^{-t lambda_200} psi_200 is ~1e-3 at
+        this t: the tail bound, through ||f||_2 = 1, must refuse it."""
+        big = shared_basis(0.7, n_max=300)
+        b = build_basis(big.params, 40, table=big.table)
+        f = lambda x: eval_psi(big, 200, x)
+        t = 7.0 / big.eigen[200]
+        with pytest.raises(TailBoundFailure):
+            semigroup_apply(b, f, t, np.linspace(0.1, 0.9, 9), tol=1e-6)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -1e-3])
     def test_rejects_bad_time(self, t):

@@ -16,6 +16,7 @@ from dini.specfun import (
     bessel_j,
     bessel_jh,
     bessel_jh_prime,
+    bessel_modulus,
     gamma_fn,
     jacobi_poly,
     jacobi_poly_derivative,
@@ -97,6 +98,23 @@ class TestBesselJ:
         # below it, fractional orders lose up to 3.1e-14 (nu = 0.3, x ~ 14).
         assert np.max(err[x >= 100.0]) <= 1e-14
         assert np.max(err[x < 100.0]) <= 1e-13
+
+
+class TestBesselModulus:
+    @pytest.mark.parametrize("nu", [-0.9, -0.75, 0.0, 0.75, 3.0])
+    def test_agrees_with_mpmath(self, nu):
+        mpmath = pytest.importorskip("mpmath")
+        x = np.geomspace(1e-3, X_MAX_J, 40)
+        ref = np.array([float(mpmath.sqrt(v * (mpmath.besselj(nu, v) ** 2
+                                               + mpmath.bessely(nu, v) ** 2)))
+                        for v in map(float, x)])
+        assert np.max(np.abs(bessel_modulus(nu, x) / ref - 1.0)) <= 1e-14
+
+    def test_bounds_sqrt_x_j(self):
+        x = np.linspace(1e-3, 50.0, 5001)
+        for nu in (-0.75, 0.0, 2.5):
+            envelope = bessel_modulus(nu, x) * (1 + 1e-14)
+            assert np.all(np.sqrt(x) * np.abs(bessel_j(nu, x)) <= envelope)
 
 
 class TestBesselI:
