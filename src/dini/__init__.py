@@ -49,6 +49,7 @@ from .kernels import (
     KernelRequest,
     KernelValue,
     PairEngine,
+    engine_for,
     heat_kernel,
     jacobi_heat_kernel,
     poisson_kernel,

@@ -35,6 +35,18 @@ from .specfun import (
 from .zeros import ZeroTable, build_zero_table
 
 
+def _cached(cache: dict, key, build, limit: int):
+    """cache[key], built on a miss; at limit entries the oldest is dropped
+    first."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = build()
+        if len(cache) >= limit:
+            del cache[next(iter(cache))]
+        cache[key] = hit
+    return hit
+
+
 def _grading_power(endpoint_exponent: float) -> int:
     """Power m for the x = u**m endpoint map, given integrand ~ x**p.
 
@@ -85,6 +97,8 @@ class BasisSpec:
     c: np.ndarray = field(init=False)
     eigen: np.ndarray = field(init=False)
     _psi_by_rule: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # PairEngines on this basis, per pair tuple (kernels.engine_for).
+    _engines: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max > self.table.n_max:
@@ -165,15 +179,13 @@ class BasisSpec:
         the oldest being dropped first. Entries hold their rule, so a key
         (the rule's id) cannot be reused by another rule while cached.
         """
-        hit = self._psi_by_rule.get(id(quad))
-        if hit is not None:
-            return hit[1]
-        mat = self._psi_rows(quad.nodes, self.n_max, PSI_BLOCK_MODES)
-        mat.flags.writeable = False
-        if len(self._psi_by_rule) >= PSI_RULES_PER_BASIS:
-            del self._psi_by_rule[next(iter(self._psi_by_rule))]
-        self._psi_by_rule[id(quad)] = (quad, mat)
-        return mat
+
+        def build():
+            mat = self._psi_rows(quad.nodes, self.n_max, PSI_BLOCK_MODES)
+            mat.flags.writeable = False
+            return quad, mat
+
+        return _cached(self._psi_by_rule, id(quad), build, PSI_RULES_PER_BASIS)[1]
 
     def psi_prime_matrix(self, x: np.ndarray) -> np.ndarray:
         """Derivatives psi_n'(x) through the Bessel recurrence identities."""
@@ -234,6 +246,8 @@ class JacobiBasisSpec:
     k_max: int
     C: np.ndarray = field(init=False)
     Lambda: np.ndarray = field(init=False)
+    # PairEngines on this basis, per pair tuple (kernels.engine_for).
+    _engines: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.jp.alpha, self.jp.beta

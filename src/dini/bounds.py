@@ -25,7 +25,7 @@ from .errors import (
     NonFiniteRatioError,
     SandwichViolation,
 )
-from .kernels import PairEngine
+from .kernels import engine_for
 from .numerics import QuadratureRule
 from .specfun import JacobiParams, Regime, SpectralParams
 
@@ -329,8 +329,8 @@ def sandwich_check(
     """
     b = dini_basis or build_basis(SpectralParams(nu, 0.5), n_max)
     jb = jacobi_basis or build_jacobi_basis(JacobiParams(nu, -0.5), n_max)
-    eng_g = PairEngine(b, xy_grid)
-    eng_k = PairEngine(jb, xy_grid)
+    eng_g = engine_for(b, xy_grid)
+    eng_k = engine_for(jb, xy_grid)
     f0 = float(F_nu(nu, 0.0))
     f1 = float(F_nu(nu, 1.0))
     branch = "inner" if -0.5 <= nu <= 0.5 else "outer"
@@ -474,14 +474,15 @@ def heat_envelope_reports(
     keep_points: bool = False,
 ) -> list[RatioReport]:
     """Kernel/envelope ratio reports for the heat kernel at several times."""
-    eng = basis if isinstance(basis, PairEngine) else PairEngine(basis, pairs)
+    eng = engine_for(basis, pairs)
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
-    label = "jacobi-heat" if isinstance(eng.basis, JacobiBasisSpec) else "heat"
+    p = eng.params
+    label = "jacobi-heat" if isinstance(p, JacobiParams) else "heat"
     params = (
-        {"alpha": eng.basis.jp.alpha, "beta": eng.basis.jp.beta}
-        if isinstance(eng.basis, JacobiBasisSpec)
-        else {"nu": eng.basis.params.nu, "H": eng.basis.params.h}
+        {"alpha": p.alpha, "beta": p.beta}
+        if isinstance(p, JacobiParams)
+        else {"nu": p.nu, "H": p.h}
     )
     out = []
     long_time = envelope.kind is EnvelopeKind.HEAT_LONG
@@ -514,10 +515,10 @@ def poisson_envelope_reports(
     tol: float = 1e-9,
     keep_points: bool = False,
 ) -> list[RatioReport]:
-    eng = basis if isinstance(basis, PairEngine) else PairEngine(basis, pairs)
+    eng = engine_for(basis, pairs)
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
-    params = {"nu": eng.basis.params.nu, "H": eng.basis.params.h, "d": d}
+    params = {"nu": eng.params.nu, "H": eng.params.h, "d": d}
     out = []
     long_time = envelope.kind is EnvelopeKind.POISSON_LONG
     for t in t_values:
@@ -546,8 +547,8 @@ def potential_envelope_reports(
     tol: float = 1e-9,
     keep_points: bool = False,
 ) -> list[RatioReport]:
-    eng = basis if isinstance(basis, PairEngine) else PairEngine(basis, pairs)
-    nu = eng.basis.params.nu
+    eng = engine_for(basis, pairs)
+    nu = eng.params.nu
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
     env = potential_envelope(nu, riesz=riesz)

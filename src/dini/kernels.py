@@ -28,6 +28,17 @@ the pair products of the modes it sums (up to its cutoff, or
 PSI_BLOCK_MODES modes at a time for the full-length potential series), so
 memory grows with n_max * n_coords rather than n_max * n_pairs.
 
+An engine is a pure function of its basis and its pairs (M is a stated
+bound fixed at construction), so engines are shared: engine_for(basis, pairs)
+keeps up to CACHE_ENTRIES engines on the basis, keyed by the exact pair
+tuple and dropped oldest first, and every kernel function and ratio report
+that is given a basis takes its engine from there. A shared engine's arrays
+are read-only. Each engine holds psi, (n_max+1) x n_coords doubles, and in
+turn keeps up to CACHE_ENTRIES subordination masters (about 1,700 x n_pairs
+doubles each, at n_max = 3000) and direct-series floors, keyed by the exact
+(d, tol) and tol. The engine does not refer back to its basis, so a basis
+and its engines are freed by refcounting.
+
 Where many heat times are needed at once (the subordination master's grids
 and the short-time heat integral of the potential series), the heat kernel
 is evaluated a block of TIME_BLOCK times per array operation: every time
@@ -47,6 +58,7 @@ above t_hi.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
@@ -60,6 +72,8 @@ from scipy.special import roots_legendre
 from .basis import (
     BasisSpec,
     JacobiBasisSpec,
+    _cached,
+    build_basis,
     certified_sup,
     default_coefficient_rule,
     dini_coefficients,
@@ -90,6 +104,9 @@ PSI_BLOCK_MODES = 128
 # (PairEngine._series), so that BLAS groups its terms as in a sum over all
 # n_max + 1 modes.
 SUM_ALIGN = 4
+# Entries kept by each bounded cache: engines per basis (engine_for), and
+# subordination masters and direct-series floors per engine.
+CACHE_ENTRIES = 4
 
 
 class KernelKind(enum.Enum):
@@ -123,6 +140,8 @@ class KernelRequest:
             )
         if not math.isfinite(self.d_nu):
             raise DomainError(f"shift d must be finite, got {self.d_nu}")
+        if len(self.grid) == 0:
+            raise DomainError("kernel request needs at least one (x, y) pair")
         if self.kind is KernelKind.JACOBI_HEAT:
             if not isinstance(self.params, JacobiParams):
                 raise DomainError("JACOBI_HEAT requires JacobiParams")
@@ -169,6 +188,11 @@ def _poisson_need(t: float, tol: float, m2: float, c_off: float, rescale: float 
     ) / (t * math.pi)
 
 
+def _read_only(*arrays) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _exp_tail(t: float, n_cut: float, c_off: float) -> float:
     """Upper bound for sum_{n>n_cut} exp(-t pi (n-c_off))."""
     r = math.exp(-t * math.pi)
@@ -186,15 +210,22 @@ class PairEngine:
     multiplier reduces to a weighted sum over modes of the pair products
     psi_n(x_p) psi_n(y_p), which each call forms only for the modes it sums
     (_pair_products).
+
+    Engines are shared across requests (engine_for), so psi, lam, ix, iy
+    and dist are read-only. The engine keeps the basis parameters (params:
+    SpectralParams, or JacobiParams for a Jacobi basis), not the basis,
+    which holds its engines.
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
-        self.basis = basis
-        self.pairs = [(float(x), float(y)) for x, y in pairs]
+        self.pairs = tuple((float(x), float(y)) for x, y in pairs)
+        if not self.pairs:
+            raise DomainError("a PairEngine needs at least one (x, y) pair")
         xs = np.array([p[0] for p in self.pairs])
         ys = np.array([p[1] for p in self.pairs])
         coords = np.unique(np.concatenate([xs, ys]))
         if isinstance(basis, JacobiBasisSpec):
+            self.params = basis.jp
             mat = basis.phi_matrix(coords)
             self.n_min = 0
             self.n_max = basis.k_max
@@ -202,6 +233,7 @@ class PairEngine:
             q = (basis.jp.alpha + basis.jp.beta + 1.0) / 2.0
             self.c_off = max(0.0, -q)
         else:
+            self.params = basis.params
             mat = basis.psi_matrix(coords)
             self.n_min = basis.n_min
             self.n_max = basis.n_max
@@ -212,7 +244,9 @@ class PairEngine:
         self.iy = np.searchsorted(coords, ys)
         self.M = certified_sup(basis, coords)
         self.dist = np.abs(xs - ys)
+        _read_only(self.psi, self.lam, self.ix, self.iy, self.dist)
         self._masters: dict = {}
+        self._floors: dict = {}
 
     @property
     def n_pairs(self) -> int:
@@ -360,15 +394,19 @@ class PairEngine:
 
     def _direct_floor(self, tol: float) -> float:
         """Time above which the direct Poisson series reaches tol (bisection
-        in log t, with a factor-2 margin)."""
-        t_lo, t_hi = 1e-8, 10.0
-        for _ in range(80):
-            t_mid = math.sqrt(t_lo * t_hi)
-            if self._poisson_cut(t_mid, tol) is None:
-                t_lo = t_mid
-            else:
-                t_hi = t_mid
-        return 2.0 * t_hi
+        in log t, with a factor-2 margin), kept per tol."""
+
+        def bisect():
+            t_lo, t_hi = 1e-8, 10.0
+            for _ in range(80):
+                t_mid = math.sqrt(t_lo * t_hi)
+                if self._poisson_cut(t_mid, tol) is None:
+                    t_lo = t_mid
+                else:
+                    t_hi = t_mid
+            return 2.0 * t_hi
+
+        return _cached(self._floors, tol, bisect, CACHE_ENTRIES)
 
     def poisson_values(
         self, t: float, d: float, tol: float, rescale: float = 0.0
@@ -388,12 +426,11 @@ class PairEngine:
         return self._poisson_subordinated(t, d, tol)
 
     def _master(self, d: float, tol: float):
-        key = (round(d, 12), round(math.log10(tol), 6))
-        if key in self._masters:
-            return self._masters[key]
-        m = _SubordinationMaster(self, d, tol)
-        self._masters[key] = m
-        return m
+        """The subordination master for (d, tol), kept per exact (d, tol): a
+        master built for another tol would give another certificate."""
+        return _cached(
+            self._masters, (d, tol), lambda: _SubordinationMaster(self, d, tol), CACHE_ENTRIES
+        )
 
     def _subordination_floor(self) -> tuple[float, float]:
         """(u_floor, min_usable_dist) of a subordination master on this engine:
@@ -582,11 +619,11 @@ class PairEngine:
         """
         xs = np.array([p[0] for p in self.pairs])
         ys = np.array([p[1] for p in self.pairs])
-        if isinstance(self.basis, JacobiBasisSpec):
-            jp = self.basis.jp
-            ends = ((xs, ys, 2.0 * jp.alpha + 1.0), (1.0 - xs, 1.0 - ys, 2.0 * jp.beta + 1.0))
+        p = self.params
+        if isinstance(p, JacobiParams):
+            ends = ((xs, ys, 2.0 * p.alpha + 1.0), (1.0 - xs, 1.0 - ys, 2.0 * p.beta + 1.0))
         else:
-            ends = ((xs, ys, 2.0 * self.basis.params.nu + 1.0),)
+            ends = ((xs, ys, 2.0 * p.nu + 1.0),)
         s2 = 2.0 * sigma
         t_lo = 1e-3
         while t_lo > 1e-13:
@@ -626,19 +663,23 @@ class PairEngine:
         raise TailBoundFailure(f"potential time integral: late-time bound {late:.2e} above tol/8")
 
 
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], per order."""
+    xg, wg = roots_legendre(order)
+    _read_only(xg, wg)
+    return xg, wg
+
+
 def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):
     """Composite Gauss rule on [lo, hi] with log-spaced panels."""
     if not (0.0 < lo < hi):
         raise DomainError("log panel rule requires 0 < lo < hi")
     n_panels = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
     edges = np.exp(np.linspace(math.log(lo), math.log(hi), n_panels + 1))
-    xg, wg = roots_legendre(order)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nodes.append(mid + half * xg)
-        weights.append(half * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    xg, wg = _legendre(order)
+    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
+    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
 class _SubordinationMaster:
@@ -656,6 +697,7 @@ class _SubordinationMaster:
 
     The master keeps the head modes' eigenvalues and pair products, not the
     engine, so that an engine holding its masters is freed by refcounting.
+    Its arrays are read-only, like its (shared) engine's.
     """
 
     def __init__(self, engine: PairEngine, d: float, tol: float):
@@ -675,6 +717,7 @@ class _SubordinationMaster:
             nd, wt = _log_panel_rule(self.u_floor, u_hi, per_decade=per_decade, order=24)
             heat, _, _ = engine._heat_rows(nd, 0.25 * tol)
             T = heat * np.exp(-d * d * nd)[:, None] - self._head_heat(nd)
+            _read_only(nd, wt, T)
             self.grids.append((nd, wt, T))
         # Envelope bound for |G| below the master floor, per pair; pairs too
         # close to the diagonal cannot be certified at any small t.
@@ -683,6 +726,7 @@ class _SubordinationMaster:
         expo = np.minimum(engine.dist[alive] ** 2 / (4.0 * self.u_floor), 700.0)
         g_bound[alive] = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
         self.sub_floor_kernel_bound = g_bound
+        _read_only(self.lam_head, self.U_head, g_bound)
         self.n_terms = engine.n_max - engine.n_min + 1
         # For the failure message: what the direct series would need instead.
         self.min_dist = float(np.min(engine.dist, initial=math.inf))
@@ -768,19 +812,22 @@ def _subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off) 
 # --------------------------------------------------------------------------
 
 
-def _engine_for(req: KernelRequest, basis=None) -> PairEngine:
-    if isinstance(basis, PairEngine):
-        return basis
-    if basis is not None:
-        return PairEngine(basis, req.grid)
-    if req.kind is KernelKind.JACOBI_HEAT:
-        jb = JacobiBasisSpec(req.params, req.n_max or 512)
-        return PairEngine(jb, req.grid)
-    from .basis import build_basis
+def engine_for(basis: Union[BasisSpec, JacobiBasisSpec], pairs) -> PairEngine:
+    """The PairEngine of basis on pairs, built on first use and kept on the
+    basis, keyed by the exact pair tuple (up to CACHE_ENTRIES engines per
+    basis, the oldest dropped first)."""
+    key = tuple((float(x), float(y)) for x, y in pairs)
+    return _cached(basis._engines, key, lambda: PairEngine(basis, key), CACHE_ENTRIES)
 
-    n_max = req.n_max or 512
-    b = build_basis(req.params, n_max)
-    return PairEngine(b, req.grid)
+
+def _engine_for(req: KernelRequest, basis=None) -> PairEngine:
+    if basis is None:
+        n_max = req.n_max or 512
+        if req.kind is KernelKind.JACOBI_HEAT:
+            basis = JacobiBasisSpec(req.params, n_max)
+        else:
+            basis = build_basis(req.params, n_max)
+    return engine_for(basis, req.grid)
 
 
 def heat_kernel(

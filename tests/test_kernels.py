@@ -6,11 +6,12 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.special import gammaincc
+from scipy.special import gammaincc, roots_legendre
 from hypothesis import strategies as st
 
 from conftest import shared_basis
 from dini.basis import (
+    BasisSpec,
     build_basis,
     build_jacobi_basis,
     certified_sup,
@@ -25,8 +26,16 @@ from dini.errors import (
     SpectrumNotPositiveError,
     TailBoundFailure,
 )
-from dini.bounds import boundary_refined_coords, pair_grid
+from dini.bounds import (
+    boundary_refined_coords,
+    heat_envelope_reports,
+    heat_short_envelope,
+    pair_grid,
+    potential_envelope_reports,
+    sandwich_check,
+)
 from dini.kernels import (
+    CACHE_ENTRIES,
     LOG45,
     PSI_BLOCK_MODES,
     TIME_BLOCK,
@@ -35,6 +44,9 @@ from dini.kernels import (
     PairEngine,
     _SubordinationMaster,
     _gauss_tail,
+    _legendre,
+    _log_panel_rule,
+    engine_for,
     heat_kernel,
     jacobi_heat_kernel,
     poisson_kernel,
@@ -388,16 +400,20 @@ def uncached_semigroup(b, f, t_values, xs, quad, tol):
 AGREEMENT_PAIRS = [(0.3, 0.6), (0.15, 0.45), (0.1, 0.9), (0.55, 0.8), (0.05, 0.2), (0.65, 0.95)]
 
 
-def blocked_engines():
-    """PLUS, ZERO, MINUS and nu = 3/2 Bessel engines and a Jacobi engine."""
-    bases = [
+def blocked_bases():
+    """PLUS, ZERO, MINUS and nu = 3/2 Bessel bases and a Jacobi basis."""
+    return [
         shared_basis(0.0, 0.5, n_max=300),
         shared_basis(0.0, 0.0, n_max=300),
         shared_basis(-0.75, -1.5, n_max=300),
         shared_basis(1.5, 0.5, n_max=300),
         build_jacobi_basis(JacobiParams(0.3, -0.5), 300),
     ]
-    return [PairEngine(b, PAIRS + [(0.5, 0.5)]) for b in bases]
+
+
+def blocked_engines():
+    """Engines of the blocked_bases() on PAIRS and a diagonal pair."""
+    return [PairEngine(b, PAIRS + [(0.5, 0.5)]) for b in blocked_bases()]
 
 
 def old_table(eng):
@@ -609,8 +625,9 @@ def old_potential_direct(eng, U, sigma, d0):
 def engine_pairs():
     """The blocked_engines() bases, once on the blocked pairs (with a diagonal
     pair) and once on off-diagonal pairs for the potentials."""
-    for eng in blocked_engines():
-        yield eng, PairEngine(eng.basis, eng.pairs), PairEngine(eng.basis, AGREEMENT_PAIRS)
+    for b in blocked_bases():
+        eng = PairEngine(b, PAIRS + [(0.5, 0.5)])
+        yield eng, PairEngine(b, eng.pairs), PairEngine(b, AGREEMENT_PAIRS)
 
 
 class TestCoordinateProducts:
@@ -687,10 +704,11 @@ class TestCoordinateProducts:
 
     def test_potentials(self, monkeypatch):
         cases = []
-        for (_, _, eng), d in zip(engine_pairs(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+        for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+            eng = PairEngine(basis, AGREEMENT_PAIRS)
             series = eng.potential_series(0.6, d, 1e-9)
             timed = eng.potential_time_integral(0.6, d, 1e-9)
-            cases.append((eng.basis, d, series, timed, eng.M))
+            cases.append((basis, d, series, timed, eng.M))
         monkeypatch.setattr(
             PairEngine, "_heat_rows", lambda self, ts, tol: old_heat_rows(self, old_table(self), ts, tol)
         )
@@ -719,6 +737,188 @@ class TestToleranceChecks:
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
         with pytest.raises(DomainError, match="tolerance"):
             self.CALLS[call](eng, tol)
+
+
+# The potential benchmark's requests: five bases, four sigmas, one pair per
+# separation band.
+POTENTIAL_CASES = ((KernelKind.BESSEL_POT, -0.75), (KernelKind.BESSEL_POT, -0.5),
+                   (KernelKind.BESSEL_POT, 0.0), (KernelKind.BESSEL_POT, 1.5),
+                   (KernelKind.RIESZ_POT, 0.5))
+POTENTIAL_SIGMAS = (0.3, 0.5, 1.0, 1.6)
+POTENTIAL_PAIRS = [(0.62, 0.8), (0.2, 0.55), (0.1, 0.75)]
+
+
+def fresh_basis(nu, n_max=3000):
+    """A new basis on the session's zero table: no engines cached yet."""
+    b = shared_basis(nu, n_max=n_max)
+    return BasisSpec(b.params, b.table, n_max)
+
+
+def potential_request(kind, nu, sigma):
+    return KernelRequest(kind, SpectralParams(nu, 0.5), sigma, POTENTIAL_PAIRS,
+                         tol=1e-9, n_max=3000)
+
+
+def kernel_bytes(values):
+    return [(v.value.hex(), v.n_terms, v.tail_bound.hex(), float(v.cross_check).hex())
+            for v in values]
+
+
+class TestSharedEngines:
+    """engine_for keeps one engine per (basis, pairs), so psi, M and the
+    subordination masters are built once across requests; results do not
+    depend on which requests came first."""
+
+    def test_same_engine(self):
+        b = fresh_basis(0.0, n_max=300)
+        eng = engine_for(b, PAIRS)
+        assert engine_for(b, PAIRS) is eng
+        assert engine_for(b, tuple(np.array(PAIRS))) is eng
+        assert engine_for(b, PAIRS[:-1]) is not eng
+        assert engine_for(fresh_basis(0.0, n_max=300), PAIRS) is not eng
+
+    def test_oldest_engine_dropped_at_bound(self):
+        b = fresh_basis(0.0, n_max=300)
+        sets = [[(0.3, 0.6 + 0.01 * k)] for k in range(CACHE_ENTRIES + 1)]
+        engines = [engine_for(b, p) for p in sets[:CACHE_ENTRIES]]
+        assert all(engine_for(b, p) is e for p, e in zip(sets, engines))
+        engine_for(b, sets[-1])
+        assert len(b._engines) == CACHE_ENTRIES
+        assert all(engine_for(b, p) is e for p, e in zip(sets[1:], engines[1:]))
+        assert engine_for(b, sets[0]) is not engines[0]
+
+    def test_jacobi_engines_shared(self):
+        jb = build_jacobi_basis(JacobiParams(0.3, -0.5), 100)
+        assert engine_for(jb, PAIRS) is engine_for(jb, PAIRS)
+
+    def test_one_build_per_basis(self, monkeypatch):
+        counts = {"engine": 0, "psi": 0, "master": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(PairEngine, "__init__", counted("engine", PairEngine.__init__))
+        monkeypatch.setattr(BasisSpec, "psi_matrix", counted("psi", BasisSpec.psi_matrix))
+        monkeypatch.setattr(_SubordinationMaster, "__init__",
+                            counted("master", _SubordinationMaster.__init__))
+        b = fresh_basis(0.0)
+        for sigma in POTENTIAL_SIGMAS:
+            potential_kernel(potential_request(KernelKind.BESSEL_POT, 0.0, sigma), b)
+        assert counts == {"engine": 1, "psi": 1, "master": 1}
+
+    def test_request_order_does_not_matter(self):
+        requests = [(kind, nu, sigma) for kind, nu in POTENTIAL_CASES for sigma in POTENTIAL_SIGMAS]
+        alone = {r: kernel_bytes(potential_kernel(potential_request(*r), fresh_basis(r[1])))
+                 for r in requests}
+        for seed in (1, 2):
+            bases = {nu: fresh_basis(nu) for _, nu in POTENTIAL_CASES}
+            order = list(requests)
+            np.random.default_rng(seed).shuffle(order)
+            for r in order:
+                assert kernel_bytes(potential_kernel(potential_request(*r), bases[r[1]])) == alone[r]
+
+    def test_ratio_reports_share_engines(self, monkeypatch):
+        b = fresh_basis(0.0, n_max=300)
+        grid = pair_grid(boundary_refined_coords(6))
+        heat_envelope_reports(b, grid, [0.01], heat_short_envelope(0.0))
+        eng = engine_for(b, grid)
+        monkeypatch.setattr(PairEngine, "__init__", None)  # any further build fails
+        heat_envelope_reports(b, grid, [0.1], heat_short_envelope(0.0))
+        assert engine_for(b, grid) is eng
+
+    def test_master_keyed_by_exact_tol(self):
+        """A master built for another tol gives another certificate: the
+        bound at tol must not depend on the tols asked for before."""
+        pairs = [(0.2, 0.5), (0.3, 0.7)]
+        tol = 1.000001e-9
+        alone = PairEngine(fresh_basis(0.0), pairs).poisson_values(1e-3, 0.0, tol)
+        eng = PairEngine(fresh_basis(0.0), pairs)
+        eng.poisson_values(1e-3, 0.0, 1e-9)
+        after = eng.poisson_values(1e-3, 0.0, tol)
+        assert after[2] == alone[2]
+        assert np.array_equal(after[0], alone[0])
+
+    def test_direct_floor_kept_per_tol(self, monkeypatch):
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
+        floor = eng._direct_floor(1e-9)
+        assert floor == PairEngine(shared_basis(0.0, n_max=300), PAIRS)._direct_floor(1e-9)
+        monkeypatch.setattr(PairEngine, "_poisson_cut", None)  # any new bisection fails
+        assert eng._direct_floor(1e-9) == floor
+
+    def test_shared_arrays_read_only(self):
+        eng = engine_for(fresh_basis(0.0), [(0.2, 0.5), (0.3, 0.7)])
+        eng.poisson_values(1e-3, 0.0, 1e-9)
+        (master,) = eng._masters.values()
+        arrays = [eng.psi, eng.lam, eng.ix, eng.iy, eng.dist, master.U_head, master.lam_head]
+        arrays += [a for grid in master.grids for a in grid]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_basis_and_engines_freed_without_cycle_collection(self):
+        b = fresh_basis(0.0, n_max=300)
+        engine_for(b, PAIRS)._master(1.0, 1e-9)
+        refs = [weakref.ref(b), weakref.ref(engine_for(b, PAIRS))]
+        gc.disable()
+        try:
+            del b
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
+
+
+class TestEmptyPairList:
+    """An empty pair list is a usage error (DomainError, exit 2) at every
+    entry point, not a failure inside the numerics."""
+
+    @pytest.mark.parametrize("kind, value", [(KernelKind.HEAT, 0.1), (KernelKind.POISSON, 0.1),
+                                             (KernelKind.BESSEL_POT, 1.0)])
+    def test_request(self, kind, value):
+        with pytest.raises(DomainError, match="at least one"):
+            KernelRequest(kind, SpectralParams(0.0, 0.5), value, [], n_max=50)
+
+    def test_jacobi_request(self):
+        with pytest.raises(DomainError, match="at least one"):
+            KernelRequest(KernelKind.JACOBI_HEAT, JacobiParams(0.3, -0.5), 0.1, [], n_max=50)
+
+    @pytest.mark.parametrize("build", [PairEngine, engine_for])
+    def test_engine(self, build):
+        with pytest.raises(DomainError, match="at least one"):
+            build(shared_basis(0.0, n_max=300), [])
+
+    def test_reports(self):
+        b = shared_basis(0.0, n_max=300)
+        with pytest.raises(DomainError, match="at least one"):
+            heat_envelope_reports(b, [], [0.1], heat_short_envelope(0.0))
+        with pytest.raises(DomainError, match="at least one"):
+            potential_envelope_reports(b, [], [1.0])
+        with pytest.raises(DomainError, match="at least one"):
+            sandwich_check(0.25, [0.1], [], n_max=50)
+
+
+class TestLogPanelRule:
+    @pytest.mark.parametrize("lo, hi, per_decade, order",
+                             [(1e-9, 3.0, 4, 16), (2e-3, 5e-3, 12, 24), (0.5, 0.7, 1, 5)])
+    def test_nodes_match_per_panel_loop(self, lo, hi, per_decade, order):
+        nodes, weights = _log_panel_rule(lo, hi, per_decade=per_decade, order=order)
+        n_panels = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
+        edges = np.exp(np.linspace(math.log(lo), math.log(hi), n_panels + 1))
+        xg, wg = roots_legendre(order)
+        ref_nodes, ref_weights = [], []
+        for a, b in zip(edges[:-1], edges[1:]):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            ref_nodes.append(mid + half * xg)
+            ref_weights.append(half * wg)
+        assert np.array_equal(nodes, np.concatenate(ref_nodes))
+        assert np.array_equal(weights, np.concatenate(ref_weights))
+
+    def test_legendre_kept_read_only(self):
+        xg, wg = _legendre(16)
+        assert _legendre(16)[0] is xg
+        assert not (xg.flags.writeable or wg.flags.writeable)
 
 
 class TestSemigroupApply:
