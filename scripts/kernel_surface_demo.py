@@ -15,7 +15,7 @@ import numpy as np
 from dini.basis import build_basis
 from dini.bounds import (
     boundary_refined_coords,
-    heat_envelope_reports,
+    envelope_reports,
     heat_short_envelope,
     pair_grid,
 )
@@ -37,7 +37,7 @@ def run(nu: float, t: float, outdir: Path) -> None:
         for (x, y), v in zip(pairs, vals):
             fh.write("%.17g,%.17g,%.17g\n" % (x, y, v))
 
-    report = heat_envelope_reports(
+    report = envelope_reports(
         basis, pair_grid(boundary_refined_coords(30)), [t],
         heat_short_envelope(nu), tol=1e-10, keep_points=True,
     )[0]

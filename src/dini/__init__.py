@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 from .basis import (
     BasisSpec,
     JacobiBasisSpec,
-    apply_operator,
     build_basis,
     build_jacobi_basis,
     dini_coefficients,
-    eval_phi,
     eval_psi,
     gram_matrix,
     inner_product_rule,
@@ -28,18 +26,14 @@ from .bounds import (
     boundary_refined_coords,
     envelope_eval,
     hardy_check,
-    heat_envelope_reports,
+    envelope_reports,
     heat_long_envelope,
     heat_short_envelope,
-    jacobi_short_envelope,
-    mapping_exponents,
     offdiagonal_pair_grid,
     pair_grid,
-    poisson_envelope_reports,
     poisson_long_envelope,
     poisson_short_envelope,
     potential_envelope,
-    potential_envelope_reports,
     ratio_report,
     rellich_check,
     sandwich_check,
@@ -51,7 +45,6 @@ from .kernels import (
     PairEngine,
     engine_for,
     heat_kernel,
-    jacobi_heat_kernel,
     poisson_kernel,
     potential_kernel,
     semigroup_apply,
@@ -71,10 +64,7 @@ from .specfun import (
     bessel_ih,
     bessel_j,
     bessel_jh,
-    gamma_fn,
     jacobi_poly,
-    jacobi_poly_derivative,
-    wronskian,
 )
 from .zeros import (
     ZeroTable,

@@ -3,7 +3,7 @@
 The Bessel-based system psi_n(x) = c_n sqrt(x) J_nu(z_n x) (with an I_nu or
 monomial n=0 mode when nu + H <= 0) and the Jacobi-based system
 Phi_k(x) = C_k (sin pi x/2)^{a+1/2} (cos pi x/2)^{b+1/2} P_k^{a,b}(cos pi x),
-together with coefficient analysis and spectral application of the operator.
+together with coefficient analysis.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .errors import (
     ConsistencyError,
     DomainError,
     RegimeMismatchError,
-    SpectrumNotPositiveError,
 )
 from .numerics import QuadratureRule, endpoint_graded_rule, gauss_legendre
 from .specfun import (
@@ -71,6 +70,9 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
     return endpoint_graded_rule(n, m_l, m_r)
 
 
+# Modes per block where psi is formed for many points at once (the per-rule
+# psi of _rule_psi, the pair products of kernels.PairEngine.potential_series);
+# bounds those temporaries at PSI_BLOCK_MODES x points.
 PSI_BLOCK_MODES = 128
 PSI_RULES_PER_BASIS = 4
 # Relative allowance on the closed-form sup bound for the rounding of the
@@ -222,19 +224,13 @@ def build_basis(
 
 
 def eval_psi(b: BasisSpec, n: int, x):
-    """psi_n at points x in (0,1); dispatches the n=0 mode on the regime."""
+    """psi_n at points x in (0,1): row n of psi_matrix."""
     if n == 0 and b.params.regime is Regime.PLUS:
         raise RegimeMismatchError("no n=0 eigenfunction exists when nu + H > 0")
     if n < b.n_min or n > b.n_max:
         raise IndexError(f"basis index {n} outside [{b.n_min}, {b.n_max}]")
-    p = b.params
     xs = np.asarray(x, dtype=float)
-    if np.any((xs <= 0.0) | (xs >= 1.0)):
-        raise DomainError("evaluation points must lie in the open interval (0,1)")
-    if n >= 1:
-        out = b.c[n] * np.sqrt(xs) * bessel_j(p.nu, b.table.zeros[n] * xs)
-    else:
-        out = b._psi0(xs)
+    out = b.psi_matrix(xs.ravel(), n_upper=n)[n].reshape(xs.shape)
     return float(out) if np.isscalar(x) else out
 
 
@@ -301,21 +297,6 @@ def build_jacobi_basis(jp: JacobiParams, k_max: int) -> JacobiBasisSpec:
     return JacobiBasisSpec(jp, k_max)
 
 
-def eval_phi(jb: JacobiBasisSpec, k: int, x):
-    """Phi_k at points x in (0,1)."""
-    if k < 0 or k > jb.k_max:
-        raise IndexError(f"basis index {k} outside [0, {jb.k_max}]")
-    a, b = jb.jp.alpha, jb.jp.beta
-    xs = np.asarray(x, dtype=float)
-    if np.any((xs <= 0.0) | (xs >= 1.0)):
-        raise DomainError("evaluation points must lie in the open interval (0,1)")
-    s = np.sin(0.5 * math.pi * xs) ** (a + 0.5)
-    c = np.cos(0.5 * math.pi * xs) ** (b + 0.5)
-    P = jacobi_poly_all(jb.jp, k, np.atleast_1d(np.cos(math.pi * xs)))[k]
-    out = jb.C[k] * s * c * P.reshape(xs.shape)
-    return float(out) if np.isscalar(x) else out
-
-
 def default_coefficient_rule(b: BasisSpec, n: int = 512) -> QuadratureRule:
     """Quadrature suited to f * psi_n integrands (f bounded near 0)."""
     return inner_product_rule(n, b.params.nu + 0.5)
@@ -333,34 +314,6 @@ def dini_coefficients(
     if fx.shape != quad.nodes.shape:
         raise DomainError("f must map the node array to an equal-shape array")
     return b._rule_psi(quad) @ (quad.weights * fx)
-
-
-def apply_operator(
-    b: BasisSpec, coeffs: np.ndarray, power: float, shift: float = 0.0
-) -> np.ndarray:
-    """Coefficient-wise application of (shift + operator)^power.
-
-    The operator acts as multiplication by eigen[n]; negative or fractional
-    powers require shift + eigen[n] > 0 for every active mode.
-    """
-    coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.shape != (b.n_max + 1,):
-        raise DomainError(f"coeffs must have shape ({b.n_max + 1},)")
-    if power == 0.0:
-        return coeffs.copy()
-    lam = shift + b.eigen[b.n_min :]
-    fractional = power != round(power)
-    if (power < 0.0 or fractional) and np.any(lam <= 0.0):
-        raise SpectrumNotPositiveError(
-            "shifted spectrum has a non-positive eigenvalue; negative or "
-            "fractional powers are not defined"
-        )
-    out = np.zeros_like(coeffs)
-    if fractional or power < 0.0:
-        out[b.n_min :] = coeffs[b.n_min :] * lam**power
-    else:
-        out[b.n_min :] = coeffs[b.n_min :] * lam ** int(round(power))
-    return out
 
 
 def _split_constant(nu: float) -> float:

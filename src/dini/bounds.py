@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -65,7 +64,6 @@ def F_nu(nu: float, x):
 class EnvelopeKind(enum.Enum):
     HEAT_SHORT = "heat-short"
     HEAT_LONG = "heat-long"
-    JACOBI_SHORT = "jacobi-short"
     POISSON_SHORT = "poisson-short"
     POISSON_LONG = "poisson-long"
     POT_BESSEL = "potential-bessel"
@@ -78,12 +76,10 @@ class Envelope:
 
     ``rate`` is the signed large-time exponential rate (the envelope carries
     exp(-rate * t); negative rate means growth, as for the MINUS regime).
-    ``beta`` is the right-endpoint exponent parameter of the Jacobi kind.
     """
 
     kind: EnvelopeKind
     nu: float
-    beta: float = -0.5
     rate: float = 0.0
 
     def __post_init__(self):
@@ -93,13 +89,6 @@ class Envelope:
 
 def heat_short_envelope(nu: float) -> Envelope:
     return Envelope(EnvelopeKind.HEAT_SHORT, nu)
-
-
-def jacobi_short_envelope(alpha: float, beta: float) -> Envelope:
-    e = Envelope(EnvelopeKind.JACOBI_SHORT, alpha, beta=beta)
-    if not beta > -1.0:
-        raise DomainError("beta must exceed -1")
-    return e
 
 
 def heat_long_envelope(basis: BasisSpec) -> Envelope:
@@ -146,13 +135,6 @@ def envelope_eval(e: Envelope, t_or_sigma: float, x, y):
     if e.kind is EnvelopeKind.HEAT_SHORT:
         out = (
             np.minimum(xs * ys / t, 1.0) ** (nu + 0.5)
-            / math.sqrt(t)
-            * np.exp(-((xs - ys) ** 2) / (4.0 * t))
-        )
-    elif e.kind is EnvelopeKind.JACOBI_SHORT:
-        out = (
-            np.minimum(xs * ys / t, 1.0) ** (nu + 0.5)
-            * np.minimum((1.0 - xs) * (1.0 - ys) / t, 1.0) ** (e.beta + 0.5)
             / math.sqrt(t)
             * np.exp(-((xs - ys) ** 2) / (4.0 * t))
         )
@@ -221,9 +203,6 @@ class RatioReport:
             "argmin": list(self.argmin),
             "argmax": list(self.argmax),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def write_csv(self, fh) -> None:
         """Per-point long-format dump: x,y,kernel,envelope,ratio."""
@@ -373,16 +352,6 @@ def sandwich_check(
     return reports
 
 
-def mapping_exponents(nu: float) -> tuple[float, float]:
-    """Endpoint exponents p0 = 1/(nu+3/2), p1 = -1/(nu+1/2) for nu in (-1,-1/2)."""
-    if not (-1.0 < nu < -0.5):
-        raise DomainError(f"mapping exponents require nu in (-1, -1/2), got {nu}")
-    p0 = 1.0 / (nu + 1.5)
-    denom = nu + 0.5
-    p1 = math.inf if denom == 0.0 else -1.0 / denom
-    return p0, p1
-
-
 def _trial_grams(
     nu: float, n_terms: int, quad: QuadratureRule
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -465,103 +434,58 @@ def hardy_check(
 RESOLVABILITY_FACTOR = 1e4
 
 
-def heat_envelope_reports(
+def envelope_reports(
     basis,
     pairs: Sequence[tuple],
-    t_values: Sequence[float],
+    values: Sequence[float],
     envelope: Envelope,
-    tol: float = 1e-10,
+    *,
+    tol: float,
+    d: float = 0.0,
     keep_points: bool = False,
 ) -> list[RatioReport]:
-    """Kernel/envelope ratio reports for the heat kernel at several times."""
+    """Kernel/envelope ratio reports at several times (or powers sigma).
+
+    ``envelope.kind`` picks the kernel: the heat kernel (the Jacobi heat
+    kernel on a Jacobi basis) for HEAT_*, the Poisson kernel with shift d for
+    POISSON_*, and the potential series for POT_* (d0 = 0 for POT_RIESZ, 1
+    for POT_BESSEL). The *_LONG kinds rescale both sides by the envelope's
+    rate, which is exact, so that the ratio survives where the raw kernel
+    underflows; the others exclude points whose envelope is below
+    RESOLVABILITY_FACTOR * tol.
+    """
     eng = engine_for(basis, pairs)
     xs = np.array([p[0] for p in pairs])
     ys = np.array([p[1] for p in pairs])
     p = eng.params
-    label = "jacobi-heat" if isinstance(p, JacobiParams) else "heat"
-    params = (
-        {"alpha": p.alpha, "beta": p.beta}
-        if isinstance(p, JacobiParams)
-        else {"nu": p.nu, "H": p.h}
-    )
+    kind = envelope.kind
+    if kind in (EnvelopeKind.HEAT_SHORT, EnvelopeKind.HEAT_LONG):
+        jacobi = isinstance(p, JacobiParams)
+        label = "jacobi-heat" if jacobi else "heat"
+        params = {"alpha": p.alpha, "beta": p.beta} if jacobi else {"nu": p.nu, "H": p.h}
+        kernel = lambda v, rescale: eng.heat_values(v, tol, rescale)
+    elif kind in (EnvelopeKind.POISSON_SHORT, EnvelopeKind.POISSON_LONG):
+        label, params = "poisson", {"nu": p.nu, "H": p.h, "d": d}
+        kernel = lambda v, rescale: eng.poisson_values(v, d, tol, rescale)
+    else:
+        riesz = kind is EnvelopeKind.POT_RIESZ
+        label, params = ("riesz-potential" if riesz else "bessel-potential"), {"nu": p.nu}
+        kernel = lambda v, _: eng.potential_series(v, 0.0 if riesz else 1.0, tol)
+    long_time = kind in (EnvelopeKind.HEAT_LONG, EnvelopeKind.POISSON_LONG)
     out = []
-    long_time = envelope.kind is EnvelopeKind.HEAT_LONG
-    for t in t_values:
+    for v in values:
         if long_time:
-            # Rescale by the bottom spectral rate: both sides become O(1),
-            # so the ratio survives even where the raw kernel underflows.
-            vals, _, _ = eng.heat_values(t, tol, rescale=envelope.rate)
+            vals, _, _ = kernel(v, envelope.rate)
             ev = (xs * ys) ** (envelope.nu + 0.5)
             floor = 0.0
         else:
-            vals, _, _ = eng.heat_values(t, tol)
-            ev = envelope_eval(envelope, t, xs, ys)
+            vals, _, _ = kernel(v, 0.0)
+            ev = envelope_eval(envelope, v, xs, ys)
             floor = RESOLVABILITY_FACTOR * tol
         out.append(
             ratio_report(
-                vals, ev, pairs, label, params, t,
+                vals, ev, pairs, label, params, v,
                 keep_points=keep_points, floor=floor,
-            )
-        )
-    return out
-
-
-def poisson_envelope_reports(
-    basis,
-    pairs: Sequence[tuple],
-    t_values: Sequence[float],
-    envelope: Envelope,
-    d: float = 0.0,
-    tol: float = 1e-9,
-    keep_points: bool = False,
-) -> list[RatioReport]:
-    eng = engine_for(basis, pairs)
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    params = {"nu": eng.params.nu, "H": eng.params.h, "d": d}
-    out = []
-    long_time = envelope.kind is EnvelopeKind.POISSON_LONG
-    for t in t_values:
-        if long_time:
-            vals, _, _ = eng.poisson_values(t, d, tol, rescale=envelope.rate)
-            ev = (xs * ys) ** (envelope.nu + 0.5)
-            floor = 0.0
-        else:
-            vals, _, _ = eng.poisson_values(t, d, tol)
-            ev = envelope_eval(envelope, t, xs, ys)
-            floor = RESOLVABILITY_FACTOR * tol
-        out.append(
-            ratio_report(
-                vals, ev, pairs, "poisson", params, t,
-                keep_points=keep_points, floor=floor,
-            )
-        )
-    return out
-
-
-def potential_envelope_reports(
-    basis,
-    pairs: Sequence[tuple],
-    sigmas: Sequence[float],
-    riesz: bool = False,
-    tol: float = 1e-9,
-    keep_points: bool = False,
-) -> list[RatioReport]:
-    eng = engine_for(basis, pairs)
-    nu = eng.params.nu
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    env = potential_envelope(nu, riesz=riesz)
-    d0 = 0.0 if riesz else 1.0
-    label = "riesz-potential" if riesz else "bessel-potential"
-    out = []
-    for sigma in sigmas:
-        vals, _, _ = eng.potential_series(sigma, d0, tol)
-        ev = envelope_eval(env, sigma, xs, ys)
-        out.append(
-            ratio_report(
-                vals, ev, pairs, label, {"nu": nu}, sigma,
-                keep_points=keep_points, floor=RESOLVABILITY_FACTOR * tol,
             )
         )
     return out

@@ -217,35 +217,24 @@ def _cmd_verify_sandwich(cfg: RunConfig) -> int:
 
 
 def _cmd_verify_envelopes(cfg: RunConfig) -> int:
-    failures = []
-    reports = []
-    if cfg.kind in ("heat", "heat-long"):
-        b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
-        pairs = _build_pairs(cfg)
-        if cfg.kind == "heat":
-            env = bnd.heat_short_envelope(cfg.nu)
-        else:
-            env = bnd.heat_long_envelope(b)
-        reports = bnd.heat_envelope_reports(b, pairs, list(cfg.t_values), env, tol=cfg.tol)
+    b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
+    potential = cfg.kind in ("bessel", "riesz")
+    if cfg.kind == "heat":
+        env = bnd.heat_short_envelope(cfg.nu)
+    elif cfg.kind == "heat-long":
+        env = bnd.heat_long_envelope(b)
     elif cfg.kind == "poisson":
-        b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
-        pairs = _build_pairs(cfg)
         env = bnd.poisson_short_envelope(cfg.nu)
-        reports = bnd.poisson_envelope_reports(
-            b, pairs, list(cfg.t_values), env, d=cfg.d_nu, tol=max(cfg.tol, 1e-9)
-        )
-    elif cfg.kind in ("bessel", "riesz"):
-        b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
-        pairs = _build_pairs(cfg, offdiag=True)
-        reports = bnd.potential_envelope_reports(
-            b, pairs, list(cfg.sigma_values), riesz=(cfg.kind == "riesz"),
-            tol=max(cfg.tol, 1e-9),
-        )
+    elif potential:
+        env = bnd.potential_envelope(cfg.nu, riesz=(cfg.kind == "riesz"))
     else:
         raise DiniError(f"unknown envelope verification kind: {cfg.kind}")
-    for r in reports:
-        if not (r.spread <= cfg.max_spread):
-            failures.append(r.to_json_dict())
+    reports = bnd.envelope_reports(
+        b, _build_pairs(cfg, offdiag=potential),
+        list(cfg.sigma_values if potential else cfg.t_values), env,
+        tol=cfg.tol if cfg.kind.startswith("heat") else max(cfg.tol, 1e-9), d=cfg.d_nu,
+    )
+    failures = [r.to_json_dict() for r in reports if not (r.spread <= cfg.max_spread)]
     obj = {
         "kind": cfg.kind,
         "nu": cfg.nu,

@@ -9,10 +9,6 @@ class DomainError(DiniError, ValueError):
     """An argument lies outside the documented domain of an operation."""
 
 
-class PoleError(DomainError):
-    """Gamma function evaluated at a non-positive integer."""
-
-
 class OverflowRangeError(DomainError):
     """Argument large enough that the result would overflow binary64."""
 

@@ -70,6 +70,7 @@ from scipy.special import gammaincc as _gammaincc
 from scipy.special import roots_legendre
 
 from .basis import (
+    PSI_BLOCK_MODES,
     BasisSpec,
     JacobiBasisSpec,
     _cached,
@@ -97,9 +98,6 @@ LOG45 = 45.0
 # PairEngine._heat_rows; bounds the exponential temporaries at
 # TIME_BLOCK x n_max.
 TIME_BLOCK = 48
-# Modes per pair-product block in potential_series; bounds its temporaries at
-# PSI_BLOCK_MODES x n_pairs.
-PSI_BLOCK_MODES = 128
 # A single-time series runs from mode 0 to a multiple of SUM_ALIGN modes
 # (PairEngine._series), so that BLAS groups its terms as in a sum over all
 # n_max + 1 modes.
@@ -171,21 +169,60 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
 
 
-def _gauss_tail(t: float, n_cut: float, c_off: float) -> float:
-    """Upper bound for sum_{n>n_cut} exp(-t pi^2 (n-c_off)^2)."""
-    a = t * math.pi**2
-    if n_cut <= c_off:
-        return math.inf
-    return 0.5 * math.sqrt(math.pi / a) * float(_erfc(math.sqrt(a) * (n_cut - c_off)))
+def _gauss_cuts(n, ts, scale, c_off, tol, n_max, what) -> tuple[np.ndarray, np.ndarray]:
+    """Cutoffs N and tail bounds for an array of times ts: from the start
+    indices n, each N grows by max(1, N//16) until scale times the Gaussian
+    tail bound for sum_{m>N} e^{-t pi^2 (m - c_off)^2} is at most tol. Raises
+    TailBoundFailure (naming ``what``) for the first time whose N passes
+    n_max."""
+    n = np.array(n, dtype=np.int64)
+    a = ts * math.pi**2
+    half, root = 0.5 * np.sqrt(math.pi / a), np.sqrt(a)
+    while True:
+        bound = scale * np.where(n > c_off, half * _erfc(root * (n - c_off)), math.inf)
+        step = ~(bound <= tol) & (n <= n_max)
+        if not step.any():
+            break
+        n = np.where(step, n + np.maximum(1, n // 16), n)
+    failed = np.flatnonzero(n > n_max)
+    if failed.size:
+        raise TailBoundFailure(
+            f"{what} tail cannot reach tol={tol:.2e} at t={ts[failed[0]]:.3e} with "
+            f"{n_max} modes"
+        )
+    return n, bound
 
 
 def _poisson_need(t: float, tol: float, m2: float, c_off: float, rescale: float = 0.0) -> float:
-    """Mode index from which M^2 e^{rescale t} times the geometric Poisson
-    tail sum_{n>N} e^{-t pi (n - c_off)} is below tol (for t pi < 700)."""
-    grow = math.exp(min(t * rescale, 700.0))
-    return c_off + math.log(
-        max(m2, 1.0) * grow / (tol * (1.0 - math.exp(-t * math.pi)))
-    ) / (t * math.pi)
+    """Mode index N from which M^2 e^{rescale t} times the geometric Poisson
+    tail sum_{n>N} e^{-t pi (n - c_off)} is below tol: with max(M^2, 1) for
+    M^2, the tail bound at N - 1 is exactly tol. Formed in logs, so that
+    M^2 e^{rescale t} / tol cannot overflow."""
+    log_ratio = math.log(max(m2, 1.0)) + min(t * rescale, 700.0) - math.log(tol)
+    return c_off + (log_ratio - math.log1p(-math.exp(-t * math.pi))) / (t * math.pi)
+
+
+def _direct_time(m2: float, c_off: float, n_max: int, tol: float) -> float:
+    """Time above which the direct Poisson series reaches tol with n_max
+    modes: twice the root of _poisson_need(t) = n_max - 1, clamped to
+    [1e-8, 10]. With u = t pi, the root solves
+    h(u) = (n_max - 1 - c_off) u + log(1 - e^{-u}) - log(max(M^2, 1)/tol) = 0;
+    h increases and is concave, so Newton's method from a point where h < 0
+    rises monotonically to the root."""
+    b = n_max - 1.0 - c_off
+    a = math.log(max(m2, 1.0)) - math.log(tol)
+    h = lambda u: b * u + math.log1p(-math.exp(-u)) - a
+    if not (b > 0.0 and h(10.0 * math.pi) >= 0.0):
+        return 20.0
+    u = max(1e-8 * math.pi, a / b)  # h(a/b) = log(1 - e^{-a/b}) < 0
+    if h(u) >= 0.0:
+        return 2e-8
+    for _ in range(60):  # quadratic convergence; stop at rounding level
+        step = h(u) / (b + 1.0 / math.expm1(u))
+        u -= step
+        if abs(step) <= 1e-15 * u:
+            break
+    return 2.0 * u / math.pi
 
 
 def _read_only(*arrays) -> None:
@@ -278,47 +315,19 @@ class PairEngine:
 
     # ----- heat ---------------------------------------------------------
 
-    def heat_cut(self, t: float, tol: float, rescale: float = 0.0) -> tuple[int, float]:
-        """Smallest cutoff N with certified Gaussian tail below tol."""
-        _check_tol(tol)
-        n, bound = self._heat_cuts(np.array([t], dtype=float), tol, rescale)
-        return int(n[0]), float(bound[0])
-
-    def _heat_cuts(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Cutoffs N and tail bounds for an array of times: from the guess,
-        N grows by max(1, N//16) until M^2 times the Gaussian tail is below
-        tol. Raises for the first time whose N passes n_max."""
-        m2 = self.M * self.M
-        grow = np.exp(np.minimum(ts * rescale, 700.0))
-        a = ts * math.pi**2
-        guess = self.c_off + np.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / ts) / math.pi
-        n = np.maximum(self.n_min, np.minimum(guess, self.n_max).astype(np.int64))
-        bound = np.full(ts.size, math.inf)
-        todo = np.arange(ts.size)
-        while todo.size:
-            nt, at = n[todo], a[todo]
-            tail = 0.5 * np.sqrt(math.pi / at) * _erfc(np.sqrt(at) * (nt - self.c_off))
-            b = m2 * grow[todo] * np.where(nt > self.c_off, tail, math.inf)
-            done = b <= tol
-            bound[todo[done]] = b[done]
-            todo = todo[~done]
-            n[todo] += np.maximum(1, n[todo] // 16)
-            todo = todo[n[todo] <= self.n_max]
-        failed = np.flatnonzero(n > self.n_max)
-        if failed.size:
-            raise TailBoundFailure(
-                f"heat tail cannot reach tol={tol:.2e} at t={ts[failed[0]]:.3e} with "
-                f"{self.n_max} modes"
-            )
-        return n, bound
-
     def _certified_cuts(self, ts, tol, rescale=0.0):
-        """_heat_cuts, and the pair products of the modes
-        0.._series_top(largest cutoff) - 1. The products of the modes
-        n_min..largest cutoff are checked against M^2 once: M is a stated
-        bound fixed at construction, so a product above it is a broken
-        invariant (ConsistencyError), not a reason to change M."""
-        cuts, bounds = self._heat_cuts(ts, tol, rescale)
+        """Heat cutoffs and tail bounds for an array of times (_gauss_cuts from
+        the guess c_off + sqrt(log(M^2/tol)/t)/pi, scale M^2 e^{rescale t}),
+        and the pair products of the modes 0.._series_top(largest cutoff) - 1.
+        The products of the modes n_min..largest cutoff are checked against
+        M^2 once: M is a stated bound fixed at construction, so a product
+        above it is a broken invariant (ConsistencyError), not a reason to
+        change M."""
+        m2 = self.M * self.M
+        guess = self.c_off + np.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / ts) / math.pi
+        start = np.maximum(self.n_min, np.minimum(guess, self.n_max).astype(np.int64))
+        scale = m2 * np.exp(np.minimum(ts * rescale, 700.0))
+        cuts, bounds = _gauss_cuts(start, ts, scale, self.c_off, tol, self.n_max, "heat")
         top = int(cuts.max(initial=self.n_min))
         prods = self._pair_products(0, self._series_top(top))
         checked = prods[self.n_min : top + 1]
@@ -376,37 +385,22 @@ class PairEngine:
 
     def _poisson_cut(self, t: float, tol: float, rescale: float = 0.0):
         """Smallest direct-series cutoff N with certified geometric tail below
-        tol, as (N, bound); None when it exceeds the mode budget."""
+        tol, as (N, bound); None when it exceeds the mode budget. The bound
+        falls with N and is tol at need - 1, so N = int(need) >= need - 1
+        meets it."""
         m2 = self.M * self.M
-        grow = math.exp(min(t * rescale, 700.0))
-        if t * math.pi < 700:
-            need = _poisson_need(t, tol, m2, self.c_off, rescale)
-        else:
-            need = self.n_min
-        if need <= self.n_max - 1:
-            n = max(self.n_min, int(need))
-            while n <= self.n_max:
-                bound = m2 * grow * _exp_tail(t, n, self.c_off)
-                if bound <= tol:
-                    return n, bound
-                n += max(1, n // 16)
-        return None
+        need = _poisson_need(t, tol, m2, self.c_off, rescale)
+        if not need <= self.n_max - 1:
+            return None
+        n = max(self.n_min, int(need))
+        return n, m2 * math.exp(min(t * rescale, 700.0)) * _exp_tail(t, n, self.c_off)
 
     def _direct_floor(self, tol: float) -> float:
-        """Time above which the direct Poisson series reaches tol (bisection
-        in log t, with a factor-2 margin), kept per tol."""
-
-        def bisect():
-            t_lo, t_hi = 1e-8, 10.0
-            for _ in range(80):
-                t_mid = math.sqrt(t_lo * t_hi)
-                if self._poisson_cut(t_mid, tol) is None:
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
-            return 2.0 * t_hi
-
-        return _cached(self._floors, tol, bisect, CACHE_ENTRIES)
+        """_direct_time of this engine, kept per tol."""
+        return _cached(
+            self._floors, tol,
+            lambda: _direct_time(self.M * self.M, self.c_off, self.n_max, tol), CACHE_ENTRIES,
+        )
 
     def poisson_values(
         self, t: float, d: float, tol: float, rescale: float = 0.0
@@ -508,7 +502,7 @@ class PairEngine:
         and integrates over v with log-paneled Gauss rules; the region below
         the resolvable time floor is skipped with an envelope-based bound.
         """
-        t_cache = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
+        t_cache = self._subordination_floor()[0]
         floors = np.maximum(self.dist**2 / 240.0, t_cache)
         t_floor = max(min(float(np.min(floors)), delta * 0.5), t_cache)
         skip = self._heat_skip_bound(sigma, t_floor=np.minimum(floors, delta))
@@ -712,13 +706,16 @@ class _SubordinationMaster:
         self.u_floor, self.min_usable_dist = engine._subordination_floor()
         lam_next = (math.pi * max(1.0, self.K + 1 - engine.c_off)) ** 2 + d * d
         u_hi = LOG45 / lam_next * 4.0
+        # Each grid keeps its nodes, the fixed factor u^{-3/2} w of the
+        # subordination density at them, and the heat tail T.
         self.grids = []
         for per_decade in (6, 12):
             nd, wt = _log_panel_rule(self.u_floor, u_hi, per_decade=per_decade, order=24)
             heat, _, _ = engine._heat_rows(nd, 0.25 * tol)
             T = heat * np.exp(-d * d * nd)[:, None] - self._head_heat(nd)
-            _read_only(nd, wt, T)
-            self.grids.append((nd, wt, T))
+            fac = nd**-1.5 * wt
+            _read_only(nd, fac, T)
+            self.grids.append((nd, fac, T))
         # Envelope bound for |G| below the master floor, per pair; pairs too
         # close to the diagonal cannot be certified at any small t.
         g_bound = np.full(engine.n_pairs, math.inf)
@@ -767,11 +764,11 @@ class _SubordinationMaster:
         t = np.asarray(t, dtype=float)
         tc = t[..., None]
         results = []
-        for nd, wt, T in self.grids:
+        for nd, fac, T in self.grids:
             with np.errstate(over="ignore", under="ignore"):
                 meas = (tc / (2.0 * math.sqrt(math.pi))) * np.exp(
                     -np.minimum(tc * tc / (4.0 * nd), 700.0)
-                ) * nd**-1.5 * wt
+                ) * fac
             results.append(meas @ T)
         r_master, r_master2 = results
         quad_err = np.max(np.abs(r_master2 - r_master), axis=-1)
@@ -842,9 +839,6 @@ def heat_kernel(
     return [KernelValue(float(v), n_terms, bound) for v in vals]
 
 
-jacobi_heat_kernel = heat_kernel
-
-
 def poisson_kernel(req: KernelRequest, basis: Optional[BasisSpec] = None) -> list[KernelValue]:
     """Poisson kernel of the (optionally shifted) square-root semigroup."""
     if req.kind not in (KernelKind.POISSON, KernelKind.POISSON_SHIFTED):
@@ -911,18 +905,11 @@ def semigroup_apply(
     xs = np.asarray(x_grid, dtype=float)
     if t == 0.0:
         return coeffs @ b.psi_matrix(xs)
-    sup_m = certified_sup(b, xs)
-    fnorm = math.sqrt(float(quad.weights @ (fx * fx)))
-    n = b.n_min
-    while n <= b.n_max:
-        if fnorm * sup_m * _gauss_tail(t, n, b.table.freq_offset) <= tol:
-            break
-        n += max(1, n // 16)
-    else:
-        raise TailBoundFailure(
-            f"semigroup tail cannot reach tol={tol:.2e} at t={t:.3e} with "
-            f"{b.n_max} modes"
-        )
+    scale = math.sqrt(float(quad.weights @ (fx * fx))) * certified_sup(b, xs)
+    cuts, _ = _gauss_cuts(
+        [b.n_min], np.array([t]), scale, b.table.freq_offset, tol, b.n_max, "semigroup"
+    )
+    n = int(cuts[0])
     damped = np.zeros(n + 1)
     sl = slice(b.n_min, n + 1)
     damped[sl] = coeffs[sl] * np.exp(-t * b.eigen[sl])

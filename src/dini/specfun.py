@@ -1,5 +1,5 @@
-"""Bessel functions of real order, their Robin combinations, Jacobi
-polynomials, the Gamma function, and the cross-product Wronskian.
+"""Bessel functions of real order, their Robin combinations, and Jacobi
+polynomials.
 
 Orders are restricted to (-1, inf) throughout, matching the standing
 assumption of the spectral construction. J_nu, Y_nu and I_nu are delegated
@@ -18,7 +18,7 @@ from scipy.special import hankel1 as _hankel1
 from scipy.special import iv as _iv
 from scipy.special import jv as _jv
 
-from .errors import DomainError, OverflowRangeError, PoleError
+from .errors import DomainError, OverflowRangeError
 
 X_MAX_J = 1.0e5
 X_MAX_I = 700.0
@@ -187,41 +187,3 @@ def jacobi_poly_all(jp: JacobiParams, k_max: int, u: np.ndarray) -> np.ndarray:
         c_k = 2.0 * (k + a - 1.0) * (k + b - 1.0) * c
         out[k] = (b_k * out[k - 1] - c_k * out[k - 2]) / a_k
     return out
-
-
-def jacobi_poly_derivative(jp: JacobiParams, k: int, u):
-    """d/du P_k^{alpha,beta}(u) = (k+alpha+beta+1)/2 * P_{k-1}^{alpha+1,beta+1}(u)."""
-    if k == 0:
-        return 0.0 if np.isscalar(u) else np.zeros_like(np.asarray(u, dtype=float))
-    shifted = JacobiParams(jp.alpha + 1.0, jp.beta + 1.0)
-    return 0.5 * (k + jp.alpha + jp.beta + 1.0) * jacobi_poly(shifted, k - 1, u)
-
-
-def gamma_fn(x: float) -> float:
-    """Gamma function; raises PoleError at non-positive integers."""
-    if x <= 0.0 and x == math.floor(x):
-        raise PoleError(f"gamma function pole at {x}")
-    return math.gamma(x)
-
-
-def wronskian(nu: float, alpha: float, xi: float, eta: float, x):
-    """Cross-product Wronskian of sqrt(x)*J_nu(xi x) and sqrt(x)*J_alpha(eta x).
-
-    Closed form:
-        (alpha - nu) J_nu(xi x) J_alpha(eta x)
-        + x [ xi J_{nu+1}(xi x) J_alpha(eta x) - eta J_nu(xi x) J_{alpha+1}(eta x) ].
-    """
-    _check_order(nu)
-    _check_order(alpha)
-    if xi <= 0.0 or eta <= 0.0:
-        raise DomainError("scalings xi and eta must be positive")
-    if xi == eta:
-        raise DomainError("wronskian requires xi != eta")
-    xs = np.asarray(x, dtype=float)
-    j_nu = bessel_j(nu, xi * xs)
-    j_al = bessel_j(alpha, eta * xs)
-    out = (alpha - nu) * j_nu * j_al + xs * (
-        xi * bessel_j(nu + 1.0, xi * xs) * j_al
-        - eta * j_nu * bessel_j(alpha + 1.0, eta * xs)
-    )
-    return float(out) if np.isscalar(x) else out

@@ -166,9 +166,6 @@ class ZeroTable:
     def n_min(self) -> int:
         return self.params.n_min
 
-    def __len__(self) -> int:
-        return self.n_max - self.n_min + 1
-
     def zero(self, n: int) -> float:
         if n < self.n_min or n > self.n_max:
             if n == 0 and self.params.regime is Regime.PLUS:
@@ -241,9 +238,7 @@ def _z0_bracket(p: SpectralParams) -> Bracket:
     return Bracket(eps, x_hi, -1, 1)
 
 
-def build_zero_table(
-    p: SpectralParams, n_max: int, tol: float = 1e-13, keep_j_zeros: bool = True
-) -> ZeroTable:
+def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroTable:
     """Compute z_n for n = n_min..n_max, certified by interlacing brackets."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -301,7 +296,7 @@ def build_zero_table(
     elif p.regime is Regime.ZERO:
         zeros[0] = 0.0
 
-    return ZeroTable(p, n_max, tol, zeros, brackets, j_zeros=j if keep_j_zeros else None)
+    return ZeroTable(p, n_max, tol, zeros, brackets, j_zeros=j)
 
 
 def x0_bound(nu: float) -> float:

@@ -13,12 +13,12 @@ from conftest import shared_basis
 from dini.basis import BasisSpec, build_basis, build_jacobi_basis, gram_matrix
 from dini.bounds import (
     boundary_refined_coords,
+    envelope_reports,
     hardy_check,
-    heat_envelope_reports,
     heat_long_envelope,
     heat_short_envelope,
     pair_grid,
-    potential_envelope_reports,
+    potential_envelope,
     rellich_check,
     sandwich_check,
 )
@@ -134,8 +134,8 @@ def test_criterion_05_heat_envelope_witness():
         env_s = heat_short_envelope(nu)
         env_l = heat_long_envelope(b)
         for env, ts in ((env_s, short_t), (env_l, long_t)):
-            r30 = heat_envelope_reports(b, grid30, ts, env, tol=1e-10)
-            r60 = heat_envelope_reports(b, grid60, ts, env, tol=1e-10)
+            r30 = envelope_reports(b, grid30, ts, env, tol=1e-10)
+            r60 = envelope_reports(b, grid60, ts, env, tol=1e-10)
             for a, c in zip(r30, r60):
                 assert a.spread <= 1e3 and c.spread <= 1e3
                 stab = abs(c.spread - a.spread) / a.spread
@@ -213,13 +213,14 @@ def test_criterion_08_potential_kernels():
     worst_spread = 0.0
     for nu in (-0.75, 0.0, 1.5):
         b = shared_basis(nu, n_max=3000)
-        reports = potential_envelope_reports(b, offgrid, sigmas, riesz=False, tol=1e-9)
+        reports = envelope_reports(b, offgrid, sigmas, potential_envelope(nu), tol=1e-9)
         for r in reports:
             assert math.isfinite(r.spread) and r.spread <= 1e3
             worst_spread = max(worst_spread, r.spread)
     for nu in (0.0, 1.5):
         b = shared_basis(nu, n_max=3000)
-        reports = potential_envelope_reports(b, offgrid, (0.5, 1.0, 1.6), riesz=True, tol=1e-9)
+        env = potential_envelope(nu, riesz=True)
+        reports = envelope_reports(b, offgrid, (0.5, 1.0, 1.6), env, tol=1e-9)
         for r in reports:
             assert math.isfinite(r.spread) and r.spread <= 1e3
             worst_spread = max(worst_spread, r.spread)

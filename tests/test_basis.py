@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import shared_basis
 from dini.basis import (
@@ -11,17 +9,15 @@ from dini.basis import (
     PSI_RULES_PER_BASIS,
     BasisSpec,
     JacobiBasisSpec,
-    apply_operator,
     build_basis,
     build_jacobi_basis,
     certified_sup,
     default_coefficient_rule,
     dini_coefficients,
-    eval_phi,
     eval_psi,
     gram_matrix,
 )
-from dini.errors import DomainError, RegimeMismatchError, SpectrumNotPositiveError
+from dini.errors import DomainError, RegimeMismatchError
 from dini.kernels import PairEngine
 from dini.numerics import endpoint_graded_rule, gauss_legendre
 from dini.specfun import JacobiParams, Regime, SpectralParams
@@ -86,16 +82,16 @@ class TestPhi:
     def test_chebyshev_case_constant(self):
         jb = build_jacobi_basis(JacobiParams(-0.5, -0.5), 5)
         x = np.linspace(0.01, 0.99, 40)
-        assert np.max(np.abs(eval_phi(jb, 0, x) - 1.0)) < 1e-14
+        assert np.max(np.abs(jb.phi_matrix(x)[0] - 1.0)) < 1e-14
 
     def test_half_order_normalization(self):
         # For k=0 the quadrature normalization fixes C_0; cross-check the
         # closed-form value against an explicit norm integral.
         jb = build_jacobi_basis(JacobiParams(0.5, -0.5), 3)
         rule = gauss_legendre(512)
-        sq = rule.integrate(lambda x: eval_phi(jb, 0, x) ** 2)
+        sq = rule.integrate(lambda x: jb.phi_matrix(x)[0] ** 2)
         assert sq == pytest.approx(1.0, abs=1e-12)
-        assert eval_phi(jb, 0, 0.5) == pytest.approx(
+        assert jb.phi_matrix([0.5])[0, 0] == pytest.approx(
             jb.C[0] * math.sin(math.pi / 4.0), rel=1e-14
         )
 
@@ -161,42 +157,6 @@ class TestEigenRelation:
             x1 = np.array([1.0 - 1e-14])
             vals = (h - 0.5) * b.psi_matrix(x1) + b.psi_prime_matrix(x1)
             assert np.max(np.abs(vals[b.n_min :])) < 1e-8
-
-
-class TestApplyOperator:
-    def test_eigen_relation(self):
-        b = shared_basis(0.7, n_max=10)
-        coeffs = np.zeros(11)
-        coeffs[1] = 1.0
-        out = apply_operator(b, coeffs, power=1.0)
-        assert out[1] == pytest.approx(b.eigen[1], rel=1e-15)
-        assert np.count_nonzero(out) == 1
-
-    def test_identity_power(self):
-        b = shared_basis(-0.75, n_max=6)
-        coeffs = np.arange(7.0)
-        assert np.array_equal(apply_operator(b, coeffs, 0.0), coeffs)
-
-    def test_negative_power_needs_positive_spectrum(self):
-        b = shared_basis(-0.75, n_max=6)
-        coeffs = np.ones(7)
-        with pytest.raises(SpectrumNotPositiveError):
-            apply_operator(b, coeffs, power=-1.0)
-
-    def test_shift_heals_spectrum(self):
-        b = shared_basis(-0.75, n_max=6)
-        coeffs = np.ones(7)
-        out = apply_operator(b, coeffs, power=-1.0, shift=1.0)
-        assert np.all(np.isfinite(out[b.n_min :]))
-
-    @given(st.floats(0.25, 2.0), st.floats(0.25, 2.0))
-    @settings(max_examples=25, deadline=None)
-    def test_power_addition(self, p1, p2):
-        b = shared_basis(0.7, n_max=8)
-        coeffs = np.ones(9)
-        once = apply_operator(b, apply_operator(b, coeffs, p1, shift=1.0), p2, shift=1.0)
-        both = apply_operator(b, coeffs, p1 + p2, shift=1.0)
-        assert np.allclose(once[1:], both[1:], rtol=1e-12)
 
 
 class TestNormalizationConstants:

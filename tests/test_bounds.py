@@ -15,12 +15,10 @@ from dini.bounds import (
     _trial_function_norms,
     boundary_refined_coords,
     envelope_eval,
+    envelope_reports,
     hardy_check,
-    heat_envelope_reports,
     heat_long_envelope,
     heat_short_envelope,
-    jacobi_short_envelope,
-    mapping_exponents,
     offdiagonal_pair_grid,
     pair_grid,
     poisson_short_envelope,
@@ -80,13 +78,6 @@ class TestEnvelopeEval:
     def test_heat_long_neumann_constant(self):
         env = Envelope(EnvelopeKind.HEAT_LONG, -0.5, rate=0.0)
         assert envelope_eval(env, 3.0, 0.2, 0.9) == pytest.approx(1.0, rel=1e-14)
-
-    def test_jacobi_envelope_right_factor(self):
-        env = jacobi_short_envelope(0.0, 0.5)
-        t = 1e-3
-        v_mid = envelope_eval(env, t, 0.5, 0.5)
-        v_edge = envelope_eval(env, t, 0.99, 0.99)
-        assert v_edge < v_mid
 
     def test_potential_log_branch_half(self):
         env = potential_envelope(0.7)
@@ -175,7 +166,7 @@ class TestRatioSweeps:
     def test_heat_short_spread_small(self):
         b = shared_basis(0.0, n_max=300)
         grid = pair_grid(boundary_refined_coords(12))
-        reports = heat_envelope_reports(b, grid, [1e-3, 1e-2, 0.1], heat_short_envelope(0.0))
+        reports = envelope_reports(b, grid, [1e-3, 1e-2, 0.1], heat_short_envelope(0.0), tol=1e-10)
         for r in reports:
             assert 1.0 <= r.spread < 50.0
 
@@ -183,17 +174,15 @@ class TestRatioSweeps:
         b = shared_basis(1.5, n_max=300)
         grid = pair_grid(boundary_refined_coords(12))
         env = heat_long_envelope(b)
-        reports = heat_envelope_reports(b, grid, [1.0, 3.0, 5.0], env)
+        reports = envelope_reports(b, grid, [1.0, 3.0, 5.0], env, tol=1e-10)
         spreads = [r.spread for r in reports]
         assert max(spreads) / min(spreads) < 1.05
 
     def test_poisson_spread(self):
-        from dini.bounds import poisson_envelope_reports
-
         b = shared_basis(0.0, n_max=1500)
         grid = pair_grid(boundary_refined_coords(10))
-        reports = poisson_envelope_reports(
-            b, grid, [0.05, 0.2], poisson_short_envelope(0.0), d=0.0
+        reports = envelope_reports(
+            b, grid, [0.05, 0.2], poisson_short_envelope(0.0), tol=1e-9, d=0.0
         )
         for r in reports:
             assert r.spread < 100.0
@@ -203,29 +192,11 @@ class TestToleranceChecks:
     def test_heat_envelope_reports_rejects_nan_tol(self):
         b = shared_basis(0.0, n_max=300)
         with pytest.raises(DomainError, match="tolerance"):
-            heat_envelope_reports(b, [(0.3, 0.6)], [0.1], heat_short_envelope(0.0), tol=math.nan)
+            envelope_reports(b, [(0.3, 0.6)], [0.1], heat_short_envelope(0.0), tol=math.nan)
 
     def test_sandwich_check_rejects_inf_tol(self):
         with pytest.raises(DomainError, match="tolerance"):
             sandwich_check(0.25, [0.1], [(0.3, 0.6)], n_max=250, tol=math.inf)
-
-
-class TestMappingExponents:
-    def test_values(self):
-        p0, p1 = mapping_exponents(-0.75)
-        assert p0 == pytest.approx(4.0 / 3.0, rel=1e-15)
-        assert p1 == pytest.approx(4.0, rel=1e-15)
-
-    def test_limits(self):
-        p0, p1 = mapping_exponents(-0.5 - 1e-12)
-        assert p1 > 1e11
-        p0, _ = mapping_exponents(-1.0 + 1e-12)
-        assert p0 == pytest.approx(2.0, rel=1e-9)
-
-    def test_domain(self):
-        for bad in (-0.5, -1.0, 0.0):
-            with pytest.raises(DomainError):
-                mapping_exponents(bad)
 
 
 class TestWeightedInequalities:

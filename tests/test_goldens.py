@@ -11,13 +11,12 @@ import pytest
 from conftest import shared_basis
 from dini.bounds import (
     boundary_refined_coords,
-    heat_envelope_reports,
+    envelope_reports,
     heat_long_envelope,
     heat_short_envelope,
     pair_grid,
-    poisson_envelope_reports,
     poisson_short_envelope,
-    potential_envelope_reports,
+    potential_envelope,
 )
 
 GRID = pair_grid(boundary_refined_coords(20))
@@ -52,13 +51,11 @@ NEUMANN_SHORT_TIME_SPREAD_CAP = 20.0
 @pytest.mark.parametrize("nu", sorted({k[0] for k in GOLDEN_SPREADS}))
 def test_golden_spreads(nu):
     b = shared_basis(nu, n_max=2000)
-    hs = heat_envelope_reports(b, GRID, [0.01], heat_short_envelope(nu), tol=1e-10)[0]
-    hl = heat_envelope_reports(b, GRID, [2.5], heat_long_envelope(b), tol=1e-10)[0]
+    hs = envelope_reports(b, GRID, [0.01], heat_short_envelope(nu), tol=1e-10)[0]
+    hl = envelope_reports(b, GRID, [2.5], heat_long_envelope(b), tol=1e-10)[0]
     d = 1.0 if nu < -0.5 else 0.0
-    ps = poisson_envelope_reports(
-        b, GRID, [0.05], poisson_short_envelope(nu), d=d, tol=1e-9
-    )[0]
-    pb = potential_envelope_reports(b, OFFGRID, [0.5], riesz=False, tol=1e-9)[0]
+    ps = envelope_reports(b, GRID, [0.05], poisson_short_envelope(nu), tol=1e-9, d=d)[0]
+    pb = envelope_reports(b, OFFGRID, [0.5], potential_envelope(nu), tol=1e-9)[0]
     observed = {
         "heat-short": hs.spread,
         "heat-long": hl.spread,
@@ -74,5 +71,5 @@ def test_neumann_short_time_cap():
     b = shared_basis(-0.5, n_max=400)
     coords = (0.5 + __import__("numpy").arange(50)) / 50.0
     grid = pair_grid(coords)
-    rep = heat_envelope_reports(b, grid, [0.01], heat_short_envelope(-0.5), tol=1e-10)[0]
+    rep = envelope_reports(b, grid, [0.01], heat_short_envelope(-0.5), tol=1e-10)[0]
     assert rep.spread < NEUMANN_SHORT_TIME_SPREAD_CAP

@@ -1,15 +1,18 @@
 import cmath
 import gc
+import itertools
 import math
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.special import gammaincc, roots_legendre
+from scipy.special import erfc, gammaincc, roots_legendre
 from hypothesis import strategies as st
 
 from conftest import shared_basis
+from dini import kernels
 from dini.basis import (
     BasisSpec,
     build_basis,
@@ -28,10 +31,10 @@ from dini.errors import (
 )
 from dini.bounds import (
     boundary_refined_coords,
-    heat_envelope_reports,
+    envelope_reports,
     heat_short_envelope,
     pair_grid,
-    potential_envelope_reports,
+    potential_envelope,
     sandwich_check,
 )
 from dini.kernels import (
@@ -43,12 +46,13 @@ from dini.kernels import (
     KernelRequest,
     PairEngine,
     _SubordinationMaster,
-    _gauss_tail,
+    _direct_time,
+    _exp_tail,
+    _gauss_cuts,
     _legendre,
     _log_panel_rule,
     engine_for,
     heat_kernel,
-    jacobi_heat_kernel,
     poisson_kernel,
     potential_kernel,
     semigroup_apply,
@@ -177,13 +181,13 @@ class TestJacobiHeatKernel:
             grid=PAIRS,
             n_max=200,
         )
-        assert jacobi_heat_kernel is heat_kernel
-        assert [v.value for v in heat_kernel(req)] == [v.value for v in jacobi_heat_kernel(req)]
+        eng = PairEngine(build_jacobi_basis(JacobiParams(0.7, -0.5), 200), PAIRS)
+        assert [v.value for v in heat_kernel(req)] == list(eng.heat_values(0.05, 1e-10)[0])
         poisson = KernelRequest(
             kind=KernelKind.POISSON, params=SpectralParams(0.5), time_or_sigma=0.1, grid=PAIRS
         )
         with pytest.raises(DomainError, match="HEAT or JACOBI_HEAT"):
-            jacobi_heat_kernel(poisson)
+            heat_kernel(poisson)
 
     def test_symmetry(self):
         jb = build_jacobi_basis(JacobiParams(0.7, -0.5), 200)
@@ -374,6 +378,15 @@ class TestPotentialKernels:
         assert out[0].cross_check < 1e-6 * abs(out[0].value)
 
 
+def gauss_tail(t, n_cut, c_off):
+    """Upper bound for sum_{n>n_cut} exp(-t pi^2 (n-c_off)^2), one time at a
+    time (the scalar form the cutoff searches used before _gauss_cuts)."""
+    a = t * math.pi**2
+    if n_cut <= c_off:
+        return math.inf
+    return 0.5 * math.sqrt(math.pi / a) * float(erfc(math.sqrt(a) * (n_cut - c_off)))
+
+
 def uncached_semigroup(b, f, t_values, xs, quad, tol):
     """The time sweep as it was before the psi caches: psi is evaluated at all
     n_max modes on the rule and on xs, and every time sums all of them. The
@@ -389,7 +402,7 @@ def uncached_semigroup(b, f, t_values, xs, quad, tol):
             out.append(coeffs @ mat)
             continue
         n = b.n_min
-        while fnorm * sup_m * _gauss_tail(t, n, b.table.freq_offset) > tol:
+        while fnorm * sup_m * gauss_tail(t, n, b.table.freq_offset) > tol:
             n += max(1, n // 16)
         mult = np.zeros(b.n_max + 1)
         mult[b.n_min : n + 1] = np.exp(-t * b.eigen[b.n_min : n + 1])
@@ -422,13 +435,13 @@ def old_table(eng):
 
 
 def old_heat_cut(eng, t, tol):
-    """The scalar cutoff search that heat_cut used before its array form;
+    """The scalar heat cutoff search of the engines before the array form;
     None where it raised."""
     m2 = eng.M * eng.M
     guess = eng.c_off + math.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / t) / math.pi
     n = max(eng.n_min, min(eng.n_max, int(guess)))
     while n <= eng.n_max:
-        bound = m2 * _gauss_tail(t, n, eng.c_off)
+        bound = m2 * gauss_tail(t, n, eng.c_off)
         if bound <= tol:
             return n, bound
         n += max(1, n // 16)
@@ -459,18 +472,37 @@ class TestBlockedHeat:
                 old = [old_heat_cut(eng, t, tol) for t in self.TIMES]
                 ok = np.array([o is not None for o in old])
                 assert ok.any() and not ok.all()
-                n, bound = eng._heat_cuts(self.TIMES[ok], tol)
+                n, bound, _ = eng._certified_cuts(self.TIMES[ok], tol)
                 assert list(n) == [o[0] for o in old if o is not None]
                 assert list(bound) == [o[1] for o in old if o is not None]
                 for t, o in zip(self.TIMES, old):
                     if o is None:
-                        with pytest.raises(TailBoundFailure, match=f"t={t:.3e}"):
-                            eng.heat_cut(t, tol)
+                        with pytest.raises(TailBoundFailure, match=f"heat tail .* t={t:.3e}"):
+                            eng._certified_cuts(np.array([t]), tol)
                     else:
-                        assert eng.heat_cut(t, tol) == o
+                        (n,), (bound,), _ = eng._certified_cuts(np.array([t]), tol)
+                        assert (n, bound) == o
                 first_bad = self.TIMES[~ok][0]
                 with pytest.raises(TailBoundFailure, match=f"t={first_bad:.3e}"):
-                    eng._heat_cuts(self.TIMES, tol)
+                    eng._certified_cuts(self.TIMES, tol)
+
+    def test_semigroup_cut_matches_scalar_loop(self):
+        """From n_min, _gauss_cuts takes the steps of semigroup_apply's
+        former scalar loop: the same cutoff and bound, bit for bit."""
+        for b in blocked_bases()[:4]:
+            c_off = b.table.freq_offset
+            for t, scale, tol in itertools.product(self.TIMES[::7], (0.3, 2.0, 40.0), (1e-12, 1e-9)):
+                n = b.n_min
+                while n <= b.n_max and scale * gauss_tail(t, n, c_off) > tol:
+                    n += max(1, n // 16)
+                if n > b.n_max:
+                    with pytest.raises(TailBoundFailure, match=f"semigroup tail .* t={t:.3e}"):
+                        _gauss_cuts([b.n_min], np.array([t]), scale, c_off, tol, b.n_max, "semigroup")
+                else:
+                    cuts, bounds = _gauss_cuts(
+                        [b.n_min], np.array([t]), scale, c_off, tol, b.n_max, "semigroup"
+                    )
+                    assert (cuts[0], bounds[0]) == (n, scale * gauss_tail(t, n, c_off))
 
     def test_rows_match_heat_values(self):
         ts = np.geomspace(1e-4, 5.0, 150)
@@ -558,7 +590,7 @@ class TestBlockedHeat:
 
 
 def old_certified_cuts(eng, U, ts, tol, rescale=0.0):
-    cuts, bounds = eng._heat_cuts(ts, tol, rescale)
+    cuts, bounds, _ = eng._certified_cuts(ts, tol, rescale)
     top = int(cuts.max(initial=eng.n_min))
     if float(np.max(np.abs(U[eng.n_min : top + 1]))) > eng.M * eng.M:
         raise ConsistencyError("pair product exceeds the sup bound")
@@ -723,6 +755,88 @@ class TestCoordinateProducts:
             assert old.M == m
 
 
+def ladder_need(t, tol, m2, c_off, rescale=0.0):
+    """The Poisson need as formed before the log-space form: inf where
+    M^2 e^{t rescale} / tol overflows."""
+    grow = math.exp(min(t * rescale, 700.0))
+    return c_off + math.log(
+        max(m2, 1.0) * grow / (tol * (1.0 - math.exp(-t * math.pi)))
+    ) / (t * math.pi)
+
+
+def ladder_poisson_cut(eng, t, tol, rescale=0.0):
+    """The Poisson cutoff as an N//16 ladder from int(need), the search the
+    closed form replaced; None when need passes the mode budget."""
+    m2 = eng.M * eng.M
+    grow = math.exp(min(t * rescale, 700.0))
+    need = ladder_need(t, tol, m2, eng.c_off, rescale)
+    if need <= eng.n_max - 1:
+        n = max(eng.n_min, int(need))
+        while n <= eng.n_max:
+            bound = m2 * grow * _exp_tail(t, n, eng.c_off)
+            if bound <= tol:
+                return n, bound
+            n += max(1, n // 16)
+    return None
+
+
+def bisected_direct_floor(eng, tol):
+    """The direct-series floor by the 80-step bisection in log t over the
+    ladder cutoff, with the factor-2 margin."""
+    t_lo, t_hi = 1e-8, 10.0
+    for _ in range(80):
+        t_mid = math.sqrt(t_lo * t_hi)
+        if ladder_poisson_cut(eng, t_mid, tol) is None:
+            t_lo = t_mid
+        else:
+            t_hi = t_mid
+    return 2.0 * t_hi
+
+
+class TestPoissonCut:
+    """The closed-form Poisson cutoff and the root-solved direct-series floor
+    agree with the ladder and the bisection they replaced."""
+
+    def test_closed_form_matches_ladder(self):
+        matched = 0
+        for m2, c_off, n_min, n_max in itertools.product(
+            (0.5, 1.0, 2.0, 50.0, 700.0), (0.0, 0.3, 0.99), (0, 1), (300, 3000)
+        ):
+            eng = SimpleNamespace(M=math.sqrt(m2), c_off=c_off, n_min=n_min, n_max=n_max)
+            for t, tol, rescale in itertools.product(
+                np.geomspace(1e-6, 50.0, 40), (1e-12, 1e-9, 1e-6, 1e-3), (0.0, 3.0, 40.0)
+            ):
+                cut = PairEngine._poisson_cut(eng, t, tol, rescale)
+                if math.isfinite(ladder_need(t, tol, m2, c_off, rescale)):
+                    assert cut == ladder_poisson_cut(eng, t, tol, rescale)
+                    matched += cut is not None
+                else:
+                    # The ladder's need overflowed and it gave up; the cut is
+                    # the smallest N that meets tol.
+                    n, bound = cut
+                    grow = math.exp(min(t * rescale, 700.0))
+                    assert bound <= tol
+                    assert n == n_min or m2 * grow * _exp_tail(t, n - 1, c_off) > tol
+        assert matched > 10_000
+
+    def test_direct_floor_matches_bisection(self):
+        for eng in blocked_engines():
+            for tol in (1e-12, 1e-9, 1e-6, 1e-3):
+                ref = bisected_direct_floor(eng, tol)
+                assert abs(eng._direct_floor(tol) - ref) <= 1e-14 * ref
+        # Both clamps: n_max = 2 reaches tol only above t = 10 at some tols,
+        # and 1e10 modes reach it below t = 1e-8.
+        floors = set()
+        for m2, c_off, n_max, tol in itertools.product(
+            (1.0, 2.0, 700.0), (0.0, 0.5), (2, 3, 50, 3000, 30_000, 10**10), (1e-12, 1e-9, 1e-3)
+        ):
+            eng = SimpleNamespace(M=math.sqrt(m2), c_off=c_off, n_min=0, n_max=n_max)
+            ref = bisected_direct_floor(eng, tol)
+            assert abs(_direct_time(m2, c_off, n_max, tol) - ref) <= 1e-14 * ref
+            floors.add(_direct_time(m2, c_off, n_max, tol))
+        assert {20.0, 2e-8} <= floors
+
+
 class TestToleranceChecks:
     CALLS = {
         "heat_values": lambda e, tol: e.heat_values(0.1, tol),
@@ -823,10 +937,10 @@ class TestSharedEngines:
     def test_ratio_reports_share_engines(self, monkeypatch):
         b = fresh_basis(0.0, n_max=300)
         grid = pair_grid(boundary_refined_coords(6))
-        heat_envelope_reports(b, grid, [0.01], heat_short_envelope(0.0))
+        envelope_reports(b, grid, [0.01], heat_short_envelope(0.0), tol=1e-10)
         eng = engine_for(b, grid)
         monkeypatch.setattr(PairEngine, "__init__", None)  # any further build fails
-        heat_envelope_reports(b, grid, [0.1], heat_short_envelope(0.0))
+        envelope_reports(b, grid, [0.1], heat_short_envelope(0.0), tol=1e-10)
         assert engine_for(b, grid) is eng
 
     def test_master_keyed_by_exact_tol(self):
@@ -845,7 +959,7 @@ class TestSharedEngines:
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
         floor = eng._direct_floor(1e-9)
         assert floor == PairEngine(shared_basis(0.0, n_max=300), PAIRS)._direct_floor(1e-9)
-        monkeypatch.setattr(PairEngine, "_poisson_cut", None)  # any new bisection fails
+        monkeypatch.setattr(kernels, "_direct_time", None)  # any new root solve fails
         assert eng._direct_floor(1e-9) == floor
 
     def test_shared_arrays_read_only(self):
@@ -892,9 +1006,9 @@ class TestEmptyPairList:
     def test_reports(self):
         b = shared_basis(0.0, n_max=300)
         with pytest.raises(DomainError, match="at least one"):
-            heat_envelope_reports(b, [], [0.1], heat_short_envelope(0.0))
+            envelope_reports(b, [], [0.1], heat_short_envelope(0.0), tol=1e-10)
         with pytest.raises(DomainError, match="at least one"):
-            potential_envelope_reports(b, [], [1.0])
+            envelope_reports(b, [], [1.0], potential_envelope(0.0), tol=1e-9)
         with pytest.raises(DomainError, match="at least one"):
             sandwich_check(0.25, [0.1], [], n_max=50)
 
