@@ -12,7 +12,6 @@ import json
 import math
 import sys
 import traceback
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,20 +19,26 @@ import numpy as np
 from . import bounds as bnd
 from .basis import build_basis, gram_matrix
 from .errors import DiniError, InequalityViolation, NonFiniteRatioError
-from .kernels import KernelKind, KernelRequest, semigroup_apply
+from .kernels import (
+    KernelKind,
+    KernelRequest,
+    heat_kernel,
+    poisson_kernel,
+    potential_kernel,
+    semigroup_apply,
+)
 from .numerics import _fmt
 from .specfun import JacobiParams, SpectralParams, bessel_ih
 from .zeros import build_zero_table, cached_zero_table, x0_bound
 
-DEFAULT_NU_GRID = (-0.9, -0.75, -0.5, 0.0, 0.5, 1.5, 3.0)
-
-KIND_BY_NAME = {
-    "heat": KernelKind.HEAT,
-    "jacobi-heat": KernelKind.JACOBI_HEAT,
-    "poisson": KernelKind.POISSON,
-    "poisson-shifted": KernelKind.POISSON_SHIFTED,
-    "riesz": KernelKind.RIESZ_POT,
-    "bessel": KernelKind.BESSEL_POT,
+# kernel --kind NAME: the kernel kind and the function that evaluates it.
+KERNELS = {
+    "heat": (KernelKind.HEAT, heat_kernel),
+    "jacobi-heat": (KernelKind.JACOBI_HEAT, heat_kernel),
+    "poisson": (KernelKind.POISSON, poisson_kernel),
+    "poisson-shifted": (KernelKind.POISSON_SHIFTED, poisson_kernel),
+    "riesz": (KernelKind.RIESZ_POT, potential_kernel),
+    "bessel": (KernelKind.BESSEL_POT, potential_kernel),
 }
 
 
@@ -47,32 +52,6 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, default=float) + "\n"
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; values are validated by the dispatched module."""
-
-    command: str
-    nu: float = 0.0
-    h: float = 0.5
-    alpha: Optional[float] = None
-    beta: float = -0.5
-    n_max: int = 200
-    t_values: tuple = (0.1,)
-    sigma_values: tuple = (1.0,)
-    d_nu: float = 1.0
-    grid_n: int = 20
-    refine: bool = True
-    tol: float = 1e-10
-    max_spread: float = 1e3
-    trials: int = 100
-    terms: int = 5
-    seed: int = 12345
-    nu_grid_n: int = 32
-    kind: str = "heat"
-    out: Optional[str] = None
-    fmt: str = "csv"
 
 
 def emit_plot_data(rows: Sequence[dict], columns: Sequence[str], out: Optional[str]) -> None:
@@ -91,7 +70,7 @@ def emit_plot_data(rows: Sequence[dict], columns: Sequence[str], out: Optional[s
 # ----------------------------- commands -----------------------------------
 
 
-def _cmd_zeros(cfg: RunConfig) -> int:
+def _cmd_zeros(cfg: argparse.Namespace) -> int:
     p = SpectralParams(cfg.nu, cfg.h)
     table = cached_zero_table(p, cfg.n_max, max(cfg.tol, 1e-13))
     if cfg.fmt == "json":
@@ -107,25 +86,11 @@ def _cmd_zeros(cfg: RunConfig) -> int:
         }
         _emit(_json_text(obj), cfg.out)
     else:
-        rows = []
-        for n in range(table.n_min, table.n_max + 1):
-            br = table.brackets[n]
-            rows.append(
-                {
-                    "nu": p.nu,
-                    "H": p.h,
-                    "n": n,
-                    "zero": float(table.zeros[n]),
-                    "bracket_lo": br.lo if br else 0.0,
-                    "bracket_hi": br.hi if br else 0.0,
-                    "tol": table.tol,
-                }
-            )
-        emit_plot_data(rows, ["nu", "H", "n", "zero", "bracket_lo", "bracket_hi", "tol"], cfg.out)
+        table.to_csv(sys.stdout if cfg.out in (None, "-") else cfg.out)
     return 0
 
 
-def _cmd_basis_check(cfg: RunConfig) -> int:
+def _cmd_basis_check(cfg: argparse.Namespace) -> int:
     b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
     for n_pts in (512, 1024, 2048):
         gram = gram_matrix(b, n_pts)
@@ -149,15 +114,15 @@ def _cmd_basis_check(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def _build_pairs(cfg: RunConfig, offdiag: bool = False):
+def _build_pairs(cfg: argparse.Namespace, offdiag: bool = False):
     coords = bnd.boundary_refined_coords(cfg.grid_n, cfg.refine)
     if offdiag:
         return bnd.offdiagonal_pair_grid(coords)
     return bnd.pair_grid(coords)
 
 
-def _cmd_kernel(cfg: RunConfig) -> int:
-    kind = KIND_BY_NAME[cfg.kind]
+def _cmd_kernel(cfg: argparse.Namespace) -> int:
+    kind, evaluate = KERNELS[cfg.kind]
     offdiag = kind in (KernelKind.RIESZ_POT, KernelKind.BESSEL_POT)
     pairs = _build_pairs(cfg, offdiag=offdiag)
     t_or_sigma = cfg.sigma_values[0] if offdiag else cfg.t_values[0]
@@ -176,17 +141,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
         n_max=cfg.n_max,
         cross_check=False,
     )
-    from . import kernels as kmod
-
-    dispatch = {
-        KernelKind.HEAT: kmod.heat_kernel,
-        KernelKind.JACOBI_HEAT: kmod.heat_kernel,
-        KernelKind.POISSON: kmod.poisson_kernel,
-        KernelKind.POISSON_SHIFTED: kmod.poisson_kernel,
-        KernelKind.RIESZ_POT: kmod.potential_kernel,
-        KernelKind.BESSEL_POT: kmod.potential_kernel,
-    }
-    values = dispatch[kind](req)
+    values = evaluate(req)
     rows = [
         {
             "x": p[0],
@@ -204,7 +159,7 @@ def _cmd_kernel(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_sandwich(cfg: RunConfig) -> int:
+def _cmd_verify_sandwich(cfg: argparse.Namespace) -> int:
     pairs = _build_pairs(cfg)
     reports = bnd.sandwich_check(cfg.nu, list(cfg.t_values), pairs, n_max=cfg.n_max, tol=cfg.tol)
     obj = {
@@ -216,7 +171,7 @@ def _cmd_verify_sandwich(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_envelopes(cfg: RunConfig) -> int:
+def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
     b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
     potential = cfg.kind in ("bessel", "riesz")
     if cfg.kind == "heat":
@@ -255,7 +210,7 @@ def _cmd_verify_envelopes(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_rellich(cfg: RunConfig) -> int:
+def _cmd_verify_rellich(cfg: argparse.Namespace) -> int:
     rng = np.random.default_rng(cfg.seed)
     worst = {"rellich": 0.0, "hardy": 0.0}
     for _ in range(cfg.trials):
@@ -276,7 +231,7 @@ def _cmd_verify_rellich(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_verify_zero_bound(cfg: RunConfig) -> int:
+def _cmd_verify_zero_bound(cfg: argparse.Namespace) -> int:
     nus = np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, cfg.nu_grid_n)
     rows = []
     ok = True
@@ -307,7 +262,7 @@ def _cmd_verify_zero_bound(cfg: RunConfig) -> int:
     return 0
 
 
-def _cmd_convergence(cfg: RunConfig) -> int:
+def _cmd_convergence(cfg: argparse.Namespace) -> int:
     b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
     f = lambda x: x * (1.0 - x) ** 2
     # Fixed interior grid: pointwise boundary convergence is an interior
@@ -384,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernel", help="evaluate a kernel surface on a grid")
     common(p)
-    p.add_argument("--kind", choices=sorted(KIND_BY_NAME), default="heat")
+    p.add_argument("--kind", choices=sorted(KERNELS), default="heat")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=-0.5)
     p.add_argument("--t", dest="t_values", type=_parse_floats, default=(0.1,))
@@ -450,11 +405,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ns = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    cfg = RunConfig(
-        **{k: v for k, v in vars(ns).items() if k in RunConfig.__dataclass_fields__}
-    )
     try:
-        return DISPATCH[cfg.command](cfg)
+        return DISPATCH[ns.command](ns)
     except (InequalityViolation, NonFiniteRatioError) as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1

@@ -11,7 +11,8 @@ the Bessel system it is a stated bound (Watson §3.31 and §13.74 for
 sqrt(r) J_nu(r), an energy argument for the normalizing constants beyond
 n_max; see basis.certified_sup), for the Jacobi system 1.5 times a probe
 maximum. An engine fixes M at construction and never changes it; a pair
-product above M^2 is a broken invariant and raises ConsistencyError. The
+product above M^2 is a broken invariant and raises ConsistencyError in
+PairEngine._pair_products, which forms the products of every sum. The
 series cutoff N is chosen so that M^2 times a closed-form tail comparison
 (Gaussian tail for heat multipliers, geometric for Poisson, incomplete-gamma
 for potentials) is below the requested tolerance.
@@ -35,17 +36,18 @@ tuple and dropped oldest first, and every kernel function and ratio report
 that is given a basis takes its engine from there. A shared engine's arrays
 are read-only. Each engine holds psi, (n_max+1) x n_coords doubles, and in
 turn keeps up to CACHE_ENTRIES subordination masters (about 1,700 x n_pairs
-doubles each, at n_max = 3000) and direct-series floors, keyed by the exact
-(d, tol) and tol. The engine does not refer back to its basis, so a basis
-and its engines are freed by refcounting.
+doubles each, at n_max = 3000), keyed by the exact (d, tol). The engine does
+not refer back to its basis, so a basis and its engines are freed by
+refcounting.
 
-Where many heat times are needed at once (the subordination master's grids
-and the short-time heat integral of the potential series), the heat kernel
-is evaluated a block of TIME_BLOCK times per array operation: every time
-keeps its own certified cutoff (its multipliers beyond it are zero, so each
-row is the per-time truncated sum up to rounding), and the sup invariant
-is checked once, at the largest cutoff, on the same pair products the sums
-use.
+Every heat and Poisson value ends in the same mode sum,
+sum_n e^{-t omega_n} psi_n(x) psi_n(y) for one or more times t, and one
+function evaluates it (_exp_rows): TIME_BLOCK times per array operation,
+each time with its own cutoff (its multipliers beyond it are zero, so each
+row is the per-time truncated sum up to rounding). A single time is the
+one-row case: every block sums from mode 0 to a multiple of SUM_ALIGN, so a
+one-time row is, to the last bit on the OpenBLAS gemv kernels tested, the
+sum over all n_max + 1 modes with zero multipliers outside the cutoff.
 
 The time-integral route of the potentials is one log-panelled Gauss rule in
 t shared by all pairs, evaluated a block of nodes at a time (direct series
@@ -94,16 +96,16 @@ from .specfun import X_MAX_J, JacobiParams, SpectralParams
 ENVELOPE_SAFETY = 16.0
 DIAGONAL_EXCLUSION = 1e-4
 LOG45 = 45.0
-# Time nodes evaluated per array operation in potential_time_integral and
-# PairEngine._heat_rows; bounds the exponential temporaries at
-# TIME_BLOCK x n_max.
+# Times evaluated per array operation by _exp_rows (and nodes per block of
+# potential_time_integral); bounds the multiplier buffer at TIME_BLOCK x n_max.
 TIME_BLOCK = 48
-# A single-time series runs from mode 0 to a multiple of SUM_ALIGN modes
-# (PairEngine._series), so that BLAS groups its terms as in a sum over all
-# n_max + 1 modes.
+# Each block of _exp_rows sums from mode 0 to a multiple of SUM_ALIGN modes,
+# so that BLAS groups a single time's terms as in a sum over all n_max + 1
+# modes; pair products of the modes 0..N + SUM_ALIGN - 1 (at most n_max)
+# cover every block whose cutoffs are at most N.
 SUM_ALIGN = 4
-# Entries kept by each bounded cache: engines per basis (engine_for), and
-# subordination masters and direct-series floors per engine.
+# Entries kept by each bounded cache: engines per basis (engine_for) and
+# subordination masters per engine.
 CACHE_ENTRIES = 4
 
 
@@ -238,6 +240,39 @@ def _exp_tail(t: float, n_cut: float, c_off: float) -> float:
     return math.exp(-t * math.pi * (n_cut + 1.0 - c_off)) / (1.0 - r)
 
 
+def _exp_rows(ts, omega, lo, cuts, prods) -> np.ndarray:
+    """Rows sum_{lo <= n <= cuts[i]} e^{-ts[i] omega[n]} prods[n], one per time.
+
+    TIME_BLOCK times are evaluated per array operation, all in one multiplier
+    buffer: a fresh block-sized temporary per block is, under glibc's malloc,
+    a fresh mapping whose pages fault in again. Each block sums the modes
+    0..top - 1, top the first multiple of SUM_ALIGN past its largest cutoff
+    (at most omega.size; prods needs top rows), with zero multipliers outside
+    [lo, cuts[i]]: on the OpenBLAS gemv kernels tested, a one-time row is the
+    sum over all omega.size modes to the last bit.
+    """
+    aligned = lambda n: min(omega.size, -(-(n + 1) // SUM_ALIGN) * SUM_ALIGN)
+    rows = np.empty((ts.size, prods.shape[1]))
+    buf = np.empty(min(TIME_BLOCK, ts.size) * aligned(int(cuts.max(initial=lo))))
+    for i in range(0, ts.size, TIME_BLOCK):
+        blk = slice(i, i + TIME_BLOCK)
+        n = cuts[blk]
+        low, high = int(n.min()), int(n.max())
+        top = aligned(high)
+        # One contiguous block, so that numpy runs each ufunc as one flat
+        # loop; the multipliers outside [lo, cuts[i]] are zeroed after.
+        mult = buf[: n.size * top].reshape(n.size, top)
+        np.exp(np.multiply.outer(-ts[blk], omega[:top], out=mult), out=mult)
+        mult[:, :lo] = 0.0
+        if low == high:
+            mult[:, high + 1 :] = 0.0
+        else:
+            for j, n_j in enumerate(n.tolist()):
+                mult[j, n_j + 1 :] = 0.0
+        np.matmul(mult, prods[:top], out=rows[blk])
+    return rows
+
+
 class PairEngine:
     """Kernel series over a fixed pair set.
 
@@ -283,60 +318,28 @@ class PairEngine:
         self.dist = np.abs(xs - ys)
         _read_only(self.psi, self.lam, self.ix, self.iy, self.dist)
         self._masters: dict = {}
-        self._floors: dict = {}
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
 
     def _pair_products(self, lo: int, hi: int) -> np.ndarray:
-        """psi_n(x_p) psi_n(y_p) for the modes lo <= n < hi, one row per mode."""
+        """psi_n(x_p) psi_n(y_p) for the modes lo <= n < hi, one row per mode.
+
+        Every sum takes its products from here, so the sup invariant is
+        checked here: M is a stated bound fixed at construction, so a product
+        above M^2 is a broken invariant (ConsistencyError), not a reason to
+        change M."""
         prods = self.psi[lo:hi, self.ix]
         prods *= self.psi[lo:hi, self.iy]
-        return prods
-
-    def _series_top(self, n_cut: int) -> int:
-        """End of the mode range _series sums for a cutoff n_cut."""
-        return min(self.n_max + 1, -(-(n_cut + 1) // SUM_ALIGN) * SUM_ALIGN)
-
-    def _series(self, mult: np.ndarray, n_cut: int, prods=None) -> np.ndarray:
-        """sum_{n_min <= n <= n_cut} mult[n - n_min] psi_n(x_p) psi_n(y_p).
-
-        The sum runs over the modes 0.._series_top(n_cut) - 1 with zero
-        multipliers outside [n_min, n_cut] (prods, when given, holds their
-        pair products), so BLAS groups its terms as in a sum over all
-        n_max + 1 modes: on the OpenBLAS gemv kernels tested, the values are
-        those of that sum to the last bit.
-        """
-        top = self._series_top(n_cut)
-        full = np.zeros(top)
-        full[self.n_min : n_cut + 1] = mult
-        return full @ (self._pair_products(0, top) if prods is None else prods)
-
-    # ----- heat ---------------------------------------------------------
-
-    def _certified_cuts(self, ts, tol, rescale=0.0):
-        """Heat cutoffs and tail bounds for an array of times (_gauss_cuts from
-        the guess c_off + sqrt(log(M^2/tol)/t)/pi, scale M^2 e^{rescale t}),
-        and the pair products of the modes 0.._series_top(largest cutoff) - 1.
-        The products of the modes n_min..largest cutoff are checked against
-        M^2 once: M is a stated bound fixed at construction, so a product
-        above it is a broken invariant (ConsistencyError), not a reason to
-        change M."""
-        m2 = self.M * self.M
-        guess = self.c_off + np.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / ts) / math.pi
-        start = np.maximum(self.n_min, np.minimum(guess, self.n_max).astype(np.int64))
-        scale = m2 * np.exp(np.minimum(ts * rescale, 700.0))
-        cuts, bounds = _gauss_cuts(start, ts, scale, self.c_off, tol, self.n_max, "heat")
-        top = int(cuts.max(initial=self.n_min))
-        prods = self._pair_products(0, self._series_top(top))
-        checked = prods[self.n_min : top + 1]
-        peak = max(float(checked.max()), -float(checked.min()))
+        peak = max(float(prods.max(initial=0.0)), -float(prods.min(initial=0.0)))
         if peak > self.M * self.M:
             raise ConsistencyError(
                 f"pair product {peak:.6e} exceeds the sup bound M^2 = {self.M * self.M:.6e}"
             )
-        return cuts, bounds, prods
+        return prods
+
+    # ----- heat ---------------------------------------------------------
 
     def heat_values(
         self, t: float, tol: float, rescale: float = 0.0
@@ -345,33 +348,22 @@ class PairEngine:
         shift (rescale=0 gives the plain kernel; a positive rescale keeps
         large-time evaluation on an O(1) scale without overflow)."""
         _check_tol(tol)
-        (n_cut,), (bound,), prods = self._certified_cuts(np.array([t], dtype=float), tol, rescale)
-        mult = np.exp(-t * (self.lam[self.n_min : n_cut + 1] - rescale))
-        return self._series(mult, n_cut, prods), int(n_cut) - self.n_min + 1, float(bound)
+        rows, (n_cut,), (bound,) = self._heat_rows(np.array([t], dtype=float), tol, rescale)
+        return rows[0], int(n_cut) - self.n_min + 1, float(bound)
 
-    def _heat_rows(self, ts, tol) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Heat kernel rows [G_t(pair)] for an ascending array of times, with
-        each time's cutoff N and tail bound.
-
-        Each row is the truncated sum of heat_values at its time, up to
-        rounding; TIME_BLOCK times are evaluated per array operation, with
-        exponentials up to the block's largest cutoff and each row's
-        multipliers beyond its own cutoff set to zero. The blocks share one
-        multiplier buffer: a fresh block-sized temporary per block is, under
-        glibc's malloc, a fresh mapping whose pages fault in again.
-        """
-        cuts, bounds, prods = self._certified_cuts(ts, tol)
-        rows = np.empty((ts.size, self.n_pairs))
-        buf = np.empty((min(TIME_BLOCK, ts.size), int(cuts.max(initial=0)) + 1))
-        for i in range(0, ts.size, TIME_BLOCK):
-            blk = slice(i, i + TIME_BLOCK)
-            n = cuts[blk]
-            sl = slice(self.n_min, int(n.max()) + 1)
-            mult = buf[: n.size, : sl.stop - sl.start]
-            np.exp(np.multiply.outer(-ts[blk], self.lam[sl], out=mult), out=mult)
-            mult[np.arange(sl.start, sl.stop) > n[:, None]] = 0.0
-            rows[blk] = mult @ prods[sl]
-        return rows, cuts, bounds
+    def _heat_rows(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows [e^{rescale t} G_t(pair)] for an array of times, with each
+        time's cutoff N and tail bound: _gauss_cuts from the guess
+        c_off + sqrt(log(M^2/tol)/t)/pi with scale M^2 e^{rescale t}, and the
+        truncated sums from _exp_rows."""
+        m2 = self.M * self.M
+        guess = self.c_off + np.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / ts) / math.pi
+        start = np.maximum(self.n_min, np.minimum(guess, self.n_max).astype(np.int64))
+        scale = m2 * np.exp(np.minimum(ts * rescale, 700.0))
+        cuts, bounds = _gauss_cuts(start, ts, scale, self.c_off, tol, self.n_max, "heat")
+        top = min(self.n_max + 1, int(cuts.max(initial=self.n_min)) + SUM_ALIGN)
+        prods = self._pair_products(0, top)
+        return _exp_rows(ts, self.lam - rescale, self.n_min, cuts, prods), cuts, bounds
 
     # ----- poisson ------------------------------------------------------
 
@@ -395,13 +387,6 @@ class PairEngine:
         n = max(self.n_min, int(need))
         return n, m2 * math.exp(min(t * rescale, 700.0)) * _exp_tail(t, n, self.c_off)
 
-    def _direct_floor(self, tol: float) -> float:
-        """_direct_time of this engine, kept per tol."""
-        return _cached(
-            self._floors, tol,
-            lambda: _direct_time(self.M * self.M, self.c_off, self.n_max, tol), CACHE_ENTRIES,
-        )
-
     def poisson_values(
         self, t: float, d: float, tol: float, rescale: float = 0.0
     ) -> tuple[np.ndarray, int, float]:
@@ -411,8 +396,10 @@ class PairEngine:
         cut = self._poisson_cut(t, tol, rescale)
         if cut is not None:
             n, bound = cut
-            mult = np.exp(-t * (np.sqrt(lam[self.n_min : n + 1]) - rescale))
-            return self._series(mult, n), n - self.n_min + 1, bound
+            prods = self._pair_products(0, min(self.n_max + 1, n + SUM_ALIGN))
+            rows = _exp_rows(np.array([t], dtype=float), np.sqrt(lam) - rescale, self.n_min,
+                             np.array([n]), prods)
+            return rows[0], n - self.n_min + 1, bound
         if rescale != 0.0:
             raise TailBoundFailure(
                 "rescaled Poisson evaluation requires the direct-series regime"
@@ -562,8 +549,13 @@ class PairEngine:
         s2 = 2.0 * sigma
         t_lo, skip = self._short_time_cut(sigma, tol)
         t_hi, late = self._late_time_cut(sigma, np.sqrt(lam[self.n_min :]), tol)
-        t_direct = self._direct_floor(tol)
+        t_direct = _direct_time(self.M * self.M, self.c_off, self.n_max, tol)
         master = self._master(d, tol) if t_lo < t_direct else None
+        # Direct nodes lie at or above t_direct, so its cutoff bounds theirs.
+        cut = self._poisson_cut(t_direct, tol)
+        top = self.n_max + 1 if cut is None else min(self.n_max + 1, cut[0] + SUM_ALIGN)
+        prods = self._pair_products(0, top)
+        omega = np.sqrt(lam)
         rules = []
         for per_decade in (4, 8):
             nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=per_decade, order=16)
@@ -571,7 +563,8 @@ class PairEngine:
             total = np.zeros(self.n_pairs)
             for i in range(0, nodes.size, TIME_BLOCK):
                 blk = slice(i, i + TIME_BLOCK)
-                total += weights[blk] @ self._poisson_rows(nodes[blk], lam, tol, t_direct, master)
+                rows = self._poisson_rows(nodes[blk], omega, tol, t_direct, master, prods)
+                total += weights[blk] @ rows
             rules.append(total)
         quad_err = float(np.max(np.abs(rules[1] - rules[0])))
         bound = quad_err + skip + late
@@ -583,23 +576,23 @@ class PairEngine:
             )
         return rules[1]
 
-    def _poisson_rows(self, ts, lam, tol, t_direct, master) -> np.ndarray:
-        """Poisson kernel rows [H_t(pair)] for ascending times ts: the direct
-        series at and above t_direct (cutoff from the smallest such t), the
-        subordination master below."""
+    def _poisson_rows(self, ts, omega, tol, t_direct, master, prods) -> np.ndarray:
+        """Poisson kernel rows [H_t(pair)] for ascending times ts: the
+        subordination master below t_direct, the direct series (frequencies
+        omega, pair products prods) at and above it, with the cutoff of the
+        smallest such t."""
+        k = int(np.searchsorted(ts, t_direct))  # ts[:k] < t_direct
         out = np.empty((ts.size, self.n_pairs))
-        sub = ts < t_direct
-        if np.any(sub):
-            out[sub] = master.eval(ts[sub])[0]
-        direct = ts[~sub]
-        if direct.size:
-            cut = self._poisson_cut(float(direct[0]), tol)
+        if k:
+            out[:k] = master.eval(ts[:k])[0]
+        if k < ts.size:
+            cut = self._poisson_cut(float(ts[k]), tol)
             if cut is None:
                 raise TailBoundFailure(
-                    f"poisson tail cannot reach tol={tol:.2e} at t={direct[0]:.3e}"
+                    f"poisson tail cannot reach tol={tol:.2e} at t={ts[k]:.3e}"
                 )
-            mult = np.exp(-np.multiply.outer(direct, np.sqrt(lam[self.n_min : cut[0] + 1])))
-            out[~sub] = mult @ self._pair_products(self.n_min, cut[0] + 1)
+            cuts = np.full(ts.size - k, cut[0])
+            out[k:] = _exp_rows(ts[k:], omega, self.n_min, cuts, prods)
         return out
 
     def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
@@ -700,6 +693,7 @@ class _SubordinationMaster:
         self.K = min(96, max(engine.n_min + 8, engine.n_max // 8))
         head = slice(engine.n_min, self.K + 1)
         self.lam_head = engine._shifted(d)[head]
+        self.sq_head = np.sqrt(self.lam_head)
         self.U_head = engine._pair_products(head.start, head.stop)
         # Pairs closer than min_usable_dist need modes beyond the budget once
         # the subordination measure reaches below the resolvable u scale.
@@ -712,7 +706,7 @@ class _SubordinationMaster:
         for per_decade in (6, 12):
             nd, wt = _log_panel_rule(self.u_floor, u_hi, per_decade=per_decade, order=24)
             heat, _, _ = engine._heat_rows(nd, 0.25 * tol)
-            T = heat * np.exp(-d * d * nd)[:, None] - self._head_heat(nd)
+            T = heat * np.exp(-d * d * nd)[:, None] - self._head(nd, self.lam_head)
             fac = nd**-1.5 * wt
             _read_only(nd, fac, T)
             self.grids.append((nd, fac, T))
@@ -723,18 +717,16 @@ class _SubordinationMaster:
         expo = np.minimum(engine.dist[alive] ** 2 / (4.0 * self.u_floor), 700.0)
         g_bound[alive] = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
         self.sub_floor_kernel_bound = g_bound
-        _read_only(self.lam_head, self.U_head, g_bound)
+        _read_only(self.lam_head, self.sq_head, self.U_head, g_bound)
         self.n_terms = engine.n_max - engine.n_min + 1
         # For the failure message: what the direct series would need instead.
         self.min_dist = float(np.min(engine.dist, initial=math.inf))
         self.m2 = engine.M * engine.M
         self.c_off = engine.c_off
 
-    def _head_heat(self, u) -> np.ndarray:
-        return np.exp(-np.multiply.outer(u, self.lam_head)) @ self.U_head
-
-    def _head_poisson(self, t) -> np.ndarray:
-        return np.exp(-np.multiply.outer(t, np.sqrt(self.lam_head))) @ self.U_head
+    def _head(self, ts, omega) -> np.ndarray:
+        """sum over the head modes of e^{-t omega_n} psi_n(x) psi_n(y), one row per time."""
+        return _exp_rows(ts, omega, 0, np.full(ts.size, omega.size - 1), self.U_head)
 
     def _subfloor_head(self, t) -> np.ndarray:
         """Exact integral of -head against m_t over (0, u_floor) via erfc.
@@ -745,7 +737,7 @@ class _SubordinationMaster:
         """
         U = self.u_floor
         lam = self.lam_head
-        s = np.sqrt(lam)
+        s = self.sq_head
         t = np.asarray(t)[..., None]
         w = t / (2.0 * math.sqrt(U))
         a_minus = w - s * math.sqrt(U)
@@ -772,7 +764,7 @@ class _SubordinationMaster:
             results.append(meas @ T)
         r_master, r_master2 = results
         quad_err = np.max(np.abs(r_master2 - r_master), axis=-1)
-        head = self._head_poisson(t)
+        head = self._head(t.reshape(-1), self.sq_head).reshape(r_master2.shape)
         sub_head = self._subfloor_head(t)
         mass_below = _erfc(tc / (2.0 * math.sqrt(self.u_floor)))
         kb = self.sub_floor_kernel_bound

@@ -23,7 +23,6 @@ from .errors import (
     BracketScanFailure,
     ConsistencyError,
     DomainError,
-    RegimeMismatchError,
 )
 from .numerics import Bracket, _fmt, _sign, refine_root
 from .specfun import (
@@ -166,33 +165,23 @@ class ZeroTable:
     def n_min(self) -> int:
         return self.params.n_min
 
-    def zero(self, n: int) -> float:
-        if n < self.n_min or n > self.n_max:
-            if n == 0 and self.params.regime is Regime.PLUS:
-                raise RegimeMismatchError("no n=0 zero exists when nu + H > 0")
-            raise IndexError(f"zero index {n} outside [{self.n_min}, {self.n_max}]")
-        return float(self.zeros[n])
-
-    def to_csv(self, path) -> None:
+    def to_csv(self, out) -> None:
+        """Write the table as CSV (nu,H,n,zero,bracket_lo,bracket_hi,tol, one
+        row per stored zero, "\n" line ends) to a path or a text stream."""
         p = self.params
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["nu", "H", "n", "zero", "bracket_lo", "bracket_hi", "tol"])
-            for n in range(self.n_min, self.n_max + 1):
-                br = self.brackets[n]
-                lo = br.lo if br is not None else 0.0
-                hi = br.hi if br is not None else 0.0
-                w.writerow(
-                    [
-                        _fmt(p.nu),
-                        _fmt(p.h),
-                        n,
-                        _fmt(self.zeros[n]),
-                        _fmt(lo),
-                        _fmt(hi),
-                        _fmt(self.tol),
-                    ]
-                )
+        lines = ["nu,H,n,zero,bracket_lo,bracket_hi,tol"]
+        for n in range(self.n_min, self.n_max + 1):
+            br = self.brackets[n]
+            lo, hi = (br.lo, br.hi) if br is not None else (0.0, 0.0)
+            cells = (_fmt(p.nu), _fmt(p.h), str(n), _fmt(self.zeros[n]), _fmt(lo), _fmt(hi),
+                     _fmt(self.tol))
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
+        if hasattr(out, "write"):
+            out.write(text)
+        else:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
 
     @classmethod
     def from_csv(cls, path) -> "ZeroTable":

@@ -42,6 +42,16 @@ class TestZerosCommand:
         assert code == 0
         assert list(tmp_path.glob("*.csv"))
 
+    def test_cache_file_is_the_output(self, tmp_path, monkeypatch, capsys):
+        """One CSV writer: the cached table holds the bytes that the command
+        prints, with "\n" line ends."""
+        monkeypatch.setenv("DINI_CACHE_DIR", str(tmp_path))
+        code, out, _ = run_cli(["zeros", "--nu", "-0.75", "--n-max", "4", "--out", "-"], capsys)
+        assert code == 0
+        (cached,) = tmp_path.glob("*.csv")
+        assert cached.read_bytes() == out.encode()
+        assert b"\r" not in cached.read_bytes()
+
 
     def test_mode_budget_above_former_cap(self, capsys):
         # z_3500 ~ 1.1e4 lies beyond the former bessel_j cap of 1e4.
@@ -240,9 +250,9 @@ class TestExitCodes:
         calls = []
         original = kernels.PairEngine._heat_rows
 
-        def spy(self, ts, tol):
+        def spy(self, ts, *args):
             calls.append(ts.size)
-            return original(self, ts, tol)
+            return original(self, ts, *args)
 
         monkeypatch.setattr(kernels.PairEngine, "_heat_rows", spy)
         code, _, err = run_cli(

@@ -12,7 +12,6 @@ from scipy.special import erfc, gammaincc, roots_legendre
 from hypothesis import strategies as st
 
 from conftest import shared_basis
-from dini import kernels
 from dini.basis import (
     BasisSpec,
     build_basis,
@@ -41,12 +40,14 @@ from dini.kernels import (
     CACHE_ENTRIES,
     LOG45,
     PSI_BLOCK_MODES,
+    SUM_ALIGN,
     TIME_BLOCK,
     KernelKind,
     KernelRequest,
     PairEngine,
     _SubordinationMaster,
     _direct_time,
+    _exp_rows,
     _exp_tail,
     _gauss_cuts,
     _legendre,
@@ -448,12 +449,17 @@ def old_heat_cut(eng, t, tol):
     return None
 
 
+# The unpatched method, for the stand-ins of a monkeypatched _heat_rows.
+HEAT_ROWS = PairEngine._heat_rows
+
+
 def sequential_heat_rows(eng, ts, tol):
-    """One heat_values call per time, in the layout of PairEngine._heat_rows."""
-    out = [eng.heat_values(t, tol) for t in ts]
-    rows = np.array([o[0] for o in out]).reshape(len(ts), eng.n_pairs)
-    cuts = np.array([o[1] for o in out], dtype=np.int64) + eng.n_min - 1
-    return rows, cuts, np.array([o[2] for o in out])
+    """One single-time heat evaluation per time (the path of heat_values),
+    in the layout of PairEngine._heat_rows."""
+    out = [HEAT_ROWS(eng, np.array([t]), tol) for t in ts]
+    rows = np.concatenate([o[0] for o in out]).reshape(len(ts), eng.n_pairs)
+    cuts = np.concatenate([o[1] for o in out])
+    return rows, cuts, np.concatenate([o[2] for o in out])
 
 
 def assert_rows_close(rows, ref, rel=1e-14, scale=None):
@@ -472,19 +478,19 @@ class TestBlockedHeat:
                 old = [old_heat_cut(eng, t, tol) for t in self.TIMES]
                 ok = np.array([o is not None for o in old])
                 assert ok.any() and not ok.all()
-                n, bound, _ = eng._certified_cuts(self.TIMES[ok], tol)
+                _, n, bound = eng._heat_rows(self.TIMES[ok], tol)
                 assert list(n) == [o[0] for o in old if o is not None]
                 assert list(bound) == [o[1] for o in old if o is not None]
                 for t, o in zip(self.TIMES, old):
                     if o is None:
                         with pytest.raises(TailBoundFailure, match=f"heat tail .* t={t:.3e}"):
-                            eng._certified_cuts(np.array([t]), tol)
+                            eng._heat_rows(np.array([t]), tol)
                     else:
-                        (n,), (bound,), _ = eng._certified_cuts(np.array([t]), tol)
+                        _, (n,), (bound,) = eng._heat_rows(np.array([t]), tol)
                         assert (n, bound) == o
                 first_bad = self.TIMES[~ok][0]
                 with pytest.raises(TailBoundFailure, match=f"t={first_bad:.3e}"):
-                    eng._certified_cuts(self.TIMES, tol)
+                    eng._heat_rows(self.TIMES, tol)
 
     def test_semigroup_cut_matches_scalar_loop(self):
         """From n_min, _gauss_cuts takes the steps of semigroup_apply's
@@ -590,7 +596,7 @@ class TestBlockedHeat:
 
 
 def old_certified_cuts(eng, U, ts, tol, rescale=0.0):
-    cuts, bounds, _ = eng._certified_cuts(ts, tol, rescale)
+    _, cuts, bounds = HEAT_ROWS(eng, ts, tol, rescale)
     top = int(cuts.max(initial=eng.n_min))
     if float(np.max(np.abs(U[eng.n_min : top + 1]))) > eng.M * eng.M:
         raise ConsistencyError("pair product exceeds the sup bound")
@@ -606,15 +612,20 @@ def old_heat_values(eng, U, t, tol, rescale=0.0):
 
 
 def old_heat_rows(eng, U, ts, tol):
+    """Blocked heat rows over the stored table U, in the summation order of
+    the engine: each block sums the modes 0..top - 1, top the multiple of
+    SUM_ALIGN past its largest cutoff (at most n_max + 1), with zero
+    multipliers outside [n_min, N]."""
     cuts, bounds = old_certified_cuts(eng, U, ts, tol)
     rows = np.empty((ts.size, eng.n_pairs))
     for i in range(0, ts.size, TIME_BLOCK):
         blk = slice(i, i + TIME_BLOCK)
         n = cuts[blk]
-        sl = slice(eng.n_min, int(n.max()) + 1)
-        mult = np.exp(-np.multiply.outer(ts[blk], eng.lam[sl]))
-        mult[np.arange(sl.start, sl.stop) > n[:, None]] = 0.0
-        rows[blk] = mult @ U[sl]
+        top = min(eng.n_max + 1, -(-(int(n.max()) + 1) // SUM_ALIGN) * SUM_ALIGN)
+        mult = np.zeros((n.size, top))
+        mult[:, eng.n_min :] = np.exp(-np.multiply.outer(ts[blk], eng.lam[eng.n_min : top]))
+        mult[np.arange(top) > n[:, None]] = 0.0
+        rows[blk] = mult @ U[:top]
     return rows, cuts, bounds
 
 
@@ -627,7 +638,7 @@ def old_poisson_direct(eng, U, t, d, tol):
     return mult @ U, n - eng.n_min + 1, bound
 
 
-def old_poisson_rows(self, ts, lam, tol, t_direct, master):
+def old_poisson_rows(self, ts, omega, tol, t_direct, master, prods):
     U = old_table(self)
     out = np.empty((ts.size, self.n_pairs))
     sub = ts < t_direct
@@ -637,7 +648,7 @@ def old_poisson_rows(self, ts, lam, tol, t_direct, master):
     if direct.size:
         cut = self._poisson_cut(float(direct[0]), tol)
         sl = slice(self.n_min, cut[0] + 1)
-        out[~sub] = np.exp(-np.multiply.outer(direct, np.sqrt(lam[sl]))) @ U[sl]
+        out[~sub] = np.exp(-np.multiply.outer(direct, omega[sl])) @ U[sl]
     return out
 
 
@@ -755,6 +766,68 @@ class TestCoordinateProducts:
             assert old.M == m
 
 
+def old_series(eng, mult, n_cut):
+    """PairEngine._series as it was: the multipliers of the modes n_min..n_cut
+    in a zero vector over the modes 0..top - 1, top the multiple of SUM_ALIGN
+    past n_cut (at most n_max + 1), times the pair products of those modes."""
+    top = min(eng.n_max + 1, -(-(n_cut + 1) // SUM_ALIGN) * SUM_ALIGN)
+    full = np.zeros(top)
+    full[eng.n_min : n_cut + 1] = mult
+    return full @ (eng.psi[:top, eng.ix] * eng.psi[:top, eng.iy])
+
+
+class TestExpRows:
+    """_exp_rows is every heat and Poisson mode sum: a one-time sum is the
+    former single-time series to the last bit, a blocked sum is the per-time
+    sums up to rounding, and every sum checks the sup invariant."""
+
+    def test_one_time_sums_bit_identical(self):
+        cases = list(zip(blocked_engines(), (0.0, 0.0, 2.0, 1.0, 1.0)))
+        grid = pair_grid(boundary_refined_coords(60))
+        cases += [(PairEngine(shared_basis(nu, n_max=3000), grid), 0.0) for nu in (-0.5, 0.5)]
+        for eng, d in cases:
+            lo = eng.n_min
+            sq = np.sqrt(eng._shifted(d))
+            for t in np.geomspace(1e-4, 1.0, 9):
+                for rescale in (0.0, 3.0):
+                    vals, n, _ = eng.heat_values(t, 1e-10, rescale)
+                    mult = np.exp(-t * (eng.lam[lo : lo + n] - rescale))
+                    assert np.array_equal(vals, old_series(eng, mult, lo + n - 1))
+                    if eng._poisson_cut(t, 1e-10, rescale) is not None:
+                        vals, n, _ = eng.poisson_values(t, d, 1e-10, rescale)
+                        mult = np.exp(-t * (sq[lo : lo + n] - rescale))
+                        assert np.array_equal(vals, old_series(eng, mult, lo + n - 1))
+
+    def test_blocks_match_per_time_sums(self):
+        ts = np.geomspace(1e-4, 5.0, 3 * TIME_BLOCK + 7)
+        shuffle = np.random.default_rng(3).permutation(ts.size)
+        for eng in blocked_engines():
+            _, cuts, _ = eng._heat_rows(ts, 1e-10)
+            prods = old_table(eng)
+            # Heat cutoffs (falling with t), the same shuffled, and one cutoff.
+            for t, n in ((ts, cuts), (ts[shuffle], cuts[shuffle]), (ts, np.full(ts.size, cuts[60]))):
+                rows = _exp_rows(t, eng.lam, eng.n_min, n, prods)
+                ref = np.array([
+                    np.exp(-ti * eng.lam[eng.n_min : ni + 1]) @ prods[eng.n_min : ni + 1]
+                    for ti, ni in zip(t, n)
+                ])
+                assert_rows_close(rows, ref)
+
+    def test_sup_invariant_on_every_sum(self):
+        """With M lowered by hand, every sum refuses a pair product above M^2:
+        the direct Poisson series, the potential series and a master's head
+        sums as well as the heat sums."""
+        for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+            eng = PairEngine(basis, AGREEMENT_PAIRS)
+            eng.M *= 0.1
+            for call in (lambda: eng.heat_values(0.1, 1e-10),
+                         lambda: eng.poisson_values(0.3, d, 1e-10),
+                         lambda: eng.potential_series(1.0, d, 1e-9),
+                         lambda: _SubordinationMaster(eng, d, 1e-9)):
+                with pytest.raises(ConsistencyError, match="exceeds the sup bound"):
+                    call()
+
+
 def ladder_need(t, tol, m2, c_off, rescale=0.0):
     """The Poisson need as formed before the log-space form: inf where
     M^2 e^{t rescale} / tol overflows."""
@@ -823,7 +896,8 @@ class TestPoissonCut:
         for eng in blocked_engines():
             for tol in (1e-12, 1e-9, 1e-6, 1e-3):
                 ref = bisected_direct_floor(eng, tol)
-                assert abs(eng._direct_floor(tol) - ref) <= 1e-14 * ref
+                floor = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol)
+                assert abs(floor - ref) <= 1e-14 * ref
         # Both clamps: n_max = 2 reaches tol only above t = 10 at some tols,
         # and 1e10 modes reach it below t = 1e-8.
         floors = set()
@@ -955,18 +1029,12 @@ class TestSharedEngines:
         assert after[2] == alone[2]
         assert np.array_equal(after[0], alone[0])
 
-    def test_direct_floor_kept_per_tol(self, monkeypatch):
-        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
-        floor = eng._direct_floor(1e-9)
-        assert floor == PairEngine(shared_basis(0.0, n_max=300), PAIRS)._direct_floor(1e-9)
-        monkeypatch.setattr(kernels, "_direct_time", None)  # any new root solve fails
-        assert eng._direct_floor(1e-9) == floor
-
     def test_shared_arrays_read_only(self):
         eng = engine_for(fresh_basis(0.0), [(0.2, 0.5), (0.3, 0.7)])
         eng.poisson_values(1e-3, 0.0, 1e-9)
         (master,) = eng._masters.values()
-        arrays = [eng.psi, eng.lam, eng.ix, eng.iy, eng.dist, master.U_head, master.lam_head]
+        arrays = [eng.psi, eng.lam, eng.ix, eng.iy, eng.dist, master.U_head, master.lam_head,
+                  master.sq_head]
         arrays += [a for grid in master.grids for a in grid]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dini.errors import DomainError, RegimeMismatchError
+from dini.errors import DomainError
 from dini.specfun import SpectralParams, bessel_j, bessel_jh
 from dini.zeros import (
     ZeroTable,
@@ -88,8 +88,8 @@ class TestBuildZeroTable:
 
     def test_plus_regime_rejects_z0(self):
         table = build_zero_table(SpectralParams(0.5, 0.5), 3)
-        with pytest.raises(RegimeMismatchError):
-            table.zero(0)
+        assert table.n_min == 1
+        assert np.isnan(table.zeros[0])
 
     def test_brackets_certify(self):
         p = SpectralParams(0.2, 0.5)
