@@ -195,6 +195,13 @@ def _gauss_cuts(n, ts, scale, c_off, tol, n_max, what) -> tuple[np.ndarray, np.n
     return n, bound
 
 
+def _gauss_start(ts, scale, c_off, tol, n_min, n_max) -> np.ndarray:
+    """Closed-form start for _gauss_cuts, c_off + sqrt(log(max(scale, 1)/tol)/t)/pi
+    (where scale e^{-t pi^2 (N - c_off)^2} reaches tol), clamped to [n_min, n_max]."""
+    guess = c_off + np.sqrt(max(math.log(max(scale, 1.0) / tol), 1.0) / ts) / math.pi
+    return np.maximum(n_min, np.minimum(guess, n_max).astype(np.int64))
+
+
 def _poisson_need(t: float, tol: float, m2: float, c_off: float, rescale: float = 0.0) -> float:
     """Mode index N from which M^2 e^{rescale t} times the geometric Poisson
     tail sum_{n>N} e^{-t pi (n - c_off)} is below tol: with max(M^2, 1) for
@@ -353,12 +360,11 @@ class PairEngine:
 
     def _heat_rows(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Rows [e^{rescale t} G_t(pair)] for an array of times, with each
-        time's cutoff N and tail bound: _gauss_cuts from the guess
-        c_off + sqrt(log(M^2/tol)/t)/pi with scale M^2 e^{rescale t}, and the
+        time's cutoff N and tail bound: _gauss_cuts with scale
+        M^2 e^{rescale t}, started at _gauss_start for scale M^2, and the
         truncated sums from _exp_rows."""
         m2 = self.M * self.M
-        guess = self.c_off + np.sqrt(max(math.log(max(m2, 1.0) / tol), 1.0) / ts) / math.pi
-        start = np.maximum(self.n_min, np.minimum(guess, self.n_max).astype(np.int64))
+        start = _gauss_start(ts, m2, self.c_off, tol, self.n_min, self.n_max)
         scale = m2 * np.exp(np.minimum(ts * rescale, 700.0))
         cuts, bounds = _gauss_cuts(start, ts, scale, self.c_off, tol, self.n_max, "heat")
         top = min(self.n_max + 1, int(cuts.max(initial=self.n_min)) + SUM_ALIGN)
@@ -880,13 +886,15 @@ def semigroup_apply(
     The coefficients a_n = <f, psi_n> use ``quad`` (default: the 1024-point
     coefficient rule), whose psi matrix is cached on the basis, so each call
     of a time sweep costs f at the nodes and one mat-vec. The series
-    sum_n e^{-t lambda_n} a_n psi_n(x) is cut at the smallest N whose tail
-    bound ||f||_2 * M * (Gaussian tail from N) is <= tol: |a_n| <= ||f||_2
-    for every n, computed or not (Bessel's inequality), with ||f||_2 from
-    the same rule, and M = certified_sup on x_grid. psi is evaluated on
-    x_grid only up to N. At t = 0 all n_max modes are summed. The
-    certificate covers truncation only; the quadrature error of the a_n and
-    of ||f||_2 stays outside it.
+    sum_n e^{-t lambda_n} a_n psi_n(x) is cut at the first N whose tail
+    bound S * (Gaussian tail from N), S = ||f||_2 * M, is <= tol, on the
+    _gauss_cuts ladder (steps of max(1, N//16)) from the closed-form
+    _gauss_start: a certified cutoff, not the smallest one, since the start
+    and the last step may overshoot. |a_n| <= ||f||_2 for every n, computed
+    or not (Bessel's inequality), with ||f||_2 from the same rule, and
+    M = certified_sup on x_grid. psi is evaluated on x_grid only up to N.
+    At t = 0 all n_max modes are summed. The certificate covers truncation
+    only; the quadrature error of the a_n and of ||f||_2 stays outside it.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and >= 0, got {t}")
@@ -898,9 +906,9 @@ def semigroup_apply(
     if t == 0.0:
         return coeffs @ b.psi_matrix(xs)
     scale = math.sqrt(float(quad.weights @ (fx * fx))) * certified_sup(b, xs)
-    cuts, _ = _gauss_cuts(
-        [b.n_min], np.array([t]), scale, b.table.freq_offset, tol, b.n_max, "semigroup"
-    )
+    ts, c_off = np.array([t]), b.table.freq_offset
+    start = _gauss_start(ts, scale, c_off, tol, b.n_min, b.n_max)
+    cuts, _ = _gauss_cuts(start, ts, scale, c_off, tol, b.n_max, "semigroup")
     n = int(cuts[0])
     damped = np.zeros(n + 1)
     sl = slice(b.n_min, n + 1)

@@ -135,7 +135,7 @@ def refine_root(
             # Exact zero hit: shrink to a tiny certified interval around it.
             eps = max(tol / 4.0, 4.0 * abs(x_new) * np.finfo(float).eps)
             lo2, hi2 = max(lo, x_new - eps), min(hi, x_new + eps)
-            return x_new, Bracket(lo2, hi2, s_lo, -s_lo)
+            return x_new, Bracket.from_function(f, lo2, hi2)
         if s == s_lo:
             lo = x_new
         else:

@@ -128,32 +128,21 @@ def bessel_jh(p: SpectralParams, x):
     return float(out) if np.isscalar(x) else out
 
 
-def bessel_jh_prime(p: SpectralParams, x):
-    """Derivative of the J Robin combination, through order nu, nu+1, nu+2."""
+def robin_and_slope(p: SpectralParams, x, modified: bool = False):
+    """(f, f') for f = J_{nu,H}, or I_{nu,H} if ``modified``, from the two
+    orders nu and nu+1: with C = J, s = -1 (C = I, s = 1),
+    f = (H+nu) C_nu + s x C_{nu+1} and f' = (nu (nu+H)/x + s x) C_nu + s H C_{nu+1},
+    the Bessel equation with C_{nu+2} eliminated by the recurrence."""
     xs = np.asarray(x, dtype=float)
-    out = (
-        (p.nu * (p.h + p.nu) / xs) * bessel_j(p.nu, xs)
-        - (p.h + 2.0 * p.nu + 2.0) * bessel_j(p.nu + 1.0, xs)
-        + xs * bessel_j(p.nu + 2.0, xs)
-    )
-    return float(out) if np.isscalar(x) else out
+    c, s = (bessel_i, 1.0) if modified else (bessel_j, -1.0)
+    a, b = c(p.nu, xs), c(p.nu + 1.0, xs)
+    return (p.h + p.nu) * a + s * xs * b, (p.nu * (p.nu + p.h) / xs + s * xs) * a + s * p.h * b
 
 
 def bessel_ih(p: SpectralParams, x):
     """Robin combination x*I_nu'(x) + H*I_nu(x) = (H+nu) I_nu(x) + x I_{nu+1}(x)."""
     xs = np.asarray(x, dtype=float)
     out = (p.h + p.nu) * bessel_i(p.nu, xs) + xs * bessel_i(p.nu + 1.0, xs)
-    return float(out) if np.isscalar(x) else out
-
-
-def bessel_ih_prime(p: SpectralParams, x):
-    """Derivative of the I Robin combination, through order nu, nu+1, nu+2."""
-    xs = np.asarray(x, dtype=float)
-    out = (
-        (p.nu * (p.h + p.nu) / xs) * bessel_i(p.nu, xs)
-        + (p.h + 2.0 * p.nu + 2.0) * bessel_i(p.nu + 1.0, xs)
-        + xs * bessel_i(p.nu + 2.0, xs)
-    )
     return float(out) if np.isscalar(x) else out
 
 

@@ -2,10 +2,10 @@
 
 For n >= 1 the zeros z_n of J_{nu,H} are bracketed by interlacing: between
 consecutive zeros of J_nu there is exactly one zero of J_{nu,H}, and the sign
-of J_{nu,H} at the zeros of J_nu alternates. The J_nu zeros themselves come
-from McMahon initial guesses with a dense-scan fallback. When nu + H < 0 the
-single positive zero z_0 of I_{nu,H} is bracketed by doubling the search
-interval; when nu + H = 0, z_0 = 0 exactly.
+of J_{nu,H} at the zeros of J_nu alternates. The J_nu zeros come from McMahon
+brackets with a dense-scan fallback. When nu + H < 0 the single positive zero
+z_0 of I_{nu,H} is bracketed on a doubling grid; when nu + H = 0, z_0 = 0.
+Every zero is refined by ``_refine``: bracketed Newton, then a sign certificate.
 """
 
 from __future__ import annotations
@@ -19,42 +19,22 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    BracketScanFailure,
-    ConsistencyError,
-    DomainError,
-)
-from .numerics import Bracket, _fmt, _sign, refine_root
-from .specfun import (
-    Regime,
-    SpectralParams,
-    bessel_ih,
-    bessel_ih_prime,
-    bessel_j,
-    bessel_jh,
-    bessel_jh_prime,
-)
+from .errors import BracketScanFailure, ConsistencyError, DomainError
+from .numerics import Bracket, _fmt, refine_root
+from .specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh, robin_and_slope
 
 RESIDUAL_SCALE = 1e-10
-Z0_SEARCH_CAP = 1024.0
+Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
 CACHE_ENV_VAR = "DINI_CACHE_DIR"
-
-
-def _mcmahon_guess(nu: float, k: int) -> float:
-    beta = (k + 0.5 * nu - 0.25) * math.pi
-    mu = 4.0 * nu * nu
-    if beta <= 1.0:
-        return beta
-    return beta - (mu - 1.0) / (8.0 * beta)
+NEWTON_STEPS = 60
 
 
 def _scan_first_sign_change(
     f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 8192
 ) -> tuple[float, float, int, int]:
     grid = np.linspace(lo, hi, n)
-    vals = f(grid)
-    signs = np.sign(vals)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0)[0]
+    signs = np.sign(f(grid))
+    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     if flips.size == 0:
         raise BracketScanFailure(
             f"no sign change found on ({lo:.6g}, {hi:.6g}) at resolution "
@@ -65,73 +45,99 @@ def _scan_first_sign_change(
     return float(grid[i]), float(grid[i + 1]), int(signs[i]), int(signs[i + 1])
 
 
-def _vector_refine(
-    f: Callable[[np.ndarray], np.ndarray],
-    fp: Callable[[np.ndarray], np.ndarray],
-    lo: np.ndarray,
-    hi: np.ndarray,
-    s_lo: np.ndarray,
-    tol: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bisection on arrays of certified brackets, then clipped Newton polish."""
-    lo = lo.copy()
-    hi = hi.copy()
-    for _ in range(64):
-        width = hi - lo
-        limit = np.maximum(tol, 4.0 * np.spacing(np.abs(hi)))
-        if np.all(width <= limit):
+def _newton(fdf, x, lo, hi, s_lo, tol):
+    """Newton on arrays, safeguarded by the brackets [lo, hi] (signs s_lo,
+    -s_lo), which every evaluation shrinks; a step leaving its bracket is
+    replaced by the bracket midpoint. An entry is frozen once its step is at
+    most max(tol/4, 4 ulp(x)). Returns the iterates and shrunk brackets."""
+    x, lo, hi = x.copy(), lo.copy(), hi.copy()
+    live = np.arange(x.size)
+    for _ in range(NEWTON_STEPS):
+        if live.size == 0:
             break
-        mid = 0.5 * (lo + hi)
-        stuck = (mid <= lo) | (mid >= hi)
-        sm = np.sign(f(mid))
-        go_up = sm == s_lo
-        lo = np.where(go_up & ~stuck, mid, lo)
-        hi = np.where(~go_up & ~stuck, mid, hi)
-    x = 0.5 * (lo + hi)
-    for _ in range(3):
-        d = fp(x)
+        xa, sa = x[live], s_lo[live]
+        f, df = fdf(xa)
+        s = np.sign(f)
+        la = lo[live] = np.where(s == sa, xa, lo[live])
+        ha = hi[live] = np.where(s == -sa, xa, hi[live])
         with np.errstate(divide="ignore", invalid="ignore"):
-            cand = x - f(x) / d
-        ok = np.isfinite(cand) & (cand > lo) & (cand < hi)
-        x = np.where(ok, cand, x)
+            step = np.where(s == 0, 0.0, f / df)
+        cand = xa - step
+        small = np.abs(step) <= np.maximum(0.25 * tol, 4.0 * np.spacing(xa))
+        inside = (cand > la) & (cand < ha)
+        x[live] = np.where(small, np.clip(cand, la, ha), np.where(inside, cand, 0.5 * (la + ha)))
+        live = live[~small]
     return x, lo, hi
 
 
+def _refine(f, fdf, x0, lo, hi, s_lo, tol):
+    """Certified zeros of f, one in each cell [lo, hi] with f signs s_lo,
+    -s_lo at its ends, from the starting points x0 (the midpoint where x0
+    is outside). Newton (``_newton``) gives x; the certificate evaluates f at
+    x -/+ d, d = max(0.45 tol, 2 ulp(x)) in whole ulps, and accepts
+    [x - d, x + d] when it has the signs s_lo, -s_lo, lies in the cell and
+    has width <= max(tol, 4 ulp). Failing entries are bisected
+    (``refine_root``) from their Newton bracket to width max(tol, 4 ulp),
+    which raises if it cannot. Returns the zeros and the certified ends."""
+    x0 = np.where((x0 > lo) & (x0 < hi), x0, 0.5 * (lo + hi))
+    x, n_lo, n_hi = _newton(fdf, x0, lo, hi, s_lo, tol)
+    u = np.spacing(np.abs(x))
+    d = np.maximum(np.floor(0.45 * tol / u), 2.0) * u
+    a, b = x - d, x + d
+    sab = np.sign(f(np.concatenate([a, b])))
+    ok = (sab[: x.size] == s_lo) & (sab[x.size :] == -s_lo) & (a >= lo) & (b <= hi)
+    bad = ~ok | (b - a > np.maximum(tol, 4.0 * np.spacing(b)))
+    for i in np.flatnonzero(bad):
+        br = Bracket(float(n_lo[i]), float(n_hi[i]), int(s_lo[i]), -int(s_lo[i]))
+        x[i], br = refine_root(f, br, max(tol, 4.0 * np.spacing(br.hi)))
+        a[i], b[i] = br.lo, br.hi
+    return x, a, b
+
+
 def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
-    """First ``count`` positive zeros of J_nu, certified by bracketing."""
+    """First ``count`` positive zeros of J_nu, certified by ``_refine``.
+
+    The McMahon brackets [g - 0.6, g + 0.6] are sign-tested as arrays; they
+    are disjoint, since the guesses g are more than 2.7 apart. A bracket
+    without a sign change is replaced, in order, by a dense scan above the
+    previous bracket (small k at large nu)."""
     if count < 1:
         raise DomainError("count must be >= 1")
     f = lambda x: bessel_j(nu, x)
-    fp = lambda x: (nu / x) * bessel_j(nu, x) - bessel_j(nu + 1.0, x)
 
-    los, his, slos = [], [], []
-    prev_hi = 0.0
-    for k in range(1, count + 1):
-        g = _mcmahon_guess(nu, k)
-        lo = max(g - 0.6, prev_hi + 1e-9 * (1.0 + prev_hi))
-        hi = max(g + 0.6, lo + 0.1)
-        s_lo, s_hi = _sign(f(lo)), _sign(f(hi))
-        if s_lo * s_hi >= 0:
-            start = prev_hi + max(1e-9, 1e-6 * prev_hi) if prev_hi > 0 else 1e-8
-            lo, hi, s_lo, s_hi = _scan_first_sign_change(f, start, g + 2.5)
-        los.append(lo)
-        his.append(hi)
-        slos.append(s_lo)
-        prev_hi = hi
-    roots, _, _ = _vector_refine(
-        f, fp, np.array(los), np.array(his), np.array(slos), tol
-    )
-    return roots
+    def fdf(x):
+        a = bessel_j(nu, x)
+        return a, (nu / x) * a - bessel_j(nu + 1.0, x)
+
+    beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * math.pi
+    g = np.where(beta <= 1.0, beta, beta - (4.0 * nu * nu - 1.0) / (8.0 * beta))
+    lo, hi = np.maximum(g - 0.6, 1e-9), g + 0.6
+    s_lo, s_hi = np.sign(f(lo)), np.sign(f(hi))
+    for k in np.flatnonzero(s_lo * s_hi >= 0):
+        prev = hi[k - 1] if k else 0.0
+        start = prev + max(1e-9, 1e-6 * prev) if prev > 0 else 1e-8
+        lo[k], hi[k], s_lo[k], _ = _scan_first_sign_change(f, start, g[k] + 2.5)
+    if np.any(lo[1:] <= hi[:-1]):
+        raise BracketScanFailure("J_nu zero brackets overlap")
+    return _refine(f, fdf, g, lo, hi, s_lo, tol)[0]
 
 
 @dataclass
 class ZeroTable:
-    """Refined zeros of J_{nu,H} (and I_{nu,H} for n=0), with certificates.
+    """Zeros z_n of J_{nu,H} (and of I_{nu,H} for n=0), with certificates.
 
     ``zeros[n]`` holds z_n for n in [n_min, n_max]; in the PLUS regime the
-    n=0 slot is NaN. Bracket widths meet max(tol, 4 ulp). ``pi_offset_sup`` is the
-    empirical constant sup_n |z_n - pi*n| and ``freq_offset`` the lower offset with
-    z_n >= pi*(n - freq_offset) for all stored n >= 1, used by series tail bounds.
+    n=0 slot is NaN. z_n, n >= 1, is certified in two steps: its interlacing
+    cell, between consecutive certified zeros of J_nu (``j_zeros``; 0+
+    below the first) where J_{nu,H} has opposite computed signs; then
+    ``brackets[n]`` = [x - d, x + d] around the refined x, d = max(0.45 tol,
+    2 ulp), inside the cell and with the cell's signs computed at its ends
+    (or a bisected bracket where that test fails). Every bracket is signed,
+    in its cell and of width <= max(tol, 4 ulp); z_0 has the same kind of
+    bracket for I_{nu,H}. The residual |J_{nu,H}(z_n)| / (1 + z_n) and the
+    order z_1 < z_2 < ... are checked. ``pi_offset_sup`` = sup_n |z_n - pi*n|
+    and ``freq_offset`` is the lower offset with z_n >= pi*(n - freq_offset)
+    for all stored n >= 1, used by series tail bounds.
     """
 
     params: SpectralParams
@@ -185,50 +191,41 @@ class ZeroTable:
 
     @classmethod
     def from_csv(cls, path) -> "ZeroTable":
-        rows = []
+        """Read a table written by ``to_csv``. The bracket signs are computed
+        again from the function, all J_{nu,H} brackets in one array call per
+        side; a bracket without a sign change raises NoSignChangeError."""
         with open(path, newline="") as fh:
             r = csv.reader(fh)
             header = next(r)
             if header[:4] != ["nu", "H", "n", "zero"]:
                 raise DomainError(f"unrecognized zero-table header: {header}")
-            for row in r:
-                rows.append(row)
+            rows = list(r)
         if not rows:
             raise DomainError("empty zero table file")
         nu, h = float(rows[0][0]), float(rows[0][1])
         tol = float(rows[0][6])
         params = SpectralParams(nu, h)
-        n_max = max(int(row[2]) for row in rows)
-        zeros = np.full(n_max + 1, np.nan)
-        brackets: list = [None] * (n_max + 1)
-        # Re-certify bracket signs from the function itself on load.
-        for row in rows:
-            n = int(row[2])
-            zeros[n] = float(row[3])
-            lo, hi = float(row[4]), float(row[5])
-            if hi > lo:
-                fn = bessel_ih if n == 0 else bessel_jh
-                brackets[n] = Bracket.from_function(lambda x: fn(params, x), lo, hi)
+        ns = np.array([int(row[2]) for row in rows])
+        zero, lo, hi = np.array([[float(c) for c in row[3:6]] for row in rows]).T
+        n_max = int(ns.max())
+        zeros, brackets = np.full(n_max + 1, np.nan), [None] * (n_max + 1)
+        zeros[ns] = zero
+        for fn, sel in ((bessel_jh, (hi > lo) & (ns > 0)), (bessel_ih, (hi > lo) & (ns == 0))):
+            s_lo, s_hi = np.sign(fn(params, lo[sel])), np.sign(fn(params, hi[sel]))
+            for n, a, b, sa, sb in zip(ns[sel], lo[sel], hi[sel], s_lo, s_hi):
+                brackets[n] = Bracket(float(a), float(b), int(sa), int(sb))
         return cls(params, n_max, tol, zeros, brackets)
 
 
-def _z0_bracket(p: SpectralParams) -> Bracket:
-    f = lambda x: bessel_ih(p, x)
-    eps = 1e-8
-    if _sign(f(eps)) >= 0:
-        raise ConsistencyError("I_{nu,H} unexpectedly non-negative near 0")
-    x_hi = 1.0
-    while _sign(f(x_hi)) <= 0:
-        x_hi *= 2.0
-        if x_hi > Z0_SEARCH_CAP:
-            raise BracketScanFailure(
-                f"no sign change of I_{{nu,H}} up to X = {Z0_SEARCH_CAP:g}"
-            )
-    return Bracket(eps, x_hi, -1, 1)
-
-
 def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroTable:
-    """Compute z_n for n = n_min..n_max, certified by interlacing brackets."""
+    """Compute z_n for n = n_min..n_max with the certificate of ``ZeroTable``.
+
+    The cells are the intervals between 0+ and the zeros of J_nu where
+    J_{nu,H} changes sign; whether (0+, j_1) is one must match the regime.
+    ``_refine`` starts at the cell midpoint m shifted by (H - 1/2)/m, the
+    large-x offset of the zero. z_0 is refined in the first sign change of
+    I_{nu,H} on 0+, 1, 2, 4, ..., from its small-x value sqrt(-2(nu+1)(nu+H)).
+    """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not (math.isfinite(tol) and tol >= 1e-13):
@@ -237,7 +234,6 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
     need_j = n_max if p.regime is Regime.PLUS else n_max + 1
     j = bessel_j_zeros(p.nu, need_j, tol)
     f = lambda x: bessel_jh(p, x)
-    fp = lambda x: bessel_jh_prime(p, x)
 
     eps0 = min(1e-3 * j[0], 0.05)
     if p.regime is Regime.PLUS:
@@ -262,26 +258,25 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
         )
     cells = cells[:n_max]
 
-    lo = nodes[cells]
-    hi = nodes[cells + 1]
-    s_lo = signs[cells]
-    roots, lo_f, hi_f = _vector_refine(f, fp, lo, hi, s_lo, tol)
-
-    zeros = np.full(n_max + 1, np.nan)
-    brackets: list = [None] * (n_max + 1)
-    zeros[1 : n_max + 1] = roots
-    for i in range(n_max):
-        brackets[i + 1] = Bracket(
-            float(lo_f[i]), float(hi_f[i]), int(s_lo[i]), -int(s_lo[i])
-        )
+    lo, hi, s_lo = nodes[cells], nodes[cells + 1], signs[cells]
+    mid = 0.5 * (lo + hi)
+    x0 = mid + (p.h - 0.5) / mid
+    zeros, brackets = np.full(n_max + 1, np.nan), [None] * (n_max + 1)
+    zeros[1:], a, b = _refine(f, lambda x: robin_and_slope(p, x), x0, lo, hi, s_lo, tol)
+    brackets[1:] = [Bracket(float(u), float(v), int(s), -int(s)) for u, v, s in zip(a, b, s_lo)]
 
     if p.regime is Regime.MINUS:
-        br0 = _z0_bracket(p)
-        z0, br0_final = refine_root(
-            lambda x: bessel_ih(p, x), br0, tol, df=lambda x: bessel_ih_prime(p, x)
-        )
-        zeros[0] = z0
-        brackets[0] = br0_final
+        f0 = lambda x: bessel_ih(p, x)
+        xs = np.concatenate([[1e-8], 2.0 ** np.arange(1 + int(math.log2(Z0_SEARCH_CAP)))])
+        s = np.sign(f0(xs))
+        up = np.flatnonzero((s[:-1] < 0) & (s[1:] > 0))[:1]
+        if s[0] >= 0 or up.size == 0:
+            raise BracketScanFailure(f"no sign change of I_{{nu,H}} on (0, {Z0_SEARCH_CAP:g}]")
+        x0 = np.array([math.sqrt(-2.0 * (p.nu + 1.0) * (p.nu + p.h))])
+        fdf0 = lambda x: robin_and_slope(p, x, modified=True)
+        z0, a0, b0 = _refine(f0, fdf0, x0, xs[up], xs[up + 1], s[up], tol)
+        zeros[0] = z0[0]
+        brackets[0] = Bracket(float(a0[0]), float(b0[0]), -1, 1)
     elif p.regime is Regime.ZERO:
         zeros[0] = 0.0
 

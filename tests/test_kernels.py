@@ -391,7 +391,9 @@ def gauss_tail(t, n_cut, c_off):
 def uncached_semigroup(b, f, t_values, xs, quad, tol):
     """The time sweep as it was before the psi caches: psi is evaluated at all
     n_max modes on the rule and on xs, and every time sums all of them. The
-    coefficients are bounded by ||f||_2 from the same rule."""
+    coefficients are bounded by ||f||_2 from the same rule; the cutoff ladder
+    starts at the closed-form guess c_off + sqrt(log(max(S, 1)/tol)/t)/pi,
+    S = ||f||_2 M."""
     fx = f(quad.nodes)
     coeffs = b.psi_matrix(quad.nodes) @ (quad.weights * fx)
     mat = b.psi_matrix(xs)
@@ -402,8 +404,10 @@ def uncached_semigroup(b, f, t_values, xs, quad, tol):
         if t == 0.0:
             out.append(coeffs @ mat)
             continue
-        n = b.n_min
-        while fnorm * sup_m * gauss_tail(t, n, b.table.freq_offset) > tol:
+        c_off, scale = b.table.freq_offset, fnorm * sup_m
+        guess = c_off + math.sqrt(max(math.log(max(scale, 1.0) / tol), 1.0) / t) / math.pi
+        n = max(b.n_min, min(int(guess), b.n_max))
+        while scale * gauss_tail(t, n, c_off) > tol:
             n += max(1, n // 16)
         mult = np.zeros(b.n_max + 1)
         mult[b.n_min : n + 1] = np.exp(-t * b.eigen[b.n_min : n + 1])

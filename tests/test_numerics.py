@@ -61,6 +61,17 @@ class TestRefineRoot:
         root, _ = refine_root(f, br, 1e-13, df=df)
         assert abs(root - 0.3) < 1e-12
 
+    def test_exact_zero_bracket_is_signed(self):
+        # The first midpoint 0.5 is an exact zero, but f < 0 just above it:
+        # a bracket around 0.5 would not be signed, so none is returned.
+        f = lambda x: 0.0 if x == 0.5 else (1.0 if x >= 0.75 else -1.0)
+        br = Bracket.from_function(f, 0.0, 1.0)
+        with pytest.raises(NoSignChangeError):
+            refine_root(f, br, 1e-12)
+        root, final = refine_root(lambda x: x - 0.5, Bracket(0.0, 1.0, -1, 1), 1e-12)
+        assert root == 0.5 and final.lo < 0.5 < final.hi
+        assert (final.f_lo_sign, final.f_hi_sign) == (-1, 1)
+
     @given(st.floats(-0.9, 0.9), st.floats(0.05, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_enclosure_property(self, shift, scale):

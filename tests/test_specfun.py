@@ -15,9 +15,9 @@ from dini.specfun import (
     bessel_ih,
     bessel_j,
     bessel_jh,
-    bessel_jh_prime,
     bessel_modulus,
     jacobi_poly,
+    robin_and_slope,
 )
 from dini.zeros import build_zero_table
 
@@ -172,9 +172,12 @@ class TestRobinCombinations:
     def test_jh_derivative_identity(self):
         p = SpectralParams(0.7, 0.5)
         h = 1e-6
-        for x in (0.5, 2.0, 7.3):
-            fd = (bessel_jh(p, x + h) - bessel_jh(p, x - h)) / (2.0 * h)
-            assert bessel_jh_prime(p, x) == pytest.approx(fd, abs=2e-7)
+        for f, modified in ((bessel_jh, False), (bessel_ih, True)):
+            for x in (0.5, 2.0, 7.3):
+                fd = (f(p, x + h) - f(p, x - h)) / (2.0 * h)
+                value, slope = robin_and_slope(p, x, modified)
+                assert value == f(p, x)
+                assert slope == pytest.approx(fd, abs=2e-7)
 
     @given(st.floats(-0.95, 4.0), st.floats(0.1, 20.0))
     @settings(max_examples=50, deadline=None)

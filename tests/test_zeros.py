@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dini.errors import DomainError
-from dini.specfun import SpectralParams, bessel_j, bessel_jh
+import dini.zeros as zeros_mod
+from dini.errors import DomainError, NoSignChangeError
+from dini.specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh
 from dini.zeros import (
     ZeroTable,
     bessel_j_zeros,
@@ -126,6 +127,100 @@ class TestBuildZeroTable:
             assert inside == 1
 
 
+def assert_certified(table):
+    """Every stored bracket encloses its zero, has width <= max(tol, 4 ulp),
+    lies in its interlacing cell and carries the signs the function has at
+    its ends."""
+    p = table.params
+    cells = np.concatenate([[0.0], table.j_zeros])
+    for n in range(table.n_min, table.n_max + 1):
+        br, z = table.brackets[n], table.zeros[n]
+        if n == 0 and p.regime is Regime.ZERO:
+            assert br is None and z == 0.0
+            continue
+        assert br.lo < z < br.hi
+        assert br.width <= max(table.tol, 4.0 * np.spacing(br.hi))
+        f = bessel_ih if n == 0 else bessel_jh
+        assert (np.sign(f(p, br.lo)), np.sign(f(p, br.hi))) == (br.f_lo_sign, br.f_hi_sign)
+        assert br.f_lo_sign == -br.f_hi_sign != 0
+    # Cell k of the J_{nu,H} zeros: exactly one J_nu zero between neighbours.
+    lo = np.array([table.brackets[n].lo for n in range(1, table.n_max + 1)])
+    hi = np.array([table.brackets[n].hi for n in range(1, table.n_max + 1)])
+    first = np.searchsorted(cells, lo) - 1
+    assert np.all(hi <= cells[first + 1])
+    assert np.all(np.diff(first) == 1)
+
+
+class TestNewtonCertificate:
+    """The vectorized Newton refiner and its sign certificate."""
+
+    @pytest.mark.parametrize("nu, shift", [(-0.5, 0.0), (0.5, 0.5)])
+    def test_closed_form_zeros_to_rounding(self, nu, shift):
+        # H = 1/2: J_{-1/2,1/2} zeros are n pi, J_{1/2,1/2} zeros (n - 1/2) pi.
+        table = build_zero_table(SpectralParams(nu, 0.5), 3000)
+        ref = math.pi * (np.arange(1, 3001) - shift)
+        assert np.max(np.abs(table.zeros[1:] - ref) / ref) <= 1e-15
+
+    @pytest.mark.parametrize("nu", [-0.9, 0.0, 3.0])
+    def test_every_bracket_certified(self, nu):
+        assert_certified(build_zero_table(SpectralParams(nu, 0.5), 3000))
+
+    @pytest.mark.parametrize("nu, h", [(-0.75, -1.5), (-0.5, 0.5), (0.2, -1.0)])
+    def test_n0_and_regimes_certified(self, nu, h):
+        assert_certified(build_zero_table(SpectralParams(nu, h), 200))
+
+    def test_sequential_scan_fallback(self, monkeypatch):
+        import scipy.special as sp
+
+        scans = []
+        original = zeros_mod._scan_first_sign_change
+        monkeypatch.setattr(
+            zeros_mod, "_scan_first_sign_change",
+            lambda f, lo, hi: scans.append(lo) or original(f, lo, hi),
+        )
+        ours = bessel_j_zeros(10.0, 200)
+        assert scans  # the McMahon bracket of j_1 misses it at nu = 10
+        ref = sp.jn_zeros(10, 200)
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-14
+
+    def test_forced_certificate_failure_bisects(self, monkeypatch):
+        p = SpectralParams(0.3, 0.5)
+        reference = build_zero_table(p, 300)
+        newton = zeros_mod._newton
+        fallbacks = []
+        refine_root = zeros_mod.refine_root
+
+        def off_by_a_little(fdf, x, lo, hi, s_lo, tol):
+            x, lo, hi = newton(fdf, x, lo, hi, s_lo, tol)
+            x[::3] += 1e-9  # outside x -/+ d: the certificate must fail here
+            return x, lo, hi
+
+        def spy(*args, **kwargs):
+            fallbacks.append(args[1])
+            return refine_root(*args, **kwargs)
+
+        monkeypatch.setattr(zeros_mod, "_newton", off_by_a_little)
+        monkeypatch.setattr(zeros_mod, "refine_root", spy)
+        table = build_zero_table(p, 300)
+        assert len(fallbacks) == 100 + 100  # every third J_nu and J_{nu,H} zero
+        assert_certified(table)
+        ref = reference.zeros[1:]
+        assert np.all(np.abs(table.zeros[1:] - ref) <= np.maximum(1e-13, 4.0 * np.spacing(ref)))
+
+    @pytest.mark.parametrize("nu", [-0.75, 0.0, 0.3, 3.0])
+    def test_mpmath_near_bessel_cap(self, nu):
+        """z_n near n = 31,800, where z_n approaches the 1e5 cap of bessel_j."""
+        mp = pytest.importorskip("mpmath").mp
+        mp.dps = 30
+        table = build_zero_table(SpectralParams(nu, 0.5), 31800)
+        nu_, h_ = mp.mpf(nu), mp.mpf(0.5)
+        robin = lambda x: x * mp.besselj(nu_, x, 1) + h_ * mp.besselj(nu_, x)
+        for n in (31790, 31799, 31800):
+            z = float(table.zeros[n])
+            zr = float(mp.findroot(robin, mp.mpf(z)))
+            assert abs(z - zr) <= 1e-15 * zr
+
+
 class TestX0Bound:
     def test_value(self):
         nu = -0.75
@@ -166,6 +261,19 @@ class TestSerialization:
             if table.brackets[n] is not None:
                 assert loaded.brackets[n].lo == table.brackets[n].lo
                 assert loaded.brackets[n].hi == table.brackets[n].hi
+
+    def test_csv_rejects_unsigned_bracket(self, tmp_path):
+        table = build_zero_table(SpectralParams(0.3, 0.5), 12)
+        path = tmp_path / "zeros.csv"
+        table.to_csv(path)
+        lines = path.read_text().splitlines()
+        cells = lines[5].split(",")  # the row of z_4
+        cells[4] = cells[5]  # move lo up to hi's side: no sign change
+        cells[5] = repr(float(cells[5]) + 1e-9)
+        lines[5] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(NoSignChangeError):
+            ZeroTable.from_csv(path)
 
     def test_cache_dir(self, tmp_path):
         p = SpectralParams(0.3, 0.5)
