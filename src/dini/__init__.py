@@ -70,6 +70,5 @@ from .zeros import (
     ZeroTable,
     bessel_j_zeros,
     build_zero_table,
-    cached_zero_table,
     x0_bound,
 )

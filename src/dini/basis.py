@@ -84,6 +84,50 @@ JACOBI_PROBE_MODES = 48
 JACOBI_SUP_SAFETY = 1.5
 
 
+def _check_open(x: np.ndarray) -> None:
+    if np.any((x <= 0.0) | (x >= 1.0)):
+        raise DomainError("evaluation points must lie in the open interval (0,1)")
+
+
+def _bessel_rows(params: SpectralParams, c, zeros, x, lo: int, hi: int,
+                 block: Optional[int] = None) -> np.ndarray:
+    """psi_lo..psi_{hi-1} at x from the arrays of a BasisSpec (its constants
+    c and zeros), ``block`` Bessel rows at a time (all at once by default) so
+    that no temporary is larger than the result. Every entry is formed
+    elementwise, so a row does not depend on lo, hi or block."""
+    _check_open(x)
+    sq = np.sqrt(x)
+    out = np.zeros((hi - lo, x.size))
+    step = max(block or hi, 1)
+    for a in range(max(lo, 1), hi, step):
+        b = min(a + step, hi)
+        out[a - lo : b - lo] = c[a:b, None] * sq[None, :] * bessel_j(
+            params.nu, zeros[a:b, None] * x[None, :]
+        )
+    if lo == 0 and params.regime is not Regime.PLUS:
+        out[0] = _psi0(params, c[0], zeros[0], x)
+    return out
+
+
+def _psi0(params: SpectralParams, c0: float, z0: float, x: np.ndarray) -> np.ndarray:
+    """The n=0 mode at x: c_0 sqrt(x) I_nu(z_0 x) (MINUS) or c_0 x^{nu+1/2}
+    (ZERO)."""
+    if params.regime is Regime.MINUS:
+        return c0 * np.sqrt(x) * bessel_i(params.nu, z0 * x)
+    return c0 * x ** (params.nu + 0.5)
+
+
+def _jacobi_rows(jp: JacobiParams, C: np.ndarray, x: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Phi_lo..Phi_{hi-1} at x from the constants C of a JacobiBasisSpec. The
+    recurrence runs from degree 0 and a degree-k row depends only on the
+    lower ones, so a row does not depend on lo or hi."""
+    _check_open(x)
+    s = np.sin(0.5 * math.pi * x) ** (jp.alpha + 0.5)
+    c = np.cos(0.5 * math.pi * x) ** (jp.beta + 0.5)
+    P = jacobi_poly_all(jp, hi - 1, np.cos(math.pi * x))
+    return C[lo:hi, None] * (s * c)[None, :] * P[lo:]
+
+
 @dataclass
 class BasisSpec:
     """Normalizing constants, eigenvalues and evaluation for the psi system.
@@ -149,29 +193,8 @@ class BasisSpec:
         return self._psi_rows(np.asarray(x, dtype=float), n_upper, n_upper)
 
     def _psi_rows(self, x: np.ndarray, n_upper: int, block: int) -> np.ndarray:
-        """psi_0..psi_{n_upper} at x, evaluating ``block`` Bessel rows at a time
-        so that no temporary is larger than the result."""
-        p = self.params
-        if np.any((x <= 0.0) | (x >= 1.0)):
-            raise DomainError("evaluation points must lie in the open interval (0,1)")
-        sq = np.sqrt(x)
-        out = np.zeros((n_upper + 1, x.size))
-        for lo in range(1, n_upper + 1, max(block, 1)):
-            hi = min(lo + block, n_upper + 1)
-            out[lo:hi] = self.c[lo:hi, None] * sq[None, :] * bessel_j(
-                p.nu, self.table.zeros[lo:hi, None] * x[None, :]
-            )
-        if p.regime is not Regime.PLUS:
-            out[0] = self._psi0(x)
-        return out
-
-    def _psi0(self, x: np.ndarray) -> np.ndarray:
-        """The n=0 mode at x: c_0 sqrt(x) I_nu(z_0 x) (MINUS) or
-        c_0 x^{nu+1/2} (ZERO)."""
-        p = self.params
-        if p.regime is Regime.MINUS:
-            return self.c[0] * np.sqrt(x) * bessel_i(p.nu, self.table.zeros[0] * x)
-        return self.c[0] * x ** (p.nu + 0.5)
+        """psi_0..psi_{n_upper} at x, ``block`` Bessel rows at a time."""
+        return _bessel_rows(self.params, self.c, self.table.zeros, x, 0, n_upper + 1, block)
 
     def _rule_psi(self, quad: QuadratureRule) -> np.ndarray:
         """Read-only psi_matrix(quad.nodes), kept on the basis per rule.
@@ -270,16 +293,10 @@ class JacobiBasisSpec:
     def n_min(self) -> int:
         return 0
 
-    def phi_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Matrix [Phi_k(x_i)]_{k,i} of shape (k_max+1, len(x))."""
-        a, b = self.jp.alpha, self.jp.beta
-        x = np.asarray(x, dtype=float)
-        if np.any((x <= 0.0) | (x >= 1.0)):
-            raise DomainError("evaluation points must lie in the open interval (0,1)")
-        s = np.sin(0.5 * math.pi * x) ** (a + 0.5)
-        c = np.cos(0.5 * math.pi * x) ** (b + 0.5)
-        P = jacobi_poly_all(self.jp, self.k_max, np.cos(math.pi * x))
-        return self.C[:, None] * (s * c)[None, :] * P
+    def phi_matrix(self, x: np.ndarray, k_upper: Optional[int] = None) -> np.ndarray:
+        """Matrix [Phi_k(x_i)]_{k,i} of shape (k_upper+1, len(x))."""
+        k_upper = self.k_max if k_upper is None else min(k_upper, self.k_max)
+        return _jacobi_rows(self.jp, self.C, np.asarray(x, dtype=float), 0, k_upper + 1)
 
     @cached_property
     def probe_sup(self) -> float:
@@ -288,8 +305,9 @@ class JacobiBasisSpec:
         return self._probe_max(np.linspace(1e-4, 1.0 - 1e-4, 10_000))
 
     def _probe_max(self, x: np.ndarray) -> float:
-        """max |Phi_k(x)| over the first JACOBI_PROBE_MODES + 1 modes."""
-        vals = self.phi_matrix(x)[: min(JACOBI_PROBE_MODES, self.k_max) + 1]
+        """max |Phi_k(x)| over the first JACOBI_PROBE_MODES + 1 modes, evaluating
+        only those."""
+        vals = self.phi_matrix(x, JACOBI_PROBE_MODES)
         return float(np.max(np.abs(vals)))
 
 
@@ -386,8 +404,7 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
     coefficients, convex in log x, so its maximum over xs is at min(xs) or
     max(xs) and is taken there exactly.
     """
-    if np.any((xs <= 0.0) | (xs >= 1.0)):
-        raise DomainError("evaluation points must lie in the open interval (0,1)")
+    _check_open(xs)
     if xs.size == 0:
         return 0.0
     nu = b.params.nu
@@ -403,7 +420,8 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
         g_tail = bessel_modulus(nu, z[-1] * x_lo)
     m = max(float(np.max(amp * g, initial=0.0)), _tail_amplitude(b) * g_tail)
     if b.params.regime is not Regime.PLUS:
-        m = max(m, float(np.max(np.abs(b._psi0(np.array([x_lo, x_hi]))))))
+        m = max(m, float(np.max(np.abs(_psi0(b.params, b.c[0], b.table.zeros[0],
+                                                  np.array([x_lo, x_hi]))))))
     return (1.0 + SUP_ROUNDING) * m
 
 

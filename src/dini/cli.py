@@ -8,6 +8,7 @@ configurations produce byte-identical CSV/JSON artifacts. Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -29,7 +30,7 @@ from .kernels import (
 )
 from .numerics import _fmt
 from .specfun import JacobiParams, SpectralParams, bessel_ih
-from .zeros import build_zero_table, cached_zero_table, x0_bound
+from .zeros import build_zero_table, x0_bound
 
 # kernel --kind NAME: the kernel kind and the function that evaluates it.
 KERNELS = {
@@ -72,7 +73,7 @@ def emit_plot_data(rows: Sequence[dict], columns: Sequence[str], out: Optional[s
 
 def _cmd_zeros(cfg: argparse.Namespace) -> int:
     p = SpectralParams(cfg.nu, cfg.h)
-    table = cached_zero_table(p, cfg.n_max, max(cfg.tol, 1e-13))
+    table = build_zero_table(p, cfg.n_max, max(cfg.tol, 1e-13))
     if cfg.fmt == "json":
         obj = {
             "nu": p.nu,
@@ -314,7 +315,10 @@ def _half_only(text: str) -> float:
     return h
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: its defaults are
+    immutable and parse_args returns a fresh Namespace on every call."""
     ap = argparse.ArgumentParser(
         prog="dini",
         description="Spectral system on (0,1) from Bessel-type boundary problems: "

@@ -26,16 +26,18 @@ resolvable time scale.
 A PairEngine keeps the basis on the unique coordinates of its pairs, not
 the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
 the pair products of the modes it sums (up to its cutoff, or
-PSI_BLOCK_MODES modes at a time for the full-length potential series), so
-memory grows with n_max * n_coords rather than n_max * n_pairs.
+PSI_BLOCK_MODES modes at a time for the full-length potential series). The
+rows of psi are themselves formed on demand, up to the largest cutoff asked
+for so far, so memory grows with (rows grown) * n_coords, at most
+(n_max+1) * n_coords, rather than n_max * n_pairs.
 
 An engine is a pure function of its basis and its pairs (M is a stated
 bound fixed at construction), so engines are shared: engine_for(basis, pairs)
 keeps up to CACHE_ENTRIES engines on the basis, keyed by the exact pair
 tuple and dropped oldest first, and every kernel function and ratio report
 that is given a basis takes its engine from there. A shared engine's arrays
-are read-only. Each engine holds psi, (n_max+1) x n_coords doubles, and in
-turn keeps up to CACHE_ENTRIES subordination masters (about 1,700 x n_pairs
+are read-only. Each engine holds psi, (rows grown) x n_coords doubles, and
+in turn keeps up to CACHE_ENTRIES subordination masters (about 1,700 x n_pairs
 doubles each, at n_max = 3000), keyed by the exact (d, tol). The engine does
 not refer back to its basis, so a basis and its engines are freed by
 refcounting.
@@ -75,7 +77,10 @@ from .basis import (
     PSI_BLOCK_MODES,
     BasisSpec,
     JacobiBasisSpec,
+    _bessel_rows,
     _cached,
+    _check_open,
+    _jacobi_rows,
     build_basis,
     certified_sup,
     default_coefficient_rule,
@@ -288,11 +293,15 @@ class PairEngine:
     arrays ix and iy of each pair's x and y into them. Every kernel
     multiplier reduces to a weighted sum over modes of the pair products
     psi_n(x_p) psi_n(y_p), which each call forms only for the modes it sums
-    (_pair_products).
+    (_pair_products). psi starts with no rows and grows on demand (_grow)
+    up to the largest cutoff asked for so far, so it holds
+    (rows grown) x n_coords doubles; a grown row is bit-identical to the
+    basis's psi_matrix (phi_matrix) row.
 
     Engines are shared across requests (engine_for), so psi, lam, ix, iy
     and dist are read-only. The engine keeps the basis parameters (params:
-    SpectralParams, or JacobiParams for a Jacobi basis), not the basis,
+    SpectralParams, or JacobiParams for a Jacobi basis) and the row function
+    bound to its coordinates and the basis arrays (_rows), not the basis,
     which holds its engines.
     """
 
@@ -303,9 +312,10 @@ class PairEngine:
         xs = np.array([p[0] for p in self.pairs])
         ys = np.array([p[1] for p in self.pairs])
         coords = np.unique(np.concatenate([xs, ys]))
+        _check_open(coords)
         if isinstance(basis, JacobiBasisSpec):
             self.params = basis.jp
-            mat = basis.phi_matrix(coords)
+            self._rows = functools.partial(_jacobi_rows, basis.jp, basis.C, coords)
             self.n_min = 0
             self.n_max = basis.k_max
             self.lam = basis.Lambda.copy()
@@ -313,12 +323,14 @@ class PairEngine:
             self.c_off = max(0.0, -q)
         else:
             self.params = basis.params
-            mat = basis.psi_matrix(coords)
+            self._rows = functools.partial(
+                _bessel_rows, basis.params, basis.c, basis.table.zeros, coords
+            )
             self.n_min = basis.n_min
             self.n_max = basis.n_max
             self.lam = basis.eigen.copy()
             self.c_off = basis.table.freq_offset
-        self.psi = mat
+        self.psi = np.empty((0, coords.size))
         self.ix = np.searchsorted(coords, xs)
         self.iy = np.searchsorted(coords, ys)
         self.M = certified_sup(basis, coords)
@@ -337,14 +349,25 @@ class PairEngine:
         checked here: M is a stated bound fixed at construction, so a product
         above M^2 is a broken invariant (ConsistencyError), not a reason to
         change M."""
-        prods = self.psi[lo:hi, self.ix]
-        prods *= self.psi[lo:hi, self.iy]
+        psi = self.psi if hi <= self.psi.shape[0] else self._grow(hi)
+        prods = psi[lo:hi, self.ix]
+        prods *= psi[lo:hi, self.iy]
         peak = max(float(prods.max(initial=0.0)), -float(prods.min(initial=0.0)))
         if peak > self.M * self.M:
             raise ConsistencyError(
                 f"pair product {peak:.6e} exceeds the sup bound M^2 = {self.M * self.M:.6e}"
             )
         return prods
+
+    def _grow(self, hi: int) -> np.ndarray:
+        """Extend psi to at least hi rows: to max(hi, twice its rows), at most
+        n_max + 1, in a fresh read-only array, which is returned."""
+        have = self.psi.shape[0]
+        top = min(self.n_max + 1, max(hi, 2 * have))
+        psi = np.concatenate([self.psi, self._rows(have, top)])
+        _read_only(psi)
+        self.psi = psi
+        return psi
 
     # ----- heat ---------------------------------------------------------
 

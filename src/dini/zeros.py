@@ -10,11 +10,8 @@ Every zero is refined by ``_refine``: bracketed Newton, then a sign certificate.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Optional
 
 import numpy as np
@@ -25,7 +22,6 @@ from .specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh, rob
 
 RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
-CACHE_ENV_VAR = "DINI_CACHE_DIR"
 NEWTON_STEPS = 60
 
 
@@ -189,33 +185,6 @@ class ZeroTable:
             with open(out, "w", newline="") as fh:
                 fh.write(text)
 
-    @classmethod
-    def from_csv(cls, path) -> "ZeroTable":
-        """Read a table written by ``to_csv``. The bracket signs are computed
-        again from the function, all J_{nu,H} brackets in one array call per
-        side; a bracket without a sign change raises NoSignChangeError."""
-        with open(path, newline="") as fh:
-            r = csv.reader(fh)
-            header = next(r)
-            if header[:4] != ["nu", "H", "n", "zero"]:
-                raise DomainError(f"unrecognized zero-table header: {header}")
-            rows = list(r)
-        if not rows:
-            raise DomainError("empty zero table file")
-        nu, h = float(rows[0][0]), float(rows[0][1])
-        tol = float(rows[0][6])
-        params = SpectralParams(nu, h)
-        ns = np.array([int(row[2]) for row in rows])
-        zero, lo, hi = np.array([[float(c) for c in row[3:6]] for row in rows]).T
-        n_max = int(ns.max())
-        zeros, brackets = np.full(n_max + 1, np.nan), [None] * (n_max + 1)
-        zeros[ns] = zero
-        for fn, sel in ((bessel_jh, (hi > lo) & (ns > 0)), (bessel_ih, (hi > lo) & (ns == 0))):
-            s_lo, s_hi = np.sign(fn(params, lo[sel])), np.sign(fn(params, hi[sel]))
-            for n, a, b, sa, sb in zip(ns[sel], lo[sel], hi[sel], s_lo, s_hi):
-                brackets[n] = Bracket(float(a), float(b), int(sa), int(sb))
-        return cls(params, n_max, tol, zeros, brackets)
-
 
 def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroTable:
     """Compute z_n for n = n_min..n_max with the certificate of ``ZeroTable``.
@@ -293,29 +262,3 @@ def x0_bound(nu: float) -> float:
         raise DomainError(f"x0_bound requires nu in (-1, -1/2), got {nu}")
     poly = 6.0 * nu**3 + 21.0 * nu**2 + 21.0 * nu + 6.0
     return (2.0 / 3.0) * math.sqrt(-poly / (2.0 * nu + 3.0))
-
-
-def _cache_path(cache_dir: str, p: SpectralParams, n_max: int) -> Path:
-    name = f"zeros_nu{_fmt(p.nu)}_h{_fmt(p.h)}_n{n_max}.csv"
-    return Path(cache_dir) / name
-
-
-def cached_zero_table(
-    p: SpectralParams,
-    n_max: int,
-    tol: float = 1e-13,
-    cache_dir: Optional[str] = None,
-) -> ZeroTable:
-    """Zero table with optional CSV caching via DINI_CACHE_DIR."""
-    cache_dir = cache_dir if cache_dir is not None else os.environ.get(CACHE_ENV_VAR)
-    if cache_dir:
-        path = _cache_path(cache_dir, p, n_max)
-        if path.exists():
-            table = ZeroTable.from_csv(path)
-            if table.n_max >= n_max and table.tol <= tol:
-                return table
-    table = build_zero_table(p, n_max, tol)
-    if cache_dir:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        table.to_csv(_cache_path(cache_dir, p, n_max))
-    return table

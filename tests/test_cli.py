@@ -5,6 +5,8 @@ import pytest
 
 from dini import bounds, cli, kernels
 from dini.cli import main
+from dini.specfun import SpectralParams
+from dini.zeros import build_zero_table
 
 
 def run_cli(args, capsys):
@@ -36,22 +38,15 @@ class TestZerosCommand:
         assert obj["regime"] == "ZERO"
         assert obj["zeros"]["1"] == pytest.approx(np.pi, abs=1e-12)
 
-    def test_cache_dir_used(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("DINI_CACHE_DIR", str(tmp_path))
-        code, _, _ = run_cli(["zeros", "--nu", "0.3", "--n-max", "4", "--out", "-"], capsys)
-        assert code == 0
-        assert list(tmp_path.glob("*.csv"))
-
-    def test_cache_file_is_the_output(self, tmp_path, monkeypatch, capsys):
-        """One CSV writer: the cached table holds the bytes that the command
-        prints, with "\n" line ends."""
-        monkeypatch.setenv("DINI_CACHE_DIR", str(tmp_path))
+    def test_csv_file_is_the_output(self, tmp_path, capsys):
+        """One CSV writer: ZeroTable.to_csv writes to a file the bytes that
+        the command prints, with "\n" line ends."""
         code, out, _ = run_cli(["zeros", "--nu", "-0.75", "--n-max", "4", "--out", "-"], capsys)
         assert code == 0
-        (cached,) = tmp_path.glob("*.csv")
-        assert cached.read_bytes() == out.encode()
-        assert b"\r" not in cached.read_bytes()
-
+        path = tmp_path / "zeros.csv"
+        build_zero_table(SpectralParams(-0.75, 0.5), 4, 1e-10).to_csv(path)
+        assert path.read_bytes() == out.encode()
+        assert b"\r" not in path.read_bytes()
 
     def test_mode_budget_above_former_cap(self, capsys):
         # z_3500 ~ 1.1e4 lies beyond the former bessel_j cap of 1e4.

@@ -429,14 +429,29 @@ def blocked_bases():
     ]
 
 
+# For each engine built by make_engine, all n_max + 1 rows of psi (phi) on its
+# coordinates, formed by BasisSpec.psi_matrix (JacobiBasisSpec.phi_matrix)
+# rather than by the engine's own rows: the reference of the tables below.
+BASIS_PSI = weakref.WeakKeyDictionary()
+
+
+def make_engine(basis, pairs):
+    eng = PairEngine(basis, pairs)
+    coords = np.unique(np.array(eng.pairs).ravel())
+    full = basis.psi_matrix if isinstance(basis, BasisSpec) else basis.phi_matrix
+    BASIS_PSI[eng] = full(coords)
+    return eng
+
+
 def blocked_engines():
     """Engines of the blocked_bases() on PAIRS and a diagonal pair."""
-    return [PairEngine(b, PAIRS + [(0.5, 0.5)]) for b in blocked_bases()]
+    return [make_engine(b, PAIRS + [(0.5, 0.5)]) for b in blocked_bases()]
 
 
 def old_table(eng):
     """The n_max x n_pairs table psi_n(x_p) psi_n(y_p) engines used to store."""
-    return eng.psi[:, eng.ix] * eng.psi[:, eng.iy]
+    psi = BASIS_PSI[eng]
+    return psi[:, eng.ix] * psi[:, eng.iy]
 
 
 def old_heat_cut(eng, t, tol):
@@ -673,8 +688,8 @@ def engine_pairs():
     """The blocked_engines() bases, once on the blocked pairs (with a diagonal
     pair) and once on off-diagonal pairs for the potentials."""
     for b in blocked_bases():
-        eng = PairEngine(b, PAIRS + [(0.5, 0.5)])
-        yield eng, PairEngine(b, eng.pairs), PairEngine(b, AGREEMENT_PAIRS)
+        eng = make_engine(b, PAIRS + [(0.5, 0.5)])
+        yield eng, make_engine(b, eng.pairs), make_engine(b, AGREEMENT_PAIRS)
 
 
 class TestCoordinateProducts:
@@ -685,8 +700,9 @@ class TestCoordinateProducts:
     def test_no_pair_table_stored(self):
         coords = boundary_refined_coords(60)
         eng = PairEngine(shared_basis(0.5, n_max=3000), pair_grid(coords))
-        assert (eng.n_pairs, eng.psi.shape) == (5184, (3001, 72))
-        eng.heat_values(1e-3, 1e-10)
+        assert eng.n_pairs == 5184
+        _, n_terms, _ = eng.heat_values(1e-3, 1e-10)
+        assert eng.psi.shape[0] <= 2 * (n_terms + SUM_ALIGN)
         arrays = [v for v in vars(eng).values() if isinstance(v, np.ndarray)]
         for a in arrays:
             assert not (a.ndim == 2 and a.shape[1] == eng.n_pairs and a.shape[0] > PSI_BLOCK_MODES)
@@ -761,13 +777,60 @@ class TestCoordinateProducts:
         )
         monkeypatch.setattr(PairEngine, "_poisson_rows", old_poisson_rows)
         for basis, d, (vals, n_terms, bound), timed, m in cases:
-            old = PairEngine(basis, AGREEMENT_PAIRS)
+            old = make_engine(basis, AGREEMENT_PAIRS)
             direct, delta = old_potential_direct(old, old_table(old), 0.6, d)
             near, _, _ = old._near_heat_integral(0.6, d, delta, 1e-9)
             assert old.potential_series(0.6, d, 1e-9)[1:] == (n_terms, bound)
             assert_rows_close(vals[None], (direct + near)[None])
             assert_rows_close(timed[None], old.potential_time_integral(0.6, d, 1e-9)[None])
             assert old.M == m
+
+
+class TestLazyRows:
+    """An engine forms psi rows on demand, up to the largest cutoff asked for
+    so far, and a grown row is the basis's row to the last bit whatever
+    order the calls come in."""
+
+    def test_rows_bounded_by_the_cutoff(self):
+        # The grid-60 pairs at least 0.05 apart (all 72 coordinates), where
+        # the potential series is certified.
+        grid = [(x, y) for x, y in pair_grid(boundary_refined_coords(60)) if abs(x - y) >= 0.05]
+        eng = PairEngine(shared_basis(0.5, n_max=3000), grid)
+        assert eng.psi.shape == (0, 72)
+        _, n_terms, _ = eng.heat_values(0.0605, 1e-10)
+        assert 0 < eng.psi.shape[0] <= 2 * (n_terms + SUM_ALIGN)
+        eng.potential_series(0.6, 1.0, 1e-9)
+        assert eng.psi.shape == (3001, 72)
+
+    @pytest.mark.parametrize("order", ["small t first", "large t first", "potential first"])
+    def test_grown_rows_equal_basis_rows(self, order):
+        calls = {
+            "small": lambda eng, d: eng.heat_values(1e-4, 1e-10),
+            "large": lambda eng, d: eng.heat_values(0.5, 1e-10),
+            "poisson": lambda eng, d: eng.poisson_values(0.3, d, 1e-10),
+            "potential": lambda eng, d: eng.potential_series(0.6, d, 1e-9),
+        }
+        sequence = {
+            "small t first": ("small", "large", "poisson", "potential"),
+            "large t first": ("large", "poisson", "small", "potential"),
+            "potential first": ("potential", "large", "small", "poisson"),
+        }[order]
+        # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases and a Jacobi basis.
+        for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+            eng = make_engine(basis, AGREEMENT_PAIRS)
+            ref = BASIS_PSI[eng]
+            fresh = {}
+            for name in sequence:
+                vals = calls[name](eng, d)[0]
+                assert np.array_equal(eng.psi, ref[: eng.psi.shape[0]])
+                fresh[name] = calls[name](make_engine(basis, AGREEMENT_PAIRS), d)[0]
+                assert np.array_equal(vals, fresh[name])
+            assert eng.psi.shape[0] == eng.n_max + 1
+
+    def test_coordinates_checked_at_construction(self):
+        for basis in blocked_bases():
+            with pytest.raises(DomainError, match="open interval"):
+                PairEngine(basis, [(0.3, 0.6), (0.5, 1.0)])
 
 
 def old_series(eng, mult, n_cut):
@@ -777,7 +840,8 @@ def old_series(eng, mult, n_cut):
     top = min(eng.n_max + 1, -(-(n_cut + 1) // SUM_ALIGN) * SUM_ALIGN)
     full = np.zeros(top)
     full[eng.n_min : n_cut + 1] = mult
-    return full @ (eng.psi[:top, eng.ix] * eng.psi[:top, eng.iy])
+    psi = BASIS_PSI[eng][:top]
+    return full @ (psi[:, eng.ix] * psi[:, eng.iy])
 
 
 class TestExpRows:
@@ -788,7 +852,7 @@ class TestExpRows:
     def test_one_time_sums_bit_identical(self):
         cases = list(zip(blocked_engines(), (0.0, 0.0, 2.0, 1.0, 1.0)))
         grid = pair_grid(boundary_refined_coords(60))
-        cases += [(PairEngine(shared_basis(nu, n_max=3000), grid), 0.0) for nu in (-0.5, 0.5)]
+        cases += [(make_engine(shared_basis(nu, n_max=3000), grid), 0.0) for nu in (-0.5, 0.5)]
         for eng, d in cases:
             lo = eng.n_min
             sq = np.sqrt(eng._shifted(d))
@@ -957,8 +1021,8 @@ def kernel_bytes(values):
 
 
 class TestSharedEngines:
-    """engine_for keeps one engine per (basis, pairs), so psi, M and the
-    subordination masters are built once across requests; results do not
+    """engine_for keeps one engine per (basis, pairs), so each psi row, M and
+    the subordination masters are built once across requests; results do not
     depend on which requests came first."""
 
     def test_same_engine(self):
@@ -984,7 +1048,9 @@ class TestSharedEngines:
         assert engine_for(jb, PAIRS) is engine_for(jb, PAIRS)
 
     def test_one_build_per_basis(self, monkeypatch):
-        counts = {"engine": 0, "psi": 0, "master": 0}
+        """One engine and one master across the requests, and each psi row is
+        formed once: the row growths add up to the n_max + 1 rows."""
+        counts = {"engine": 0, "rows": 0, "master": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -992,14 +1058,22 @@ class TestSharedEngines:
                 return fn(*args, **kwargs)
             return wrapper
 
+        original = PairEngine._grow
+
+        def grow(eng, hi):
+            have = eng.psi.shape[0]
+            psi = original(eng, hi)
+            counts["rows"] += psi.shape[0] - have
+            return psi
+
         monkeypatch.setattr(PairEngine, "__init__", counted("engine", PairEngine.__init__))
-        monkeypatch.setattr(BasisSpec, "psi_matrix", counted("psi", BasisSpec.psi_matrix))
+        monkeypatch.setattr(PairEngine, "_grow", grow)
         monkeypatch.setattr(_SubordinationMaster, "__init__",
                             counted("master", _SubordinationMaster.__init__))
         b = fresh_basis(0.0)
         for sigma in POTENTIAL_SIGMAS:
             potential_kernel(potential_request(KernelKind.BESSEL_POT, 0.0, sigma), b)
-        assert counts == {"engine": 1, "psi": 1, "master": 1}
+        assert counts == {"engine": 1, "rows": b.n_max + 1, "master": 1}
 
     def test_request_order_does_not_matter(self):
         requests = [(kind, nu, sigma) for kind, nu in POTENTIAL_CASES for sigma in POTENTIAL_SIGMAS]
