@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -70,11 +70,12 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
     return endpoint_graded_rule(n, m_l, m_r)
 
 
-# Modes per block where psi is formed for many points at once (the per-rule
-# psi of _rule_psi, the pair products of kernels.PairEngine.potential_series);
+# Modes per block where psi is formed for many points at once (the Bessel
+# rows of a RowStore, the pair products of kernels.PairEngine.potential_series);
 # bounds those temporaries at PSI_BLOCK_MODES x points.
 PSI_BLOCK_MODES = 128
-PSI_RULES_PER_BASIS = 4
+# Row stores kept per basis (BasisSpec.psi_rows), the oldest dropped first.
+PSI_STORES_PER_BASIS = 4
 # Relative allowance on the closed-form sup bound for the rounding of the
 # Bessel values it bounds and of its own evaluation.
 SUP_ROUNDING = 1e-12
@@ -85,20 +86,43 @@ JACOBI_SUP_SAFETY = 1.5
 
 
 def _check_open(x: np.ndarray) -> None:
-    if np.any((x <= 0.0) | (x >= 1.0)):
+    if np.any(~((x > 0.0) & (x < 1.0))):  # NaN fails both comparisons
         raise DomainError("evaluation points must lie in the open interval (0,1)")
 
 
+class RowStore:
+    """Rows of a basis at fixed points x (checked here), formed once each by
+    row_fn(x, lo, hi) (rows lo..hi-1): ``rows`` holds those formed so far,
+    read-only; upto(hi) grows it to max(hi, twice its rows), at most n_rows.
+    """
+
+    def __init__(self, row_fn: Callable, x: np.ndarray, n_rows: int):
+        _check_open(x)
+        self._row_fn = row_fn
+        self.x = x
+        self.n_rows = n_rows
+        self.rows = np.empty((0, x.size))
+
+    def upto(self, hi: int) -> np.ndarray:
+        have = self.rows.shape[0]
+        if hi > have:
+            top = min(self.n_rows, max(hi, 2 * have))
+            rows = np.concatenate([self.rows, self._row_fn(self.x, have, top)])
+            rows.flags.writeable = False
+            self.rows = rows
+        return self.rows
+
+
 def _bessel_rows(params: SpectralParams, c, zeros, x, lo: int, hi: int,
-                 block: Optional[int] = None) -> np.ndarray:
+                 block: int = PSI_BLOCK_MODES) -> np.ndarray:
     """psi_lo..psi_{hi-1} at x from the arrays of a BasisSpec (its constants
-    c and zeros), ``block`` Bessel rows at a time (all at once by default) so
-    that no temporary is larger than the result. Every entry is formed
-    elementwise, so a row does not depend on lo, hi or block."""
+    c and zeros), ``block`` Bessel rows at a time so that no temporary is
+    larger than the result. Every entry is formed elementwise, so a row does
+    not depend on lo, hi or block."""
     _check_open(x)
     sq = np.sqrt(x)
     out = np.zeros((hi - lo, x.size))
-    step = max(block or hi, 1)
+    step = max(block, 1)
     for a in range(max(lo, 1), hi, step):
         b = min(a + step, hi)
         out[a - lo : b - lo] = c[a:b, None] * sq[None, :] * bessel_j(
@@ -142,7 +166,8 @@ class BasisSpec:
     n_max: int
     c: np.ndarray = field(init=False)
     eigen: np.ndarray = field(init=False)
-    _psi_by_rule: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # Row stores of psi per point set, keyed by the points' bytes (psi_rows).
+    _stores: dict = field(init=False, default_factory=dict, repr=False, compare=False)
     # PairEngines on this basis, per pair tuple (kernels.engine_for).
     _engines: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
@@ -190,27 +215,20 @@ class BasisSpec:
         The unused n=0 row in the PLUS regime is identically zero.
         """
         n_upper = self.n_max if n_upper is None else min(n_upper, self.n_max)
-        return self._psi_rows(np.asarray(x, dtype=float), n_upper, n_upper)
+        return _bessel_rows(self.params, self.c, self.table.zeros, np.asarray(x, dtype=float),
+                            0, n_upper + 1)
 
-    def _psi_rows(self, x: np.ndarray, n_upper: int, block: int) -> np.ndarray:
-        """psi_0..psi_{n_upper} at x, ``block`` Bessel rows at a time."""
-        return _bessel_rows(self.params, self.c, self.table.zeros, x, 0, n_upper + 1, block)
+    def psi_rows(self, x) -> RowStore:
+        """The row_store of psi at x kept on the basis, keyed by the points'
+        values (a 1-D float64 copy's bytes: an array changed in place finds
+        its own rows); at most PSI_STORES_PER_BASIS, the oldest dropped first."""
+        x = np.array(x, dtype=float).ravel()
+        return _cached(self._stores, x.tobytes(), lambda: row_store(self, x), PSI_STORES_PER_BASIS)
 
-    def _rule_psi(self, quad: QuadratureRule) -> np.ndarray:
-        """Read-only psi_matrix(quad.nodes), kept on the basis per rule.
-
-        Filled on first use for each rule (never at construction), in blocks
-        of PSI_BLOCK_MODES modes; at most PSI_RULES_PER_BASIS rules are kept,
-        the oldest being dropped first. Entries hold their rule, so a key
-        (the rule's id) cannot be reused by another rule while cached.
-        """
-
-        def build():
-            mat = self._psi_rows(quad.nodes, self.n_max, PSI_BLOCK_MODES)
-            mat.flags.writeable = False
-            return quad, mat
-
-        return _cached(self._psi_by_rule, id(quad), build, PSI_RULES_PER_BASIS)[1]
+    @cached_property
+    def split_constant(self) -> float:
+        """_split_constant(nu) (nu > 1/2), computed on first use, then kept."""
+        return _split_constant(self.params.nu)
 
     def psi_prime_matrix(self, x: np.ndarray) -> np.ndarray:
         """Derivatives psi_n'(x) through the Bessel recurrence identities."""
@@ -315,6 +333,16 @@ def build_jacobi_basis(jp: JacobiParams, k_max: int) -> JacobiBasisSpec:
     return JacobiBasisSpec(jp, k_max)
 
 
+def row_store(basis, x) -> RowStore:
+    """A new RowStore at the points x (a 1-D float64 copy), bound to the
+    basis arrays, not the basis."""
+    x = np.array(x, dtype=float).ravel()
+    if isinstance(basis, JacobiBasisSpec):
+        return RowStore(partial(_jacobi_rows, basis.jp, basis.C), x, basis.k_max + 1)
+    rows = partial(_bessel_rows, basis.params, basis.c, basis.table.zeros)
+    return RowStore(rows, x, basis.n_max + 1)
+
+
 def default_coefficient_rule(b: BasisSpec, n: int = 512) -> QuadratureRule:
     """Quadrature suited to f * psi_n integrands (f bounded near 0)."""
     return inner_product_rule(n, b.params.nu + 0.5)
@@ -325,13 +353,20 @@ def dini_coefficients(
 ) -> np.ndarray:
     """Coefficients a_n = <f, psi_n> for n = 0..n_max (0 slot zero in PLUS).
 
-    psi at the rule's nodes comes from the basis's per-rule cache, so a
+    psi at the rule's nodes comes from the basis's row store for them, so a
     repeated call with the same rule costs f(nodes) and one mat-vec.
     """
+    return b.psi_rows(quad.nodes).upto(b.n_max + 1) @ (quad.weights * _node_values(f, quad))
+
+
+def _node_values(f: Callable[[np.ndarray], np.ndarray], quad: QuadratureRule) -> np.ndarray:
+    """f at the rule's nodes, checked to be finite and of the nodes' shape."""
     fx = np.asarray(f(quad.nodes), dtype=float)
     if fx.shape != quad.nodes.shape:
         raise DomainError("f must map the node array to an equal-shape array")
-    return b._rule_psi(quad) @ (quad.weights * fx)
+    if not np.all(np.isfinite(fx)):
+        raise DomainError("f must be finite at the quadrature nodes")
+    return fx
 
 
 def _split_constant(nu: float) -> float:
@@ -395,7 +430,7 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
     For n >= 1, psi_n(x) = a_n sqrt(r) J_nu(r) with a_n = c_n / sqrt(z_n) and
     r = z_n x, and sqrt(r) |J_nu(r)| <= G:
       - |nu| <= 1/2: r (J_nu^2 + Y_nu^2) <= 2/pi (Watson §13.74), G = sqrt(2/pi);
-      - nu > 1/2: G = _split_constant(nu);
+      - nu > 1/2: G = _split_constant(nu), kept on the basis;
       - -1 < nu < -1/2: the modulus does not increase in r (Watson §13.74),
         so G = modulus(z_n min(xs)).
     Stored modes use their own a_n and z_n; modes n > n_max use
@@ -414,7 +449,7 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
     if abs(nu) <= 0.5:
         g = g_tail = math.sqrt(2.0 / math.pi)
     elif nu > 0.5:
-        g = g_tail = _split_constant(nu)
+        g = g_tail = b.split_constant
     else:
         g = bessel_modulus(nu, z * x_lo)
         g_tail = bessel_modulus(nu, z[-1] * x_lo)

@@ -26,10 +26,9 @@ resolvable time scale.
 A PairEngine keeps the basis on the unique coordinates of its pairs, not
 the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
 the pair products of the modes it sums (up to its cutoff, or
-PSI_BLOCK_MODES modes at a time for the full-length potential series). The
-rows of psi are themselves formed on demand, up to the largest cutoff asked
-for so far, so memory grows with (rows grown) * n_coords, at most
-(n_max+1) * n_coords, rather than n_max * n_pairs.
+PSI_BLOCK_MODES modes at a time for the full-length potential series). Its
+basis.RowStore forms the rows of psi on demand, up to the largest cutoff
+asked for, so memory is (rows grown) * n_coords, not n_max * n_pairs.
 
 An engine is a pure function of its basis and its pairs (M is a stated
 bound fixed at construction), so engines are shared: engine_for(basis, pairs)
@@ -50,6 +49,9 @@ row is the per-time truncated sum up to rounding). A single time is the
 one-row case: every block sums from mode 0 to a multiple of SUM_ALIGN, so a
 one-time row is, to the last bit on the OpenBLAS gemv kernels tested, the
 sum over all n_max + 1 modes with zero multipliers outside the cutoff.
+
+semigroup_apply takes psi on its rule's nodes and on its grid from the
+basis's row stores, up to its cutoff: a time sweep forms each row once.
 
 The time-integral route of the potentials is one log-panelled Gauss rule in
 t shared by all pairs, evaluated a block of nodes at a time (direct series
@@ -77,14 +79,12 @@ from .basis import (
     PSI_BLOCK_MODES,
     BasisSpec,
     JacobiBasisSpec,
-    _bessel_rows,
     _cached,
-    _check_open,
-    _jacobi_rows,
+    _node_values,
     build_basis,
     certified_sup,
     default_coefficient_rule,
-    dini_coefficients,
+    row_store,
 )
 from .errors import (
     ConsistencyError,
@@ -293,16 +293,15 @@ class PairEngine:
     arrays ix and iy of each pair's x and y into them. Every kernel
     multiplier reduces to a weighted sum over modes of the pair products
     psi_n(x_p) psi_n(y_p), which each call forms only for the modes it sums
-    (_pair_products). psi starts with no rows and grows on demand (_grow)
-    up to the largest cutoff asked for so far, so it holds
-    (rows grown) x n_coords doubles; a grown row is bit-identical to the
-    basis's psi_matrix (phi_matrix) row.
+    (_pair_products). psi is the rows formed so far by the engine's
+    basis.RowStore on the coordinates (basis.row_store, which checks them),
+    (rows grown) x n_coords doubles, up to the largest cutoff asked for.
 
     Engines are shared across requests (engine_for), so psi, lam, ix, iy
     and dist are read-only. The engine keeps the basis parameters (params:
-    SpectralParams, or JacobiParams for a Jacobi basis) and the row function
-    bound to its coordinates and the basis arrays (_rows), not the basis,
-    which holds its engines.
+    SpectralParams, or JacobiParams for a Jacobi basis) and its row store,
+    which is bound to the basis arrays, not the basis, which holds its
+    engines.
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
@@ -312,10 +311,9 @@ class PairEngine:
         xs = np.array([p[0] for p in self.pairs])
         ys = np.array([p[1] for p in self.pairs])
         coords = np.unique(np.concatenate([xs, ys]))
-        _check_open(coords)
+        self._psi = row_store(basis, coords)
         if isinstance(basis, JacobiBasisSpec):
             self.params = basis.jp
-            self._rows = functools.partial(_jacobi_rows, basis.jp, basis.C, coords)
             self.n_min = 0
             self.n_max = basis.k_max
             self.lam = basis.Lambda.copy()
@@ -323,24 +321,25 @@ class PairEngine:
             self.c_off = max(0.0, -q)
         else:
             self.params = basis.params
-            self._rows = functools.partial(
-                _bessel_rows, basis.params, basis.c, basis.table.zeros, coords
-            )
             self.n_min = basis.n_min
             self.n_max = basis.n_max
             self.lam = basis.eigen.copy()
             self.c_off = basis.table.freq_offset
-        self.psi = np.empty((0, coords.size))
         self.ix = np.searchsorted(coords, xs)
         self.iy = np.searchsorted(coords, ys)
         self.M = certified_sup(basis, coords)
         self.dist = np.abs(xs - ys)
-        _read_only(self.psi, self.lam, self.ix, self.iy, self.dist)
+        _read_only(self.lam, self.ix, self.iy, self.dist)
         self._masters: dict = {}
 
     @property
     def n_pairs(self) -> int:
         return len(self.pairs)
+
+    @property
+    def psi(self) -> np.ndarray:
+        """The psi rows formed so far on the coordinates (read-only)."""
+        return self._psi.rows
 
     def _pair_products(self, lo: int, hi: int) -> np.ndarray:
         """psi_n(x_p) psi_n(y_p) for the modes lo <= n < hi, one row per mode.
@@ -349,7 +348,7 @@ class PairEngine:
         checked here: M is a stated bound fixed at construction, so a product
         above M^2 is a broken invariant (ConsistencyError), not a reason to
         change M."""
-        psi = self.psi if hi <= self.psi.shape[0] else self._grow(hi)
+        psi = self._psi.upto(hi)
         prods = psi[lo:hi, self.ix]
         prods *= psi[lo:hi, self.iy]
         peak = max(float(prods.max(initial=0.0)), -float(prods.min(initial=0.0)))
@@ -358,16 +357,6 @@ class PairEngine:
                 f"pair product {peak:.6e} exceeds the sup bound M^2 = {self.M * self.M:.6e}"
             )
         return prods
-
-    def _grow(self, hi: int) -> np.ndarray:
-        """Extend psi to at least hi rows: to max(hi, twice its rows), at most
-        n_max + 1, in a fresh read-only array, which is returned."""
-        have = self.psi.shape[0]
-        top = min(self.n_max + 1, max(hi, 2 * have))
-        psi = np.concatenate([self.psi, self._rows(have, top)])
-        _read_only(psi)
-        self.psi = psi
-        return psi
 
     # ----- heat ---------------------------------------------------------
 
@@ -906,34 +895,50 @@ def semigroup_apply(
 ) -> np.ndarray:
     """Apply the heat semigroup to f spectrally and evaluate on x_grid.
 
-    The coefficients a_n = <f, psi_n> use ``quad`` (default: the 1024-point
-    coefficient rule), whose psi matrix is cached on the basis, so each call
-    of a time sweep costs f at the nodes and one mat-vec. The series
-    sum_n e^{-t lambda_n} a_n psi_n(x) is cut at the first N whose tail
-    bound S * (Gaussian tail from N), S = ||f||_2 * M, is <= tol, on the
-    _gauss_cuts ladder (steps of max(1, N//16)) from the closed-form
+    The series sum_n e^{-t lambda_n} a_n psi_n(x) is cut at the first N
+    whose tail bound S * (Gaussian tail from N), S = ||f||_2 * M, is <= tol,
+    on the _gauss_cuts ladder (steps of max(1, N//16)) from the closed-form
     _gauss_start: a certified cutoff, not the smallest one, since the start
     and the last step may overshoot. |a_n| <= ||f||_2 for every n, computed
     or not (Bessel's inequality), with ||f||_2 from the same rule, and
-    M = certified_sup on x_grid. psi is evaluated on x_grid only up to N.
-    At t = 0 all n_max modes are summed. The certificate covers truncation
-    only; the quadrature error of the a_n and of ||f||_2 stays outside it.
+    M = certified_sup on x_grid; at t = 0, N = n_max. The certificate covers
+    truncation only, not the quadrature error of the a_n and of ||f||_2, but
+    a_n (n <= N) whose squares add up to more than (1 + 1e-6) ||f||_2^2,
+    aliased by a rule too coarse for them, raise ConsistencyError. An x_grid
+    that is not a non-empty 1-D array of points in (0,1), or an f not finite
+    at the nodes, raises DomainError.
+
+    The a_n = <f, psi_n> use ``quad`` (default: the 1024-point coefficient
+    rule) and its rows of psi up to N + 1 rounded up to a multiple of
+    SUM_ALIGN, which gives the full product's a_n to the last bit. psi on
+    the nodes and on x_grid comes from the basis's row stores
+    (BasisSpec.psi_rows), which form each row once: a call whose N was
+    reached before costs f at the nodes, the sup bound and two mat-vecs.
     """
     if not (math.isfinite(t) and t >= 0.0):
         raise DomainError(f"time must be finite and >= 0, got {t}")
     _check_tol(tol)
-    quad = quad or default_coefficient_rule(b, 1024)
-    fx = np.asarray(f(quad.nodes), dtype=float)
-    coeffs = dini_coefficients(b, lambda _: fx, quad)
     xs = np.asarray(x_grid, dtype=float)
-    if t == 0.0:
-        return coeffs @ b.psi_matrix(xs)
-    scale = math.sqrt(float(quad.weights @ (fx * fx))) * certified_sup(b, xs)
-    ts, c_off = np.array([t]), b.table.freq_offset
-    start = _gauss_start(ts, scale, c_off, tol, b.n_min, b.n_max)
-    cuts, _ = _gauss_cuts(start, ts, scale, c_off, tol, b.n_max, "semigroup")
-    n = int(cuts[0])
-    damped = np.zeros(n + 1)
+    if xs.ndim != 1 or xs.size == 0:
+        raise DomainError(f"x_grid must be a non-empty 1-D array, got shape {xs.shape}")
+    grid = b.psi_rows(xs)
+    quad = quad or default_coefficient_rule(b, 1024)
+    fx = _node_values(f, quad)
+    norm2 = float(quad.weights @ (fx * fx))
+    n = b.n_max
+    if t > 0.0:
+        scale = math.sqrt(norm2) * certified_sup(b, xs)
+        ts, c_off = np.array([t]), b.table.freq_offset
+        start = _gauss_start(ts, scale, c_off, tol, b.n_min, b.n_max)
+        n = int(_gauss_cuts(start, ts, scale, c_off, tol, b.n_max, "semigroup")[0][0])
+    k = min(b.n_max + 1, -(-(n + 1) // SUM_ALIGN) * SUM_ALIGN)
+    coeffs = b.psi_rows(quad.nodes).upto(k)[:k] @ (quad.weights * fx)
     sl = slice(b.n_min, n + 1)
+    summed = float(coeffs[sl] @ coeffs[sl])
+    if not summed <= (1.0 + 1e-6) * norm2:
+        raise ConsistencyError(
+            f"coefficients up to N = {n} break Bessel's inequality (sum a_n^2 = {summed:.3e} > "
+            f"||f||_2^2 = {norm2:.3e}): the {quad.nodes.size}-node rule cannot resolve them")
+    damped = np.zeros(n + 1)
     damped[sl] = coeffs[sl] * np.exp(-t * b.eigen[sl])
-    return damped @ b.psi_matrix(xs, n_upper=n)
+    return damped @ grid.upto(n + 1)[: n + 1]

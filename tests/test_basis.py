@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import shared_basis
+from dini import basis as basis_module
 from dini.basis import (
     PSI_BLOCK_MODES,
-    PSI_RULES_PER_BASIS,
+    PSI_STORES_PER_BASIS,
     BasisSpec,
     JacobiBasisSpec,
     build_basis,
@@ -16,10 +17,11 @@ from dini.basis import (
     dini_coefficients,
     eval_psi,
     gram_matrix,
+    row_store,
 )
 from dini.errors import DomainError, RegimeMismatchError
 from dini.kernels import PairEngine
-from dini.numerics import endpoint_graded_rule, gauss_legendre
+from dini.numerics import QuadratureRule, endpoint_graded_rule, gauss_legendre
 from dini.specfun import JacobiParams, Regime, SpectralParams
 from dini.zeros import build_zero_table
 
@@ -124,6 +126,13 @@ class TestCoefficients:
         assert coeffs[0] == pytest.approx(1.0, abs=1e-9)
         assert np.max(np.abs(coeffs[1:])) < 1e-9
 
+    def test_rejects_nonfinite_function(self):
+        b = shared_basis(0.7, n_max=10)
+        quad = default_coefficient_rule(b, 256)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(DomainError, match="finite"):
+                dini_coefficients(b, lambda x: np.where(x < 0.5, x, bad), quad)
+
     def test_parseval(self):
         b = shared_basis(0.7, n_max=200)
         quad = default_coefficient_rule(b, 1024)
@@ -203,7 +212,8 @@ class TestCertifiedSup:
         grid united with coordinates down to 1e-8 from either end."""
         b = shared_basis(nu, h, n_max=100)
         grid = np.linspace(1e-4, 1.0 - 1e-4, 20_000)
-        grid_max = float(np.max(np.abs(b._psi_rows(grid, b.n_max, 16))))
+        rows = basis_module._bessel_rows(b.params, b.c, b.table.zeros, grid, 0, b.n_max + 1, 16)
+        grid_max = float(np.max(np.abs(rows)))
         for xs in SUP_COORDS:
             peak = max(grid_max, float(np.max(np.abs(b.psi_matrix(xs)))))
             m = certified_sup(b, np.union1d(grid, xs))
@@ -237,6 +247,35 @@ class TestCertifiedSup:
         for xs in ([0.0, 0.5], [0.5, 1.0]):
             with pytest.raises(DomainError):
                 certified_sup(b, np.array(xs))
+
+    def test_nan_points_rejected(self):
+        b = shared_basis(0.0, n_max=60)
+        jb = build_jacobi_basis(JacobiParams(0.7, -0.5), 10)
+        xs = np.array([0.5, math.nan])
+        for evaluate in (lambda: certified_sup(b, xs), lambda: b.psi_matrix(xs),
+                         lambda: eval_psi(b, 1, math.nan), lambda: row_store(b, xs),
+                         lambda: jb.phi_matrix(xs), lambda: row_store(jb, xs)):
+            with pytest.raises(DomainError, match="open interval"):
+                evaluate()
+
+    def test_split_constant_kept_on_basis(self, monkeypatch):
+        """For nu > 1/2 the split constant is computed once per basis, and M
+        is the value computed afresh."""
+        xs = np.linspace(0.01, 0.99, 20)
+        fresh = {nu: certified_sup(build_basis(SpectralParams(nu, 0.5), 60), xs)
+                 for nu in (0.7, 3.0)}
+        calls = []
+        original = basis_module._split_constant
+        monkeypatch.setattr(basis_module, "_split_constant",
+                            lambda nu: calls.append(nu) or original(nu))
+        for nu, m in fresh.items():
+            b = build_basis(SpectralParams(nu, 0.5), 60)
+            assert calls.count(nu) == 0
+            assert [certified_sup(b, xs), certified_sup(b, xs[3:])] == [m, m]
+            PairEngine(b, [(0.3, 0.6)])
+            assert calls.count(nu) == 1
+        certified_sup(build_basis(SpectralParams(0.3, 0.5), 60), xs)
+        assert calls == [0.7, 3.0]
 
     @staticmethod
     def _count_probe_evaluations(monkeypatch):
@@ -299,52 +338,65 @@ class TestMpmathConstants:
 
 
 class TestRulePsiCache:
-    """psi at a coefficient rule's nodes is kept on the basis, once per rule."""
+    """psi at a coefficient rule's nodes is kept on the basis in a row store,
+    keyed by the nodes' values, and each of its rows is formed once."""
 
     @staticmethod
-    def _count_rule_evaluations(monkeypatch, n_nodes):
-        calls = []
-        original = BasisSpec._psi_rows
+    def _count_rule_rows(monkeypatch, n_nodes):
+        formed = []
+        original = basis_module._bessel_rows
 
-        def spy(self, x, n_upper, block):
-            calls.append(np.size(x))
-            return original(self, x, n_upper, block)
+        def spy(params, c, zeros, x, lo, hi, *block):
+            if np.size(x) == n_nodes:
+                formed.append(hi - lo)
+            return original(params, c, zeros, x, lo, hi, *block)
 
-        monkeypatch.setattr(BasisSpec, "_psi_rows", spy)
-        return lambda: sum(n == n_nodes for n in calls)
+        monkeypatch.setattr(basis_module, "_bessel_rows", spy)
+        return lambda: sum(formed)
 
     def test_filled_once_per_rule_never_at_build(self, monkeypatch):
-        evaluations = self._count_rule_evaluations(monkeypatch, 256)
+        formed = self._count_rule_rows(monkeypatch, 256)
         b = build_basis(SpectralParams(0.7, 0.5), 40)
-        assert b._psi_by_rule == {} and evaluations() == 0
+        assert b._stores == {} and formed() == 0
         rule = gauss_legendre(256)
         f = lambda x: x * (1.0 - x)
         first = dini_coefficients(b, f, rule)
         second = dini_coefficients(b, lambda x: np.cos(x), rule)
-        assert evaluations() == 1
+        assert formed() == b.n_max + 1
         assert np.array_equal(dini_coefficients(b, f, rule), first)
         assert not np.array_equal(first, second)
+        # Keyed by value: a copy of the rule finds the same rows.
+        copy = QuadratureRule(rule.nodes.copy(), rule.weights.copy())
+        assert np.array_equal(dini_coefficients(b, f, copy), first)
+        assert formed() == b.n_max + 1
         other = build_basis(SpectralParams(0.7, 0.5), 40, table=b.table)
         dini_coefficients(other, f, rule)
-        assert evaluations() == 2
+        assert formed() == 2 * (b.n_max + 1)
 
     def test_read_only_and_bounded(self):
         b = build_basis(SpectralParams(0.7, 0.5), 20)
         rules = [gauss_legendre(n) for n in (64, 65, 66, 67, 68)]
-        mat = b._rule_psi(rules[0])
-        assert b._rule_psi(rules[0]) is mat
+        store = b.psi_rows(rules[0].nodes)
+        assert b.psi_rows(rules[0].nodes) is store
+        mat = store.upto(b.n_max + 1)
         with pytest.raises(ValueError):
             mat[1, 0] = 0.0
         for rule in rules[1:]:
-            b._rule_psi(rule)
-        assert len(b._psi_by_rule) == PSI_RULES_PER_BASIS
-        assert b._rule_psi(rules[0]) is not mat  # the oldest rule was dropped
+            b.psi_rows(rule.nodes)
+        assert len(b._stores) == PSI_STORES_PER_BASIS
+        assert b.psi_rows(rules[0].nodes) is not store  # the oldest store was dropped
 
     @pytest.mark.parametrize("nu", [0.7, -0.5, -0.75])  # PLUS, ZERO, MINUS
     def test_blocks_bit_identical_to_psi_matrix(self, nu):
         b = shared_basis(nu, n_max=2 * PSI_BLOCK_MODES + 37)
         for rule in (default_coefficient_rule(b, 300), endpoint_graded_rule(200, 3, 1)):
-            assert np.array_equal(b._rule_psi(rule), b.psi_matrix(rule.nodes))
+            ref = b.psi_matrix(rule.nodes)
+            store = row_store(b, rule.nodes)
+            for hi in (1, 5, 7, PSI_BLOCK_MODES + 3, b.n_max + 1):
+                rows = store.upto(hi)
+                assert hi <= rows.shape[0] <= b.n_max + 1
+                assert np.array_equal(rows, ref[: rows.shape[0]])
+            assert np.array_equal(b.psi_rows(rule.nodes).upto(b.n_max + 1), ref)
             f = lambda x: x**1.5 * (1.0 - x)
             fx = rule.weights * f(rule.nodes)
-            assert np.array_equal(dini_coefficients(b, f, rule), b.psi_matrix(rule.nodes) @ fx)
+            assert np.array_equal(dini_coefficients(b, f, rule), ref @ fx)

@@ -2,6 +2,7 @@ import cmath
 import gc
 import itertools
 import math
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import shared_basis
 from dini.basis import (
     BasisSpec,
+    RowStore,
     build_basis,
     build_jacobi_basis,
     certified_sup,
@@ -50,6 +52,7 @@ from dini.kernels import (
     _exp_rows,
     _exp_tail,
     _gauss_cuts,
+    _gauss_start,
     _legendre,
     _log_panel_rule,
     engine_for,
@@ -415,6 +418,36 @@ def uncached_semigroup(b, f, t_values, xs, quad, tol):
     return out
 
 
+def semigroup_cut(b, fx, quad, xs, t, tol):
+    """The cutoff N of semigroup_apply: the _gauss_cuts ladder from
+    _gauss_start for S = ||f||_2 M (all n_max modes at t = 0)."""
+    if t == 0.0:
+        return b.n_max
+    scale = math.sqrt(float(quad.weights @ (fx * fx))) * certified_sup(b, xs)
+    ts, c_off = np.array([t]), b.table.freq_offset
+    start = _gauss_start(ts, scale, c_off, tol, b.n_min, b.n_max)
+    return int(_gauss_cuts(start, ts, scale, c_off, tol, b.n_max, "semigroup")[0][0])
+
+
+def full_matrix_semigroup(b, f, t_values, xs, quad, tol):
+    """semigroup_apply as it was before the row stores: all n_max + 1
+    coefficients from the full psi matrix at the rule's nodes, then
+    damped @ psi_matrix(xs, n_upper=N) (the whole coefficient vector times
+    the whole matrix at t = 0)."""
+    fx = f(quad.nodes)
+    coeffs = b.psi_matrix(quad.nodes) @ (quad.weights * fx)
+    out = []
+    for t in t_values:
+        if t == 0.0:
+            out.append(coeffs @ b.psi_matrix(xs))
+            continue
+        n = semigroup_cut(b, fx, quad, xs, t, tol)
+        damped = np.zeros(n + 1)
+        damped[b.n_min : n + 1] = coeffs[b.n_min : n + 1] * np.exp(-t * b.eigen[b.n_min : n + 1])
+        out.append(damped @ b.psi_matrix(xs, n_upper=n))
+    return out
+
+
 AGREEMENT_PAIRS = [(0.3, 0.6), (0.15, 0.45), (0.1, 0.9), (0.55, 0.8), (0.05, 0.2), (0.65, 0.95)]
 
 
@@ -703,7 +736,7 @@ class TestCoordinateProducts:
         assert eng.n_pairs == 5184
         _, n_terms, _ = eng.heat_values(1e-3, 1e-10)
         assert eng.psi.shape[0] <= 2 * (n_terms + SUM_ALIGN)
-        arrays = [v for v in vars(eng).values() if isinstance(v, np.ndarray)]
+        arrays = [eng.psi] + [v for v in vars(eng).values() if isinstance(v, np.ndarray)]
         for a in arrays:
             assert not (a.ndim == 2 and a.shape[1] == eng.n_pairs and a.shape[0] > PSI_BLOCK_MODES)
         assert sum(a.nbytes for a in arrays) <= 2 * 3001 * 72 * 8
@@ -831,6 +864,11 @@ class TestLazyRows:
         for basis in blocked_bases():
             with pytest.raises(DomainError, match="open interval"):
                 PairEngine(basis, [(0.3, 0.6), (0.5, 1.0)])
+
+    def test_nan_coordinate_rejected(self):
+        for basis in blocked_bases():
+            with pytest.raises(DomainError, match="open interval"):
+                PairEngine(basis, [(0.3, 0.6), (0.5, math.nan)])
 
 
 def old_series(eng, mult, n_cut):
@@ -1058,16 +1096,16 @@ class TestSharedEngines:
                 return fn(*args, **kwargs)
             return wrapper
 
-        original = PairEngine._grow
+        original = RowStore.upto
 
-        def grow(eng, hi):
-            have = eng.psi.shape[0]
-            psi = original(eng, hi)
-            counts["rows"] += psi.shape[0] - have
-            return psi
+        def upto(store, hi):
+            have = store.rows.shape[0]
+            rows = original(store, hi)
+            counts["rows"] += rows.shape[0] - have
+            return rows
 
         monkeypatch.setattr(PairEngine, "__init__", counted("engine", PairEngine.__init__))
-        monkeypatch.setattr(PairEngine, "_grow", grow)
+        monkeypatch.setattr(RowStore, "upto", upto)
         monkeypatch.setattr(_SubordinationMaster, "__init__",
                             counted("master", _SubordinationMaster.__init__))
         b = fresh_basis(0.0)
@@ -1194,6 +1232,72 @@ class TestSemigroupApply:
             out = semigroup_apply(b, f, t, xs, tol=1e-9)
             assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("nu", [0.7, -0.5, -0.75])  # PLUS, ZERO, MINUS
+    def test_equals_full_matrix_sweep(self, nu):
+        """Every value equals, to the last bit, the sweep over the full psi
+        matrices, whatever order the times come in on one basis."""
+        b = build_basis(SpectralParams(nu, 0.5), 600, table=shared_basis(nu, n_max=600).table)
+        f = lambda x: x * (1.0 - x) ** 2
+        xs = np.linspace(0.01, 0.99, 200)
+        quad = default_coefficient_rule(b, 1024)
+        descending = (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+        times = descending + descending[::-1] + (1e-3, 0.0, 1e-1, 1e-5, 0.0, 1e-2)
+        refs = full_matrix_semigroup(b, f, times, xs, quad, 1e-9)
+        for t, ref in zip(times, refs):
+            assert np.array_equal(semigroup_apply(b, f, t, xs, tol=1e-9), ref)
+
+    def test_rows_bounded_by_the_cutoff(self):
+        """A call forms psi on the rule and on the grid only up to about its
+        cutoff, not all n_max + 1 rows."""
+        b = build_basis(SpectralParams(0.7, 0.5), 1500, table=shared_basis(0.7, n_max=1500).table)
+        f = lambda x: x * (1.0 - x) ** 2
+        xs = np.linspace(0.01, 0.99, 200)
+        quad = default_coefficient_rule(b, 1024)
+        semigroup_apply(b, f, 0.1, xs, tol=1e-9)
+        n = semigroup_cut(b, f(quad.nodes), quad, xs, 0.1, 1e-9)
+        assert n < 100 and len(b._stores) == 2
+        for points in (quad.nodes, xs):
+            assert n < b.psi_rows(points).rows.shape[0] <= 2 * (n + SUM_ALIGN)
+
+    def test_stores_keyed_by_value(self):
+        """A grid changed in place between calls gets its own rows, as on a
+        fresh basis, never the rows of its old values."""
+        table = shared_basis(0.7).table
+        b = build_basis(SpectralParams(0.7, 0.5), 300, table=table)
+        f = lambda x: x * (1.0 - x) ** 2
+        xs = np.linspace(0.05, 0.95, 19)
+        first = semigroup_apply(b, f, 1e-3, xs)
+        xs[:] = np.linspace(0.1, 0.6, 19)
+        second = semigroup_apply(b, f, 1e-3, xs)
+        fresh = build_basis(SpectralParams(0.7, 0.5), 300, table=table)
+        assert np.array_equal(second, semigroup_apply(fresh, f, 1e-3, xs.copy()))
+        assert not np.array_equal(first, second)
+
+    def test_refuses_aliased_coefficients(self):
+        """At t = 0 all 1500 modes are summed, and the 1024-node rule aliases
+        the coefficients above n ~ 1000: their squares add up to more than
+        ||f||_2^2, against Bessel's inequality."""
+        b = shared_basis(0.7, n_max=1500)
+        f = lambda x: x * (1.0 - x) ** 2
+        xs = np.linspace(0.01, 0.99, 200)
+        with pytest.raises(ConsistencyError, match="N = 1500.*1024-node rule"):
+            semigroup_apply(b, f, 0.0, xs)
+        assert np.all(np.isfinite(semigroup_apply(b, f, 0.1, xs)))
+
+    @pytest.mark.parametrize("grid", [[0.5, math.nan], np.full((2, 3), 0.5), []])
+    def test_rejects_bad_grid(self, grid):
+        b = shared_basis(0.7, n_max=60)
+        with pytest.raises(DomainError):
+            semigroup_apply(b, lambda x: x, 0.1, grid)
+
+    def test_rejects_nonfinite_function(self):
+        b = shared_basis(0.7, n_max=60)
+        f = lambda x: np.where(x < 0.5, x, math.nan)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="finite"):
+                semigroup_apply(b, f, 0.1, np.array([0.5]))
+
     def test_explicit_rule_honoured(self):
         b = shared_basis(0.7, n_max=200)
         f = lambda x: x**1.2 * (1.0 - x) ** 2
@@ -1202,7 +1306,7 @@ class TestSemigroupApply:
         out = semigroup_apply(b, f, 1e-3, xs, quad=graded)
         (ref,) = uncached_semigroup(b, f, (1e-3,), xs, graded, 1e-10)
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert id(graded) in b._psi_by_rule
+        assert graded.nodes.tobytes() in b._stores
 
     def test_tail_bound_covers_uncomputed_coefficients(self):
         """f = psi_200 of a larger basis has coefficients ~0 on the 40 stored
