@@ -231,9 +231,11 @@ class BasisSpec:
         return _split_constant(self.params.nu)
 
     def psi_prime_matrix(self, x: np.ndarray) -> np.ndarray:
-        """Derivatives psi_n'(x) through the Bessel recurrence identities."""
+        """Derivatives psi_n'(x) through the Bessel recurrence identities, for
+        x in (0, 1]: the Robin check evaluates them at the boundary."""
         p = self.params
         x = np.asarray(x, dtype=float)
+        _check_open(x[x != 1.0])
         z = self.table.zeros[1 : self.n_max + 1]
         sq = np.sqrt(x)
         zx = z[:, None] * x[None, :]

@@ -132,8 +132,9 @@ def refine_root(
         fx = f(x_new)
         s = _sign(fx)
         if s == 0:
-            # Exact zero hit: shrink to a tiny certified interval around it.
-            eps = max(tol / 4.0, 4.0 * abs(x_new) * np.finfo(float).eps)
+            # Exact zero hit: shrink to a certified interval around it, of
+            # width <= tol whenever tol >= 2 ulp(x_new).
+            eps = max(tol / 4.0, math.ulp(x_new))
             lo2, hi2 = max(lo, x_new - eps), min(hi, x_new + eps)
             return x_new, Bracket.from_function(f, lo2, hi2)
         if s == s_lo:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -26,19 +26,20 @@ NEWTON_STEPS = 60
 
 
 def _scan_first_sign_change(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, n: int = 8192
-) -> tuple[float, float, int, int]:
+    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, what: str, n: int = 8192
+) -> tuple[float, float, int]:
+    """First sign-change cell of f on an n-point grid over [lo, hi], sign at its low end."""
     grid = np.linspace(lo, hi, n)
     signs = np.sign(f(grid))
     flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     if flips.size == 0:
+        step = (hi - lo) / (n - 1)
         raise BracketScanFailure(
-            f"no sign change found on ({lo:.6g}, {hi:.6g}) at resolution "
-            f"{(hi - lo) / (n - 1):.3g}",
-            scan_step=(hi - lo) / (n - 1),
+            f"{what}: no sign change found on ({lo:.6g}, {hi:.6g}) at resolution {step:.3g}",
+            scan_step=step,
         )
     i = int(flips[0])
-    return float(grid[i]), float(grid[i + 1]), int(signs[i]), int(signs[i + 1])
+    return float(grid[i]), float(grid[i + 1]), int(signs[i])
 
 
 def _newton(fdf, x, lo, hi, s_lo, tol):
@@ -73,8 +74,9 @@ def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     x -/+ d, d = max(0.45 tol, 2 ulp(x)) in whole ulps, and accepts
     [x - d, x + d] when it has the signs s_lo, -s_lo, lies in the cell and
     has width <= max(tol, 4 ulp). Failing entries are bisected
-    (``refine_root``) from their Newton bracket to width max(tol, 4 ulp),
-    which raises if it cannot. Returns the zeros and the certified ends."""
+    (``refine_root``) from their Newton bracket [l, h] to width max(tol,
+    4 ulp(l)) <= max(tol, 4 ulp(b)), which raises if it cannot. Returns the
+    zeros and the certified ends."""
     x0 = np.where((x0 > lo) & (x0 < hi), x0, 0.5 * (lo + hi))
     x, n_lo, n_hi = _newton(fdf, x0, lo, hi, s_lo, tol)
     u = np.spacing(np.abs(x))
@@ -85,7 +87,7 @@ def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     bad = ~ok | (b - a > np.maximum(tol, 4.0 * np.spacing(b)))
     for i in np.flatnonzero(bad):
         br = Bracket(float(n_lo[i]), float(n_hi[i]), int(s_lo[i]), -int(s_lo[i]))
-        x[i], br = refine_root(f, br, max(tol, 4.0 * np.spacing(br.hi)))
+        x[i], br = refine_root(f, br, max(tol, 4.0 * np.spacing(br.lo)))
         a[i], b[i] = br.lo, br.hi
     return x, a, b
 
@@ -112,7 +114,8 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
     for k in np.flatnonzero(s_lo * s_hi >= 0):
         prev = hi[k - 1] if k else 0.0
         start = prev + max(1e-9, 1e-6 * prev) if prev > 0 else 1e-8
-        lo[k], hi[k], s_lo[k], _ = _scan_first_sign_change(f, start, g[k] + 2.5)
+        what = f"J_nu zeros at nu = {nu:g}: zero k = {k + 1} not bracketed"
+        lo[k], hi[k], s_lo[k] = _scan_first_sign_change(f, start, g[k] + 2.5, what)
     if np.any(lo[1:] <= hi[:-1]):
         raise BracketScanFailure("J_nu zero brackets overlap")
     return _refine(f, fdf, g, lo, hi, s_lo, tol)[0]
@@ -122,46 +125,54 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
 class ZeroTable:
     """Zeros z_n of J_{nu,H} (and of I_{nu,H} for n=0), with certificates.
 
-    ``zeros[n]`` holds z_n for n in [n_min, n_max]; in the PLUS regime the
-    n=0 slot is NaN. z_n, n >= 1, is certified in two steps: its interlacing
-    cell, between consecutive certified zeros of J_nu (``j_zeros``; 0+
-    below the first) where J_{nu,H} has opposite computed signs; then
-    ``brackets[n]`` = [x - d, x + d] around the refined x, d = max(0.45 tol,
-    2 ulp), inside the cell and with the cell's signs computed at its ends
-    (or a bisected bracket where that test fails). Every bracket is signed,
-    in its cell and of width <= max(tol, 4 ulp); z_0 has the same kind of
-    bracket for I_{nu,H}. The residual |J_{nu,H}(z_n)| / (1 + z_n) and the
-    order z_1 < z_2 < ... are checked. ``pi_offset_sup`` = sup_n |z_n - pi*n|
-    and ``freq_offset`` is the lower offset with z_n >= pi*(n - freq_offset)
-    for all stored n >= 1, used by series tail bounds.
+    ``zeros[n]`` holds z_n for n in [n_min, n_max] (NaN at n=0 in the PLUS
+    regime). Slot n of ``lo``, ``hi``, ``sign`` holds the bracket [lo, hi] of
+    z_n and the computed sign at lo (-sign at hi), or 0, 0, 0 where there is
+    no bracket (n=0 unless MINUS; z_0 = 0 in the ZERO regime). A bracket is
+    x -/+ d around the refined x, d = max(0.45 tol, 2 ulp), in the cell of x
+    and signed as at its ends, or bisected where that test fails; J_{nu,H}
+    cells lie between zeros of J_nu (``j_zeros``; 0 below the first).
+    Construction raises ``ConsistencyError`` unless |J_{nu,H}(z_n)| / (1 +
+    z_n) <= RESIDUAL_SCALE, every bracket has sign +-1, lo < z < hi and
+    hi - lo <= max(tol, 4 ulp(hi)), and bracket n >= 1 lies in cell n of
+    [0, j_zeros] (n + 1 unless PLUS), below bracket n + 1: z_1 < z_2 < ...
+    (z_0 may exceed z_1, e.g. 1.92 > 1.81 at nu = -0.75, H = -1.5, while
+    -z_0^2 < z_1^2). ``pi_offset_sup`` = sup_n |z_n - pi*n|; ``freq_offset``,
+    the least c >= 0 with z_n >= pi*(n - c) for n >= 1, serves tail bounds.
     """
 
     params: SpectralParams
     n_max: int
     tol: float
     zeros: np.ndarray
-    brackets: list
+    lo: np.ndarray
+    hi: np.ndarray
+    sign: np.ndarray
+    j_zeros: np.ndarray
     pi_offset_sup: float = field(init=False)
     freq_offset: float = field(init=False)
     max_residual: float = field(init=False)
-    j_zeros: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        z = self.zeros[1:]
-        n = np.arange(1, self.n_max + 1, dtype=float)
-        self.pi_offset_sup = float(np.max(np.abs(z - math.pi * n)))
-        self.freq_offset = float(max(0.0, np.max(n - z / math.pi)))
-        res = np.abs(bessel_jh(self.params, z)) / (1.0 + z)
+        z, lo, hi, n = self.zeros, self.lo, self.hi, np.arange(self.n_max + 1)
+        self.pi_offset_sup = float(np.max(np.abs(z[1:] - math.pi * n[1:])))
+        self.freq_offset = float(max(0.0, np.max(n[1:] - z[1:] / math.pi)))
+        res = np.append(0.0, np.abs(bessel_jh(self.params, z[1:])) / (1.0 + z[1:]))
         self.max_residual = float(np.max(res))
-        if self.max_residual > RESIDUAL_SCALE:
-            raise ConsistencyError(
-                f"zero residual {self.max_residual:.3e} exceeds {RESIDUAL_SCALE:.1e}"
-            )
-        # Only the J_{nu,H} zeros are ordered: z_0 of I_{nu,H} may exceed z_1
-        # (nu = -0.75, H = -1.5 gives z_0 = 1.92 > z_1 = 1.81), while the
-        # eigenvalues -z_0^2 < z_1^2 stay ordered whatever z_0 is.
-        if np.any(np.diff(self.zeros[1:]) <= 0.0):
-            raise ConsistencyError("zeros are not strictly increasing")
+        j, has = n >= 1, (n >= 1) | (self.params.regime is Regime.MINUS)
+        cells = np.concatenate([[0.0], self.j_zeros])
+        cell = n + (self.params.regime is not Regime.PLUS)  # [cells[cell - 1], cells[cell]]
+        own = (np.searchsorted(cells, lo, "right") == cell) & (np.searchsorted(cells, hi) == cell)
+        for what, ok in (
+            (f"residual {self.max_residual:.3e} > {RESIDUAL_SCALE:.1e}", res <= RESIDUAL_SCALE),
+            ("sign +-1 where bracketed, else 0", np.abs(self.sign) == has),
+            ("bracket below the next one", np.append(~j[:-1] | (hi[:-1] < lo[1:]), True)),
+            ("bracket in its own interlacing cell", ~j | (own & (cell < cells.size))),
+            ("lo < z < hi", ~has | ((lo < z) & (z < hi))),
+            ("width <= max(tol, 4 ulp)", ~has | (hi - lo <= np.fmax(self.tol, 4 * np.spacing(hi)))),
+        ):
+            if not np.all(ok):
+                raise ConsistencyError(f"zero certificate fails at n = {np.argmin(ok)}: {what}")
 
     @property
     def n_min(self) -> int:
@@ -173,10 +184,8 @@ class ZeroTable:
         p = self.params
         lines = ["nu,H,n,zero,bracket_lo,bracket_hi,tol"]
         for n in range(self.n_min, self.n_max + 1):
-            br = self.brackets[n]
-            lo, hi = (br.lo, br.hi) if br is not None else (0.0, 0.0)
-            cells = (_fmt(p.nu), _fmt(p.h), str(n), _fmt(self.zeros[n]), _fmt(lo), _fmt(hi),
-                     _fmt(self.tol))
+            cells = (_fmt(p.nu), _fmt(p.h), str(n), _fmt(self.zeros[n]), _fmt(self.lo[n]),
+                     _fmt(self.hi[n]), _fmt(self.tol))
             lines.append(",".join(cells))
         text = "\n".join(lines) + "\n"
         if hasattr(out, "write"):
@@ -190,7 +199,8 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
     """Compute z_n for n = n_min..n_max with the certificate of ``ZeroTable``.
 
     The cells are the intervals between 0+ and the zeros of J_nu where
-    J_{nu,H} changes sign; whether (0+, j_1) is one must match the regime.
+    J_{nu,H} changes sign (the table's certificate checks that they are
+    consecutive and that (0+, j_1) is one exactly in the PLUS regime).
     ``_refine`` starts at the cell midpoint m shifted by (H - 1/2)/m, the
     large-x offset of the zero. z_0 is refined in the first sign change of
     I_{nu,H} on 0+, 1, 2, 4, ..., from its small-x value sqrt(-2(nu+1)(nu+H)).
@@ -200,8 +210,7 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
     if not (math.isfinite(tol) and tol >= 1e-13):
         raise DomainError(f"tol must be finite and >= 1e-13, got {tol}")
 
-    need_j = n_max if p.regime is Regime.PLUS else n_max + 1
-    j = bessel_j_zeros(p.nu, need_j, tol)
+    j = bessel_j_zeros(p.nu, n_max + (p.regime is not Regime.PLUS), tol)
     f = lambda x: bessel_jh(p, x)
 
     eps0 = min(1e-3 * j[0], 0.05)
@@ -211,28 +220,17 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
         eps0 = min(eps0, 0.3 * math.sqrt(2.0 * (p.nu + 1.0) * (p.nu + p.h)))
     nodes = np.concatenate([[eps0], j])
     signs = np.sign(f(nodes))
-    if signs[0] == 0:
-        raise BracketScanFailure("sign of J_{nu,H} indeterminate near 0")
-    flip = signs[:-1] * signs[1:] < 0
-
-    first_cell_has_zero = bool(flip[0])
-    if first_cell_has_zero != (p.regime is Regime.PLUS):
-        raise ConsistencyError(
-            "interlacing pattern inconsistent with the sign regime of nu + H"
-        )
-    cells = np.nonzero(flip)[0]
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
     if cells.size < n_max:
-        raise BracketScanFailure(
-            f"found {cells.size} interlacing cells, need {n_max}"
-        )
+        raise BracketScanFailure(f"found {cells.size} interlacing cells, need {n_max}")
     cells = cells[:n_max]
 
     lo, hi, s_lo = nodes[cells], nodes[cells + 1], signs[cells]
     mid = 0.5 * (lo + hi)
     x0 = mid + (p.h - 0.5) / mid
-    zeros, brackets = np.full(n_max + 1, np.nan), [None] * (n_max + 1)
-    zeros[1:], a, b = _refine(f, lambda x: robin_and_slope(p, x), x0, lo, hi, s_lo, tol)
-    brackets[1:] = [Bracket(float(u), float(v), int(s), -int(s)) for u, v, s in zip(a, b, s_lo)]
+    zeros, a, b, sign = np.zeros((4, n_max + 1))
+    zeros[1:], a[1:], b[1:] = _refine(f, lambda x: robin_and_slope(p, x), x0, lo, hi, s_lo, tol)
+    sign[1:] = s_lo
 
     if p.regime is Regime.MINUS:
         f0 = lambda x: bessel_ih(p, x)
@@ -243,13 +241,12 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
             raise BracketScanFailure(f"no sign change of I_{{nu,H}} on (0, {Z0_SEARCH_CAP:g}]")
         x0 = np.array([math.sqrt(-2.0 * (p.nu + 1.0) * (p.nu + p.h))])
         fdf0 = lambda x: robin_and_slope(p, x, modified=True)
-        z0, a0, b0 = _refine(f0, fdf0, x0, xs[up], xs[up + 1], s[up], tol)
-        zeros[0] = z0[0]
-        brackets[0] = Bracket(float(a0[0]), float(b0[0]), -1, 1)
-    elif p.regime is Regime.ZERO:
-        zeros[0] = 0.0
+        zeros[:1], a[:1], b[:1] = _refine(f0, fdf0, x0, xs[up], xs[up + 1], s[up], tol)
+        sign[0] = -1
+    elif p.regime is Regime.PLUS:
+        zeros[0] = np.nan
 
-    return ZeroTable(p, n_max, tol, zeros, brackets, j_zeros=j)
+    return ZeroTable(p, n_max, tol, zeros, a, b, sign, j)
 
 
 def x0_bound(nu: float) -> float:

@@ -167,6 +167,14 @@ class TestEigenRelation:
             vals = (h - 0.5) * b.psi_matrix(x1) + b.psi_prime_matrix(x1)
             assert np.max(np.abs(vals[b.n_min :])) < 1e-8
 
+    def test_derivative_points_checked(self):
+        # psi' is defined on (0, 1]: x = 1 is the boundary the Robin check uses.
+        b = build_basis(SpectralParams(0.7, 0.5), 10)
+        assert np.all(np.isfinite(b.psi_prime_matrix(np.array([0.5, 1.0]))))
+        for xs in ([0.5, math.nan], [1.5], [0.0], [-0.2, 0.5]):
+            with pytest.raises(DomainError):
+                b.psi_prime_matrix(np.array(xs))
+
 
 class TestNormalizationConstants:
     def test_positive(self):

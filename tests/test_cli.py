@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,6 +48,13 @@ class TestZerosCommand:
         build_zero_table(SpectralParams(-0.75, 0.5), 4, 1e-10).to_csv(path)
         assert path.read_bytes() == out.encode()
         assert b"\r" not in path.read_bytes()
+
+    def test_zero_scan_failure_names_stage(self, capsys):
+        # The J_nu zero scan fails above nu ~ 30; the message names the stage,
+        # the order and the zero it could not bracket.
+        code, _, err = run_cli(["zeros", "--nu", "40", "--n-max", "50", "--out", "-"], capsys)
+        assert code == 2
+        assert re.search(r"J_nu zeros at nu = 40: zero k = \d+ not bracketed", err)
 
     def test_mode_budget_above_former_cap(self, capsys):
         # z_3500 ~ 1.1e4 lies beyond the former bessel_j cap of 1e4.

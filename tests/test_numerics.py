@@ -72,6 +72,15 @@ class TestRefineRoot:
         assert root == 0.5 and final.lo < 0.5 < final.hi
         assert (final.f_lo_sign, final.f_hi_sign) == (-1, 1)
 
+    @pytest.mark.parametrize("tol", [1e-13, 4.0 * math.ulp(64.0)])
+    def test_exact_zero_bracket_honours_tol(self, tol):
+        # The first midpoint 64 is an exact zero; the bracket around it must
+        # still be signed and no wider than tol (tol >= 2 ulp(64)).
+        root, final = refine_root(lambda x: x - 64.0, Bracket(0.0, 128.0, -1, 1), tol)
+        assert root == 64.0 and final.lo < 64.0 < final.hi
+        assert final.width <= tol
+        assert (final.f_lo_sign, final.f_hi_sign) == (-1, 1)
+
     @given(st.floats(-0.9, 0.9), st.floats(0.05, 2.0))
     @settings(max_examples=40, deadline=None)
     def test_enclosure_property(self, shift, scale):

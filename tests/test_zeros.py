@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dini.zeros as zeros_mod
-from dini.errors import DomainError
+from dini.errors import ConsistencyError, DomainError
 from dini.specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh
 from dini.zeros import (
+    ZeroTable,
     bessel_j_zeros,
     build_zero_table,
     x0_bound,
@@ -82,8 +83,8 @@ class TestBuildZeroTable:
         p = SpectralParams(-0.8, 0.5)
         table = build_zero_table(p, 3)
         assert 0.0 < table.zeros[0] < 0.5
-        br = table.brackets[0]
-        assert br.lo <= table.zeros[0] <= br.hi
+        assert table.lo[0] <= table.zeros[0] <= table.hi[0]
+        assert table.sign[0] == -1
 
     def test_plus_regime_rejects_z0(self):
         table = build_zero_table(SpectralParams(0.5, 0.5), 3)
@@ -94,9 +95,9 @@ class TestBuildZeroTable:
         p = SpectralParams(0.2, 0.5)
         table = build_zero_table(p, 10)
         for n in range(1, 11):
-            br = table.brackets[n]
-            assert br.lo < table.zeros[n] < br.hi
-            assert br.width <= max(table.tol, 8.0 * np.spacing(br.hi))
+            lo, hi = table.lo[n], table.hi[n]
+            assert lo < table.zeros[n] < hi
+            assert hi - lo <= max(table.tol, 4.0 * np.spacing(hi))
 
     def test_tolerance_floor(self):
         with pytest.raises(DomainError):
@@ -132,18 +133,17 @@ def assert_certified(table):
     p = table.params
     cells = np.concatenate([[0.0], table.j_zeros])
     for n in range(table.n_min, table.n_max + 1):
-        br, z = table.brackets[n], table.zeros[n]
+        lo, hi, sign, z = table.lo[n], table.hi[n], table.sign[n], table.zeros[n]
         if n == 0 and p.regime is Regime.ZERO:
-            assert br is None and z == 0.0
+            assert sign == 0 and lo == hi == 0.0 and z == 0.0
             continue
-        assert br.lo < z < br.hi
-        assert br.width <= max(table.tol, 4.0 * np.spacing(br.hi))
+        assert lo < z < hi
+        assert hi - lo <= max(table.tol, 4.0 * np.spacing(hi))
         f = bessel_ih if n == 0 else bessel_jh
-        assert (np.sign(f(p, br.lo)), np.sign(f(p, br.hi))) == (br.f_lo_sign, br.f_hi_sign)
-        assert br.f_lo_sign == -br.f_hi_sign != 0
+        assert (np.sign(f(p, lo)), np.sign(f(p, hi))) == (sign, -sign)
+        assert sign in (-1, 1)
     # Cell k of the J_{nu,H} zeros: exactly one J_nu zero between neighbours.
-    lo = np.array([table.brackets[n].lo for n in range(1, table.n_max + 1)])
-    hi = np.array([table.brackets[n].hi for n in range(1, table.n_max + 1)])
+    lo, hi = table.lo[1:], table.hi[1:]
     first = np.searchsorted(cells, lo) - 1
     assert np.all(hi <= cells[first + 1])
     assert np.all(np.diff(first) == 1)
@@ -174,7 +174,7 @@ class TestNewtonCertificate:
         original = zeros_mod._scan_first_sign_change
         monkeypatch.setattr(
             zeros_mod, "_scan_first_sign_change",
-            lambda f, lo, hi: scans.append(lo) or original(f, lo, hi),
+            lambda f, lo, hi, what: scans.append(lo) or original(f, lo, hi, what),
         )
         ours = bessel_j_zeros(10.0, 200)
         assert scans  # the McMahon bracket of j_1 misses it at nu = 10
@@ -205,6 +205,16 @@ class TestNewtonCertificate:
         ref = reference.zeros[1:]
         assert np.all(np.abs(table.zeros[1:] - ref) <= np.maximum(1e-13, 4.0 * np.spacing(ref)))
 
+    def test_bisected_width_across_a_binade(self, monkeypatch):
+        # The Newton bracket [255.5, 256.5] spans 256, where ulp doubles; the
+        # bisected bracket below 256 must still meet max(tol, 4 ulp(hi)).
+        monkeypatch.setattr(zeros_mod, "_newton", lambda fdf, x, lo, hi, s_lo, tol: (x, lo, hi))
+        f = lambda x: x - 255.9
+        one = lambda v: np.array([v])
+        _, a, b = zeros_mod._refine(f, None, one(255.6), one(255.5), one(256.5), one(-1.0), 1e-13)
+        assert a[0] < 255.9 < b[0] < 256.0
+        assert b[0] - a[0] <= max(1e-13, 4.0 * np.spacing(b[0]))
+
     @pytest.mark.parametrize("nu", [-0.75, 0.0, 0.3, 3.0])
     def test_mpmath_near_bessel_cap(self, nu):
         """z_n near n = 31,800, where z_n approaches the 1e5 cap of bessel_j."""
@@ -217,6 +227,37 @@ class TestNewtonCertificate:
             z = float(table.zeros[n])
             zr = float(mp.findroot(robin, mp.mpf(z)))
             assert abs(z - zr) <= 1e-15 * zr
+
+
+class TestZeroTable:
+    """ZeroTable checks its own certificate when it is constructed."""
+
+    @staticmethod
+    def rebuild(table, **changes):
+        fields = dict(zeros=table.zeros, lo=table.lo, hi=table.hi, sign=table.sign,
+                      j_zeros=table.j_zeros)
+        fields = {k: v.copy() for k, v in fields.items()}
+        for name, (n, value) in changes.items():
+            fields[name][n] = value
+        return ZeroTable(table.params, table.n_max, table.tol, **fields)
+
+    @pytest.mark.parametrize("nu, h", [(0.0, 0.5), (-0.8, 0.5), (-0.75, 0.75)])
+    def test_rejects_broken_certificate(self, nu, h):
+        table = build_zero_table(SpectralParams(nu, h), 20)
+        self.rebuild(table)  # an unchanged copy passes
+        lo, hi, z = table.lo, table.hi, table.zeros
+        broken = [
+            ("residual", dict(zeros=(5, z[5] + 1e-3))),
+            ("lo < z < hi", dict(zeros=(5, hi[5]))),
+            ("below the next one", dict(lo=(6, hi[5] - 0.5 * (hi[5] - lo[5])))),
+            ("width", dict(lo=(5, z[5] - 2.0 * table.tol))),
+            ("interlacing cell", dict(j_zeros=(slice(None), np.append(table.j_zeros[1:], 1e9)))),
+            ("sign", dict(sign=(7, 0))),
+            ("sign", dict(sign=(0, 1.0 - abs(table.sign[0])))),  # slot 0: bracketed iff MINUS
+        ]
+        for what, change in broken:
+            with pytest.raises(ConsistencyError, match=what):
+                self.rebuild(table, **change)
 
 
 class TestX0Bound:
@@ -249,16 +290,18 @@ class TestX0Bound:
 class TestSerialization:
     def test_csv_round_trip(self, tmp_path):
         """to_csv writes every zero and bracket end in a binary64 round-trip
-        format, one row per stored zero."""
-        table = build_zero_table(SpectralParams(-0.8, 0.5), 12)
-        path = tmp_path / "zeros.csv"
-        table.to_csv(path)
-        header, *rows = [line.split(",") for line in path.read_text().splitlines()]
-        assert header == ["nu", "H", "n", "zero", "bracket_lo", "bracket_hi", "tol"]
-        assert [int(row[2]) for row in rows] == list(range(table.n_min, table.n_max + 1))
-        for row in rows:
-            n = int(row[2])
-            assert float(row[3]) == table.zeros[n]
-            if table.brackets[n] is not None:
-                assert float(row[4]) == table.brackets[n].lo
-                assert float(row[5]) == table.brackets[n].hi
+        format, one row per stored zero; a slot without a bracket (z_0 = 0
+        at nu + H = 0) prints 0,0."""
+        for nu, h in ((-0.8, 0.5), (-0.75, 0.75)):
+            table = build_zero_table(SpectralParams(nu, h), 12)
+            path = tmp_path / "zeros.csv"
+            table.to_csv(path)
+            header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+            assert header == ["nu", "H", "n", "zero", "bracket_lo", "bracket_hi", "tol"]
+            assert [int(row[2]) for row in rows] == list(range(table.n_min, table.n_max + 1))
+            for row in rows:
+                n = int(row[2])
+                assert float(row[3]) == table.zeros[n]
+                assert float(row[4]) == table.lo[n]
+                assert float(row[5]) == table.hi[n]
+        assert rows[0][3:6] == ["0", "0", "0"] and table.sign[0] == 0
