@@ -21,7 +21,9 @@ For times too small for the available mode budget, the Poisson kernel is
 evaluated by exact subordination: the first K modes are summed directly and
 the remainder is the integral of the heat-tail kernel against the stable-1/2
 subordination measure, with closed-form erfc corrections below the smallest
-resolvable time scale.
+resolvable time scale. With the fixed factor u^{-3/2} w folded into the
+sampled heat tail, a block of times costs one exponential of an outer
+product and one matrix product per master grid.
 
 A PairEngine keeps the basis on the unique coordinates of its pairs, not
 the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
@@ -56,9 +58,12 @@ basis's row stores, up to its cutoff: a time sweep forms each row once.
 The time-integral route of the potentials is one log-panelled Gauss rule in
 t shared by all pairs, evaluated a block of nodes at a time (direct series
 above the direct-series time threshold, subordination below it), with a
-doubled-rule error estimate and stated bounds for the two ends it leaves
-out: the short-time Poisson envelope below t_lo and M^2 sum_n e^{-t sqrt(lam_n)}
-above t_hi.
+doubled-rule error estimate, the rule's weighted sum of each node's own
+certificate, and stated bounds for the two ends it leaves out: the
+short-time Poisson envelope below t_lo and M^2 sum_n e^{-t sqrt(lam_n)}
+above t_hi. The incomplete-gamma terms of the potential series and of the
+late-time bound are evaluated only up to their first exact 0.0
+(_falling_terms), a few hundred modes.
 """
 
 from __future__ import annotations
@@ -250,6 +255,22 @@ def _exp_tail(t: float, n_cut: float, c_off: float) -> float:
     if r >= 1.0:
         return math.inf
     return math.exp(-t * math.pi * (n_cut + 1.0 - c_off)) / (1.0 - r)
+
+
+def _falling_terms(term, x) -> np.ndarray:
+    """term(x) for an ascending array x on which the terms fall to exactly
+    0.0, as a full-length array: evaluated PSI_BLOCK_MODES entries at a time
+    up to the first block that ends in 0.0, the later entries left 0.0. If
+    the term at the last entry is not 0.0, every entry is evaluated. The
+    later terms being 0.0, sums of the result equal sums of term(x) to the
+    last bit."""
+    out = np.zeros(x.size)
+    for lo in range(0, x.size, PSI_BLOCK_MODES):
+        hi = min(lo + PSI_BLOCK_MODES, x.size)
+        out[lo:hi] = term(x[lo:hi])
+        if out[hi - 1] == 0.0:
+            return out if hi == x.size or term(x[-1:])[0] == 0.0 else term(x)
+    return out
 
 
 def _exp_rows(ts, omega, lo, cuts, prods) -> np.ndarray:
@@ -477,18 +498,20 @@ class PairEngine:
         lam_min_next = (math.pi * max(1.0, self.n_max + 1 - self.c_off)) ** 2
         if delta * lam_min_next < LOG45:
             delta = LOG45 / lam_min_next
+        term = lambda lam: lam ** (-sigma) * _gammaincc(sigma, delta * lam)
         mult = np.zeros(self.n_max + 1)
-        sl = slice(self.n_min, self.n_max + 1)
-        mult[sl] = lam[sl] ** (-sigma) * _gammaincc(sigma, delta * lam[sl])
+        mult[self.n_min :] = _falling_terms(term, lam[self.n_min :])
+        # Blocks past the last nonzero multiplier add exactly 0.0: skip them,
+        # and the psi rows they would need.
+        top = int(np.flatnonzero(mult)[-1]) + 1 if mult.any() else self.n_min
         direct = np.zeros(self.n_pairs)
-        for lo in range(self.n_min, self.n_max + 1, PSI_BLOCK_MODES):
+        for lo in range(self.n_min, top, PSI_BLOCK_MODES):
             hi = min(lo + PSI_BLOCK_MODES, self.n_max + 1)
             direct += mult[lo:hi] @ self._pair_products(lo, hi)
         # Direct-part tail beyond n_max: term_n is decreasing in lambda, so
         # bound it at the analytic lower frequencies pi*(n - c_off) and sum.
         ns = np.arange(self.n_max + 1, self.n_max + 5001, dtype=float)
-        lam_lo = (math.pi * (ns - self.c_off)) ** 2 + d0 * d0
-        g = lam_lo ** (-sigma) * _gammaincc(sigma, delta * lam_lo)
+        g = _falling_terms(term, (math.pi * (ns - self.c_off)) ** 2 + d0 * d0)
         if g[-1] > 1e-25 * max(float(g[0]), 1e-300):
             raise TailBoundFailure("potential direct tail did not collapse")
         tail_direct = m2 * float(np.sum(g))
@@ -578,31 +601,34 @@ class PairEngine:
         for per_decade in (4, 8):
             nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=per_decade, order=16)
             weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
-            total = np.zeros(self.n_pairs)
+            total, node_err = np.zeros(self.n_pairs), 0.0
             for i in range(0, nodes.size, TIME_BLOCK):
                 blk = slice(i, i + TIME_BLOCK)
-                rows = self._poisson_rows(nodes[blk], omega, tol, t_direct, master, prods)
+                rows, errs = self._poisson_rows(nodes[blk], omega, tol, t_direct, master, prods)
                 total += weights[blk] @ rows
-            rules.append(total)
-        quad_err = float(np.max(np.abs(rules[1] - rules[0])))
-        bound = quad_err + skip + late
+                node_err += float(weights[blk] @ errs)
+            rules.append((total, node_err))
+        (coarse, _), (fine, node_err) = rules
+        quad_err = float(np.max(np.abs(fine - coarse)))
+        bound = quad_err + node_err + skip + late
         if not bound <= tol:
             raise TailBoundFailure(
                 f"potential time-integral certificate {bound:.2e} exceeds tol {tol:.2e} "
-                f"(quadrature {quad_err:.2e}, t < {t_lo:.1e}: {skip:.2e}, "
-                f"t > {t_hi:g}: {late:.2e})"
+                f"(quadrature {quad_err:.2e}, node values {node_err:.2e}, "
+                f"t < {t_lo:.1e}: {skip:.2e}, t > {t_hi:g}: {late:.2e})"
             )
-        return rules[1]
+        return fine
 
-    def _poisson_rows(self, ts, omega, tol, t_direct, master, prods) -> np.ndarray:
-        """Poisson kernel rows [H_t(pair)] for ascending times ts: the
-        subordination master below t_direct, the direct series (frequencies
-        omega, pair products prods) at and above it, with the cutoff of the
-        smallest such t."""
+    def _poisson_rows(self, ts, omega, tol, t_direct, master, prods):
+        """Poisson kernel rows [H_t(pair)] for ascending times ts, with an
+        error bound per time: the subordination master and its certificate
+        below t_direct; at and above it the direct series (frequencies omega,
+        pair products prods) cut at the cutoff N of the smallest such t, and
+        each time's geometric tail bound at N (the _poisson_cut bound)."""
         k = int(np.searchsorted(ts, t_direct))  # ts[:k] < t_direct
-        out = np.empty((ts.size, self.n_pairs))
+        out, errs = np.empty((ts.size, self.n_pairs)), np.empty(ts.size)
         if k:
-            out[:k] = master.eval(ts[:k])[0]
+            out[:k], errs[:k] = master.eval(ts[:k])
         if k < ts.size:
             cut = self._poisson_cut(float(ts[k]), tol)
             if cut is None:
@@ -611,7 +637,10 @@ class PairEngine:
                 )
             cuts = np.full(ts.size - k, cut[0])
             out[k:] = _exp_rows(ts[k:], omega, self.n_min, cuts, prods)
-        return out
+            u = ts[k:] * math.pi
+            tail = np.exp(-u * (cut[0] + 1.0 - self.c_off)) / (1.0 - np.exp(-u))
+            errs[k:] = self.M * self.M * tail
+        return out, errs
 
     def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
         """t_lo and the bound on (1/Gamma(2 sigma)) int_0^t_lo t^{2 sigma-1} |H_t| dt.
@@ -659,7 +688,8 @@ class PairEngine:
         w = math.pi * (self.n_max + 1.0 - self.c_off)
         t_hi = 1.0
         for _ in range(60):
-            stored = float(np.sum(sq**-s2 * _gammaincc(s2, t_hi * sq)))
+            term = lambda s: s**-s2 * _gammaincc(s2, t_hi * s)
+            stored = float(np.sum(_falling_terms(term, sq)))
             beyond = w**-s2 * float(_gammaincc(s2, t_hi * w)) / (1.0 - math.exp(-t_hi * math.pi))
             late = self.M * self.M * (stored + beyond)
             if late <= 0.125 * tol:
@@ -692,13 +722,17 @@ class _SubordinationMaster:
 
     H_t = head(t) + R_K(t), where head sums the first K modes exactly and
     R_K(t) = int_0^inf m_t(u) T(u) du with T(u) the heat-tail kernel
-    (modes > K) and m_t the stable-1/2 subordination density. T is sampled
-    once on two log-paneled master grids (the second with twice the panels,
-    for the quadrature estimate), each from one blocked heat evaluation
-    (PairEngine._heat_rows) minus the head sum; each evaluation is then a
-    dot product. Below the smallest resolvable u the integral of the head
-    part is restored with closed-form erfc terms, and the remaining kernel
-    contribution is bounded by the short-time envelope.
+    (modes > K) and m_t(u) = (t / 2 sqrt(pi)) u^{-3/2} e^{-t^2/4u} the
+    stable-1/2 subordination density. T is sampled once on two log-paneled
+    master grids (the second with twice the panels, for the quadrature
+    estimate), each from one blocked heat evaluation (PairEngine._heat_rows)
+    minus the head sum. Each grid keeps its nodes u, the fixed factor
+    u^{-3/2} w of the rule (fac), that factor folded into the tail
+    (Tw = fac T) and -1/(4u), so that an evaluation is one exponential of
+    an outer product and one matrix product per grid (eval). Below the
+    smallest resolvable u the integral of the head part is restored with
+    closed-form erfc terms, and the remaining kernel contribution is bounded
+    by the short-time envelope.
 
     The master keeps the head modes' eigenvalues and pair products, not the
     engine, so that an engine holding its masters is freed by refcounting.
@@ -716,86 +750,84 @@ class _SubordinationMaster:
         # Pairs closer than min_usable_dist need modes beyond the budget once
         # the subordination measure reaches below the resolvable u scale.
         self.u_floor, self.min_usable_dist = engine._subordination_floor()
+        # e^{-lam u_floor} per head mode, a factor of the sub-floor head integral.
+        self.e_floor = np.exp(-self.lam_head * self.u_floor)
         lam_next = (math.pi * max(1.0, self.K + 1 - engine.c_off)) ** 2 + d * d
         u_hi = LOG45 / lam_next * 4.0
-        # Each grid keeps its nodes, the fixed factor u^{-3/2} w of the
-        # subordination density at them, and the heat tail T.
         self.grids = []
         for per_decade in (6, 12):
             nd, wt = _log_panel_rule(self.u_floor, u_hi, per_decade=per_decade, order=24)
             heat, _, _ = engine._heat_rows(nd, 0.25 * tol)
-            T = heat * np.exp(-d * d * nd)[:, None] - self._head(nd, self.lam_head)
+            T = heat * np.exp(-d * d * nd)[:, None]
+            T -= _exp_rows(nd, self.lam_head, 0, np.full(nd.size, self.K - head.start), self.U_head)
             fac = nd**-1.5 * wt
-            _read_only(nd, fac, T)
-            self.grids.append((nd, fac, T))
-        # Envelope bound for |G| below the master floor, per pair; pairs too
-        # close to the diagonal cannot be certified at any small t.
-        g_bound = np.full(engine.n_pairs, math.inf)
-        alive = engine.dist >= self.min_usable_dist
-        expo = np.minimum(engine.dist[alive] ** 2 / (4.0 * self.u_floor), 700.0)
-        g_bound[alive] = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
-        self.sub_floor_kernel_bound = g_bound
-        _read_only(self.lam_head, self.sq_head, self.U_head, g_bound)
+            Tw, neg_inv4u = T * fac[:, None], -0.25 / nd
+            _read_only(nd, fac, Tw, neg_inv4u)
+            self.grids.append((nd, fac, Tw, neg_inv4u))
+        # Envelope bound for |G| below the master floor, largest over the
+        # pairs; pairs too close to the diagonal cannot be certified at any
+        # small t.
+        expo = np.minimum(engine.dist**2 / (4.0 * self.u_floor), 700.0)
+        g_bound = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
+        self.leak_scale = float(np.max(np.where(
+            engine.dist >= self.min_usable_dist, g_bound, math.inf)))
+        _read_only(self.lam_head, self.sq_head, self.U_head, self.e_floor)
         self.n_terms = engine.n_max - engine.n_min + 1
         # For the failure message: what the direct series would need instead.
         self.min_dist = float(np.min(engine.dist, initial=math.inf))
         self.m2 = engine.M * engine.M
         self.c_off = engine.c_off
 
-    def _head(self, ts, omega) -> np.ndarray:
-        """sum over the head modes of e^{-t omega_n} psi_n(x) psi_n(y), one row per time."""
-        return _exp_rows(ts, omega, 0, np.full(ts.size, omega.size - 1), self.U_head)
-
-    def _subfloor_head(self, t) -> np.ndarray:
-        """Exact integral of -head against m_t over (0, u_floor) via erfc.
-
-        int_0^U m_t(u) e^{-lam u} du
-          = 0.5*[e^{-t sqrt(lam)} erfc(t/(2 sqrt(U)) - sqrt(lam U))
-               + e^{+t sqrt(lam)} erfc(t/(2 sqrt(U)) + sqrt(lam U))].
-        """
-        U = self.u_floor
-        lam = self.lam_head
-        s = self.sq_head
-        t = np.asarray(t)[..., None]
-        w = t / (2.0 * math.sqrt(U))
-        a_minus = w - s * math.sqrt(U)
-        a_plus = w + s * math.sqrt(U)
-        # e^{+t s} erfc(a_plus) = erfcx(a_plus) * exp(t s - a_plus^2)
-        #                      = erfcx(a_plus) * exp(-t^2/(4U) - lam U)
-        part = 0.5 * (
-            np.exp(-t * s) * _erfc(a_minus)
-            + _erfcx(a_plus) * np.exp(-w * w - lam * U)
-        )
-        return -(part @ self.U_head)
-
     def eval(self, t):
         """Values and certificate at time t; for a 1-D array of times, one
-        row of values and one certificate per time."""
+        row of values and one certificate per time.
+
+        Per TIME_BLOCK times, each grid's part of R_K is
+        (t / 2 sqrt(pi)) exp(max(t^2 (-1/4u), -700)) @ Tw, the exponentials
+        formed in one scratch buffer per call. H_t = E @ U_head + R_K(t) -
+        S @ U_head, with E = e^{-t sqrt(lam)} and S the head's integral
+        against m_t over (0, U), U = u_floor, w = t / (2 sqrt(U)):
+          S = [E erfc(w - sqrt(lam U)) + e^{-w^2} erfcx(w + sqrt(lam U)) e^{-lam U}] / 2.
+        """
         t = np.asarray(t, dtype=float)
-        tc = t[..., None]
-        results = []
-        for nd, fac, T in self.grids:
-            with np.errstate(over="ignore", under="ignore"):
-                meas = (tc / (2.0 * math.sqrt(math.pi))) * np.exp(
-                    -np.minimum(tc * tc / (4.0 * nd), 700.0)
-                ) * fac
-            results.append(meas @ T)
-        r_master, r_master2 = results
-        quad_err = np.max(np.abs(r_master2 - r_master), axis=-1)
-        head = self._head(t.reshape(-1), self.sq_head).reshape(r_master2.shape)
-        sub_head = self._subfloor_head(t)
-        mass_below = _erfc(tc / (2.0 * math.sqrt(self.u_floor)))
-        kb = self.sub_floor_kernel_bound
-        kernel_leak = np.where(mass_below > 0.0, kb * mass_below, 0.0)
-        vals = head + r_master2 + sub_head
-        bound = quad_err + np.max(kernel_leak, axis=-1) + 0.25 * self.tol
+        ts = t.reshape(-1)
+        root_u = math.sqrt(self.u_floor)
+        s_u, w_all = self.sq_head * root_u, ts / (2.0 * root_u)
+        vals = np.empty((ts.size, self.U_head.shape[1]))
+        quad_err = np.empty(ts.size)
+        buf = np.empty(min(TIME_BLOCK, ts.size) * max(g[0].size for g in self.grids))
+        for i in range(0, ts.size, TIME_BLOCK):
+            blk = slice(i, i + TIME_BLOCK)
+            tb = ts[blk]
+            parts = []
+            for nd, _, Tw, neg_inv4u in self.grids:
+                e = buf[: tb.size * nd.size].reshape(tb.size, nd.size)
+                np.multiply.outer(tb * tb, neg_inv4u, out=e)
+                np.maximum(e, -700.0, out=e)
+                np.exp(e, out=e)
+                parts.append(e @ Tw)
+            coarse, fine = parts
+            scale = tb / (2.0 * math.sqrt(math.pi))
+            quad_err[blk] = scale * np.max(np.abs(fine - coarse), axis=-1)
+            w = w_all[blk, None]
+            E = np.exp(np.multiply.outer(-tb, self.sq_head))
+            vals[blk] = E @ self.U_head + scale[:, None] * fine
+            below = _erfcx(w + s_u)
+            below *= np.exp(-w * w)
+            below *= self.e_floor
+            E *= _erfc(w - s_u)
+            below += E
+            vals[blk] -= (0.5 * below) @ self.U_head
+        mass_below = _erfc(w_all)
+        leak = np.where(mass_below > 0.0, self.leak_scale, 0.0) * mass_below
+        bound = quad_err + leak + 0.25 * self.tol
         bad = ~(bound <= 4.0 * self.tol)
         if np.any(bad):
             raise TailBoundFailure(_subordination_failure(
-                float(np.max(bound)), float(np.min(t[bad])), self.tol, self.min_dist,
+                float(np.max(bound)), float(np.min(ts[bad])), self.tol, self.min_dist,
                 self.min_usable_dist, self.m2, self.c_off,
             ))
-        return vals, bound
+        return (vals[0], bound[0]) if t.ndim == 0 else (vals, bound)
 
 
 def _subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off) -> str:

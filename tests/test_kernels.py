@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from scipy.special import erfc, gammaincc, roots_legendre
+from scipy.special import erfc, erfcx, gammaincc, roots_legendre
 from hypothesis import strategies as st
 
 from conftest import shared_basis
@@ -51,6 +51,7 @@ from dini.kernels import (
     _direct_time,
     _exp_rows,
     _exp_tail,
+    _falling_terms,
     _gauss_cuts,
     _gauss_start,
     _legendre,
@@ -314,6 +315,17 @@ class TestPotentialKernels:
         assert np.max(np.abs(v1 - v2) / np.abs(v1)) < 1e-6
         assert np.all(v1 > 0.0)
 
+    def test_time_integral_counts_node_bounds(self, monkeypatch):
+        """The rule's sum of weight x node certificate is part of the
+        time-integral certificate: a master bound of 1 per node fails it."""
+        eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5)])
+        eng.potential_time_integral(0.3, 1.0, 1e-9)
+        master_eval = _SubordinationMaster.eval
+        monkeypatch.setattr(_SubordinationMaster, "eval",
+                            lambda self, t: (master_eval(self, t)[0], np.ones(np.size(t))))
+        with pytest.raises(TailBoundFailure, match="node values"):
+            eng.potential_time_integral(0.3, 1.0, 1e-9)
+
     @pytest.mark.parametrize(
         "make,d0,oracle",
         [
@@ -576,7 +588,8 @@ class TestBlockedHeat:
             master = _SubordinationMaster(eng, d, 1e-9)
             lam = eng._shifted(d)
             head = slice(eng.n_min, master.K + 1)
-            for nd, _, T in master.grids:
+            for nd, fac, Tw, _ in master.grids:
+                T = Tw / fac[:, None]
                 heat = np.empty_like(T)
                 old = np.empty_like(T)
                 for j, u in enumerate(nd):
@@ -647,6 +660,67 @@ class TestBlockedHeat:
             gc.enable()
 
 
+def unfused_eval(master, eng, t):
+    """_SubordinationMaster.eval as one formula per factor: the measure
+    (t / 2 sqrt(pi)) e^{-min(t^2/4u, 700)} u^{-3/2} w against the unscaled
+    heat tail T, the head sum, the sub-floor head integral from erfc and
+    erfcx, and the per-pair leak bound; with the size of the head terms."""
+    t = np.asarray(t, dtype=float)
+    tc = t[..., None]
+    results = []
+    for nd, fac, Tw, _ in master.grids:
+        meas = (tc / (2.0 * math.sqrt(math.pi))) * np.exp(
+            -np.minimum(tc * tc / (4.0 * nd), 700.0)) * fac
+        results.append(meas @ (Tw / fac[:, None]))
+    coarse, fine = results
+    quad_err = np.max(np.abs(fine - coarse), axis=-1)
+    U, lam, s = master.u_floor, master.lam_head, master.sq_head
+    head = np.exp(-tc * s) @ master.U_head
+    w = tc / (2.0 * math.sqrt(U))
+    part = 0.5 * (np.exp(-tc * s) * erfc(w - s * math.sqrt(U))
+                  + erfcx(w + s * math.sqrt(U)) * np.exp(-w * w - lam * U))
+    vals = head + fine - part @ master.U_head
+    kb = np.full(eng.n_pairs, math.inf)
+    alive = eng.dist >= master.min_usable_dist
+    kb[alive] = 16.0 * U**-0.5 * np.exp(-np.minimum(eng.dist[alive] ** 2 / (4.0 * U), 700.0))
+    mass_below = erfc(tc / (2.0 * math.sqrt(U)))
+    leak = np.where(mass_below > 0.0, kb * mass_below, 0.0)
+    # The values cancel from sums of terms up to about |head| (values near
+    # 1e-4 from terms near 30 at t = 1e-5), and the quadrature part of the
+    # bound is a difference of two such sums: both are compared on that scale.
+    terms = np.exp(-tc * s) @ np.abs(master.U_head)
+    return vals, quad_err + np.max(leak, axis=-1) + 0.25 * master.tol, terms
+
+
+class TestFusedMaster:
+    """eval forms the measure, head and sub-floor terms in fused blocks; it
+    agrees with the unfused formula on every engine kind and block split."""
+
+    @pytest.mark.parametrize("size", [None, 1, 47, 48, 49, 97])
+    def test_matches_unfused_formula(self, size):
+        # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases.
+        for basis, d in zip(blocked_bases()[:4], (0.0, 0.0, 2.0, 1.0)):
+            eng = PairEngine(basis, AGREEMENT_PAIRS)
+            master = _SubordinationMaster(eng, d, 1e-9)
+            t = 3e-4 if size is None else np.geomspace(1e-5, 1e-2, size)
+            vals, bound = master.eval(t)
+            ref, ref_bound, terms = unfused_eval(master, eng, t)
+            assert vals.shape == ref.shape and np.shape(bound) == np.shape(ref_bound)
+            assert_rows_close(np.atleast_2d(vals), np.atleast_2d(ref), scale=np.atleast_2d(terms))
+            assert np.all(np.abs(bound - ref_bound) <= 1e-14 * np.max(terms, axis=-1))
+
+    def test_falling_terms_sum_to_the_full_sum(self):
+        x = np.geomspace(1.0, 1e4, 3000)
+        term = lambda x: x**-0.6 * gammaincc(0.6, x)
+        full = term(x)
+        assert full[-1] == 0.0 and full[PSI_BLOCK_MODES] > 0.0
+        out = _falling_terms(term, x)
+        assert np.array_equal(out, full) and np.sum(out) == np.sum(full)
+        # A last term that is not 0.0 evaluates every entry.
+        bumpy = lambda x: np.where(x > 5e3, 1.0, term(x))
+        assert np.array_equal(_falling_terms(bumpy, x), bumpy(x))
+
+
 def old_certified_cuts(eng, U, ts, tol, rescale=0.0):
     _, cuts, bounds = HEAT_ROWS(eng, ts, tol, rescale)
     top = int(cuts.max(initial=eng.n_min))
@@ -692,16 +766,17 @@ def old_poisson_direct(eng, U, t, d, tol):
 
 def old_poisson_rows(self, ts, omega, tol, t_direct, master, prods):
     U = old_table(self)
-    out = np.empty((ts.size, self.n_pairs))
+    out, errs = np.empty((ts.size, self.n_pairs)), np.empty(ts.size)
     sub = ts < t_direct
     if np.any(sub):
-        out[sub] = master.eval(ts[sub])[0]
+        out[sub], errs[sub] = master.eval(ts[sub])
     direct = ts[~sub]
     if direct.size:
         cut = self._poisson_cut(float(direct[0]), tol)
         sl = slice(self.n_min, cut[0] + 1)
         out[~sub] = np.exp(-np.multiply.outer(direct, omega[sl])) @ U[sl]
-    return out
+        errs[~sub] = [self.M**2 * _exp_tail(t, cut[0], self.c_off) for t in direct]
+    return out, errs
 
 
 def old_potential_direct(eng, U, sigma, d0):
@@ -791,7 +866,8 @@ class TestCoordinateProducts:
             U = old_table(old)
             head = slice(old.n_min, master.K + 1)
             assert np.array_equal(master.U_head, U[head])
-            for nd, _, T in master.grids:
+            for nd, fac, Tw, _ in master.grids:
+                T = Tw / fac[:, None]
                 heat, _, _ = old_heat_rows(old, U, nd, 0.25e-9)
                 heat *= np.exp(-d * d * nd)[:, None]
                 ref = heat - np.exp(-np.multiply.outer(nd, old._shifted(d)[head])) @ U[head]
@@ -832,8 +908,12 @@ class TestLazyRows:
         assert eng.psi.shape == (0, 72)
         _, n_terms, _ = eng.heat_values(0.0605, 1e-10)
         assert 0 < eng.psi.shape[0] <= 2 * (n_terms + SUM_ALIGN)
-        eng.potential_series(0.6, 1.0, 1e-9)
-        assert eng.psi.shape == (3001, 72)
+        # The series forms the rows of its nonzero multipliers (modes up to
+        # 269 here, in blocks of PSI_BLOCK_MODES), and the near-time heat
+        # integral those of its cutoff, n_terms - n_max modes; rows at most
+        # double as they grow.
+        _, n_terms, _ = eng.potential_series(0.6, 1.0, 1e-9)
+        assert 3 * PSI_BLOCK_MODES < eng.psi.shape[0] <= 2 * (n_terms - 3000 + SUM_ALIGN)
 
     @pytest.mark.parametrize("order", ["small t first", "large t first", "potential first"])
     def test_grown_rows_equal_basis_rows(self, order):
