@@ -50,11 +50,9 @@ from .kernels import (
     semigroup_apply,
 )
 from .numerics import (
-    Bracket,
     QuadratureRule,
     endpoint_graded_rule,
     gauss_legendre,
-    refine_root,
 )
 from .specfun import (
     JacobiParams,

@@ -25,7 +25,6 @@ from .errors import (
     SandwichViolation,
 )
 from .kernels import engine_for
-from .numerics import QuadratureRule
 from .specfun import JacobiParams, Regime, SpectralParams
 
 INDICATOR_TOL = 1e-12
@@ -352,12 +351,13 @@ def sandwich_check(
     return reports
 
 
-def _trial_grams(
-    nu: float, n_terms: int, quad: QuadratureRule
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram matrices of psi_n/x^2 and psi_n'/x (n = 1..n_terms) under ``quad``,
-    with the eigenvalues z_n^2, for the basis (nu, H = 1/2)."""
+@functools.lru_cache(maxsize=32)
+def _default_trial_grams(nu: float, n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram matrices of psi_n/x^2 and psi_n'/x (n = 1..n_terms), with the
+    eigenvalues z_n^2, for the basis (nu, H = 1/2), under the 2048-point
+    rule graded for the x^{2 nu - 3} endpoint behavior; kept per (nu, n_terms)."""
     b = build_basis(SpectralParams(nu, 0.5), n_terms)
+    quad = inner_product_rule(2048, 2.0 * nu - 3.0)
     x = quad.nodes
     a = b.psi_matrix(x)[1:] / x**2
     d = b.psi_prime_matrix(x)[1:] / x
@@ -367,43 +367,28 @@ def _trial_grams(
     return grams
 
 
-@functools.lru_cache(maxsize=32)
-def _default_trial_grams(nu: float, n_terms: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_trial_grams`` under the default 2048-point rule, kept per (nu, n_terms)."""
-    return _trial_grams(nu, n_terms, inner_product_rule(2048, 2.0 * nu - 3.0))
-
-
-def _trial_function_norms(
-    nu: float, trial_coeffs: Sequence[float], quad: Optional[QuadratureRule]
-) -> tuple[float, float, float]:
+def _trial_function_norms(nu: float, trial_coeffs: Sequence[float]) -> tuple[float, float, float]:
     """(||f/x^2||, ||f'/x||, ||Lf||) for f = sum_n coeffs[n-1] psi_n (n >= 1).
 
     The two weighted norms are the quadratic forms a^T G a in the
-    coefficients, with G the Gram matrices of psi_n/x^2 and psi_n'/x under
-    ``quad``; ||Lf|| is |(z_n^2 a_n)| by orthonormality. Without ``quad`` the
-    Gram matrices come from the default 2048-point rule, graded for the
-    x^{2 nu - 3} endpoint behavior, and are built once per (nu, n_terms), so
-    rellich_check and hardy_check share them across trials.
+    coefficients, with G the Gram matrices of psi_n/x^2 and psi_n'/x from
+    ``_default_trial_grams``, built once per (nu, n_terms), so rellich_check
+    and hardy_check share them across trials; ||Lf|| is |(z_n^2 a_n)| by
+    orthonormality.
     """
     coeffs = np.asarray(trial_coeffs, dtype=float)
-    n_terms = coeffs.size
-    if quad is None:
-        g_lhs, g_hardy, eigen = _default_trial_grams(float(nu), n_terms)
-    else:
-        g_lhs, g_hardy, eigen = _trial_grams(nu, n_terms, quad)
+    g_lhs, g_hardy, eigen = _default_trial_grams(float(nu), coeffs.size)
     lhs = math.sqrt(max(float(coeffs @ g_lhs @ coeffs), 0.0))
     hardy = math.sqrt(max(float(coeffs @ g_hardy @ coeffs), 0.0))
     op_norm = math.sqrt(float(np.sum((coeffs * eigen) ** 2)))
     return lhs, hardy, op_norm
 
 
-def rellich_check(
-    nu: float, trial_coeffs: Sequence[float], quad: Optional[QuadratureRule] = None
-) -> tuple[float, float]:
+def rellich_check(nu: float, trial_coeffs: Sequence[float]) -> tuple[float, float]:
     """||f/x^2|| <= (nu^2-1)^{-1} ||L f|| for finite combinations, nu > 1."""
     if not nu > 1.0:
         raise DomainError("the second-order weighted inequality requires nu > 1")
-    lhs, _, op_norm = _trial_function_norms(nu, trial_coeffs, quad)
+    lhs, _, op_norm = _trial_function_norms(nu, trial_coeffs)
     rhs = op_norm / (nu * nu - 1.0)
     if lhs > rhs * (1.0 + 1e-6):
         raise InequalityViolation(
@@ -412,13 +397,11 @@ def rellich_check(
     return lhs, rhs
 
 
-def hardy_check(
-    nu: float, trial_coeffs: Sequence[float], quad: Optional[QuadratureRule] = None
-) -> tuple[float, float]:
+def hardy_check(nu: float, trial_coeffs: Sequence[float]) -> tuple[float, float]:
     """||f/x^2|| <= (2/3) ||f'/x|| for the same trial functions."""
     if not nu > 1.0:
         raise DomainError("trial functions require nu > 1 for finite norms")
-    lhs, hardy, _ = _trial_function_norms(nu, trial_coeffs, quad)
+    lhs, hardy, _ = _trial_function_norms(nu, trial_coeffs)
     rhs = (2.0 / 3.0) * hardy
     if lhs > rhs * (1.0 + 1e-6):
         raise InequalityViolation(

@@ -73,7 +73,7 @@ def emit_plot_data(rows: Sequence[dict], columns: Sequence[str], out: Optional[s
 
 def _cmd_zeros(cfg: argparse.Namespace) -> int:
     p = SpectralParams(cfg.nu, cfg.h)
-    table = build_zero_table(p, cfg.n_max, max(cfg.tol, 1e-13))
+    table = build_zero_table(p, cfg.n_max, cfg.tol)
     if cfg.fmt == "json":
         obj = {
             "nu": p.nu,
@@ -289,7 +289,18 @@ def _cmd_convergence(cfg: argparse.Namespace) -> int:
 
 
 def _parse_floats(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(",") if v)
+    values = tuple(float(v) for v in text.split(",") if v)
+    if not values or not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(
+            f"must be a non-empty comma-separated list of finite numbers, got {text!r}")
+    return values
+
+
+def _one_float(text: str) -> tuple:
+    values = _parse_floats(text)
+    if len(values) > 1:
+        raise argparse.ArgumentTypeError(f"must be a single finite number, got {text!r}")
+    return values
 
 
 def _positive_float(text: str) -> float:
@@ -346,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=sorted(KERNELS), default="heat")
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--beta", type=float, default=-0.5)
-    p.add_argument("--t", dest="t_values", type=_parse_floats, default=(0.1,))
-    p.add_argument("--sigma", dest="sigma_values", type=_parse_floats, default=(1.0,))
+    p.add_argument("--t", dest="t_values", type=_one_float, default=(0.1,))
+    p.add_argument("--sigma", dest="sigma_values", type=_one_float, default=(1.0,))
     p.add_argument("--d-nu", type=float, default=1.0)
     p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
     p.add_argument("--no-refine", dest="refine", action="store_false")
@@ -367,13 +378,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-nu", type=float, default=1.0)
     p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
     p.add_argument("--no-refine", dest="refine", action="store_false")
-    p.add_argument("--max-spread", type=float, default=1e3)
+    p.add_argument("--max-spread", type=_positive_float, default=1e3)
     p.set_defaults(n_max=400, fmt="json")
 
     p = sub.add_parser("verify-rellich", help="weighted-norm inequality trials")
     common(p)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--terms", type=int, default=5)
+    p.add_argument("--terms", type=_positive_int, default=5)
     p.add_argument("--seed", type=int, default=12345)
     p.set_defaults(fmt="json")
 

@@ -13,14 +13,6 @@ class OverflowRangeError(DomainError):
     """Argument large enough that the result would overflow binary64."""
 
 
-class NoSignChangeError(DiniError, ValueError):
-    """A root bracket does not certify a sign change."""
-
-
-class MaxIterationsError(DiniError, RuntimeError):
-    """Root refinement failed to reach the requested tolerance."""
-
-
 class BracketScanFailure(DiniError, RuntimeError):
     """Zero bracketing scan could not certify the expected sign change."""
 

@@ -181,6 +181,11 @@ def _check_tol(tol: float) -> None:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
 
 
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"time must be finite and positive, got {t}")
+
+
 def _gauss_cuts(n, ts, scale, c_off, tol, n_max, what) -> tuple[np.ndarray, np.ndarray]:
     """Cutoffs N and tail bounds for an array of times ts: from the start
     indices n, each N grows by max(1, N//16) until scale times the Gaussian
@@ -387,6 +392,7 @@ class PairEngine:
         """Values of exp(rescale*t) * kernel, computed by an exact spectral
         shift (rescale=0 gives the plain kernel; a positive rescale keeps
         large-time evaluation on an O(1) scale without overflow)."""
+        _check_time(t)
         _check_tol(tol)
         rows, (n_cut,), (bound,) = self._heat_rows(np.array([t], dtype=float), tol, rescale)
         return rows[0], int(n_cut) - self.n_min + 1, float(bound)
@@ -407,6 +413,8 @@ class PairEngine:
     # ----- poisson ------------------------------------------------------
 
     def _shifted(self, d: float) -> np.ndarray:
+        if not math.isfinite(d):
+            raise DomainError(f"shift d must be finite, got {d}")
         lam = d * d + self.lam
         if np.any(lam[self.n_min :] < 0.0):
             raise ShiftTooSmallError(
@@ -430,6 +438,7 @@ class PairEngine:
         self, t: float, d: float, tol: float, rescale: float = 0.0
     ) -> tuple[np.ndarray, int, float]:
         """Values of exp(rescale*t) * Poisson kernel (see heat_values)."""
+        _check_time(t)
         _check_tol(tol)
         lam = self._shifted(d)
         cut = self._poisson_cut(t, tol, rescale)

@@ -5,7 +5,8 @@ consecutive zeros of J_nu there is exactly one zero of J_{nu,H}, and the sign
 of J_{nu,H} at the zeros of J_nu alternates. The J_nu zeros come from McMahon
 brackets with a dense-scan fallback. When nu + H < 0 the single positive zero
 z_0 of I_{nu,H} is bracketed on a doubling grid; when nu + H = 0, z_0 = 0.
-Every zero is refined by ``_refine``: bracketed Newton, then a sign certificate.
+Every zero is refined by ``_refine``, the package's only root refiner:
+bracketed Newton, a sign certificate, and one array bisection of the failures.
 """
 
 from __future__ import annotations
@@ -17,12 +18,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import BracketScanFailure, ConsistencyError, DomainError
-from .numerics import Bracket, _fmt, refine_root
+from .numerics import _fmt
 from .specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh, robin_and_slope
 
 RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
 NEWTON_STEPS = 60
+BISECTION_STEPS = 200
 
 
 def _scan_first_sign_change(
@@ -67,16 +69,52 @@ def _newton(fdf, x, lo, hi, s_lo, tol):
     return x, lo, hi
 
 
+def _bisect(f, lo, hi, s_lo, tol):
+    """Bisection on arrays of cells [lo, hi] with f signs s_lo, -s_lo at
+    their ends, at midpoints 0.5 (lo + hi), each to width w = max(tol,
+    4 ulp(lo)). A midpoint x where f is exactly 0 is kept, with the bracket
+    x -/+ max(w/4, ulp(x)) clipped to its cell, which must have the signs
+    s_lo, -s_lo. Returns the zeros (the last midpoints) and their brackets;
+    raises ConsistencyError where a bracket cannot be made."""
+    lo, hi = lo.copy(), hi.copy()
+    width = np.maximum(tol, 4.0 * np.spacing(lo))
+    x, exact, live = 0.5 * (lo + hi), np.zeros(lo.size, bool), np.arange(lo.size)
+    for _ in range(BISECTION_STEPS):
+        x[live] = 0.5 * (lo[live] + hi[live])
+        live = live[hi[live] - lo[live] > width[live]]
+        if live.size == 0:
+            break
+        s, xa = np.sign(f(x[live])), x[live]
+        lo[live] = np.where(s == s_lo[live], xa, lo[live])
+        hi[live] = np.where((s != s_lo[live]) & (s != 0), xa, hi[live])
+        exact[live] = s == 0
+        live = live[s != 0]
+    if live.size:
+        raise ConsistencyError(f"zero bisection: {live.size} bracket(s) wider than max(tol, "
+                               f"4 ulp) after {BISECTION_STEPS} steps")
+    z = np.flatnonzero(exact)
+    if z.size:
+        eps = np.maximum(0.25 * width[z], np.spacing(np.abs(x[z])))
+        a, b = np.maximum(lo[z], x[z] - eps), np.minimum(hi[z], x[z] + eps)
+        sab = np.sign(f(np.concatenate([a, b])))
+        signed = (sab[: z.size] == s_lo[z]) & (sab[z.size :] == -s_lo[z])
+        if not np.all(signed):
+            raise ConsistencyError(f"zero bisection: exact zero x = {float(x[z][~signed][0])!r} "
+                                   "has no bracket x -/+ eps with the cell's signs")
+        lo[z], hi[z] = a, b
+    return x, lo, hi
+
+
 def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     """Certified zeros of f, one in each cell [lo, hi] with f signs s_lo,
     -s_lo at its ends, from the starting points x0 (the midpoint where x0
     is outside). Newton (``_newton``) gives x; the certificate evaluates f at
     x -/+ d, d = max(0.45 tol, 2 ulp(x)) in whole ulps, and accepts
     [x - d, x + d] when it has the signs s_lo, -s_lo, lies in the cell and
-    has width <= max(tol, 4 ulp). Failing entries are bisected
-    (``refine_root``) from their Newton bracket [l, h] to width max(tol,
-    4 ulp(l)) <= max(tol, 4 ulp(b)), which raises if it cannot. Returns the
-    zeros and the certified ends."""
+    has width <= max(tol, 4 ulp). The entries that fail it are bisected
+    together (``_bisect``) from their Newton brackets [l, h] to width
+    max(tol, 4 ulp(l)) <= max(tol, 4 ulp(b)). Returns the zeros and the
+    certified ends."""
     x0 = np.where((x0 > lo) & (x0 < hi), x0, 0.5 * (lo + hi))
     x, n_lo, n_hi = _newton(fdf, x0, lo, hi, s_lo, tol)
     u = np.spacing(np.abs(x))
@@ -84,11 +122,8 @@ def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     a, b = x - d, x + d
     sab = np.sign(f(np.concatenate([a, b])))
     ok = (sab[: x.size] == s_lo) & (sab[x.size :] == -s_lo) & (a >= lo) & (b <= hi)
-    bad = ~ok | (b - a > np.maximum(tol, 4.0 * np.spacing(b)))
-    for i in np.flatnonzero(bad):
-        br = Bracket(float(n_lo[i]), float(n_hi[i]), int(s_lo[i]), -int(s_lo[i]))
-        x[i], br = refine_root(f, br, max(tol, 4.0 * np.spacing(br.lo)))
-        a[i], b[i] = br.lo, br.hi
+    bad = np.flatnonzero(~ok | (b - a > np.maximum(tol, 4.0 * np.spacing(b))))
+    x[bad], a[bad], b[bad] = _bisect(f, n_lo[bad], n_hi[bad], s_lo[bad], tol)
     return x, a, b
 
 

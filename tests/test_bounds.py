@@ -28,7 +28,6 @@ from dini.bounds import (
     sandwich_check,
 )
 from dini.errors import DomainError, NonFiniteRatioError, SandwichViolation
-from dini.numerics import gauss_legendre
 from dini.specfun import SpectralParams
 
 
@@ -242,7 +241,7 @@ class TestWeightedInequalities:
         quad = inner_product_rule(2048, 2.0 * nu - 3.0)
         for n_terms in range(1, 9):
             coeffs = rng.standard_normal(n_terms)
-            got = _trial_function_norms(nu, coeffs, None)
+            got = _trial_function_norms(nu, coeffs)
             ref = self.direct_norms(nu, coeffs, quad)
             assert got == pytest.approx(ref, rel=1e-12)
 
@@ -254,18 +253,7 @@ class TestWeightedInequalities:
         hit = (rellich_check(2.5, coeffs), hardy_check(2.5, coeffs))
         assert _default_trial_grams.cache_info().hits == 3
         assert miss == hit
-        # An explicit rule bypasses the cache; the default rule passed
-        # explicitly gives the same bits.
-        quad = inner_product_rule(2048, 2.0 * 2.5 - 3.0)
-        assert rellich_check(2.5, coeffs, quad) == miss[0]
         assert _default_trial_grams.cache_info().currsize == 1
-
-    def test_explicit_rule_honoured(self):
-        coeffs = np.array([1.0, -0.5, 0.25])
-        coarse = gauss_legendre(24)
-        got = _trial_function_norms(2.0, coeffs, coarse)
-        assert got == pytest.approx(self.direct_norms(2.0, coeffs, coarse), rel=1e-12)
-        assert got[0] != _trial_function_norms(2.0, coeffs, None)[0]
 
 
 class TestGrids:

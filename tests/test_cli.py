@@ -173,11 +173,13 @@ class TestKernelCommand:
 
 
 class TestInputValidation:
-    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", ",", "0.1,0.2"])
     def test_non_finite_time(self, value, capsys):
+        # kernel evaluates one time: an empty list or a second value is
+        # refused, not dropped.
         code, _, err = run_cli(["kernel", "--nu", "0", "--t", value, "--grid", "4"], capsys)
         assert code == 2
-        assert "finite" in err
+        assert "usage:" in err and "--t" in err and "finite" in err
 
     @pytest.mark.parametrize("command", ["zeros", "convergence", "verify-envelopes"])
     @pytest.mark.parametrize("value", ["nan", "inf", "0"])
@@ -204,12 +206,42 @@ class TestInputValidation:
         assert "usage:" in err and "--grid" in err
 
     @pytest.mark.parametrize("args", [["verify-rellich", "--nu", "2", "--trials", "0"],
-                                      ["verify-zero-bound", "--nu-grid", "0"]])
+                                      ["verify-zero-bound", "--nu-grid", "0"],
+                                      ["verify-envelopes", "--nu", "0.5", "--t", ","],
+                                      ["verify-envelopes", "--kind", "bessel", "--nu", "0",
+                                       "--sigma", ","],
+                                      ["verify-rellich", "--nu", "2", "--terms", "0"],
+                                      ["verify-rellich", "--nu", "2", "--terms", "-1"],
+                                      ["verify-envelopes", "--nu", "0.5", "--max-spread", "nan"],
+                                      ["verify-envelopes", "--nu", "0.5", "--max-spread", "0"]])
     def test_empty_sweep_is_usage_error(self, args, capsys):
-        # Zero trials or grid points would check nothing and report a pass.
+        # Zero trials, grid points, times or terms would check nothing and
+        # report a pass; a negative term count or a spread bound that no
+        # ratio meets would fail every check for a reason not in the kernel.
         code, _, err = run_cli(args, capsys)
         assert code == 2
-        assert "usage:" in err
+        assert "usage:" in err and args[-2] in err
+
+    @pytest.mark.parametrize("args, message", [
+        (["--kind", "poisson", "--d-nu", "nan"], "shift d must be finite, got nan"),
+        (["--kind", "poisson", "--d-nu", "inf"], "shift d must be finite, got inf"),
+        (["--kind", "heat-long", "--t", "inf"], "argument --t: must be"),
+    ])
+    def test_non_finite_envelope_argument(self, args, message, capsys):
+        # The envelope sweep builds no KernelRequest: the engine itself
+        # refuses these, before any ratio is formed.
+        code, _, err = run_cli(["verify-envelopes", "--nu", "0.5", "--t", "0.1", "--grid", "4",
+                                *args], capsys)
+        assert code == 2
+        assert message in err and "verification failure" not in err
+
+    def test_zeros_tol_below_floor_is_refused(self, capsys):
+        # The table certifies no tol below 1e-13; the CLI passes tol as given.
+        code, out, err = run_cli(
+            ["zeros", "--nu", "0", "--n-max", "5", "--tol", "1e-15", "--out", "-"], capsys
+        )
+        assert code == 2 and out == ""
+        assert "tol must be finite and >= 1e-13, got 1e-15" in err
 
     def test_sandwich_h_other_than_half_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify-sandwich", "--nu", "2", "--h", "7"], capsys)
@@ -242,7 +274,7 @@ class TestExitCodes:
         assert "exceeds the sup bound" in err and "verification failure" not in err
 
     def test_rellich_violation_exits_1(self, monkeypatch, capsys):
-        monkeypatch.setattr(bounds, "_trial_function_norms", lambda nu, c, q: (10.0, 1.0, 1.0))
+        monkeypatch.setattr(bounds, "_trial_function_norms", lambda nu, c: (10.0, 1.0, 1.0))
         code, _, err = run_cli(["verify-rellich", "--nu", "2", "--trials", "3"], capsys)
         assert code == 1
         assert "verification failure: weighted-norm inequality violated" in err

@@ -1113,6 +1113,36 @@ class TestToleranceChecks:
             self.CALLS[call](eng, tol)
 
 
+class TestTimeAndShiftChecks:
+    """A time that is not finite and positive, or a non-finite shift d, is a
+    DomainError (exit 2), also where no KernelRequest checked it."""
+
+    TIMES = {
+        "heat": lambda e, t: e.heat_values(t, 1e-10),
+        "heat-long": lambda e, t: e.heat_values(t, 1e-10, 1.0),
+        "poisson": lambda e, t: e.poisson_values(t, 1.0, 1e-10),
+    }
+    SHIFTS = {
+        "poisson": lambda e, d: e.poisson_values(0.1, d, 1e-10),
+        "potential_series": lambda e, d: e.potential_series(1.0, d, 1e-9),
+        "potential_time_integral": lambda e, d: e.potential_time_integral(1.0, d, 1e-9),
+    }
+
+    @pytest.mark.parametrize("call", sorted(TIMES))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, 0.0, -1.0])
+    def test_time_rejected(self, call, t):
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
+        with pytest.raises(DomainError, match="time must be finite and positive"):
+            self.TIMES[call](eng, t)
+
+    @pytest.mark.parametrize("call", sorted(SHIFTS))
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_shift_rejected(self, call, d):
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
+        with pytest.raises(DomainError, match="shift d must be finite"):
+            self.SHIFTS[call](eng, d)
+
+
 # The potential benchmark's requests: five bases, four sigmas, one pair per
 # separation band.
 POTENTIAL_CASES = ((KernelKind.BESSEL_POT, -0.75), (KernelKind.BESSEL_POT, -0.5),

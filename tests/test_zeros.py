@@ -15,8 +15,8 @@ from dini.zeros import (
     x0_bound,
 )
 
-# Plain-bisection golden value for the first zero of the nu=0, H=1/2
-# combination (see test_numerics for the oracle construction).
+# First zero of the H=1/2 Robin combination at nu=0, frozen from a plain
+# 200-step bisection of 0.5*J_0(x) - x*J_1(x) on (0.1, 2.4048).
 Z1_NU0_H_HALF = 0.9407705639497375
 
 
@@ -186,21 +186,21 @@ class TestNewtonCertificate:
         reference = build_zero_table(p, 300)
         newton = zeros_mod._newton
         fallbacks = []
-        refine_root = zeros_mod.refine_root
+        bisect = zeros_mod._bisect
 
         def off_by_a_little(fdf, x, lo, hi, s_lo, tol):
             x, lo, hi = newton(fdf, x, lo, hi, s_lo, tol)
             x[::3] += 1e-9  # outside x -/+ d: the certificate must fail here
             return x, lo, hi
 
-        def spy(*args, **kwargs):
-            fallbacks.append(args[1])
-            return refine_root(*args, **kwargs)
+        def spy(f, lo, *args):
+            fallbacks.append(lo.size)
+            return bisect(f, lo, *args)
 
         monkeypatch.setattr(zeros_mod, "_newton", off_by_a_little)
-        monkeypatch.setattr(zeros_mod, "refine_root", spy)
+        monkeypatch.setattr(zeros_mod, "_bisect", spy)
         table = build_zero_table(p, 300)
-        assert len(fallbacks) == 100 + 100  # every third J_nu and J_{nu,H} zero
+        assert fallbacks == [100, 100]  # every third J_nu, then J_{nu,H}, zero: one call each
         assert_certified(table)
         ref = reference.zeros[1:]
         assert np.all(np.abs(table.zeros[1:] - ref) <= np.maximum(1e-13, 4.0 * np.spacing(ref)))
@@ -227,6 +227,65 @@ class TestNewtonCertificate:
             z = float(table.zeros[n])
             zr = float(mp.findroot(robin, mp.mpf(z)))
             assert abs(z - zr) <= 1e-15 * zr
+
+
+class TestBisection:
+    """The bisection ``_refine`` falls back on, reached with ``_newton`` off
+    and a start x0 far from the zero, so that the certificate fails and the
+    whole cell is bisected."""
+
+    @staticmethod
+    def refine(f, x0, lo, hi, s_lo, tol):
+        one = lambda v: np.array([float(v)])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(zeros_mod, "_newton", lambda fdf, x, lo, hi, s_lo, tol: (x, lo, hi))
+            x, a, b = zeros_mod._refine(f, None, one(x0), one(lo), one(hi), one(s_lo), tol)
+        return x[0], a[0], b[0]
+
+    ROOTS = {
+        "sqrt_two": (lambda x: x * x - 2.0, 1.0, 2.0, math.sqrt(2.0)),
+        "cosine_half_pi": (np.cos, 1.0, 2.0, math.pi / 2.0),
+        "robin_first_zero": (lambda x: bessel_jh(SpectralParams(0.0, 0.5), x), 0.1, 2.4048,
+                             Z1_NU0_H_HALF),
+    }
+
+    @pytest.mark.parametrize("name", sorted(ROOTS))
+    def test_bisects_to_tol(self, name):
+        f, lo, hi, root = self.ROOTS[name]
+        s_lo = np.sign(f(np.array([lo])))[0]
+        x, a, b = self.refine(f, hi - 0.01, lo, hi, s_lo, 1e-12)
+        assert a < x < b and b - a <= 1e-12
+        assert abs(x - root) < 1e-12
+        assert np.array_equal(np.sign(f(np.array([a, b]))), [s_lo, -s_lo])
+
+    def test_exact_zero_bracket_is_signed(self):
+        # The first midpoint 0.5 is an exact zero, but f < 0 just above it:
+        # a bracket around 0.5 would not be signed, so none is returned.
+        f = lambda x: np.where(x == 0.5, 0.0, np.where(x >= 0.75, 1.0, -1.0))
+        with pytest.raises(ConsistencyError, match="zero bisection: exact zero x = 0.5"):
+            self.refine(f, 0.9, 0.0, 1.0, -1.0, 1e-12)
+        x, a, b = self.refine(lambda x: x - 0.5, 0.9, 0.0, 1.0, -1.0, 1e-12)
+        assert x == 0.5 and a < 0.5 < b
+
+    @pytest.mark.parametrize("tol", [1e-13, 4.0 * math.ulp(64.0)])
+    def test_exact_zero_bracket_honours_tol(self, tol):
+        # The first midpoint 64 is an exact zero; the bracket around it must
+        # still be signed and no wider than tol (tol >= 2 ulp(64)).
+        x, a, b = self.refine(lambda x: x - 64.0, 100.0, 0.0, 128.0, -1.0, tol)
+        assert x == 64.0 and a < 64.0 < b and b - a <= tol
+
+    def test_step_cap_is_a_consistency_error(self):
+        # 200 halvings of [0, 2e300] leave a bracket far wider than tol.
+        with pytest.raises(ConsistencyError, match="zero bisection: 1 bracket"):
+            self.refine(lambda x: x - 1.0, 1e300, 0.0, 2e300, -1.0, 1e-13)
+
+    @given(st.floats(-0.9, 0.9), st.floats(0.05, 2.0))
+    @settings(max_examples=40, deadline=None)
+    def test_enclosure_property(self, shift, scale):
+        f = lambda x: scale * (x - shift) ** 3 + (x - shift)
+        x, a, b = self.refine(f, shift + 1.2, shift - 1.0, shift + 1.3, -1.0, 1e-11)
+        assert a <= x <= b and a <= shift <= b
+        assert b - a <= 1e-11
 
 
 class TestZeroTable:
