@@ -4,7 +4,9 @@
 Writes two long-format CSVs (kernel surface, per-point ratio dump) for one
 parameter set. Usage:
 
-    python scripts/kernel_surface_demo.py [nu] [t] [outdir]
+    python scripts/kernel_surface_demo.py [-h] [nu] [t] [outdir]
+
+nu defaults to 0.5, t to 0.05 and outdir to surface_out.
 """
 
 import sys
@@ -53,6 +55,9 @@ def run(nu: float, t: float, outdir: Path) -> None:
 
 
 if __name__ == "__main__":
+    if {"-h", "--help"} & set(sys.argv[1:]):
+        print(__doc__.strip())
+        sys.exit(0)
     nu = float(sys.argv[1]) if len(sys.argv) > 1 else 0.5
     t = float(sys.argv[2]) if len(sys.argv) > 2 else 0.05
     out = Path(sys.argv[3]) if len(sys.argv) > 3 else Path("surface_out")

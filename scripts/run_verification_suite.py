@@ -6,7 +6,9 @@ check into the output directory. Each status line carries the step's wall
 time, and the last line the total and the process's peak resident set size.
 Exits nonzero if any verification fails.
 
-Usage: python scripts/run_verification_suite.py [outdir]
+Usage: python scripts/run_verification_suite.py [-h] [outdir]
+
+outdir defaults to verification_out and may not start with '-'.
 """
 
 import resource
@@ -79,5 +81,13 @@ def run(outdir: Path) -> int:
 
 
 if __name__ == "__main__":
-    out = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("verification_out")
-    sys.exit(run(out))
+    args = sys.argv[1:]
+    if {"-h", "--help"} & set(args):
+        print(__doc__.strip())
+        sys.exit(0)
+    out = args[0] if args else "verification_out"
+    if out.startswith("-"):
+        sys.stderr.write(f"run_verification_suite.py: error: output directory {out!r} "
+                         "starts with '-' (see --help)\n")
+        sys.exit(2)
+    sys.exit(run(Path(out)))

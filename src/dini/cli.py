@@ -3,6 +3,9 @@
 Deterministic verification sweeps and kernel-surface emission; identical
 configurations produce byte-identical CSV/JSON artifacts. Exit codes:
 0 = all checks passed, 1 = a verification failed, 2 = usage or numerical error.
+Each command declares in COMMANDS the options that it reads, and each --kind
+in KERNEL_KINDS or ENVELOPE_KINDS the ones that it reads beyond those; any
+other option is a usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import json
 import math
 import sys
 import traceback
-from typing import Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,16 +35,6 @@ from .numerics import _fmt
 from .specfun import JacobiParams, SpectralParams, bessel_ih
 from .zeros import build_zero_table, x0_bound
 
-# kernel --kind NAME: the kernel kind and the function that evaluates it.
-KERNELS = {
-    "heat": (KernelKind.HEAT, heat_kernel),
-    "jacobi-heat": (KernelKind.JACOBI_HEAT, heat_kernel),
-    "poisson": (KernelKind.POISSON, poisson_kernel),
-    "poisson-shifted": (KernelKind.POISSON_SHIFTED, poisson_kernel),
-    "riesz": (KernelKind.RIESZ_POT, potential_kernel),
-    "bessel": (KernelKind.BESSEL_POT, potential_kernel),
-}
-
 
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
@@ -55,17 +48,16 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, default=float) + "\n"
 
 
-def emit_plot_data(rows: Sequence[dict], columns: Sequence[str], out: Optional[str]) -> None:
-    """Long-format CSV emission with binary64 round-trip formatting."""
-    lines = [",".join(columns)]
+def _emit_rows(cfg: argparse.Namespace, rows: Sequence[dict], **fields) -> None:
+    """rows as long-format CSV with binary64 round-trip formatting, or as
+    JSON next to fields, by --format."""
+    if cfg.format == "json":
+        _emit(_json_text({**fields, "rows": rows}), cfg.out)
+        return
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(
-            ",".join(
-                _fmt(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in columns
-            )
-        )
-    _emit("\n".join(lines) + "\n", out)
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
+    _emit("\n".join(lines) + "\n", cfg.out)
 
 
 # ----------------------------- commands -----------------------------------
@@ -74,7 +66,7 @@ def emit_plot_data(rows: Sequence[dict], columns: Sequence[str], out: Optional[s
 def _cmd_zeros(cfg: argparse.Namespace) -> int:
     p = SpectralParams(cfg.nu, cfg.h)
     table = build_zero_table(p, cfg.n_max, cfg.tol)
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         obj = {
             "nu": p.nu,
             "H": p.h,
@@ -115,26 +107,18 @@ def _cmd_basis_check(cfg: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _build_pairs(cfg: argparse.Namespace, offdiag: bool = False):
-    coords = bnd.boundary_refined_coords(cfg.grid_n, cfg.refine)
-    if offdiag:
-        return bnd.offdiagonal_pair_grid(coords)
-    return bnd.pair_grid(coords)
+def _build_pairs(cfg: argparse.Namespace, pair_grid=bnd.pair_grid):
+    return pair_grid(bnd.boundary_refined_coords(cfg.grid, not cfg.no_refine))
 
 
 def _cmd_kernel(cfg: argparse.Namespace) -> int:
-    kind, evaluate = KERNELS[cfg.kind]
-    offdiag = kind in (KernelKind.RIESZ_POT, KernelKind.BESSEL_POT)
-    pairs = _build_pairs(cfg, offdiag=offdiag)
-    t_or_sigma = cfg.sigma_values[0] if offdiag else cfg.t_values[0]
-    params = (
-        JacobiParams(cfg.alpha if cfg.alpha is not None else cfg.nu, cfg.beta)
-        if kind is KernelKind.JACOBI_HEAT
-        else SpectralParams(cfg.nu, cfg.h)
-    )
+    kind = KERNEL_KINDS[cfg.kind]
+    kernel_kind, evaluate = kind.make
+    pairs = _build_pairs(cfg, kind.pairs)
+    t_or_sigma = getattr(cfg, _dest(kind.over))[0]
     req = KernelRequest(
-        kind=kind,
-        params=params,
+        kind=kernel_kind,
+        params=kind.params(cfg),
         time_or_sigma=t_or_sigma,
         grid=pairs,
         d_nu=cfg.d_nu,
@@ -144,25 +128,16 @@ def _cmd_kernel(cfg: argparse.Namespace) -> int:
     )
     values = evaluate(req)
     rows = [
-        {
-            "x": p[0],
-            "y": p[1],
-            "value": v.value,
-            "n_terms": v.n_terms,
-            "tail_bound": v.tail_bound,
-        }
-        for p, v in zip(pairs, values)
+        {"x": x, "y": y, "value": v.value, "n_terms": v.n_terms, "tail_bound": v.tail_bound}
+        for (x, y), v in zip(pairs, values)
     ]
-    if cfg.fmt == "json":
-        _emit(_json_text({"kind": cfg.kind, "t_or_sigma": t_or_sigma, "rows": rows}), cfg.out)
-    else:
-        emit_plot_data(rows, ["x", "y", "value", "n_terms", "tail_bound"], cfg.out)
+    _emit_rows(cfg, rows, kind=cfg.kind, t_or_sigma=t_or_sigma)
     return 0
 
 
 def _cmd_verify_sandwich(cfg: argparse.Namespace) -> int:
     pairs = _build_pairs(cfg)
-    reports = bnd.sandwich_check(cfg.nu, list(cfg.t_values), pairs, n_max=cfg.n_max, tol=cfg.tol)
+    reports = bnd.sandwich_check(cfg.nu, list(cfg.t), pairs, n_max=cfg.n_max, tol=cfg.tol)
     obj = {
         "nu": cfg.nu,
         "checks": [r.to_json_dict() for r in reports],
@@ -173,22 +148,12 @@ def _cmd_verify_sandwich(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
-    b = build_basis(SpectralParams(cfg.nu, cfg.h), cfg.n_max)
-    potential = cfg.kind in ("bessel", "riesz")
-    if cfg.kind == "heat":
-        env = bnd.heat_short_envelope(cfg.nu)
-    elif cfg.kind == "heat-long":
-        env = bnd.heat_long_envelope(b)
-    elif cfg.kind == "poisson":
-        env = bnd.poisson_short_envelope(cfg.nu)
-    elif potential:
-        env = bnd.potential_envelope(cfg.nu, riesz=(cfg.kind == "riesz"))
-    else:
-        raise DiniError(f"unknown envelope verification kind: {cfg.kind}")
+    kind = ENVELOPE_KINDS[cfg.kind]
+    b = build_basis(kind.params(cfg), cfg.n_max)
+    env = kind.make(b)
     reports = bnd.envelope_reports(
-        b, _build_pairs(cfg, offdiag=potential),
-        list(cfg.sigma_values if potential else cfg.t_values), env,
-        tol=cfg.tol if cfg.kind.startswith("heat") else max(cfg.tol, 1e-9), d=cfg.d_nu,
+        b, _build_pairs(cfg, kind.pairs), list(getattr(cfg, _dest(kind.over))), env,
+        tol=cfg.tol, d=cfg.d_nu,
     )
     failures = [r.to_json_dict() for r in reports if not (r.spread <= cfg.max_spread)]
     obj = {
@@ -200,15 +165,13 @@ def _cmd_verify_envelopes(cfg: argparse.Namespace) -> int:
         "pass": not failures,
     }
     _emit(_json_text(obj), cfg.out)
-    if failures:
-        for f in failures:
-            sys.stderr.write(
-                f"envelope spread violation: kind={cfg.kind} t={f['t']} "
-                f"min={f['min_ratio']:.6g} at {f['argmin']}, "
-                f"max={f['max_ratio']:.6g} at {f['argmax']}\n"
-            )
-        return 1
-    return 0
+    for f in failures:
+        sys.stderr.write(
+            f"envelope spread violation: kind={cfg.kind} t={f['t']} "
+            f"min={f['min_ratio']:.6g} at {f['argmin']}, "
+            f"max={f['max_ratio']:.6g} at {f['argmax']}\n"
+        )
+    return 1 if failures else 0
 
 
 def _cmd_verify_rellich(cfg: argparse.Namespace) -> int:
@@ -233,30 +196,17 @@ def _cmd_verify_rellich(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify_zero_bound(cfg: argparse.Namespace) -> int:
-    nus = np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, cfg.nu_grid_n)
     rows = []
-    ok = True
-    for nu in nus:
-        p = SpectralParams(float(nu), 0.5)
-        table = build_zero_table(p, 1, tol=1e-13)
-        z0 = table.zeros[0]
-        x0 = x0_bound(float(nu))
+    for nu in map(float, np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, cfg.nu_grid)):
+        p = SpectralParams(nu, 0.5)
+        z0 = build_zero_table(p, 1, tol=1e-13).zeros[0]
+        x0 = x0_bound(nu)
         residual = abs(float(bessel_ih(p, z0)))
         good = z0 < x0 < 0.5 and residual <= 1e-10
-        ok = ok and good
-        rows.append(
-            {
-                "nu": float(nu),
-                "z0": float(z0),
-                "x0": float(x0),
-                "residual": residual,
-                "pass": good,
-            }
-        )
-    if cfg.fmt == "json":
-        _emit(_json_text({"rows": rows, "pass": bool(ok)}), cfg.out)
-    else:
-        emit_plot_data(rows, ["nu", "z0", "x0", "residual", "pass"], cfg.out)
+        rows.append({"nu": nu, "z0": float(z0), "x0": float(x0), "residual": residual,
+                     "pass": good})
+    ok = all(r["pass"] for r in rows)
+    _emit_rows(cfg, rows, **{"pass": ok})
     if not ok:
         sys.stderr.write("zero bound violated on the nu grid\n")
         return 1
@@ -268,24 +218,19 @@ def _cmd_convergence(cfg: argparse.Namespace) -> int:
     f = lambda x: x * (1.0 - x) ** 2
     # Fixed interior grid: pointwise boundary convergence is an interior
     # statement; the shrinking layer near x=0 is not part of the witness.
-    xs = np.linspace(0.01, 0.99, cfg.grid_n)
+    xs = np.linspace(0.01, 0.99, cfg.grid)
     fx = f(xs)
     rows = []
-    sups = []
-    for t in cfg.t_values:
+    for t in cfg.t:
         vals = semigroup_apply(b, f, float(t), xs, tol=cfg.tol)
-        sup = float(np.max(np.abs(vals - fx)))
-        sups.append(sup)
-        rows.append({"t": float(t), "sup_error": sup})
+        rows.append({"t": float(t), "sup_error": float(np.max(np.abs(vals - fx)))})
+    sups = [r["sup_error"] for r in rows]
     monotone = all(a >= b for a, b in zip(sups, sups[1:]))
-    if cfg.fmt == "json":
-        _emit(_json_text({"nu": cfg.nu, "rows": rows, "monotone": monotone}), cfg.out)
-    else:
-        emit_plot_data(rows, ["t", "sup_error"], cfg.out)
+    _emit_rows(cfg, rows, nu=cfg.nu, monotone=monotone)
     return 0 if monotone else 1
 
 
-# ----------------------------- argument parsing ---------------------------
+# ----------------------------- option table -------------------------------
 
 
 def _parse_floats(text: str) -> tuple:
@@ -296,34 +241,159 @@ def _parse_floats(text: str) -> tuple:
     return values
 
 
-def _one_float(text: str) -> tuple:
-    values = _parse_floats(text)
-    if len(values) > 1:
-        raise argparse.ArgumentTypeError(f"must be a single finite number, got {text!r}")
-    return values
+def _checked(convert, ok, what: str):
+    """A parse type: convert the text, then refuse a value that is not ok."""
+    def parse(text: str):
+        value = convert(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    parse.__name__ = convert.__name__
+    return parse
 
 
-def _positive_float(text: str) -> float:
-    v = float(text)
-    if not (math.isfinite(v) and v > 0.0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {v}")
-    return v
+_one_float = _checked(_parse_floats, lambda v: len(v) == 1, "a single finite number")
+_positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
+_positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
+_half_only = _checked(float, lambda h: h == 0.5,
+                      "0.5: the sandwich compares heat kernels at H = 1/2 only")
 
 
-def _positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {n}")
-    return n
+def _dest(option: str) -> str:
+    return option[2:].replace("-", "_")
 
 
-def _half_only(text: str) -> float:
-    h = float(text)
-    if h != 0.5:
-        raise argparse.ArgumentTypeError(
-            f"the sandwich compares heat kernels at H = 1/2 only, got {h}"
-        )
-    return h
+# Every option of the CLI, with its parse type and help.
+OPTIONS = {
+    "--kind": dict(help="what to evaluate"),
+    "--nu": dict(type=float, required=True, help="order nu > -1"),
+    "--h": dict(type=float, help="boundary parameter H"),
+    "--alpha": dict(type=float, help="Jacobi alpha (default: --nu)"),
+    "--beta": dict(type=float, help="Jacobi beta"),
+    "--n-max": dict(type=int, help="highest mode index"),
+    "--tol": dict(type=_positive_float, help="certified truncation tolerance"),
+    "--t": dict(type=_parse_floats, help="comma-separated times t"),
+    "--sigma": dict(type=_parse_floats, help="comma-separated potential powers sigma"),
+    "--d-nu": dict(type=float, help="shift d of the Poisson kernel"),
+    "--grid": dict(type=_positive_int, help="grid points per axis"),
+    "--no-refine": dict(action="store_true", help="no geometric refinement toward 0 and 1"),
+    "--max-spread": dict(type=_positive_float, help="largest max/min ratio that passes"),
+    "--trials": dict(type=_positive_int, help="random trial functions"),
+    "--terms": dict(type=_positive_int, help="modes per trial function"),
+    "--seed": dict(type=int, help="seed of the trial functions"),
+    "--nu-grid": dict(type=_positive_int, help="orders nu in (-1, -1/2)"),
+    "--format": dict(choices=("csv", "json"), help="artifact format"),
+    "--out": dict(help="output path ('-' = stdout)"),
+}
+# The options that a --kind may not read; each command reads the others.
+KIND_OPTIONS = ("--t", "--sigma", "--h", "--d-nu", "--alpha", "--beta")
+
+
+class Kind(NamedTuple):
+    """A --kind of `kernel` or `verify-envelopes`."""
+
+    make: Any  # (KernelKind, kernel function), or basis -> Envelope
+    over: str = "--t"  # its times (--t) or potential powers (--sigma)
+    pairs: Callable = bnd.pair_grid  # pair grid over the boundary-refined coordinates
+    reads: tuple = ("--h",)  # which of --h, --d-nu, --alpha and --beta it reads
+    params: Callable = lambda cfg: SpectralParams(cfg.nu, cfg.h)
+    tol_floor: Optional[float] = None  # its --tol default and least --tol, if any
+
+
+_POTENTIAL = dict(over="--sigma", pairs=bnd.offdiagonal_pair_grid)
+KERNEL_KINDS = {
+    "heat": Kind((KernelKind.HEAT, heat_kernel)),
+    "jacobi-heat": Kind(
+        (KernelKind.JACOBI_HEAT, heat_kernel), reads=("--alpha", "--beta"),
+        params=lambda cfg: JacobiParams(cfg.nu if cfg.alpha is None else cfg.alpha, cfg.beta),
+    ),
+    "poisson": Kind((KernelKind.POISSON, poisson_kernel)),
+    "poisson-shifted": Kind((KernelKind.POISSON_SHIFTED, poisson_kernel), reads=("--h", "--d-nu")),
+    "riesz": Kind((KernelKind.RIESZ_POT, potential_kernel), **_POTENTIAL),
+    "bessel": Kind((KernelKind.BESSEL_POT, potential_kernel), **_POTENTIAL),
+}
+# The Poisson and potential sweeps run at tol >= 1e-9.
+ENVELOPE_KINDS = {
+    "heat": Kind(lambda b: bnd.heat_short_envelope(b.params.nu)),
+    "heat-long": Kind(bnd.heat_long_envelope),
+    "poisson": Kind(lambda b: bnd.poisson_short_envelope(b.params.nu),
+                    reads=("--h", "--d-nu"), tol_floor=1e-9),
+    "bessel": Kind(lambda b: bnd.potential_envelope(b.params.nu), tol_floor=1e-9, **_POTENTIAL),
+    "riesz": Kind(lambda b: bnd.potential_envelope(b.params.nu, riesz=True),
+                  tol_floor=1e-9, **_POTENTIAL),
+}
+
+
+class Command(NamedTuple):
+    run: Callable[[argparse.Namespace], int]
+    help: str
+    options: str  # the options that run reads, as --option=default, or bare for None
+    kinds: dict = {}  # --kind name -> Kind
+    changes: dict = {}  # option -> its add_argument keywords that differ from OPTIONS
+
+
+COMMANDS = {
+    "zeros": Command(_cmd_zeros, "emit the zero table as CSV/JSON",
+                     "--nu --h=0.5 --n-max=200 --tol=1e-10 --format=csv --out"),
+    "basis-check": Command(_cmd_basis_check, "orthonormality and boundary-condition residuals",
+                           "--nu --h=0.5 --n-max=40 --out"),
+    "kernel": Command(_cmd_kernel, "evaluate a kernel surface on a grid",
+                      "--kind=heat --nu --h=0.5 --alpha --beta=-0.5 --n-max=200 --tol=1e-10 "
+                      "--t=0.1 --sigma=1 --d-nu=1 --grid=20 --no-refine --format=csv --out",
+                      KERNEL_KINDS,
+                      {"--t": dict(type=_one_float), "--sigma": dict(type=_one_float)}),
+    "verify-sandwich": Command(_cmd_verify_sandwich, "two-sided heat-kernel comparison",
+                               "--nu --h=0.5 --n-max=400 --tol=1e-10 --t=0.01,0.1,0.5,1 --grid=20 "
+                               "--no-refine --out", changes={"--h": dict(type=_half_only)}),
+    "verify-envelopes": Command(_cmd_verify_envelopes, "kernel/envelope ratio sweeps",
+                                "--kind=heat --nu --h=0.5 --n-max=400 --tol=1e-10 "
+                                "--t=1e-4,1e-3,1e-2,1e-1,1 --sigma=0.5,1,1.6 --d-nu=1 --grid=20 "
+                                "--no-refine --max-spread=1e3 --out", ENVELOPE_KINDS),
+    "verify-rellich": Command(_cmd_verify_rellich, "weighted-norm inequality trials",
+                              "--nu --trials=100 --terms=5 --seed=12345 --out"),
+    "verify-zero-bound": Command(_cmd_verify_zero_bound, "z0 < x0 < 1/2 on a nu grid",
+                                 "--nu-grid=32 --format=json --out"),
+    "convergence": Command(_cmd_convergence, "sup-norm decay of T_t f - f as t -> 0",
+                           "--nu --h=0.5 --n-max=1200 --tol=1e-10 --t=1e-1,1e-2,1e-3,1e-4,1e-5 "
+                           "--grid=200 --format=csv --out"),
+}
+DISPATCH = {name: command.run for name, command in COMMANDS.items()}
+
+
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command. Its options default to absent, so that it
+    sees which were given: it refuses those that the chosen --kind does not
+    read and a --tol below the kind's floor, then fills in the defaults,
+    each parsed by its option's type."""
+
+    def __init__(self, command: Command, **kw):
+        super().__init__(allow_abbrev=False, argument_default=argparse.SUPPRESS, **kw)
+        self.command, self.defaults = command, {}
+        for word in command.options.split():
+            option, _, default = word.partition("=")
+            spec = {**OPTIONS[option], **command.changes.get(option, {})}
+            if option == "--kind":
+                spec["choices"] = command.kinds
+            self.defaults[_dest(option)] = spec.get("type", str)(default) if default else None
+            self.add_argument(option, **spec)
+
+    def parse_known_args(self, args=None, namespace=None):
+        ns, rest = super().parse_known_args(args, namespace)
+        command, given = self.command, vars(ns)
+        if command.kinds:
+            name = given.get("kind", self.defaults["kind"])
+            kind = command.kinds[name]
+            unread = [o for o in KIND_OPTIONS
+                      if _dest(o) in given and o not in (kind.over, *kind.reads)]
+            if unread:
+                self.error(f"--kind {name} does not read {', '.join(unread)}")
+            floor = kind.tol_floor
+            if floor is not None and given.setdefault("tol", floor) < floor:
+                self.error(f"argument --tol: --kind {name} runs at tol >= {floor:g}, "
+                           f"got {given['tol']:g}".replace("e-0", "e-"))
+        for dest, default in self.defaults.items():
+            given.setdefault(dest, default)
+        return ns, rest
 
 
 @functools.cache
@@ -332,86 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
     immutable and parse_args returns a fresh Namespace on every call."""
     ap = argparse.ArgumentParser(
         prog="dini",
+        allow_abbrev=False,
         description="Spectral system on (0,1) from Bessel-type boundary problems: "
         "zeros, bases, heat/Poisson/potential kernels, and envelope verification.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, nu_required=True, h_type=float):
-        p.add_argument("--nu", type=float, required=nu_required, help="order nu > -1")
-        p.add_argument("--h", type=h_type, default=0.5, help="boundary parameter H")
-        p.add_argument("--n-max", type=int, default=200)
-        p.add_argument("--tol", type=_positive_float, default=1e-10)
-        p.add_argument("--out", type=str, default=None, help="output path ('-' = stdout)")
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-
-    p = sub.add_parser("zeros", help="emit the zero table as CSV/JSON")
-    common(p)
-
-    p = sub.add_parser("basis-check", help="orthonormality and boundary-condition residuals")
-    common(p)
-    p.set_defaults(n_max=40)
-
-    p = sub.add_parser("kernel", help="evaluate a kernel surface on a grid")
-    common(p)
-    p.add_argument("--kind", choices=sorted(KERNELS), default="heat")
-    p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--beta", type=float, default=-0.5)
-    p.add_argument("--t", dest="t_values", type=_one_float, default=(0.1,))
-    p.add_argument("--sigma", dest="sigma_values", type=_one_float, default=(1.0,))
-    p.add_argument("--d-nu", type=float, default=1.0)
-    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
-    p.add_argument("--no-refine", dest="refine", action="store_false")
-
-    p = sub.add_parser("verify-sandwich", help="two-sided heat-kernel comparison")
-    common(p, h_type=_half_only)
-    p.add_argument("--t", dest="t_values", type=_parse_floats, default=(0.01, 0.1, 0.5, 1.0))
-    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
-    p.add_argument("--no-refine", dest="refine", action="store_false")
-    p.set_defaults(n_max=400, fmt="json")
-
-    p = sub.add_parser("verify-envelopes", help="kernel/envelope ratio sweeps")
-    common(p)
-    p.add_argument("--kind", choices=("heat", "heat-long", "poisson", "bessel", "riesz"), default="heat")
-    p.add_argument("--t", dest="t_values", type=_parse_floats, default=(1e-4, 1e-3, 1e-2, 1e-1, 1.0))
-    p.add_argument("--sigma", dest="sigma_values", type=_parse_floats, default=(0.5, 1.0, 1.6))
-    p.add_argument("--d-nu", type=float, default=1.0)
-    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=20)
-    p.add_argument("--no-refine", dest="refine", action="store_false")
-    p.add_argument("--max-spread", type=_positive_float, default=1e3)
-    p.set_defaults(n_max=400, fmt="json")
-
-    p = sub.add_parser("verify-rellich", help="weighted-norm inequality trials")
-    common(p)
-    p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--terms", type=_positive_int, default=5)
-    p.add_argument("--seed", type=int, default=12345)
-    p.set_defaults(fmt="json")
-
-    p = sub.add_parser("verify-zero-bound", help="z0 < x0 < 1/2 on a nu grid")
-    common(p, nu_required=False)
-    p.add_argument("--nu-grid", dest="nu_grid_n", type=_positive_int, default=32)
-    p.set_defaults(nu=-0.75, fmt="json")
-
-    p = sub.add_parser("convergence", help="sup-norm decay of T_t f - f as t -> 0")
-    common(p)
-    p.add_argument("--t", dest="t_values", type=_parse_floats,
-                   default=(1e-1, 1e-2, 1e-3, 1e-4, 1e-5))
-    p.add_argument("--grid", dest="grid_n", type=_positive_int, default=200)
-    p.set_defaults(n_max=1200)
+    sub = ap.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
+    for name, command in COMMANDS.items():
+        sub.add_parser(name, help=command.help, command=command)
     return ap
-
-
-DISPATCH = {
-    "zeros": _cmd_zeros,
-    "basis-check": _cmd_basis_check,
-    "kernel": _cmd_kernel,
-    "verify-sandwich": _cmd_verify_sandwich,
-    "verify-envelopes": _cmd_verify_envelopes,
-    "verify-rellich": _cmd_verify_rellich,
-    "verify-zero-bound": _cmd_verify_zero_bound,
-    "convergence": _cmd_convergence,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

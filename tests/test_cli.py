@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -317,3 +321,98 @@ class TestDeterminism:
         assert main(args + ["--out", str(f1)]) == 0
         assert main(args + ["--out", str(f2)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestOptionTable:
+    """Each command reads exactly the options it declares, and each --kind
+    the ones it reads beyond those: anything else is a usage error."""
+
+    @pytest.mark.parametrize("args, option", [
+        ("verify-envelopes --kind heat --nu 0.5 --d-nu nan --t 0.1 --grid 4", "--d-nu"),
+        ("kernel --kind heat --nu 0.5 --alpha 3 --sigma 9 --grid 3", "--alpha"),
+        ("kernel --kind poisson --nu 0.5 --d-nu 7 --t 0.1 --grid 3", "--d-nu"),
+        ("kernel --kind jacobi-heat --nu 0 --h 9 --t 0.05 --grid 3", "--h"),
+        ("kernel --kind bessel --nu 0 --t 0.1 --grid 3", "--t"),
+        ("verify-envelopes --kind bessel --nu 0 --tol 1e-12 --grid 4", "--tol"),
+        ("verify-zero-bound --nu 3", "--nu"),
+        ("verify-rellich --nu 2 --h 7", "--h"),
+        ("basis-check --nu 0.7 --tol 0.5", "--tol"),
+        ("verify-sandwich --nu 2 --format csv", "--format"),
+    ])
+    def test_option_not_read_is_refused(self, args, option, capsys):
+        code, out, err = run_cli(args.split(), capsys)
+        assert code == 2 and out == ""
+        assert option in err
+
+    @pytest.mark.parametrize("args, kind, options", [
+        ("kernel --kind heat --nu 0.5 --alpha 3 --sigma 9 --grid 3", "heat", "--sigma, --alpha"),
+        ("kernel --kind heat --nu 0.5 --d-nu 1 --grid 3", "heat", "--d-nu"),
+        ("kernel --nu 0.5 --beta -0.5 --grid 3", "heat", "--beta"),
+        ("verify-envelopes --kind riesz --nu 0.5 --d-nu 1 --grid 4", "riesz", "--d-nu"),
+    ])
+    def test_kind_refusal_names_option_and_kind(self, args, kind, options, capsys):
+        # Given at its default value, or with --kind left at its default,
+        # an option that the kind does not read is still refused.
+        code, out, err = run_cli(args.split(), capsys)
+        assert code == 2 and out == ""
+        assert f"--kind {kind} does not read {options}" in err
+
+    @pytest.mark.parametrize("kind", ["poisson", "bessel", "riesz"])
+    @pytest.mark.parametrize("tol", ["1e-12", "5e-10"])
+    def test_tol_below_kind_floor_is_refused(self, kind, tol, capsys):
+        code, out, err = run_cli(["verify-envelopes", "--kind", kind, "--nu", "0",
+                                  "--tol", tol, "--grid", "4"], capsys)
+        assert code == 2 and out == ""
+        assert f"argument --tol: --kind {kind} runs at tol >= 1e-9, got {tol}" in err
+
+    def test_nu_is_not_an_abbreviation_of_nu_grid(self, capsys):
+        for args in (["verify-zero-bound", "--nu", "3"], ["verify-zero-bound", "--nu-g", "3"]):
+            code, out, err = run_cli(args, capsys)
+            assert code == 2 and out == ""
+            assert f"unrecognized arguments: {args[1]} 3" in err
+
+    def test_help_lists_only_options_read(self, capsys):
+        assert main(["verify-rellich", "--help"]) == 0
+        text = capsys.readouterr().out
+        assert "--trials" in text and "--seed" in text
+        assert all(f"{o} " not in text for o in ("--h", "--n-max", "--tol", "--format"))
+
+    @pytest.mark.parametrize("args", [
+        ["--kind", "poisson", "--nu", "0.5", "--d-nu", "0", "--t", "0.1,1", "--grid", "8",
+         "--n-max", "800"],
+        ["--kind", "bessel", "--nu", "0", "--sigma", "1", "--grid", "6", "--n-max", "2500"],
+    ])
+    def test_default_tol_of_floored_kinds_is_the_floor(self, args, capsys):
+        # The Poisson and potential sweeps default to tol = 1e-9, so leaving
+        # --tol out writes the bytes that --tol 1e-9 writes.
+        code, default, _ = run_cli(["verify-envelopes", *args, "--out", "-"], capsys)
+        assert code == 0
+        code, floor, _ = run_cli(["verify-envelopes", *args, "--tol", "1e-9", "--out", "-"],
+                                 capsys)
+        assert code == 0 and floor == default
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(SCRIPTS.parent / "src")}
+    done = subprocess.run([sys.executable, str(SCRIPTS / name), *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestScriptArguments:
+    @pytest.mark.parametrize("name", ["run_verification_suite.py", "kernel_surface_demo.py"])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help_prints_usage(self, name, flag, tmp_path):
+        code, out, _ = run_script(name, [flag], tmp_path)
+        assert code == 0
+        assert f"python scripts/{name} [-h]" in out
+        assert list(tmp_path.iterdir()) == []
+
+    def test_suite_refuses_dash_output_directory(self, tmp_path):
+        code, out, err = run_script("run_verification_suite.py", ["--out"], tmp_path)
+        assert code == 2 and out == ""
+        assert "output directory '--out'" in err
+        assert list(tmp_path.iterdir()) == []
