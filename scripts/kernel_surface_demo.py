@@ -22,6 +22,7 @@ from dini.bounds import (
     pair_grid,
 )
 from dini.kernels import PairEngine
+from dini.numerics import csv_text
 from dini.specfun import SpectralParams
 
 
@@ -35,9 +36,7 @@ def run(nu: float, t: float, outdir: Path) -> None:
 
     surface = outdir / f"heat_surface_nu{nu:g}_t{t:g}.csv"
     with open(surface, "w") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(pairs, vals):
-            fh.write("%.17g,%.17g,%.17g\n" % (x, y, v))
+        fh.write(csv_text({"x": eng.xs, "y": eng.ys, "value": vals}))
 
     report = envelope_reports(
         basis, pair_grid(boundary_refined_coords(30)), [t],

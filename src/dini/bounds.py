@@ -25,6 +25,7 @@ from .errors import (
     SandwichViolation,
 )
 from .kernels import engine_for
+from .numerics import csv_text
 from .specfun import JacobiParams, Regime, SpectralParams
 
 INDICATOR_TOL = 1e-12
@@ -185,7 +186,7 @@ class RatioReport:
     max_ratio: float
     argmin: tuple
     argmax: tuple
-    points: Optional[list] = field(default=None, repr=False)
+    points: Optional[np.ndarray] = field(default=None, repr=False)  # (n, 5) rows, see write_csv
 
     @property
     def spread(self) -> float:
@@ -207,12 +208,7 @@ class RatioReport:
         """Per-point long-format dump: x,y,kernel,envelope,ratio."""
         if self.points is None:
             raise DomainError("report was built without per-point rows")
-        fh.write("x,y,kernel,envelope,ratio\n")
-        for x, y, k, e, r in self.points:
-            fh.write(
-                "%s,%s,%s,%s,%s\n"
-                % tuple("%.17g" % v for v in (x, y, k, e, r))
-            )
+        fh.write(csv_text(dict(zip(("x", "y", "kernel", "envelope", "ratio"), self.points.T))))
 
 
 def ratio_report(
@@ -233,13 +229,12 @@ def ratio_report(
     """
     kv = np.asarray(kernel_values, dtype=float)
     ev = np.asarray(envelope_values, dtype=float)
-    if kv.shape != ev.shape or len(pairs) != kv.size:
+    xy = np.asarray(pairs, dtype=float)
+    if kv.shape != ev.shape or len(xy) != kv.size:
         raise DomainError("kernel, envelope and pair arrays must align")
     keep = ev >= max(floor, 0.0)
     if floor > 0.0 and not np.all(keep):
-        kv = kv[keep]
-        ev = ev[keep]
-        pairs = [p for p, k in zip(pairs, keep) if k]
+        kv, ev, xy = kv[keep], ev[keep], xy[keep]
     if kv.size == 0:
         raise DomainError("no grid points remain above the resolvability floor")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -247,16 +242,12 @@ def ratio_report(
     if not np.all(np.isfinite(ratios)) or np.any(ratios <= 0.0):
         bad = int(np.argmin(np.where(np.isfinite(ratios), ratios, -np.inf)))
         raise NonFiniteRatioError(
-            f"non-finite or non-positive ratio at point {pairs[bad]}: "
+            f"non-finite or non-positive ratio at point {tuple(xy[bad].tolist())}: "
             f"kernel={kv[bad]:.6g}, envelope={ev[bad]:.6g}"
         )
     imin = int(np.argmin(ratios))
     imax = int(np.argmax(ratios))
-    points = (
-        [(p[0], p[1], float(k), float(e), float(r)) for p, k, e, r in zip(pairs, kv, ev, ratios)]
-        if keep_points
-        else None
-    )
+    points = np.column_stack([xy, kv, ev, ratios]) if keep_points else None
     return RatioReport(
         kind=kind,
         params=params,
@@ -264,8 +255,8 @@ def ratio_report(
         n_points=kv.size,
         min_ratio=float(ratios[imin]),
         max_ratio=float(ratios[imax]),
-        argmin=tuple(pairs[imin]),
-        argmax=tuple(pairs[imax]),
+        argmin=tuple(xy[imin].tolist()),
+        argmax=tuple(xy[imax].tolist()),
         points=points,
     )
 
@@ -438,9 +429,8 @@ def envelope_reports(
     RESOLVABILITY_FACTOR * tol.
     """
     eng = engine_for(basis, pairs)
-    xs = np.array([p[0] for p in pairs])
-    ys = np.array([p[1] for p in pairs])
-    p = eng.params
+    xs, ys, p = eng.xs, eng.ys, eng.params
+    xy = np.column_stack([xs, ys])
     kind = envelope.kind
     if kind in (EnvelopeKind.HEAT_SHORT, EnvelopeKind.HEAT_LONG):
         jacobi = isinstance(p, JacobiParams)
@@ -467,7 +457,7 @@ def envelope_reports(
             floor = RESOLVABILITY_FACTOR * tol
         out.append(
             ratio_report(
-                vals, ev, pairs, label, params, v,
+                vals, ev, xy, label, params, v,
                 keep_points=keep_points, floor=floor,
             )
         )

@@ -23,15 +23,8 @@ import numpy as np
 from . import bounds as bnd
 from .basis import build_basis, gram_matrix
 from .errors import DiniError, InequalityViolation, NonFiniteRatioError
-from .kernels import (
-    KernelKind,
-    KernelRequest,
-    heat_kernel,
-    poisson_kernel,
-    potential_kernel,
-    semigroup_apply,
-)
-from .numerics import _fmt
+from .kernels import KernelKind, KernelRequest, kernel_arrays, semigroup_apply
+from .numerics import csv_text
 from .specfun import JacobiParams, SpectralParams, bessel_ih
 from .zeros import build_zero_table, x0_bound
 
@@ -48,16 +41,15 @@ def _json_text(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1, default=float) + "\n"
 
 
-def _emit_rows(cfg: argparse.Namespace, rows: Sequence[dict], **fields) -> None:
-    """rows as long-format CSV with binary64 round-trip formatting, or as
-    JSON next to fields, by --format."""
+def _emit_rows(cfg: argparse.Namespace, columns: dict, **fields) -> None:
+    """Named columns of equal length as long-format CSV (numerics.csv_text),
+    or as JSON rows next to fields, by --format."""
     if cfg.format == "json":
+        values = [np.asarray(c).tolist() for c in columns.values()]
+        rows = [dict(zip(columns, row)) for row in zip(*values)]
         _emit(_json_text({**fields, "rows": rows}), cfg.out)
-        return
-    lines = [",".join(rows[0])]
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row.values()))
-    _emit("\n".join(lines) + "\n", cfg.out)
+    else:
+        _emit(csv_text(columns), cfg.out)
 
 
 # ----------------------------- commands -----------------------------------
@@ -67,16 +59,10 @@ def _cmd_zeros(cfg: argparse.Namespace) -> int:
     p = SpectralParams(cfg.nu, cfg.h)
     table = build_zero_table(p, cfg.n_max, cfg.tol)
     if cfg.format == "json":
-        obj = {
-            "nu": p.nu,
-            "H": p.h,
-            "regime": p.regime.name,
-            "n_min": table.n_min,
-            "n_max": table.n_max,
-            "pi_offset_sup": table.pi_offset_sup,
-            "max_residual": table.max_residual,
-            "zeros": {str(n): table.zeros[n] for n in range(table.n_min, table.n_max + 1)},
-        }
+        obj = {"nu": p.nu, "H": p.h, "regime": p.regime.name, "n_min": table.n_min,
+               "n_max": table.n_max, "pi_offset_sup": table.pi_offset_sup,
+               "max_residual": table.max_residual,
+               "zeros": {str(n): table.zeros[n] for n in range(table.n_min, table.n_max + 1)}}
         _emit(_json_text(obj), cfg.out)
     else:
         table.to_csv(sys.stdout if cfg.out in (None, "-") else cfg.out)
@@ -113,25 +99,21 @@ def _build_pairs(cfg: argparse.Namespace, pair_grid=bnd.pair_grid):
 
 def _cmd_kernel(cfg: argparse.Namespace) -> int:
     kind = KERNEL_KINDS[cfg.kind]
-    kernel_kind, evaluate = kind.make
-    pairs = _build_pairs(cfg, kind.pairs)
+    p = kind.params(cfg)
     t_or_sigma = getattr(cfg, _dest(kind.over))[0]
-    req = KernelRequest(
-        kind=kernel_kind,
-        params=kind.params(cfg),
-        time_or_sigma=t_or_sigma,
-        grid=pairs,
-        d_nu=cfg.d_nu,
-        tol=cfg.tol,
-        n_max=cfg.n_max,
-        cross_check=False,
-    )
-    values = evaluate(req)
-    rows = [
-        {"x": x, "y": y, "value": v.value, "n_terms": v.n_terms, "tail_bound": v.tail_bound}
-        for (x, y), v in zip(pairs, values)
-    ]
-    _emit_rows(cfg, rows, kind=cfg.kind, t_or_sigma=t_or_sigma)
+    req = KernelRequest(kind.make, p, t_or_sigma, _build_pairs(cfg, kind.pairs), d_nu=cfg.d_nu,
+                        tol=cfg.tol, n_max=cfg.n_max, cross_check=False)
+    values, n_terms, bound, _ = kernel_arrays(req)
+    n = values.size
+    columns = {"x": req.grid[:, 0], "y": req.grid[:, 1], "value": values,
+               "n_terms": np.full(n, n_terms), "tail_bound": np.full(n, bound)}
+    # What the kind read, as the envelope reports state theirs.
+    jacobi = isinstance(p, JacobiParams)
+    params = {"alpha": p.alpha, "beta": p.beta} if jacobi else {"nu": p.nu, "H": p.h}
+    if "--d-nu" in kind.reads:
+        params["d_nu"] = cfg.d_nu
+    params |= dict(tol=cfg.tol, n_max=cfg.n_max, grid=cfg.grid, no_refine=bool(cfg.no_refine))
+    _emit_rows(cfg, columns, kind=cfg.kind, t_or_sigma=t_or_sigma, params=params)
     return 0
 
 
@@ -196,17 +178,17 @@ def _cmd_verify_rellich(cfg: argparse.Namespace) -> int:
 
 
 def _cmd_verify_zero_bound(cfg: argparse.Namespace) -> int:
-    rows = []
-    for nu in map(float, np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, cfg.nu_grid)):
+    nus = np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, cfg.nu_grid)
+    z0, x0, residual = (np.empty(nus.size) for _ in range(3))
+    for i, nu in enumerate(nus.tolist()):
         p = SpectralParams(nu, 0.5)
-        z0 = build_zero_table(p, 1, tol=1e-13).zeros[0]
-        x0 = x0_bound(nu)
-        residual = abs(float(bessel_ih(p, z0)))
-        good = z0 < x0 < 0.5 and residual <= 1e-10
-        rows.append({"nu": nu, "z0": float(z0), "x0": float(x0), "residual": residual,
-                     "pass": good})
-    ok = all(r["pass"] for r in rows)
-    _emit_rows(cfg, rows, **{"pass": ok})
+        z0[i] = build_zero_table(p, 1, tol=1e-13).zeros[0]
+        x0[i] = x0_bound(nu)
+        residual[i] = abs(float(bessel_ih(p, z0[i])))
+    good = (z0 < x0) & (x0 < 0.5) & (residual <= 1e-10)
+    ok = bool(good.all())
+    _emit_rows(cfg, {"nu": nus, "z0": z0, "x0": x0, "residual": residual, "pass": good},
+               **{"pass": ok})
     if not ok:
         sys.stderr.write("zero bound violated on the nu grid\n")
         return 1
@@ -220,13 +202,9 @@ def _cmd_convergence(cfg: argparse.Namespace) -> int:
     # statement; the shrinking layer near x=0 is not part of the witness.
     xs = np.linspace(0.01, 0.99, cfg.grid)
     fx = f(xs)
-    rows = []
-    for t in cfg.t:
-        vals = semigroup_apply(b, f, float(t), xs, tol=cfg.tol)
-        rows.append({"t": float(t), "sup_error": float(np.max(np.abs(vals - fx)))})
-    sups = [r["sup_error"] for r in rows]
+    sups = [float(np.max(np.abs(semigroup_apply(b, f, t, xs, tol=cfg.tol) - fx))) for t in cfg.t]
     monotone = all(a >= b for a, b in zip(sups, sups[1:]))
-    _emit_rows(cfg, rows, nu=cfg.nu, monotone=monotone)
+    _emit_rows(cfg, {"t": cfg.t, "sup_error": sups}, nu=cfg.nu, monotone=monotone)
     return 0 if monotone else 1
 
 
@@ -255,8 +233,6 @@ def _checked(convert, ok, what: str):
 _one_float = _checked(_parse_floats, lambda v: len(v) == 1, "a single finite number")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
-_half_only = _checked(float, lambda h: h == 0.5,
-                      "0.5: the sandwich compares heat kernels at H = 1/2 only")
 
 
 def _dest(option: str) -> str:
@@ -292,7 +268,7 @@ KIND_OPTIONS = ("--t", "--sigma", "--h", "--d-nu", "--alpha", "--beta")
 class Kind(NamedTuple):
     """A --kind of `kernel` or `verify-envelopes`."""
 
-    make: Any  # (KernelKind, kernel function), or basis -> Envelope
+    make: Any  # KernelKind, or basis -> Envelope
     over: str = "--t"  # its times (--t) or potential powers (--sigma)
     pairs: Callable = bnd.pair_grid  # pair grid over the boundary-refined coordinates
     reads: tuple = ("--h",)  # which of --h, --d-nu, --alpha and --beta it reads
@@ -302,15 +278,15 @@ class Kind(NamedTuple):
 
 _POTENTIAL = dict(over="--sigma", pairs=bnd.offdiagonal_pair_grid)
 KERNEL_KINDS = {
-    "heat": Kind((KernelKind.HEAT, heat_kernel)),
+    "heat": Kind(KernelKind.HEAT),
     "jacobi-heat": Kind(
-        (KernelKind.JACOBI_HEAT, heat_kernel), reads=("--alpha", "--beta"),
+        KernelKind.JACOBI_HEAT, reads=("--alpha", "--beta"),
         params=lambda cfg: JacobiParams(cfg.nu if cfg.alpha is None else cfg.alpha, cfg.beta),
     ),
-    "poisson": Kind((KernelKind.POISSON, poisson_kernel)),
-    "poisson-shifted": Kind((KernelKind.POISSON_SHIFTED, poisson_kernel), reads=("--h", "--d-nu")),
-    "riesz": Kind((KernelKind.RIESZ_POT, potential_kernel), **_POTENTIAL),
-    "bessel": Kind((KernelKind.BESSEL_POT, potential_kernel), **_POTENTIAL),
+    "poisson": Kind(KernelKind.POISSON),
+    "poisson-shifted": Kind(KernelKind.POISSON_SHIFTED, reads=("--h", "--d-nu")),
+    "riesz": Kind(KernelKind.RIESZ_POT, **_POTENTIAL),
+    "bessel": Kind(KernelKind.BESSEL_POT, **_POTENTIAL),
 }
 # The Poisson and potential sweeps run at tol >= 1e-9.
 ENVELOPE_KINDS = {
@@ -343,8 +319,8 @@ COMMANDS = {
                       KERNEL_KINDS,
                       {"--t": dict(type=_one_float), "--sigma": dict(type=_one_float)}),
     "verify-sandwich": Command(_cmd_verify_sandwich, "two-sided heat-kernel comparison",
-                               "--nu --h=0.5 --n-max=400 --tol=1e-10 --t=0.01,0.1,0.5,1 --grid=20 "
-                               "--no-refine --out", changes={"--h": dict(type=_half_only)}),
+                               "--nu --n-max=400 --tol=1e-10 --t=0.01,0.1,0.5,1 --grid=20 "
+                               "--no-refine --out"),
     "verify-envelopes": Command(_cmd_verify_envelopes, "kernel/envelope ratio sweeps",
                                 "--kind=heat --nu --h=0.5 --n-max=400 --tol=1e-10 "
                                 "--t=1e-4,1e-3,1e-2,1e-1,1 --sigma=0.5,1,1.6 --d-nu=1 --grid=20 "

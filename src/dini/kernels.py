@@ -34,14 +34,14 @@ asked for, so memory is (rows grown) * n_coords, not n_max * n_pairs.
 
 An engine is a pure function of its basis and its pairs (M is a stated
 bound fixed at construction), so engines are shared: engine_for(basis, pairs)
-keeps up to CACHE_ENTRIES engines on the basis, keyed by the exact pair
-tuple and dropped oldest first, and every kernel function and ratio report
-that is given a basis takes its engine from there. A shared engine's arrays
-are read-only. Each engine holds psi, (rows grown) x n_coords doubles, and
-in turn keeps up to CACHE_ENTRIES subordination masters (about 1,700 x n_pairs
-doubles each, at n_max = 3000), keyed by the exact (d, tol). The engine does
-not refer back to its basis, so a basis and its engines are freed by
-refcounting.
+keeps up to CACHE_ENTRIES engines on the basis, keyed by the bytes of the
+(n, 2) pair array and dropped oldest first, and every kernel function and
+ratio report that is given a basis takes its engine from there. A shared
+engine's arrays are read-only. Each engine holds psi, (rows grown) x
+n_coords doubles, and in turn keeps up to CACHE_ENTRIES subordination
+masters (about 1,700 x n_pairs doubles each, at n_max = 3000), keyed by the
+exact (d, tol). The engine does not refer back to its basis, so a basis and
+its engines are freed by refcounting.
 
 Every heat and Poisson value ends in the same mode sum,
 sum_n e^{-t omega_n} psi_n(x) psi_n(y) for one or more times t, and one
@@ -72,7 +72,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import erfc as _erfc
@@ -130,12 +130,15 @@ class KernelKind(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelRequest:
-    """Evaluation request for one kernel kind on a list of (x, y) pairs."""
+    """Evaluation request for one kernel kind on (x, y) pairs in (0,1)^2. The
+    grid, any (n, 2) sequence of pairs, is kept as a read-only (n, 2) float
+    array; a ragged, empty or non-finite grid, or one not of width 2, is a
+    DomainError."""
 
     kind: KernelKind
     params: Union[SpectralParams, JacobiParams]
     time_or_sigma: float
-    grid: Sequence[tuple]
+    grid: np.ndarray
     d_nu: float = 1.0
     tol: float = 1e-10
     n_max: Optional[int] = None
@@ -150,8 +153,8 @@ class KernelRequest:
             )
         if not math.isfinite(self.d_nu):
             raise DomainError(f"shift d must be finite, got {self.d_nu}")
-        if len(self.grid) == 0:
-            raise DomainError("kernel request needs at least one (x, y) pair")
+        grid = _pair_array(self.grid, "kernel request")
+        object.__setattr__(self, "grid", grid)
         if self.kind is KernelKind.JACOBI_HEAT:
             if not isinstance(self.params, JacobiParams):
                 raise DomainError("JACOBI_HEAT requires JacobiParams")
@@ -163,9 +166,8 @@ class KernelRequest:
             )
         if self.kind is KernelKind.POISSON and self.params.nu < -0.5:
             raise DomainError("unshifted Poisson kernel requires nu >= -1/2")
-        for x, y in self.grid:
-            if not (0.0 < x < 1.0 and 0.0 < y < 1.0):
-                raise DomainError("grid points must lie in (0,1)^2")
+        if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails both comparisons
+            raise DomainError("grid points must lie in (0,1)^2")
 
 
 @dataclass
@@ -174,6 +176,22 @@ class KernelValue:
     n_terms: int
     tail_bound: float
     cross_check: Optional[float] = None
+
+
+def _pair_array(pairs, who: str) -> np.ndarray:
+    """pairs as a fresh read-only (n, 2) float array, n >= 1; otherwise a
+    DomainError naming who needs them. The values are checked by the caller
+    (NaN and inf lie outside (0,1))."""
+    try:
+        xy = np.array(pairs, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{who} needs (x, y) pairs of numbers: {exc}") from None
+    if xy.size == 0:
+        raise DomainError(f"{who} needs at least one (x, y) pair")
+    if xy.ndim != 2 or xy.shape[1] != 2:
+        raise DomainError(f"{who} needs (x, y) pairs, an (n, 2) array, got shape {xy.shape}")
+    _read_only(xy)
+    return xy
 
 
 def _check_tol(tol: float) -> None:
@@ -314,28 +332,25 @@ def _exp_rows(ts, omega, lo, cuts, prods) -> np.ndarray:
 class PairEngine:
     """Kernel series over a fixed pair set.
 
-    The engine keeps psi, the basis functions (phi for a Jacobi basis) on
-    the unique coordinates of its pairs, one row per mode, and the index
-    arrays ix and iy of each pair's x and y into them. Every kernel
-    multiplier reduces to a weighted sum over modes of the pair products
-    psi_n(x_p) psi_n(y_p), which each call forms only for the modes it sums
-    (_pair_products). psi is the rows formed so far by the engine's
-    basis.RowStore on the coordinates (basis.row_store, which checks them),
-    (rows grown) x n_coords doubles, up to the largest cutoff asked for.
+    The engine keeps its pairs as the coordinate arrays xs and ys; psi, the
+    basis functions (phi for a Jacobi basis) on the unique coordinates of
+    the pairs, one row per mode; and the index arrays ix and iy of each
+    pair's x and y into them. Every kernel multiplier reduces to a weighted
+    sum over modes of the pair products psi_n(x_p) psi_n(y_p), which each
+    call forms only for the modes it sums (_pair_products). psi is the rows
+    formed so far by the engine's basis.RowStore on the coordinates
+    (basis.row_store, which checks them), (rows grown) x n_coords doubles,
+    up to the largest cutoff asked for.
 
-    Engines are shared across requests (engine_for), so psi, lam, ix, iy
-    and dist are read-only. The engine keeps the basis parameters (params:
-    SpectralParams, or JacobiParams for a Jacobi basis) and its row store,
-    which is bound to the basis arrays, not the basis, which holds its
-    engines.
+    Engines are shared across requests (engine_for), so xs, ys, psi, lam,
+    ix, iy and dist are read-only. The engine keeps the basis parameters
+    (params: SpectralParams, or JacobiParams for a Jacobi basis) and its row
+    store, which is bound to the basis arrays, not the basis, which holds
+    its engines.
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
-        self.pairs = tuple((float(x), float(y)) for x, y in pairs)
-        if not self.pairs:
-            raise DomainError("a PairEngine needs at least one (x, y) pair")
-        xs = np.array([p[0] for p in self.pairs])
-        ys = np.array([p[1] for p in self.pairs])
+        xs, ys = self.xs, self.ys = _pair_array(pairs, "a PairEngine").T
         coords = np.unique(np.concatenate([xs, ys]))
         self._psi = row_store(basis, coords)
         if isinstance(basis, JacobiBasisSpec):
@@ -360,7 +375,7 @@ class PairEngine:
 
     @property
     def n_pairs(self) -> int:
-        return len(self.pairs)
+        return self.xs.size
 
     @property
     def psi(self) -> np.ndarray:
@@ -660,9 +675,7 @@ class PairEngine:
         t_lo is lowered from 1e-3 by factors of 8 until the bound is below
         tol/8.
         """
-        xs = np.array([p[0] for p in self.pairs])
-        ys = np.array([p[1] for p in self.pairs])
-        p = self.params
+        xs, ys, p = self.xs, self.ys, self.params
         if isinstance(p, JacobiParams):
             ends = ((xs, ys, 2.0 * p.alpha + 1.0), (1.0 - xs, 1.0 - ys, 2.0 * p.beta + 1.0))
         else:
@@ -862,20 +875,49 @@ def _subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off) 
 
 def engine_for(basis: Union[BasisSpec, JacobiBasisSpec], pairs) -> PairEngine:
     """The PairEngine of basis on pairs, built on first use and kept on the
-    basis, keyed by the exact pair tuple (up to CACHE_ENTRIES engines per
-    basis, the oldest dropped first)."""
-    key = tuple((float(x), float(y)) for x, y in pairs)
-    return _cached(basis._engines, key, lambda: PairEngine(basis, key), CACHE_ENTRIES)
+    basis, keyed by the bytes of the (n, 2) pair array (up to CACHE_ENTRIES
+    engines per basis, the oldest dropped first)."""
+    xy = _pair_array(pairs, "a PairEngine")
+    return _cached(basis._engines, xy.tobytes(), lambda: PairEngine(basis, xy), CACHE_ENTRIES)
 
 
-def _engine_for(req: KernelRequest, basis=None) -> PairEngine:
+def kernel_arrays(
+    req: KernelRequest, basis: Union[BasisSpec, JacobiBasisSpec, None] = None
+) -> tuple[np.ndarray, int, float, Optional[np.ndarray]]:
+    """The values of req on its grid as one array, with the number of terms
+    and the tail bound they share, and |series - time integral| per pair for
+    a potential request with cross_check (else None): the one evaluation
+    behind heat_kernel, poisson_kernel and potential_kernel. Without a basis,
+    one with req.n_max (default 512) is built."""
+    t, potential = req.time_or_sigma, req.kind in (KernelKind.RIESZ_POT, KernelKind.BESSEL_POT)
+    if potential and t <= 0.5:
+        near = np.abs(req.grid[:, 0] - req.grid[:, 1]) < DIAGONAL_EXCLUSION
+        if near.any():
+            x, y = req.grid[np.argmax(near)]
+            raise DiagonalSlowConvergence(f"sigma={t:g} <= 1/2 diverges on the diagonal; point "
+                                          f"({x:g},{y:g}) is inside |x-y| < {DIAGONAL_EXCLUSION:g}")
     if basis is None:
-        n_max = req.n_max or 512
-        if req.kind is KernelKind.JACOBI_HEAT:
-            basis = JacobiBasisSpec(req.params, n_max)
-        else:
-            basis = build_basis(req.params, n_max)
-    return engine_for(basis, req.grid)
+        build = JacobiBasisSpec if req.kind is KernelKind.JACOBI_HEAT else build_basis
+        basis = build(req.params, req.n_max or 512)
+    eng = engine_for(basis, req.grid)
+    if req.kind in (KernelKind.HEAT, KernelKind.JACOBI_HEAT):
+        return (*eng.heat_values(t, req.tol), None)
+    if not potential:
+        d = 0.0 if req.kind is KernelKind.POISSON else req.d_nu
+        vals, n_terms, bound = eng.poisson_values(t, d, req.tol)
+        return np.atleast_1d(vals), n_terms, bound, None
+    d0 = 0.0 if req.kind is KernelKind.RIESZ_POT else 1.0
+    vals, n_terms, bound = eng.potential_series(t, d0, req.tol)
+    checks = np.abs(eng.potential_time_integral(t, d0, req.tol) - vals) if req.cross_check else None
+    return vals, n_terms, bound, checks
+
+
+def _kernel_values(req: KernelRequest, basis, name: str, *kinds) -> list[KernelValue]:
+    if req.kind not in kinds:
+        raise DomainError(f"{name} requires a {' or '.join(k.name for k in kinds)} request")
+    vals, n_terms, bound, checks = kernel_arrays(req, basis)
+    checks = [None] * vals.size if checks is None else checks.tolist()
+    return [KernelValue(v, n_terms, bound, c) for v, c in zip(vals.tolist(), checks)]
 
 
 def heat_kernel(
@@ -883,47 +925,20 @@ def heat_kernel(
 ) -> list[KernelValue]:
     """Heat kernel values G_t(x,y) (HEAT) or Jacobi heat kernel values
     K_t(x,y) (JACOBI_HEAT) with certified truncation."""
-    if req.kind not in (KernelKind.HEAT, KernelKind.JACOBI_HEAT):
-        raise DomainError("heat_kernel requires a HEAT or JACOBI_HEAT request")
-    eng = _engine_for(req, basis)
-    vals, n_terms, bound = eng.heat_values(req.time_or_sigma, req.tol)
-    return [KernelValue(float(v), n_terms, bound) for v in vals]
+    return _kernel_values(req, basis, "heat_kernel", KernelKind.HEAT, KernelKind.JACOBI_HEAT)
 
 
 def poisson_kernel(req: KernelRequest, basis: Optional[BasisSpec] = None) -> list[KernelValue]:
     """Poisson kernel of the (optionally shifted) square-root semigroup."""
-    if req.kind not in (KernelKind.POISSON, KernelKind.POISSON_SHIFTED):
-        raise DomainError("poisson_kernel requires a POISSON request")
-    d = 0.0 if req.kind is KernelKind.POISSON else req.d_nu
-    eng = _engine_for(req, basis)
-    vals, n_terms, bound = eng.poisson_values(req.time_or_sigma, d, req.tol)
-    return [KernelValue(float(v), n_terms, bound) for v in np.atleast_1d(vals)]
+    return _kernel_values(req, basis, "poisson_kernel", KernelKind.POISSON,
+                          KernelKind.POISSON_SHIFTED)
 
 
 def potential_kernel(req: KernelRequest, basis: Optional[BasisSpec] = None) -> list[KernelValue]:
     """Potential kernel from the spectral series, cross-checked against the
     Poisson-kernel time integral when requested."""
-    if req.kind not in (KernelKind.RIESZ_POT, KernelKind.BESSEL_POT):
-        raise DomainError("potential_kernel requires a potential request")
-    sigma = req.time_or_sigma
-    if sigma <= 0.5:
-        for x, y in req.grid:
-            if abs(x - y) < DIAGONAL_EXCLUSION:
-                raise DiagonalSlowConvergence(
-                    f"sigma={sigma:g} <= 1/2 diverges on the diagonal; point "
-                    f"({x:g},{y:g}) is inside |x-y| < {DIAGONAL_EXCLUSION:g}"
-                )
-    d0 = 0.0 if req.kind is KernelKind.RIESZ_POT else 1.0
-    eng = _engine_for(req, basis)
-    vals, n_terms, bound = eng.potential_series(sigma, d0, req.tol)
-    checks = [None] * eng.n_pairs
-    if req.cross_check:
-        other = eng.potential_time_integral(sigma, d0, req.tol)
-        checks = list(np.abs(other - vals))
-    return [
-        KernelValue(float(v), n_terms, bound, cross_check=checks[i])
-        for i, v in enumerate(vals)
-    ]
+    return _kernel_values(req, basis, "potential_kernel", KernelKind.RIESZ_POT,
+                          KernelKind.BESSEL_POT)
 
 
 def semigroup_apply(

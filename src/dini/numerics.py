@@ -1,8 +1,8 @@
 """Shared numerical primitives.
 
 Gauss-Legendre quadrature mapped to (0,1), plain or graded toward the
-endpoints, and the binary64 text format of CSV artifacts. All arithmetic is
-binary64; no multiprecision dependency.
+endpoints, and the binary64 text format and column writer of CSV artifacts.
+All arithmetic is binary64; no multiprecision dependency.
 """
 
 from __future__ import annotations
@@ -18,6 +18,24 @@ from .errors import DomainError
 def _fmt(x: float) -> str:
     """Binary64 round-trip text (17 significant digits) for CSV artifacts."""
     return "%.17g" % float(x)
+
+
+def csv_text(columns: dict) -> str:
+    """Named columns of equal length as CSV text: a header line of the names,
+    then one line per row, "\n" line ends. A float column is written by
+    _fmt, formatting each distinct binary64 bit pattern once (keyed on the
+    bits, so -0.0 stays apart from 0.0); any other column by str of its
+    tolist() scalars (so a bool column reads True, not np.True_)."""
+    cells = []
+    for col in map(np.asarray, columns.values()):
+        if col.dtype.kind == "f":
+            bits, inverse = np.unique(np.ascontiguousarray(col, dtype=float).view(np.uint64),
+                                      return_inverse=True)
+            texts = np.array([_fmt(v) for v in bits.view(float).tolist()], dtype=object)
+            cells.append(texts[inverse].tolist())
+        else:
+            cells.append([str(v) for v in col.tolist()])
+    return "\n".join([",".join(columns), *map(",".join, zip(*cells, strict=True))]) + "\n"
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import BracketScanFailure, ConsistencyError, DomainError
-from .numerics import _fmt
+from .numerics import csv_text
 from .specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh, robin_and_slope
 
 RESIDUAL_SCALE = 1e-10
@@ -216,13 +216,12 @@ class ZeroTable:
     def to_csv(self, out) -> None:
         """Write the table as CSV (nu,H,n,zero,bracket_lo,bracket_hi,tol, one
         row per stored zero, "\n" line ends) to a path or a text stream."""
-        p = self.params
-        lines = ["nu,H,n,zero,bracket_lo,bracket_hi,tol"]
-        for n in range(self.n_min, self.n_max + 1):
-            cells = (_fmt(p.nu), _fmt(p.h), str(n), _fmt(self.zeros[n]), _fmt(self.lo[n]),
-                     _fmt(self.hi[n]), _fmt(self.tol))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
+        n = np.arange(self.n_min, self.n_max + 1)
+        const = lambda v: np.full(n.size, v, dtype=float)
+        text = csv_text({
+            "nu": const(self.params.nu), "H": const(self.params.h), "n": n, "zero": self.zeros[n],
+            "bracket_lo": self.lo[n], "bracket_hi": self.hi[n], "tol": const(self.tol),
+        })
         if hasattr(out, "write"):
             out.write(text)
         else:

@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -143,6 +144,18 @@ class TestRatioReport:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,kernel,envelope,ratio"
         assert len(lines) == 3
+
+    def test_points_csv_is_per_point_formatting(self):
+        pairs = [(0.2, 0.3), (0.5, 0.6), (0.1, 0.9)]
+        kv, ev = [1 / 3, 2 / 3, 1 / 3], [0.1, 1e-300, 0.1]
+        rep = ratio_report(kv, ev, pairs, "heat", {"nu": 0.0}, 0.1)
+        out = io.StringIO()
+        rep.write_csv(out)
+        lines = ["x,y,kernel,envelope,ratio"]
+        for (x, y), k, e in zip(pairs, kv, ev):
+            lines.append(",".join("%.17g" % v for v in (x, y, k, e, k / e)))
+        assert out.getvalue() == "\n".join(lines) + "\n"
+        assert rep.argmin == (0.2, 0.3) and rep.argmax == (0.5, 0.6)
 
     def test_nonfinite_guard(self):
         with pytest.raises(NonFiniteRatioError):

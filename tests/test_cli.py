@@ -10,7 +10,8 @@ import pytest
 
 from dini import bounds, cli, kernels
 from dini.cli import main
-from dini.specfun import SpectralParams
+from dini.kernels import KernelKind, KernelRequest, heat_kernel
+from dini.specfun import JacobiParams, SpectralParams
 from dini.zeros import build_zero_table
 
 
@@ -176,6 +177,72 @@ class TestKernelCommand:
         assert main([]) == 2
 
 
+def per_row_csv(rows) -> str:
+    """CSV of row dicts as written one value at a time: "%.17g" % v for a
+    float, str(v) otherwise."""
+    lines = [",".join(rows[0])]
+    lines += [",".join("%.17g" % v if isinstance(v, float) else str(v) for v in row.values())
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestColumnArtifacts:
+    """CSV artifacts are written column-wise and read as the per-row
+    formatting of the same values; the kernel JSON states its parameters."""
+
+    @pytest.mark.parametrize("argv, kind, params", [
+        ("--kind heat --nu 0.5 --t 0.06 --grid 12", KernelKind.HEAT, SpectralParams(0.5, 0.5)),
+        ("--kind heat --nu 3 --t 0.0605 --grid 9 --no-refine", KernelKind.HEAT,
+         SpectralParams(3.0, 0.5)),
+        ("--kind jacobi-heat --nu 0 --alpha 0.5 --t 0.05 --grid 6", KernelKind.JACOBI_HEAT,
+         JacobiParams(0.5, -0.5)),
+    ])
+    def test_kernel_csv_is_per_row_formatting(self, argv, kind, params, capsys):
+        argv = argv.split() + ["--n-max", "400"]
+        code, out, _ = run_cli(["kernel", *argv, "--out", "-"], capsys)
+        assert code == 0
+        refine = "--no-refine" not in argv
+        pairs = bounds.pair_grid(bounds.boundary_refined_coords(int(argv[argv.index("--grid") + 1]),
+                                                                refine))
+        t = float(argv[argv.index("--t") + 1])
+        values = heat_kernel(KernelRequest(kind, params, t, pairs, n_max=400))
+        rows = [{"x": x, "y": y, "value": v.value, "n_terms": v.n_terms,
+                 "tail_bound": v.tail_bound} for (x, y), v in zip(pairs, values)]
+        assert out == per_row_csv(rows)
+
+    def test_zero_bound_csv_is_per_row_formatting(self, capsys):
+        code, text, _ = run_cli(["verify-zero-bound", "--nu-grid", "5", "--out", "-"], capsys)
+        assert code == 0
+        rows = json.loads(text)["rows"]
+        code, out, _ = run_cli(["verify-zero-bound", "--nu-grid", "5", "--format", "csv",
+                                "--out", "-"], capsys)
+        assert code == 0
+        assert out == per_row_csv([{k: r[k] for k in ("nu", "z0", "x0", "residual", "pass")}
+                                   for r in rows])
+        assert all(line.endswith(",True") for line in out.splitlines()[1:])
+
+    @pytest.mark.parametrize("argv, params", [
+        ("--kind heat --nu 0.5 --t 0.1", {"nu": 0.5, "H": 0.5, "n_max": 300}),
+        ("--kind poisson-shifted --nu -0.75 --h 0.75 --d-nu 2 --t 0.1",
+         {"nu": -0.75, "H": 0.75, "d_nu": 2.0, "n_max": 300}),
+        ("--kind jacobi-heat --nu 0 --alpha 0.5 --beta -0.25 --t 0.1",
+         {"alpha": 0.5, "beta": -0.25, "n_max": 300}),
+        ("--kind bessel --nu 0 --sigma 1", {"nu": 0.0, "H": 0.5, "n_max": 2000}),
+    ])
+    def test_kernel_json_states_params(self, argv, params, capsys):
+        argv = ["kernel", *argv.split(), "--grid", "3", "--n-max", str(params["n_max"]),
+                "--tol", "1e-9", "--out", "-"]
+        code, out, err = run_cli([*argv, "--format", "json"], capsys)
+        assert code == 0, err
+        obj = json.loads(out)
+        assert obj["params"] == {**params, "tol": 1e-9, "grid": 3, "no_refine": False}
+        assert sorted(obj) == ["kind", "params", "rows", "t_or_sigma"]
+        code, out, err = run_cli([*argv, "--no-refine", "--format", "json"], capsys)
+        assert code == 0 and json.loads(out)["params"]["no_refine"] is True
+        code, out, err = run_cli(argv, capsys)
+        assert code == 0 and out.startswith("x,y,value,n_terms,tail_bound\n")
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("value", ["nan", "inf", ",", "0.1,0.2"])
     def test_non_finite_time(self, value, capsys):
@@ -250,7 +317,7 @@ class TestInputValidation:
     def test_sandwich_h_other_than_half_is_usage_error(self, capsys):
         code, _, err = run_cli(["verify-sandwich", "--nu", "2", "--h", "7"], capsys)
         assert code == 2
-        assert "usage:" in err and "H = 1/2" in err
+        assert "usage:" in err and "unrecognized arguments: --h 7" in err
 
     def test_unexpected_exception_exits_2(self, monkeypatch, capsys):
         def broken(cfg):

@@ -58,6 +58,7 @@ from dini.kernels import (
     _log_panel_rule,
     engine_for,
     heat_kernel,
+    kernel_arrays,
     poisson_kernel,
     potential_kernel,
     semigroup_apply,
@@ -482,7 +483,7 @@ BASIS_PSI = weakref.WeakKeyDictionary()
 
 def make_engine(basis, pairs):
     eng = PairEngine(basis, pairs)
-    coords = np.unique(np.array(eng.pairs).ravel())
+    coords = np.unique(np.concatenate([eng.xs, eng.ys]))
     full = basis.psi_matrix if isinstance(basis, BasisSpec) else basis.phi_matrix
     BASIS_PSI[eng] = full(coords)
     return eng
@@ -797,7 +798,8 @@ def engine_pairs():
     pair) and once on off-diagonal pairs for the potentials."""
     for b in blocked_bases():
         eng = make_engine(b, PAIRS + [(0.5, 0.5)])
-        yield eng, make_engine(b, eng.pairs), make_engine(b, AGREEMENT_PAIRS)
+        same_pairs = make_engine(b, np.column_stack([eng.xs, eng.ys]))
+        yield eng, same_pairs, make_engine(b, AGREEMENT_PAIRS)
 
 
 class TestCoordinateProducts:
@@ -1305,6 +1307,82 @@ class TestEmptyPairList:
             envelope_reports(b, [], [1.0], potential_envelope(0.0), tol=1e-9)
         with pytest.raises(DomainError, match="at least one"):
             sandwich_check(0.25, [0.1], [], n_max=50)
+
+
+class TestPairArrays:
+    """Requests and engines keep their pairs as arrays; a grid that is not an
+    (n, 2) array of points in (0,1)^2 is a DomainError (exit 2)."""
+
+    BAD_GRIDS = {
+        "ragged": [(0.3, 0.6), (0.5,)],
+        "width 3": [(0.3, 0.6, 0.7), (0.5, 0.5, 0.5)],
+        "flat": [0.3, 0.6],
+        "nested too deep": [[(0.3, 0.6)], [(0.5, 0.5)]],
+        "not numbers": [("a", "b")],
+        "nan": [(0.3, 0.6), (math.nan, 0.5)],
+        "inf": [(0.3, math.inf)],
+        "-inf": [(-math.inf, 0.5)],
+        "outside": [(0.3, 1.0)],
+    }
+
+    @pytest.mark.parametrize("name", BAD_GRIDS)
+    def test_request_refuses_bad_grid(self, name):
+        with pytest.raises(DomainError, match="pairs|grid points"):
+            KernelRequest(KernelKind.HEAT, SpectralParams(0.0, 0.5), 0.1, self.BAD_GRIDS[name])
+
+    @pytest.mark.parametrize("name", ["ragged", "width 3", "flat", "nested too deep",
+                                      "not numbers"])
+    @pytest.mark.parametrize("build", [PairEngine, engine_for])
+    def test_engine_refuses_bad_shape(self, name, build):
+        with pytest.raises(DomainError, match="PairEngine needs"):
+            build(shared_basis(0.0, n_max=300), self.BAD_GRIDS[name])
+
+    def test_cli_exit_code(self, monkeypatch, capsys):
+        from dini import cli
+
+        ragged = cli.KERNEL_KINDS["heat"]._replace(pairs=lambda coords: [(0.3, 0.6), (0.5,)])
+        monkeypatch.setitem(cli.KERNEL_KINDS, "heat", ragged)
+        assert cli.main(["kernel", "--nu", "0", "--grid", "3", "--n-max", "50"]) == 2
+        assert "error: kernel request needs (x, y) pairs" in capsys.readouterr().err
+
+    def test_request_grid_is_a_read_only_copy(self):
+        pairs = np.array(PAIRS)
+        req = KernelRequest(KernelKind.HEAT, SpectralParams(0.0, 0.5), 0.1, pairs, n_max=200)
+        assert req.grid.shape == (len(PAIRS), 2) and not req.grid.flags.writeable
+        assert np.array_equal(req.grid, pairs) and req.grid is not pairs
+        assert pairs.flags.writeable
+
+    def test_engine_coordinates(self):
+        eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
+        assert eng.xs.tolist() == [x for x, _ in PAIRS]
+        assert eng.ys.tolist() == [y for _, y in PAIRS]
+        assert eng.n_pairs == len(PAIRS)
+        assert not (eng.xs.flags.writeable or eng.ys.flags.writeable)
+
+    def test_engine_key_is_the_pair_bytes(self):
+        b = fresh_basis(0.0, n_max=300)
+        eng = engine_for(b, PAIRS)
+        assert list(b._engines) == [np.array(PAIRS).tobytes()]
+        assert engine_for(b, np.array(PAIRS, dtype=np.float32).astype(float)) is not eng
+        assert engine_for(b, [list(p) for p in PAIRS]) is eng
+
+    @pytest.mark.parametrize("kind, value", [(KernelKind.HEAT, 0.1), (KernelKind.POISSON, 0.1),
+                                             (KernelKind.POISSON_SHIFTED, 0.1),
+                                             (KernelKind.BESSEL_POT, 0.6)])
+    def test_arrays_are_the_values(self, kind, value):
+        """kernel_arrays is the evaluation the KernelValue functions wrap."""
+        b = shared_basis(0.0, n_max=600)
+        req = KernelRequest(kind, SpectralParams(0.0, 0.5), value, POTENTIAL_PAIRS, n_max=600,
+                            tol=1e-9)
+        wrap = {KernelKind.HEAT: heat_kernel, KernelKind.BESSEL_POT: potential_kernel}
+        values = wrap.get(kind, poisson_kernel)(req, b)
+        vals, n_terms, bound, checks = kernel_arrays(req, b)
+        assert [v.value for v in values] == vals.tolist()
+        assert {(v.n_terms, v.tail_bound) for v in values} == {(n_terms, bound)}
+        if kind is KernelKind.BESSEL_POT:
+            assert [v.cross_check for v in values] == checks.tolist()
+        else:
+            assert checks is None and all(v.cross_check is None for v in values)
 
 
 class TestLogPanelRule:

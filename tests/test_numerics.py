@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dini.errors import DomainError
-from dini.numerics import QuadratureRule, endpoint_graded_rule, gauss_legendre
+from dini.numerics import QuadratureRule, csv_text, endpoint_graded_rule, gauss_legendre
 
 
 class TestGaussLegendre:
@@ -81,3 +81,56 @@ def test_quadrature_rule_validation():
         QuadratureRule(np.array([0.2, 0.1]), np.array([0.5, 0.5]))
     with pytest.raises(DomainError):
         QuadratureRule(np.array([0.1, 0.2]), np.array([0.5, -0.5]))
+
+
+def per_value_csv(columns: dict) -> str:
+    """CSV as written one value at a time: "%.17g" % float(v) for a float,
+    str(v) otherwise, over each column's Python scalars."""
+    rows = zip(*(np.asarray(c).tolist() for c in columns.values()))
+    lines = [",".join(columns)]
+    lines += [",".join("%.17g" % float(v) if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvText:
+    """csv_text formats each distinct binary64 bit pattern once and writes
+    the bytes of per-value formatting."""
+
+    SPECIAL = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+               1e-310, 1.0, 1.0, 1 / 3, -1 / 3, 1 / 3, 0.1, 1e300, -0.0, 0.0]
+
+    def test_special_values(self):
+        cols = {"v": np.array(self.SPECIAL), "i": np.arange(len(self.SPECIAL)),
+                "b": np.arange(len(self.SPECIAL)) % 3 == 0}
+        text = csv_text(cols)
+        assert text == per_value_csv(cols)
+        cells = [line.split(",")[0] for line in text.splitlines()[1:]]
+        assert cells[:7] == ["0", "-0", "nan", "inf", "-inf", "4.9406564584124654e-324",
+                             "-4.9406564584124654e-324"]
+        assert cells[-2:] == ["-0", "0"]
+
+    def test_bool_column_reads_true_false(self):
+        text = csv_text({"pass": np.array([True, False]), "x": [0.5, 0.25]})
+        assert text == "pass,x\nTrue,0.5\nFalse,0.25\n"
+
+    def test_lists_and_scalar_types(self):
+        cols = {"a": [0.5, -0.0, 0.5], "n": [1, 20, 300], "f32": np.float32([0.1, 0.1, 2.5])}
+        assert csv_text(cols) == per_value_csv(cols)
+
+    def test_repeated_values_of_a_surface(self):
+        rng = np.random.default_rng(7)
+        pool = np.concatenate([rng.standard_normal(40), -rng.random(5) * 1e-300, [0.0, -0.0]])
+        cols = {"x": rng.choice(pool, 600), "y": np.repeat(pool[:6], 100), "n": np.full(600, 17)}
+        assert csv_text(cols) == per_value_csv(cols)
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats(self, values):
+        cols = {"v": values + values[::-1], "w": np.array(values * 2)[::-1]}
+        assert csv_text(cols) == per_value_csv(cols)
+
+    def test_unequal_columns_refused(self):
+        with pytest.raises(ValueError):
+            csv_text({"a": [1.0, 2.0], "b": [1.0]})

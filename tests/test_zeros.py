@@ -1,3 +1,4 @@
+import io
 import math
 
 import numpy as np
@@ -347,6 +348,20 @@ class TestX0Bound:
 
 
 class TestSerialization:
+    @pytest.mark.parametrize("nu, h", [(0.0, 0.5), (-0.8, 0.5), (-0.75, 0.75), (-0.75, -1.5),
+                                       (3.0, 1.0)])
+    def test_csv_is_per_row_formatting(self, nu, h):
+        """The column-wise CSV has the bytes of formatting row by row."""
+        table = build_zero_table(SpectralParams(nu, h), 60)
+        fmt = lambda v: "%.17g" % float(v)
+        lines = ["nu,H,n,zero,bracket_lo,bracket_hi,tol"]
+        for n in range(table.n_min, table.n_max + 1):
+            lines.append(",".join([fmt(nu), fmt(h), str(n), fmt(table.zeros[n]),
+                                   fmt(table.lo[n]), fmt(table.hi[n]), fmt(table.tol)]))
+        out = io.StringIO()
+        table.to_csv(out)
+        assert out.getvalue() == "\n".join(lines) + "\n"
+
     def test_csv_round_trip(self, tmp_path):
         """to_csv writes every zero and bracket end in a binary64 round-trip
         format, one row per stored zero; a slot without a bracket (z_0 = 0
