@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .basis import BasisSpec, JacobiBasisSpec, build_basis, build_jacobi_basis, inner_product_rule
+from .basis import BasisSpec, build_basis, build_jacobi_basis, inner_product_rule
 from .errors import (
     DomainError,
     InequalityViolation,
@@ -26,7 +26,7 @@ from .errors import (
 )
 from .kernels import engine_for
 from .numerics import csv_text
-from .specfun import JacobiParams, Regime, SpectralParams
+from .specfun import JacobiParams, SpectralParams
 
 INDICATOR_TOL = 1e-12
 SANDWICH_SLACK = 1e-7
@@ -92,15 +92,10 @@ def heat_short_envelope(nu: float) -> Envelope:
 
 
 def heat_long_envelope(basis: BasisSpec) -> Envelope:
-    """Large-time envelope (xy)^{nu+1/2} exp(-rate t) from the bottom mode."""
-    p = basis.params
-    if p.regime is Regime.PLUS:
-        rate = basis.eigen[1]
-    elif p.regime is Regime.ZERO:
-        rate = 0.0
-    else:
-        rate = basis.eigen[0]  # negative: kernel grows like exp(z_0^2 t)
-    return Envelope(EnvelopeKind.HEAT_LONG, p.nu, rate=rate)
+    """Large-time envelope (xy)^{nu+1/2} exp(-rate t) from the bottom mode:
+    rate is its eigenvalue (0 in the ZERO regime, -z_0^2 in MINUS, where the
+    kernel grows like exp(z_0^2 t))."""
+    return Envelope(EnvelopeKind.HEAT_LONG, basis.params.nu, rate=basis.eigen[basis.n_min])
 
 
 def poisson_short_envelope(nu: float) -> Envelope:
@@ -287,8 +282,6 @@ def sandwich_check(
     xy_grid: Sequence[tuple],
     n_max: int = 400,
     tol: float = 1e-10,
-    dini_basis: Optional[BasisSpec] = None,
-    jacobi_basis: Optional[JacobiBasisSpec] = None,
 ) -> list[SandwichReport]:
     """Pointwise exponential sandwich between the Bessel-type heat kernel
     (H = 1/2) and the Jacobi-type heat kernel (beta = -1/2) at alpha = nu.
@@ -296,10 +289,9 @@ def sandwich_check(
     Raises SandwichViolation if either one-sided comparison fails by more
     than the relative slack at any grid point.
     """
-    b = dini_basis or build_basis(SpectralParams(nu, 0.5), n_max)
-    jb = jacobi_basis or build_jacobi_basis(JacobiParams(nu, -0.5), n_max)
-    eng_g = engine_for(b, xy_grid)
-    eng_k = engine_for(jb, xy_grid)
+    eng_g = engine_for(build_basis(SpectralParams(nu, 0.5), n_max), xy_grid)
+    eng_k = engine_for(build_jacobi_basis(JacobiParams(nu, -0.5), n_max), xy_grid)
+    point = lambda i: tuple(eng_g.pairs[i].tolist())
     f0 = float(F_nu(nu, 0.0))
     f1 = float(F_nu(nu, 1.0))
     branch = "inner" if -0.5 <= nu <= 0.5 else "outer"
@@ -319,9 +311,9 @@ def sandwich_check(
         if np.any(bad_lo | bad_up):
             i = int(np.argmin(np.where(bad_lo, m_lo, np.where(bad_up, m_up, np.inf))))
             raise SandwichViolation(
-                f"sandwich fails at nu={nu}, t={t}, point {xy_grid[i]}: "
+                f"sandwich fails at nu={nu}, t={t}, point {point(i)}: "
                 f"lower margin {m_lo[i]:.3e}, upper margin {m_up[i]:.3e}",
-                point=tuple(xy_grid[i]),
+                point=point(i),
             )
         i_lo = int(np.argmin(m_lo))
         i_up = int(np.argmin(m_up))
@@ -330,13 +322,13 @@ def sandwich_check(
                 nu=nu,
                 t=float(t),
                 branch=branch,
-                n_points=len(xy_grid),
+                n_points=eng_g.n_pairs,
                 lower_factor=lower,
                 upper_factor=upper,
                 min_lower_margin=float(m_lo[i_lo]),
                 min_upper_margin=float(m_up[i_up]),
-                argmin_lower=tuple(xy_grid[i_lo]),
-                argmin_upper=tuple(xy_grid[i_up]),
+                argmin_lower=point(i_lo),
+                argmin_upper=point(i_up),
             )
         )
     return reports
@@ -430,7 +422,6 @@ def envelope_reports(
     """
     eng = engine_for(basis, pairs)
     xs, ys, p = eng.xs, eng.ys, eng.params
-    xy = np.column_stack([xs, ys])
     kind = envelope.kind
     if kind in (EnvelopeKind.HEAT_SHORT, EnvelopeKind.HEAT_LONG):
         jacobi = isinstance(p, JacobiParams)
@@ -457,7 +448,7 @@ def envelope_reports(
             floor = RESOLVABILITY_FACTOR * tol
         out.append(
             ratio_report(
-                vals, ev, xy, label, params, v,
+                vals, ev, eng.pairs, label, params, v,
                 keep_points=keep_points, floor=floor,
             )
         )
@@ -479,17 +470,19 @@ def boundary_refined_coords(n: int, refine: bool = True) -> np.ndarray:
     return np.unique(np.concatenate([lead, base, 1.0 - lead]))
 
 
-def pair_grid(coords: np.ndarray) -> list[tuple]:
+def pair_grid(coords: np.ndarray) -> np.ndarray:
+    """Every pair (x, y) of coordinates, x varying fastest, as an (n, 2) array."""
     xs, ys = np.meshgrid(coords, coords)
-    return list(zip(xs.ravel().tolist(), ys.ravel().tolist()))
+    return np.column_stack([xs.ravel(), ys.ravel()])
 
 
-def offdiagonal_pair_grid(coords: np.ndarray, min_sep: float = 0.02) -> list[tuple]:
-    """Tensor pairs with |x - y| >= min_sep, plus near-diagonal probes at the
-    minimum separation to exercise the diagonal-singular branches."""
-    pairs = [(x, y) for x in coords for y in coords if abs(x - y) >= min_sep]
-    for x in coords[(coords > 0.1) & (coords < 0.9)]:
-        y = x + min_sep
-        if y < 1.0:
-            pairs.append((float(x), float(y)))
-    return pairs
+def offdiagonal_pair_grid(coords: np.ndarray, min_sep: float = 0.02) -> np.ndarray:
+    """Tensor pairs with |x - y| >= min_sep (y varying fastest), plus
+    near-diagonal probes (x, x + min_sep) for x in (0.1, 0.9) to exercise the
+    diagonal-singular branches, as an (n, 2) array."""
+    xs, ys = np.meshgrid(coords, coords, indexing="ij")
+    keep = np.abs(xs - ys) >= min_sep
+    probes = coords[(coords > 0.1) & (coords < 0.9)]
+    probes = probes[probes + min_sep < 1.0]
+    return np.concatenate([np.column_stack([xs[keep], ys[keep]]),
+                           np.column_stack([probes, probes + min_sep])])

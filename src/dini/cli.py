@@ -242,9 +242,8 @@ def _dest(option: str) -> str:
 # Every option of the CLI, with its parse type and help.
 OPTIONS = {
     "--kind": dict(help="what to evaluate"),
-    "--nu": dict(type=float, required=True, help="order nu > -1"),
+    "--nu": dict(type=float, required=True, help="order nu > -1 (jacobi-heat: alpha = nu)"),
     "--h": dict(type=float, help="boundary parameter H"),
-    "--alpha": dict(type=float, help="Jacobi alpha (default: --nu)"),
     "--beta": dict(type=float, help="Jacobi beta"),
     "--n-max": dict(type=int, help="highest mode index"),
     "--tol": dict(type=_positive_float, help="certified truncation tolerance"),
@@ -262,7 +261,7 @@ OPTIONS = {
     "--out": dict(help="output path ('-' = stdout)"),
 }
 # The options that a --kind may not read; each command reads the others.
-KIND_OPTIONS = ("--t", "--sigma", "--h", "--d-nu", "--alpha", "--beta")
+KIND_OPTIONS = ("--t", "--sigma", "--h", "--d-nu", "--beta")
 
 
 class Kind(NamedTuple):
@@ -271,7 +270,7 @@ class Kind(NamedTuple):
     make: Any  # KernelKind, or basis -> Envelope
     over: str = "--t"  # its times (--t) or potential powers (--sigma)
     pairs: Callable = bnd.pair_grid  # pair grid over the boundary-refined coordinates
-    reads: tuple = ("--h",)  # which of --h, --d-nu, --alpha and --beta it reads
+    reads: tuple = ("--h",)  # which of --h, --d-nu and --beta it reads
     params: Callable = lambda cfg: SpectralParams(cfg.nu, cfg.h)
     tol_floor: Optional[float] = None  # its --tol default and least --tol, if any
 
@@ -279,10 +278,9 @@ class Kind(NamedTuple):
 _POTENTIAL = dict(over="--sigma", pairs=bnd.offdiagonal_pair_grid)
 KERNEL_KINDS = {
     "heat": Kind(KernelKind.HEAT),
-    "jacobi-heat": Kind(
-        KernelKind.JACOBI_HEAT, reads=("--alpha", "--beta"),
-        params=lambda cfg: JacobiParams(cfg.nu if cfg.alpha is None else cfg.alpha, cfg.beta),
-    ),
+    # alpha = nu, the pairing of verify-sandwich
+    "jacobi-heat": Kind(KernelKind.JACOBI_HEAT, reads=("--beta",),
+                        params=lambda cfg: JacobiParams(cfg.nu, cfg.beta)),
     "poisson": Kind(KernelKind.POISSON),
     "poisson-shifted": Kind(KernelKind.POISSON_SHIFTED, reads=("--h", "--d-nu")),
     "riesz": Kind(KernelKind.RIESZ_POT, **_POTENTIAL),
@@ -314,7 +312,7 @@ COMMANDS = {
     "basis-check": Command(_cmd_basis_check, "orthonormality and boundary-condition residuals",
                            "--nu --h=0.5 --n-max=40 --out"),
     "kernel": Command(_cmd_kernel, "evaluate a kernel surface on a grid",
-                      "--kind=heat --nu --h=0.5 --alpha --beta=-0.5 --n-max=200 --tol=1e-10 "
+                      "--kind=heat --nu --h=0.5 --beta=-0.5 --n-max=200 --tol=1e-10 "
                       "--t=0.1 --sigma=1 --d-nu=1 --grid=20 --no-refine --format=csv --out",
                       KERNEL_KINDS,
                       {"--t": dict(type=_one_float), "--sigma": dict(type=_one_float)}),

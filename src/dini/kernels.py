@@ -21,9 +21,14 @@ For times too small for the available mode budget, the Poisson kernel is
 evaluated by exact subordination: the first K modes are summed directly and
 the remainder is the integral of the heat-tail kernel against the stable-1/2
 subordination measure, with closed-form erfc corrections below the smallest
-resolvable time scale. With the fixed factor u^{-3/2} w folded into the
-sampled heat tail, a block of times costs one exponential of an outer
-product and one matrix product per master grid.
+resolvable time scale u_floor. With the fixed factor u^{-3/2} w folded into
+the sampled heat tail, a block of times costs one exponential of an outer
+product and one matrix product per master grid. The master only computes
+rows and their quadrature error; one engine method, PairEngine._subordinated,
+owns the certificate: the kernel leak below u_floor (a bound kept once per
+engine, infinite for pairs closer than min_usable_dist, refused before any
+master is built), tol/4 for the master's heat tails, the 4 tol acceptance
+test and the failure message.
 
 A PairEngine keeps the basis on the unique coordinates of its pairs, not
 the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
@@ -332,8 +337,8 @@ def _exp_rows(ts, omega, lo, cuts, prods) -> np.ndarray:
 class PairEngine:
     """Kernel series over a fixed pair set.
 
-    The engine keeps its pairs as the coordinate arrays xs and ys; psi, the
-    basis functions (phi for a Jacobi basis) on the unique coordinates of
+    The engine keeps its pairs, the (n, 2) array pairs and its columns xs
+    and ys; psi, the basis functions (phi for a Jacobi basis) on the unique coordinates of
     the pairs, one row per mode; and the index arrays ix and iy of each
     pair's x and y into them. Every kernel multiplier reduces to a weighted
     sum over modes of the pair products psi_n(x_p) psi_n(y_p), which each
@@ -342,15 +347,16 @@ class PairEngine:
     (basis.row_store, which checks them), (rows grown) x n_coords doubles,
     up to the largest cutoff asked for.
 
-    Engines are shared across requests (engine_for), so xs, ys, psi, lam,
-    ix, iy and dist are read-only. The engine keeps the basis parameters
+    Engines are shared across requests (engine_for), so pairs, xs, ys, psi,
+    lam, ix, iy and dist are read-only. The engine keeps the basis parameters
     (params: SpectralParams, or JacobiParams for a Jacobi basis) and its row
     store, which is bound to the basis arrays, not the basis, which holds
     its engines.
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
-        xs, ys = self.xs, self.ys = _pair_array(pairs, "a PairEngine").T
+        self.pairs = _pair_array(pairs, "a PairEngine")
+        xs, ys = self.xs, self.ys = self.pairs.T
         coords = np.unique(np.concatenate([xs, ys]))
         self._psi = row_store(basis, coords)
         if isinstance(basis, JacobiBasisSpec):
@@ -371,6 +377,10 @@ class PairEngine:
         self.M = certified_sup(basis, coords)
         self.dist = np.abs(xs - ys)
         _read_only(self.lam, self.ix, self.iy, self.dist)
+        # The subordination masters sample heat times from u_floor up; below
+        # it only pairs at least min_usable_dist apart have a kernel bound.
+        self.u_floor = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
+        self.min_usable_dist = math.sqrt(200.0 * self.u_floor)
         self._masters: dict = {}
 
     @property
@@ -467,7 +477,8 @@ class PairEngine:
             raise TailBoundFailure(
                 "rescaled Poisson evaluation requires the direct-series regime"
             )
-        return self._poisson_subordinated(t, d, tol)
+        vals, bound = self._subordinated(np.array([t], dtype=float), d, tol)
+        return vals[0], self.n_max - self.n_min + 1, float(bound[0])
 
     def _master(self, d: float, tol: float):
         """The subordination master for (d, tol), kept per exact (d, tol): a
@@ -476,24 +487,45 @@ class PairEngine:
             self._masters, (d, tol), lambda: _SubordinationMaster(self, d, tol), CACHE_ENTRIES
         )
 
-    def _subordination_floor(self) -> tuple[float, float]:
-        """(u_floor, min_usable_dist) of a subordination master on this engine:
-        the smallest heat time it samples, and the pair distance below which
-        it has no bound for the part of the measure below u_floor."""
-        u_floor = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
-        return u_floor, math.sqrt(200.0 * u_floor)
+    @functools.cached_property
+    def leak_scale(self) -> float:
+        """Bound on |G_u| below u_floor, largest over the pairs: ENVELOPE_SAFETY
+        times the short-time envelope u_floor^{-1/2} e^{-dist^2/4 u_floor}, and
+        inf if a pair is closer than min_usable_dist."""
+        expo = np.minimum(self.dist**2 / (4.0 * self.u_floor), 700.0)
+        g_bound = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
+        return float(np.max(np.where(self.dist >= self.min_usable_dist, g_bound, math.inf)))
 
-    def _poisson_subordinated(self, t, d, tol) -> tuple[np.ndarray, int, float]:
-        u_floor, min_usable = self._subordination_floor()
-        min_dist = float(np.min(self.dist, initial=math.inf))
-        if min_dist < min_usable and _erfc(t / (2.0 * math.sqrt(u_floor))) > 0.0:
-            # The master's certificate would be infinite: fail before building it.
-            raise TailBoundFailure(_subordination_failure(
-                math.inf, t, tol, min_dist, min_usable, self.M * self.M, self.c_off
-            ))
-        master = self._master(d, tol)
-        vals, bound = master.eval(t)
-        return vals, master.n_terms, float(bound)
+    def _subordinated(self, ts, d, tol) -> tuple[np.ndarray, np.ndarray]:
+        """Poisson rows [H_t(pair)] for a 1-D array of times below the
+        direct-series threshold, from the subordination master for (d, tol),
+        with each time's certificate: the master's quadrature error, plus
+        leak_scale times the measure's mass erfc(t / 2 sqrt(u_floor)) below
+        u_floor, plus tol/4 for the heat tails of the master grids. Raises
+        TailBoundFailure unless every certificate is at most 4 tol; an
+        infinite one (a pair closer than min_usable_dist) is refused before
+        the master is built. The message names the closest pair and the
+        --n-max the direct series would need (the _poisson_cut formula)
+        against the Bessel cap."""
+        mass_below = _erfc(ts / (2.0 * math.sqrt(self.u_floor)))
+        leak = np.where(mass_below > 0.0, self.leak_scale, 0.0) * mass_below
+        vals, bound = None, leak
+        if not np.isinf(leak).any():
+            vals, quad_err = self._master(d, tol).eval(ts)
+            bound = quad_err + leak + 0.25 * tol
+        bad = ~(bound <= 4.0 * tol)
+        if np.any(bad):
+            t, cap = float(np.min(ts[bad])), int(X_MAX_J / math.pi)
+            need = math.ceil(_poisson_need(t, tol, self.M * self.M, self.c_off)) + 1
+            raise TailBoundFailure(
+                f"subordinated Poisson certificate {float(np.max(bound)):.2e} too large at "
+                f"t={t:.3e}: the closest pair is {float(np.min(self.dist)):.3e} apart, and "
+                f"pairs closer than min_usable_dist = {self.min_usable_dist:.3e} have no bound "
+                f"below the resolvable time scale; the direct series would need --n-max >= "
+                f"{need} at this t, {'above' if need > cap else 'within'} the Bessel cap of "
+                f"about {cap} modes"
+            )
+        return vals, bound
 
     # ----- potentials ---------------------------------------------------
 
@@ -554,7 +586,7 @@ class PairEngine:
         and integrates over v with log-paneled Gauss rules; the region below
         the resolvable time floor is skipped with an envelope-based bound.
         """
-        t_cache = self._subordination_floor()[0]
+        t_cache = self.u_floor
         floors = np.maximum(self.dist**2 / 240.0, t_cache)
         t_floor = max(min(float(np.min(floors)), delta * 0.5), t_cache)
         skip = self._heat_skip_bound(sigma, t_floor=np.minimum(floors, delta))
@@ -615,7 +647,6 @@ class PairEngine:
         t_lo, skip = self._short_time_cut(sigma, tol)
         t_hi, late = self._late_time_cut(sigma, np.sqrt(lam[self.n_min :]), tol)
         t_direct = _direct_time(self.M * self.M, self.c_off, self.n_max, tol)
-        master = self._master(d, tol) if t_lo < t_direct else None
         # Direct nodes lie at or above t_direct, so its cutoff bounds theirs.
         cut = self._poisson_cut(t_direct, tol)
         top = self.n_max + 1 if cut is None else min(self.n_max + 1, cut[0] + SUM_ALIGN)
@@ -628,7 +659,7 @@ class PairEngine:
             total, node_err = np.zeros(self.n_pairs), 0.0
             for i in range(0, nodes.size, TIME_BLOCK):
                 blk = slice(i, i + TIME_BLOCK)
-                rows, errs = self._poisson_rows(nodes[blk], omega, tol, t_direct, master, prods)
+                rows, errs = self._poisson_rows(nodes[blk], omega, d, tol, t_direct, prods)
                 total += weights[blk] @ rows
                 node_err += float(weights[blk] @ errs)
             rules.append((total, node_err))
@@ -643,16 +674,16 @@ class PairEngine:
             )
         return fine
 
-    def _poisson_rows(self, ts, omega, tol, t_direct, master, prods):
+    def _poisson_rows(self, ts, omega, d, tol, t_direct, prods):
         """Poisson kernel rows [H_t(pair)] for ascending times ts, with an
-        error bound per time: the subordination master and its certificate
-        below t_direct; at and above it the direct series (frequencies omega,
-        pair products prods) cut at the cutoff N of the smallest such t, and
-        each time's geometric tail bound at N (the _poisson_cut bound)."""
+        error bound per time: _subordinated below t_direct; at and above it
+        the direct series (frequencies omega, pair products prods) cut at the
+        cutoff N of the smallest such t, and each time's geometric tail bound
+        at N (the _poisson_cut bound)."""
         k = int(np.searchsorted(ts, t_direct))  # ts[:k] < t_direct
         out, errs = np.empty((ts.size, self.n_pairs)), np.empty(ts.size)
         if k:
-            out[:k], errs[:k] = master.eval(ts[:k])
+            out[:k], errs[:k] = self._subordinated(ts[:k], d, tol)
         if k < ts.size:
             cut = self._poisson_cut(float(ts[k]), tol)
             if cut is None:
@@ -740,38 +771,36 @@ def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):
 
 
 class _SubordinationMaster:
-    """Poisson evaluation below the direct-series time threshold.
+    """Poisson rows below the direct-series time threshold, for one (d, tol).
 
     H_t = head(t) + R_K(t), where head sums the first K modes exactly and
     R_K(t) = int_0^inf m_t(u) T(u) du with T(u) the heat-tail kernel
     (modes > K) and m_t(u) = (t / 2 sqrt(pi)) u^{-3/2} e^{-t^2/4u} the
     stable-1/2 subordination density. T is sampled once on two log-paneled
     master grids (the second with twice the panels, for the quadrature
-    estimate), each from one blocked heat evaluation (PairEngine._heat_rows)
-    minus the head sum. Each grid keeps its nodes u, the fixed factor
-    u^{-3/2} w of the rule (fac), that factor folded into the tail
-    (Tw = fac T) and -1/(4u), so that an evaluation is one exponential of
-    an outer product and one matrix product per grid (eval). Below the
-    smallest resolvable u the integral of the head part is restored with
-    closed-form erfc terms, and the remaining kernel contribution is bounded
-    by the short-time envelope.
+    estimate) from the engine's u_floor up, each from one blocked heat
+    evaluation (PairEngine._heat_rows, cut at tol/4) minus the head sum.
+    Each grid keeps its nodes u, the fixed factor u^{-3/2} w of the rule
+    (fac), that factor folded into the tail (Tw = fac T) and -1/(4u), so
+    that an evaluation is one exponential of an outer product and one
+    matrix product per grid (eval). Below u_floor the integral of the head
+    part is restored with closed-form erfc terms.
 
-    The master keeps the head modes' eigenvalues and pair products, not the
-    engine, so that an engine holding its masters is freed by refcounting.
-    Its arrays are read-only, like its (shared) engine's.
+    The master only computes: the certificate of its rows (the sub-floor
+    kernel leak, the tol/4 of its grids and the 4 tol acceptance test) is
+    PairEngine._subordinated's. It keeps the head modes' eigenvalues and
+    pair products, not the engine, so that an engine holding its masters is
+    freed by refcounting. Its arrays are read-only, like its (shared)
+    engine's.
     """
 
     def __init__(self, engine: PairEngine, d: float, tol: float):
-        self.d = d
-        self.tol = tol
         self.K = min(96, max(engine.n_min + 8, engine.n_max // 8))
         head = slice(engine.n_min, self.K + 1)
         self.lam_head = engine._shifted(d)[head]
         self.sq_head = np.sqrt(self.lam_head)
         self.U_head = engine._pair_products(head.start, head.stop)
-        # Pairs closer than min_usable_dist need modes beyond the budget once
-        # the subordination measure reaches below the resolvable u scale.
-        self.u_floor, self.min_usable_dist = engine._subordination_floor()
+        self.u_floor = engine.u_floor
         # e^{-lam u_floor} per head mode, a factor of the sub-floor head integral.
         self.e_floor = np.exp(-self.lam_head * self.u_floor)
         lam_next = (math.pi * max(1.0, self.K + 1 - engine.c_off)) ** 2 + d * d
@@ -786,23 +815,12 @@ class _SubordinationMaster:
             Tw, neg_inv4u = T * fac[:, None], -0.25 / nd
             _read_only(nd, fac, Tw, neg_inv4u)
             self.grids.append((nd, fac, Tw, neg_inv4u))
-        # Envelope bound for |G| below the master floor, largest over the
-        # pairs; pairs too close to the diagonal cannot be certified at any
-        # small t.
-        expo = np.minimum(engine.dist**2 / (4.0 * self.u_floor), 700.0)
-        g_bound = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
-        self.leak_scale = float(np.max(np.where(
-            engine.dist >= self.min_usable_dist, g_bound, math.inf)))
         _read_only(self.lam_head, self.sq_head, self.U_head, self.e_floor)
-        self.n_terms = engine.n_max - engine.n_min + 1
-        # For the failure message: what the direct series would need instead.
-        self.min_dist = float(np.min(engine.dist, initial=math.inf))
-        self.m2 = engine.M * engine.M
-        self.c_off = engine.c_off
 
-    def eval(self, t):
-        """Values and certificate at time t; for a 1-D array of times, one
-        row of values and one certificate per time.
+    def eval(self, ts) -> tuple[np.ndarray, np.ndarray]:
+        """Rows of H_t for a 1-D array of times ts, one per time, and each
+        time's quadrature error estimate |fine - coarse| (largest over the
+        pairs, times t / 2 sqrt(pi)).
 
         Per TIME_BLOCK times, each grid's part of R_K is
         (t / 2 sqrt(pi)) exp(max(t^2 (-1/4u), -700)) @ Tw, the exponentials
@@ -811,8 +829,6 @@ class _SubordinationMaster:
         against m_t over (0, U), U = u_floor, w = t / (2 sqrt(U)):
           S = [E erfc(w - sqrt(lam U)) + e^{-w^2} erfcx(w + sqrt(lam U)) e^{-lam U}] / 2.
         """
-        t = np.asarray(t, dtype=float)
-        ts = t.reshape(-1)
         root_u = math.sqrt(self.u_floor)
         s_u, w_all = self.sq_head * root_u, ts / (2.0 * root_u)
         vals = np.empty((ts.size, self.U_head.shape[1]))
@@ -840,32 +856,7 @@ class _SubordinationMaster:
             E *= _erfc(w - s_u)
             below += E
             vals[blk] -= (0.5 * below) @ self.U_head
-        mass_below = _erfc(w_all)
-        leak = np.where(mass_below > 0.0, self.leak_scale, 0.0) * mass_below
-        bound = quad_err + leak + 0.25 * self.tol
-        bad = ~(bound <= 4.0 * self.tol)
-        if np.any(bad):
-            raise TailBoundFailure(_subordination_failure(
-                float(np.max(bound)), float(np.min(ts[bad])), self.tol, self.min_dist,
-                self.min_usable_dist, self.m2, self.c_off,
-            ))
-        return (vals[0], bound[0]) if t.ndim == 0 else (vals, bound)
-
-
-def _subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off) -> str:
-    """Why a subordinated Poisson certificate failed at t: the closest pair
-    against min_usable_dist, and the --n-max the direct series would need at
-    t (the _poisson_cut formula) against the Bessel cap."""
-    cap = int(X_MAX_J / math.pi)
-    need = math.ceil(_poisson_need(t, tol, m2, c_off)) + 1
-    return (
-        f"subordinated Poisson certificate {bound:.2e} too large at t={t:.3e}: the "
-        f"closest pair is {min_dist:.3e} apart, and pairs closer than "
-        f"min_usable_dist = {min_usable_dist:.3e} have no bound below the "
-        f"resolvable time scale; the direct series would need --n-max >= {need} at "
-        f"this t, {'above' if need > cap else 'within'} the Bessel cap of about "
-        f"{cap} modes"
-    )
+        return vals, quad_err
 
 
 # --------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from dini.bounds import (
     sandwich_check,
 )
 from dini.errors import DomainError, NonFiniteRatioError, SandwichViolation
-from dini.specfun import SpectralParams
+from dini.specfun import Regime, SpectralParams
 
 
 class TestF:
@@ -200,6 +200,19 @@ class TestRatioSweeps:
             assert r.spread < 100.0
 
 
+class TestHeatLongEnvelope:
+    @pytest.mark.parametrize("nu, regime, regime_rate", [
+        (0.0, Regime.PLUS, lambda b: b.eigen[1]),
+        (-0.5, Regime.ZERO, lambda b: 0.0),
+        (-0.75, Regime.MINUS, lambda b: b.eigen[0]),  # -z_0^2
+    ])
+    def test_rate_is_the_bottom_eigenvalue(self, nu, regime, regime_rate):
+        # The three-way regime branch the rate was chosen by, as the reference.
+        b = shared_basis(nu, n_max=300)
+        assert b.params.regime is regime
+        assert heat_long_envelope(b).rate == regime_rate(b)
+
+
 class TestToleranceChecks:
     def test_heat_envelope_reports_rejects_nan_tol(self):
         b = shared_basis(0.0, n_max=300)
@@ -275,6 +288,25 @@ class TestGrids:
         assert coords.min() == pytest.approx(1e-3)
         assert coords.max() == pytest.approx(1.0 - 1e-3)
         assert np.all(np.diff(coords) > 0)
+
+    @pytest.mark.parametrize("coords, min_sep", [
+        (boundary_refined_coords(8), 0.05),
+        (boundary_refined_coords(20), 0.02),
+        (boundary_refined_coords(7, refine=False), 0.3),
+        (np.array([0.5]), 0.02),
+    ])
+    def test_array_grids_equal_list_grids(self, coords, min_sep):
+        # The list comprehensions the grids were built with, as the reference.
+        xs, ys = np.meshgrid(coords, coords)
+        tensor = list(zip(xs.ravel().tolist(), ys.ravel().tolist()))
+        off = [(x, y) for x in coords for y in coords if abs(x - y) >= min_sep]
+        for x in coords[(coords > 0.1) & (coords < 0.9)]:
+            if x + min_sep < 1.0:
+                off.append((float(x), float(x + min_sep)))
+        for grid, ref in ((pair_grid(coords), tensor),
+                          (offdiagonal_pair_grid(coords, min_sep), off)):
+            assert grid.dtype == np.float64 and grid.shape == (len(ref), 2)
+            assert grid.tolist() == [list(p) for p in ref]
 
     def test_offdiagonal_separation(self):
         pairs = offdiagonal_pair_grid(boundary_refined_coords(8), 0.05)

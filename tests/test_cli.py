@@ -162,7 +162,7 @@ class TestKernelCommand:
 
     def test_jacobi_heat(self, capsys):
         code, out, _ = run_cli(
-            ["kernel", "--kind", "jacobi-heat", "--nu", "0", "--alpha", "0.5",
+            ["kernel", "--kind", "jacobi-heat", "--nu", "0.5",
              "--beta", "-0.5", "--t", "0.05", "--grid", "4", "--no-refine",
              "--n-max", "100", "--out", "-"],
             capsys,
@@ -194,8 +194,8 @@ class TestColumnArtifacts:
         ("--kind heat --nu 0.5 --t 0.06 --grid 12", KernelKind.HEAT, SpectralParams(0.5, 0.5)),
         ("--kind heat --nu 3 --t 0.0605 --grid 9 --no-refine", KernelKind.HEAT,
          SpectralParams(3.0, 0.5)),
-        ("--kind jacobi-heat --nu 0 --alpha 0.5 --t 0.05 --grid 6", KernelKind.JACOBI_HEAT,
-         JacobiParams(0.5, -0.5)),
+        ("--kind jacobi-heat --nu 0 --t 0.05 --grid 6", KernelKind.JACOBI_HEAT,
+         JacobiParams(0.0, -0.5)),
     ])
     def test_kernel_csv_is_per_row_formatting(self, argv, kind, params, capsys):
         argv = argv.split() + ["--n-max", "400"]
@@ -225,7 +225,7 @@ class TestColumnArtifacts:
         ("--kind heat --nu 0.5 --t 0.1", {"nu": 0.5, "H": 0.5, "n_max": 300}),
         ("--kind poisson-shifted --nu -0.75 --h 0.75 --d-nu 2 --t 0.1",
          {"nu": -0.75, "H": 0.75, "d_nu": 2.0, "n_max": 300}),
-        ("--kind jacobi-heat --nu 0 --alpha 0.5 --beta -0.25 --t 0.1",
+        ("--kind jacobi-heat --nu 0.5 --beta -0.25 --t 0.1",
          {"alpha": 0.5, "beta": -0.25, "n_max": 300}),
         ("--kind bessel --nu 0 --sigma 1", {"nu": 0.0, "H": 0.5, "n_max": 2000}),
     ])
@@ -396,7 +396,10 @@ class TestOptionTable:
 
     @pytest.mark.parametrize("args, option", [
         ("verify-envelopes --kind heat --nu 0.5 --d-nu nan --t 0.1 --grid 4", "--d-nu"),
-        ("kernel --kind heat --nu 0.5 --alpha 3 --sigma 9 --grid 3", "--alpha"),
+        ("kernel --kind heat --nu 0.5 --alpha 3 --grid 3", "--alpha"),
+        # jacobi-heat reads alpha from --nu, the alpha = nu of verify-sandwich.
+        ("kernel --kind jacobi-heat --nu 0 --alpha 0.5 --t 0.05 --grid 3",
+         "unrecognized arguments: --alpha 0.5"),
         ("kernel --kind poisson --nu 0.5 --d-nu 7 --t 0.1 --grid 3", "--d-nu"),
         ("kernel --kind jacobi-heat --nu 0 --h 9 --t 0.05 --grid 3", "--h"),
         ("kernel --kind bessel --nu 0 --t 0.1 --grid 3", "--t"),
@@ -412,7 +415,8 @@ class TestOptionTable:
         assert option in err
 
     @pytest.mark.parametrize("args, kind, options", [
-        ("kernel --kind heat --nu 0.5 --alpha 3 --sigma 9 --grid 3", "heat", "--sigma, --alpha"),
+        ("kernel --kind heat --nu 0.5 --sigma 9 --grid 3", "heat", "--sigma"),
+        ("kernel --kind heat --nu 0.5 --beta 3 --sigma 9 --grid 3", "heat", "--sigma, --beta"),
         ("kernel --kind heat --nu 0.5 --d-nu 1 --grid 3", "heat", "--d-nu"),
         ("kernel --nu 0.5 --beta -0.5 --grid 3", "heat", "--beta"),
         ("verify-envelopes --kind riesz --nu 0.5 --d-nu 1 --grid 4", "riesz", "--d-nu"),

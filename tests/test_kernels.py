@@ -1,4 +1,5 @@
 import cmath
+import functools
 import gc
 import itertools
 import math
@@ -56,6 +57,7 @@ from dini.kernels import (
     _gauss_start,
     _legendre,
     _log_panel_rule,
+    _poisson_need,
     engine_for,
     heat_kernel,
     kernel_arrays,
@@ -64,7 +66,7 @@ from dini.kernels import (
     semigroup_apply,
 )
 from dini.numerics import endpoint_graded_rule, gauss_legendre
-from dini.specfun import JacobiParams, SpectralParams
+from dini.specfun import X_MAX_J, JacobiParams, SpectralParams
 
 PAIRS = [(0.3, 0.6), (0.45, 0.5), (0.1, 0.9), (0.05, 0.08), (0.7, 0.75)]
 
@@ -318,12 +320,12 @@ class TestPotentialKernels:
 
     def test_time_integral_counts_node_bounds(self, monkeypatch):
         """The rule's sum of weight x node certificate is part of the
-        time-integral certificate: a master bound of 1 per node fails it."""
+        time-integral certificate: a subordinated bound of 1 per node fails it."""
         eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5)])
         eng.potential_time_integral(0.3, 1.0, 1e-9)
-        master_eval = _SubordinationMaster.eval
-        monkeypatch.setattr(_SubordinationMaster, "eval",
-                            lambda self, t: (master_eval(self, t)[0], np.ones(np.size(t))))
+        subordinated = PairEngine._subordinated
+        monkeypatch.setattr(PairEngine, "_subordinated", lambda self, ts, d, tol: (
+            subordinated(self, ts, d, tol)[0], np.ones(ts.size)))
         with pytest.raises(TailBoundFailure, match="node values"):
             eng.potential_time_integral(0.3, 1.0, 1e-9)
 
@@ -518,6 +520,21 @@ def old_heat_cut(eng, t, tol):
 HEAT_ROWS = PairEngine._heat_rows
 
 
+def old_subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off):
+    """The message of a failed subordinated certificate as the master formed
+    it, before the engine owned the certificate."""
+    cap = int(X_MAX_J / math.pi)
+    need = math.ceil(_poisson_need(t, tol, m2, c_off)) + 1
+    return (
+        f"subordinated Poisson certificate {bound:.2e} too large at t={t:.3e}: the "
+        f"closest pair is {min_dist:.3e} apart, and pairs closer than "
+        f"min_usable_dist = {min_usable_dist:.3e} have no bound below the "
+        f"resolvable time scale; the direct series would need --n-max >= {need} at "
+        f"this t, {'above' if need > cap else 'within'} the Bessel cap of about "
+        f"{cap} modes"
+    )
+
+
 def sequential_heat_rows(eng, ts, tol):
     """One single-time heat evaluation per time (the path of heat_values),
     in the layout of PairEngine._heat_rows."""
@@ -638,16 +655,57 @@ class TestBlockedHeat:
 
     def test_leak_failure_before_master_matches_master(self, monkeypatch):
         """poisson_values refuses a pair closer than min_usable_dist below the
-        resolvable time scale before building a master, with the message the
-        master's own certificate gives."""
+        resolvable time scale before building a master, with the message a
+        master's own certificate gave (old_subordination_failure)."""
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS + [(0.5, 0.5)])
-        with pytest.raises(TailBoundFailure) as from_master:
-            _SubordinationMaster(eng, 0.0, 1e-10).eval(1e-3)
+        assert eng.leak_scale == math.inf
+        ref = old_subordination_failure(math.inf, 1e-3, 1e-10, 0.0, eng.min_usable_dist,
+                                        eng.M * eng.M, eng.c_off)
         monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any master build fails
         with pytest.raises(TailBoundFailure) as early:
             eng.poisson_values(1e-3, 0.0, 1e-10)
-        assert str(early.value) == str(from_master.value)
+        assert str(early.value) == ref
         assert "certificate inf too large" in str(early.value)
+        assert eng._masters == {}
+
+    def test_time_integral_leak_failure_before_master(self):
+        """potential_time_integral refuses a pair closer than min_usable_dist
+        at its first node, before any master is built, with the message of
+        poisson_values at that node."""
+        eng = PairEngine(shared_basis(0.0, n_max=300), [(0.5, 0.5), (0.3, 0.6)])
+        with pytest.raises(TailBoundFailure) as timed:
+            eng.potential_time_integral(1.0, 1.0, 1e-9)
+        assert eng._masters == {}
+        t_lo, _ = eng._short_time_cut(1.0, 1e-9)
+        t_hi, _ = eng._late_time_cut(1.0, np.sqrt(eng._potential_spectrum(1.0)[eng.n_min :]), 1e-9)
+        first = float(_log_panel_rule(t_lo, t_hi, per_decade=4, order=16)[0][0])
+        with pytest.raises(TailBoundFailure) as direct:
+            eng.poisson_values(first, 1.0, 1e-9)
+        assert str(timed.value) == str(direct.value)
+        assert "certificate inf too large" in str(timed.value)
+
+    def test_masters_share_one_leak_scale(self, monkeypatch):
+        """The leak scale is the engine's: formed once, on first use, for
+        masters of every (d, tol); the masters hold no certificate inputs."""
+        calls, original = [], PairEngine.leak_scale.func
+
+        def leak_scale(eng):
+            calls.append(eng)
+            return original(eng)
+
+        prop = functools.cached_property(leak_scale)
+        prop.__set_name__(PairEngine, "leak_scale")
+        monkeypatch.setattr(PairEngine, "leak_scale", prop)
+        eng = PairEngine(shared_basis(0.0, n_max=300), [(0.2, 0.5), (0.3, 0.7)])
+        assert calls == []
+        eng.poisson_values(1e-3, 0.0, 1e-9)
+        eng.poisson_values(1e-3, 1.0, 1e-10)
+        assert calls == [eng] and len(eng._masters) == 2
+        for master in eng._masters.values():
+            assert master.u_floor == eng.u_floor
+            for name in ("leak_scale", "min_usable_dist", "min_dist", "m2", "c_off", "n_terms",
+                         "tol"):
+                assert not hasattr(master, name)
 
     def test_engine_freed_without_cycle_collection(self):
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
@@ -661,12 +719,11 @@ class TestBlockedHeat:
             gc.enable()
 
 
-def unfused_eval(master, eng, t):
-    """_SubordinationMaster.eval as one formula per factor: the measure
+def unfused_eval(master, eng, t, tol):
+    """PairEngine._subordinated as one formula per factor: the measure
     (t / 2 sqrt(pi)) e^{-min(t^2/4u, 700)} u^{-3/2} w against the unscaled
     heat tail T, the head sum, the sub-floor head integral from erfc and
     erfcx, and the per-pair leak bound; with the size of the head terms."""
-    t = np.asarray(t, dtype=float)
     tc = t[..., None]
     results = []
     for nd, fac, Tw, _ in master.grids:
@@ -675,14 +732,14 @@ def unfused_eval(master, eng, t):
         results.append(meas @ (Tw / fac[:, None]))
     coarse, fine = results
     quad_err = np.max(np.abs(fine - coarse), axis=-1)
-    U, lam, s = master.u_floor, master.lam_head, master.sq_head
+    U, lam, s = eng.u_floor, master.lam_head, master.sq_head
     head = np.exp(-tc * s) @ master.U_head
     w = tc / (2.0 * math.sqrt(U))
     part = 0.5 * (np.exp(-tc * s) * erfc(w - s * math.sqrt(U))
                   + erfcx(w + s * math.sqrt(U)) * np.exp(-w * w - lam * U))
     vals = head + fine - part @ master.U_head
     kb = np.full(eng.n_pairs, math.inf)
-    alive = eng.dist >= master.min_usable_dist
+    alive = eng.dist >= eng.min_usable_dist
     kb[alive] = 16.0 * U**-0.5 * np.exp(-np.minimum(eng.dist[alive] ** 2 / (4.0 * U), 700.0))
     mass_below = erfc(tc / (2.0 * math.sqrt(U)))
     leak = np.where(mass_below > 0.0, kb * mass_below, 0.0)
@@ -690,22 +747,23 @@ def unfused_eval(master, eng, t):
     # 1e-4 from terms near 30 at t = 1e-5), and the quadrature part of the
     # bound is a difference of two such sums: both are compared on that scale.
     terms = np.exp(-tc * s) @ np.abs(master.U_head)
-    return vals, quad_err + np.max(leak, axis=-1) + 0.25 * master.tol, terms
+    return vals, quad_err + np.max(leak, axis=-1) + 0.25 * tol, terms
 
 
 class TestFusedMaster:
-    """eval forms the measure, head and sub-floor terms in fused blocks; it
-    agrees with the unfused formula on every engine kind and block split."""
+    """The master's eval forms the measure, head and sub-floor terms in fused
+    blocks; with the engine's certificate (_subordinated) it agrees with the
+    unfused formula on every engine kind and block split."""
 
     @pytest.mark.parametrize("size", [None, 1, 47, 48, 49, 97])
     def test_matches_unfused_formula(self, size):
-        # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases.
+        # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases; None is the one time
+        # of poisson_values.
         for basis, d in zip(blocked_bases()[:4], (0.0, 0.0, 2.0, 1.0)):
             eng = PairEngine(basis, AGREEMENT_PAIRS)
-            master = _SubordinationMaster(eng, d, 1e-9)
-            t = 3e-4 if size is None else np.geomspace(1e-5, 1e-2, size)
-            vals, bound = master.eval(t)
-            ref, ref_bound, terms = unfused_eval(master, eng, t)
+            t = np.array([3e-4]) if size is None else np.geomspace(1e-5, 1e-2, size)
+            vals, bound = eng._subordinated(t, d, 1e-9)
+            ref, ref_bound, terms = unfused_eval(eng._master(d, 1e-9), eng, t, 1e-9)
             assert vals.shape == ref.shape and np.shape(bound) == np.shape(ref_bound)
             assert_rows_close(np.atleast_2d(vals), np.atleast_2d(ref), scale=np.atleast_2d(terms))
             assert np.all(np.abs(bound - ref_bound) <= 1e-14 * np.max(terms, axis=-1))
@@ -765,12 +823,12 @@ def old_poisson_direct(eng, U, t, d, tol):
     return mult @ U, n - eng.n_min + 1, bound
 
 
-def old_poisson_rows(self, ts, omega, tol, t_direct, master, prods):
+def old_poisson_rows(self, ts, omega, d, tol, t_direct, prods):
     U = old_table(self)
     out, errs = np.empty((ts.size, self.n_pairs)), np.empty(ts.size)
     sub = ts < t_direct
     if np.any(sub):
-        out[sub], errs[sub] = master.eval(ts[sub])
+        out[sub], errs[sub] = self._subordinated(ts[sub], d, tol)
     direct = ts[~sub]
     if direct.size:
         cut = self._poisson_cut(float(direct[0]), tol)
@@ -1199,7 +1257,7 @@ class TestSharedEngines:
 
     def test_one_build_per_basis(self, monkeypatch):
         """One engine and one master across the requests, and each psi row is
-        formed once: the row growths add up to the n_max + 1 rows."""
+        formed once: the row growths add up to the rows the engine holds."""
         counts = {"engine": 0, "rows": 0, "master": 0}
 
         def counted(name, fn):
@@ -1223,7 +1281,9 @@ class TestSharedEngines:
         b = fresh_basis(0.0)
         for sigma in POTENTIAL_SIGMAS:
             potential_kernel(potential_request(KernelKind.BESSEL_POT, 0.0, sigma), b)
-        assert counts == {"engine": 1, "rows": b.n_max + 1, "master": 1}
+        rows = engine_for(b, POTENTIAL_PAIRS).psi.shape[0]
+        assert counts == {"engine": 1, "rows": rows, "master": 1}
+        assert rows <= b.n_max + 1
 
     def test_request_order_does_not_matter(self):
         requests = [(kind, nu, sigma) for kind, nu in POTENTIAL_CASES for sigma in POTENTIAL_SIGMAS]
