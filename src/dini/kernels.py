@@ -44,9 +44,10 @@ keeps up to CACHE_ENTRIES engines on the basis, keyed by the bytes of the
 ratio report that is given a basis takes its engine from there. A shared
 engine's arrays are read-only. Each engine holds psi, (rows grown) x
 n_coords doubles, and in turn keeps up to CACHE_ENTRIES subordination
-masters (about 1,700 x n_pairs doubles each, at n_max = 3000), keyed by the
-exact (d, tol). The engine does not refer back to its basis, so a basis and
-its engines are freed by refcounting.
+masters (about 1,700 x n_pairs doubles each, at n_max = 3000) and up to
+CACHE_ENTRIES heat grids of the potential time integral (about 3,300 x
+n_pairs doubles each), both keyed by the exact (d, tol). The engine does not
+refer back to its basis, so a basis and its engines are freed by refcounting.
 
 Every heat and Poisson value ends in the same mode sum,
 sum_n e^{-t omega_n} psi_n(x) psi_n(y) for one or more times t, and one
@@ -60,13 +61,14 @@ sum over all n_max + 1 modes with zero multipliers outside the cutoff.
 semigroup_apply takes psi on its rule's nodes and on its grid from the
 basis's row stores, up to its cutoff: a time sweep forms each row once.
 
-The time-integral route of the potentials is one log-panelled Gauss rule in
-t shared by all pairs, evaluated a block of nodes at a time (direct series
-above the direct-series time threshold, subordination below it), with a
-doubled-rule error estimate, the rule's weighted sum of each node's own
-certificate, and stated bounds for the two ends it leaves out: the
-short-time Poisson envelope below t_lo and M^2 sum_n e^{-t sqrt(lam_n)}
-above t_hi. The incomplete-gamma terms of the potential series and of the
+The time-integral route of the potentials splits [t_lo, t_hi] at t_split,
+the first time from which the direct series is used: below it the t- and
+u-integrals are exchanged (one closed-form weight per node of the engine's
+heat grid for (d, tol); no master is built), above it one log-panelled Gauss
+rule in t serves all pairs. Each part carries a doubled-rule error estimate
+and its truncation bounds; stated bounds cover the t-ends left out (the
+short-time Poisson envelope below t_lo, M^2 sum_n e^{-t sqrt(lam_n)} above
+t_hi). The incomplete-gamma terms of the potential series and of the
 late-time bound are evaluated only up to their first exact 0.0
 (_falling_terms), a few hundred modes.
 """
@@ -82,6 +84,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import erfc as _erfc
 from scipy.special import erfcx as _erfcx
+from scipy.special import gammainc as _gammainc
 from scipy.special import gammaincc as _gammaincc
 from scipy.special import roots_legendre
 
@@ -111,16 +114,16 @@ from .specfun import X_MAX_J, JacobiParams, SpectralParams
 ENVELOPE_SAFETY = 16.0
 DIAGONAL_EXCLUSION = 1e-4
 LOG45 = 45.0
-# Times evaluated per array operation by _exp_rows (and nodes per block of
-# potential_time_integral); bounds the multiplier buffer at TIME_BLOCK x n_max.
+# Times evaluated per array operation by _exp_rows (and direct nodes per block
+# of potential_time_integral); bounds the multiplier buffer at TIME_BLOCK x n_max.
 TIME_BLOCK = 48
 # Each block of _exp_rows sums from mode 0 to a multiple of SUM_ALIGN modes,
 # so that BLAS groups a single time's terms as in a sum over all n_max + 1
 # modes; pair products of the modes 0..N + SUM_ALIGN - 1 (at most n_max)
 # cover every block whose cutoffs are at most N.
 SUM_ALIGN = 4
-# Entries kept by each bounded cache: engines per basis (engine_for) and
-# subordination masters per engine.
+# Entries kept by each bounded cache: engines per basis (engine_for), and
+# subordination masters and potential heat grids per engine.
 CACHE_ENTRIES = 4
 
 
@@ -381,7 +384,7 @@ class PairEngine:
         # it only pairs at least min_usable_dist apart have a kernel bound.
         self.u_floor = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
         self.min_usable_dist = math.sqrt(200.0 * self.u_floor)
-        self._masters: dict = {}
+        self._masters, self._heat_grids = {}, {}  # per exact (d, tol)
 
     @property
     def n_pairs(self) -> int:
@@ -504,9 +507,7 @@ class PairEngine:
         u_floor, plus tol/4 for the heat tails of the master grids. Raises
         TailBoundFailure unless every certificate is at most 4 tol; an
         infinite one (a pair closer than min_usable_dist) is refused before
-        the master is built. The message names the closest pair and the
-        --n-max the direct series would need (the _poisson_cut formula)
-        against the Bessel cap."""
+        the master is built (_subordination_failure)."""
         mass_below = _erfc(ts / (2.0 * math.sqrt(self.u_floor)))
         leak = np.where(mass_below > 0.0, self.leak_scale, 0.0) * mass_below
         vals, bound = None, leak
@@ -515,26 +516,28 @@ class PairEngine:
             bound = quad_err + leak + 0.25 * tol
         bad = ~(bound <= 4.0 * tol)
         if np.any(bad):
-            t, cap = float(np.min(ts[bad])), int(X_MAX_J / math.pi)
-            need = math.ceil(_poisson_need(t, tol, self.M * self.M, self.c_off)) + 1
-            raise TailBoundFailure(
-                f"subordinated Poisson certificate {float(np.max(bound)):.2e} too large at "
-                f"t={t:.3e}: the closest pair is {float(np.min(self.dist)):.3e} apart, and "
-                f"pairs closer than min_usable_dist = {self.min_usable_dist:.3e} have no bound "
-                f"below the resolvable time scale; the direct series would need --n-max >= "
-                f"{need} at this t, {'above' if need > cap else 'within'} the Bessel cap of "
-                f"about {cap} modes"
-            )
+            raise self._subordination_failure(float(np.max(bound)), float(np.min(ts[bad])), tol)
         return vals, bound
+
+    def _subordination_failure(self, bound, t, tol) -> TailBoundFailure:
+        """A failed subordinated certificate at t, naming the closest pair and the
+        --n-max the direct series would need (_poisson_need) against the Bessel cap."""
+        cap = int(X_MAX_J / math.pi)
+        need = math.ceil(_poisson_need(t, tol, self.M * self.M, self.c_off)) + 1
+        return TailBoundFailure(
+            f"subordinated Poisson certificate {bound:.2e} too large at t={t:.3e}: the closest "
+            f"pair is {float(np.min(self.dist)):.3e} apart, and pairs closer than "
+            f"min_usable_dist = {self.min_usable_dist:.3e} have no bound below the resolvable "
+            f"time scale; the direct series would need --n-max >= {need} at this t, "
+            f"{'above' if need > cap else 'within'} the Bessel cap of about {cap} modes"
+        )
 
     # ----- potentials ---------------------------------------------------
 
     def _potential_spectrum(self, d0: float) -> np.ndarray:
         lam = self._shifted(d0)
         if np.any(lam[self.n_min :] <= 0.0):
-            raise SpectrumNotPositiveError(
-                "potential requires strictly positive shifted spectrum"
-            )
+            raise SpectrumNotPositiveError("potential requires strictly positive shifted spectrum")
         return lam
 
     def potential_series(
@@ -609,93 +612,92 @@ class PairEngine:
 
     def _heat_skip_bound(self, sigma, t_floor) -> np.ndarray:
         """Envelope bound for int_0^{t_floor} t^{sigma-1} G_t dt, per pair."""
-        a = self.dist**2 / 4.0
-        out = np.empty(self.n_pairs)
-        for i in range(self.n_pairs):
-            T = float(t_floor if np.isscalar(t_floor) else t_floor[i])
-            if a[i] > 0.0:
-                z = a[i] / T
-                if z > 700.0:
-                    out[i] = 0.0
-                    continue
-                if sigma < 0.5:
-                    val = math.exp(-0.5 * z) * (0.5 * a[i]) ** (sigma - 0.5) * math.gamma(
-                        0.5 - sigma
-                    )
-                else:
-                    val = T ** (sigma - 0.5) * math.exp(-z)
+        out = []
+        for a, T in zip((self.dist**2 / 4.0).tolist(), t_floor.tolist()):
+            z = a / T
+            if a == 0.0:
+                val = T ** (sigma - 0.5) / (sigma - 0.5) if sigma > 0.5 else math.inf
+            elif z > 700.0:
+                val = 0.0
+            elif sigma < 0.5:
+                val = math.exp(-0.5 * z) * (0.5 * a) ** (sigma - 0.5) * math.gamma(0.5 - sigma)
             else:
-                if sigma <= 0.5:
-                    out[i] = math.inf
-                    continue
-                val = T ** (sigma - 0.5) / (sigma - 0.5)
-            out[i] = ENVELOPE_SAFETY * val
-        return out
+                val = T ** (sigma - 0.5) * math.exp(-z)
+            out.append(ENVELOPE_SAFETY * val)
+        return np.array(out)
 
     def potential_time_integral(self, sigma, d: float, tol: float) -> np.ndarray:
         """(1/Gamma(2 sigma)) * int_0^inf t^{2 sigma - 1} H_t dt, per pair.
 
-        One log-panelled Gauss rule in t on [t_lo, t_hi] serves all pairs;
-        H_t is evaluated for a block of nodes at a time. The parts left out
-        are bounded by the short-time envelope below t_lo and by
-        M^2 sum_n e^{-t sqrt(lam_n)} above t_hi; with the doubled-rule error
-        estimate they must stay below tol.
+        From t_split on, the direct series cut at tol_node = tol / 8W (W: the
+        weight mass of [t_lo, t_hi]) needs at most n_max modes, and its tails
+        add up to at most tol/8 on one log-panelled Gauss rule in t. On
+        [a, b) = [t_lo, t_split) the order is exchanged: H_t = int_0^inf m_t(u)
+        e^{-d^2 u} G_u du (subordination), and with s = t^2/4u and Legendre's
+        duplication sqrt(pi) Gamma(2 sigma) = 2^{2 sigma-1} Gamma(sigma)
+        Gamma(sigma+1/2) (DLMF 5.5.5), (1/Gamma(2 sigma)) int_a^b t^{2 sigma-1}
+        m_t(u) dt is I_sigma(u) (_time_weight), of mass (b^{2 sigma} -
+        a^{2 sigma}) / Gamma(2 sigma + 1), summed on the heat grid of (d, tol)
+        (_build_heat_grid). The certificate adds both doubled-rule differences,
+        the direct tails, the mass times tol/4 + leak_scale (u < u_floor;
+        refused first if infinite) + M^2 S(u_max) (u > u_max), and the t-ends.
         """
         _check_tol(tol)
         lam = self._potential_spectrum(d)
-        s2 = 2.0 * sigma
+        s2, m2 = 2.0 * sigma, self.M * self.M
         t_lo, skip = self._short_time_cut(sigma, tol)
         t_hi, late = self._late_time_cut(sigma, np.sqrt(lam[self.n_min :]), tol)
-        t_direct = _direct_time(self.M * self.M, self.c_off, self.n_max, tol)
-        # Direct nodes lie at or above t_direct, so its cutoff bounds theirs.
-        cut = self._poisson_cut(t_direct, tol)
-        top = self.n_max + 1 if cut is None else min(self.n_max + 1, cut[0] + SUM_ALIGN)
-        prods = self._pair_products(0, top)
-        omega = np.sqrt(lam)
-        rules = []
-        for per_decade in (4, 8):
-            nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=per_decade, order=16)
-            weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
-            total, node_err = np.zeros(self.n_pairs), 0.0
-            for i in range(0, nodes.size, TIME_BLOCK):
-                blk = slice(i, i + TIME_BLOCK)
-                rows, errs = self._poisson_rows(nodes[blk], omega, d, tol, t_direct, prods)
-                total += weights[blk] @ rows
-                node_err += float(weights[blk] @ errs)
-            rules.append((total, node_err))
-        (coarse, _), (fine, node_err) = rules
-        quad_err = float(np.max(np.abs(fine - coarse)))
-        bound = quad_err + node_err + skip + late
+        weight_mass = lambda a, b: (b**s2 - a**s2) / math.gamma(s2 + 1.0)
+        tol_node = tol / (8.0 * weight_mass(t_lo, t_hi))
+        t_split = min(t_hi, max(t_lo, _direct_time(m2, self.c_off, self.n_max, tol_node)))
+        if t_split > t_lo and math.isinf(self.leak_scale):
+            raise self._subordination_failure(math.inf, t_lo, tol)
+        rules = np.zeros((2, self.n_pairs))  # the coarse and the fine rule
+        quad_err = node_err = u_err = below = beyond = 0.0
+        if t_split < t_hi:
+            # Direct nodes lie above t_split, so its cutoff bounds theirs.
+            cut = self._poisson_cut(t_split, tol_node)
+            top = self.n_max + 1 if cut is None else min(self.n_max + 1, cut[0] + SUM_ALIGN)
+            prods, omega = self._pair_products(0, top), np.sqrt(lam)
+            for total, per_decade in zip(rules, (4, 8)):
+                nodes, weights = _log_panel_rule(t_split, t_hi, per_decade=per_decade, order=16)
+                weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
+                node_err = 0.0
+                for i in range(0, nodes.size, TIME_BLOCK):
+                    blk = slice(i, i + TIME_BLOCK)
+                    rows, errs = self._poisson_rows(nodes[blk], omega, tol_node, prods)
+                    total += weights[blk] @ rows
+                    node_err += float(weights[blk] @ errs)
+            quad_err = float(np.max(np.abs(rules[1] - rules[0])))
+        if t_split > t_lo:
+            build = lambda: _build_heat_grid(self, d, tol)
+            grid, s_max = _cached(self._heat_grids, (d, tol), build, CACHE_ENTRIES)
+            part = [(_time_weight(sigma, nd, t_lo, t_split) * wt) @ rows for nd, wt, rows in grid]
+            mass = weight_mass(t_lo, t_split)
+            u_err = float(np.max(np.abs(part[1] - part[0]))) + 0.25 * tol * mass
+            below, beyond = self.leak_scale * mass, s_max * mass
+            rules += part
+        bound = quad_err + node_err + u_err + below + beyond + skip + late
         if not bound <= tol:
             raise TailBoundFailure(
                 f"potential time-integral certificate {bound:.2e} exceeds tol {tol:.2e} "
-                f"(quadrature {quad_err:.2e}, node values {node_err:.2e}, "
+                f"(quadrature {quad_err:.2e}, node values {node_err:.2e}, u-rule {u_err:.2e}, "
+                f"u < {self.u_floor:.1e}: {below:.2e}, u > u_max: {beyond:.2e}, "
                 f"t < {t_lo:.1e}: {skip:.2e}, t > {t_hi:g}: {late:.2e})"
             )
-        return fine
+        return rules[1]
 
-    def _poisson_rows(self, ts, omega, d, tol, t_direct, prods):
-        """Poisson kernel rows [H_t(pair)] for ascending times ts, with an
-        error bound per time: _subordinated below t_direct; at and above it
-        the direct series (frequencies omega, pair products prods) cut at the
-        cutoff N of the smallest such t, and each time's geometric tail bound
-        at N (the _poisson_cut bound)."""
-        k = int(np.searchsorted(ts, t_direct))  # ts[:k] < t_direct
-        out, errs = np.empty((ts.size, self.n_pairs)), np.empty(ts.size)
-        if k:
-            out[:k], errs[:k] = self._subordinated(ts[:k], d, tol)
-        if k < ts.size:
-            cut = self._poisson_cut(float(ts[k]), tol)
-            if cut is None:
-                raise TailBoundFailure(
-                    f"poisson tail cannot reach tol={tol:.2e} at t={ts[k]:.3e}"
-                )
-            cuts = np.full(ts.size - k, cut[0])
-            out[k:] = _exp_rows(ts[k:], omega, self.n_min, cuts, prods)
-            u = ts[k:] * math.pi
-            tail = np.exp(-u * (cut[0] + 1.0 - self.c_off)) / (1.0 - np.exp(-u))
-            errs[k:] = self.M * self.M * tail
-        return out, errs
+    def _poisson_rows(self, ts, omega, tol, prods):
+        """Direct-series Poisson rows [H_t(pair)] for ascending times ts
+        (frequencies omega, pair products prods), cut at the _poisson_cut N
+        of ts[0], with each time's geometric tail bound at N."""
+        cut = self._poisson_cut(float(ts[0]), tol)
+        if cut is None:
+            raise TailBoundFailure(f"poisson tail cannot reach tol={tol:.2e} at t={ts[0]:.3e}")
+        u = ts * math.pi
+        tail = np.exp(-u * (cut[0] + 1.0 - self.c_off)) / (1.0 - np.exp(-u))
+        rows = _exp_rows(ts, omega, self.n_min, np.full(ts.size, cut[0]), prods)
+        return rows, self.M * self.M * tail
 
     def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
         """t_lo and the bound on (1/Gamma(2 sigma)) int_0^t_lo t^{2 sigma-1} |H_t| dt.
@@ -770,8 +772,48 @@ def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
+def _time_weight(sigma, u, a, b) -> np.ndarray:
+    """I_sigma(u) = u^{sigma-1} [P(sigma+1/2, b^2/4u) - P(sigma+1/2, a^2/4u)]
+    / Gamma(sigma) at ascending u (P of DLMF 8.2; see potential_time_integral),
+    the difference formed from P where a^2/4u < sigma + 1/2, else as
+    Q(a^2/4u) - Q(b^2/4u): from the smaller terms, which do not cancel."""
+    s, xa, xb = sigma + 0.5, a * a / (4.0 * u), b * b / (4.0 * u)
+    k = int(np.searchsorted(u, a * a / (4.0 * s), side="right"))  # xa[k:] < s
+    diff = np.concatenate([_gammaincc(s, xa[:k]) - _gammaincc(s, xb[:k]),
+                           _gammainc(s, xb[k:]) - _gammainc(s, xa[k:])])
+    return u ** (sigma - 1.0) / math.gamma(sigma) * diff
+
+
+def _build_heat_grid(eng: PairEngine, d: float, tol: float):
+    """([(u, w, rows)] of two log-panel Gauss rules on [u_floor, u_max], 6 and
+    12 panels per decade, order 24; M^2 S(u_max)), read-only. rows =
+    e^{-d^2 u} G_u from _heat_rows at tol/4, rescale = -d^2 (a negative
+    unshifted eigenvalue cannot overflow it). S(u) = sum_n e^{-lam'_n u},
+    lam' = d^2 + lam (Gaussian tail beyond n_max), bounds |e^{-d^2 v} G_v| /
+    M^2 for v >= u and falls at least at the rate lam'_min, so u_max = u0 +
+    log(16 M^2 S(u0) / tol) / lam'_min makes M^2 S(u_max) at most tol/16."""
+    lam = eng._potential_spectrum(d)[eng.n_min :]
+    lam0, m2 = float(lam.min()), eng.M * eng.M
+
+    def beyond(u):
+        a = u * math.pi**2
+        gauss = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * (eng.n_max - eng.c_off))
+        return m2 * (float(np.sum(np.exp(-u * lam))) + gauss)
+
+    u0 = max(1.0 / lam0, 2.0 * eng.u_floor)
+    u_max = u0 + max(0.0, math.log(16.0 * beyond(u0) / tol)) / lam0
+    rules = []
+    for per_decade in (6, 12):
+        nd, wt = _log_panel_rule(eng.u_floor, u_max, per_decade=per_decade, order=24)
+        rows, _, _ = eng._heat_rows(nd, 0.25 * tol, rescale=-d * d)
+        _read_only(nd, wt, rows)
+        rules.append((nd, wt, rows))
+    return rules, beyond(u_max)
+
+
 class _SubordinationMaster:
-    """Poisson rows below the direct-series time threshold, for one (d, tol).
+    """Poisson rows below the direct-series time threshold for one (d, tol),
+    of poisson_values only (potential_time_integral builds no master).
 
     H_t = head(t) + R_K(t), where head sums the first K modes exactly and
     R_K(t) = int_0^inf m_t(u) T(u) du with T(u) the heat-tail kernel
@@ -822,41 +864,29 @@ class _SubordinationMaster:
         time's quadrature error estimate |fine - coarse| (largest over the
         pairs, times t / 2 sqrt(pi)).
 
-        Per TIME_BLOCK times, each grid's part of R_K is
-        (t / 2 sqrt(pi)) exp(max(t^2 (-1/4u), -700)) @ Tw, the exponentials
-        formed in one scratch buffer per call. H_t = E @ U_head + R_K(t) -
-        S @ U_head, with E = e^{-t sqrt(lam)} and S the head's integral
-        against m_t over (0, U), U = u_floor, w = t / (2 sqrt(U)):
+        Each grid's part of R_K is (t / 2 sqrt(pi)) exp(max(t^2 (-1/4u), -700))
+        @ Tw. H_t = E @ U_head + R_K(t) - S @ U_head, with E = e^{-t sqrt(lam)}
+        and S the head's integral against m_t over (0, U), U = u_floor,
+        w = t / (2 sqrt(U)):
           S = [E erfc(w - sqrt(lam U)) + e^{-w^2} erfcx(w + sqrt(lam U)) e^{-lam U}] / 2.
         """
         root_u = math.sqrt(self.u_floor)
-        s_u, w_all = self.sq_head * root_u, ts / (2.0 * root_u)
-        vals = np.empty((ts.size, self.U_head.shape[1]))
-        quad_err = np.empty(ts.size)
-        buf = np.empty(min(TIME_BLOCK, ts.size) * max(g[0].size for g in self.grids))
-        for i in range(0, ts.size, TIME_BLOCK):
-            blk = slice(i, i + TIME_BLOCK)
-            tb = ts[blk]
-            parts = []
-            for nd, _, Tw, neg_inv4u in self.grids:
-                e = buf[: tb.size * nd.size].reshape(tb.size, nd.size)
-                np.multiply.outer(tb * tb, neg_inv4u, out=e)
-                np.maximum(e, -700.0, out=e)
-                np.exp(e, out=e)
-                parts.append(e @ Tw)
-            coarse, fine = parts
-            scale = tb / (2.0 * math.sqrt(math.pi))
-            quad_err[blk] = scale * np.max(np.abs(fine - coarse), axis=-1)
-            w = w_all[blk, None]
-            E = np.exp(np.multiply.outer(-tb, self.sq_head))
-            vals[blk] = E @ self.U_head + scale[:, None] * fine
-            below = _erfcx(w + s_u)
-            below *= np.exp(-w * w)
-            below *= self.e_floor
-            E *= _erfc(w - s_u)
-            below += E
-            vals[blk] -= (0.5 * below) @ self.U_head
-        return vals, quad_err
+        s_u, w = self.sq_head * root_u, (ts / (2.0 * root_u))[:, None]
+        parts = []
+        for nd, _, Tw, neg_inv4u in self.grids:
+            e = np.multiply.outer(ts * ts, neg_inv4u)
+            parts.append(np.exp(np.maximum(e, -700.0, out=e), out=e) @ Tw)
+        coarse, fine = parts
+        scale = ts / (2.0 * math.sqrt(math.pi))
+        E = np.exp(np.multiply.outer(-ts, self.sq_head))
+        vals = E @ self.U_head + scale[:, None] * fine
+        below = _erfcx(w + s_u)
+        below *= np.exp(-w * w)
+        below *= self.e_floor
+        E *= _erfc(w - s_u)
+        below += E
+        vals -= (0.5 * below) @ self.U_head
+        return vals, scale * np.max(np.abs(fine - coarse), axis=-1)
 
 
 # --------------------------------------------------------------------------

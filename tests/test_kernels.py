@@ -3,6 +3,7 @@ import functools
 import gc
 import itertools
 import math
+import re
 import warnings
 import weakref
 from types import SimpleNamespace
@@ -10,10 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.integrate import quad
 from scipy.special import erfc, erfcx, gammaincc, roots_legendre
 from hypothesis import strategies as st
 
 from conftest import shared_basis
+from dini import kernels
 from dini.basis import (
     BasisSpec,
     RowStore,
@@ -49,6 +52,7 @@ from dini.kernels import (
     KernelRequest,
     PairEngine,
     _SubordinationMaster,
+    _build_heat_grid,
     _direct_time,
     _exp_rows,
     _exp_tail,
@@ -58,6 +62,7 @@ from dini.kernels import (
     _legendre,
     _log_panel_rule,
     _poisson_need,
+    _time_weight,
     engine_for,
     heat_kernel,
     kernel_arrays,
@@ -320,12 +325,12 @@ class TestPotentialKernels:
 
     def test_time_integral_counts_node_bounds(self, monkeypatch):
         """The rule's sum of weight x node certificate is part of the
-        time-integral certificate: a subordinated bound of 1 per node fails it."""
+        time-integral certificate: a direct-node bound of 1 per node fails it."""
         eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5)])
         eng.potential_time_integral(0.3, 1.0, 1e-9)
-        subordinated = PairEngine._subordinated
-        monkeypatch.setattr(PairEngine, "_subordinated", lambda self, ts, d, tol: (
-            subordinated(self, ts, d, tol)[0], np.ones(ts.size)))
+        direct = PairEngine._poisson_rows
+        monkeypatch.setattr(PairEngine, "_poisson_rows", lambda self, ts, omega, tol, prods: (
+            direct(self, ts, omega, tol, prods)[0], np.ones(ts.size)))
         with pytest.raises(TailBoundFailure, match="node values"):
             eng.potential_time_integral(0.3, 1.0, 1e-9)
 
@@ -535,10 +540,10 @@ def old_subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_of
     )
 
 
-def sequential_heat_rows(eng, ts, tol):
+def sequential_heat_rows(eng, ts, tol, rescale=0.0):
     """One single-time heat evaluation per time (the path of heat_values),
     in the layout of PairEngine._heat_rows."""
-    out = [HEAT_ROWS(eng, np.array([t]), tol) for t in ts]
+    out = [HEAT_ROWS(eng, np.array([t]), tol, rescale) for t in ts]
     rows = np.concatenate([o[0] for o in out]).reshape(len(ts), eng.n_pairs)
     cuts = np.concatenate([o[1] for o in out])
     return rows, cuts, np.concatenate([o[2] for o in out])
@@ -648,8 +653,6 @@ class TestBlockedHeat:
                 assert n_terms == ref_terms
                 assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-14
                 assert bound <= 1e-9 and bound == pytest.approx(ref_bound, rel=1e-3)
-            # The master's grids are heat tails, differences of heat values
-            # near 1e3 at the smallest u, so rounding enters them ~1e3 larger.
             ref = eng.potential_time_integral(0.3, d0, 1e-9)
             assert np.max(np.abs(timed - ref) / np.abs(ref)) <= 1e-12
 
@@ -668,19 +671,18 @@ class TestBlockedHeat:
         assert "certificate inf too large" in str(early.value)
         assert eng._masters == {}
 
-    def test_time_integral_leak_failure_before_master(self):
+    def test_time_integral_leak_failure_before_master(self, monkeypatch):
         """potential_time_integral refuses a pair closer than min_usable_dist
-        at its first node, before any master is built, with the message of
-        poisson_values at that node."""
+        at t_lo, where its exchanged range starts, before any heat grid or
+        master is built, with the message of poisson_values at t_lo."""
         eng = PairEngine(shared_basis(0.0, n_max=300), [(0.5, 0.5), (0.3, 0.6)])
+        monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any grid or master build fails
         with pytest.raises(TailBoundFailure) as timed:
             eng.potential_time_integral(1.0, 1.0, 1e-9)
-        assert eng._masters == {}
+        assert eng._masters == {} and eng._heat_grids == {}
         t_lo, _ = eng._short_time_cut(1.0, 1e-9)
-        t_hi, _ = eng._late_time_cut(1.0, np.sqrt(eng._potential_spectrum(1.0)[eng.n_min :]), 1e-9)
-        first = float(_log_panel_rule(t_lo, t_hi, per_decade=4, order=16)[0][0])
         with pytest.raises(TailBoundFailure) as direct:
-            eng.poisson_values(first, 1.0, 1e-9)
+            eng.poisson_values(t_lo, 1.0, 1e-9)
         assert str(timed.value) == str(direct.value)
         assert "certificate inf too large" in str(timed.value)
 
@@ -751,9 +753,9 @@ def unfused_eval(master, eng, t, tol):
 
 
 class TestFusedMaster:
-    """The master's eval forms the measure, head and sub-floor terms in fused
-    blocks; with the engine's certificate (_subordinated) it agrees with the
-    unfused formula on every engine kind and block split."""
+    """The master's eval forms the measure, head and sub-floor terms fused;
+    with the engine's certificate (_subordinated) it agrees with the unfused
+    formula on every engine kind and for any number of times."""
 
     @pytest.mark.parametrize("size", [None, 1, 47, 48, 49, 97])
     def test_matches_unfused_formula(self, size):
@@ -796,19 +798,20 @@ def old_heat_values(eng, U, t, tol, rescale=0.0):
     return mult @ U, int(n_cut) - eng.n_min + 1, float(bound)
 
 
-def old_heat_rows(eng, U, ts, tol):
+def old_heat_rows(eng, U, ts, tol, rescale=0.0):
     """Blocked heat rows over the stored table U, in the summation order of
     the engine: each block sums the modes 0..top - 1, top the multiple of
     SUM_ALIGN past its largest cutoff (at most n_max + 1), with zero
     multipliers outside [n_min, N]."""
-    cuts, bounds = old_certified_cuts(eng, U, ts, tol)
+    cuts, bounds = old_certified_cuts(eng, U, ts, tol, rescale)
     rows = np.empty((ts.size, eng.n_pairs))
     for i in range(0, ts.size, TIME_BLOCK):
         blk = slice(i, i + TIME_BLOCK)
         n = cuts[blk]
         top = min(eng.n_max + 1, -(-(int(n.max()) + 1) // SUM_ALIGN) * SUM_ALIGN)
         mult = np.zeros((n.size, top))
-        mult[:, eng.n_min :] = np.exp(-np.multiply.outer(ts[blk], eng.lam[eng.n_min : top]))
+        mult[:, eng.n_min :] = np.exp(
+            -np.multiply.outer(ts[blk], eng.lam[eng.n_min : top] - rescale))
         mult[np.arange(top) > n[:, None]] = 0.0
         rows[blk] = mult @ U[:top]
     return rows, cuts, bounds
@@ -836,6 +839,16 @@ def old_poisson_rows(self, ts, omega, d, tol, t_direct, prods):
         out[~sub] = np.exp(-np.multiply.outer(direct, omega[sl])) @ U[sl]
         errs[~sub] = [self.M**2 * _exp_tail(t, cut[0], self.c_off) for t in direct]
     return out, errs
+
+
+def old_direct_rows(self, ts, omega, tol, prods):
+    """Direct Poisson rows over the stored table U, cut at the cutoff of
+    ts[0], and each time's geometric tail bound."""
+    U = old_table(self)
+    cut = self._poisson_cut(float(ts[0]), tol)
+    sl = slice(self.n_min, cut[0] + 1)
+    errs = [self.M**2 * _exp_tail(t, cut[0], self.c_off) for t in ts]
+    return np.exp(-np.multiply.outer(ts, omega[sl])) @ U[sl], np.array(errs)
 
 
 def old_potential_direct(eng, U, sigma, d0):
@@ -941,10 +954,9 @@ class TestCoordinateProducts:
             series = eng.potential_series(0.6, d, 1e-9)
             timed = eng.potential_time_integral(0.6, d, 1e-9)
             cases.append((basis, d, series, timed, eng.M))
-        monkeypatch.setattr(
-            PairEngine, "_heat_rows", lambda self, ts, tol: old_heat_rows(self, old_table(self), ts, tol)
-        )
-        monkeypatch.setattr(PairEngine, "_poisson_rows", old_poisson_rows)
+        monkeypatch.setattr(PairEngine, "_heat_rows", lambda self, ts, tol, rescale=0.0:
+                            old_heat_rows(self, old_table(self), ts, tol, rescale))
+        monkeypatch.setattr(PairEngine, "_poisson_rows", old_direct_rows)
         for basis, d, (vals, n_terms, bound), timed, m in cases:
             old = make_engine(basis, AGREEMENT_PAIRS)
             direct, delta = old_potential_direct(old, old_table(old), 0.6, d)
@@ -953,6 +965,125 @@ class TestCoordinateProducts:
             assert_rows_close(vals[None], (direct + near)[None])
             assert_rows_close(timed[None], old.potential_time_integral(0.6, d, 1e-9)[None])
             assert old.M == m
+
+
+def old_time_integral(eng, sigma, d, tol):
+    """The value of potential_time_integral before its order was exchanged:
+    one t-rule (8 panels per decade) on [t_lo, t_hi], with subordinated rows
+    below the direct-series time at tol and direct rows above it
+    (old_poisson_rows)."""
+    lam = eng._potential_spectrum(d)
+    t_lo, _ = eng._short_time_cut(sigma, tol)
+    t_hi, _ = eng._late_time_cut(sigma, np.sqrt(lam[eng.n_min :]), tol)
+    t_direct = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol)
+    nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=8, order=16)
+    weights = weights * nodes ** (2.0 * sigma - 1.0) / math.gamma(2.0 * sigma)
+    total = np.zeros(eng.n_pairs)
+    for i in range(0, nodes.size, TIME_BLOCK):
+        blk = slice(i, i + TIME_BLOCK)
+        rows, _ = old_poisson_rows(eng, nodes[blk], np.sqrt(lam), d, tol, t_direct, None)
+        total += weights[blk] @ rows
+    return total
+
+
+def time_weight_by_quad(sigma, u, a, b):
+    """(1/Gamma(2 sigma)) int_a^b t^{2 sigma - 1} m_t(u) dt by adaptive quadrature."""
+    density = lambda t: (t ** (2.0 * sigma) / math.gamma(2.0 * sigma) / (2.0 * math.sqrt(math.pi))
+                         * u**-1.5 * math.exp(-t * t / (4.0 * u)))
+    peak = math.sqrt(4.0 * sigma * u)  # where t^{2 sigma} e^{-t^2/4u} is largest
+    points = [peak] if a < peak < b else None
+    val, _ = quad(density, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=500)
+    return val
+
+
+class TestExchangedOrder:
+    """Below t_split, potential_time_integral integrates the heat grid of
+    (d, tol) against the closed-form weights I_sigma(u), with no master; it
+    agrees with the per-node subordinated route it replaces."""
+
+    def test_builds_no_master(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("the time integral must not subordinate per node")
+
+        monkeypatch.setattr(_SubordinationMaster, "eval", fail)
+        monkeypatch.setattr(PairEngine, "_subordinated", fail)
+        eng = PairEngine(shared_basis(0.0, n_max=3000), AGREEMENT_PAIRS)
+        for sigma in (0.3, 1.6):
+            eng.potential_time_integral(sigma, 1.0, 1e-9)
+        assert eng._masters == {}
+        assert list(eng._heat_grids) == [(1.0, 1e-9)]
+        rules, beyond = eng._heat_grids[1.0, 1e-9]
+        assert len(rules) == 2 and beyond <= 1e-9 / 16
+        for a in (a for rule in rules for a in rule):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0
+
+    def test_matches_per_node_route(self):
+        # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases and a Jacobi basis.
+        for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+            eng = make_engine(basis, AGREEMENT_PAIRS)
+            for sigma in (0.3, 0.6, 1.6):
+                timed = eng.potential_time_integral(sigma, d, 1e-9)
+                ref = old_time_integral(eng, sigma, d, 1e-9)
+                assert np.max(np.abs(timed - ref)) <= 2e-9, (basis, sigma)
+
+    @pytest.mark.parametrize("sigma,u,a,b", [
+        (0.3, 2.0, 1e-6, 6e-3),  # b^2/4u far below sigma + 1/2: Q - Q cancels
+        (1.6, 2.0, 1e-3, 8e-3),
+        (1.0, 1e-5, 1.6e-5, 7e-3),
+        (0.5, 1e-7, 3.5e-3, 6e-3),  # a^2/4u above sigma + 1/2: P - P cancels
+        (0.3, 4e-8, 3e-8, 6.4e-3),
+        (1.6, 3e-6, 1e-3, 8e-3),  # a^2/4u below and b^2/4u above sigma + 1/2
+    ])
+    def test_time_weight_matches_quad(self, sigma, u, a, b):
+        ref = time_weight_by_quad(sigma, u, a, b)
+        got = _time_weight(sigma, np.array([u]), a, b)[0]
+        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    def test_time_weight_total_mass(self):
+        """int_0^inf I_sigma(u) du = (b^{2 sigma} - a^{2 sigma}) / Gamma(2 sigma + 1)."""
+        for sigma, a, b in ((0.3, 1e-6, 6e-3), (1.0, 1e-4, 7e-3), (1.6, 1e-3, 8e-3)):
+            nodes, weights = _log_panel_rule(1e-16, 1e12, per_decade=8, order=24)
+            mass = (b ** (2 * sigma) - a ** (2 * sigma)) / math.gamma(2 * sigma + 1)
+            total = float(weights @ _time_weight(sigma, nodes, a, b))
+            # I_sigma falls like u^{-3/2}: the part beyond u = 1e12 is below
+            # 3e-9 of the mass here.
+            assert total == pytest.approx(mass, rel=1e-8)
+
+    def test_negative_eigenvalue_grid_finite(self):
+        """At nu = -0.75, H = 1/2 the lowest unshifted eigenvalue is negative,
+        so G_u grows with u; the grid holds e^{-d^2 u} G_u from the shifted
+        spectrum (rescale = -d^2): finite, and the route agrees with the
+        series."""
+        eng = PairEngine(shared_basis(-0.75, n_max=3000), AGREEMENT_PAIRS)
+        assert eng.lam[eng.n_min] < 0.0
+        series, _, _ = eng.potential_series(1.0, 1.0, 1e-9)
+        timed = eng.potential_time_integral(1.0, 1.0, 1e-9)
+        assert np.max(np.abs(timed - series)) <= 2e-9
+        rules, _ = eng._heat_grids[1.0, 1e-9]
+        for nd, _, rows in rules:
+            assert np.all(np.isfinite(rows))
+            vals, _, _ = eng.heat_values(float(nd[-1]), 0.25e-9, rescale=-1.0)
+            assert np.array_equal(rows[-1], vals)
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.6])
+    def test_failure_names_every_part(self, sigma, monkeypatch):
+        """The direct nodes are cut at tol/8W, so their tails take at most
+        tol/8; a failed certificate (here forced by a t < t_lo part of 2 tol)
+        names every part."""
+        eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5), (0.15, 0.85)])
+        cut = PairEngine._short_time_cut
+        monkeypatch.setattr(PairEngine, "_short_time_cut",
+                            lambda self, s, tol: (cut(self, s, tol)[0], 2.0 * tol))
+        with pytest.raises(TailBoundFailure) as failed:
+            eng.potential_time_integral(sigma, 1.0, 1e-9)
+        items = str(failed.value).split("(", 1)[1].rstrip(")").split(", ")
+        names = [re.sub(r":? \S+$", "", item) for item in items]
+        values = [float(item.rsplit(" ", 1)[1]) for item in items]
+        assert names[:5] == ["quadrature", "node values", "u-rule", f"u < {eng.u_floor:.1e}",
+                             "u > u_max"]
+        assert names[5].startswith("t < ") and names[6].startswith("t > ") and len(names) == 7
+        assert values[5] == 2e-9 and values[1] <= 1e-9 / 8
 
 
 class TestLazyRows:
@@ -1256,9 +1387,10 @@ class TestSharedEngines:
         assert engine_for(jb, PAIRS) is engine_for(jb, PAIRS)
 
     def test_one_build_per_basis(self, monkeypatch):
-        """One engine and one master across the requests, and each psi row is
-        formed once: the row growths add up to the rows the engine holds."""
-        counts = {"engine": 0, "rows": 0, "master": 0}
+        """One engine and one heat grid across the requests, no master, and
+        each psi row is formed once: the row growths add up to the rows the
+        engine holds."""
+        counts = {"engine": 0, "rows": 0, "master": 0, "grid": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1278,11 +1410,12 @@ class TestSharedEngines:
         monkeypatch.setattr(RowStore, "upto", upto)
         monkeypatch.setattr(_SubordinationMaster, "__init__",
                             counted("master", _SubordinationMaster.__init__))
+        monkeypatch.setattr(kernels, "_build_heat_grid", counted("grid", _build_heat_grid))
         b = fresh_basis(0.0)
         for sigma in POTENTIAL_SIGMAS:
             potential_kernel(potential_request(KernelKind.BESSEL_POT, 0.0, sigma), b)
         rows = engine_for(b, POTENTIAL_PAIRS).psi.shape[0]
-        assert counts == {"engine": 1, "rows": rows, "master": 1}
+        assert counts == {"engine": 1, "rows": rows, "master": 0, "grid": 1}
         assert rows <= b.n_max + 1
 
     def test_request_order_does_not_matter(self):
