@@ -23,7 +23,8 @@ import numpy as np
 from . import bounds as bnd
 from .basis import build_basis, gram_matrix
 from .errors import DiniError, InequalityViolation, NonFiniteRatioError
-from .kernels import KernelKind, KernelRequest, kernel_arrays, semigroup_apply
+from .kernels import (SIGMA_MAX, SIGMA_MIN, KernelKind, KernelRequest, kernel_arrays,
+                      semigroup_apply)
 from .numerics import csv_text
 from .specfun import JacobiParams, SpectralParams, bessel_ih
 from .zeros import build_zero_table, x0_bound
@@ -231,6 +232,9 @@ def _checked(convert, ok, what: str):
 
 
 _one_float = _checked(_parse_floats, lambda v: len(v) == 1, "a single finite number")
+_sigmas = _checked(_parse_floats, lambda v: all(SIGMA_MIN <= s <= SIGMA_MAX for s in v),
+                   f"potential powers sigma in [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
+_one_sigma = _checked(_sigmas, lambda v: len(v) == 1, "a single power sigma")
 _positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0.0, "finite and positive")
 _positive_int = _checked(int, lambda n: n >= 1, "a positive integer")
 
@@ -248,7 +252,7 @@ OPTIONS = {
     "--n-max": dict(type=int, help="highest mode index"),
     "--tol": dict(type=_positive_float, help="certified truncation tolerance"),
     "--t": dict(type=_parse_floats, help="comma-separated times t"),
-    "--sigma": dict(type=_parse_floats, help="comma-separated potential powers sigma"),
+    "--sigma": dict(type=_sigmas, help="comma-separated potential powers sigma"),
     "--d-nu": dict(type=float, help="shift d of the Poisson kernel"),
     "--grid": dict(type=_positive_int, help="grid points per axis"),
     "--no-refine": dict(action="store_true", help="no geometric refinement toward 0 and 1"),
@@ -315,7 +319,7 @@ COMMANDS = {
                       "--kind=heat --nu --h=0.5 --beta=-0.5 --n-max=200 --tol=1e-10 "
                       "--t=0.1 --sigma=1 --d-nu=1 --grid=20 --no-refine --format=csv --out",
                       KERNEL_KINDS,
-                      {"--t": dict(type=_one_float), "--sigma": dict(type=_one_float)}),
+                      {"--t": dict(type=_one_float), "--sigma": dict(type=_one_sigma)}),
     "verify-sandwich": Command(_cmd_verify_sandwich, "two-sided heat-kernel comparison",
                                "--nu --n-max=400 --tol=1e-10 --t=0.01,0.1,0.5,1 --grid=20 "
                                "--no-refine --out"),

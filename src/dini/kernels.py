@@ -61,15 +61,15 @@ sum over all n_max + 1 modes with zero multipliers outside the cutoff.
 semigroup_apply takes psi on its rule's nodes and on its grid from the
 basis's row stores, up to its cutoff: a time sweep forms each row once.
 
-The time-integral route of the potentials splits [t_lo, t_hi] at t_split,
-the first time from which the direct series is used: below it the t- and
-u-integrals are exchanged (one closed-form weight per node of the engine's
-heat grid for (d, tol); no master is built), above it one log-panelled Gauss
-rule in t serves all pairs. Each part carries a doubled-rule error estimate
-and its truncation bounds; stated bounds cover the t-ends left out (the
-short-time Poisson envelope below t_lo, M^2 sum_n e^{-t sqrt(lam_n)} above
-t_hi). The incomplete-gamma terms of the potential series and of the
-late-time bound are evaluated only up to their first exact 0.0
+The time-integral route of the potentials splits [t_lo, inf) at t_split,
+the time from which the direct Poisson series fits n_max modes: above it
+each mode's t-integral is closed form (one incomplete-gamma weight per mode,
+one vector-matrix product), and the modes beyond n_max have a closed-form
+bound; below it the t- and u-integrals are exchanged (one closed-form
+weight per node of the engine's heat grid for (d, tol), with a doubled-rule
+error estimate; no master is built). A stated bound covers the short-time
+end left out (the Poisson envelope below t_lo). The incomplete-gamma terms
+of the potential series are evaluated only up to their first exact 0.0
 (_falling_terms), a few hundred modes.
 """
 
@@ -114,14 +114,20 @@ from .specfun import X_MAX_J, JacobiParams, SpectralParams
 ENVELOPE_SAFETY = 16.0
 DIAGONAL_EXCLUSION = 1e-4
 LOG45 = 45.0
-# Times evaluated per array operation by _exp_rows (and direct nodes per block
-# of potential_time_integral); bounds the multiplier buffer at TIME_BLOCK x n_max.
+# Times evaluated per array operation by _exp_rows; bounds the multiplier
+# buffer at TIME_BLOCK x n_max.
 TIME_BLOCK = 48
 # Each block of _exp_rows sums from mode 0 to a multiple of SUM_ALIGN modes,
 # so that BLAS groups a single time's terms as in a sum over all n_max + 1
 # modes; pair products of the modes 0..N + SUM_ALIGN - 1 (at most n_max)
 # cover every block whose cutoffs are at most N.
 SUM_ALIGN = 4
+# The potential powers sigma accepted (KernelRequest, the engine, the CLI's
+# --sigma). The Gamma factors of the time integral overflow from sigma ~ 85.
+# Off the diagonal the kernels are O(sigma) as sigma -> 0, so below SIGMA_MIN
+# they approach the tolerances, and from sigma ~ 1e-17 the near-time rule of
+# the series collapses to a point.
+SIGMA_MIN, SIGMA_MAX = 1e-6, 50.0
 # Entries kept by each bounded cache: engines per basis (engine_for), and
 # subordination masters and potential heat grids per engine.
 CACHE_ENTRIES = 4
@@ -161,6 +167,8 @@ class KernelRequest:
             )
         if not math.isfinite(self.d_nu):
             raise DomainError(f"shift d must be finite, got {self.d_nu}")
+        if self.kind in (KernelKind.RIESZ_POT, KernelKind.BESSEL_POT):
+            _check_sigma(self.time_or_sigma)
         grid = _pair_array(self.grid, "kernel request")
         object.__setattr__(self, "grid", grid)
         if self.kind is KernelKind.JACOBI_HEAT:
@@ -210,6 +218,12 @@ def _check_tol(tol: float) -> None:
 def _check_time(t: float) -> None:
     if not (math.isfinite(t) and t > 0.0):
         raise DomainError(f"time must be finite and positive, got {t}")
+
+
+def _check_sigma(sigma: float) -> None:
+    if not (SIGMA_MIN <= sigma <= SIGMA_MAX):  # NaN fails the comparison
+        raise DomainError(
+            f"potential power sigma must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}], got {sigma}")
 
 
 def _gauss_cuts(n, ts, scale, c_off, tol, n_max, what) -> tuple[np.ndarray, np.ndarray]:
@@ -550,6 +564,7 @@ class PairEngine:
         incomplete gamma weights) plus (1/Gamma(sigma)) times the integral of
         t^{sigma-1} times the heat kernel over (0, delta).
         """
+        _check_sigma(sigma)
         _check_tol(tol)
         lam = self._potential_spectrum(d0)
         m2 = self.M * self.M
@@ -629,75 +644,56 @@ class PairEngine:
     def potential_time_integral(self, sigma, d: float, tol: float) -> np.ndarray:
         """(1/Gamma(2 sigma)) * int_0^inf t^{2 sigma - 1} H_t dt, per pair.
 
-        From t_split on, the direct series cut at tol_node = tol / 8W (W: the
-        weight mass of [t_lo, t_hi]) needs at most n_max modes, and its tails
-        add up to at most tol/8 on one log-panelled Gauss rule in t. On
-        [a, b) = [t_lo, t_split) the order is exchanged: H_t = int_0^inf m_t(u)
-        e^{-d^2 u} G_u du (subordination), and with s = t^2/4u and Legendre's
-        duplication sqrt(pi) Gamma(2 sigma) = 2^{2 sigma-1} Gamma(sigma)
-        Gamma(sigma+1/2) (DLMF 5.5.5), (1/Gamma(2 sigma)) int_a^b t^{2 sigma-1}
-        m_t(u) dt is I_sigma(u) (_time_weight), of mass (b^{2 sigma} -
-        a^{2 sigma}) / Gamma(2 sigma + 1), summed on the heat grid of (d, tol)
-        (_build_heat_grid). The certificate adds both doubled-rule differences,
-        the direct tails, the mass times tol/4 + leak_scale (u < u_floor;
-        refused first if infinite) + M^2 S(u_max) (u > u_max), and the t-ends.
+        From t_split on, each mode's part is closed form: with omega =
+        sqrt(d^2 + lam), f(omega) = (1/Gamma(2 sigma)) int_t_split^inf
+        tau^{2 sigma-1} e^{-omega tau} dtau (_mode_weight), so the stored
+        modes cost one weight vector and one vector-matrix product. f falls
+        as omega grows, and f(omega + pi) <= e^{-pi t_split} f(omega)
+        because tau >= t_split; with omega_n >= pi (n - c_off), the modes
+        beyond n_max add at most M^2 f(w) / (1 - e^{-pi t_split}),
+        w = pi (n_max + 1 - c_off). t_split is where the direct Poisson
+        series fits n_max modes at tol/8 (_direct_time), so that bound is
+        far below tol. On [a, b) = [t_lo, t_split) the order is exchanged:
+        H_t = int_0^inf m_t(u) e^{-d^2 u} G_u du (subordination), and with
+        s = t^2/4u and Legendre's duplication sqrt(pi) Gamma(2 sigma) =
+        2^{2 sigma-1} Gamma(sigma) Gamma(sigma+1/2) (DLMF 5.5.5),
+        (1/Gamma(2 sigma)) int_a^b t^{2 sigma-1} m_t(u) dt is I_sigma(u)
+        (_time_weight), of mass (b^{2 sigma} - a^{2 sigma}) / Gamma(2 sigma
+        + 1), summed on the heat grid of (d, tol) (_build_heat_grid). The
+        certificate adds five parts: the u-rule's doubled-rule difference
+        plus its mass times tol/4, the mass times leak_scale (u < u_floor;
+        refused first if infinite), the mass times M^2 S(u_max) (u > u_max),
+        the t < t_lo end and the modes beyond n_max.
         """
+        _check_sigma(sigma)
         _check_tol(tol)
         lam = self._potential_spectrum(d)
         s2, m2 = 2.0 * sigma, self.M * self.M
         t_lo, skip = self._short_time_cut(sigma, tol)
-        t_hi, late = self._late_time_cut(sigma, np.sqrt(lam[self.n_min :]), tol)
-        weight_mass = lambda a, b: (b**s2 - a**s2) / math.gamma(s2 + 1.0)
-        tol_node = tol / (8.0 * weight_mass(t_lo, t_hi))
-        t_split = min(t_hi, max(t_lo, _direct_time(m2, self.c_off, self.n_max, tol_node)))
+        t_split = max(t_lo, _direct_time(m2, self.c_off, self.n_max, 0.125 * tol))
         if t_split > t_lo and math.isinf(self.leak_scale):
             raise self._subordination_failure(math.inf, t_lo, tol)
-        rules = np.zeros((2, self.n_pairs))  # the coarse and the fine rule
-        quad_err = node_err = u_err = below = beyond = 0.0
-        if t_split < t_hi:
-            # Direct nodes lie above t_split, so its cutoff bounds theirs.
-            cut = self._poisson_cut(t_split, tol_node)
-            top = self.n_max + 1 if cut is None else min(self.n_max + 1, cut[0] + SUM_ALIGN)
-            prods, omega = self._pair_products(0, top), np.sqrt(lam)
-            for total, per_decade in zip(rules, (4, 8)):
-                nodes, weights = _log_panel_rule(t_split, t_hi, per_decade=per_decade, order=16)
-                weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
-                node_err = 0.0
-                for i in range(0, nodes.size, TIME_BLOCK):
-                    blk = slice(i, i + TIME_BLOCK)
-                    rows, errs = self._poisson_rows(nodes[blk], omega, tol_node, prods)
-                    total += weights[blk] @ rows
-                    node_err += float(weights[blk] @ errs)
-            quad_err = float(np.max(np.abs(rules[1] - rules[0])))
+        weights = _mode_weight(sigma, np.sqrt(lam[self.n_min :]), t_split)
+        total = weights @ self._pair_products(self.n_min, self.n_max + 1)
+        w = math.pi * (self.n_max + 1.0 - self.c_off)
+        modes = m2 * float(_mode_weight(sigma, w, t_split)) / -math.expm1(-math.pi * t_split)
+        u_err = below = beyond = 0.0
         if t_split > t_lo:
             build = lambda: _build_heat_grid(self, d, tol)
             grid, s_max = _cached(self._heat_grids, (d, tol), build, CACHE_ENTRIES)
             part = [(_time_weight(sigma, nd, t_lo, t_split) * wt) @ rows for nd, wt, rows in grid]
-            mass = weight_mass(t_lo, t_split)
+            mass = (t_split**s2 - t_lo**s2) / math.gamma(s2 + 1.0)
             u_err = float(np.max(np.abs(part[1] - part[0]))) + 0.25 * tol * mass
             below, beyond = self.leak_scale * mass, s_max * mass
-            rules += part
-        bound = quad_err + node_err + u_err + below + beyond + skip + late
+            total += part[1]
+        bound = u_err + below + beyond + skip + modes
         if not bound <= tol:
             raise TailBoundFailure(
                 f"potential time-integral certificate {bound:.2e} exceeds tol {tol:.2e} "
-                f"(quadrature {quad_err:.2e}, node values {node_err:.2e}, u-rule {u_err:.2e}, "
-                f"u < {self.u_floor:.1e}: {below:.2e}, u > u_max: {beyond:.2e}, "
-                f"t < {t_lo:.1e}: {skip:.2e}, t > {t_hi:g}: {late:.2e})"
+                f"(u-rule {u_err:.2e}, u < {self.u_floor:.1e}: {below:.2e}, u > u_max: "
+                f"{beyond:.2e}, t < {t_lo:.1e}: {skip:.2e}, modes > {self.n_max}: {modes:.2e})"
             )
-        return rules[1]
-
-    def _poisson_rows(self, ts, omega, tol, prods):
-        """Direct-series Poisson rows [H_t(pair)] for ascending times ts
-        (frequencies omega, pair products prods), cut at the _poisson_cut N
-        of ts[0], with each time's geometric tail bound at N."""
-        cut = self._poisson_cut(float(ts[0]), tol)
-        if cut is None:
-            raise TailBoundFailure(f"poisson tail cannot reach tol={tol:.2e} at t={ts[0]:.3e}")
-        u = ts * math.pi
-        tail = np.exp(-u * (cut[0] + 1.0 - self.c_off)) / (1.0 - np.exp(-u))
-        rows = _exp_rows(ts, omega, self.n_min, np.full(ts.size, cut[0]), prods)
-        return rows, self.M * self.M * tail
+        return total
 
     def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
         """t_lo and the bound on (1/Gamma(2 sigma)) int_0^t_lo t^{2 sigma-1} |H_t| dt.
@@ -734,24 +730,6 @@ class PairEngine:
             f"tol/8 at sigma={sigma:g}; pair too close to the diagonal"
         )
 
-    def _late_time_cut(self, sigma, sq, tol) -> tuple[float, float]:
-        """t_hi and the bound M^2 sum_n (1/Gamma(2 sigma)) int_t_hi^inf
-        t^{2 sigma-1} e^{-t sqrt(lam_n)} dt; modes beyond n_max are bounded at
-        the frequencies pi*(n - c_off). t_hi doubles from 1 until the bound
-        is below tol/8."""
-        s2 = 2.0 * sigma
-        w = math.pi * (self.n_max + 1.0 - self.c_off)
-        t_hi = 1.0
-        for _ in range(60):
-            term = lambda s: s**-s2 * _gammaincc(s2, t_hi * s)
-            stored = float(np.sum(_falling_terms(term, sq)))
-            beyond = w**-s2 * float(_gammaincc(s2, t_hi * w)) / (1.0 - math.exp(-t_hi * math.pi))
-            late = self.M * self.M * (stored + beyond)
-            if late <= 0.125 * tol:
-                return t_hi, late
-            t_hi *= 2.0
-        raise TailBoundFailure(f"potential time integral: late-time bound {late:.2e} above tol/8")
-
 
 @functools.lru_cache(maxsize=None)
 def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -782,6 +760,12 @@ def _time_weight(sigma, u, a, b) -> np.ndarray:
     diff = np.concatenate([_gammaincc(s, xa[:k]) - _gammaincc(s, xb[:k]),
                            _gammainc(s, xb[k:]) - _gammainc(s, xa[k:])])
     return u ** (sigma - 1.0) / math.gamma(sigma) * diff
+
+
+def _mode_weight(sigma, omega, t):
+    """(1/Gamma(2 sigma)) int_t^inf tau^{2 sigma-1} e^{-omega tau} dtau
+    = omega^{-2 sigma} Q(2 sigma, t omega) (DLMF 8.2.2, 8.2.4), per omega > 0."""
+    return omega ** (-2.0 * sigma) * _gammaincc(2.0 * sigma, t * omega)
 
 
 def _build_heat_grid(eng: PairEngine, d: float, tol: float):

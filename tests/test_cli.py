@@ -306,6 +306,18 @@ class TestInputValidation:
         assert code == 2
         assert message in err and "verification failure" not in err
 
+    @pytest.mark.parametrize("args", [
+        "kernel --kind bessel --nu 0 --sigma 200 --grid 4 --n-max 100",
+        "kernel --kind riesz --nu 0.5 --sigma 0 --grid 4 --n-max 100",
+        "kernel --kind bessel --nu 0 --sigma -1 --grid 4 --n-max 100",
+        "kernel --kind bessel --nu 0 --sigma 1e-7 --grid 4 --n-max 100",
+        "verify-envelopes --kind bessel --nu 0 --sigma 0.5,60 --grid 4",
+    ])
+    def test_sigma_outside_range_is_usage_error(self, args, capsys):
+        code, out, err = run_cli(args.split(), capsys)
+        assert code == 2 and out == ""
+        assert "argument --sigma: must be potential powers sigma in [1e-06, 50]" in err
+
     def test_zeros_tol_below_floor_is_refused(self, capsys):
         # The table certifies no tol below 1e-13; the CLI passes tol as given.
         code, out, err = run_cli(

@@ -46,6 +46,8 @@ from dini.kernels import (
     CACHE_ENTRIES,
     LOG45,
     PSI_BLOCK_MODES,
+    SIGMA_MAX,
+    SIGMA_MIN,
     SUM_ALIGN,
     TIME_BLOCK,
     KernelKind,
@@ -61,6 +63,7 @@ from dini.kernels import (
     _gauss_start,
     _legendre,
     _log_panel_rule,
+    _mode_weight,
     _poisson_need,
     _time_weight,
     engine_for,
@@ -323,16 +326,18 @@ class TestPotentialKernels:
         assert np.max(np.abs(v1 - v2) / np.abs(v1)) < 1e-6
         assert np.all(v1 > 0.0)
 
-    def test_time_integral_counts_node_bounds(self, monkeypatch):
-        """The rule's sum of weight x node certificate is part of the
-        time-integral certificate: a direct-node bound of 1 per node fails it."""
+    def test_time_integral_counts_mode_tail(self, monkeypatch):
+        """The bound on the modes beyond n_max is part of the time-integral
+        certificate: with t_split forced down to 1e-4, where the closed-form
+        part leaves a large share of the kernel to those modes, it fails the
+        certificate and the message names it."""
         eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5)])
         eng.potential_time_integral(0.3, 1.0, 1e-9)
-        direct = PairEngine._poisson_rows
-        monkeypatch.setattr(PairEngine, "_poisson_rows", lambda self, ts, omega, tol, prods: (
-            direct(self, ts, omega, tol, prods)[0], np.ones(ts.size)))
-        with pytest.raises(TailBoundFailure, match="node values"):
+        monkeypatch.setattr(kernels, "_direct_time", lambda m2, c_off, n_max, tol: 1e-4)
+        with pytest.raises(TailBoundFailure, match=r"modes > 2500: ") as failed:
             eng.potential_time_integral(0.3, 1.0, 1e-9)
+        modes = float(re.search(r"modes > 2500: (\S+)\)", str(failed.value)).group(1))
+        assert modes > 1e-9
 
     @pytest.mark.parametrize(
         "make,d0,oracle",
@@ -956,7 +961,6 @@ class TestCoordinateProducts:
             cases.append((basis, d, series, timed, eng.M))
         monkeypatch.setattr(PairEngine, "_heat_rows", lambda self, ts, tol, rescale=0.0:
                             old_heat_rows(self, old_table(self), ts, tol, rescale))
-        monkeypatch.setattr(PairEngine, "_poisson_rows", old_direct_rows)
         for basis, d, (vals, n_terms, bound), timed, m in cases:
             old = make_engine(basis, AGREEMENT_PAIRS)
             direct, delta = old_potential_direct(old, old_table(old), 0.6, d)
@@ -974,7 +978,7 @@ def old_time_integral(eng, sigma, d, tol):
     (old_poisson_rows)."""
     lam = eng._potential_spectrum(d)
     t_lo, _ = eng._short_time_cut(sigma, tol)
-    t_hi, _ = eng._late_time_cut(sigma, np.sqrt(lam[eng.n_min :]), tol)
+    t_hi, _ = old_late_time_cut(eng, sigma, np.sqrt(lam[eng.n_min :]), tol)
     t_direct = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol)
     nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=8, order=16)
     weights = weights * nodes ** (2.0 * sigma - 1.0) / math.gamma(2.0 * sigma)
@@ -983,6 +987,50 @@ def old_time_integral(eng, sigma, d, tol):
         blk = slice(i, i + TIME_BLOCK)
         rows, _ = old_poisson_rows(eng, nodes[blk], np.sqrt(lam), d, tol, t_direct, None)
         total += weights[blk] @ rows
+    return total
+
+
+def old_late_time_cut(eng, sigma, sq, tol):
+    """The late-time end of the time integral before its part above t_split
+    was closed form: t_hi doubles from 1 until M^2 sum_n (1/Gamma(2 sigma))
+    int_t_hi^inf t^{2 sigma-1} e^{-t sq_n} dt, the modes beyond n_max
+    bounded at the frequencies pi (n - c_off), is at most tol/8."""
+    s2 = 2.0 * sigma
+    w = math.pi * (eng.n_max + 1.0 - eng.c_off)
+    t_hi = 1.0
+    for _ in range(60):
+        stored = float(np.sum(sq**-s2 * gammaincc(s2, t_hi * sq)))
+        beyond = w**-s2 * float(gammaincc(s2, t_hi * w)) / (1.0 - math.exp(-t_hi * math.pi))
+        late = eng.M * eng.M * (stored + beyond)
+        if late <= 0.125 * tol:
+            return t_hi, late
+        t_hi *= 2.0
+    raise AssertionError(f"late-time bound {late:.2e} above tol/8")
+
+
+def direct_t_rule_time_integral(eng, sigma, d, tol):
+    """The value of potential_time_integral when its range above t_split was
+    a log-panelled Gauss rule in t (8 panels per decade) up to the late-time
+    ladder's t_hi, with direct rows cut at tol / 8W (W the weight mass of
+    [t_lo, t_hi]; old_direct_rows), and the exchanged part below t_split on
+    the fine rule of the heat grid, as now."""
+    lam = eng._potential_spectrum(d)
+    s2 = 2.0 * sigma
+    t_lo, _ = eng._short_time_cut(sigma, tol)
+    t_hi, _ = old_late_time_cut(eng, sigma, np.sqrt(lam[eng.n_min :]), tol)
+    tol_node = tol * math.gamma(s2 + 1.0) / (8.0 * (t_hi**s2 - t_lo**s2))
+    t_split = min(t_hi, max(t_lo, _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol_node)))
+    total = np.zeros(eng.n_pairs)
+    if t_split < t_hi:
+        nodes, weights = _log_panel_rule(t_split, t_hi, per_decade=8, order=16)
+        weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
+        for i in range(0, nodes.size, TIME_BLOCK):
+            blk = slice(i, i + TIME_BLOCK)
+            rows, _ = old_direct_rows(eng, nodes[blk], np.sqrt(lam), tol_node, None)
+            total += weights[blk] @ rows
+    if t_split > t_lo:
+        (_, (nd, wt, rows)), _ = _build_heat_grid(eng, d, tol)
+        total += (_time_weight(sigma, nd, t_lo, t_split) * wt) @ rows
     return total
 
 
@@ -1068,9 +1116,9 @@ class TestExchangedOrder:
 
     @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.6])
     def test_failure_names_every_part(self, sigma, monkeypatch):
-        """The direct nodes are cut at tol/8W, so their tails take at most
-        tol/8; a failed certificate (here forced by a t < t_lo part of 2 tol)
-        names every part."""
+        """The modes beyond n_max take far less than tol/8 at t_split; a
+        failed certificate (here forced by a t < t_lo part of 2 tol) names
+        every part."""
         eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5), (0.15, 0.85)])
         cut = PairEngine._short_time_cut
         monkeypatch.setattr(PairEngine, "_short_time_cut",
@@ -1080,10 +1128,76 @@ class TestExchangedOrder:
         items = str(failed.value).split("(", 1)[1].rstrip(")").split(", ")
         names = [re.sub(r":? \S+$", "", item) for item in items]
         values = [float(item.rsplit(" ", 1)[1]) for item in items]
-        assert names[:5] == ["quadrature", "node values", "u-rule", f"u < {eng.u_floor:.1e}",
-                             "u > u_max"]
-        assert names[5].startswith("t < ") and names[6].startswith("t > ") and len(names) == 7
-        assert values[5] == 2e-9 and values[1] <= 1e-9 / 8
+        assert names[:3] == ["u-rule", f"u < {eng.u_floor:.1e}", "u > u_max"]
+        assert names[3].startswith("t < ") and names[4] == "modes > 2500" and len(names) == 5
+        assert values[3] == 2e-9 and values[4] <= 1e-9 / 8
+
+
+class TestClosedFormTail:
+    """Above t_split, potential_time_integral sums one closed-form weight per
+    stored mode, f(omega) = omega^{-2 sigma} Q(2 sigma, t_split omega), and
+    bounds the modes beyond n_max by M^2 f(w) / (1 - e^{-pi t_split})."""
+
+    @pytest.mark.parametrize("sigma", [1e-3, 0.15, 0.3, 0.6, 1.0, 1.6, 7.5, SIGMA_MAX])
+    def test_mode_weight_matches_mpmath(self, sigma):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.mp.workdps(30):
+            s2 = 2 * mpmath.mpf(sigma)
+            for t in (1e-4, 5e-3, 0.1, 2.0):
+                for omega in (0.4, 1.0, 3.0, 100.0, 3e3, 9.4e3):
+                    x = mpmath.mpf(t) * mpmath.mpf(omega)
+                    ref = float(mpmath.mpf(omega) ** -s2 * mpmath.gammainc(s2, x, mpmath.inf,
+                                                                           regularized=True))
+                    got = float(_mode_weight(sigma, omega, t))
+                    assert got == pytest.approx(ref, rel=1e-12, abs=1e-300), (sigma, t, omega)
+
+    def test_mode_weight_falls_geometrically(self):
+        """f falls as omega grows, and f(omega + pi) <= e^{-pi t} f(omega):
+        the two facts behind the bound on the modes beyond n_max."""
+        omega = np.geomspace(0.05, 3e4, 600)
+        for sigma in (1e-3, 0.3, 0.5, 1.0, 1.6, 5.0, SIGMA_MAX):
+            for t in (1e-5, 1e-3, 5e-3, 0.05, 1.0, 10.0):
+                f = _mode_weight(sigma, omega, t)
+                step = _mode_weight(sigma, omega + math.pi, t)
+                assert np.all(np.diff(f) <= 0.0), (sigma, t)
+                assert np.all(step <= math.exp(-math.pi * t) * f), (sigma, t)
+
+    @pytest.mark.parametrize("nu,h", [(0.0, 0.5), (0.0, 0.0), (-0.75, -1.5), (1.5, 0.5)])
+    def test_beyond_bound_covers_larger_table(self, nu, h):
+        """The bound f(w) / (1 - e^{-pi t}) of a 300-mode table, w = pi (301 -
+        c_off), covers the modes 301..3000 of a 3000-mode table at the same
+        (nu, H), with the shift d = 1."""
+        small = build_basis(SpectralParams(nu, h), 300)
+        c_off = PairEngine(small, AGREEMENT_PAIRS).c_off
+        large = shared_basis(nu, h, n_max=3000)
+        omega = np.sqrt(1.0 + large.eigen[301:])
+        w = math.pi * (301 - c_off)
+        for sigma in (0.3, 1.0, 1.6):
+            for t in (1e-3, 1e-2, 0.1):
+                bound = _mode_weight(sigma, w, t) / -math.expm1(-math.pi * t)
+                assert float(np.sum(_mode_weight(sigma, omega, t))) <= bound
+
+    def test_matches_direct_t_rule(self):
+        """Both routes are certified at tol, so they agree within 2 tol."""
+        for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
+            eng = make_engine(basis, AGREEMENT_PAIRS)
+            for sigma in (0.3, 0.6, 1.6):
+                timed = eng.potential_time_integral(sigma, d, 1e-9)
+                ref = direct_t_rule_time_integral(eng, sigma, d, 1e-9)
+                assert np.max(np.abs(timed - ref)) <= 2e-9, (basis, sigma)
+
+    def test_mode_tail_far_below_tol(self):
+        """At t_split the modes beyond n_max take under 1e-20 on the
+        benchmark's bases (n_max = 3000, tol = 1e-9)."""
+        tails = []
+        for nu in (-0.75, -0.5, 0.0, 1.5, 0.5):
+            eng = PairEngine(shared_basis(nu, n_max=3000), POTENTIAL_PAIRS)
+            t_split = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, 0.125e-9)
+            w = math.pi * (eng.n_max + 1 - eng.c_off)
+            for sigma in POTENTIAL_SIGMAS:
+                tails.append(eng.M**2 * _mode_weight(sigma, w, t_split)
+                             / -math.expm1(-math.pi * t_split))
+        assert max(tails) <= 1e-20
 
 
 class TestLazyRows:
@@ -1332,6 +1446,44 @@ class TestTimeAndShiftChecks:
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
         with pytest.raises(DomainError, match="shift d must be finite"):
             self.SHIFTS[call](eng, d)
+
+
+class TestSigmaChecks:
+    """A potential power sigma outside [SIGMA_MIN, SIGMA_MAX] (NaN and inf
+    included) is a DomainError naming the range, from the engine and from
+    KernelRequest; at both ends of the range the two routes, each certified
+    at tol, agree within 2 tol."""
+
+    CALLS = {
+        "potential_series": lambda e, s: e.potential_series(s, 1.0, 1e-9),
+        "potential_time_integral": lambda e, s: e.potential_time_integral(s, 1.0, 1e-9),
+    }
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0, math.nextafter(SIGMA_MIN, 0.0),
+           math.nextafter(SIGMA_MAX, math.inf), 100.0, 200.0]
+
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    @pytest.mark.parametrize("sigma", BAD)
+    def test_engine_rejects(self, call, sigma):
+        eng = PairEngine(shared_basis(0.0, n_max=300), AGREEMENT_PAIRS)
+        with pytest.raises(DomainError, match=re.escape(f"[{SIGMA_MIN:g}, {SIGMA_MAX:g}]")):
+            self.CALLS[call](eng, sigma)
+
+    @pytest.mark.parametrize("kind", [KernelKind.RIESZ_POT, KernelKind.BESSEL_POT])
+    @pytest.mark.parametrize("sigma", [math.nextafter(SIGMA_MIN, 0.0), 60.0])
+    def test_request_rejects(self, kind, sigma):
+        with pytest.raises(DomainError, match=re.escape(f"[{SIGMA_MIN:g}, {SIGMA_MAX:g}]")):
+            KernelRequest(kind, SpectralParams(0.5, 0.5), sigma, AGREEMENT_PAIRS)
+        # A time is not a power: the range does not apply to the other kinds.
+        KernelRequest(KernelKind.HEAT, SpectralParams(0.5, 0.5), sigma, AGREEMENT_PAIRS)
+
+    @pytest.mark.parametrize("sigma", [SIGMA_MIN, SIGMA_MAX])
+    def test_routes_agree_at_range_ends(self, sigma):
+        for nu in (-0.75, 0.0, 1.5):
+            eng = PairEngine(shared_basis(nu, n_max=300), AGREEMENT_PAIRS)
+            series, _, _ = eng.potential_series(sigma, 1.0, 1e-9)
+            timed = eng.potential_time_integral(sigma, 1.0, 1e-9)
+            assert np.all(np.isfinite(series)) and np.all(series > 0.0)
+            assert np.max(np.abs(timed - series)) <= 2e-9, (nu, sigma)
 
 
 # The potential benchmark's requests: five bases, four sigmas, one pair per
