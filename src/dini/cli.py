@@ -26,8 +26,8 @@ from .errors import DiniError, InequalityViolation, NonFiniteRatioError
 from .kernels import (SIGMA_MAX, SIGMA_MIN, KernelKind, KernelRequest, kernel_arrays,
                       semigroup_apply)
 from .numerics import csv_text
-from .specfun import JacobiParams, SpectralParams, bessel_ih
-from .zeros import build_zero_table, x0_bound
+from .specfun import JacobiParams, SpectralParams, robin_and_slope
+from .zeros import build_zero_table, i_zeros, x0_bound
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -180,12 +180,9 @@ def _cmd_verify_rellich(cfg: argparse.Namespace) -> int:
 
 def _cmd_verify_zero_bound(cfg: argparse.Namespace) -> int:
     nus = np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, cfg.nu_grid)
-    z0, x0, residual = (np.empty(nus.size) for _ in range(3))
-    for i, nu in enumerate(nus.tolist()):
-        p = SpectralParams(nu, 0.5)
-        z0[i] = build_zero_table(p, 1, tol=1e-13).zeros[0]
-        x0[i] = x0_bound(nu)
-        residual[i] = abs(float(bessel_ih(p, z0[i])))
+    z0 = i_zeros(nus, 0.5, tol=1e-13)[0]
+    x0 = np.array([x0_bound(nu) for nu in nus.tolist()])
+    residual = np.abs(robin_and_slope(nus, 0.5, z0, modified=True)[0])
     good = (z0 < x0) & (x0 < 0.5) & (residual <= 1e-10)
     ok = bool(good.all())
     _emit_rows(cfg, {"nu": nus, "z0": z0, "x0": x0, "residual": residual, "pass": good},
@@ -253,7 +250,8 @@ OPTIONS = {
     "--tol": dict(type=_positive_float, help="certified truncation tolerance"),
     "--t": dict(type=_parse_floats, help="comma-separated times t"),
     "--sigma": dict(type=_sigmas, help="comma-separated potential powers sigma"),
-    "--d-nu": dict(type=float, help="shift d of the Poisson kernel"),
+    "--d-nu": dict(type=_checked(float, math.isfinite, "finite"),
+                   help="shift d of the Poisson kernel"),
     "--grid": dict(type=_positive_int, help="grid points per axis"),
     "--no-refine": dict(action="store_true", help="no geometric refinement toward 0 and 1"),
     "--max-spread": dict(type=_positive_float, help="largest max/min ratio that passes"),
@@ -277,6 +275,7 @@ class Kind(NamedTuple):
     reads: tuple = ("--h",)  # which of --h, --d-nu and --beta it reads
     params: Callable = lambda cfg: SpectralParams(cfg.nu, cfg.h)
     tol_floor: Optional[float] = None  # its --tol default and least --tol, if any
+    over_default: Optional[tuple] = None  # its own default of `over`, if any
 
 
 _POTENTIAL = dict(over="--sigma", pairs=bnd.offdiagonal_pair_grid)
@@ -293,7 +292,8 @@ KERNEL_KINDS = {
 # The Poisson and potential sweeps run at tol >= 1e-9.
 ENVELOPE_KINDS = {
     "heat": Kind(lambda b: bnd.heat_short_envelope(b.params.nu)),
-    "heat-long": Kind(bnd.heat_long_envelope),
+    # The suite's times, in the envelope's long-time regime (t = 1e-2 is not).
+    "heat-long": Kind(bnd.heat_long_envelope, over_default=(1.0, 2.5, 5.0)),
     "poisson": Kind(lambda b: bnd.poisson_short_envelope(b.params.nu),
                     reads=("--h", "--d-nu"), tol_floor=1e-9),
     "bessel": Kind(lambda b: bnd.potential_envelope(b.params.nu), tol_floor=1e-9, **_POTENTIAL),
@@ -341,8 +341,8 @@ DISPATCH = {name: command.run for name, command in COMMANDS.items()}
 class _CommandParser(argparse.ArgumentParser):
     """The parser of one command. Its options default to absent, so that it
     sees which were given: it refuses those that the chosen --kind does not
-    read and a --tol below the kind's floor, then fills in the defaults,
-    each parsed by its option's type."""
+    read and a --tol below the kind's floor, then fills in the kind's own
+    defaults and the command's, each parsed by its option's type."""
 
     def __init__(self, command: Command, **kw):
         super().__init__(allow_abbrev=False, argument_default=argparse.SUPPRESS, **kw)
@@ -365,6 +365,8 @@ class _CommandParser(argparse.ArgumentParser):
                       if _dest(o) in given and o not in (kind.over, *kind.reads)]
             if unread:
                 self.error(f"--kind {name} does not read {', '.join(unread)}")
+            if kind.over_default is not None:
+                given.setdefault(_dest(kind.over), kind.over_default)
             floor = kind.tol_floor
             if floor is not None and given.setdefault("tol", floor) < floor:
                 self.error(f"argument --tol: --kind {name} runs at tol >= {floor:g}, "

@@ -86,7 +86,6 @@ from scipy.special import erfc as _erfc
 from scipy.special import erfcx as _erfcx
 from scipy.special import gammainc as _gammainc
 from scipy.special import gammaincc as _gammaincc
-from scipy.special import roots_legendre
 
 from .basis import (
     PSI_BLOCK_MODES,
@@ -107,6 +106,7 @@ from .errors import (
     SpectrumNotPositiveError,
     TailBoundFailure,
 )
+from .numerics import _legendre
 from .specfun import X_MAX_J, JacobiParams, SpectralParams
 
 # Engineering constant for envelope-based skip bounds below the resolvable
@@ -729,14 +729,6 @@ class PairEngine:
             f"potential time integral: short-time envelope bound {skip:.2e} stays above "
             f"tol/8 at sigma={sigma:g}; pair too close to the diagonal"
         )
-
-
-@functools.lru_cache(maxsize=None)
-def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], per order."""
-    xg, wg = roots_legendre(order)
-    _read_only(xg, wg)
-    return xg, wg
 
 
 def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):

@@ -7,6 +7,7 @@ All arithmetic is binary64; no multiprecision dependency.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,8 +56,13 @@ class QuadratureRule:
         if abs(float(self.weights.sum()) - 1.0) > 1e-14:
             raise DomainError("quadrature weights must sum to 1 within 1e-14")
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
+
+@functools.lru_cache(maxsize=None)
+def _legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], per order."""
+    xg, wg = roots_legendre(order)
+    xg.flags.writeable = wg.flags.writeable = False
+    return xg, wg
 
 
 _GL_RULES: dict[int, QuadratureRule] = {}
@@ -72,7 +78,7 @@ def gauss_legendre(n: int) -> QuadratureRule:
     if rule is None:
         if not (1 <= n <= 4096):
             raise DomainError(f"gauss_legendre order must be in [1, 4096], got {n}")
-        x, w = roots_legendre(n)
+        x, w = _legendre(n)
         nodes, weights = 0.5 * (x + 1.0), 0.5 * w
         nodes.flags.writeable = False
         weights.flags.writeable = False

@@ -78,9 +78,9 @@ class JacobiParams:
             )
 
 
-def _check_order(nu: float) -> None:
-    if not nu > -1.0:
-        raise DomainError(f"order must exceed -1, got {nu}")
+def _check_order(nu) -> None:
+    if not np.all(np.asarray(nu) > -1.0):  # the least order, or NaN, fails
+        raise DomainError(f"order must exceed -1, got {np.min(nu)}")
 
 
 def bessel_j(nu: float, x):
@@ -95,8 +95,8 @@ def bessel_j(nu: float, x):
     return float(out) if np.isscalar(x) else out
 
 
-def bessel_i(nu: float, x):
-    """Modified Bessel function of the first kind I_nu on (0, 700]."""
+def bessel_i(nu, x):
+    """Modified Bessel function I_nu of the first kind (nu a number or array) on (0, 700]."""
     _check_order(nu)
     xs = np.asarray(x, dtype=float)
     if np.any(xs <= 0.0):
@@ -104,7 +104,7 @@ def bessel_i(nu: float, x):
     if np.any(xs > X_MAX_I):
         raise OverflowRangeError(f"bessel_i overflows beyond x = {X_MAX_I:g}")
     out = _iv(nu, xs)
-    return float(out) if np.isscalar(x) else out
+    return float(out) if np.isscalar(x) and np.isscalar(nu) else out
 
 
 def bessel_modulus(nu: float, x):
@@ -128,15 +128,16 @@ def bessel_jh(p: SpectralParams, x):
     return float(out) if np.isscalar(x) else out
 
 
-def robin_and_slope(p: SpectralParams, x, modified: bool = False):
+def robin_and_slope(nu, h: float, x, modified: bool = False):
     """(f, f') for f = J_{nu,H}, or I_{nu,H} if ``modified``, from the two
     orders nu and nu+1: with C = J, s = -1 (C = I, s = 1),
     f = (H+nu) C_nu + s x C_{nu+1} and f' = (nu (nu+H)/x + s x) C_nu + s H C_{nu+1},
-    the Bessel equation with C_{nu+2} eliminated by the recurrence."""
+    the Bessel equation with C_{nu+2} eliminated by the recurrence; nu may be
+    an array of orders, broadcast against x. f is bessel_ih's value bit for bit."""
     xs = np.asarray(x, dtype=float)
     c, s = (bessel_i, 1.0) if modified else (bessel_j, -1.0)
-    a, b = c(p.nu, xs), c(p.nu + 1.0, xs)
-    return (p.h + p.nu) * a + s * xs * b, (p.nu * (p.nu + p.h) / xs + s * xs) * a + s * p.h * b
+    a, b = c(nu, xs), c(nu + 1.0, xs)
+    return (h + nu) * a + s * xs * b, (nu * (nu + h) / xs + s * xs) * a + s * h * b
 
 
 def bessel_ih(p: SpectralParams, x):

@@ -4,9 +4,10 @@ For n >= 1 the zeros z_n of J_{nu,H} are bracketed by interlacing: between
 consecutive zeros of J_nu there is exactly one zero of J_{nu,H}, and the sign
 of J_{nu,H} at the zeros of J_nu alternates. The J_nu zeros come from McMahon
 brackets with a dense-scan fallback. When nu + H < 0 the single positive zero
-z_0 of I_{nu,H} is bracketed on a doubling grid; when nu + H = 0, z_0 = 0.
-Every zero is refined by ``_refine``, the package's only root refiner:
-bracketed Newton, a sign certificate, and one array bisection of the failures.
+z_0 of I_{nu,H} is bracketed on a doubling grid, for many nu at once; when
+nu + H = 0, z_0 = 0. Every zero is refined by ``_refine``, the package's only
+root refiner: bracketed Newton, a sign certificate, an array bisection of the
+failures.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .errors import BracketScanFailure, ConsistencyError, DomainError
 from .numerics import csv_text
-from .specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh, robin_and_slope
+from .specfun import Regime, SpectralParams, bessel_j, bessel_jh, robin_and_slope
 
 RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
@@ -55,7 +56,7 @@ def _newton(fdf, x, lo, hi, s_lo, tol):
         if live.size == 0:
             break
         xa, sa = x[live], s_lo[live]
-        f, df = fdf(xa)
+        f, df = fdf(xa, live)
         s = np.sign(f)
         la = lo[live] = np.where(s == sa, xa, lo[live])
         ha = hi[live] = np.where(s == -sa, xa, hi[live])
@@ -84,7 +85,7 @@ def _bisect(f, lo, hi, s_lo, tol):
         live = live[hi[live] - lo[live] > width[live]]
         if live.size == 0:
             break
-        s, xa = np.sign(f(x[live])), x[live]
+        s, xa = np.sign(f(x[live], live)), x[live]
         lo[live] = np.where(s == s_lo[live], xa, lo[live])
         hi[live] = np.where((s != s_lo[live]) & (s != 0), xa, hi[live])
         exact[live] = s == 0
@@ -96,7 +97,7 @@ def _bisect(f, lo, hi, s_lo, tol):
     if z.size:
         eps = np.maximum(0.25 * width[z], np.spacing(np.abs(x[z])))
         a, b = np.maximum(lo[z], x[z] - eps), np.minimum(hi[z], x[z] + eps)
-        sab = np.sign(f(np.concatenate([a, b])))
+        sab = np.sign(f(np.concatenate([a, b]), np.tile(z, 2)))
         signed = (sab[: z.size] == s_lo[z]) & (sab[z.size :] == -s_lo[z])
         if not np.all(signed):
             raise ConsistencyError(f"zero bisection: exact zero x = {float(x[z][~signed][0])!r} "
@@ -114,16 +115,18 @@ def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     has width <= max(tol, 4 ulp). The entries that fail it are bisected
     together (``_bisect``) from their Newton brackets [l, h] to width
     max(tol, 4 ulp(l)) <= max(tol, 4 ulp(b)). Returns the zeros and the
-    certified ends."""
+    certified ends. f(x, i) and fdf(x, i) = (f, f') take the points x of the
+    entries at positions i of the input arrays."""
     x0 = np.where((x0 > lo) & (x0 < hi), x0, 0.5 * (lo + hi))
     x, n_lo, n_hi = _newton(fdf, x0, lo, hi, s_lo, tol)
     u = np.spacing(np.abs(x))
     d = np.maximum(np.floor(0.45 * tol / u), 2.0) * u
     a, b = x - d, x + d
-    sab = np.sign(f(np.concatenate([a, b])))
+    sab = np.sign(f(np.concatenate([a, b]), np.tile(np.arange(x.size), 2)))
     ok = (sab[: x.size] == s_lo) & (sab[x.size :] == -s_lo) & (a >= lo) & (b <= hi)
     bad = np.flatnonzero(~ok | (b - a > np.maximum(tol, 4.0 * np.spacing(b))))
-    x[bad], a[bad], b[bad] = _bisect(f, n_lo[bad], n_hi[bad], s_lo[bad], tol)
+    f_bad = lambda xs, i: f(xs, bad[i])
+    x[bad], a[bad], b[bad] = _bisect(f_bad, n_lo[bad], n_hi[bad], s_lo[bad], tol)
     return x, a, b
 
 
@@ -138,7 +141,7 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
         raise DomainError("count must be >= 1")
     f = lambda x: bessel_j(nu, x)
 
-    def fdf(x):
+    def fdf(x, _):
         a = bessel_j(nu, x)
         return a, (nu / x) * a - bessel_j(nu + 1.0, x)
 
@@ -153,7 +156,7 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
         lo[k], hi[k], s_lo[k] = _scan_first_sign_change(f, start, g[k] + 2.5, what)
     if np.any(lo[1:] <= hi[:-1]):
         raise BracketScanFailure("J_nu zero brackets overlap")
-    return _refine(f, fdf, g, lo, hi, s_lo, tol)[0]
+    return _refine(lambda x, _: f(x), fdf, g, lo, hi, s_lo, tol)[0]
 
 
 @dataclass
@@ -236,8 +239,7 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
     J_{nu,H} changes sign (the table's certificate checks that they are
     consecutive and that (0+, j_1) is one exactly in the PLUS regime).
     ``_refine`` starts at the cell midpoint m shifted by (H - 1/2)/m, the
-    large-x offset of the zero. z_0 is refined in the first sign change of
-    I_{nu,H} on 0+, 1, 2, 4, ..., from its small-x value sqrt(-2(nu+1)(nu+H)).
+    large-x offset of the zero. z_0 comes from ``i_zeros``.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
@@ -263,24 +265,34 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
     mid = 0.5 * (lo + hi)
     x0 = mid + (p.h - 0.5) / mid
     zeros, a, b, sign = np.zeros((4, n_max + 1))
-    zeros[1:], a[1:], b[1:] = _refine(f, lambda x: robin_and_slope(p, x), x0, lo, hi, s_lo, tol)
+    fdf = lambda x, _: robin_and_slope(p.nu, p.h, x)
+    zeros[1:], a[1:], b[1:] = _refine(lambda x, _: f(x), fdf, x0, lo, hi, s_lo, tol)
     sign[1:] = s_lo
 
     if p.regime is Regime.MINUS:
-        f0 = lambda x: bessel_ih(p, x)
-        xs = np.concatenate([[1e-8], 2.0 ** np.arange(1 + int(math.log2(Z0_SEARCH_CAP)))])
-        s = np.sign(f0(xs))
-        up = np.flatnonzero((s[:-1] < 0) & (s[1:] > 0))[:1]
-        if s[0] >= 0 or up.size == 0:
-            raise BracketScanFailure(f"no sign change of I_{{nu,H}} on (0, {Z0_SEARCH_CAP:g}]")
-        x0 = np.array([math.sqrt(-2.0 * (p.nu + 1.0) * (p.nu + p.h))])
-        fdf0 = lambda x: robin_and_slope(p, x, modified=True)
-        zeros[:1], a[:1], b[:1] = _refine(f0, fdf0, x0, xs[up], xs[up + 1], s[up], tol)
+        zeros[:1], a[:1], b[:1] = i_zeros(np.array([p.nu]), p.h, tol)
         sign[0] = -1
     elif p.regime is Regime.PLUS:
         zeros[0] = np.nan
 
     return ZeroTable(p, n_max, tol, zeros, a, b, sign, j)
+
+
+def i_zeros(nus: np.ndarray, h: float, tol: float = 1e-13):
+    """Arrays (z0, lo, hi): the zeros z_0 of I_{nu,H} (nu + H < 0) for the
+    orders nus and their brackets (signs -1, +1), from one ``_refine`` in the
+    first cell of 0+, 1, 2, 4, ..., Z0_SEARCH_CAP where I_{nu,H} goes from -
+    to +, starting at the small-x value sqrt(-2(nu+1)(nu+H))."""
+    fdf = lambda x, i: robin_and_slope(nus[i], h, x, modified=True)
+    xs = np.concatenate([[1e-8], 2.0 ** np.arange(1 + int(math.log2(Z0_SEARCH_CAP)))])
+    s = np.sign(fdf(xs, np.arange(nus.size)[:, None])[0])
+    up = (s[:, :-1] < 0) & (s[:, 1:] > 0)
+    missed = (s[:, 0] >= 0) | ~up.any(axis=1)
+    if np.any(missed):
+        raise BracketScanFailure(f"no sign change of I_{{nu,H}} on (0, {Z0_SEARCH_CAP:g}] "
+                                 f"at nu = {float(nus[missed][0])!r}, H = {h!r}")
+    k, x0 = np.argmax(up, axis=1), np.sqrt(-2.0 * (nus + 1.0) * (nus + h))
+    return _refine(lambda x, i: fdf(x, i)[0], fdf, x0, xs[k], xs[k + 1], -np.ones(nus.size), tol)
 
 
 def x0_bound(nu: float) -> float:

@@ -109,6 +109,18 @@ class TestVerificationCommands:
         assert "min_usable_dist" in err
         assert "--n-max >=" in err and "above the Bessel cap" in err
 
+    # NU_GRID of scripts/run_verification_suite.py.
+    @pytest.mark.parametrize("nu", ["-0.9", "-0.75", "-0.5", "0", "0.5", "1.5", "3"])
+    def test_heat_long_passes_at_its_defaults(self, nu, capsys):
+        # heat-long's own --t default is the suite's 1,2.5,5, not the heat
+        # kind's list, whose small times lie outside the long-time regime.
+        code, out, _ = run_cli(["verify-envelopes", "--kind", "heat-long", "--nu", nu,
+                                "--out", "-"], capsys)
+        assert code == 0
+        code, explicit, _ = run_cli(["verify-envelopes", "--kind", "heat-long", "--nu", nu,
+                                     "--t", "1,2.5,5", "--out", "-"], capsys)
+        assert code == 0 and explicit == out
+
     def test_envelopes_failure_exit_code(self, capsys):
         code, _, err = run_cli(
             ["verify-envelopes", "--kind", "heat", "--nu", "0.5", "--grid", "8",
@@ -294,17 +306,24 @@ class TestInputValidation:
         assert "usage:" in err and args[-2] in err
 
     @pytest.mark.parametrize("args, message", [
-        (["--kind", "poisson", "--d-nu", "nan"], "shift d must be finite, got nan"),
-        (["--kind", "poisson", "--d-nu", "inf"], "shift d must be finite, got inf"),
+        (["--kind", "poisson", "--d-nu", "nan"], "argument --d-nu: must be finite, got nan"),
+        (["--kind", "poisson", "--d-nu", "inf"], "argument --d-nu: must be finite, got inf"),
         (["--kind", "heat-long", "--t", "inf"], "argument --t: must be"),
     ])
     def test_non_finite_envelope_argument(self, args, message, capsys):
-        # The envelope sweep builds no KernelRequest: the engine itself
-        # refuses these, before any ratio is formed.
+        # Refused at parse time, before any basis or ratio is formed.
         code, _, err = run_cli(["verify-envelopes", "--nu", "0.5", "--t", "0.1", "--grid", "4",
                                 *args], capsys)
         assert code == 2
         assert message in err and "verification failure" not in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_shift_is_refused_at_parse_time(self, value, capsys):
+        code, out, err = run_cli(["kernel", "--kind", "poisson-shifted", "--nu", "0",
+                                  "--d-nu", value], capsys)
+        assert code == 2 and out == ""
+        assert "usage: dini kernel" in err
+        assert f"argument --d-nu: must be finite, got {value}" in err
 
     @pytest.mark.parametrize("args", [
         "kernel --kind bessel --nu 0 --sigma 200 --grid 4 --n-max 100",

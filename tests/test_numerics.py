@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_legendre
 
 from dini.errors import DomainError
 from dini.numerics import QuadratureRule, csv_text, endpoint_graded_rule, gauss_legendre
@@ -23,7 +24,7 @@ class TestGaussLegendre:
 
     def test_cubic_exact_with_two_points(self):
         rule = gauss_legendre(2)
-        assert rule.integrate(lambda x: x**3) == pytest.approx(0.25, abs=1e-15)
+        assert np.dot(rule.weights, rule.nodes**3) == pytest.approx(0.25, abs=1e-15)
 
     def test_range_check(self):
         with pytest.raises(DomainError):
@@ -35,6 +36,15 @@ class TestGaussLegendre:
         for n in (3, 64, 512):
             rule = gauss_legendre(n)
             assert abs(rule.weights.sum() - 1.0) <= 1e-14
+
+    @pytest.mark.parametrize("n", [1, 16, 512])
+    def test_mapped_from_roots_legendre(self, n):
+        # Mapped from the [-1, 1] rule that kernels' log-panel rules share,
+        # bit for bit as from roots_legendre directly.
+        x, w = roots_legendre(n)
+        rule = gauss_legendre(n)
+        assert np.array_equal(rule.nodes, 0.5 * (x + 1.0))
+        assert np.array_equal(rule.weights, 0.5 * w)
 
     def test_memoized_read_only(self):
         rule = gauss_legendre(64)
@@ -50,14 +60,14 @@ class TestGaussLegendre:
         k = max(0, 2 * n - 1 - spread)
         rule = gauss_legendre(n)
         exact = 1.0 / (k + 1.0)
-        assert rule.integrate(lambda x: x**k) == pytest.approx(exact, rel=1e-13)
+        assert np.dot(rule.weights, rule.nodes**k) == pytest.approx(exact, rel=1e-13)
 
 
 class TestGradedRule:
     def test_integrates_endpoint_singularity(self):
         rule = endpoint_graded_rule(256, m_left=15, m_right=1)
         # int_0^1 x^{-0.8} dx = 5
-        val = rule.integrate(lambda x: x**-0.8)
+        val = np.dot(rule.weights, rule.nodes**-0.8)
         assert val == pytest.approx(5.0, rel=1e-10)
 
     def test_invariants(self):

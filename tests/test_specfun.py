@@ -141,6 +141,13 @@ class TestBesselI:
         with pytest.raises(OverflowRangeError):
             bessel_i(0.0, 701.0)
 
+    def test_array_of_orders(self):
+        nus = np.array([-0.75, 0.0, 2.5])
+        assert np.array_equal(bessel_i(nus, 1.5), [bessel_i(nu, 1.5) for nu in nus])
+        for bad in (-1.0, -1.5, math.nan):
+            with pytest.raises(DomainError, match="order must exceed -1"):
+                bessel_i(np.array([-0.5, bad, 0.3]), np.ones(3))
+
 
 class TestRobinCombinations:
     def test_cosine_zero(self):
@@ -175,7 +182,7 @@ class TestRobinCombinations:
         for f, modified in ((bessel_jh, False), (bessel_ih, True)):
             for x in (0.5, 2.0, 7.3):
                 fd = (f(p, x + h) - f(p, x - h)) / (2.0 * h)
-                value, slope = robin_and_slope(p, x, modified)
+                value, slope = robin_and_slope(p.nu, p.h, x, modified)
                 assert value == f(p, x)
                 assert slope == pytest.approx(fd, abs=2e-7)
 

@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dini.zeros as zeros_mod
-from dini.errors import ConsistencyError, DomainError
+from dini.errors import BracketScanFailure, ConsistencyError, DomainError
 from dini.specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh
 from dini.zeros import (
     ZeroTable,
     bessel_j_zeros,
     build_zero_table,
+    i_zeros,
     x0_bound,
 )
 
@@ -127,6 +128,21 @@ class TestBuildZeroTable:
             assert inside == 1
 
 
+class TestIZeros:
+    def test_equals_per_order_tables(self):
+        # One array refine over the grid gives each order's table z_0 and
+        # bracket bit for bit.
+        nus = np.linspace(-1.0 + 1e-3, -0.5 - 1e-3, 64)
+        z0, lo, hi = i_zeros(nus, 0.5)
+        for i, nu in enumerate(nus.tolist()):
+            table = build_zero_table(SpectralParams(nu, 0.5), 1)
+            assert (z0[i], lo[i], hi[i]) == (table.zeros[0], table.lo[0], table.hi[0])
+
+    def test_scan_failure_names_the_order(self):
+        with pytest.raises(BracketScanFailure, match=r"at nu = 0\.2, H = 0\.5"):
+            i_zeros(np.array([-0.8, 0.2, -0.7]), 0.5)
+
+
 def assert_certified(table):
     """Every stored bracket encloses its zero, has width <= max(tol, 4 ulp),
     lies in its interlacing cell and carries the signs the function has at
@@ -185,14 +201,18 @@ class TestNewtonCertificate:
     def test_forced_certificate_failure_bisects(self, monkeypatch):
         p = SpectralParams(0.3, 0.5)
         reference = build_zero_table(p, 300)
+        nus = np.linspace(-0.95, -0.55, 9)
+        z0_reference = i_zeros(nus, 0.5)[0]
         newton = zeros_mod._newton
         fallbacks = []
         bisect = zeros_mod._bisect
 
         def off_by_a_little(fdf, x, lo, hi, s_lo, tol):
-            x, lo, hi = newton(fdf, x, lo, hi, s_lo, tol)
-            x[::3] += 1e-9  # outside x -/+ d: the certificate must fail here
-            return x, lo, hi
+            # Every third entry ends outside x -/+ d, so that its certificate
+            # fails, and keeps its whole cell, so that bisection evaluates f.
+            xn, lo_n, hi_n = newton(fdf, x, lo, hi, s_lo, tol)
+            xn[::3], lo_n[::3], hi_n[::3] = xn[::3] + 1e-9, lo[::3], hi[::3]
+            return xn, lo_n, hi_n
 
         def spy(f, lo, *args):
             fallbacks.append(lo.size)
@@ -206,11 +226,25 @@ class TestNewtonCertificate:
         ref = reference.zeros[1:]
         assert np.all(np.abs(table.zeros[1:] - ref) <= np.maximum(1e-13, 4.0 * np.spacing(ref)))
 
+        # The batched z_0: entries 0, 3 and 6 of nine orders, bisected
+        # together, each with its own order's I_{nu,H}, as when alone.
+        fallbacks.clear()
+        z0, lo, hi = i_zeros(nus, 0.5)
+        assert fallbacks == [3]
+        for i in range(nus.size):
+            if i % 3:
+                assert z0[i] == z0_reference[i]
+            else:
+                alone = i_zeros(nus[i : i + 1], 0.5)  # its one entry is forced to bisect
+                assert (z0[i], lo[i], hi[i]) == tuple(v[0] for v in alone)
+                assert abs(z0[i] - z0_reference[i]) <= 1e-13
+        assert fallbacks == [3, 1, 1, 1]
+
     def test_bisected_width_across_a_binade(self, monkeypatch):
         # The Newton bracket [255.5, 256.5] spans 256, where ulp doubles; the
         # bisected bracket below 256 must still meet max(tol, 4 ulp(hi)).
         monkeypatch.setattr(zeros_mod, "_newton", lambda fdf, x, lo, hi, s_lo, tol: (x, lo, hi))
-        f = lambda x: x - 255.9
+        f = lambda x, _: x - 255.9
         one = lambda v: np.array([v])
         _, a, b = zeros_mod._refine(f, None, one(255.6), one(255.5), one(256.5), one(-1.0), 1e-13)
         assert a[0] < 255.9 < b[0] < 256.0
@@ -240,7 +274,8 @@ class TestBisection:
         one = lambda v: np.array([float(v)])
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(zeros_mod, "_newton", lambda fdf, x, lo, hi, s_lo, tol: (x, lo, hi))
-            x, a, b = zeros_mod._refine(f, None, one(x0), one(lo), one(hi), one(s_lo), tol)
+            x, a, b = zeros_mod._refine(lambda x, _: f(x), None, one(x0), one(lo), one(hi),
+                                        one(s_lo), tol)
         return x[0], a[0], b[0]
 
     ROOTS = {
