@@ -61,16 +61,17 @@ sum over all n_max + 1 modes with zero multipliers outside the cutoff.
 semigroup_apply takes psi on its rule's nodes and on its grid from the
 basis's row stores, up to its cutoff: a time sweep forms each row once.
 
-The time-integral route of the potentials splits [t_lo, inf) at t_split,
+The time-integral route of the potentials splits [0, inf) at t_split, twice
 the time from which the direct Poisson series fits n_max modes: above it
-each mode's t-integral is closed form (one incomplete-gamma weight per mode,
-one vector-matrix product), and the modes beyond n_max have a closed-form
-bound; below it the t- and u-integrals are exchanged (one closed-form
-weight per node of the engine's heat grid for (d, tol), with a doubled-rule
-error estimate; no master is built). A stated bound covers the short-time
-end left out (the Poisson envelope below t_lo). The incomplete-gamma terms
-of the potential series are evaluated only up to their first exact 0.0
-(_falling_terms), a few hundred modes.
+each mode's t-integral is closed form (one incomplete-gamma weight per
+mode, one vector-matrix product), summed up to the least mode N whose
+closed-form bound on the modes beyond it is at most tol/16; below it the t-
+and u-integrals are exchanged (one regularized incomplete gamma P per node
+of the engine's heat grid for (d, tol), with a doubled-rule error estimate;
+no master is built), and the grid's sub-floor kernel leak covers the
+shortest times too. The incomplete-gamma terms of the potential series are
+evaluated only up to their first exact 0.0 (_falling_terms), a few hundred
+modes.
 """
 
 from __future__ import annotations
@@ -589,20 +590,26 @@ class PairEngine:
         if g[-1] > 1e-25 * max(float(g[0]), 1e-300):
             raise TailBoundFailure("potential direct tail did not collapse")
         tail_direct = m2 * float(np.sum(g))
-        near, n_terms, near_bound = self._near_heat_integral(sigma, d0, delta, tol)
-        total_bound = tail_direct + near_bound
+        near, n_terms, (skip, tails, quad_err) = self._near_heat_integral(sigma, d0, delta, tol)
+        total_bound = tail_direct + (skip + tails + quad_err)
         if total_bound > tol:
             raise TailBoundFailure(
-                f"potential series certificate {total_bound:.2e} exceeds tol {tol:.2e}"
+                f"potential series certificate {total_bound:.2e} exceeds tol {tol:.2e} "
+                f"(near skip: {skip:.2e}, near heat tails: {tails:.2e}, near rule: "
+                f"{quad_err:.2e}, direct tail (modes > {self.n_max}): {tail_direct:.2e}; "
+                f"the closest pair is {float(np.min(self.dist)):.3e} apart)"
             )
         return direct + near, self.n_max - self.n_min + 1 + n_terms, total_bound
 
     def _near_heat_integral(self, sigma, d0, delta, tol):
-        """(1/Gamma(sigma)) * int_0^delta t^{sigma-1} e^{-d0^2 t} G_t dt.
+        """(1/Gamma(sigma)) * int_0^delta t^{sigma-1} e^{-d0^2 t} G_t dt, the
+        number of modes it sums and its certificate's three parts: the near
+        skip, the heat tails and the doubled-rule difference.
 
         Absorbs the t^{sigma-1} singularity exactly with t = delta*v^{1/sigma}
         and integrates over v with log-paneled Gauss rules; the region below
-        the resolvable time floor is skipped with an envelope-based bound.
+        the resolvable time floor is skipped with an envelope-based bound
+        (_heat_skip_bound).
         """
         t_cache = self.u_floor
         floors = np.maximum(self.dist**2 / 240.0, t_cache)
@@ -622,8 +629,8 @@ class PairEngine:
                 n_used = int(cuts.max(initial=self.n_min - 1)) - self.n_min + 1
         # Quadrature certificate: compare against the doubled rule.
         quad_err = float(np.max(np.abs(rules[1] - rules[0]))) * pref
-        bound = float(np.max(skip)) / math.gamma(sigma) + worst_tail * pref + quad_err
-        return pref * rules[1], n_used, bound
+        parts = (float(np.max(skip)) / math.gamma(sigma), worst_tail * pref, quad_err)
+        return pref * rules[1], n_used, parts
 
     def _heat_skip_bound(self, sigma, t_floor) -> np.ndarray:
         """Envelope bound for int_0^{t_floor} t^{sigma-1} G_t dt, per pair."""
@@ -646,88 +653,67 @@ class PairEngine:
 
         From t_split on, each mode's part is closed form: with omega =
         sqrt(d^2 + lam), f(omega) = (1/Gamma(2 sigma)) int_t_split^inf
-        tau^{2 sigma-1} e^{-omega tau} dtau (_mode_weight), so the stored
-        modes cost one weight vector and one vector-matrix product. f falls
-        as omega grows, and f(omega + pi) <= e^{-pi t_split} f(omega)
-        because tau >= t_split; with omega_n >= pi (n - c_off), the modes
-        beyond n_max add at most M^2 f(w) / (1 - e^{-pi t_split}),
-        w = pi (n_max + 1 - c_off). t_split is where the direct Poisson
-        series fits n_max modes at tol/8 (_direct_time), so that bound is
-        far below tol. On [a, b) = [t_lo, t_split) the order is exchanged:
+        tau^{2 sigma-1} e^{-omega tau} dtau (_mode_weight). f falls as omega
+        grows, and f(omega + pi) <= e^{-pi t_split} f(omega) because
+        tau >= t_split; with omega_n >= pi (n - c_off), the modes beyond N add
+        at most M^2 f(pi (N + 1 - c_off)) / (1 - e^{-pi t_split}). N is the
+        least n >= n_min at which that bound is at most tol/16 (_mode_cut; or
+        n_max), and the modes up to N cost one weight vector and one
+        vector-matrix product. t_split is twice the time at which the direct
+        Poisson series fits n_max modes at tol/8 (_direct_time), so N is
+        about half of n_max or less. On [0, t_split) the order is exchanged:
         H_t = int_0^inf m_t(u) e^{-d^2 u} G_u du (subordination), and with
         s = t^2/4u and Legendre's duplication sqrt(pi) Gamma(2 sigma) =
         2^{2 sigma-1} Gamma(sigma) Gamma(sigma+1/2) (DLMF 5.5.5),
-        (1/Gamma(2 sigma)) int_a^b t^{2 sigma-1} m_t(u) dt is I_sigma(u)
-        (_time_weight), of mass (b^{2 sigma} - a^{2 sigma}) / Gamma(2 sigma
-        + 1), summed on the heat grid of (d, tol) (_build_heat_grid). The
-        certificate adds five parts: the u-rule's doubled-rule difference
-        plus its mass times tol/4, the mass times leak_scale (u < u_floor;
-        refused first if infinite), the mass times M^2 S(u_max) (u > u_max),
-        the t < t_lo end and the modes beyond n_max.
+        (1/Gamma(2 sigma)) int_0^t_split t^{2 sigma-1} m_t(u) dt is I_sigma(u)
+        (_time_weight), of mass t_split^{2 sigma} / Gamma(2 sigma + 1), summed
+        on the heat grid of (d, tol) (_build_heat_grid). The certificate adds
+        four parts: the u-rule's doubled-rule difference plus its mass times
+        tol/4, the mass times leak_scale (u < u_floor; refused before any
+        grid is built if infinite, _leak_refusal), the mass times M^2 S(u_max)
+        (u > u_max) and the modes beyond N.
         """
         _check_sigma(sigma)
         _check_tol(tol)
         lam = self._potential_spectrum(d)
+        if math.isinf(self.leak_scale):
+            raise self._leak_refusal()
         s2, m2 = 2.0 * sigma, self.M * self.M
-        t_lo, skip = self._short_time_cut(sigma, tol)
-        t_split = max(t_lo, _direct_time(m2, self.c_off, self.n_max, 0.125 * tol))
-        if t_split > t_lo and math.isinf(self.leak_scale):
-            raise self._subordination_failure(math.inf, t_lo, tol)
-        weights = _mode_weight(sigma, np.sqrt(lam[self.n_min :]), t_split)
-        total = weights @ self._pair_products(self.n_min, self.n_max + 1)
-        w = math.pi * (self.n_max + 1.0 - self.c_off)
-        modes = m2 * float(_mode_weight(sigma, w, t_split)) / -math.expm1(-math.pi * t_split)
-        u_err = below = beyond = 0.0
-        if t_split > t_lo:
-            build = lambda: _build_heat_grid(self, d, tol)
-            grid, s_max = _cached(self._heat_grids, (d, tol), build, CACHE_ENTRIES)
-            part = [(_time_weight(sigma, nd, t_lo, t_split) * wt) @ rows for nd, wt, rows in grid]
-            mass = (t_split**s2 - t_lo**s2) / math.gamma(s2 + 1.0)
-            u_err = float(np.max(np.abs(part[1] - part[0]))) + 0.25 * tol * mass
-            below, beyond = self.leak_scale * mass, s_max * mass
-            total += part[1]
-        bound = u_err + below + beyond + skip + modes
+        t_split = _direct_time(m2, self.c_off, self.n_max, 0.125 * tol)
+        scale = m2 / -math.expm1(-math.pi * t_split)
+        n_cut, modes = _mode_cut(sigma, t_split, self.c_off, self.n_min, self.n_max, scale,
+                                 tol / 16.0)
+        weights = _mode_weight(sigma, np.sqrt(lam[self.n_min : n_cut + 1]), t_split)
+        total = weights @ self._pair_products(self.n_min, n_cut + 1)
+        build = lambda: _build_heat_grid(self, d, tol)
+        grid, s_max = _cached(self._heat_grids, (d, tol), build, CACHE_ENTRIES)
+        part = [(_time_weight(sigma, nd, t_split) * wt) @ rows for nd, wt, rows in grid]
+        mass = t_split**s2 / math.gamma(s2 + 1.0)
+        u_err = float(np.max(np.abs(part[1] - part[0]))) + 0.25 * tol * mass
+        below, beyond = self.leak_scale * mass, s_max * mass
+        bound = u_err + below + beyond + modes
         if not bound <= tol:
             raise TailBoundFailure(
                 f"potential time-integral certificate {bound:.2e} exceeds tol {tol:.2e} "
                 f"(u-rule {u_err:.2e}, u < {self.u_floor:.1e}: {below:.2e}, u > u_max: "
-                f"{beyond:.2e}, t < {t_lo:.1e}: {skip:.2e}, modes > {self.n_max}: {modes:.2e})"
+                f"{beyond:.2e}, modes > {n_cut}: {modes:.2e})"
             )
-        return total
+        return total + part[1]
 
-    def _short_time_cut(self, sigma, tol) -> tuple[float, float]:
-        """t_lo and the bound on (1/Gamma(2 sigma)) int_0^t_lo t^{2 sigma-1} |H_t| dt.
-
-        Uses ENVELOPE_SAFETY times the short-time Poisson envelope
-        (sqrt(xy)/(t+x+y))^{2 nu+1} t/(t^2+|x-y|^2), with the same factor in
-        1-x, 1-y and 2 beta+1 for a Jacobi basis (2 alpha+1 at the left end);
-        t_lo is lowered from 1e-3 by factors of 8 until the bound is below
-        tol/8.
-        """
-        xs, ys, p = self.xs, self.ys, self.params
-        if isinstance(p, JacobiParams):
-            ends = ((xs, ys, 2.0 * p.alpha + 1.0), (1.0 - xs, 1.0 - ys, 2.0 * p.beta + 1.0))
-        else:
-            ends = ((xs, ys, 2.0 * p.nu + 1.0),)
-        s2 = 2.0 * sigma
-        t_lo = 1e-3
-        while t_lo > 1e-13:
-            # Each end factor is monotone in t: its sup over (0, t_lo) is at an end.
-            boundary = 1.0
-            for p, q, a in ends:
-                r, s = np.sqrt(p * q), p + q
-                boundary = boundary * np.maximum((r / s) ** a, (r / (t_lo + s)) ** a)
-            with np.errstate(divide="ignore"):
-                off = t_lo ** (s2 + 1.0) / ((s2 + 1.0) * self.dist**2)
-            on = t_lo ** (s2 - 1.0) / (s2 - 1.0) if s2 > 1.0 else math.inf
-            skip = ENVELOPE_SAFETY * float(np.max(boundary * np.minimum(off, on)))
-            skip /= math.gamma(s2)
-            if skip <= 0.125 * tol:
-                return t_lo, skip
-            t_lo /= 8.0
-        raise TailBoundFailure(
-            f"potential time integral: short-time envelope bound {skip:.2e} stays above "
-            f"tol/8 at sigma={sigma:g}; pair too close to the diagonal"
+    def _leak_refusal(self) -> TailBoundFailure:
+        """The refusal of a pair closer than min_usable_dist, naming the
+        --n-max from which the closest pair is usable: min_usable_dist =
+        sqrt(200 LOG45) / (pi (n_max - c_off)) (from u_floor) reaches d_min
+        at n_max = c_off + sqrt(200 LOG45) / (pi d_min)."""
+        d_min = float(np.min(self.dist))
+        usable = "at no --n-max"
+        if d_min > 0.0:
+            need = math.ceil(self.c_off + math.sqrt(200.0 * LOG45) / (math.pi * d_min))
+            usable = f"from --n-max {need}"
+        return TailBoundFailure(
+            f"potential time integral: the closest pair is {d_min:.3e} apart, closer than "
+            f"min_usable_dist = {self.min_usable_dist:.3e}, and has no kernel bound below the "
+            f"resolvable time scale; it becomes usable {usable}"
         )
 
 
@@ -742,22 +728,30 @@ def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):
     return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
 
 
-def _time_weight(sigma, u, a, b) -> np.ndarray:
-    """I_sigma(u) = u^{sigma-1} [P(sigma+1/2, b^2/4u) - P(sigma+1/2, a^2/4u)]
-    / Gamma(sigma) at ascending u (P of DLMF 8.2; see potential_time_integral),
-    the difference formed from P where a^2/4u < sigma + 1/2, else as
-    Q(a^2/4u) - Q(b^2/4u): from the smaller terms, which do not cancel."""
-    s, xa, xb = sigma + 0.5, a * a / (4.0 * u), b * b / (4.0 * u)
-    k = int(np.searchsorted(u, a * a / (4.0 * s), side="right"))  # xa[k:] < s
-    diff = np.concatenate([_gammaincc(s, xa[:k]) - _gammaincc(s, xb[:k]),
-                           _gammainc(s, xb[k:]) - _gammainc(s, xa[k:])])
-    return u ** (sigma - 1.0) / math.gamma(sigma) * diff
+def _time_weight(sigma, u, b) -> np.ndarray:
+    """I_sigma(u) = u^{sigma-1} P(sigma+1/2, b^2/4u) / Gamma(sigma) at u (P of
+    DLMF 8.2; see potential_time_integral): one regularized incomplete gamma
+    per node, with no difference to cancel."""
+    return u ** (sigma - 1.0) / math.gamma(sigma) * _gammainc(sigma + 0.5, b * b / (4.0 * u))
 
 
 def _mode_weight(sigma, omega, t):
     """(1/Gamma(2 sigma)) int_t^inf tau^{2 sigma-1} e^{-omega tau} dtau
     = omega^{-2 sigma} Q(2 sigma, t omega) (DLMF 8.2.2, 8.2.4), per omega > 0."""
     return omega ** (-2.0 * sigma) * _gammaincc(2.0 * sigma, t * omega)
+
+
+def _mode_cut(sigma, t, c_off, n_min, n_max, scale, tol) -> tuple[int, float]:
+    """The least N in [n_min, n_max] whose bound scale f(pi (N + 1 - c_off))
+    (f = _mode_weight at t) is at most tol, and that bound; n_max and its
+    bound if none is. f falls as omega grows, so N is bisected."""
+    bound = lambda n: scale * float(_mode_weight(sigma, math.pi * (n + 1.0 - c_off), t))
+    lo, hi = n_min - 1, n_max  # bound(hi) <= tol and, unless lo < n_min, bound(lo) > tol
+    if bound(hi) <= tol:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if bound(mid) <= tol else (mid, hi)
+    return hi, bound(hi)
 
 
 def _build_heat_grid(eng: PairEngine, d: float, tol: float):

@@ -109,6 +109,21 @@ class TestVerificationCommands:
         assert "min_usable_dist" in err
         assert "--n-max >=" in err and "above the Bessel cap" in err
 
+    def test_bessel_envelopes_default_failure_names_parts(self, capsys):
+        # At the default n_max of 400 the default grid's pairs 0.02 apart
+        # leave the near-time integral below u_floor to the near skip bound:
+        # the message names each part of the series certificate, and the
+        # near skip is the largest.
+        code, out, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0"], capsys)
+        assert code == 2 and out == ""
+        assert "potential series certificate" in err and "exceeds tol 1.00e-09" in err
+        assert "the closest pair is 2.000e-02 apart" in err
+        names = r"near skip|near heat tails|near rule|direct tail \(modes > 400\)"
+        parts = dict(re.findall(rf"({names}): (\S+?)[,;]", err))
+        assert len(parts) == 4
+        values = {name: float(v) for name, v in parts.items()}
+        assert max(values, key=values.get) == "near skip" and values["near skip"] > 1e-9
+
     # NU_GRID of scripts/run_verification_suite.py.
     @pytest.mark.parametrize("nu", ["-0.9", "-0.75", "-0.5", "0", "0.5", "1.5", "3"])
     def test_heat_long_passes_at_its_defaults(self, nu, capsys):
@@ -426,7 +441,7 @@ class TestOptionTable:
     the ones it reads beyond those: anything else is a usage error."""
 
     @pytest.mark.parametrize("args, option", [
-        ("verify-envelopes --kind heat --nu 0.5 --d-nu nan --t 0.1 --grid 4", "--d-nu"),
+        ("verify-envelopes --kind heat --nu 0.5 --d-nu 1 --t 0.1 --grid 4", "--d-nu"),
         ("kernel --kind heat --nu 0.5 --alpha 3 --grid 3", "--alpha"),
         # jacobi-heat reads alpha from --nu, the alpha = nu of verify-sandwich.
         ("kernel --kind jacobi-heat --nu 0 --alpha 0.5 --t 0.05 --grid 3",

@@ -678,18 +678,40 @@ class TestBlockedHeat:
 
     def test_time_integral_leak_failure_before_master(self, monkeypatch):
         """potential_time_integral refuses a pair closer than min_usable_dist
-        at t_lo, where its exchanged range starts, before any heat grid or
-        master is built, with the message of poisson_values at t_lo."""
+        before any heat grid or master is built, naming the closest pair and
+        min_usable_dist; a diagonal pair becomes usable at no --n-max."""
         eng = PairEngine(shared_basis(0.0, n_max=300), [(0.5, 0.5), (0.3, 0.6)])
         monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any grid or master build fails
-        with pytest.raises(TailBoundFailure) as timed:
+        for sigma in (0.3, 1.0):
+            with pytest.raises(TailBoundFailure) as timed:
+                eng.potential_time_integral(sigma, 1.0, 1e-9)
+            assert eng._masters == {} and eng._heat_grids == {}
+            assert str(timed.value) == (
+                "potential time integral: the closest pair is 0.000e+00 apart, closer than "
+                f"min_usable_dist = {eng.min_usable_dist:.3e}, and has no kernel bound below the "
+                "resolvable time scale; it becomes usable at no --n-max")
+
+    def test_time_integral_leak_failure_names_usable_n_max(self):
+        """The refusal names the --n-max from which the closest pair is
+        usable, c_off + sqrt(200 LOG45) / (pi d_min); one mode fewer is
+        refused, and at that n_max the time integral certifies and agrees
+        with the series."""
+        pairs = [(0.3, 0.6), (0.5, 0.55)]
+        eng = PairEngine(build_basis(SpectralParams(0.0, 0.5), 300), pairs)
+        with pytest.raises(TailBoundFailure, match="closest pair is 5.000e-02 apart") as refused:
             eng.potential_time_integral(1.0, 1.0, 1e-9)
-        assert eng._masters == {} and eng._heat_grids == {}
-        t_lo, _ = eng._short_time_cut(1.0, 1e-9)
-        with pytest.raises(TailBoundFailure) as direct:
-            eng.poisson_values(t_lo, 1.0, 1e-9)
-        assert str(timed.value) == str(direct.value)
-        assert "certificate inf too large" in str(timed.value)
+        need = int(re.search(r"usable from --n-max (\d+)$", str(refused.value)).group(1))
+        d_min = float(np.min(eng.dist))
+        assert need == math.ceil(eng.c_off + math.sqrt(200.0 * LOG45) / (math.pi * d_min))
+        short = PairEngine(build_basis(SpectralParams(0.0, 0.5), need - 1), pairs)
+        with pytest.raises(TailBoundFailure, match=f"usable from --n-max {need}$"):
+            short.potential_time_integral(1.0, 1.0, 1e-9)
+        usable = PairEngine(build_basis(SpectralParams(0.0, 0.5), need), pairs)
+        assert usable.min_usable_dist <= d_min
+        for sigma in (0.6, 1.0):
+            timed = usable.potential_time_integral(sigma, 1.0, 1e-9)
+            series, _, _ = usable.potential_series(sigma, 1.0, 1e-9)
+            assert np.max(np.abs(timed - series)) <= 2e-9
 
     def test_masters_share_one_leak_scale(self, monkeypatch):
         """The leak scale is the engine's: formed once, on first use, for
@@ -975,9 +997,11 @@ def old_time_integral(eng, sigma, d, tol):
     """The value of potential_time_integral before its order was exchanged:
     one t-rule (8 panels per decade) on [t_lo, t_hi], with subordinated rows
     below the direct-series time at tol and direct rows above it
-    (old_poisson_rows)."""
+    (old_poisson_rows). Off the diagonal H_t = O(t / |x - y|^2) as t -> 0,
+    so on pairs at least 0.15 apart the part below t_lo = 1e-9 that it
+    leaves out is below 1e-12 at sigma >= 0.3."""
     lam = eng._potential_spectrum(d)
-    t_lo, _ = eng._short_time_cut(sigma, tol)
+    t_lo = 1e-9
     t_hi, _ = old_late_time_cut(eng, sigma, np.sqrt(lam[eng.n_min :]), tol)
     t_direct = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol)
     nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=8, order=16)
@@ -1012,14 +1036,13 @@ def direct_t_rule_time_integral(eng, sigma, d, tol):
     """The value of potential_time_integral when its range above t_split was
     a log-panelled Gauss rule in t (8 panels per decade) up to the late-time
     ladder's t_hi, with direct rows cut at tol / 8W (W the weight mass of
-    [t_lo, t_hi]; old_direct_rows), and the exchanged part below t_split on
+    [0, t_hi]; old_direct_rows), and the exchanged part on [0, t_split) on
     the fine rule of the heat grid, as now."""
     lam = eng._potential_spectrum(d)
     s2 = 2.0 * sigma
-    t_lo, _ = eng._short_time_cut(sigma, tol)
     t_hi, _ = old_late_time_cut(eng, sigma, np.sqrt(lam[eng.n_min :]), tol)
-    tol_node = tol * math.gamma(s2 + 1.0) / (8.0 * (t_hi**s2 - t_lo**s2))
-    t_split = min(t_hi, max(t_lo, _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol_node)))
+    tol_node = tol * math.gamma(s2 + 1.0) / (8.0 * t_hi**s2)
+    t_split = min(t_hi, _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol_node))
     total = np.zeros(eng.n_pairs)
     if t_split < t_hi:
         nodes, weights = _log_panel_rule(t_split, t_hi, per_decade=8, order=16)
@@ -1028,10 +1051,8 @@ def direct_t_rule_time_integral(eng, sigma, d, tol):
             blk = slice(i, i + TIME_BLOCK)
             rows, _ = old_direct_rows(eng, nodes[blk], np.sqrt(lam), tol_node, None)
             total += weights[blk] @ rows
-    if t_split > t_lo:
-        (_, (nd, wt, rows)), _ = _build_heat_grid(eng, d, tol)
-        total += (_time_weight(sigma, nd, t_lo, t_split) * wt) @ rows
-    return total
+    (_, (nd, wt, rows)), _ = _build_heat_grid(eng, d, tol)
+    return total + (_time_weight(sigma, nd, t_split) * wt) @ rows
 
 
 def time_weight_by_quad(sigma, u, a, b):
@@ -1076,27 +1097,47 @@ class TestExchangedOrder:
                 assert np.max(np.abs(timed - ref)) <= 2e-9, (basis, sigma)
 
     @pytest.mark.parametrize("sigma,u,a,b", [
-        (0.3, 2.0, 1e-6, 6e-3),  # b^2/4u far below sigma + 1/2: Q - Q cancels
+        (0.3, 2.0, 1e-6, 6e-3),  # b^2/4u far below sigma + 1/2
         (1.6, 2.0, 1e-3, 8e-3),
         (1.0, 1e-5, 1.6e-5, 7e-3),
-        (0.5, 1e-7, 3.5e-3, 6e-3),  # a^2/4u above sigma + 1/2: P - P cancels
+        (0.5, 1e-7, 3.5e-3, 6e-3),  # a^2/4u above sigma + 1/2
         (0.3, 4e-8, 3e-8, 6.4e-3),
         (1.6, 3e-6, 1e-3, 8e-3),  # a^2/4u below and b^2/4u above sigma + 1/2
+        (0.3, 2.0, 0.0, 6e-3),  # the weights of [0, b) that potential_time_integral uses
+        (1.0, 1e-5, 0.0, 7e-3),
+        (0.5, 1e-7, 0.0, 6e-3),
+        (1.6, 3e-6, 0.0, 8e-3),
+        (0.6, 5e-7, 0.0, 1.5e-3),  # b^2/4u near sigma + 1/2
     ])
     def test_time_weight_matches_quad(self, sigma, u, a, b):
-        ref = time_weight_by_quad(sigma, u, a, b)
-        got = _time_weight(sigma, np.array([u]), a, b)[0]
-        assert got == pytest.approx(ref, rel=1e-12, abs=0.0)
+        """The weight of [0, b) is the quadrature over [0, b) to 1e-12; for
+        a > 0, the weight of [0, b) less that of [0, a) is the quadrature over
+        [a, b) to 1e-12 of the weight of [0, b) (the difference cancels where
+        both P are near 1)."""
+        whole = _time_weight(sigma, np.array([u]), b)[0]
+        assert whole == pytest.approx(time_weight_by_quad(sigma, u, 0.0, b), rel=1e-12, abs=0.0)
+        if a > 0.0:
+            ref = time_weight_by_quad(sigma, u, a, b)
+            got = whole - _time_weight(sigma, np.array([u]), a)[0]
+            assert got == pytest.approx(ref, rel=0.0, abs=1e-12 * whole)
 
     def test_time_weight_total_mass(self):
-        """int_0^inf I_sigma(u) du = (b^{2 sigma} - a^{2 sigma}) / Gamma(2 sigma + 1)."""
-        for sigma, a, b in ((0.3, 1e-6, 6e-3), (1.0, 1e-4, 7e-3), (1.6, 1e-3, 8e-3)):
-            nodes, weights = _log_panel_rule(1e-16, 1e12, per_decade=8, order=24)
+        """int_0^inf I_sigma(u) du = b^{2 sigma} / Gamma(2 sigma + 1) for the
+        weight of [0, b), and the difference of two such masses for [a, b)."""
+        lo = 1e-16
+        nodes, weights = _log_panel_rule(lo, 1e12, per_decade=8, order=24)
+        for sigma, a, b in ((0.3, 1e-6, 6e-3), (1.0, 1e-4, 7e-3), (1.6, 1e-3, 8e-3),
+                            (0.3, 0.0, 6e-3), (0.6, 0.0, 2e-3), (1.6, 0.0, 8e-3)):
             mass = (b ** (2 * sigma) - a ** (2 * sigma)) / math.gamma(2 * sigma + 1)
-            total = float(weights @ _time_weight(sigma, nodes, a, b))
+            total = float(weights @ _time_weight(sigma, nodes, b))
+            if a > 0.0:
+                total -= float(weights @ _time_weight(sigma, nodes, a))
+            else:
+                # Below lo, b^2/4u > 1e10 and P = 1: I_sigma = u^{sigma-1} / Gamma(sigma).
+                total += lo**sigma / math.gamma(sigma + 1.0)
             # I_sigma falls like u^{-3/2}: the part beyond u = 1e12 is below
             # 3e-9 of the mass here.
-            assert total == pytest.approx(mass, rel=1e-8)
+            assert total == pytest.approx(mass, rel=1e-8), (sigma, a, b)
 
     def test_negative_eigenvalue_grid_finite(self):
         """At nu = -0.75, H = 1/2 the lowest unshifted eigenvalue is negative,
@@ -1116,21 +1157,45 @@ class TestExchangedOrder:
 
     @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.6])
     def test_failure_names_every_part(self, sigma, monkeypatch):
-        """The modes beyond n_max take far less than tol/8 at t_split; a
-        failed certificate (here forced by a t < t_lo part of 2 tol) names
-        every part."""
+        """A failed certificate (here forced by a modes part of 2 tol) names
+        its four parts, the modes part with its cut N; the other three parts
+        stay below tol/4."""
         eng = PairEngine(shared_basis(0.0, n_max=2500), [(0.3, 0.6), (0.2, 0.5), (0.15, 0.85)])
-        cut = PairEngine._short_time_cut
-        monkeypatch.setattr(PairEngine, "_short_time_cut",
-                            lambda self, s, tol: (cut(self, s, tol)[0], 2.0 * tol))
+        cut = kernels._mode_cut
+        monkeypatch.setattr(kernels, "_mode_cut", lambda *args: (cut(*args)[0], 2e-9))
         with pytest.raises(TailBoundFailure) as failed:
             eng.potential_time_integral(sigma, 1.0, 1e-9)
         items = str(failed.value).split("(", 1)[1].rstrip(")").split(", ")
         names = [re.sub(r":? \S+$", "", item) for item in items]
         values = [float(item.rsplit(" ", 1)[1]) for item in items]
-        assert names[:3] == ["u-rule", f"u < {eng.u_floor:.1e}", "u > u_max"]
-        assert names[3].startswith("t < ") and names[4] == "modes > 2500" and len(names) == 5
-        assert values[3] == 2e-9 and values[4] <= 1e-9 / 8
+        assert names[:3] == ["u-rule", f"u < {eng.u_floor:.1e}", "u > u_max"] and len(names) == 4
+        n_cut = cut(*mode_cut_args(eng, sigma, 1e-9))[0]
+        assert names[3] == f"modes > {n_cut}" and n_cut < 2500
+        assert values[3] == 2e-9 and sum(values[:3]) <= 1e-9 / 4
+
+    def test_route_gap(self):
+        """On the five engines of blocked_bases() (the Bessel ones at n_max
+        3000), at four sigma, the two routes differ by at most 5e-12 at tol
+        1e-9 (7.1e-12 when the time integral started at the t_lo of a
+        short-time envelope bound and summed every stored mode)."""
+        bases = [shared_basis(0.0, 0.5, n_max=3000), shared_basis(0.0, 0.0, n_max=3000),
+                 shared_basis(-0.75, -1.5, n_max=3000), shared_basis(1.5, 0.5, n_max=3000),
+                 build_jacobi_basis(JacobiParams(0.3, -0.5), 300)]
+        gap = 0.0
+        for basis, d in zip(bases, (1.0, 1.0, 2.0, 1.0, 1.0)):
+            eng = PairEngine(basis, AGREEMENT_PAIRS)
+            for sigma in (0.3, 0.6, 1.0, 1.6):
+                series, _, _ = eng.potential_series(sigma, d, 1e-9)
+                timed = eng.potential_time_integral(sigma, d, 1e-9)
+                gap = max(gap, float(np.max(np.abs(timed - series))))
+        assert gap <= 5e-12
+
+
+def mode_cut_args(eng, sigma, tol):
+    """The arguments potential_time_integral passes to _mode_cut."""
+    t_split = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, 0.125 * tol)
+    scale = eng.M * eng.M / -math.expm1(-math.pi * t_split)
+    return sigma, t_split, eng.c_off, eng.n_min, eng.n_max, scale, tol / 16.0
 
 
 class TestClosedFormTail:
@@ -1198,6 +1263,48 @@ class TestClosedFormTail:
                 tails.append(eng.M**2 * _mode_weight(sigma, w, t_split)
                              / -math.expm1(-math.pi * t_split))
         assert max(tails) <= 1e-20
+
+
+class TestModeCut:
+    """Above t_split the closed-form modes stop at N, the least n >= n_min
+    whose bound M^2 f(pi (n + 1 - c_off)) / (1 - e^{-pi t_split}) on the
+    modes beyond n is at most tol/16 (kernels._mode_cut)."""
+
+    ENGINES = ((0.0, 0.5, 1.0), (-0.75, -1.5, 2.0), (1.5, 0.5, 1.0))
+
+    @pytest.mark.parametrize("sigma", [0.3, 0.6, 1.0, 1.6])
+    def test_least_certified_n(self, sigma):
+        engines = [PairEngine(shared_basis(nu, h, n_max=3000), AGREEMENT_PAIRS)
+                   for nu, h, _ in self.ENGINES]
+        engines.append(PairEngine(build_jacobi_basis(JacobiParams(0.3, -0.5), 300),
+                                  AGREEMENT_PAIRS))
+        for eng in engines:
+            args = mode_cut_args(eng, sigma, 1e-9)
+            _, t_split, c_off, n_min, n_max, scale, tol = args
+            bound = lambda n: scale * float(_mode_weight(sigma, math.pi * (n + 1 - c_off),
+                                                         t_split))
+            n_cut, modes = kernels._mode_cut(*args)
+            assert n_min < n_cut <= n_max // 2
+            assert modes == bound(n_cut) <= tol < bound(n_cut - 1)
+
+    def test_prototype_cuts(self):
+        """At nu = 0, H = 1/2, n_max 3000 on AGREEMENT_PAIRS (tol 1e-9)."""
+        eng = PairEngine(shared_basis(0.0, 0.5, n_max=3000), AGREEMENT_PAIRS)
+        cuts = [kernels._mode_cut(*mode_cut_args(eng, s, 1e-9))[0] for s in (0.3, 0.6, 1.0, 1.6)]
+        assert cuts == [1150, 1021, 813, 477]
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.6])
+    def test_all_modes_within_modes_part(self, sigma, monkeypatch):
+        """Summing every stored mode instead of the modes up to N moves the
+        value by no more than the modes part of the certificate."""
+        for nu, h, d in self.ENGINES:
+            eng = PairEngine(shared_basis(nu, h, n_max=3000), AGREEMENT_PAIRS)
+            cut = eng.potential_time_integral(sigma, d, 1e-9)
+            _, modes = kernels._mode_cut(*mode_cut_args(eng, sigma, 1e-9))
+            with monkeypatch.context() as m:
+                m.setattr(kernels, "_mode_cut", lambda *args: (args[4], 0.0))
+                every = eng.potential_time_integral(sigma, d, 1e-9)
+            assert 0.0 < np.max(np.abs(every - cut)) <= modes, (nu, sigma)
 
 
 class TestLazyRows:
