@@ -69,9 +69,10 @@ closed-form bound on the modes beyond it is at most tol/16; below it the t-
 and u-integrals are exchanged (one regularized incomplete gamma P per node
 of the engine's heat grid for (d, tol), with a doubled-rule error estimate;
 no master is built), and the grid's sub-floor kernel leak covers the
-shortest times too. The incomplete-gamma terms of the potential series are
-evaluated only up to their first exact 0.0 (_falling_terms), a few hundred
-modes.
+shortest times too. The potential series needs no heat rows: from its
+near-time floor t_f on, each mode's t-integral is one incomplete-gamma
+weight, evaluated up to its first exact 0.0 (_falling_terms), and below t_f
+an envelope bound per pair (_heat_skip_bound) is the only other part.
 """
 
 from __future__ import annotations
@@ -126,8 +127,7 @@ SUM_ALIGN = 4
 # The potential powers sigma accepted (KernelRequest, the engine, the CLI's
 # --sigma). The Gamma factors of the time integral overflow from sigma ~ 85.
 # Off the diagonal the kernels are O(sigma) as sigma -> 0, so below SIGMA_MIN
-# they approach the tolerances, and from sigma ~ 1e-17 the near-time rule of
-# the series collapses to a point.
+# they approach the tolerances.
 SIGMA_MIN, SIGMA_MAX = 1e-6, 50.0
 # Entries kept by each bounded cache: engines per basis (engine_for), and
 # subordination masters and potential heat grids per engine.
@@ -558,84 +558,73 @@ class PairEngine:
     def potential_series(
         self, sigma: float, d0: float, tol: float
     ) -> tuple[np.ndarray, int, float]:
-        """Spectral series of (d0^2 + L)^{-sigma} via incomplete-gamma split.
+        """Spectral series of (d0^2 + L)^{-sigma} from the near-time floor t_f.
 
-        The multiplier lam^{-sigma} is written as the part supported on heat
-        times t >= delta (a rapidly convergent series with regularized upper
-        incomplete gamma weights) plus (1/Gamma(sigma)) times the integral of
-        t^{sigma-1} times the heat kernel over (0, delta).
+        (d0^2 + L)^{-sigma} = (1/Gamma(sigma)) int_0^inf t^{sigma-1}
+        e^{-d0^2 t} G_t dt. From t_f on, each mode's part is closed form:
+        with lam' = d0^2 + lam, g(lam') = (1/Gamma(sigma)) int_t_f^inf
+        t^{sigma-1} e^{-lam' t} dt = lam'^{-sigma} Q(sigma, t_f lam') (DLMF
+        8.2.2, 8.2.4; _mode_weight at sigma/2), summed over every stored mode
+        whose weight is not 0.0 (_falling_terms), PSI_BLOCK_MODES modes at a
+        time. Below t_f, _heat_skip_bound bounds each pair's part. g falls as
+        lam' grows, and g(lam' + D) <= e^{-t_f D} g(lam') because t >= t_f;
+        the lower frequencies pi^2 (n - c_off)^2 of the modes beyond n_max
+        are at least 2 pi^2 (n_max + 1 - c_off) apart, so those modes add at
+        most M^2 g(pi^2 (n_max + 1 - c_off)^2 + d0^2) / (1 - e^{-2 pi^2 t_f
+        (n_max + 1 - c_off)}), as in potential_time_integral. The certificate is
+        the largest skip over the pairs plus that tail; n_terms is the number
+        of modes summed.
+
+        t_f = max(min(min_p max(d_p^2/240, u_floor), delta/2), u_floor), with
+        delta = max(1e-3, LOG45 / (pi (n_max + 1 - c_off))^2): the closest
+        pair sets it. Once u_floor is at most d_min^2/240 (_usable_from),
+        t_f = min(d_min^2/240, delta/2) and the closest pair's skip carries a
+        factor e^{-d_min^2/8 t_f} <= e^{-30}.
         """
         _check_sigma(sigma)
         _check_tol(tol)
         lam = self._potential_spectrum(d0)
-        m2 = self.M * self.M
-        delta = 1e-3
-        lam_min_next = (math.pi * max(1.0, self.n_max + 1 - self.c_off)) ** 2
-        if delta * lam_min_next < LOG45:
-            delta = LOG45 / lam_min_next
-        term = lambda lam: lam ** (-sigma) * _gammaincc(sigma, delta * lam)
+        k = max(1.0, self.n_max + 1 - self.c_off)
+        delta = max(1e-3, LOG45 / (math.pi * k) ** 2)
+        t_f = max(min(max(float(np.min(self.dist)) ** 2 / 240.0, self.u_floor), 0.5 * delta),
+                  self.u_floor)
+        term = lambda lam: _mode_weight(0.5 * sigma, lam, t_f)
         mult = np.zeros(self.n_max + 1)
         mult[self.n_min :] = _falling_terms(term, lam[self.n_min :])
         # Blocks past the last nonzero multiplier add exactly 0.0: skip them,
         # and the psi rows they would need.
         top = int(np.flatnonzero(mult)[-1]) + 1 if mult.any() else self.n_min
-        direct = np.zeros(self.n_pairs)
+        total = np.zeros(self.n_pairs)
         for lo in range(self.n_min, top, PSI_BLOCK_MODES):
             hi = min(lo + PSI_BLOCK_MODES, self.n_max + 1)
-            direct += mult[lo:hi] @ self._pair_products(lo, hi)
-        # Direct-part tail beyond n_max: term_n is decreasing in lambda, so
-        # bound it at the analytic lower frequencies pi*(n - c_off) and sum.
-        ns = np.arange(self.n_max + 1, self.n_max + 5001, dtype=float)
-        g = _falling_terms(term, (math.pi * (ns - self.c_off)) ** 2 + d0 * d0)
-        if g[-1] > 1e-25 * max(float(g[0]), 1e-300):
-            raise TailBoundFailure("potential direct tail did not collapse")
-        tail_direct = m2 * float(np.sum(g))
-        near, n_terms, (skip, tails, quad_err) = self._near_heat_integral(sigma, d0, delta, tol)
-        total_bound = tail_direct + (skip + tails + quad_err)
-        if total_bound > tol:
+            total += mult[lo:hi] @ self._pair_products(lo, hi)
+        lowest = (math.pi * k) ** 2 + d0 * d0  # the first lower frequency beyond n_max
+        tail = self.M * self.M * float(term(lowest)) / -math.expm1(-2.0 * math.pi**2 * t_f * k)
+        skip = float(np.max(self._heat_skip_bound(sigma, t_f))) / math.gamma(sigma)
+        bound = skip + tail
+        if not bound <= tol:
             raise TailBoundFailure(
-                f"potential series certificate {total_bound:.2e} exceeds tol {tol:.2e} "
-                f"(near skip: {skip:.2e}, near heat tails: {tails:.2e}, near rule: "
-                f"{quad_err:.2e}, direct tail (modes > {self.n_max}): {tail_direct:.2e}; "
-                f"the closest pair is {float(np.min(self.dist)):.3e} apart)"
+                f"potential series certificate {bound:.2e} exceeds tol {tol:.2e} (skip below "
+                f"t_f = {t_f:.3e}: {skip:.2e}, modes > {self.n_max}: {tail:.2e}); the closest "
+                f"pair is {float(np.min(self.dist)):.3e} apart, and its skip is e^-30-small "
+                f"{self._usable_from(240.0)}"
             )
-        return direct + near, self.n_max - self.n_min + 1 + n_terms, total_bound
+        return total, top - self.n_min, bound
 
-    def _near_heat_integral(self, sigma, d0, delta, tol):
-        """(1/Gamma(sigma)) * int_0^delta t^{sigma-1} e^{-d0^2 t} G_t dt, the
-        number of modes it sums and its certificate's three parts: the near
-        skip, the heat tails and the doubled-rule difference.
+    def _usable_from(self, ratio: float) -> str:
+        """The --n-max from which u_floor = LOG45 / (pi (n_max - c_off))^2 is
+        at most d_min^2 / ratio: n_max = c_off + sqrt(ratio LOG45) / (pi
+        d_min), "at no --n-max" for a pair on the diagonal."""
+        d_min = float(np.min(self.dist))
+        if d_min == 0.0:
+            return "at no --n-max"
+        need = math.ceil(self.c_off + math.sqrt(ratio * LOG45) / (math.pi * d_min))
+        return f"from --n-max {need}"
 
-        Absorbs the t^{sigma-1} singularity exactly with t = delta*v^{1/sigma}
-        and integrates over v with log-paneled Gauss rules; the region below
-        the resolvable time floor is skipped with an envelope-based bound
-        (_heat_skip_bound).
-        """
-        t_cache = self.u_floor
-        floors = np.maximum(self.dist**2 / 240.0, t_cache)
-        t_floor = max(min(float(np.min(floors)), delta * 0.5), t_cache)
-        skip = self._heat_skip_bound(sigma, t_floor=np.minimum(floors, delta))
-        v_floor = (t_floor / delta) ** sigma
-        pref = delta**sigma / (sigma * math.gamma(sigma))
-        rules = []
-        for per_decade in (5, 10):
-            nodes, weights = _log_panel_rule(v_floor, 1.0, per_decade=per_decade, order=16)
-            tv = delta * nodes ** (1.0 / sigma)
-            keep = tv >= t_cache
-            rows, cuts, bounds = self._heat_rows(tv[keep], tol / nodes.size)
-            rules.append((weights[keep] * np.exp(-d0 * d0 * tv[keep])) @ rows)
-            if per_decade == 5:
-                worst_tail = float(bounds.max(initial=0.0))
-                n_used = int(cuts.max(initial=self.n_min - 1)) - self.n_min + 1
-        # Quadrature certificate: compare against the doubled rule.
-        quad_err = float(np.max(np.abs(rules[1] - rules[0]))) * pref
-        parts = (float(np.max(skip)) / math.gamma(sigma), worst_tail * pref, quad_err)
-        return pref * rules[1], n_used, parts
-
-    def _heat_skip_bound(self, sigma, t_floor) -> np.ndarray:
-        """Envelope bound for int_0^{t_floor} t^{sigma-1} G_t dt, per pair."""
+    def _heat_skip_bound(self, sigma, T) -> np.ndarray:
+        """Envelope bound for int_0^T t^{sigma-1} G_t dt, per pair."""
         out = []
-        for a, T in zip((self.dist**2 / 4.0).tolist(), t_floor.tolist()):
+        for a in (self.dist**2 / 4.0).tolist():
             z = a / T
             if a == 0.0:
                 val = T ** (sigma - 0.5) / (sigma - 0.5) if sigma > 0.5 else math.inf
@@ -701,19 +690,12 @@ class PairEngine:
         return total + part[1]
 
     def _leak_refusal(self) -> TailBoundFailure:
-        """The refusal of a pair closer than min_usable_dist, naming the
-        --n-max from which the closest pair is usable: min_usable_dist =
-        sqrt(200 LOG45) / (pi (n_max - c_off)) (from u_floor) reaches d_min
-        at n_max = c_off + sqrt(200 LOG45) / (pi d_min)."""
-        d_min = float(np.min(self.dist))
-        usable = "at no --n-max"
-        if d_min > 0.0:
-            need = math.ceil(self.c_off + math.sqrt(200.0 * LOG45) / (math.pi * d_min))
-            usable = f"from --n-max {need}"
+        """The refusal of a pair closer than min_usable_dist = sqrt(200
+        u_floor), naming the --n-max from which the closest pair is usable."""
         return TailBoundFailure(
-            f"potential time integral: the closest pair is {d_min:.3e} apart, closer than "
-            f"min_usable_dist = {self.min_usable_dist:.3e}, and has no kernel bound below the "
-            f"resolvable time scale; it becomes usable {usable}"
+            f"potential time integral: the closest pair is {float(np.min(self.dist)):.3e} apart, "
+            f"closer than min_usable_dist = {self.min_usable_dist:.3e}, and has no kernel bound "
+            f"below the resolvable time scale; it becomes usable {self._usable_from(200.0)}"
         )
 
 

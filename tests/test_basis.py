@@ -26,6 +26,17 @@ from dini.specfun import JacobiParams, Regime, SpectralParams
 from dini.zeros import build_zero_table
 
 
+class TestSharedBasis:
+    def test_small_n_max_has_its_own_table(self):
+        # The session cache builds one zero table per (nu, H, n_max), as the
+        # CLI does, so c_off does not depend on which tests ran before.
+        assert shared_basis(0.0, 0.5, 3000).table.n_max == 3000
+        small = shared_basis(0.0, 0.5, 300)
+        ref = build_basis(SpectralParams(0.0, 0.5), 300)
+        assert small.table.n_max == 300
+        assert small.table.freq_offset == ref.table.freq_offset
+
+
 class TestPsiClosedForms:
     def test_neumann_constant_mode(self):
         b = shared_basis(-0.5)

@@ -111,18 +111,26 @@ class TestVerificationCommands:
 
     def test_bessel_envelopes_default_failure_names_parts(self, capsys):
         # At the default n_max of 400 the default grid's pairs 0.02 apart
-        # leave the near-time integral below u_floor to the near skip bound:
-        # the message names each part of the series certificate, and the
-        # near skip is the largest.
+        # leave the times below t_f to the skip bound: the message names both
+        # parts of the series certificate, the skip is the larger, and it
+        # names the --n-max from which u_floor <= d_min^2 / 240, where the
+        # skip has a factor e^{-30} or less.
         code, out, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0"], capsys)
         assert code == 2 and out == ""
         assert "potential series certificate" in err and "exceeds tol 1.00e-09" in err
-        assert "the closest pair is 2.000e-02 apart" in err
-        names = r"near skip|near heat tails|near rule|direct tail \(modes > 400\)"
-        parts = dict(re.findall(rf"({names}): (\S+?)[,;]", err))
-        assert len(parts) == 4
-        values = {name: float(v) for name, v in parts.items()}
-        assert max(values, key=values.get) == "near skip" and values["near skip"] > 1e-9
+        parts = dict(re.findall(r"(skip below t_f = \S+|modes > 400): (\S+?)[,)]", err))
+        assert len(parts) == 2
+        values = {name.split(" =")[0]: float(v) for name, v in parts.items()}
+        assert values["skip below t_f"] > 1e-9 > values["modes > 400"]
+        assert err.rstrip().endswith("the closest pair is 2.000e-02 apart, and its skip "
+                                     "is e^-30-small from --n-max 1655")
+
+    def test_bessel_envelopes_pass_at_the_named_n_max(self, capsys):
+        code, _, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0"], capsys)
+        need = re.search(r"small from --n-max (\d+)$", err.rstrip()).group(1)
+        code, out, _ = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0",
+                                "--n-max", need, "--out", "-"], capsys)
+        assert code == 0 and json.loads(out)["pass"] is True
 
     # NU_GRID of scripts/run_verification_suite.py.
     @pytest.mark.parametrize("nu", ["-0.9", "-0.75", "-0.5", "0", "0.5", "1.5", "3"])

@@ -299,13 +299,56 @@ class TestPoissonKernel:
         assert all(v.value > 0.0 for v in out)
 
 
+def series_floor(eng):
+    """The near-time floor t_f of potential_series, from its docstring."""
+    k = max(1.0, eng.n_max + 1 - eng.c_off)
+    delta = max(1e-3, LOG45 / (math.pi * k) ** 2)
+    closest = max(float(np.min(eng.dist)) ** 2 / 240.0, eng.u_floor)
+    return max(min(closest, 0.5 * delta), eng.u_floor)
+
+
+# sigma = 1: both potential routes are the Green function, closed form for
+# the cosine (nu = -1/2 or Jacobi (-1/2, -1/2), d0 = 1) and half-sine
+# (nu = 1/2, d0 = 0) systems.
+GREEN_CASES = [
+    (lambda: shared_basis(-0.5, n_max=2500), 1.0, neumann_green),
+    (lambda: build_jacobi_basis(JacobiParams(-0.5, -0.5), 2500), 1.0, neumann_green),
+    (lambda: shared_basis(0.5, n_max=2500), 0.0, lambda x, y: min(x, y)),
+]
+
+
 class TestPotentialKernels:
     def test_green_function_oracle(self):
-        b = shared_basis(0.5, n_max=2500)
-        eng = PairEngine(b, PAIRS)
-        vals, _, _ = eng.potential_series(1.0, 0.0, 1e-9)
-        oracle = np.array([min(x, y) for x, y in PAIRS])
-        assert np.max(np.abs(vals - oracle)) < 1e-8
+        # The series is within its tail bound plus the rounding of its N-term
+        # sum, gamma_N M^2 sum_n g_n (Higham, 2nd ed., §3.1 and §4.2).
+        for make, d0, oracle in GREEN_CASES:
+            eng = PairEngine(make(), PAIRS)
+            vals, n_terms, bound = eng.potential_series(1.0, d0, 1e-9)
+            lam = eng._potential_spectrum(d0)[eng.n_min : eng.n_min + n_terms]
+            weights = _mode_weight(0.5, lam, series_floor(eng))
+            assert np.count_nonzero(weights) == n_terms
+            gamma = n_terms * 2.0**-53 / (1.0 - n_terms * 2.0**-53)
+            rounding = gamma * eng.M**2 * float(np.sum(weights))
+            ref = np.array([oracle(x, y) for x, y in PAIRS])
+            assert np.max(np.abs(vals - ref)) <= bound + rounding, d0
+
+    @pytest.mark.parametrize("n_max", [300, 3000])
+    @pytest.mark.parametrize("sigma", [0.3, 1.6])
+    @pytest.mark.parametrize("pair,floor", [((0.5, 0.505), "u_floor"), ((0.1, 0.9), 5e-4)])
+    def test_tail_bound_covers_explicit_sum(self, n_max, sigma, pair, floor, monkeypatch):
+        """With the skip set to 0, the certificate is the bound on the modes
+        beyond n_max, at least M^2 times the sum of the next 10^5 weights at
+        the analytic lower frequencies pi (n - c_off)."""
+        monkeypatch.setattr(PairEngine, "_heat_skip_bound",
+                            lambda self, sigma, T: np.zeros(self.n_pairs))
+        eng = PairEngine(shared_basis(0.0, n_max=n_max), [pair])
+        t_f = series_floor(eng)
+        assert t_f == (eng.u_floor if floor == "u_floor" else floor)
+        ns = np.arange(n_max + 1, n_max + 100_001, dtype=float)
+        for d0 in (0.0, 1.0):
+            _, _, tail = eng.potential_series(sigma, d0, 1e-9)
+            freqs = (math.pi * (ns - eng.c_off)) ** 2 + d0 * d0
+            assert tail >= eng.M**2 * float(np.sum(_mode_weight(0.5 * sigma, freqs, t_f)))
 
     def test_green_function_against_partial_sum(self):
         # Direct 10^6-term summation oracle at one off-diagonal point.
@@ -339,18 +382,8 @@ class TestPotentialKernels:
         modes = float(re.search(r"modes > 2500: (\S+)\)", str(failed.value)).group(1))
         assert modes > 1e-9
 
-    @pytest.mark.parametrize(
-        "make,d0,oracle",
-        [
-            (lambda: shared_basis(-0.5, n_max=2500), 1.0, neumann_green),
-            (lambda: build_jacobi_basis(JacobiParams(-0.5, -0.5), 2500), 1.0, neumann_green),
-            (lambda: shared_basis(0.5, n_max=2500), 0.0, lambda x, y: min(x, y)),
-        ],
-    )
+    @pytest.mark.parametrize("make,d0,oracle", GREEN_CASES)
     def test_time_integral_green_function_oracle(self, make, d0, oracle):
-        # sigma = 1: the time integral of the Poisson kernel is the Green
-        # function, closed form for the cosine (nu = -1/2 or Jacobi
-        # (-1/2, -1/2), d = 1) and half-sine (nu = 1/2, d = 0) systems.
         pairs = [(0.3, 0.6), (0.1, 0.9), (0.45, 0.5), (0.05, 0.2), (0.7, 0.95)]
         vals = PairEngine(make(), pairs).potential_time_integral(1.0, d0, 1e-9)
         ref = np.array([oracle(x, y) for x, y in pairs])
@@ -878,17 +911,14 @@ def old_direct_rows(self, ts, omega, tol, prods):
     return np.exp(-np.multiply.outer(ts, omega[sl])) @ U[sl], np.array(errs)
 
 
-def old_potential_direct(eng, U, sigma, d0):
-    """The mode sum of potential_series and its split time delta."""
+def old_potential_series(eng, U, sigma, d0):
+    """The mode sum of potential_series over the stored table U: every
+    mode's weight lam^{-sigma} Q(sigma, t_f lam) from its near-time floor."""
     lam = eng._potential_spectrum(d0)
-    delta = 1e-3
-    lam_min_next = (math.pi * max(1.0, eng.n_max + 1 - eng.c_off)) ** 2
-    if delta * lam_min_next < LOG45:
-        delta = LOG45 / lam_min_next
     mult = np.zeros(eng.n_max + 1)
     sl = slice(eng.n_min, eng.n_max + 1)
-    mult[sl] = lam[sl] ** (-sigma) * gammaincc(sigma, delta * lam[sl])
-    return mult @ U, delta
+    mult[sl] = lam[sl] ** (-sigma) * gammaincc(sigma, series_floor(eng) * lam[sl])
+    return mult @ U
 
 
 def engine_pairs():
@@ -985,10 +1015,8 @@ class TestCoordinateProducts:
                             old_heat_rows(self, old_table(self), ts, tol, rescale))
         for basis, d, (vals, n_terms, bound), timed, m in cases:
             old = make_engine(basis, AGREEMENT_PAIRS)
-            direct, delta = old_potential_direct(old, old_table(old), 0.6, d)
-            near, _, _ = old._near_heat_integral(0.6, d, delta, 1e-9)
             assert old.potential_series(0.6, d, 1e-9)[1:] == (n_terms, bound)
-            assert_rows_close(vals[None], (direct + near)[None])
+            assert_rows_close(vals[None], old_potential_series(old, old_table(old), 0.6, d)[None])
             assert_rows_close(timed[None], old.potential_time_integral(0.6, d, 1e-9)[None])
             assert old.M == m
 
@@ -1320,12 +1348,13 @@ class TestLazyRows:
         assert eng.psi.shape == (0, 72)
         _, n_terms, _ = eng.heat_values(0.0605, 1e-10)
         assert 0 < eng.psi.shape[0] <= 2 * (n_terms + SUM_ALIGN)
-        # The series forms the rows of its nonzero multipliers (modes up to
-        # 269 here, in blocks of PSI_BLOCK_MODES), and the near-time heat
-        # integral those of its cutoff, n_terms - n_max modes; rows at most
-        # double as they grow.
+        # The series forms the rows of its nonzero multipliers, the modes
+        # n_min..top - 1, in blocks of PSI_BLOCK_MODES; rows at most double
+        # as they grow.
         _, n_terms, _ = eng.potential_series(0.6, 1.0, 1e-9)
-        assert 3 * PSI_BLOCK_MODES < eng.psi.shape[0] <= 2 * (n_terms - 3000 + SUM_ALIGN)
+        top = eng.n_min + n_terms
+        assert 3 * PSI_BLOCK_MODES < top < 3000
+        assert top <= eng.psi.shape[0] <= 2 * (top + PSI_BLOCK_MODES)
 
     @pytest.mark.parametrize("order", ["small t first", "large t first", "potential first"])
     def test_grown_rows_equal_basis_rows(self, order):
