@@ -275,10 +275,12 @@ class Kind(NamedTuple):
     reads: tuple = ("--h",)  # which of --h, --d-nu and --beta it reads
     params: Callable = lambda cfg: SpectralParams(cfg.nu, cfg.h)
     tol_floor: Optional[float] = None  # its --tol default and least --tol, if any
-    over_default: Optional[tuple] = None  # its own default of `over`, if any
+    defaults: dict = {}  # its own defaults of the command's options, if any
 
 
-_POTENTIAL = dict(over="--sigma", pairs=bnd.offdiagonal_pair_grid)
+# The potential series certifies the default grids (pairs 0.02 apart) from
+# n_max 1655, where u_floor <= d_min^2 / 240.
+_POTENTIAL = dict(over="--sigma", pairs=bnd.offdiagonal_pair_grid, defaults={"--n-max": 1655})
 KERNEL_KINDS = {
     "heat": Kind(KernelKind.HEAT),
     # alpha = nu, the pairing of verify-sandwich
@@ -293,7 +295,7 @@ KERNEL_KINDS = {
 ENVELOPE_KINDS = {
     "heat": Kind(lambda b: bnd.heat_short_envelope(b.params.nu)),
     # The suite's times, in the envelope's long-time regime (t = 1e-2 is not).
-    "heat-long": Kind(bnd.heat_long_envelope, over_default=(1.0, 2.5, 5.0)),
+    "heat-long": Kind(bnd.heat_long_envelope, defaults={"--t": (1.0, 2.5, 5.0)}),
     "poisson": Kind(lambda b: bnd.poisson_short_envelope(b.params.nu),
                     reads=("--h", "--d-nu"), tol_floor=1e-9),
     "bessel": Kind(lambda b: bnd.potential_envelope(b.params.nu), tol_floor=1e-9, **_POTENTIAL),
@@ -365,8 +367,8 @@ class _CommandParser(argparse.ArgumentParser):
                       if _dest(o) in given and o not in (kind.over, *kind.reads)]
             if unread:
                 self.error(f"--kind {name} does not read {', '.join(unread)}")
-            if kind.over_default is not None:
-                given.setdefault(_dest(kind.over), kind.over_default)
+            for option, default in kind.defaults.items():
+                given.setdefault(_dest(option), default)
             floor = kind.tol_floor
             if floor is not None and given.setdefault("tol", floor) < floor:
                 self.error(f"argument --tol: --kind {name} runs at tol >= {floor:g}, "

@@ -18,17 +18,16 @@ series cutoff N is chosen so that M^2 times a closed-form tail comparison
 for potentials) is below the requested tolerance.
 
 For times too small for the available mode budget, the Poisson kernel is
-evaluated by exact subordination: the first K modes are summed directly and
-the remainder is the integral of the heat-tail kernel against the stable-1/2
-subordination measure, with closed-form erfc corrections below the smallest
-resolvable time scale u_floor. With the fixed factor u^{-3/2} w folded into
-the sampled heat tail, a block of times costs one exponential of an outer
-product and one matrix product per master grid. The master only computes
-rows and their quadrature error; one engine method, PairEngine._subordinated,
-owns the certificate: the kernel leak below u_floor (a bound kept once per
-engine, infinite for pairs closer than min_usable_dist, refused before any
-master is built), tol/4 for the master's heat tails, the 4 tol acceptance
-test and the failure message.
+evaluated by exact subordination, H_t = int_0^inf m_t(u) e^{-d^2 u} G_u du
+with m_t the stable-1/2 density: one weight vector m_t(u) w per time on the
+rows of the engine's heat grid for (d, tol), the grid the potential time
+integral reads. A mode whose shifted eigenvalue is 0 (ZERO at d = 0, MINUS
+at d = z_0) is kept off the grid and summed in closed form. One engine
+method, PairEngine._subordinated, owns the certificate: the grid's stated
+rule bound, tol/4 for the heat tails of its rows, the kernel leak below
+u_floor (a bound kept once per engine, infinite for pairs closer than
+min_usable_dist, refused before any grid is built), the measure's mass
+above u_max, the 4 tol acceptance test and the failure message.
 
 A PairEngine keeps the basis on the unique coordinates of its pairs, not
 the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
@@ -43,11 +42,10 @@ keeps up to CACHE_ENTRIES engines on the basis, keyed by the bytes of the
 (n, 2) pair array and dropped oldest first, and every kernel function and
 ratio report that is given a basis takes its engine from there. A shared
 engine's arrays are read-only. Each engine holds psi, (rows grown) x
-n_coords doubles, and in turn keeps up to CACHE_ENTRIES subordination
-masters (about 1,700 x n_pairs doubles each, at n_max = 3000) and up to
-CACHE_ENTRIES heat grids of the potential time integral (about 3,300 x
-n_pairs doubles each), both keyed by the exact (d, tol). The engine does not
-refer back to its basis, so a basis and its engines are freed by refcounting.
+n_coords doubles, and in turn keeps up to CACHE_ENTRIES heat grids (about
+250 x n_pairs doubles each, at n_max = 3000), keyed by the exact (d, tol).
+The engine does not refer back to its basis, so a basis and its engines are
+freed by refcounting.
 
 Every heat and Poisson value ends in the same mode sum,
 sum_n e^{-t omega_n} psi_n(x) psi_n(y) for one or more times t, and one
@@ -67,12 +65,12 @@ each mode's t-integral is closed form (one incomplete-gamma weight per
 mode, one vector-matrix product), summed up to the least mode N whose
 closed-form bound on the modes beyond it is at most tol/16; below it the t-
 and u-integrals are exchanged (one regularized incomplete gamma P per node
-of the engine's heat grid for (d, tol), with a doubled-rule error estimate;
-no master is built), and the grid's sub-floor kernel leak covers the
-shortest times too. The potential series needs no heat rows: from its
-near-time floor t_f on, each mode's t-integral is one incomplete-gamma
-weight, evaluated up to its first exact 0.0 (_falling_terms), and below t_f
-an envelope bound per pair (_heat_skip_bound) is the only other part.
+of the engine's heat grid for (d, tol), with the grid's stated rule bound),
+and the grid's sub-floor kernel leak covers the shortest times too. The
+potential series needs no heat rows: from its near-time floor t_f on, each
+mode's t-integral is one incomplete-gamma weight, evaluated up to its first
+exact 0.0 (_falling_terms), and below t_f an envelope bound per pair
+(_heat_skip_bound) is the only other part.
 """
 
 from __future__ import annotations
@@ -81,11 +79,10 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 from scipy.special import erfc as _erfc
-from scipy.special import erfcx as _erfcx
 from scipy.special import gammainc as _gammainc
 from scipy.special import gammaincc as _gammaincc
 
@@ -130,8 +127,12 @@ SUM_ALIGN = 4
 # they approach the tolerances.
 SIGMA_MIN, SIGMA_MAX = 1e-6, 50.0
 # Entries kept by each bounded cache: engines per basis (engine_for), and
-# subordination masters and potential heat grids per engine.
+# heat grids per engine.
 CACHE_ENTRIES = 4
+# The u-rule of every heat grid (_build_heat_grid): Gauss-Legendre of order
+# U_ORDER on U_PANELS_PER_DECADE panels per decade of u, equal in s = log u.
+# Its error bound takes the integrand on the strip |Im s| <= U_STRIP < pi/2.
+U_PANELS_PER_DECADE, U_ORDER, U_STRIP = 2, 16, 1.0
 
 
 class KernelKind(enum.Enum):
@@ -395,11 +396,11 @@ class PairEngine:
         self.M = certified_sup(basis, coords)
         self.dist = np.abs(xs - ys)
         _read_only(self.lam, self.ix, self.iy, self.dist)
-        # The subordination masters sample heat times from u_floor up; below
-        # it only pairs at least min_usable_dist apart have a kernel bound.
+        # The heat grids sample heat times from u_floor up; below it only
+        # pairs at least min_usable_dist apart have a kernel bound.
         self.u_floor = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
         self.min_usable_dist = math.sqrt(200.0 * self.u_floor)
-        self._masters, self._heat_grids = {}, {}  # per exact (d, tol)
+        self._heat_grids = {}  # per exact (d, tol)
 
     @property
     def n_pairs(self) -> int:
@@ -440,18 +441,20 @@ class PairEngine:
         rows, (n_cut,), (bound,) = self._heat_rows(np.array([t], dtype=float), tol, rescale)
         return rows[0], int(n_cut) - self.n_min + 1, float(bound)
 
-    def _heat_rows(self, ts, tol, rescale=0.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _heat_rows(self, ts, tol, rescale=0.0, lo=None):
         """Rows [e^{rescale t} G_t(pair)] for an array of times, with each
         time's cutoff N and tail bound: _gauss_cuts with scale
         M^2 e^{rescale t}, started at _gauss_start for scale M^2, and the
-        truncated sums from _exp_rows."""
+        truncated sums from _exp_rows over the modes lo (default n_min)
+        to N, as (rows, cuts, bounds)."""
         m2 = self.M * self.M
         start = _gauss_start(ts, m2, self.c_off, tol, self.n_min, self.n_max)
         scale = m2 * np.exp(np.minimum(ts * rescale, 700.0))
         cuts, bounds = _gauss_cuts(start, ts, scale, self.c_off, tol, self.n_max, "heat")
         top = min(self.n_max + 1, int(cuts.max(initial=self.n_min)) + SUM_ALIGN)
         prods = self._pair_products(0, top)
-        return _exp_rows(ts, self.lam - rescale, self.n_min, cuts, prods), cuts, bounds
+        lo = self.n_min if lo is None else lo
+        return _exp_rows(ts, self.lam - rescale, lo, cuts, prods), cuts, bounds
 
     # ----- poisson ------------------------------------------------------
 
@@ -495,15 +498,14 @@ class PairEngine:
             raise TailBoundFailure(
                 "rescaled Poisson evaluation requires the direct-series regime"
             )
-        vals, bound = self._subordinated(np.array([t], dtype=float), d, tol)
-        return vals[0], self.n_max - self.n_min + 1, float(bound[0])
+        vals, bound = self._subordinated(t, d, tol)
+        return vals, self.n_max - self.n_min + 1, bound
 
-    def _master(self, d: float, tol: float):
-        """The subordination master for (d, tol), kept per exact (d, tol): a
-        master built for another tol would give another certificate."""
-        return _cached(
-            self._masters, (d, tol), lambda: _SubordinationMaster(self, d, tol), CACHE_ENTRIES
-        )
+    def _heat_grid(self, d: float, tol: float) -> _HeatGrid:
+        """The heat grid of (d, tol) (_build_heat_grid), kept per exact (d,
+        tol): a grid built for another tol would give another certificate."""
+        return _cached(self._heat_grids, (d, tol), lambda: _build_heat_grid(self, d, tol),
+                       CACHE_ENTRIES)
 
     @functools.cached_property
     def leak_scale(self) -> float:
@@ -514,24 +516,29 @@ class PairEngine:
         g_bound = ENVELOPE_SAFETY * self.u_floor**-0.5 * np.exp(-expo)
         return float(np.max(np.where(self.dist >= self.min_usable_dist, g_bound, math.inf)))
 
-    def _subordinated(self, ts, d, tol) -> tuple[np.ndarray, np.ndarray]:
-        """Poisson rows [H_t(pair)] for a 1-D array of times below the
-        direct-series threshold, from the subordination master for (d, tol),
-        with each time's certificate: the master's quadrature error, plus
-        leak_scale times the measure's mass erfc(t / 2 sqrt(u_floor)) below
-        u_floor, plus tol/4 for the heat tails of the master grids. Raises
-        TailBoundFailure unless every certificate is at most 4 tol; an
-        infinite one (a pair closer than min_usable_dist) is refused before
-        the master is built (_subordination_failure)."""
-        mass_below = _erfc(ts / (2.0 * math.sqrt(self.u_floor)))
-        leak = np.where(mass_below > 0.0, self.leak_scale, 0.0) * mass_below
-        vals, bound = None, leak
-        if not np.isinf(leak).any():
-            vals, quad_err = self._master(d, tol).eval(ts)
-            bound = quad_err + leak + 0.25 * tol
-        bad = ~(bound <= 4.0 * tol)
-        if np.any(bad):
-            raise self._subordination_failure(float(np.max(bound)), float(np.min(ts[bad])), tol)
+    def _subordinated(self, t, d, tol) -> tuple[np.ndarray, float]:
+        """Poisson values [H_t(pair)] at a time t below the direct-series
+        threshold and their certificate: H_t = int_0^inf m_t(u) e^{-d^2 u} G_u
+        du, m_t(u) = (t / 2 sqrt(pi)) u^{-3/2} e^{-t^2/4u} of mass erfc(t / 2
+        sqrt(u)) below u. From u_floor on, the heat grid of (d, tol) is one
+        weight vector m_t(u) w on its rows, and its modes below grid.lo
+        (shifted eigenvalue 0) are psi psi erf(t / 2 sqrt(u_floor)). The
+        certificate adds the grid's rule bound (_density_max), tol/4 for its
+        rows' heat tails, leak_scale times the mass below u_floor and s_max
+        times the mass above u_max. Above 4 tol it raises, and an infinite
+        one (a pair closer than min_usable_dist) before the grid is built."""
+        below = math.erfc(t / (2.0 * math.sqrt(self.u_floor)))
+        if below > 0.0 and math.isinf(self.leak_scale):
+            raise self._subordination_failure(math.inf, t, tol)
+        grid = self._heat_grid(d, tol)
+        density = t / (2.0 * math.sqrt(math.pi)) * grid.u**-1.5 * np.exp(-0.25 * t * t / grid.u)
+        vals = (density * grid.w) @ grid.rows
+        vals += (1.0 - below) * self._pair_products(self.n_min, grid.lo).sum(axis=0)
+        leak = self.leak_scale * below if below else 0.0
+        bound = (grid.rule_bound(_density_max(t, grid.r_lo, grid.r_hi)) + 0.25 * tol + leak
+                 + grid.s_max * math.erf(t / (2.0 * math.sqrt(grid.u_max))))
+        if not bound <= 4.0 * tol:
+            raise self._subordination_failure(bound, t, tol)
         return vals, bound
 
     def _subordination_failure(self, bound, t, tol) -> TailBoundFailure:
@@ -657,10 +664,10 @@ class PairEngine:
         (1/Gamma(2 sigma)) int_0^t_split t^{2 sigma-1} m_t(u) dt is I_sigma(u)
         (_time_weight), of mass t_split^{2 sigma} / Gamma(2 sigma + 1), summed
         on the heat grid of (d, tol) (_build_heat_grid). The certificate adds
-        four parts: the u-rule's doubled-rule difference plus its mass times
-        tol/4, the mass times leak_scale (u < u_floor; refused before any
-        grid is built if infinite, _leak_refusal), the mass times M^2 S(u_max)
-        (u > u_max) and the modes beyond N.
+        four parts: the u-rule's stated bound (_time_weight_max) plus its mass
+        times tol/4, the mass times leak_scale (u < u_floor; refused before
+        any grid is built if infinite, _leak_refusal), the mass times s_max =
+        M^2 S(u_max) (u > u_max) and the modes beyond N.
         """
         _check_sigma(sigma)
         _check_tol(tol)
@@ -674,12 +681,12 @@ class PairEngine:
                                  tol / 16.0)
         weights = _mode_weight(sigma, np.sqrt(lam[self.n_min : n_cut + 1]), t_split)
         total = weights @ self._pair_products(self.n_min, n_cut + 1)
-        build = lambda: _build_heat_grid(self, d, tol)
-        grid, s_max = _cached(self._heat_grids, (d, tol), build, CACHE_ENTRIES)
-        part = [(_time_weight(sigma, nd, t_split) * wt) @ rows for nd, wt, rows in grid]
+        grid = self._heat_grid(d, tol)
+        part = (_time_weight(sigma, grid.u, t_split) * grid.w) @ grid.rows
         mass = t_split**s2 / math.gamma(s2 + 1.0)
-        u_err = float(np.max(np.abs(part[1] - part[0]))) + 0.25 * tol * mass
-        below, beyond = self.leak_scale * mass, s_max * mass
+        rule = grid.rule_bound(_time_weight_max(sigma, t_split, grid.r_lo, grid.r_hi))
+        u_err = rule + 0.25 * tol * mass
+        below, beyond = self.leak_scale * mass, grid.s_max * mass
         bound = u_err + below + beyond + modes
         if not bound <= tol:
             raise TailBoundFailure(
@@ -687,7 +694,7 @@ class PairEngine:
                 f"(u-rule {u_err:.2e}, u < {self.u_floor:.1e}: {below:.2e}, u > u_max: "
                 f"{beyond:.2e}, modes > {n_cut}: {modes:.2e})"
             )
-        return total + part[1]
+        return total + part
 
     def _leak_refusal(self) -> TailBoundFailure:
         """The refusal of a pair closer than min_usable_dist = sqrt(200
@@ -699,15 +706,17 @@ class PairEngine:
         )
 
 
-def _log_panel_rule(lo: float, hi: float, per_decade: int = 4, order: int = 16):
-    """Composite Gauss rule on [lo, hi] with log-spaced panels."""
-    if not (0.0 < lo < hi):
-        raise DomainError("log panel rule requires 0 < lo < hi")
+def _log_panel_rule(lo: float, hi: float, per_decade: int, order: int):
+    """Composite Gauss-Legendre rule in s = log u on [lo, hi], 0 < lo < hi:
+    ceil(per_decade log10(hi/lo)) panels of equal width in s, order nodes
+    each. Returns the nodes u, their weights in u (the weights in s times u)
+    and the panel edges in s."""
     n_panels = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
-    edges = np.exp(np.linspace(math.log(lo), math.log(hi), n_panels + 1))
+    edges = np.linspace(math.log(lo), math.log(hi), n_panels + 1)
     xg, wg = _legendre(order)
-    mid, half = 0.5 * (edges[:-1] + edges[1:]), 0.5 * (edges[1:] - edges[:-1])
-    return (mid[:, None] + half[:, None] * xg).ravel(), (half[:, None] * wg).ravel()
+    half = 0.5 * (edges[1] - edges[0])
+    u = np.exp(0.5 * (edges[:-1] + edges[1:])[:, None] + half * xg)
+    return u.ravel(), (half * wg * u).ravel(), edges
 
 
 def _time_weight(sigma, u, b) -> np.ndarray:
@@ -736,109 +745,97 @@ def _mode_cut(sigma, t, c_off, n_min, n_max, scale, tol) -> tuple[int, float]:
     return hi, bound(hi)
 
 
-def _build_heat_grid(eng: PairEngine, d: float, tol: float):
-    """([(u, w, rows)] of two log-panel Gauss rules on [u_floor, u_max], 6 and
-    12 panels per decade, order 24; M^2 S(u_max)), read-only. rows =
-    e^{-d^2 u} G_u from _heat_rows at tol/4, rescale = -d^2 (a negative
-    unshifted eigenvalue cannot overflow it). S(u) = sum_n e^{-lam'_n u},
-    lam' = d^2 + lam (Gaussian tail beyond n_max), bounds |e^{-d^2 v} G_v| /
-    M^2 for v >= u and falls at least at the rate lam'_min, so u_max = u0 +
-    log(16 M^2 S(u0) / tol) / lam'_min makes M^2 S(u_max) at most tol/16."""
-    lam = eng._potential_spectrum(d)[eng.n_min :]
-    lam0, m2 = float(lam.min()), eng.M * eng.M
+def _time_weight_max(sigma, t, r_lo, r_hi) -> np.ndarray:
+    """The largest |u I_sigma(u)| (I_sigma = _time_weight at t) where r_lo <=
+    |u| <= r_hi and |arg u| <= U_STRIP, per panel. With a = sigma + 1/2 and z
+    = t^2/4u, the ray integral to z gives |gamma(a, z)| <= (cos arg z)^{-a}
+    gamma(a, |z| cos arg z) and <= |z|^a / a, so |u I_sigma(u)| Gamma(sigma)
+    is at most both cos(U_STRIP)^{-a} r_hi^sigma P(a, t^2 cos(U_STRIP) / 4
+    r_lo) and (t^2/4)^a r_lo^{-1/2} / Gamma(a + 1); fmin, as inf times P =
+    0.0 is NaN."""
+    a, c = sigma + 0.5, math.cos(U_STRIP)
+    ray = c**-a * r_hi**sigma * _gammainc(a, 0.25 * t * t * c / r_lo)
+    power = (0.25 * t * t) ** a / math.gamma(a + 1.0) / np.sqrt(r_lo)
+    return np.fmin(ray, power) / math.gamma(sigma)
 
-    def beyond(u):
-        a = u * math.pi**2
-        gauss = 0.5 * math.sqrt(math.pi / a) * math.erfc(math.sqrt(a) * (eng.n_max - eng.c_off))
-        return m2 * (float(np.sum(np.exp(-u * lam))) + gauss)
 
+def _density_max(t, r_lo, r_hi) -> np.ndarray:
+    """The largest |u m_t(u)| (m_t the stable-1/2 density of
+    PairEngine._subordinated) where r_lo <= |u| <= r_hi and |arg u| <=
+    U_STRIP, per panel: Re(1/u) >= cos(U_STRIP) / |u|, so |u m_t(u)| <=
+    (t / 2 sqrt(pi)) r^{-1/2} e^{-c/r}, c = t^2 cos(U_STRIP) / 4, which
+    rises up to r = 2c and falls after."""
+    c = 0.25 * t * t * math.cos(U_STRIP)
+    r = np.clip(2.0 * c, r_lo, r_hi)
+    return t / (2.0 * math.sqrt(math.pi)) * np.exp(-c / r) / np.sqrt(r)
+
+
+class _HeatGrid(NamedTuple):
+    """The heat grid of one (d, tol) (_build_heat_grid), read-only."""
+
+    u: np.ndarray  # the nodes of the u-rule
+    w: np.ndarray  # their weights in u
+    rows: np.ndarray  # e^{-d^2 u} G_u over the modes lo..n_max, one row per node
+    lo: int  # the first mode on the grid
+    u_max: float
+    s_max: float  # M^2 S(u_max)
+    r_lo: np.ndarray  # per panel, the least and largest |u| on its ellipse
+    r_hi: np.ndarray
+    heat: np.ndarray  # per panel, the Gauss constant times M^2 S(r_lo cos U_STRIP)
+
+    def rule_bound(self, weight_max) -> float:
+        """The u-rule's error bound for a weight W whose |u W(u)| is at most
+        weight_max[p] on the ellipse of panel p."""
+        return float(self.heat @ weight_max)
+
+
+def _build_heat_grid(eng: PairEngine, d: float, tol: float) -> _HeatGrid:
+    """The heat grid of (d, tol): rows e^{-d^2 u} G_u (_heat_rows at tol/4,
+    rescale = -d^2, which a negative unshifted eigenvalue cannot overflow)
+    at the nodes of one composite Gauss-Legendre rule in s = log u on
+    [u_floor, u_max] (_log_panel_rule). The rows skip the modes below lo,
+    whose shifted eigenvalue lam' = d^2 + lam is 0; the callers sum those in
+    closed form. S(u) = sum_{n >= lo} e^{-lam'_n u} (Gaussian tail beyond
+    n_max) bounds the rows / M^2 wherever Re u >= u, and falls at least at
+    the rate lam'_lo, so u_max = u0 + log(16 M^2 S(u0) / tol) / lam'_lo
+    makes s_max = M^2 S(u_max) at most tol/16.
+
+    The rule's error is bounded, not estimated. On the strip |Im s| <=
+    U_STRIP < pi/2, Re u >= |u| cos(U_STRIP) > 0: the integrand u W(u) times
+    the rows is analytic there for the weights W used, and the rows are at
+    most M^2 S(Re u). A panel of half-width h in s is an affine image of
+    [-1, 1] whose Bernstein ellipse E_rho, rho = (U_STRIP + reach) / h,
+    reach = sqrt(U_STRIP^2 + h^2), reaches |Im s| = U_STRIP and |Re s - mid|
+    = reach, where r_lo <= |u| <= r_hi. By Trefethen, "Is Gauss quadrature
+    better than Clenshaw-Curtis?", SIAM Review 50 (2008), Theorem 4.5, the
+    n-point Gauss rule errs on the panel by at most (64/15) h rho^{-2n} /
+    (rho^2 - 1) times the integrand's largest modulus on E_rho, which is at
+    most M^2 S(r_lo cos U_STRIP) (kept per panel in heat, with the first
+    factor) times the largest |u W(u)| (_time_weight_max, _density_max)."""
+    lam = eng._shifted(d)[eng.n_min :]
+    zeros = int(np.count_nonzero(lam == 0.0))  # lam' >= 0 ascends: the zeros lead
+    lam, m2 = lam[zeros:], eng.M * eng.M
+
+    def beyond(us):  # M^2 S(u) per u, one u at a time (no len(us) x n_max temporary)
+        a = us * math.pi**2
+        gauss = 0.5 * np.sqrt(math.pi / a) * _erfc(np.sqrt(a) * (eng.n_max - eng.c_off))
+        return m2 * (np.array([np.sum(np.exp(-u * lam)) for u in us.tolist()]) + gauss)
+
+    lam0 = float(lam[0])
     u0 = max(1.0 / lam0, 2.0 * eng.u_floor)
-    u_max = u0 + max(0.0, math.log(16.0 * beyond(u0) / tol)) / lam0
-    rules = []
-    for per_decade in (6, 12):
-        nd, wt = _log_panel_rule(eng.u_floor, u_max, per_decade=per_decade, order=24)
-        rows, _, _ = eng._heat_rows(nd, 0.25 * tol, rescale=-d * d)
-        _read_only(nd, wt, rows)
-        rules.append((nd, wt, rows))
-    return rules, beyond(u_max)
-
-
-class _SubordinationMaster:
-    """Poisson rows below the direct-series time threshold for one (d, tol),
-    of poisson_values only (potential_time_integral builds no master).
-
-    H_t = head(t) + R_K(t), where head sums the first K modes exactly and
-    R_K(t) = int_0^inf m_t(u) T(u) du with T(u) the heat-tail kernel
-    (modes > K) and m_t(u) = (t / 2 sqrt(pi)) u^{-3/2} e^{-t^2/4u} the
-    stable-1/2 subordination density. T is sampled once on two log-paneled
-    master grids (the second with twice the panels, for the quadrature
-    estimate) from the engine's u_floor up, each from one blocked heat
-    evaluation (PairEngine._heat_rows, cut at tol/4) minus the head sum.
-    Each grid keeps its nodes u, the fixed factor u^{-3/2} w of the rule
-    (fac), that factor folded into the tail (Tw = fac T) and -1/(4u), so
-    that an evaluation is one exponential of an outer product and one
-    matrix product per grid (eval). Below u_floor the integral of the head
-    part is restored with closed-form erfc terms.
-
-    The master only computes: the certificate of its rows (the sub-floor
-    kernel leak, the tol/4 of its grids and the 4 tol acceptance test) is
-    PairEngine._subordinated's. It keeps the head modes' eigenvalues and
-    pair products, not the engine, so that an engine holding its masters is
-    freed by refcounting. Its arrays are read-only, like its (shared)
-    engine's.
-    """
-
-    def __init__(self, engine: PairEngine, d: float, tol: float):
-        self.K = min(96, max(engine.n_min + 8, engine.n_max // 8))
-        head = slice(engine.n_min, self.K + 1)
-        self.lam_head = engine._shifted(d)[head]
-        self.sq_head = np.sqrt(self.lam_head)
-        self.U_head = engine._pair_products(head.start, head.stop)
-        self.u_floor = engine.u_floor
-        # e^{-lam u_floor} per head mode, a factor of the sub-floor head integral.
-        self.e_floor = np.exp(-self.lam_head * self.u_floor)
-        lam_next = (math.pi * max(1.0, self.K + 1 - engine.c_off)) ** 2 + d * d
-        u_hi = LOG45 / lam_next * 4.0
-        self.grids = []
-        for per_decade in (6, 12):
-            nd, wt = _log_panel_rule(self.u_floor, u_hi, per_decade=per_decade, order=24)
-            heat, _, _ = engine._heat_rows(nd, 0.25 * tol)
-            T = heat * np.exp(-d * d * nd)[:, None]
-            T -= _exp_rows(nd, self.lam_head, 0, np.full(nd.size, self.K - head.start), self.U_head)
-            fac = nd**-1.5 * wt
-            Tw, neg_inv4u = T * fac[:, None], -0.25 / nd
-            _read_only(nd, fac, Tw, neg_inv4u)
-            self.grids.append((nd, fac, Tw, neg_inv4u))
-        _read_only(self.lam_head, self.sq_head, self.U_head, self.e_floor)
-
-    def eval(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Rows of H_t for a 1-D array of times ts, one per time, and each
-        time's quadrature error estimate |fine - coarse| (largest over the
-        pairs, times t / 2 sqrt(pi)).
-
-        Each grid's part of R_K is (t / 2 sqrt(pi)) exp(max(t^2 (-1/4u), -700))
-        @ Tw. H_t = E @ U_head + R_K(t) - S @ U_head, with E = e^{-t sqrt(lam)}
-        and S the head's integral against m_t over (0, U), U = u_floor,
-        w = t / (2 sqrt(U)):
-          S = [E erfc(w - sqrt(lam U)) + e^{-w^2} erfcx(w + sqrt(lam U)) e^{-lam U}] / 2.
-        """
-        root_u = math.sqrt(self.u_floor)
-        s_u, w = self.sq_head * root_u, (ts / (2.0 * root_u))[:, None]
-        parts = []
-        for nd, _, Tw, neg_inv4u in self.grids:
-            e = np.multiply.outer(ts * ts, neg_inv4u)
-            parts.append(np.exp(np.maximum(e, -700.0, out=e), out=e) @ Tw)
-        coarse, fine = parts
-        scale = ts / (2.0 * math.sqrt(math.pi))
-        E = np.exp(np.multiply.outer(-ts, self.sq_head))
-        vals = E @ self.U_head + scale[:, None] * fine
-        below = _erfcx(w + s_u)
-        below *= np.exp(-w * w)
-        below *= self.e_floor
-        E *= _erfc(w - s_u)
-        below += E
-        vals -= (0.5 * below) @ self.U_head
-        return vals, scale * np.max(np.abs(fine - coarse), axis=-1)
+    u_max = u0 + max(0.0, math.log(16.0 * float(beyond(np.array([u0]))[0]) / tol)) / lam0
+    u, w, edges = _log_panel_rule(eng.u_floor, u_max, U_PANELS_PER_DECADE, U_ORDER)
+    rows, _, _ = eng._heat_rows(u, 0.25 * tol, rescale=-d * d, lo=eng.n_min + zeros)
+    half = 0.5 * (edges[1] - edges[0])
+    reach = math.hypot(U_STRIP, half)
+    rho = (U_STRIP + reach) / half
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    r_lo, r_hi = np.exp(mid - reach), np.exp(mid + reach)
+    gauss = 64.0 / 15.0 * half * rho ** (-2.0 * U_ORDER) / (rho * rho - 1.0)
+    heat = gauss * beyond(r_lo * math.cos(U_STRIP))
+    _read_only(u, w, rows, r_lo, r_hi, heat)
+    return _HeatGrid(u, w, rows, eng.n_min + zeros, u_max, float(beyond(np.array([u_max]))[0]),
+                     r_lo, r_hi, heat)
 
 
 # --------------------------------------------------------------------------

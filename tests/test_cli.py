@@ -15,6 +15,9 @@ from dini.specfun import JacobiParams, SpectralParams
 from dini.zeros import build_zero_table
 
 
+NU_GRID = ["-0.9", "-0.75", "-0.5", "0", "0.5", "1.5", "3"]
+
+
 def run_cli(args, capsys):
     code = main(args)
     out = capsys.readouterr()
@@ -110,12 +113,14 @@ class TestVerificationCommands:
         assert "--n-max >=" in err and "above the Bessel cap" in err
 
     def test_bessel_envelopes_default_failure_names_parts(self, capsys):
-        # At the default n_max of 400 the default grid's pairs 0.02 apart
-        # leave the times below t_f to the skip bound: the message names both
-        # parts of the series certificate, the skip is the larger, and it
-        # names the --n-max from which u_floor <= d_min^2 / 240, where the
-        # skip has a factor e^{-30} or less.
-        code, out, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0"], capsys)
+        # At n_max 400 (the command's default before the potential kinds had
+        # their own) the default grid's pairs 0.02 apart leave the times
+        # below t_f to the skip bound: the message names both parts of the
+        # series certificate, the skip is the larger, and it names the
+        # --n-max from which u_floor <= d_min^2 / 240, where the skip has a
+        # factor e^{-30} or less.
+        code, out, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0",
+                                  "--n-max", "400"], capsys)
         assert code == 2 and out == ""
         assert "potential series certificate" in err and "exceeds tol 1.00e-09" in err
         parts = dict(re.findall(r"(skip below t_f = \S+|modes > 400): (\S+?)[,)]", err))
@@ -126,14 +131,27 @@ class TestVerificationCommands:
                                      "is e^-30-small from --n-max 1655")
 
     def test_bessel_envelopes_pass_at_the_named_n_max(self, capsys):
-        code, _, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0"], capsys)
+        code, _, err = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0",
+                                "--n-max", "400"], capsys)
         need = re.search(r"small from --n-max (\d+)$", err.rstrip()).group(1)
         code, out, _ = run_cli(["verify-envelopes", "--kind", "bessel", "--nu", "0",
                                 "--n-max", need, "--out", "-"], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
 
-    # NU_GRID of scripts/run_verification_suite.py.
-    @pytest.mark.parametrize("nu", ["-0.9", "-0.75", "-0.5", "0", "0.5", "1.5", "3"])
+    # NU_GRID of scripts/run_verification_suite.py; Riesz needs nu > -1/2.
+    @pytest.mark.parametrize("kind,nu", [("bessel", nu) for nu in NU_GRID]
+                             + [("riesz", nu) for nu in NU_GRID if float(nu) > -0.5])
+    def test_potential_kinds_pass_at_their_defaults(self, kind, nu, capsys):
+        # Their own --n-max default, 1655, is where the series certifies the
+        # default grids' pairs 0.02 apart.
+        for command in ("kernel", "verify-envelopes"):
+            code, out, err = run_cli([command, "--kind", kind, "--nu", nu, "--out", "-"], capsys)
+            assert code == 0, (command, err)
+        code, explicit, _ = run_cli(["verify-envelopes", "--kind", kind, "--nu", nu,
+                                     "--n-max", "1655", "--out", "-"], capsys)
+        assert explicit == out
+
+    @pytest.mark.parametrize("nu", NU_GRID)
     def test_heat_long_passes_at_its_defaults(self, nu, capsys):
         # heat-long's own --t default is the suite's 1,2.5,5, not the heat
         # kind's list, whose small times lie outside the long-time regime.
@@ -406,7 +424,7 @@ class TestExitCodes:
 
     def test_poisson_leak_fails_before_master(self, monkeypatch, capsys):
         """Diagonal pairs below the resolvable time scale: exit 2 with the
-        subordination message, before any heat row of a master is built."""
+        subordination message, before any heat row of a grid is built."""
         calls = []
         original = kernels.PairEngine._heat_rows
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from scipy.integrate import quad
-from scipy.special import erfc, erfcx, gammaincc, roots_legendre
+from scipy.special import erfc, gammaincc, roots_legendre
 from hypothesis import strategies as st
 
 from conftest import shared_basis
@@ -50,11 +50,13 @@ from dini.kernels import (
     SIGMA_MIN,
     SUM_ALIGN,
     TIME_BLOCK,
+    U_ORDER,
+    U_PANELS_PER_DECADE,
     KernelKind,
     KernelRequest,
     PairEngine,
-    _SubordinationMaster,
     _build_heat_grid,
+    _density_max,
     _direct_time,
     _exp_rows,
     _exp_tail,
@@ -66,6 +68,7 @@ from dini.kernels import (
     _mode_weight,
     _poisson_need,
     _time_weight,
+    _time_weight_max,
     engine_for,
     heat_kernel,
     kernel_arrays,
@@ -426,6 +429,17 @@ class TestPotentialKernels:
                 grid=PAIRS,
             )
 
+    def test_falling_terms_sum_to_the_full_sum(self):
+        x = np.geomspace(1.0, 1e4, 3000)
+        term = lambda x: x**-0.6 * gammaincc(0.6, x)
+        full = term(x)
+        assert full[-1] == 0.0 and full[PSI_BLOCK_MODES] > 0.0
+        out = _falling_terms(term, x)
+        assert np.array_equal(out, full) and np.sum(out) == np.sum(full)
+        # A last term that is not 0.0 evaluates every entry.
+        bumpy = lambda x: np.where(x > 5e3, 1.0, term(x))
+        assert np.array_equal(_falling_terms(bumpy, x), bumpy(x))
+
     def test_request_api_cross_check(self):
         req = KernelRequest(
             kind=KernelKind.BESSEL_POT,
@@ -564,8 +578,7 @@ HEAT_ROWS = PairEngine._heat_rows
 
 
 def old_subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_off):
-    """The message of a failed subordinated certificate as the master formed
-    it, before the engine owned the certificate."""
+    """The message of a failed subordinated certificate, spelled out."""
     cap = int(X_MAX_J / math.pi)
     need = math.ceil(_poisson_need(t, tol, m2, c_off)) + 1
     return (
@@ -578,10 +591,10 @@ def old_subordination_failure(bound, t, tol, min_dist, min_usable_dist, m2, c_of
     )
 
 
-def sequential_heat_rows(eng, ts, tol, rescale=0.0):
+def sequential_heat_rows(eng, ts, tol, rescale=0.0, lo=None):
     """One single-time heat evaluation per time (the path of heat_values),
     in the layout of PairEngine._heat_rows."""
-    out = [HEAT_ROWS(eng, np.array([t]), tol, rescale) for t in ts]
+    out = [HEAT_ROWS(eng, np.array([t]), tol, rescale, lo) for t in ts]
     rows = np.concatenate([o[0] for o in out]).reshape(len(ts), eng.n_pairs)
     cuts = np.concatenate([o[1] for o in out])
     return rows, cuts, np.concatenate([o[2] for o in out])
@@ -644,23 +657,23 @@ class TestBlockedHeat:
             assert np.array_equal(bounds, ref_bounds)
             assert_rows_close(rows, ref)
 
-    def test_master_grids_match_per_time_loop(self):
+    def test_grid_rows_match_per_time_loop(self):
+        """The heat grid's rows are e^{-d^2 u} G_u from one heat evaluation
+        (rescaled by -d^2) per node, over the modes from grid.lo (past the
+        lam' = 0 mode of ZERO at d = 0)."""
         for eng, d in zip(blocked_engines(), (0.0, 0.0, 2.0, 1.0, 1.0)):
-            master = _SubordinationMaster(eng, d, 1e-9)
+            grid = _build_heat_grid(eng, d, 1e-9)
             lam = eng._shifted(d)
-            head = slice(eng.n_min, master.K + 1)
-            for nd, fac, Tw, _ in master.grids:
-                T = Tw / fac[:, None]
-                heat = np.empty_like(T)
-                old = np.empty_like(T)
-                for j, u in enumerate(nd):
-                    vals, _, _ = eng.heat_values(u, 0.25e-9)
-                    heat[j] = vals * math.exp(-d * d * u)
-                    old[j] = heat[j] - np.exp(-u * lam[head]) @ old_table(eng)[head]
-                # T is the heat tail beyond the head modes: compare it on the
-                # scale of the heat values it is the difference of.
-                scale = np.max(np.abs(heat), axis=1, keepdims=True)
-                assert np.all(np.abs(T - old) <= 1e-14 * scale)
+            zero = lam[eng.n_min :] == 0.0
+            assert grid.lo == eng.n_min + int(np.count_nonzero(zero)) and zero.sum() <= zero[0]
+            heat = np.empty_like(grid.rows)
+            ref = np.empty_like(grid.rows)
+            for j, u in enumerate(grid.u):
+                heat[j], _, _ = eng.heat_values(u, 0.25e-9, rescale=-d * d)
+                head = slice(eng.n_min, grid.lo)
+                ref[j] = heat[j] - np.exp(-u * lam[head]) @ old_table(eng)[head]
+            # Compared on the scale of the heat values the rows are a part of.
+            assert_rows_close(grid.rows, ref, scale=heat)
 
     def test_sup_raise_matches_sequential(self):
         """With M lowered by hand, the sup invariant raises on both paths and
@@ -676,49 +689,54 @@ class TestBlockedHeat:
             assert blocked.M == sequential.M == low
 
     def test_potentials_match_sequential_rows(self, monkeypatch):
+        """The time integral on sequential heat rows equals it on blocked ones;
+        the series, which forms no heat rows, is the same with _heat_rows
+        unavailable."""
         cases = [(1.0, -0.75), (1.0, 0.0), (1.0, 1.5), (0.0, 0.0), (0.0, 1.5)]
         blocked = {}
         for d0, nu in cases:
             eng = PairEngine(shared_basis(nu, n_max=3000), AGREEMENT_PAIRS)
             series = [eng.potential_series(s, d0, 1e-9) for s in (0.3, 1.6)]
             blocked[d0, nu] = series, eng.potential_time_integral(0.3, d0, 1e-9)
-        monkeypatch.setattr(PairEngine, "_heat_rows", sequential_heat_rows)
         for d0, nu in cases:
             eng = PairEngine(shared_basis(nu, n_max=3000), AGREEMENT_PAIRS)
             series, timed = blocked[d0, nu]
-            for s, (vals, n_terms, bound) in zip((0.3, 1.6), series):
-                ref, ref_terms, ref_bound = eng.potential_series(s, d0, 1e-9)
-                assert n_terms == ref_terms
-                assert np.max(np.abs(vals - ref) / np.abs(ref)) <= 1e-14
-                assert bound <= 1e-9 and bound == pytest.approx(ref_bound, rel=1e-3)
-            ref = eng.potential_time_integral(0.3, d0, 1e-9)
+            with monkeypatch.context() as m:
+                m.setattr(PairEngine, "_heat_rows", None)  # any heat row call fails
+                for s, (vals, n_terms, bound) in zip((0.3, 1.6), series):
+                    ref, ref_terms, ref_bound = eng.potential_series(s, d0, 1e-9)
+                    assert (n_terms, bound) == (ref_terms, ref_bound)
+                    assert np.array_equal(vals, ref)
+            with monkeypatch.context() as m:
+                m.setattr(PairEngine, "_heat_rows", sequential_heat_rows)
+                ref = eng.potential_time_integral(0.3, d0, 1e-9)
             assert np.max(np.abs(timed - ref) / np.abs(ref)) <= 1e-12
 
-    def test_leak_failure_before_master_matches_master(self, monkeypatch):
+    def test_leak_failure_before_grid(self, monkeypatch):
         """poisson_values refuses a pair closer than min_usable_dist below the
-        resolvable time scale before building a master, with the message a
-        master's own certificate gave (old_subordination_failure)."""
+        resolvable time scale before building a heat grid, naming the closest
+        pair and the --n-max the direct series would need."""
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS + [(0.5, 0.5)])
         assert eng.leak_scale == math.inf
         ref = old_subordination_failure(math.inf, 1e-3, 1e-10, 0.0, eng.min_usable_dist,
                                         eng.M * eng.M, eng.c_off)
-        monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any master build fails
+        monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any grid build fails
         with pytest.raises(TailBoundFailure) as early:
             eng.poisson_values(1e-3, 0.0, 1e-10)
         assert str(early.value) == ref
         assert "certificate inf too large" in str(early.value)
-        assert eng._masters == {}
+        assert eng._heat_grids == {}
 
     def test_time_integral_leak_failure_before_master(self, monkeypatch):
         """potential_time_integral refuses a pair closer than min_usable_dist
-        before any heat grid or master is built, naming the closest pair and
+        before any heat grid is built, naming the closest pair and
         min_usable_dist; a diagonal pair becomes usable at no --n-max."""
         eng = PairEngine(shared_basis(0.0, n_max=300), [(0.5, 0.5), (0.3, 0.6)])
-        monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any grid or master build fails
+        monkeypatch.setattr(PairEngine, "_heat_rows", None)  # any grid build fails
         for sigma in (0.3, 1.0):
             with pytest.raises(TailBoundFailure) as timed:
                 eng.potential_time_integral(sigma, 1.0, 1e-9)
-            assert eng._masters == {} and eng._heat_grids == {}
+            assert eng._heat_grids == {}
             assert str(timed.value) == (
                 "potential time integral: the closest pair is 0.000e+00 apart, closer than "
                 f"min_usable_dist = {eng.min_usable_dist:.3e}, and has no kernel bound below the "
@@ -747,8 +765,9 @@ class TestBlockedHeat:
             assert np.max(np.abs(timed - series)) <= 2e-9
 
     def test_masters_share_one_leak_scale(self, monkeypatch):
-        """The leak scale is the engine's: formed once, on first use, for
-        masters of every (d, tol); the masters hold no certificate inputs."""
+        """The leak scale is the engine's: formed once, on first use, for the
+        subordinated values of every (d, tol); the heat grids hold no
+        certificate inputs beyond their own rule and range."""
         calls, original = [], PairEngine.leak_scale.func
 
         def leak_scale(eng):
@@ -762,16 +781,14 @@ class TestBlockedHeat:
         assert calls == []
         eng.poisson_values(1e-3, 0.0, 1e-9)
         eng.poisson_values(1e-3, 1.0, 1e-10)
-        assert calls == [eng] and len(eng._masters) == 2
-        for master in eng._masters.values():
-            assert master.u_floor == eng.u_floor
-            for name in ("leak_scale", "min_usable_dist", "min_dist", "m2", "c_off", "n_terms",
-                         "tol"):
-                assert not hasattr(master, name)
+        assert calls == [eng] and list(eng._heat_grids) == [(0.0, 1e-9), (1.0, 1e-10)]
+        for grid in eng._heat_grids.values():
+            for name in ("leak_scale", "min_usable_dist", "u_floor", "tol"):
+                assert not hasattr(grid, name)
 
     def test_engine_freed_without_cycle_collection(self):
         eng = PairEngine(shared_basis(0.0, n_max=300), PAIRS)
-        eng._master(1.0, 1e-9)
+        eng._heat_grid(1.0, 1e-9)
         ref = weakref.ref(eng)
         gc.disable()
         try:
@@ -781,65 +798,122 @@ class TestBlockedHeat:
             gc.enable()
 
 
-def unfused_eval(master, eng, t, tol):
-    """PairEngine._subordinated as one formula per factor: the measure
-    (t / 2 sqrt(pi)) e^{-min(t^2/4u, 700)} u^{-3/2} w against the unscaled
-    heat tail T, the head sum, the sub-floor head integral from erfc and
-    erfcx, and the per-pair leak bound; with the size of the head terms."""
-    tc = t[..., None]
-    results = []
-    for nd, fac, Tw, _ in master.grids:
-        meas = (tc / (2.0 * math.sqrt(math.pi))) * np.exp(
-            -np.minimum(tc * tc / (4.0 * nd), 700.0)) * fac
-        results.append(meas @ (Tw / fac[:, None]))
-    coarse, fine = results
-    quad_err = np.max(np.abs(fine - coarse), axis=-1)
-    U, lam, s = eng.u_floor, master.lam_head, master.sq_head
-    head = np.exp(-tc * s) @ master.U_head
-    w = tc / (2.0 * math.sqrt(U))
-    part = 0.5 * (np.exp(-tc * s) * erfc(w - s * math.sqrt(U))
-                  + erfcx(w + s * math.sqrt(U)) * np.exp(-w * w - lam * U))
-    vals = head + fine - part @ master.U_head
-    kb = np.full(eng.n_pairs, math.inf)
-    alive = eng.dist >= eng.min_usable_dist
-    kb[alive] = 16.0 * U**-0.5 * np.exp(-np.minimum(eng.dist[alive] ** 2 / (4.0 * U), 700.0))
-    mass_below = erfc(tc / (2.0 * math.sqrt(U)))
-    leak = np.where(mass_below > 0.0, kb * mass_below, 0.0)
-    # The values cancel from sums of terms up to about |head| (values near
-    # 1e-4 from terms near 30 at t = 1e-5), and the quadrature part of the
-    # bound is a difference of two such sums: both are compared on that scale.
-    terms = np.exp(-tc * s) @ np.abs(master.U_head)
-    return vals, quad_err + np.max(leak, axis=-1) + 0.25 * tol, terms
+def cosine_poisson_oracle(t, x, y):
+    """The Neumann cosine Poisson kernel (nu = -1/2, the ZERO regime) at d =
+    0, 1 + 2 sum_n r^n cos(n pi x) cos(n pi y) with r = e^{-pi t}, Abel-summed:
+    sum_{n >= 0} r^n cos(n theta) = (1 - r cos theta) / (1 - 2 r cos theta + r^2)."""
+    r = math.exp(-math.pi * t)
+    c = lambda th: (1.0 - r * math.cos(th)) / (1.0 - 2.0 * r * math.cos(th) + r * r)
+    return c(math.pi * (x - y)) + c(math.pi * (x + y)) - 1.0
 
 
-class TestFusedMaster:
-    """The master's eval forms the measure, head and sub-floor terms fused;
-    with the engine's certificate (_subordinated) it agrees with the unfused
-    formula on every engine kind and for any number of times."""
+def subordinated_times(eng, tol, lo=1 / 50):
+    """Six times from lo t_direct to 0.9 t_direct, t_direct the time below
+    which poisson_values subordinates."""
+    t_direct = 0.5 * _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol)
+    ts = np.geomspace(lo * t_direct, 0.9 * t_direct, 6)
+    assert all(eng._poisson_cut(t, tol) is None for t in ts)
+    return ts
 
-    @pytest.mark.parametrize("size", [None, 1, 47, 48, 49, 97])
-    def test_matches_unfused_formula(self, size):
-        # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases; None is the one time
-        # of poisson_values.
-        for basis, d in zip(blocked_bases()[:4], (0.0, 0.0, 2.0, 1.0)):
+
+class TestSubordinatedOracle:
+    """Subordinated Poisson values against closed forms and against the direct
+    series of a larger basis, within their certificates."""
+
+    # The half-sine (nu = 1/2) and cosine (nu = -1/2, whose lam_0 = 0 is
+    # summed off the grid) kernels at d = 0.
+    ORACLES = [(0.5, poisson_sine_oracle), (-0.5, cosine_poisson_oracle)]
+
+    @pytest.mark.parametrize("n_max", [300, 2000])
+    @pytest.mark.parametrize("nu,oracle", ORACLES)
+    def test_closed_form(self, nu, oracle, n_max):
+        eng = PairEngine(shared_basis(nu, n_max=n_max), AGREEMENT_PAIRS)
+        for tol in (1e-9, 1e-12):
+            for t in subordinated_times(eng, tol):
+                vals, n_terms, bound = eng.poisson_values(t, 0.0, tol)
+                ref = np.array([oracle(t, x, y) for x, y in AGREEMENT_PAIRS])
+                assert n_terms == eng.n_max - eng.n_min + 1 and bound <= 4.0 * tol
+                assert np.max(np.abs(vals - ref)) <= bound, (t, tol)
+
+    def test_larger_basis_direct_series(self):
+        """PLUS, ZERO, MINUS (at d = 2 and at d = z_0, where lam'_0 = 0) and nu
+        = 3/2: subordinated values at n_max 300 against the direct series at
+        n_max 3000, whose direct range reaches these times, within the sum of
+        both certificates."""
+        cases = [((0.0, 0.5), 0.0), ((0.0, 0.0), 0.0), ((-0.75, -1.5), 2.0),
+                 ((-0.75, -1.5), None), ((1.5, 0.5), 1.0)]
+        for (nu, h), d in cases:
+            small = PairEngine(shared_basis(nu, h, n_max=300), AGREEMENT_PAIRS)
+            large = PairEngine(shared_basis(nu, h, n_max=3000), AGREEMENT_PAIRS)
+            d = math.sqrt(-small.lam[0]) if d is None else d
+            for t in subordinated_times(small, 1e-9, lo=1 / 8):
+                vals, _, bound = small.poisson_values(t, d, 1e-9)
+                assert large._poisson_cut(t, 1e-9) is not None
+                ref, _, ref_bound = large.poisson_values(t, d, 1e-9)
+                assert np.max(np.abs(vals - ref)) <= bound + ref_bound, (nu, h, d, t)
+            zero = small._shifted(d)[small.n_min] == 0.0
+            assert small._heat_grids[d, 1e-9].lo == small.n_min + zero
+
+
+def full_rows(eng, u, d, lo):
+    """e^{-d^2 u} G_u over every stored mode from lo, one row per u: the
+    n_max-mode kernel, analytic in u and bounded like the grid's rows."""
+    prods = eng._pair_products(0, eng.n_max + 1)
+    return _exp_rows(u, eng._shifted(d), lo, np.full(u.size, eng.n_max), prods)
+
+
+class TestHeatGridRule:
+    """The u-rule's stated bound (_HeatGrid.rule_bound) covers its error
+    against a rule with 4x the panels at order 32, for the potential weight
+    and the Poisson density, on the five engines of blocked_bases(). At the
+    coarse rule (1 panel per decade, order 8) the errors are 1e-9 to 1e-8 of
+    the sums, far above rounding, and the bound is 1e4 to 5e5 times the
+    error; at the grid's own rule the errors are at the level of the
+    weights' evaluation error and rounding."""
+
+    @pytest.mark.parametrize("per_decade,order", [(1, 8), (U_PANELS_PER_DECADE, U_ORDER)])
+    def test_bound_covers_finer_rule(self, per_decade, order, monkeypatch):
+        monkeypatch.setattr(kernels, "U_PANELS_PER_DECADE", per_decade)
+        monkeypatch.setattr(kernels, "U_ORDER", order)
+        density = lambda t, u: t / (2.0 * math.sqrt(math.pi)) * u**-1.5 * np.exp(-t * t / (4.0 * u))
+        # The potential's d, and the Poisson's (ZERO at d = 0 has lam'_0 = 0).
+        for basis, d_pot, d_poisson in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0),
+                                           (1.0, 0.0, 2.0, 1.0, 1.0)):
             eng = PairEngine(basis, AGREEMENT_PAIRS)
-            t = np.array([3e-4]) if size is None else np.geomspace(1e-5, 1e-2, size)
-            vals, bound = eng._subordinated(t, d, 1e-9)
-            ref, ref_bound, terms = unfused_eval(eng._master(d, 1e-9), eng, t, 1e-9)
-            assert vals.shape == ref.shape and np.shape(bound) == np.shape(ref_bound)
-            assert_rows_close(np.atleast_2d(vals), np.atleast_2d(ref), scale=np.atleast_2d(terms))
-            assert np.all(np.abs(bound - ref_bound) <= 1e-14 * np.max(terms, axis=-1))
+            t_split = mode_cut_args(eng, 1.0, 1e-9)[1]
+            for d, weights in (
+                (d_pot, [(lambda u, s=s: _time_weight(s, u, t_split),
+                          lambda g, s=s: _time_weight_max(s, t_split, g.r_lo, g.r_hi))
+                         for s in (SIGMA_MIN, 0.3, 1.0, 1.6, 20.0, SIGMA_MAX)]),
+                (d_poisson, [(lambda u, t=t: density(t, u),
+                              lambda g, t=t: _density_max(t, g.r_lo, g.r_hi))
+                             for t in subordinated_times(eng, 1e-9)]),
+            ):
+                grid = _build_heat_grid(eng, d, 1e-9)
+                fine_u, fine_w, _ = _log_panel_rule(eng.u_floor, grid.u_max, 4 * per_decade, 32)
+                rows, fine_rows = full_rows(eng, grid.u, d, grid.lo), full_rows(eng, fine_u, d,
+                                                                                  grid.lo)
+                for weight, weight_max in weights:
+                    terms = weight(grid.u) * grid.w
+                    err = np.max(np.abs(terms @ rows - (weight(fine_u) * fine_w) @ fine_rows))
+                    # The evaluation error of the weights and the rounding of
+                    # both sums: scipy's gammainc at a = 50.5 moves the sums by
+                    # about 1e-12 of the sum of |terms| from rule to rule.
+                    rounding = 1e-11 * np.max(np.abs(terms) @ np.abs(rows))
+                    assert err <= grid.rule_bound(weight_max(grid)) + rounding, (basis, d)
 
-    def test_falling_terms_sum_to_the_full_sum(self):
-        x = np.geomspace(1.0, 1e4, 3000)
-        term = lambda x: x**-0.6 * gammaincc(0.6, x)
-        full = term(x)
-        assert full[-1] == 0.0 and full[PSI_BLOCK_MODES] > 0.0
-        out = _falling_terms(term, x)
-        assert np.array_equal(out, full) and np.sum(out) == np.sum(full)
-        # A last term that is not 0.0 evaluates every entry.
-        bumpy = lambda x: np.where(x > 5e3, 1.0, term(x))
-        assert np.array_equal(_falling_terms(bumpy, x), bumpy(x))
+    def test_bound_far_below_tol(self):
+        """At the grid's rule the stated bound is below 1e-15 on the bench bases
+        at n_max 3000, for both weights: far below any tol >= 1e-12."""
+        for nu in (-0.75, -0.5, 0.0, 1.5, 0.5):
+            eng = PairEngine(shared_basis(nu, n_max=3000), POTENTIAL_PAIRS)
+            t_split = mode_cut_args(eng, 1.0, 1e-12)[1]
+            grid = eng._heat_grid(1.0, 1e-12)
+            bounds = [grid.rule_bound(_time_weight_max(s, t_split, grid.r_lo, grid.r_hi))
+                      for s in (SIGMA_MIN, 0.3, 1.0, 1.6, 20.0, SIGMA_MAX)]
+            bounds += [grid.rule_bound(_density_max(t, grid.r_lo, grid.r_hi))
+                       for t in subordinated_times(eng, 1e-12)]
+            assert max(bounds) <= 1e-15, nu
 
 
 def old_certified_cuts(eng, U, ts, tol, rescale=0.0):
@@ -890,8 +964,8 @@ def old_poisson_rows(self, ts, omega, d, tol, t_direct, prods):
     U = old_table(self)
     out, errs = np.empty((ts.size, self.n_pairs)), np.empty(ts.size)
     sub = ts < t_direct
-    if np.any(sub):
-        out[sub], errs[sub] = self._subordinated(ts[sub], d, tol)
+    for i in np.flatnonzero(sub):
+        out[i], errs[i] = self._subordinated(float(ts[i]), d, tol)
     direct = ts[~sub]
     if direct.size:
         cut = self._poisson_cut(float(direct[0]), tol)
@@ -990,18 +1064,16 @@ class TestCoordinateProducts:
                 assert (n, bound) == (ref_n, ref_bound)
                 assert_rows_close(vals[None], ref[None])
 
-    def test_master_grids(self):
+    def test_heat_grid(self):
+        """The heat grid's rows over the stored table: the blocked rows of
+        e^{-d^2 u} G_u (rescale -d^2) from grid.lo."""
         for (new, old, _), d in zip(engine_pairs(), (0.0, 0.0, 2.0, 1.0, 1.0)):
-            master = _SubordinationMaster(new, d, 1e-9)
+            grid = _build_heat_grid(new, d, 1e-9)
             U = old_table(old)
-            head = slice(old.n_min, master.K + 1)
-            assert np.array_equal(master.U_head, U[head])
-            for nd, fac, Tw, _ in master.grids:
-                T = Tw / fac[:, None]
-                heat, _, _ = old_heat_rows(old, U, nd, 0.25e-9)
-                heat *= np.exp(-d * d * nd)[:, None]
-                ref = heat - np.exp(-np.multiply.outer(nd, old._shifted(d)[head])) @ U[head]
-                assert_rows_close(T, ref, scale=heat)
+            heat, _, _ = old_heat_rows(old, U, grid.u, 0.25e-9, rescale=-d * d)
+            head = slice(old.n_min, grid.lo)
+            ref = heat - np.exp(-np.multiply.outer(grid.u, old._shifted(d)[head])) @ U[head]
+            assert_rows_close(grid.rows, ref, scale=heat)
             assert new.M == old.M
 
     def test_potentials(self, monkeypatch):
@@ -1011,7 +1083,7 @@ class TestCoordinateProducts:
             series = eng.potential_series(0.6, d, 1e-9)
             timed = eng.potential_time_integral(0.6, d, 1e-9)
             cases.append((basis, d, series, timed, eng.M))
-        monkeypatch.setattr(PairEngine, "_heat_rows", lambda self, ts, tol, rescale=0.0:
+        monkeypatch.setattr(PairEngine, "_heat_rows", lambda self, ts, tol, rescale=0.0, lo=None:
                             old_heat_rows(self, old_table(self), ts, tol, rescale))
         for basis, d, (vals, n_terms, bound), timed, m in cases:
             old = make_engine(basis, AGREEMENT_PAIRS)
@@ -1032,7 +1104,7 @@ def old_time_integral(eng, sigma, d, tol):
     t_lo = 1e-9
     t_hi, _ = old_late_time_cut(eng, sigma, np.sqrt(lam[eng.n_min :]), tol)
     t_direct = _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol)
-    nodes, weights = _log_panel_rule(t_lo, t_hi, per_decade=8, order=16)
+    nodes, weights, _ = _log_panel_rule(t_lo, t_hi, per_decade=8, order=16)
     weights = weights * nodes ** (2.0 * sigma - 1.0) / math.gamma(2.0 * sigma)
     total = np.zeros(eng.n_pairs)
     for i in range(0, nodes.size, TIME_BLOCK):
@@ -1065,7 +1137,7 @@ def direct_t_rule_time_integral(eng, sigma, d, tol):
     a log-panelled Gauss rule in t (8 panels per decade) up to the late-time
     ladder's t_hi, with direct rows cut at tol / 8W (W the weight mass of
     [0, t_hi]; old_direct_rows), and the exchanged part on [0, t_split) on
-    the fine rule of the heat grid, as now."""
+    heat grid, as now."""
     lam = eng._potential_spectrum(d)
     s2 = 2.0 * sigma
     t_hi, _ = old_late_time_cut(eng, sigma, np.sqrt(lam[eng.n_min :]), tol)
@@ -1073,14 +1145,14 @@ def direct_t_rule_time_integral(eng, sigma, d, tol):
     t_split = min(t_hi, _direct_time(eng.M * eng.M, eng.c_off, eng.n_max, tol_node))
     total = np.zeros(eng.n_pairs)
     if t_split < t_hi:
-        nodes, weights = _log_panel_rule(t_split, t_hi, per_decade=8, order=16)
+        nodes, weights, _ = _log_panel_rule(t_split, t_hi, per_decade=8, order=16)
         weights = weights * nodes ** (s2 - 1.0) / math.gamma(s2)
         for i in range(0, nodes.size, TIME_BLOCK):
             blk = slice(i, i + TIME_BLOCK)
             rows, _ = old_direct_rows(eng, nodes[blk], np.sqrt(lam), tol_node, None)
             total += weights[blk] @ rows
-    (_, (nd, wt, rows)), _ = _build_heat_grid(eng, d, tol)
-    return total + (_time_weight(sigma, nd, t_split) * wt) @ rows
+    grid = _build_heat_grid(eng, d, tol)
+    return total + (_time_weight(sigma, grid.u, t_split) * grid.w) @ grid.rows
 
 
 def time_weight_by_quad(sigma, u, a, b):
@@ -1095,23 +1167,22 @@ def time_weight_by_quad(sigma, u, a, b):
 
 class TestExchangedOrder:
     """Below t_split, potential_time_integral integrates the heat grid of
-    (d, tol) against the closed-form weights I_sigma(u), with no master; it
-    agrees with the per-node subordinated route it replaces."""
+    (d, tol) against the closed-form weights I_sigma(u), with no Poisson
+    values; it agrees with the per-node subordinated route it replaces."""
 
     def test_builds_no_master(self, monkeypatch):
         def fail(*args):
             raise AssertionError("the time integral must not subordinate per node")
 
-        monkeypatch.setattr(_SubordinationMaster, "eval", fail)
         monkeypatch.setattr(PairEngine, "_subordinated", fail)
         eng = PairEngine(shared_basis(0.0, n_max=3000), AGREEMENT_PAIRS)
         for sigma in (0.3, 1.6):
             eng.potential_time_integral(sigma, 1.0, 1e-9)
-        assert eng._masters == {}
         assert list(eng._heat_grids) == [(1.0, 1e-9)]
-        rules, beyond = eng._heat_grids[1.0, 1e-9]
-        assert len(rules) == 2 and beyond <= 1e-9 / 16
-        for a in (a for rule in rules for a in rule):
+        grid = eng._heat_grids[1.0, 1e-9]
+        assert grid.s_max <= 1e-9 / 16 and grid.lo == eng.n_min
+        assert grid.u.size == grid.r_lo.size * U_ORDER
+        for a in (grid.u, grid.w, grid.rows, grid.r_lo, grid.r_hi, grid.heat):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
@@ -1153,7 +1224,7 @@ class TestExchangedOrder:
         """int_0^inf I_sigma(u) du = b^{2 sigma} / Gamma(2 sigma + 1) for the
         weight of [0, b), and the difference of two such masses for [a, b)."""
         lo = 1e-16
-        nodes, weights = _log_panel_rule(lo, 1e12, per_decade=8, order=24)
+        nodes, weights, _ = _log_panel_rule(lo, 1e12, per_decade=8, order=24)
         for sigma, a, b in ((0.3, 1e-6, 6e-3), (1.0, 1e-4, 7e-3), (1.6, 1e-3, 8e-3),
                             (0.3, 0.0, 6e-3), (0.6, 0.0, 2e-3), (1.6, 0.0, 8e-3)):
             mass = (b ** (2 * sigma) - a ** (2 * sigma)) / math.gamma(2 * sigma + 1)
@@ -1177,11 +1248,10 @@ class TestExchangedOrder:
         series, _, _ = eng.potential_series(1.0, 1.0, 1e-9)
         timed = eng.potential_time_integral(1.0, 1.0, 1e-9)
         assert np.max(np.abs(timed - series)) <= 2e-9
-        rules, _ = eng._heat_grids[1.0, 1e-9]
-        for nd, _, rows in rules:
-            assert np.all(np.isfinite(rows))
-            vals, _, _ = eng.heat_values(float(nd[-1]), 0.25e-9, rescale=-1.0)
-            assert np.array_equal(rows[-1], vals)
+        grid = eng._heat_grids[1.0, 1e-9]
+        assert np.all(np.isfinite(grid.rows))
+        vals, _, _ = eng.heat_values(float(grid.u[-1]), 0.25e-9, rescale=-1.0)
+        assert np.array_equal(grid.rows[-1], vals)
 
     @pytest.mark.parametrize("sigma", [0.3, 0.5, 1.0, 1.6])
     def test_failure_names_every_part(self, sigma, monkeypatch):
@@ -1442,15 +1512,15 @@ class TestExpRows:
 
     def test_sup_invariant_on_every_sum(self):
         """With M lowered by hand, every sum refuses a pair product above M^2:
-        the direct Poisson series, the potential series and a master's head
-        sums as well as the heat sums."""
+        the direct Poisson series, the potential series and a heat grid's
+        rows as well as the heat sums."""
         for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
             eng = PairEngine(basis, AGREEMENT_PAIRS)
             eng.M *= 0.1
             for call in (lambda: eng.heat_values(0.1, 1e-10),
                          lambda: eng.poisson_values(0.3, d, 1e-10),
                          lambda: eng.potential_series(1.0, d, 1e-9),
-                         lambda: _SubordinationMaster(eng, d, 1e-9)):
+                         lambda: _build_heat_grid(eng, d, 1e-9)):
                 with pytest.raises(ConsistencyError, match="exceeds the sup bound"):
                     call()
 
@@ -1649,8 +1719,8 @@ def kernel_bytes(values):
 
 class TestSharedEngines:
     """engine_for keeps one engine per (basis, pairs), so each psi row, M and
-    the subordination masters are built once across requests; results do not
-    depend on which requests came first."""
+    the heat grids are built once across requests; results do not depend on
+    which requests came first."""
 
     def test_same_engine(self):
         b = fresh_basis(0.0, n_max=300)
@@ -1675,10 +1745,9 @@ class TestSharedEngines:
         assert engine_for(jb, PAIRS) is engine_for(jb, PAIRS)
 
     def test_one_build_per_basis(self, monkeypatch):
-        """One engine and one heat grid across the requests, no master, and
-        each psi row is formed once: the row growths add up to the rows the
-        engine holds."""
-        counts = {"engine": 0, "rows": 0, "master": 0, "grid": 0}
+        """One engine and one heat grid across the requests, and each psi row
+        is formed once: the row growths add up to the rows the engine holds."""
+        counts = {"engine": 0, "rows": 0, "grid": 0}
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -1696,14 +1765,12 @@ class TestSharedEngines:
 
         monkeypatch.setattr(PairEngine, "__init__", counted("engine", PairEngine.__init__))
         monkeypatch.setattr(RowStore, "upto", upto)
-        monkeypatch.setattr(_SubordinationMaster, "__init__",
-                            counted("master", _SubordinationMaster.__init__))
         monkeypatch.setattr(kernels, "_build_heat_grid", counted("grid", _build_heat_grid))
         b = fresh_basis(0.0)
         for sigma in POTENTIAL_SIGMAS:
             potential_kernel(potential_request(KernelKind.BESSEL_POT, 0.0, sigma), b)
         rows = engine_for(b, POTENTIAL_PAIRS).psi.shape[0]
-        assert counts == {"engine": 1, "rows": rows, "master": 0, "grid": 1}
+        assert counts == {"engine": 1, "rows": rows, "grid": 1}
         assert rows <= b.n_max + 1
 
     def test_request_order_does_not_matter(self):
@@ -1727,7 +1794,7 @@ class TestSharedEngines:
         assert engine_for(b, grid) is eng
 
     def test_master_keyed_by_exact_tol(self):
-        """A master built for another tol gives another certificate: the
+        """A heat grid built for another tol gives another certificate: the
         bound at tol must not depend on the tols asked for before."""
         pairs = [(0.2, 0.5), (0.3, 0.7)]
         tol = 1.000001e-9
@@ -1741,17 +1808,16 @@ class TestSharedEngines:
     def test_shared_arrays_read_only(self):
         eng = engine_for(fresh_basis(0.0), [(0.2, 0.5), (0.3, 0.7)])
         eng.poisson_values(1e-3, 0.0, 1e-9)
-        (master,) = eng._masters.values()
-        arrays = [eng.psi, eng.lam, eng.ix, eng.iy, eng.dist, master.U_head, master.lam_head,
-                  master.sq_head]
-        arrays += [a for grid in master.grids for a in grid]
+        (grid,) = eng._heat_grids.values()
+        arrays = [eng.psi, eng.lam, eng.ix, eng.iy, eng.dist, grid.u, grid.w, grid.rows, grid.r_lo,
+                  grid.r_hi, grid.heat]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0
 
     def test_basis_and_engines_freed_without_cycle_collection(self):
         b = fresh_basis(0.0, n_max=300)
-        engine_for(b, PAIRS)._master(1.0, 1e-9)
+        engine_for(b, PAIRS)._heat_grid(1.0, 1e-9)
         refs = [weakref.ref(b), weakref.ref(engine_for(b, PAIRS))]
         gc.disable()
         try:
@@ -1870,17 +1936,20 @@ class TestLogPanelRule:
     @pytest.mark.parametrize("lo, hi, per_decade, order",
                              [(1e-9, 3.0, 4, 16), (2e-3, 5e-3, 12, 24), (0.5, 0.7, 1, 5)])
     def test_nodes_match_per_panel_loop(self, lo, hi, per_decade, order):
-        nodes, weights = _log_panel_rule(lo, hi, per_decade=per_decade, order=order)
+        """Gauss-Legendre in s = log u on panels of equal width in s; the
+        weights in u are those in s times u."""
+        nodes, weights, edges = _log_panel_rule(lo, hi, per_decade=per_decade, order=order)
         n_panels = max(1, int(math.ceil(per_decade * math.log10(hi / lo))))
-        edges = np.exp(np.linspace(math.log(lo), math.log(hi), n_panels + 1))
+        assert np.array_equal(edges, np.linspace(math.log(lo), math.log(hi), n_panels + 1))
         xg, wg = roots_legendre(order)
         ref_nodes, ref_weights = [], []
         for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            ref_nodes.append(mid + half * xg)
-            ref_weights.append(half * wg)
-        assert np.array_equal(nodes, np.concatenate(ref_nodes))
-        assert np.array_equal(weights, np.concatenate(ref_weights))
+            s = 0.5 * (a + b) + 0.5 * (b - a) * xg
+            ref_nodes.append(np.exp(s))
+            ref_weights.append(0.5 * (b - a) * wg * np.exp(s))
+        assert_rows_close(nodes[None], np.concatenate(ref_nodes)[None])
+        assert_rows_close(weights[None], np.concatenate(ref_weights)[None])
+        assert float(weights @ nodes**-1) == pytest.approx(math.log(hi / lo), rel=1e-14)
 
     def test_legendre_kept_read_only(self):
         xg, wg = _legendre(16)
