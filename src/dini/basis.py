@@ -74,7 +74,7 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
 # rows of a RowStore, the pair products of kernels.PairEngine.potential_series);
 # bounds those temporaries at PSI_BLOCK_MODES x points.
 PSI_BLOCK_MODES = 128
-# Row stores kept per basis (BasisSpec.psi_rows), the oldest dropped first.
+# Row stores kept per basis (psi_rows), the oldest dropped first.
 PSI_STORES_PER_BASIS = 4
 # Relative allowance on the closed-form sup bound for the rounding of the
 # Bessel values it bounds and of its own evaluation.
@@ -93,10 +93,10 @@ def _check_open(x: np.ndarray) -> None:
 class RowStore:
     """Rows of a basis at fixed points x (checked here), formed once each by
     row_fn(x, lo, hi) (rows lo..hi-1): ``rows`` holds those formed so far,
-    read-only; upto(hi) grows it to max(hi, twice its rows), at most n_rows.
-    """
+    read-only; upto(hi) grows it to exactly min(hi, n_rows) rows, the most
+    any call asked for, whatever order the calls came in."""
 
-    def __init__(self, row_fn: Callable, x: np.ndarray, n_rows: int):
+    def __init__(self, row_fn: Callable, n_rows: int, x: np.ndarray):
         _check_open(x)
         self._row_fn = row_fn
         self.x = x
@@ -104,27 +104,45 @@ class RowStore:
         self.rows = np.empty((0, x.size))
 
     def upto(self, hi: int) -> np.ndarray:
-        have = self.rows.shape[0]
-        if hi > have:
-            top = min(self.n_rows, max(hi, 2 * have))
+        have, top = self.rows.shape[0], min(hi, self.n_rows)
+        if top > have:
             rows = np.concatenate([self.rows, self._row_fn(self.x, have, top)])
             rows.flags.writeable = False
             self.rows = rows
         return self.rows
 
 
-def _bessel_rows(params: SpectralParams, c, zeros, x, lo: int, hi: int,
-                 block: int = PSI_BLOCK_MODES) -> np.ndarray:
+@dataclass
+class _Basis:
+    """What kernels.PairEngine reads of either basis, spectrum() and the row
+    stores of psi_rows, kept on the basis with its engines. _rows(x, lo, hi),
+    set at construction, is bound to the basis arrays, not the basis, so a
+    basis and the engines on it are freed by refcounting."""
+
+    # Row stores per point set, keyed by the points' bytes (psi_rows).
+    _stores: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    # PairEngines on this basis, per pair tuple (kernels.engine_for).
+    _engines: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+
+    def psi_rows(self, x) -> RowStore:
+        """The RowStore at x kept on the basis, keyed by the points' values (a
+        1-D float64 copy's bytes: an array changed in place finds its own
+        rows); at most PSI_STORES_PER_BASIS, the oldest dropped first."""
+        x = np.array(x, dtype=float).ravel()
+        store = lambda: RowStore(self._rows, self.spectrum()[2] + 1, x)
+        return _cached(self._stores, x.tobytes(), store, PSI_STORES_PER_BASIS)
+
+
+def _bessel_rows(params: SpectralParams, c, zeros, x, lo: int, hi: int) -> np.ndarray:
     """psi_lo..psi_{hi-1} at x from the arrays of a BasisSpec (its constants
-    c and zeros), ``block`` Bessel rows at a time so that no temporary is
-    larger than the result. Every entry is formed elementwise, so a row does
-    not depend on lo, hi or block."""
+    c and zeros), PSI_BLOCK_MODES Bessel rows at a time so that no temporary
+    is larger than the result. Every entry is formed elementwise, so a row
+    does not depend on lo or hi."""
     _check_open(x)
     sq = np.sqrt(x)
     out = np.zeros((hi - lo, x.size))
-    step = max(block, 1)
-    for a in range(max(lo, 1), hi, step):
-        b = min(a + step, hi)
+    for a in range(max(lo, 1), hi, PSI_BLOCK_MODES):
+        b = min(a + PSI_BLOCK_MODES, hi)
         out[a - lo : b - lo] = c[a:b, None] * sq[None, :] * bessel_j(
             params.nu, zeros[a:b, None] * x[None, :]
         )
@@ -153,7 +171,7 @@ def _jacobi_rows(jp: JacobiParams, C: np.ndarray, x: np.ndarray, lo: int, hi: in
 
 
 @dataclass
-class BasisSpec:
+class BasisSpec(_Basis):
     """Normalizing constants, eigenvalues and evaluation for the psi system.
 
     Arrays are indexed by n = 0..n_max; in the PLUS regime the n=0 slots are
@@ -166,10 +184,6 @@ class BasisSpec:
     n_max: int
     c: np.ndarray = field(init=False)
     eigen: np.ndarray = field(init=False)
-    # Row stores of psi per point set, keyed by the points' bytes (psi_rows).
-    _stores: dict = field(init=False, default_factory=dict, repr=False, compare=False)
-    # PairEngines on this basis, per pair tuple (kernels.engine_for).
-    _engines: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n_max > self.table.n_max:
@@ -202,6 +216,7 @@ class BasisSpec:
             eigen[0] = 0.0
         self.c = c
         self.eigen = eigen
+        self._rows = partial(_bessel_rows, p, c, self.table.zeros)
         if np.any(np.diff(eigen[self.n_min :]) <= 0.0):
             raise ConsistencyError("eigenvalues are not strictly increasing")
 
@@ -215,15 +230,11 @@ class BasisSpec:
         The unused n=0 row in the PLUS regime is identically zero.
         """
         n_upper = self.n_max if n_upper is None else min(n_upper, self.n_max)
-        return _bessel_rows(self.params, self.c, self.table.zeros, np.asarray(x, dtype=float),
-                            0, n_upper + 1)
+        return self._rows(np.asarray(x, dtype=float), 0, n_upper + 1)
 
-    def psi_rows(self, x) -> RowStore:
-        """The row_store of psi at x kept on the basis, keyed by the points'
-        values (a 1-D float64 copy's bytes: an array changed in place finds
-        its own rows); at most PSI_STORES_PER_BASIS, the oldest dropped first."""
-        x = np.array(x, dtype=float).ravel()
-        return _cached(self._stores, x.tobytes(), lambda: row_store(self, x), PSI_STORES_PER_BASIS)
+    def spectrum(self) -> tuple:
+        """(params, n_min, n_max, eigen, c_off), what a PairEngine reads."""
+        return self.params, self.n_min, self.n_max, self.eigen, self.table.freq_offset
 
     @cached_property
     def split_constant(self) -> float:
@@ -278,15 +289,13 @@ def eval_psi(b: BasisSpec, n: int, x):
 
 
 @dataclass
-class JacobiBasisSpec:
+class JacobiBasisSpec(_Basis):
     """Constants C_k, eigenvalues Lambda_k and evaluation for the Phi system."""
 
     jp: JacobiParams
     k_max: int
     C: np.ndarray = field(init=False)
     Lambda: np.ndarray = field(init=False)
-    # PairEngines on this basis, per pair tuple (kernels.engine_for).
-    _engines: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = self.jp.alpha, self.jp.beta
@@ -305,18 +314,24 @@ class JacobiBasisSpec:
             - gammaln(k + b + 1.0)
         )
         self.C = np.exp(0.5 * log_c2)
+        self._rows = partial(_jacobi_rows, self.jp, self.C)
         self.Lambda = math.pi**2 * (k + (a + b + 1.0) / 2.0) ** 2
         if np.any(np.diff(self.Lambda) < 0.0):
             raise ConsistencyError("Jacobi eigenvalues are not nondecreasing")
 
     @property
-    def n_min(self) -> int:
-        return 0
+    def c_off(self) -> float:
+        """sqrt(Lambda_k) = pi |k + q| >= pi (k - c_off), q = (a+b+1)/2, every k."""
+        return max(0.0, -(self.jp.alpha + self.jp.beta + 1.0) / 2.0)
+
+    def spectrum(self) -> tuple:
+        """(jp, 0, k_max, Lambda, c_off), as BasisSpec.spectrum."""
+        return self.jp, 0, self.k_max, self.Lambda, self.c_off
 
     def phi_matrix(self, x: np.ndarray, k_upper: Optional[int] = None) -> np.ndarray:
         """Matrix [Phi_k(x_i)]_{k,i} of shape (k_upper+1, len(x))."""
         k_upper = self.k_max if k_upper is None else min(k_upper, self.k_max)
-        return _jacobi_rows(self.jp, self.C, np.asarray(x, dtype=float), 0, k_upper + 1)
+        return self._rows(np.asarray(x, dtype=float), 0, k_upper + 1)
 
     @cached_property
     def probe_sup(self) -> float:
@@ -333,16 +348,6 @@ class JacobiBasisSpec:
 
 def build_jacobi_basis(jp: JacobiParams, k_max: int) -> JacobiBasisSpec:
     return JacobiBasisSpec(jp, k_max)
-
-
-def row_store(basis, x) -> RowStore:
-    """A new RowStore at the points x (a 1-D float64 copy), bound to the
-    basis arrays, not the basis."""
-    x = np.array(x, dtype=float).ravel()
-    if isinstance(basis, JacobiBasisSpec):
-        return RowStore(partial(_jacobi_rows, basis.jp, basis.C), x, basis.k_max + 1)
-    rows = partial(_bessel_rows, basis.params, basis.c, basis.table.zeros)
-    return RowStore(rows, x, basis.n_max + 1)
 
 
 def default_coefficient_rule(b: BasisSpec, n: int = 512) -> QuadratureRule:

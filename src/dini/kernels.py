@@ -33,16 +33,18 @@ A PairEngine keeps the basis on the unique coordinates of its pairs, not
 the products psi_n(x) psi_n(y) of every pair and mode: each evaluation forms
 the pair products of the modes it sums (up to its cutoff, or
 PSI_BLOCK_MODES modes at a time for the full-length potential series). Its
-basis.RowStore forms the rows of psi on demand, up to the largest cutoff
-asked for, so memory is (rows grown) * n_coords, not n_max * n_pairs.
+rows of psi are the basis's row store on those coordinates (psi_rows, which
+semigroup_apply and every engine on the basis over the same points share),
+formed on demand up to exactly the largest cutoff asked for, so memory is
+(rows grown) * n_coords, not n_max * n_pairs.
 
 An engine is a pure function of its basis and its pairs (M is a stated
 bound fixed at construction), so engines are shared: engine_for(basis, pairs)
 keeps up to CACHE_ENTRIES engines on the basis, keyed by the bytes of the
 (n, 2) pair array and dropped oldest first, and every kernel function and
 ratio report that is given a basis takes its engine from there. A shared
-engine's arrays are read-only. Each engine holds psi, (rows grown) x
-n_coords doubles, and in turn keeps up to CACHE_ENTRIES heat grids (about
+engine's arrays are read-only. Each engine holds its row store, (rows
+grown) x n_coords doubles, and keeps up to CACHE_ENTRIES heat grids (about
 250 x n_pairs doubles each, at n_max = 3000), keyed by the exact (d, tol).
 The engine does not refer back to its basis, so a basis and its engines are
 freed by refcounting.
@@ -55,9 +57,6 @@ row is the per-time truncated sum up to rounding). A single time is the
 one-row case: every block sums from mode 0 to a multiple of SUM_ALIGN, so a
 one-time row is, to the last bit on the OpenBLAS gemv kernels tested, the
 sum over all n_max + 1 modes with zero multipliers outside the cutoff.
-
-semigroup_apply takes psi on its rule's nodes and on its grid from the
-basis's row stores, up to its cutoff: a time sweep forms each row once.
 
 The time-integral route of the potentials splits [0, inf) at t_split, twice
 the time from which the direct Poisson series fits n_max modes: above it
@@ -95,7 +94,6 @@ from .basis import (
     build_basis,
     certified_sup,
     default_coefficient_rule,
-    row_store,
 )
 from .errors import (
     ConsistencyError,
@@ -357,40 +355,27 @@ class PairEngine:
     """Kernel series over a fixed pair set.
 
     The engine keeps its pairs, the (n, 2) array pairs and its columns xs
-    and ys; psi, the basis functions (phi for a Jacobi basis) on the unique coordinates of
-    the pairs, one row per mode; and the index arrays ix and iy of each
-    pair's x and y into them. Every kernel multiplier reduces to a weighted
-    sum over modes of the pair products psi_n(x_p) psi_n(y_p), which each
-    call forms only for the modes it sums (_pair_products). psi is the rows
-    formed so far by the engine's basis.RowStore on the coordinates
-    (basis.row_store, which checks them), (rows grown) x n_coords doubles,
-    up to the largest cutoff asked for.
+    and ys; psi, the basis functions (phi for a Jacobi basis) on the unique
+    coordinates of the pairs, one row per mode; and the index arrays ix and
+    iy of each pair's x and y into them. Every kernel multiplier reduces to a
+    weighted sum over modes of the pair products psi_n(x_p) psi_n(y_p), which
+    each call forms only for the modes it sums (_pair_products). psi is the
+    rows formed so far by the basis's row store on the coordinates
+    (basis.psi_rows, which checks them).
 
     Engines are shared across requests (engine_for), so pairs, xs, ys, psi,
-    lam, ix, iy and dist are read-only. The engine keeps the basis parameters
-    (params: SpectralParams, or JacobiParams for a Jacobi basis) and its row
-    store, which is bound to the basis arrays, not the basis, which holds
-    its engines.
+    lam, ix, iy and dist are read-only. Of the basis, which holds its
+    engines, the engine keeps only basis.spectrum() (params, n_min, n_max,
+    the eigenvalues lam and c_off) and the row store.
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
         self.pairs = _pair_array(pairs, "a PairEngine")
         xs, ys = self.xs, self.ys = self.pairs.T
         coords = np.unique(np.concatenate([xs, ys]))
-        self._psi = row_store(basis, coords)
-        if isinstance(basis, JacobiBasisSpec):
-            self.params = basis.jp
-            self.n_min = 0
-            self.n_max = basis.k_max
-            self.lam = basis.Lambda.copy()
-            q = (basis.jp.alpha + basis.jp.beta + 1.0) / 2.0
-            self.c_off = max(0.0, -q)
-        else:
-            self.params = basis.params
-            self.n_min = basis.n_min
-            self.n_max = basis.n_max
-            self.lam = basis.eigen.copy()
-            self.c_off = basis.table.freq_offset
+        self._psi = basis.psi_rows(coords)
+        self.params, self.n_min, self.n_max, lam, self.c_off = basis.spectrum()
+        self.lam = lam.copy()
         self.ix = np.searchsorted(coords, xs)
         self.iy = np.searchsorted(coords, ys)
         self.M = certified_sup(basis, coords)
@@ -601,32 +586,41 @@ class PairEngine:
         # Blocks past the last nonzero multiplier add exactly 0.0: skip them,
         # and the psi rows they would need.
         top = int(np.flatnonzero(mult)[-1]) + 1 if mult.any() else self.n_min
+        blocks = [(lo, min(lo + PSI_BLOCK_MODES, self.n_max + 1))
+                  for lo in range(self.n_min, top, PSI_BLOCK_MODES)]
+        self._psi.upto(blocks[-1][1] if blocks else 0)  # one growth for every block
         total = np.zeros(self.n_pairs)
-        for lo in range(self.n_min, top, PSI_BLOCK_MODES):
-            hi = min(lo + PSI_BLOCK_MODES, self.n_max + 1)
+        for lo, hi in blocks:
             total += mult[lo:hi] @ self._pair_products(lo, hi)
         lowest = (math.pi * k) ** 2 + d0 * d0  # the first lower frequency beyond n_max
         tail = self.M * self.M * float(term(lowest)) / -math.expm1(-2.0 * math.pi**2 * t_f * k)
         skip = float(np.max(self._heat_skip_bound(sigma, t_f))) / math.gamma(sigma)
         bound = skip + tail
         if not bound <= tol:
+            usable = self._usable_from(240.0)
+            if usable.endswith(" on"):  # t_f no longer moves: bound rounded up is the least tol
+                least = next(v for v in (f"{bound:.2e}", f"{1.01 * bound:.2e}")
+                             if float(v) >= bound)
+                usable += (f", so it no longer falls with --n-max: the least --tol that passes at "
+                           f"--n-max {self.n_max} is this certificate, {least}")
             raise TailBoundFailure(
                 f"potential series certificate {bound:.2e} exceeds tol {tol:.2e} (skip below "
                 f"t_f = {t_f:.3e}: {skip:.2e}, modes > {self.n_max}: {tail:.2e}); the closest "
                 f"pair is {float(np.min(self.dist)):.3e} apart, and its skip is e^-30-small "
-                f"{self._usable_from(240.0)}"
+                f"{usable}"
             )
         return total, top - self.n_min, bound
 
     def _usable_from(self, ratio: float) -> str:
         """The --n-max from which u_floor = LOG45 / (pi (n_max - c_off))^2 is
         at most d_min^2 / ratio: n_max = c_off + sqrt(ratio LOG45) / (pi
-        d_min), "at no --n-max" for a pair on the diagonal."""
+        d_min), "at no --n-max" for a pair on the diagonal, and "from --n-max
+        N on" when N is at most the engine's n_max."""
         d_min = float(np.min(self.dist))
         if d_min == 0.0:
             return "at no --n-max"
         need = math.ceil(self.c_off + math.sqrt(ratio * LOG45) / (math.pi * d_min))
-        return f"from --n-max {need}"
+        return f"from --n-max {need}" + (" on" if need <= self.n_max else "")
 
     def _heat_skip_bound(self, sigma, T) -> np.ndarray:
         """Envelope bound for int_0^T t^{sigma-1} G_t dt, per pair."""

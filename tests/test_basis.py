@@ -17,7 +17,6 @@ from dini.basis import (
     dini_coefficients,
     eval_psi,
     gram_matrix,
-    row_store,
 )
 from dini.errors import DomainError, RegimeMismatchError
 from dini.kernels import PairEngine
@@ -231,7 +230,7 @@ class TestCertifiedSup:
         grid united with coordinates down to 1e-8 from either end."""
         b = shared_basis(nu, h, n_max=100)
         grid = np.linspace(1e-4, 1.0 - 1e-4, 20_000)
-        rows = basis_module._bessel_rows(b.params, b.c, b.table.zeros, grid, 0, b.n_max + 1, 16)
+        rows = basis_module._bessel_rows(b.params, b.c, b.table.zeros, grid, 0, b.n_max + 1)
         grid_max = float(np.max(np.abs(rows)))
         for xs in SUP_COORDS:
             peak = max(grid_max, float(np.max(np.abs(b.psi_matrix(xs)))))
@@ -272,8 +271,8 @@ class TestCertifiedSup:
         jb = build_jacobi_basis(JacobiParams(0.7, -0.5), 10)
         xs = np.array([0.5, math.nan])
         for evaluate in (lambda: certified_sup(b, xs), lambda: b.psi_matrix(xs),
-                         lambda: eval_psi(b, 1, math.nan), lambda: row_store(b, xs),
-                         lambda: jb.phi_matrix(xs), lambda: row_store(jb, xs)):
+                         lambda: eval_psi(b, 1, math.nan), lambda: b.psi_rows(xs),
+                         lambda: jb.phi_matrix(xs), lambda: jb.psi_rows(xs)):
             with pytest.raises(DomainError, match="open interval"):
                 evaluate()
 
@@ -365,10 +364,10 @@ class TestRulePsiCache:
         formed = []
         original = basis_module._bessel_rows
 
-        def spy(params, c, zeros, x, lo, hi, *block):
+        def spy(params, c, zeros, x, lo, hi):
             if np.size(x) == n_nodes:
                 formed.append(hi - lo)
-            return original(params, c, zeros, x, lo, hi, *block)
+            return original(params, c, zeros, x, lo, hi)
 
         monkeypatch.setattr(basis_module, "_bessel_rows", spy)
         return lambda: sum(formed)
@@ -407,14 +406,18 @@ class TestRulePsiCache:
 
     @pytest.mark.parametrize("nu", [0.7, -0.5, -0.75])  # PLUS, ZERO, MINUS
     def test_blocks_bit_identical_to_psi_matrix(self, nu):
-        b = shared_basis(nu, n_max=2 * PSI_BLOCK_MODES + 37)
+        shared = shared_basis(nu, n_max=2 * PSI_BLOCK_MODES + 37)
+        b = BasisSpec(shared.params, shared.table, shared.n_max)  # no rows formed yet
         for rule in (default_coefficient_rule(b, 300), endpoint_graded_rule(200, 3, 1)):
             ref = b.psi_matrix(rule.nodes)
-            store = row_store(b, rule.nodes)
-            for hi in (1, 5, 7, PSI_BLOCK_MODES + 3, b.n_max + 1):
+            store = b.psi_rows(rule.nodes)
+            held = 0
+            for hi in (1, 5, 7, PSI_BLOCK_MODES + 3, 2, b.n_max + 1, b.n_max + 9):
+                # Exactly the most rows asked for so far, at most n_max + 1.
+                held = max(held, min(hi, b.n_max + 1))
                 rows = store.upto(hi)
-                assert hi <= rows.shape[0] <= b.n_max + 1
-                assert np.array_equal(rows, ref[: rows.shape[0]])
+                assert rows.shape[0] == held
+                assert np.array_equal(rows, ref[:held])
             assert np.array_equal(b.psi_rows(rule.nodes).upto(b.n_max + 1), ref)
             f = lambda x: x**1.5 * (1.0 - x)
             fx = rule.weights * f(rule.nodes)

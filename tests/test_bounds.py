@@ -22,6 +22,7 @@ from dini.bounds import (
     heat_short_envelope,
     offdiagonal_pair_grid,
     pair_grid,
+    poisson_long_envelope,
     poisson_short_envelope,
     potential_envelope,
     ratio_report,
@@ -198,6 +199,35 @@ class TestRatioSweeps:
         )
         for r in reports:
             assert r.spread < 100.0
+
+
+class TestPoissonLongEnvelope:
+    """The large-time Poisson envelope, through envelope_reports and the
+    rescaled poisson_values behind it, at the heat-long times."""
+
+    TIMES = [1.0, 2.5, 5.0]
+
+    def reports(self, nu, d):
+        b = shared_basis(nu, n_max=300)
+        grid = pair_grid(boundary_refined_coords(8))
+        return envelope_reports(b, grid, self.TIMES, poisson_long_envelope(b, d), tol=1e-10, d=d)
+
+    def test_zero_regime_ground_mode_takes_over(self):
+        # At nu = -1/2, H = 1/2 the ground mode is x^0 with eigenvalue 0, so
+        # at d = 0 the rescaled kernel tends to it and the spread to 1.
+        spreads = [r.spread for r in self.reports(-0.5, 0.0)]
+        assert spreads == pytest.approx([1.1888, 1.00155, 1.0], abs=1e-4)
+
+    @pytest.mark.parametrize("d, first", [(0.0, 3.39), (1.0, 3.58)])
+    def test_plus_regime_spread_finite(self, d, first):
+        spreads = [r.spread for r in self.reports(0.5, d)]
+        assert spreads == pytest.approx([first, 2.47, 2.46], abs=0.01)
+
+    @pytest.mark.parametrize("d", [0.0, 1.0])
+    def test_minus_regime_shift_too_small(self, d):
+        # z_0 = 1.92 > d: the shifted bottom eigenvalue d^2 - z_0^2 is negative.
+        with pytest.raises(DomainError, match="shift too small"):
+            poisson_long_envelope(shared_basis(-0.75, -1.5, n_max=300), d)
 
 
 class TestHeatLongEnvelope:

@@ -138,6 +138,22 @@ class TestVerificationCommands:
                                 "--n-max", need, "--out", "-"], capsys)
         assert code == 0 and json.loads(out)["pass"] is True
 
+    @pytest.mark.parametrize("n_max", [["--n-max", "3000"], []])  # [] is the default, 1655
+    def test_riesz_failure_at_a_running_n_max_names_the_least_tol(self, n_max, capsys):
+        # At sigma = 0.3 < 1/2 the skip below t_f keeps a factor next to its
+        # e^{-30}. From --n-max 1655 on, t_f = d_min^2 / 240 no longer moves,
+        # so no larger --n-max helps: the message says so and names the
+        # least --tol that passes here, the certificate rounded up.
+        riesz = ["kernel", "--kind", "riesz", "--nu", "0.5", "--sigma", "0.3", *n_max]
+        code, out, err = run_cli([*riesz, "--tol", "1e-12"], capsys)
+        assert code == 2 and out == ""
+        assert "its skip is e^-30-small from --n-max 1655 on, so it no longer falls with " \
+               "--n-max" in err
+        least = re.search(r"passes at --n-max (\d+) is this certificate, (\S+)$", err.rstrip())
+        assert least.groups() == ((n_max or ["", "1655"])[1], "1.67e-11")
+        code, out, _ = run_cli([*riesz, "--tol", least.group(2), "--out", "-"], capsys)
+        assert code == 0 and out
+
     # NU_GRID of scripts/run_verification_suite.py; Riesz needs nu > -1/2.
     @pytest.mark.parametrize("kind,nu", [("bessel", nu) for nu in NU_GRID]
                              + [("riesz", nu) for nu in NU_GRID if float(nu) > -0.5])

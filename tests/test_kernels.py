@@ -548,6 +548,13 @@ def make_engine(basis, pairs):
     return eng
 
 
+def unshared(basis):
+    """The same basis, with no rows or engines kept on it yet."""
+    if isinstance(basis, BasisSpec):
+        return BasisSpec(basis.params, basis.table, basis.n_max)
+    return build_jacobi_basis(basis.jp, basis.k_max)
+
+
 def blocked_engines():
     """Engines of the blocked_bases() on PAIRS and a diagonal pair."""
     return [make_engine(b, PAIRS + [(0.5, 0.5)]) for b in blocked_bases()]
@@ -1406,25 +1413,62 @@ class TestModeCut:
 
 
 class TestLazyRows:
-    """An engine forms psi rows on demand, up to the largest cutoff asked for
-    so far, and a grown row is the basis's row to the last bit whatever
-    order the calls come in."""
+    """An engine forms psi rows on demand, up to exactly the largest cutoff
+    asked for so far, and a grown row is the basis's row to the last bit
+    whatever order the calls come in."""
 
     def test_rows_bounded_by_the_cutoff(self):
         # The grid-60 pairs at least 0.05 apart (all 72 coordinates), where
         # the potential series is certified.
         grid = [(x, y) for x, y in pair_grid(boundary_refined_coords(60)) if abs(x - y) >= 0.05]
-        eng = PairEngine(shared_basis(0.5, n_max=3000), grid)
+        eng = PairEngine(fresh_basis(0.5), grid)
         assert eng.psi.shape == (0, 72)
+        # The heat sum reads the modes up to its cutoff N plus SUM_ALIGN.
         _, n_terms, _ = eng.heat_values(0.0605, 1e-10)
-        assert 0 < eng.psi.shape[0] <= 2 * (n_terms + SUM_ALIGN)
-        # The series forms the rows of its nonzero multipliers, the modes
-        # n_min..top - 1, in blocks of PSI_BLOCK_MODES; rows at most double
-        # as they grow.
+        assert eng.psi.shape[0] == eng.n_min + n_terms - 1 + SUM_ALIGN
+        # The series reads the rows of its nonzero multipliers, the modes
+        # n_min..top - 1, in blocks of PSI_BLOCK_MODES: up to the end of the
+        # last block.
         _, n_terms, _ = eng.potential_series(0.6, 1.0, 1e-9)
         top = eng.n_min + n_terms
         assert 3 * PSI_BLOCK_MODES < top < 3000
-        assert top <= eng.psi.shape[0] <= 2 * (top + PSI_BLOCK_MODES)
+        blocks = -(-n_terms // PSI_BLOCK_MODES)
+        assert eng.psi.shape[0] == eng.n_min + blocks * PSI_BLOCK_MODES
+
+    def test_series_grows_rows_once(self, monkeypatch):
+        """The potential series asks for the rows of all its blocks at once."""
+        grows = []
+        original = RowStore.upto
+        monkeypatch.setattr(RowStore, "upto", lambda store, hi: grows.append(
+            store.rows.shape[0] < min(hi, store.n_rows)) or original(store, hi))
+        eng = PairEngine(fresh_basis(0.5), [(0.2, 0.5), (0.3, 0.9)])
+        _, n_terms, _ = eng.potential_series(0.6, 1.0, 1e-9)
+        assert n_terms > 3 * PSI_BLOCK_MODES and grows.count(True) == 1
+
+    def test_engines_share_the_basis_rows(self):
+        """Engines on one basis over the same coordinates, and semigroup_apply
+        on them, read one row store, kept on the basis."""
+        b = fresh_basis(0.0, n_max=300)
+        first = PairEngine(b, [(0.2, 0.5), (0.3, 0.7)])
+        second = PairEngine(b, [(0.7, 0.2), (0.5, 0.3), (0.2, 0.3)])
+        assert first._psi is second._psi is b.psi_rows([0.2, 0.3, 0.5, 0.7])
+        first.heat_values(0.01, 1e-10)
+        rows = first.psi.shape[0]
+        assert rows > 0 and second.psi is first.psi
+        semigroup_apply(b, lambda x: x * (1.0 - x), 1e-4, np.array([0.2, 0.3, 0.5, 0.7]))
+        assert first.psi.shape[0] > rows and second.psi is first.psi
+        assert PairEngine(b, [(0.2, 0.6)])._psi is not first._psi
+
+    def test_jacobi_offset_is_the_basis_offset(self):
+        """The Jacobi c_off is the basis's, and sqrt(Lambda_k) >= pi (k - c_off)
+        for every k; at (alpha, beta) = (-0.75, -0.5) it is 1/8 > 0."""
+        jb = build_jacobi_basis(JacobiParams(-0.75, -0.5), 400)
+        eng = PairEngine(jb, [(0.2, 0.5)])
+        assert eng.c_off == jb.c_off == 0.125
+        k = np.arange(jb.k_max + 1)
+        # Equality for k >= 1 here (q = -1/8), up to the rounding of Lambda.
+        assert np.all(np.sqrt(jb.Lambda) >= math.pi * (k - jb.c_off) * (1.0 - 1e-15))
+        assert np.sqrt(jb.Lambda[1:]) == pytest.approx(math.pi * (k[1:] - jb.c_off), rel=1e-15)
 
     @pytest.mark.parametrize("order", ["small t first", "large t first", "potential first"])
     def test_grown_rows_equal_basis_rows(self, order):
@@ -1441,13 +1485,13 @@ class TestLazyRows:
         }[order]
         # PLUS, ZERO, MINUS and nu = 3/2 Bessel bases and a Jacobi basis.
         for basis, d in zip(blocked_bases(), (1.0, 1.0, 2.0, 1.0, 1.0)):
-            eng = make_engine(basis, AGREEMENT_PAIRS)
+            eng = make_engine(unshared(basis), AGREEMENT_PAIRS)
             ref = BASIS_PSI[eng]
             fresh = {}
             for name in sequence:
                 vals = calls[name](eng, d)[0]
                 assert np.array_equal(eng.psi, ref[: eng.psi.shape[0]])
-                fresh[name] = calls[name](make_engine(basis, AGREEMENT_PAIRS), d)[0]
+                fresh[name] = calls[name](PairEngine(unshared(basis), AGREEMENT_PAIRS), d)[0]
                 assert np.array_equal(vals, fresh[name])
             assert eng.psi.shape[0] == eng.n_max + 1
 
@@ -1772,6 +1816,17 @@ class TestSharedEngines:
         rows = engine_for(b, POTENTIAL_PAIRS).psi.shape[0]
         assert counts == {"engine": 1, "rows": rows, "grid": 1}
         assert rows <= b.n_max + 1
+
+    def test_rows_do_not_depend_on_request_order(self):
+        """The rows held are the most any request asked for, so the four
+        requests leave as many rows in either order."""
+        rows = []
+        for sigmas in (POTENTIAL_SIGMAS, POTENTIAL_SIGMAS[::-1]):
+            b = fresh_basis(0.0)
+            for sigma in sigmas:
+                potential_kernel(potential_request(KernelKind.BESSEL_POT, 0.0, sigma), b)
+            rows.append(engine_for(b, POTENTIAL_PAIRS).psi.shape[0])
+        assert rows[0] == rows[1] < b.n_max + 1
 
     def test_request_order_does_not_matter(self):
         requests = [(kind, nu, sigma) for kind, nu in POTENTIAL_CASES for sigma in POTENTIAL_SIGMAS]

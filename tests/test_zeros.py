@@ -355,6 +355,19 @@ class TestZeroTable:
                 self.rebuild(table, **change)
 
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="freq_offset is the largest n - z_n/pi over the stored n only, "
+                       "not a bound for every n (ROADMAP item 2)")
+    def test_freq_offset_bounds_every_n(self):
+        # Every tail sum takes z_n >= pi (n - c_off) for all n > n_max. At
+        # nu = 0, H = 1/2, n - z_n/pi rises toward 3/4: the 300-zero table's
+        # c_off is 0.7499577, and the 6000-zero table reaches 0.7499979.
+        params = SpectralParams(0.0, 0.5)
+        c_off = build_zero_table(params, 300).freq_offset
+        z = build_zero_table(params, 6000).zeros[1:]
+        assert np.all(np.arange(1, z.size + 1) - z / math.pi <= c_off)
+
+
 class TestX0Bound:
     def test_value(self):
         nu = -0.75
