@@ -23,6 +23,7 @@ from .errors import (
     InequalityViolation,
     NonFiniteRatioError,
     SandwichViolation,
+    TailBoundFailure,
 )
 from .kernels import engine_for
 from .numerics import csv_text
@@ -418,7 +419,9 @@ def envelope_reports(
     for POT_BESSEL). The *_LONG kinds rescale both sides by the envelope's
     rate, which is exact, so that the ratio survives where the raw kernel
     underflows; the others exclude points whose envelope is below
-    RESOLVABILITY_FACTOR * tol.
+    RESOLVABILITY_FACTOR * tol. A kept value at or below 0 but within its
+    tail bound of 0 has no resolved sign, so its ratio is not a failed
+    inequality: TailBoundFailure (exit 2), not NonFiniteRatioError (exit 1).
     """
     eng = engine_for(basis, pairs)
     xs, ys, p = eng.xs, eng.ys, eng.params
@@ -436,16 +439,25 @@ def envelope_reports(
         label, params = ("riesz-potential" if riesz else "bessel-potential"), {"nu": p.nu}
         kernel = lambda v, _: eng.potential_series(v, 0.0 if riesz else 1.0, tol)
     long_time = kind in (EnvelopeKind.HEAT_LONG, EnvelopeKind.POISSON_LONG)
+    arg = "sigma" if kind in (EnvelopeKind.POT_BESSEL, EnvelopeKind.POT_RIESZ) else "t"
     out = []
     for v in values:
         if long_time:
-            vals, _, _ = kernel(v, envelope.rate)
+            vals, _, bound = kernel(v, envelope.rate)
             ev = (xs * ys) ** (envelope.nu + 0.5)
             floor = 0.0
         else:
-            vals, _, _ = kernel(v, 0.0)
+            vals, _, bound = kernel(v, 0.0)
             ev = envelope_eval(envelope, v, xs, ys)
             floor = RESOLVABILITY_FACTOR * tol
+        unresolved = np.flatnonzero((vals <= 0.0) & (vals >= -bound) & (ev >= floor))
+        if unresolved.size:
+            i = int(unresolved[0])
+            raise TailBoundFailure(
+                f"{kind.value} kernel at {tuple(eng.pairs[i].tolist())}, {arg}={v:g}: "
+                f"value {vals[i]:.6g} is within its tail bound {bound:.2e} of 0, so its ratio "
+                f"to the envelope is unresolved"
+            )
         out.append(
             ratio_report(
                 vals, ev, eng.pairs, label, params, v,

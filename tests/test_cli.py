@@ -438,9 +438,9 @@ class TestExitCodes:
         assert code == 1
         assert "verification failure: weighted-norm inequality violated" in err
 
-    def test_poisson_leak_fails_before_master(self, monkeypatch, capsys):
+    def test_poisson_leak_fails_before_heat_grid(self, monkeypatch, capsys):
         """Diagonal pairs below the resolvable time scale: exit 2 with the
-        subordination message, before any heat row of a grid is built."""
+        subordination message, before any heat row of a heat grid is built."""
         calls = []
         original = kernels.PairEngine._heat_rows
 
@@ -458,6 +458,31 @@ class TestExitCodes:
         assert "subordinated Poisson certificate inf too large at t=1.000e-03" in err
         assert "closest pair is 0.000e+00 apart" in err and "min_usable_dist" in err
         assert calls == []
+
+    HEAT_LONG = ["verify-envelopes", "--kind", "heat-long", "--nu", "0", "--out", "-", "--t"]
+
+    def test_heat_long_unresolved_value_exits_2(self, capsys):
+        """At t = 1e-4 a heat-long value lies at or below 0 but within its
+        tail bound of 0: its ratio is unresolved, not a failed inequality, so
+        exit 2 naming the kind, pair, t, value and bound; t = 1 passes."""
+        code, _, err = run_cli(self.HEAT_LONG + ["1e-4"], capsys)
+        assert code == 2 and "verification failure" not in err
+        assert re.search(r"heat-long kernel at \(\S+, \S+\), t=0\.0001: value -\S+ is within its "
+                         r"tail bound \S+ of 0", err), err
+        assert run_cli(self.HEAT_LONG + ["1"], capsys)[0] == 0
+
+    def test_heat_long_value_below_its_bound_exits_1(self, monkeypatch, capsys):
+        """A value below minus its tail bound (here -1, against bounds of at
+        most tol) is a resolved non-positive ratio: exit 1."""
+        heat = kernels.PairEngine.heat_values
+
+        def negative(eng, *args):
+            vals, n_terms, bound = heat(eng, *args)
+            return np.full_like(vals, -1.0), n_terms, bound
+
+        monkeypatch.setattr(kernels.PairEngine, "heat_values", negative)
+        code, _, err = run_cli(self.HEAT_LONG + ["1"], capsys)
+        assert code == 1 and "non-positive ratio" in err
 
 
 class TestDeterminism:
