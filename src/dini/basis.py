@@ -31,7 +31,7 @@ from .specfun import (
     bessel_modulus,
     jacobi_poly_all,
 )
-from .zeros import ZeroTable, build_zero_table
+from .zeros import PSI_BLOCK_MODES, ZeroTable, build_zero_table
 
 
 def _cached(cache: dict, key, build, limit: int):
@@ -70,10 +70,6 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
     return endpoint_graded_rule(n, m_l, m_r)
 
 
-# Modes per block where psi is formed for many points at once (the Bessel
-# rows of a RowStore, the pair products of kernels.PairEngine.potential_series);
-# bounds those temporaries at PSI_BLOCK_MODES x points.
-PSI_BLOCK_MODES = 128
 # Row stores kept per basis (psi_rows), the oldest dropped first.
 PSI_STORES_PER_BASIS = 4
 # Relative allowance on the closed-form sup bound for the rounding of the
@@ -393,8 +389,13 @@ def _split_constant(nu: float) -> float:
     return float(np.min(np.maximum(small, np.where(np.isfinite(mod), mod, np.inf))))
 
 
+def _first_modes(b: BasisSpec) -> int:
+    """K = min(n_max, PSI_BLOCK_MODES), the modes of the first block."""
+    return min(b.n_max, PSI_BLOCK_MODES)
+
+
 def _tail_amplitude(b: BasisSpec) -> float:
-    """Bound on a_n = c_n / sqrt(z_n) for every n > n_max.
+    """Bound on a_n = c_n / sqrt(z_n) for every n > K = _first_modes(b).
 
     With u(z) = sqrt(z) J_nu(z) and q(z) = 1 - (nu^2 - 1/4)/z^2, u'' = -q u,
     so W = u^2 + u'^2/q has W' = -u'^2 q'/q^2 wherever q > 0, and W -> 2/pi
@@ -402,16 +403,17 @@ def _tail_amplitude(b: BasisSpec) -> float:
     and c_n = sqrt(2) z / (|J_nu(z)| sqrt(z^2 - nu^2 + H^2)) gives
         a_n^2 = 2 / (W(z_n) R(z_n)),
         R(z) = (1 - A/z^2)(1 - B/z^2) / (1 - C/z^2),
-    with A = nu^2 - H^2, B = nu^2 - 1/4 and C = A + H - 1/2. Every n > n_max
-    has z_n > Z = z_{n_max}. For |nu| < 1/2, q' < 0 and W does not decrease,
+    with A = nu^2 - H^2, B = nu^2 - 1/4 and C = A + H - 1/2. Every n > K
+    has z_n > Z = z_K. For |nu| < 1/2, q' < 0 and W does not decrease,
     so W(z_n) >= W(Z); for |nu| >= 1/2, W does not increase on q > 0, so
     W(z_n) >= 2/pi once Z^2 > B. For z >= Z, R(z) >= (1 - max(A,0)/Z^2)
-    (1 - max(B,0)/Z^2) / (1 + max(-C,0)/Z^2).
+    (1 - max(B,0)/Z^2) / (1 + max(-C,0)/Z^2). The argument holds from any
+    K, so the bound, taken at the first block, does not depend on n_max.
     """
     p = b.params
     if b.n_max < 1:
         raise DomainError("the sup bound needs a basis with n_max >= 1")
-    z = float(b.table.zeros[b.n_max])
+    z = float(b.table.zeros[_first_modes(b)])
     s = z * z
     A, B = p.nu * p.nu - p.h * p.h, p.nu * p.nu - 0.25
     C = A + p.h - 0.5
@@ -423,7 +425,8 @@ def _tail_amplitude(b: BasisSpec) -> float:
         w = 2.0 / math.pi
     else:
         raise DomainError(
-            f"the sup bound for nu = {p.nu:g} needs z_(n_max)^2 > nu^2 - 1/4; raise n_max"
+            f"the sup bound for nu = {p.nu:g} needs z_K^2 > nu^2 - 1/4 at K = "
+            f"min(n_max, {PSI_BLOCK_MODES}); raise n_max"
         )
     r = (1.0 - max(A, 0.0) / s) * (1.0 - max(B, 0.0) / s) / (1.0 + max(-C, 0.0) / s)
     if not r > 0.0:
@@ -440,8 +443,9 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
       - nu > 1/2: G = _split_constant(nu), kept on the basis;
       - -1 < nu < -1/2: the modulus does not increase in r (Watson §13.74),
         so G = modulus(z_n min(xs)).
-    Stored modes use their own a_n and z_n; modes n > n_max use
-    _tail_amplitude and, for nu < -1/2, the modulus at z_{n_max} min(xs).
+    The modes n <= K = _first_modes(b) (the first block) use their own a_n
+    and z_n; modes n > K use _tail_amplitude and, for nu < -1/2, the modulus
+    at z_K min(xs), so M is the same at every n_max >= PSI_BLOCK_MODES.
     The n=0 mode (MINUS, ZERO) is a sum of powers x^p with positive
     coefficients, convex in log x, so its maximum over xs is at min(xs) or
     max(xs) and is taken there exactly.
@@ -449,9 +453,9 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
     _check_open(xs)
     if xs.size == 0:
         return 0.0
-    nu = b.params.nu
-    z = b.table.zeros[1 : b.n_max + 1]
-    amp = b.c[1:] / np.sqrt(z)
+    nu, k = b.params.nu, _first_modes(b)
+    z = b.table.zeros[1 : k + 1]
+    amp = b.c[1 : k + 1] / np.sqrt(z)
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if abs(nu) <= 0.5:
         g = g_tail = math.sqrt(2.0 / math.pi)

@@ -26,6 +26,11 @@ RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
 NEWTON_STEPS = 60
 BISECTION_STEPS = 200
+# Modes per block where psi is formed for many points at once (the Bessel
+# rows of basis.RowStore, the pair products of kernels.PairEngine.potential_series),
+# which bounds those temporaries at PSI_BLOCK_MODES x points; also the modes
+# of a zero table's first block, from which its freq_offset is stated.
+PSI_BLOCK_MODES = 128
 
 
 def _scan_first_sign_change(
@@ -175,8 +180,9 @@ class ZeroTable:
     hi - lo <= max(tol, 4 ulp(hi)), and bracket n >= 1 lies in cell n of
     [0, j_zeros] (n + 1 unless PLUS), below bracket n + 1: z_1 < z_2 < ...
     (z_0 may exceed z_1, e.g. 1.92 > 1.81 at nu = -0.75, H = -1.5, while
-    -z_0^2 < z_1^2). ``pi_offset_sup`` = sup_n |z_n - pi*n|; ``freq_offset``,
-    the least c >= 0 with z_n >= pi*(n - c) for n >= 1, serves tail bounds.
+    -z_0^2 < z_1^2). ``pi_offset_sup`` = sup_n |z_n - pi*n| over the stored
+    n; ``freq_offset`` (``_offset_bound``) is a c >= 0 with z_n >= pi*(n - c)
+    for every n >= 1, stored or not, and serves tail bounds.
     """
 
     params: SpectralParams
@@ -194,7 +200,7 @@ class ZeroTable:
     def __post_init__(self):
         z, lo, hi, n = self.zeros, self.lo, self.hi, np.arange(self.n_max + 1)
         self.pi_offset_sup = float(np.max(np.abs(z[1:] - math.pi * n[1:])))
-        self.freq_offset = float(max(0.0, np.max(n[1:] - z[1:] / math.pi)))
+        self.freq_offset = _offset_bound(self.params, z[: min(self.n_max, PSI_BLOCK_MODES) + 1])
         res = np.append(0.0, np.abs(bessel_jh(self.params, z[1:])) / (1.0 + z[1:]))
         self.max_residual = float(np.max(res))
         j, has = n >= 1, (n >= 1) | (self.params.regime is Regime.MINUS)
@@ -230,6 +236,33 @@ class ZeroTable:
         else:
             with open(out, "w", newline="") as fh:
                 fh.write(text)
+
+
+def _offset_bound(p: SpectralParams, z: np.ndarray) -> float:
+    """A c_off >= 0 with n - z_n/pi <= c_off for every n >= 1, from the
+    certified zeros z_1..z_K (z[1:], K >= 1) of the first block.
+
+    u = sqrt(x) J_nu(x) solves u'' + q u = 0, q = 1 - (nu^2 - 1/4)/x^2. With
+    the Pruefer angle u = r sin(theta), u' = r cos(theta), normalized so that
+    theta(j_{nu,m}) = m pi, phi = theta - x has phi' = (q - 1) sin^2(theta)
+    (Sturm comparison; Watson, "A Treatise on the Theory of Bessel
+    Functions", §15.8): phi rises for |nu| < 1/2, does not rise for
+    |nu| > 1/2 and is constant at |nu| = 1/2, and McMahon's limit
+    j_{nu,m} - (m + nu/2 - 1/4) pi -> 0 (DLMF 10.21.19) gives
+    phi(inf) = (1/4 - nu/2) pi. At a Robin zero u'/u = (1/2 - H)/x, so
+    z_n = (m_n - 1) pi + alpha(z_n) - phi(z_n), alpha(x) = pi/2 -
+    arctan((1/2 - H)/x), with m_n the interlacing cell (n in the PLUS
+    regime, n + 1 otherwise). For n > K, phi(z_n) <= Phi = (1/4 - nu/2) pi
+    if |nu| < 1/2, else phi(z_K); alpha(z_n) >= A = alpha(z_K) if H <= 1/2
+    (alpha rises), else pi/2. So n - z_n/pi <= n - m_n + 1 - (A - Phi)/pi,
+    and c_off is the largest of 0, n - z_n/pi over n <= K and that term."""
+    k, c0 = z.size - 1, int(p.regime is not Regime.PLUS)
+    zk = float(z[k])
+    alpha = 0.5 * math.pi - math.atan((0.5 - p.h) / zk)
+    big_a = alpha if p.h <= 0.5 else 0.5 * math.pi
+    phi = (0.25 - 0.5 * p.nu) * math.pi if abs(p.nu) < 0.5 else (k + c0 - 1) * math.pi + alpha - zk
+    tail = 1 - c0 - (big_a - phi) / math.pi
+    return float(max(0.0, np.max(np.arange(1, k + 1) - z[1:] / math.pi), tail))
 
 
 def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroTable:

@@ -28,12 +28,13 @@ from dini.zeros import build_zero_table
 class TestSharedBasis:
     def test_small_n_max_has_its_own_table(self):
         # The session cache builds one zero table per (nu, H, n_max), as the
-        # CLI does, so c_off does not depend on which tests ran before.
-        assert shared_basis(0.0, 0.5, 3000).table.n_max == 3000
+        # CLI does: its cap is the basis's n_max. c_off and M are stated from
+        # the first block, so they are the same at every n_max.
+        big = shared_basis(0.0, 0.5, 3000)
         small = shared_basis(0.0, 0.5, 300)
         ref = build_basis(SpectralParams(0.0, 0.5), 300)
-        assert small.table.n_max == 300
-        assert small.table.freq_offset == ref.table.freq_offset
+        assert (big.table.n_max, small.table.n_max) == (3000, 300)
+        assert small.table.freq_offset == ref.table.freq_offset == big.table.freq_offset
 
 
 class TestPsiClosedForms:
@@ -246,6 +247,14 @@ class TestCertifiedSup:
         small = BasisSpec(SpectralParams(nu, h), table, 60)
         for xs in SUP_COORDS:
             assert float(np.max(np.abs(big.psi_matrix(xs)))) <= certified_sup(small, xs)
+
+    @pytest.mark.parametrize("nu, h", [(0.0, 0.5), (0.3, -0.1), (-0.25, 0.5), (0.5, 0.5),
+                                       (1.5, 2.0), (3.0, 0.5), (-0.75, -1.5), (-0.9, 0.5)])
+    def test_same_at_every_n_max(self, nu, h):
+        """M is stated from the first block, so n_max does not move it."""
+        xs = np.linspace(0.01, 0.99, 20)
+        sups = {certified_sup(build_basis(SpectralParams(nu, h), n), xs) for n in (300, 800, 3000)}
+        assert len(sups) == 1
 
     def test_half_order_bound_is_sharp(self):
         """At nu = H = 1/2, psi_n(x) = sqrt(2) sin((n - 1/2) pi x): M is sqrt(2)

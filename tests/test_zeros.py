@@ -324,6 +324,13 @@ class TestBisection:
         assert b - a <= 1e-11
 
 
+# (nu, H) in the PLUS, ZERO and MINUS regimes, at |nu| <, = and > 1/2 and at
+# H <, = and > 1/2.
+OFFSET_CASES = [(0.0, 0.5), (0.3, -0.1), (0.25, 2.0), (-0.25, 0.5), (0.5, 0.5), (0.7, 0.5),
+                (1.5, 0.5), (1.5, 2.0), (3.0, 0.5), (-0.5, 0.5), (-0.75, 0.75), (-0.9, 0.5),
+                (-0.75, -1.5), (0.4, -1.0)]
+
+
 class TestZeroTable:
     """ZeroTable checks its own certificate when it is constructed."""
 
@@ -355,17 +362,17 @@ class TestZeroTable:
                 self.rebuild(table, **change)
 
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="freq_offset is the largest n - z_n/pi over the stored n only, "
-                       "not a bound for every n (ROADMAP item 2)")
-    def test_freq_offset_bounds_every_n(self):
-        # Every tail sum takes z_n >= pi (n - c_off) for all n > n_max. At
-        # nu = 0, H = 1/2, n - z_n/pi rises toward 3/4: the 300-zero table's
-        # c_off is 0.7499577, and the 6000-zero table reaches 0.7499979.
-        params = SpectralParams(0.0, 0.5)
-        c_off = build_zero_table(params, 300).freq_offset
+    @pytest.mark.parametrize("nu, h", OFFSET_CASES)
+    def test_freq_offset_bounds_every_n(self, nu, h):
+        # Every tail sum takes z_n >= pi (n - c_off) for all n > n_max. c_off
+        # is stated from the first block, so it is the same at every n_max,
+        # and it bounds n - z_n/pi up to n = 6000 (at nu = 0, H = 1/2 that
+        # rises toward 3/4: 0.7499979 at n = 6000).
+        params = SpectralParams(nu, h)
+        offsets = {build_zero_table(params, n).freq_offset for n in (300, 800, 3000)}
+        assert len(offsets) == 1
         z = build_zero_table(params, 6000).zeros[1:]
-        assert np.all(np.arange(1, z.size + 1) - z / math.pi <= c_off)
+        assert np.all(np.arange(1, z.size + 1) - z / math.pi <= offsets.pop())
 
 
 class TestX0Bound:
