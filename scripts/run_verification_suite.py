@@ -62,6 +62,18 @@ def run(outdir: Path) -> int:
              ["verify-envelopes", "--kind", "bessel", "--nu", nu,
               "--sigma", "0.3,0.5,1,1.6", "--grid", "8", "--n-max", "2500",
               "--out", str(outdir / f"env_pot_nu{nu}.json")])
+    # The potential kinds at their own defaults (--sigma, --grid, --n-max 1655)
+    # at the other orders of the grid that each kind accepts.
+    for kind, nus in (("bessel", ("-0.9", "-0.5", "0.5", "3")),
+                      ("riesz", ("0", "0.5", "1.5", "3"))):
+        for nu in nus:
+            step(f"{kind} potential envelopes nu={nu} (defaults)",
+                 ["verify-envelopes", "--kind", kind, "--nu", nu,
+                  "--out", str(outdir / f"env_{kind}_default_nu{nu}.json")])
+    step("shifted Poisson envelopes nu=-0.75 d=1",
+         ["verify-envelopes", "--kind", "poisson", "--nu", "-0.75", "--d-nu", "1",
+          "--t", "0.02,0.1,1", "--grid", "20", "--n-max", "800",
+          "--out", str(outdir / "env_poisson_shifted_nu-0.75.json")])
     for nu in ("1.2", "2", "5"):
         step(f"weighted inequalities nu={nu}",
              ["verify-rellich", "--nu", nu, "--trials", "100",

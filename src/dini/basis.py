@@ -129,12 +129,13 @@ class _Basis:
         return _cached(self._stores, x.tobytes(), store, PSI_STORES_PER_BASIS)
 
 
-def _bessel_rows(params: SpectralParams, c, zeros, x, lo: int, hi: int) -> np.ndarray:
-    """psi_lo..psi_{hi-1} at x from the arrays of a BasisSpec (its constants
-    c and zeros), PSI_BLOCK_MODES Bessel rows at a time so that no temporary
-    is larger than the result. Every entry is formed elementwise, so a row
-    does not depend on lo or hi."""
+def _bessel_rows(table: ZeroTable, x, lo: int, hi: int) -> np.ndarray:
+    """psi_lo..psi_{hi-1} at x from a zero table (its constants c and zeros),
+    grown to mode hi - 1 first, PSI_BLOCK_MODES Bessel rows at a time so
+    that no temporary is larger than the result. Every entry is formed
+    elementwise, so a row does not depend on lo or hi."""
     _check_open(x)
+    params, c, zeros = table.params, table.upto(hi - 1).c, table.zeros
     sq = np.sqrt(x)
     out = np.zeros((hi - lo, x.size))
     for a in range(max(lo, 1), hi, PSI_BLOCK_MODES):
@@ -168,53 +169,30 @@ def _jacobi_rows(jp: JacobiParams, C: np.ndarray, x: np.ndarray, lo: int, hi: in
 
 @dataclass
 class BasisSpec(_Basis):
-    """Normalizing constants, eigenvalues and evaluation for the psi system.
+    """The psi system on a zero table, up to mode n_max: evaluation, and the
+    table's normalizing constants c and eigenvalues (ZeroTable).
 
-    Arrays are indexed by n = 0..n_max; in the PLUS regime the n=0 slots are
-    unused (c[0] = 0, eigen[0] = 0) and evaluation starts at n_min = 1.
-    ``eigen[n]`` holds the signed eigenvalue (-1)^{n==0} z_n^2.
+    The table grows as modes are asked for: the rows of psi to the highest
+    mode asked, c and eigen (full arrays, n = 0..n_max) to n_max. In the
+    PLUS regime the n=0 slots are unused and evaluation starts at n_min = 1.
     """
 
     params: SpectralParams
     table: ZeroTable
     n_max: int
-    c: np.ndarray = field(init=False)
-    eigen: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.n_max > self.table.n_max:
-            raise DomainError(
-                f"basis n_max {self.n_max} exceeds table n_max {self.table.n_max}"
-            )
-        p = self.params
-        z = self.table.zeros[: self.n_max + 1]
-        c = np.zeros(self.n_max + 1)
-        eigen = np.zeros(self.n_max + 1)
-        zn = z[1:]
-        rad = zn * zn - p.nu * p.nu + p.h * p.h
-        if np.any(rad <= 0.0):
-            raise ConsistencyError(
-                "normalization radicand z_n^2 - nu^2 + H^2 is not positive"
-            )
-        c[1:] = math.sqrt(2.0) / np.abs(bessel_j(p.nu, zn)) * zn / np.sqrt(rad)
-        eigen[1:] = zn * zn
-        if p.regime is Regime.MINUS:
-            z0 = z[0]
-            rad0 = z0 * z0 + p.nu * p.nu - p.h * p.h
-            if rad0 <= 0.0:
-                raise ConsistencyError(
-                    "normalization radicand z_0^2 + nu^2 - H^2 is not positive"
-                )
-            c[0] = math.sqrt(2.0) / bessel_i(p.nu, z0) * z0 / math.sqrt(rad0)
-            eigen[0] = -z0 * z0
-        elif p.regime is Regime.ZERO:
-            c[0] = math.sqrt(2.0 * (p.nu + 1.0))
-            eigen[0] = 0.0
-        self.c = c
-        self.eigen = eigen
-        self._rows = partial(_bessel_rows, p, c, self.table.zeros)
-        if np.any(np.diff(eigen[self.n_min :]) <= 0.0):
-            raise ConsistencyError("eigenvalues are not strictly increasing")
+            raise DomainError(f"basis n_max {self.n_max} exceeds table n_max {self.table.n_max}")
+        self._rows = partial(_bessel_rows, self.table)
+
+    @property
+    def c(self) -> np.ndarray:
+        return self.table.upto(self.n_max).c[: self.n_max + 1]
+
+    @property
+    def eigen(self) -> np.ndarray:
+        return self.table.upto(self.n_max).eigen[: self.n_max + 1]
 
     @property
     def n_min(self) -> int:
@@ -229,8 +207,11 @@ class BasisSpec(_Basis):
         return self._rows(np.asarray(x, dtype=float), 0, n_upper + 1)
 
     def spectrum(self) -> tuple:
-        """(params, n_min, n_max, eigen, c_off), what a PairEngine reads."""
-        return self.params, self.n_min, self.n_max, self.eigen, self.table.freq_offset
+        """(params, n_min, n_max, eigen, c_off), what a PairEngine reads:
+        eigen(top) is the eigenvalues, grown to the modes below top."""
+        table = self.table
+        return (self.params, self.n_min, self.n_max, lambda top: table.upto(top - 1).eigen,
+                table.freq_offset)
 
     @cached_property
     def split_constant(self) -> float:
@@ -243,22 +224,22 @@ class BasisSpec(_Basis):
         p = self.params
         x = np.asarray(x, dtype=float)
         _check_open(x[x != 1.0])
-        z = self.table.zeros[1 : self.n_max + 1]
+        c, z = self.c, self.table.zeros[1 : self.n_max + 1]
         sq = np.sqrt(x)
         zx = z[:, None] * x[None, :]
         out = np.zeros((self.n_max + 1, x.size))
-        out[1:] = self.c[1:, None] * sq[None, :] * (
+        out[1:] = c[1:, None] * sq[None, :] * (
             ((p.nu + 0.5) / x)[None, :] * bessel_j(p.nu, zx)
             - z[:, None] * bessel_j(p.nu + 1.0, zx)
         )
         if p.regime is Regime.MINUS:
             z0 = self.table.zeros[0]
-            out[0] = self.c[0] * sq * (
+            out[0] = c[0] * sq * (
                 ((p.nu + 0.5) / x) * bessel_i(p.nu, z0 * x)
                 + z0 * bessel_i(p.nu + 1.0, z0 * x)
             )
         elif p.regime is Regime.ZERO:
-            out[0] = self.c[0] * (p.nu + 0.5) * x ** (p.nu - 0.5)
+            out[0] = c[0] * (p.nu + 0.5) * x ** (p.nu - 0.5)
         return out
 
 
@@ -312,6 +293,7 @@ class JacobiBasisSpec(_Basis):
         self.C = np.exp(0.5 * log_c2)
         self._rows = partial(_jacobi_rows, self.jp, self.C)
         self.Lambda = math.pi**2 * (k + (a + b + 1.0) / 2.0) ** 2
+        self.Lambda.flags.writeable = False
         if np.any(np.diff(self.Lambda) < 0.0):
             raise ConsistencyError("Jacobi eigenvalues are not nondecreasing")
 
@@ -321,8 +303,8 @@ class JacobiBasisSpec(_Basis):
         return max(0.0, -(self.jp.alpha + self.jp.beta + 1.0) / 2.0)
 
     def spectrum(self) -> tuple:
-        """(jp, 0, k_max, Lambda, c_off), as BasisSpec.spectrum."""
-        return self.jp, 0, self.k_max, self.Lambda, self.c_off
+        """(jp, 0, k_max, eigen, c_off) as BasisSpec.spectrum; eigen(top) is Lambda."""
+        return self.jp, 0, self.k_max, lambda top, lam=self.Lambda: lam, self.c_off
 
     def phi_matrix(self, x: np.ndarray, k_upper: Optional[int] = None) -> np.ndarray:
         """Matrix [Phi_k(x_i)]_{k,i} of shape (k_upper+1, len(x))."""
@@ -389,13 +371,9 @@ def _split_constant(nu: float) -> float:
     return float(np.min(np.maximum(small, np.where(np.isfinite(mod), mod, np.inf))))
 
 
-def _first_modes(b: BasisSpec) -> int:
-    """K = min(n_max, PSI_BLOCK_MODES), the modes of the first block."""
-    return min(b.n_max, PSI_BLOCK_MODES)
-
-
 def _tail_amplitude(b: BasisSpec) -> float:
-    """Bound on a_n = c_n / sqrt(z_n) for every n > K = _first_modes(b).
+    """Bound on a_n = c_n / sqrt(z_n) for every n > K = min(n_max,
+    PSI_BLOCK_MODES), the modes of the first block.
 
     With u(z) = sqrt(z) J_nu(z) and q(z) = 1 - (nu^2 - 1/4)/z^2, u'' = -q u,
     so W = u^2 + u'^2/q has W' = -u'^2 q'/q^2 wherever q > 0, and W -> 2/pi
@@ -413,7 +391,8 @@ def _tail_amplitude(b: BasisSpec) -> float:
     p = b.params
     if b.n_max < 1:
         raise DomainError("the sup bound needs a basis with n_max >= 1")
-    z = float(b.table.zeros[_first_modes(b)])
+    k = min(b.n_max, PSI_BLOCK_MODES)
+    z = float(b.table.upto(k).zeros[k])
     s = z * z
     A, B = p.nu * p.nu - p.h * p.h, p.nu * p.nu - 0.25
     C = A + p.h - 0.5
@@ -443,7 +422,7 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
       - nu > 1/2: G = _split_constant(nu), kept on the basis;
       - -1 < nu < -1/2: the modulus does not increase in r (Watson §13.74),
         so G = modulus(z_n min(xs)).
-    The modes n <= K = _first_modes(b) (the first block) use their own a_n
+    The modes n <= K = min(n_max, PSI_BLOCK_MODES) use their own a_n
     and z_n; modes n > K use _tail_amplitude and, for nu < -1/2, the modulus
     at z_K min(xs), so M is the same at every n_max >= PSI_BLOCK_MODES.
     The n=0 mode (MINUS, ZERO) is a sum of powers x^p with positive
@@ -453,9 +432,9 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
     _check_open(xs)
     if xs.size == 0:
         return 0.0
-    nu, k = b.params.nu, _first_modes(b)
-    z = b.table.zeros[1 : k + 1]
-    amp = b.c[1 : k + 1] / np.sqrt(z)
+    nu, k, table = b.params.nu, min(b.n_max, PSI_BLOCK_MODES), b.table
+    z = table.upto(k).zeros[1 : k + 1]
+    amp = table.c[1 : k + 1] / np.sqrt(z)
     x_lo, x_hi = float(xs.min()), float(xs.max())
     if abs(nu) <= 0.5:
         g = g_tail = math.sqrt(2.0 / math.pi)
@@ -466,7 +445,7 @@ def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
         g_tail = bessel_modulus(nu, z[-1] * x_lo)
     m = max(float(np.max(amp * g, initial=0.0)), _tail_amplitude(b) * g_tail)
     if b.params.regime is not Regime.PLUS:
-        m = max(m, float(np.max(np.abs(_psi0(b.params, b.c[0], b.table.zeros[0],
+        m = max(m, float(np.max(np.abs(_psi0(b.params, table.c[0], table.zeros[0],
                                                   np.array([x_lo, x_hi]))))))
     return (1.0 + SUP_ROUNDING) * m
 

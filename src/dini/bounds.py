@@ -96,7 +96,7 @@ def heat_long_envelope(basis: BasisSpec) -> Envelope:
     """Large-time envelope (xy)^{nu+1/2} exp(-rate t) from the bottom mode:
     rate is its eigenvalue (0 in the ZERO regime, -z_0^2 in MINUS, where the
     kernel grows like exp(z_0^2 t))."""
-    return Envelope(EnvelopeKind.HEAT_LONG, basis.params.nu, rate=basis.eigen[basis.n_min])
+    return Envelope(EnvelopeKind.HEAT_LONG, basis.params.nu, rate=basis.table.eigen[basis.n_min])
 
 
 def poisson_short_envelope(nu: float) -> Envelope:
@@ -105,7 +105,7 @@ def poisson_short_envelope(nu: float) -> Envelope:
 
 def poisson_long_envelope(basis: BasisSpec, d: float) -> Envelope:
     p = basis.params
-    lam0 = d * d + basis.eigen[basis.n_min]
+    lam0 = d * d + basis.table.eigen[basis.n_min]
     if lam0 < 0.0:
         raise DomainError("shift too small for a Poisson large-time rate")
     return Envelope(EnvelopeKind.POISSON_LONG, p.nu, rate=math.sqrt(lam0))

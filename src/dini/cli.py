@@ -58,7 +58,7 @@ def _emit_rows(cfg: argparse.Namespace, columns: dict, **fields) -> None:
 
 def _cmd_zeros(cfg: argparse.Namespace) -> int:
     p = SpectralParams(cfg.nu, cfg.h)
-    table = build_zero_table(p, cfg.n_max, cfg.tol)
+    table = build_zero_table(p, cfg.n_max, cfg.tol).upto(cfg.n_max)
     if cfg.format == "json":
         obj = {"nu": p.nu, "H": p.h, "regime": p.regime.name, "n_min": table.n_min,
                "n_max": table.n_max, "pi_offset_sup": table.pi_offset_sup,

@@ -366,7 +366,8 @@ class PairEngine:
     Engines are shared across requests (engine_for), so pairs, xs, ys, psi,
     lam, ix, iy and dist are read-only. Of the basis, which holds its
     engines, the engine keeps only basis.spectrum() (params, n_min, n_max,
-    the eigenvalues lam and c_off) and the row store.
+    the eigenvalue function _eigen and c_off) and the row store; a sum reads
+    the eigenvalues of its modes once its pair products have grown to them.
     """
 
     def __init__(self, basis: Union[BasisSpec, JacobiBasisSpec], pairs):
@@ -374,13 +375,12 @@ class PairEngine:
         xs, ys = self.xs, self.ys = self.pairs.T
         coords = np.unique(np.concatenate([xs, ys]))
         self._psi = basis.psi_rows(coords)
-        self.params, self.n_min, self.n_max, lam, self.c_off = basis.spectrum()
-        self.lam = lam.copy()
+        self.params, self.n_min, self.n_max, self._eigen, self.c_off = basis.spectrum()
         self.ix = np.searchsorted(coords, xs)
         self.iy = np.searchsorted(coords, ys)
         self.M = certified_sup(basis, coords)
         self.dist = np.abs(xs - ys)
-        _read_only(self.lam, self.ix, self.iy, self.dist)
+        _read_only(self.ix, self.iy, self.dist)
         # The heat grids sample heat times from u_floor up; below it only
         # pairs at least min_usable_dist apart have a kernel bound.
         self.u_floor = LOG45 / (math.pi * max(1.0, self.n_max - self.c_off)) ** 2
@@ -390,6 +390,11 @@ class PairEngine:
     @property
     def n_pairs(self) -> int:
         return self.xs.size
+
+    @property
+    def lam(self) -> np.ndarray:
+        """The n_max + 1 eigenvalues (read-only), the basis grown to n_max."""
+        return self._eigen(self.n_max + 1)[: self.n_max + 1]
 
     @property
     def psi(self) -> np.ndarray:
@@ -439,14 +444,15 @@ class PairEngine:
         top = min(self.n_max + 1, int(cuts.max(initial=self.n_min)) + SUM_ALIGN)
         prods = self._pair_products(0, top)
         lo = self.n_min if lo is None else lo
-        return _exp_rows(ts, self.lam - rescale, lo, cuts, prods), cuts, bounds
+        return _exp_rows(ts, self._eigen(top)[:top] - rescale, lo, cuts, prods), cuts, bounds
 
     # ----- poisson ------------------------------------------------------
 
-    def _shifted(self, d: float) -> np.ndarray:
+    def _shifted(self, d: float, top: int) -> np.ndarray:
+        """d^2 + lam over the modes below top, grown to them."""
         if not math.isfinite(d):
             raise DomainError(f"shift d must be finite, got {d}")
-        lam = d * d + self.lam
+        lam = d * d + self._eigen(top)[:top]
         if np.any(lam[self.n_min :] < 0.0):
             raise ShiftTooSmallError(
                 f"shift d={d:g} leaves a negative eigenvalue; need d >= z_0"
@@ -471,13 +477,14 @@ class PairEngine:
         """Values of exp(rescale*t) * Poisson kernel (see heat_values)."""
         _check_time(t)
         _check_tol(tol)
-        lam = self._shifted(d)
+        self._shifted(d, self.n_min + 1)  # the lowest mode's is the least
         cut = self._poisson_cut(t, tol, rescale)
         if cut is not None:
             n, bound = cut
-            prods = self._pair_products(0, min(self.n_max + 1, n + SUM_ALIGN))
-            rows = _exp_rows(np.array([t], dtype=float), np.sqrt(lam) - rescale, self.n_min,
-                             np.array([n]), prods)
+            top = min(self.n_max + 1, n + SUM_ALIGN)
+            prods = self._pair_products(0, top)
+            rows = _exp_rows(np.array([t], dtype=float), np.sqrt(self._shifted(d, top)) - rescale,
+                             self.n_min, np.array([n]), prods)
             return rows[0], n - self.n_min + 1, bound
         if rescale != 0.0:
             raise TailBoundFailure(
@@ -542,7 +549,7 @@ class PairEngine:
     # ----- potentials ---------------------------------------------------
 
     def _potential_spectrum(self, d0: float) -> np.ndarray:
-        lam = self._shifted(d0)
+        lam = self._shifted(d0, self.n_max + 1)
         if np.any(lam[self.n_min :] <= 0.0):
             raise SpectrumNotPositiveError("potential requires strictly positive shifted spectrum")
         return lam
@@ -806,7 +813,7 @@ def _build_heat_grid(eng: PairEngine, d: float, tol: float) -> _HeatGrid:
     (rho^2 - 1) times the integrand's largest modulus on E_rho, which is at
     most M^2 S(r_lo cos U_STRIP) (kept per panel in heat, with the first
     factor) times the largest |u W(u)| (_time_weight_max, _density_max)."""
-    lam = eng._shifted(d)[eng.n_min :]
+    lam = eng._shifted(d, eng.n_max + 1)[eng.n_min :]
     zeros = int(np.count_nonzero(lam == 0.0))  # lam' >= 0 ascends: the zeros lead
     lam, m2 = lam[zeros:], eng.M * eng.M
 
@@ -960,5 +967,5 @@ def semigroup_apply(
             f"coefficients up to N = {n} break Bessel's inequality (sum a_n^2 = {summed:.3e} > "
             f"||f||_2^2 = {norm2:.3e}): the {quad.nodes.size}-node rule cannot resolve them")
     damped = np.zeros(n + 1)
-    damped[sl] = coeffs[sl] * np.exp(-t * b.eigen[sl])
+    damped[sl] = coeffs[sl] * np.exp(-t * b.table.eigen[sl])
     return damped @ grid.upto(n + 1)[: n + 1]

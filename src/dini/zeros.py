@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import BracketScanFailure, ConsistencyError, DomainError
 from .numerics import csv_text
-from .specfun import Regime, SpectralParams, bessel_j, bessel_jh, robin_and_slope
+from .specfun import Regime, SpectralParams, bessel_i, bessel_j, bessel_jh, robin_and_slope
 
 RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
@@ -135,13 +135,15 @@ def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     return x, a, b
 
 
-def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
-    """First ``count`` positive zeros of J_nu, certified by ``_refine``.
+def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13, start=0, after=0.0) -> np.ndarray:
+    """The ``count`` positive zeros of J_nu after the first ``start`` ones
+    (the last of which is ``after``), certified by ``_refine``.
 
     The McMahon brackets [g - 0.6, g + 0.6] are sign-tested as arrays; they
-    are disjoint, since the guesses g are more than 2.7 apart. A bracket
-    without a sign change is replaced, in order, by a dense scan above the
-    previous bracket (small k at large nu)."""
+    are disjoint, since the guesses g are more than 2.7 apart, and lie above
+    ``after``. A bracket without a sign change is replaced, in order, by a
+    dense scan above the previous bracket or ``after`` (small k at large
+    nu). Each zero is refined on its own."""
     if count < 1:
         raise DomainError("count must be >= 1")
     f = lambda x: bessel_j(nu, x)
@@ -150,39 +152,61 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
         a = bessel_j(nu, x)
         return a, (nu / x) * a - bessel_j(nu + 1.0, x)
 
-    beta = (np.arange(1, count + 1) + 0.5 * nu - 0.25) * math.pi
+    beta = (np.arange(start + 1, start + count + 1) + 0.5 * nu - 0.25) * math.pi
     g = np.where(beta <= 1.0, beta, beta - (4.0 * nu * nu - 1.0) / (8.0 * beta))
     lo, hi = np.maximum(g - 0.6, 1e-9), g + 0.6
     s_lo, s_hi = np.sign(f(lo)), np.sign(f(hi))
     for k in np.flatnonzero(s_lo * s_hi >= 0):
-        prev = hi[k - 1] if k else 0.0
-        start = prev + max(1e-9, 1e-6 * prev) if prev > 0 else 1e-8
-        what = f"J_nu zeros at nu = {nu:g}: zero k = {k + 1} not bracketed"
-        lo[k], hi[k], s_lo[k] = _scan_first_sign_change(f, start, g[k] + 2.5, what)
-    if np.any(lo[1:] <= hi[:-1]):
+        prev = hi[k - 1] if k else after
+        first = prev + max(1e-9, 1e-6 * prev) if prev > 0 else 1e-8
+        what = f"J_nu zeros at nu = {nu:g}: zero k = {start + k + 1} not bracketed"
+        lo[k], hi[k], s_lo[k] = _scan_first_sign_change(f, first, g[k] + 2.5, what)
+    if np.any(lo[1:] <= hi[:-1]) or lo[0] <= after:
         raise BracketScanFailure("J_nu zero brackets overlap")
     return _refine(lambda x, _: f(x), fdf, g, lo, hi, s_lo, tol)[0]
 
 
+def _robin_zeros(p: SpectralParams, nodes: np.ndarray, count: int, tol: float):
+    """(zeros, lo, hi, sign at lo) of J_{nu,H} in the first ``count`` cells
+    of the ascending ``nodes`` (0+, zeros of J_nu) where it changes sign,
+    refined from the midpoint m shifted by (H - 1/2)/m, the zero's offset."""
+    f = lambda x: bessel_jh(p, x)
+    signs = np.sign(f(nodes))
+    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
+    if cells.size < count:
+        raise BracketScanFailure(f"found {cells.size} interlacing cells above {nodes[0]:.6g}, "
+                                 f"need {count}")
+    cells = cells[:count]
+    lo, hi, s_lo = nodes[cells], nodes[cells + 1], signs[cells]
+    mid = 0.5 * (lo + hi)
+    fdf = lambda x, _: robin_and_slope(p.nu, p.h, x)
+    return (*_refine(lambda x, _: f(x), fdf, mid + (p.h - 0.5) / mid, lo, hi, s_lo, tol), s_lo)
+
+
 @dataclass
 class ZeroTable:
-    """Zeros z_n of J_{nu,H} (and of I_{nu,H} for n=0), with certificates.
+    """Zeros z_n of J_{nu,H} (and of I_{nu,H} for n=0), with certificates,
+    and the psi system's normalizing constants ``c`` and eigenvalues.
 
-    ``zeros[n]`` holds z_n for n in [n_min, n_max] (NaN at n=0 in the PLUS
-    regime). Slot n of ``lo``, ``hi``, ``sign`` holds the bracket [lo, hi] of
-    z_n and the computed sign at lo (-sign at hi), or 0, 0, 0 where there is
-    no bracket (n=0 unless MINUS; z_0 = 0 in the ZERO regime). A bracket is
-    x -/+ d around the refined x, d = max(0.45 tol, 2 ulp), in the cell of x
-    and signed as at its ends, or bisected where that test fails; J_{nu,H}
-    cells lie between zeros of J_nu (``j_zeros``; 0 below the first).
-    Construction raises ``ConsistencyError`` unless |J_{nu,H}(z_n)| / (1 +
-    z_n) <= RESIDUAL_SCALE, every bracket has sign +-1, lo < z < hi and
-    hi - lo <= max(tol, 4 ulp(hi)), and bracket n >= 1 lies in cell n of
-    [0, j_zeros] (n + 1 unless PLUS), below bracket n + 1: z_1 < z_2 < ...
-    (z_0 may exceed z_1, e.g. 1.92 > 1.81 at nu = -0.75, H = -1.5, while
-    -z_0^2 < z_1^2). ``pi_offset_sup`` = sup_n |z_n - pi*n| over the stored
-    n; ``freq_offset`` (``_offset_bound``) is a c >= 0 with z_n >= pi*(n - c)
-    for every n >= 1, stored or not, and serves tail bounds.
+    It holds modes 0..``size`` <= ``n_max``: those it is built with (the
+    first block), and upto(n) grows it to exactly min(n, n_max), each entry
+    refined on its own, bit for bit as in one block. ``zeros[n]`` is z_n
+    (NaN at n=0 in the PLUS regime). Slot n of ``lo``, ``hi``, ``sign`` is
+    the bracket [lo, hi] of z_n and the sign at lo (-sign at hi), or 0, 0, 0
+    without a bracket (n=0 unless MINUS). A bracket is x -/+ d around the
+    refined x, d = max(0.45 tol, 2 ulp), in the cell of x and signed as at
+    its ends, or bisected where that test fails; J_{nu,H} cells lie between
+    zeros of J_nu (``j_zeros``; 0 below the first). Construction and growth
+    raise ``ConsistencyError``, keeping nothing new, unless each new slot
+    has |J_{nu,H}(z_n)| / (1 + z_n) <= RESIDUAL_SCALE, sign +-1, lo < z <
+    hi, hi - lo <= max(tol, 4 ulp(hi)), and bracket n >= 1 lies in cell n
+    of [0, j_zeros] (n + 1 unless PLUS), below bracket n + 1 (z_0 may exceed
+    z_1: 1.92 > 1.81 at nu = -0.75, H = -1.5). ``c[n]`` = sqrt(2) z_n /
+    (|J_nu(z_n)| sqrt(z_n^2 - nu^2 + H^2)) and ``eigen[n]`` = (-1)^{n==0}
+    z_n^2 rise strictly from n_min (c[0] = sqrt(2 (nu + 1)) at ZERO; slot 0
+    is 0 at PLUS); the arrays are read-only. ``pi_offset_sup`` = max |z_n -
+    pi*n| over the stored n; ``freq_offset`` (``_offset_bound``, from the
+    first block) is a c >= 0 with z_n >= pi*(n - c) for every n >= 1.
     """
 
     params: SpectralParams
@@ -193,39 +217,92 @@ class ZeroTable:
     hi: np.ndarray
     sign: np.ndarray
     j_zeros: np.ndarray
-    pi_offset_sup: float = field(init=False)
+    c: np.ndarray = field(init=False)
+    eigen: np.ndarray = field(init=False)
     freq_offset: float = field(init=False)
     max_residual: float = field(init=False)
+    pi_offset_sup: float = field(init=False)
 
     def __post_init__(self):
-        z, lo, hi, n = self.zeros, self.lo, self.hi, np.arange(self.n_max + 1)
-        self.pi_offset_sup = float(np.max(np.abs(z[1:] - math.pi * n[1:])))
-        self.freq_offset = _offset_bound(self.params, z[: min(self.n_max, PSI_BLOCK_MODES) + 1])
-        res = np.append(0.0, np.abs(bessel_jh(self.params, z[1:])) / (1.0 + z[1:]))
-        self.max_residual = float(np.max(res))
-        j, has = n >= 1, (n >= 1) | (self.params.regime is Regime.MINUS)
-        cells = np.concatenate([[0.0], self.j_zeros])
-        cell = n + (self.params.regime is not Regime.PLUS)  # [cells[cell - 1], cells[cell]]
-        own = (np.searchsorted(cells, lo, "right") == cell) & (np.searchsorted(cells, hi) == cell)
-        for what, ok in (
-            (f"residual {self.max_residual:.3e} > {RESIDUAL_SCALE:.1e}", res <= RESIDUAL_SCALE),
-            ("sign +-1 where bracketed, else 0", np.abs(self.sign) == has),
-            ("bracket below the next one", np.append(~j[:-1] | (hi[:-1] < lo[1:]), True)),
-            ("bracket in its own interlacing cell", ~j | (own & (cell < cells.size))),
-            ("lo < z < hi", ~has | ((lo < z) & (z < hi))),
-            ("width <= max(tol, 4 ulp)", ~has | (hi - lo <= np.fmax(self.tol, 4 * np.spacing(hi)))),
-        ):
-            if not np.all(ok):
-                raise ConsistencyError(f"zero certificate fails at n = {np.argmin(ok)}: {what}")
+        self.c = self.eigen = np.zeros(0)
+        self.max_residual = self.pi_offset_sup = 0.0
+        self._keep(0, self.zeros, self.lo, self.hi, self.sign, self.j_zeros)
+        self.freq_offset = _offset_bound(self.params, self.zeros)
 
     @property
     def n_min(self) -> int:
         return self.params.n_min
 
+    @property
+    def size(self) -> int:
+        """The highest mode stored."""
+        return self.zeros.size - 1
+
+    def upto(self, n: int) -> "ZeroTable":
+        """The table grown to mode min(n, n_max), never shrunk; returns it.
+        The J_nu zeros and the cells continue from the last ones stored."""
+        top, size = min(n, self.n_max), self.size
+        if top > size:
+            p, c0 = self.params, int(self.params.regime is not Regime.PLUS)
+            j = self.j_zeros
+            if j.size < top + c0:
+                more = bessel_j_zeros(p.nu, top + c0 - j.size, self.tol, j.size, float(j[-1]))
+                j = np.concatenate([j, more])
+            new = _robin_zeros(p, j[size + c0 - 1 :], top - size, self.tol)
+            old = (self.zeros, self.lo, self.hi, self.sign)
+            self._keep(size + 1, *map(np.concatenate, zip(old, new)), j)
+        return self
+
+    def _keep(self, a: int, zeros, lo, hi, sign, j_zeros) -> None:
+        """Check the certificate of slots a.. of the arrays, form their c and
+        eigen, and keep the arrays, read-only."""
+        p, n = self.params, np.arange(a, zeros.size)
+        k = max(a, 1)
+        res = np.append(np.zeros(k - a), np.abs(bessel_jh(p, zeros[k:])) / (1.0 + zeros[k:]))
+        max_residual = max(self.max_residual, float(np.max(res)))
+        j, has = n >= 1, (n >= 1) | (p.regime is Regime.MINUS)
+        z, l, h, below = zeros[a:], lo[a:], hi[a:], np.arange(max(a - 1, 1), zeros.size - 1)
+        cells = np.concatenate([[0.0], j_zeros])
+        cell = n + (p.regime is not Regime.PLUS)  # [cells[cell - 1], cells[cell]]
+        own = (np.searchsorted(cells, l, "right") == cell) & (np.searchsorted(cells, h) == cell)
+        for what, at, ok in (
+            (f"residual {max_residual:.3e} > {RESIDUAL_SCALE:.1e}", n, res <= RESIDUAL_SCALE),
+            ("sign +-1 where bracketed, else 0", n, np.abs(sign[a:]) == has),
+            ("bracket below the next one", below, hi[below] < lo[below + 1]),
+            ("bracket in its own interlacing cell", n, ~j | (own & (cell < cells.size))),
+            ("lo < z < hi", n, ~has | ((l < z) & (z < h))),
+            ("width <= max(tol, 4 ulp)", n, ~has | (h - l <= np.fmax(self.tol, 4 * np.spacing(h)))),
+        ):
+            if not np.all(ok):
+                raise ConsistencyError(f"zero certificate fails at n = {at[np.argmin(ok)]}: {what}")
+        (c, eigen), zn = np.zeros((2, zeros.size - a)), zeros[k:]
+        rad = zn * zn - p.nu * p.nu + p.h * p.h
+        if np.any(rad <= 0.0):
+            raise ConsistencyError("normalization radicand z_n^2 - nu^2 + H^2 is not positive")
+        c[k - a :] = math.sqrt(2.0) / np.abs(bessel_j(p.nu, zn)) * zn / np.sqrt(rad)
+        eigen[k - a :] = zn * zn
+        if a == 0 and p.regime is Regime.MINUS:
+            z0, rad0 = zeros[0], zeros[0] * zeros[0] + p.nu * p.nu - p.h * p.h
+            if rad0 <= 0.0:
+                raise ConsistencyError("normalization radicand z_0^2 + nu^2 - H^2 is not positive")
+            c[0], eigen[0] = math.sqrt(2.0) / bessel_i(p.nu, z0) * z0 / math.sqrt(rad0), -z0 * z0
+        elif a == 0 and p.regime is Regime.ZERO:
+            c[0] = math.sqrt(2.0 * (p.nu + 1.0))
+        c, eigen = np.concatenate([self.c, c]), np.concatenate([self.eigen, eigen])
+        if np.any(np.diff(eigen[max(self.n_min, a - 1) :]) <= 0.0):
+            raise ConsistencyError("eigenvalues are not strictly increasing")
+        offset = np.abs(zeros[k:] - math.pi * np.arange(k, zeros.size))
+        self.pi_offset_sup = max(self.pi_offset_sup, float(np.max(offset)))
+        arrays = (zeros, lo, hi, sign, j_zeros, c, eigen)
+        for v in arrays:
+            v.flags.writeable = False
+        self.zeros, self.lo, self.hi, self.sign, self.j_zeros, self.c, self.eigen = arrays
+        self.max_residual = max_residual
+
     def to_csv(self, out) -> None:
         """Write the table as CSV (nu,H,n,zero,bracket_lo,bracket_hi,tol, one
         row per stored zero, "\n" line ends) to a path or a text stream."""
-        n = np.arange(self.n_min, self.n_max + 1)
+        n = np.arange(self.n_min, self.size + 1)
         const = lambda v: np.full(n.size, v, dtype=float)
         text = csv_text({
             "nu": const(self.params.nu), "H": const(self.params.h), "n": n, "zero": self.zeros[n],
@@ -239,25 +316,20 @@ class ZeroTable:
 
 
 def _offset_bound(p: SpectralParams, z: np.ndarray) -> float:
-    """A c_off >= 0 with n - z_n/pi <= c_off for every n >= 1, from the
-    certified zeros z_1..z_K (z[1:], K >= 1) of the first block.
-
-    u = sqrt(x) J_nu(x) solves u'' + q u = 0, q = 1 - (nu^2 - 1/4)/x^2. With
-    the Pruefer angle u = r sin(theta), u' = r cos(theta), normalized so that
-    theta(j_{nu,m}) = m pi, phi = theta - x has phi' = (q - 1) sin^2(theta)
-    (Sturm comparison; Watson, "A Treatise on the Theory of Bessel
-    Functions", §15.8): phi rises for |nu| < 1/2, does not rise for
-    |nu| > 1/2 and is constant at |nu| = 1/2, and McMahon's limit
-    j_{nu,m} - (m + nu/2 - 1/4) pi -> 0 (DLMF 10.21.19) gives
-    phi(inf) = (1/4 - nu/2) pi. At a Robin zero u'/u = (1/2 - H)/x, so
-    z_n = (m_n - 1) pi + alpha(z_n) - phi(z_n), alpha(x) = pi/2 -
-    arctan((1/2 - H)/x), with m_n the interlacing cell (n in the PLUS
-    regime, n + 1 otherwise). For n > K, phi(z_n) <= Phi = (1/4 - nu/2) pi
-    if |nu| < 1/2, else phi(z_K); alpha(z_n) >= A = alpha(z_K) if H <= 1/2
-    (alpha rises), else pi/2. So n - z_n/pi <= n - m_n + 1 - (A - Phi)/pi,
-    and c_off is the largest of 0, n - z_n/pi over n <= K and that term."""
-    k, c0 = z.size - 1, int(p.regime is not Regime.PLUS)
-    zk = float(z[k])
+    """A c_off >= 0 with n - z_n/pi <= c_off for every n >= 1, from the first
+    block's zeros z_1..z_K (z[1:]). u = sqrt(x) J_nu(x) solves u'' + q u = 0,
+    q = 1 - (nu^2 - 1/4)/x^2; with the Pruefer angle u = r sin(theta), u' =
+    r cos(theta), theta(j_{nu,m}) = m pi, phi = theta - x has phi' = (q - 1)
+    sin^2(theta) (Sturm comparison, Watson §15.8): phi rises for |nu| < 1/2,
+    does not rise for |nu| >= 1/2, and tends to (1/4 - nu/2) pi by
+    McMahon's j_{nu,m} - (m + nu/2 - 1/4) pi -> 0 (DLMF 10.21.19). At a
+    Robin zero u'/u = (1/2 - H)/x, so z_n = (m_n - 1) pi + alpha(z_n) -
+    phi(z_n), alpha(x) = pi/2 - arctan((1/2 - H)/x), m_n the interlacing
+    cell (n if PLUS, else n + 1). For n > K, phi(z_n) <= Phi = (1/4 - nu/2)
+    pi if |nu| < 1/2, else phi(z_K), and alpha(z_n) >= A = alpha(z_K) if H
+    <= 1/2 (alpha rises), else pi/2: n - z_n/pi <= n - m_n + 1 - (A -
+    Phi)/pi. c_off is the largest of 0, that and n - z_n/pi over n <= K."""
+    k, c0, zk = z.size - 1, int(p.regime is not Regime.PLUS), float(z[-1])
     alpha = 0.5 * math.pi - math.atan((0.5 - p.h) / zk)
     big_a = alpha if p.h <= 0.5 else 0.5 * math.pi
     phi = (0.25 - 0.5 * p.nu) * math.pi if abs(p.nu) < 0.5 else (k + c0 - 1) * math.pi + alpha - zk
@@ -266,48 +338,32 @@ def _offset_bound(p: SpectralParams, z: np.ndarray) -> float:
 
 
 def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroTable:
-    """Compute z_n for n = n_min..n_max with the certificate of ``ZeroTable``.
+    """The zero table of p capped at n_max, holding its first block: z_n for
+    n = n_min..min(n_max, PSI_BLOCK_MODES); ``ZeroTable.upto`` grows it.
 
     The cells are the intervals between 0+ and the zeros of J_nu where
     J_{nu,H} changes sign (the table's certificate checks that they are
     consecutive and that (0+, j_1) is one exactly in the PLUS regime).
-    ``_refine`` starts at the cell midpoint m shifted by (H - 1/2)/m, the
-    large-x offset of the zero. z_0 comes from ``i_zeros``.
+    z_0 comes from ``i_zeros``.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not (math.isfinite(tol) and tol >= 1e-13):
         raise DomainError(f"tol must be finite and >= 1e-13, got {tol}")
-
-    j = bessel_j_zeros(p.nu, n_max + (p.regime is not Regime.PLUS), tol)
-    f = lambda x: bessel_jh(p, x)
-
+    k = min(n_max, PSI_BLOCK_MODES)
+    j = bessel_j_zeros(p.nu, k + (p.regime is not Regime.PLUS), tol)
     eps0 = min(1e-3 * j[0], 0.05)
     if p.regime is Regime.PLUS:
         # Near the ZERO regime the first zero collapses like
         # sqrt(2 (nu+1)(nu+H)); probe below it so the sign at 0+ is seen.
         eps0 = min(eps0, 0.3 * math.sqrt(2.0 * (p.nu + 1.0) * (p.nu + p.h)))
-    nodes = np.concatenate([[eps0], j])
-    signs = np.sign(f(nodes))
-    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if cells.size < n_max:
-        raise BracketScanFailure(f"found {cells.size} interlacing cells, need {n_max}")
-    cells = cells[:n_max]
-
-    lo, hi, s_lo = nodes[cells], nodes[cells + 1], signs[cells]
-    mid = 0.5 * (lo + hi)
-    x0 = mid + (p.h - 0.5) / mid
-    zeros, a, b, sign = np.zeros((4, n_max + 1))
-    fdf = lambda x, _: robin_and_slope(p.nu, p.h, x)
-    zeros[1:], a[1:], b[1:] = _refine(lambda x, _: f(x), fdf, x0, lo, hi, s_lo, tol)
-    sign[1:] = s_lo
-
+    zeros, a, b, sign = np.zeros((4, k + 1))
+    zeros[1:], a[1:], b[1:], sign[1:] = _robin_zeros(p, np.concatenate([[eps0], j]), k, tol)
     if p.regime is Regime.MINUS:
         zeros[:1], a[:1], b[:1] = i_zeros(np.array([p.nu]), p.h, tol)
         sign[0] = -1
     elif p.regime is Regime.PLUS:
         zeros[0] = np.nan
-
     return ZeroTable(p, n_max, tol, zeros, a, b, sign, j)
 
 

@@ -39,9 +39,9 @@ def test_criterion_01_closed_form_regression():
     n = np.arange(1, 201)
     x = np.linspace(1e-3, 1.0 - 1e-3, 1000)
 
-    table_m = build_zero_table(SpectralParams(-0.5, 0.5), 200)
+    table_m = build_zero_table(SpectralParams(-0.5, 0.5), 200).upto(200)
     dev_zero_m = float(np.max(np.abs(table_m.zeros[1:] - math.pi * n)))
-    table_p = build_zero_table(SpectralParams(0.5, 0.5), 200)
+    table_p = build_zero_table(SpectralParams(0.5, 0.5), 200).upto(200)
     dev_zero_p = float(np.max(np.abs(table_p.zeros[1:] - math.pi * (n - 0.5))))
     assert dev_zero_m <= 1e-12
     assert dev_zero_p <= 1e-12

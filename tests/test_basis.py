@@ -5,6 +5,7 @@ import pytest
 
 from conftest import shared_basis
 from dini import basis as basis_module
+from dini import zeros as zeros_module
 from dini.basis import (
     PSI_BLOCK_MODES,
     PSI_STORES_PER_BASIS,
@@ -35,6 +36,33 @@ class TestSharedBasis:
         ref = build_basis(SpectralParams(0.0, 0.5), 300)
         assert (big.table.n_max, small.table.n_max) == (3000, 300)
         assert small.table.freq_offset == ref.table.freq_offset == big.table.freq_offset
+
+
+class TestGrowth:
+    """A basis starts with the first block of its table and grows to the
+    modes asked for; growth in steps gives a one-shot table's arrays."""
+
+    @pytest.mark.parametrize("nu, h", [(0.0, 0.5), (-0.75, -1.5), (-0.5, 0.5), (3.0, 0.5),
+                                       (0.3, 2.0)])
+    def test_grown_in_steps_equals_one_shot(self, nu, h, monkeypatch):
+        p, n_max = SpectralParams(nu, h), 700
+        x = np.linspace(0.01, 0.99, 37)
+        b = build_basis(p, n_max)
+        for n in (7, 183, 396, n_max):
+            b.psi_rows(x).upto(n + 1)  # the rows of modes 0..n
+            assert b.table.size == max(n, PSI_BLOCK_MODES)
+        monkeypatch.setattr(zeros_module, "PSI_BLOCK_MODES", n_max)
+        one = build_basis(p, n_max)
+        assert one.table.size == n_max
+        for name in ("zeros", "lo", "hi", "sign", "j_zeros", "c", "eigen"):
+            assert np.array_equal(getattr(b.table, name), getattr(one.table, name), equal_nan=True)
+        assert b.table.max_residual == one.table.max_residual
+        assert np.array_equal(b.psi_rows(x).rows, one.psi_matrix(x))
+
+    def test_full_length_reads_grow_to_n_max(self):
+        b = build_basis(SpectralParams(0.0, 0.5), 300)
+        assert b.table.size == PSI_BLOCK_MODES
+        assert b.c.size == b.eigen.size == 301 and b.table.size == 300
 
 
 class TestPsiClosedForms:
@@ -231,7 +259,7 @@ class TestCertifiedSup:
         grid united with coordinates down to 1e-8 from either end."""
         b = shared_basis(nu, h, n_max=100)
         grid = np.linspace(1e-4, 1.0 - 1e-4, 20_000)
-        rows = basis_module._bessel_rows(b.params, b.c, b.table.zeros, grid, 0, b.n_max + 1)
+        rows = basis_module._bessel_rows(b.table, grid, 0, b.n_max + 1)
         grid_max = float(np.max(np.abs(rows)))
         for xs in SUP_COORDS:
             peak = max(grid_max, float(np.max(np.abs(b.psi_matrix(xs)))))
@@ -373,10 +401,10 @@ class TestRulePsiCache:
         formed = []
         original = basis_module._bessel_rows
 
-        def spy(params, c, zeros, x, lo, hi):
+        def spy(table, x, lo, hi):
             if np.size(x) == n_nodes:
                 formed.append(hi - lo)
-            return original(params, c, zeros, x, lo, hi)
+            return original(table, x, lo, hi)
 
         monkeypatch.setattr(basis_module, "_bessel_rows", spy)
         return lambda: sum(formed)

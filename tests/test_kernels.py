@@ -356,8 +356,8 @@ class TestSeriesOracle:
         mp = pytest.importorskip("mpmath").mp
         lo, m2 = eng.n_min, eng.M * eng.M
         heat = (eng.heat_values, eng.lam, lam)
-        poisson = (lambda t, tol: eng.poisson_values(t, d, tol), np.sqrt(eng._shifted(d)),
-                   [mp.sqrt(d * d + v) for v in lam])
+        poisson = (lambda t, tol: eng.poisson_values(t, d, tol),
+                   np.sqrt(eng._shifted(d, eng.n_max + 1)), [mp.sqrt(d * d + v) for v in lam])
         for t, (call, omega, exact_omega) in [(3e-3, heat), (1e-2, heat), (0.1, heat),
                                               (1.0, heat), (0.5, poisson), (1.0, poisson)]:
             vals, n, bound = call(t, 1e-12)
@@ -685,7 +685,7 @@ class TestBlockedHeat:
         lam' = 0 mode of ZERO at d = 0)."""
         for eng, d in zip(blocked_engines(), (0.0, 0.0, 2.0, 1.0, 1.0)):
             grid = _build_heat_grid(eng, d, 1e-9)
-            lam = eng._shifted(d)
+            lam = eng._shifted(d, eng.n_max + 1)
             zero = lam[eng.n_min :] == 0.0
             assert grid.lo == eng.n_min + int(np.count_nonzero(zero)) and zero.sum() <= zero[0]
             heat = np.empty_like(grid.rows)
@@ -872,7 +872,7 @@ class TestSubordinatedOracle:
                 assert large._poisson_cut(t, 1e-9) is not None
                 ref, _, ref_bound = large.poisson_values(t, d, 1e-9)
                 assert np.max(np.abs(vals - ref)) <= bound + ref_bound, (nu, h, d, t)
-            zero = small._shifted(d)[small.n_min] == 0.0
+            zero = small._shifted(d, small.n_max + 1)[small.n_min] == 0.0
             assert small._heat_grids[d, 1e-9].lo == small.n_min + zero
 
 
@@ -880,7 +880,7 @@ def full_rows(eng, u, d, lo):
     """e^{-d^2 u} G_u over every stored mode from lo, one row per u: the
     n_max-mode kernel, analytic in u and bounded like the grid's rows."""
     prods = eng._pair_products(0, eng.n_max + 1)
-    return _exp_rows(u, eng._shifted(d), lo, np.full(u.size, eng.n_max), prods)
+    return _exp_rows(u, eng._shifted(d, eng.n_max + 1), lo, np.full(u.size, eng.n_max), prods)
 
 
 class TestHeatGridRule:
@@ -1279,6 +1279,44 @@ class TestLazyRows:
                 assert np.array_equal(vals, fresh[name])
             assert eng.psi.shape[0] == eng.n_max + 1
 
+    @pytest.mark.parametrize("nu, h", [(0.0, 0.5), (-0.75, -1.5), (1.5, 0.5)])
+    def test_call_order_moves_nothing(self, nu, h):
+        """On a new basis (its table at the first block), M, c_off, cutoffs,
+        values and bounds do not depend on whether small-t or large-t calls
+        come first, nor on a table grown to n_max beforehand; each call grows
+        the table to the largest mode it reads, and no further."""
+        p, d = SpectralParams(nu, h), (2.0 if h < 0.0 else 0.0)
+        calls = {"heat 1e-4": lambda eng: eng.heat_values(1e-4, 1e-12),
+                 "heat 0.5": lambda eng: eng.heat_values(0.5, 1e-12),
+                 "poisson 0.5": lambda eng: eng.poisson_values(0.5, d, 1e-12)}
+        runs = []
+        for names, full in ((list(calls), False), (list(calls)[::-1], False), (list(calls), True)):
+            b = build_basis(p, 3000)
+            assert b.table.size == PSI_BLOCK_MODES
+            if full:
+                b.eigen  # grows the table to n_max
+            eng = PairEngine(b, AGREEMENT_PAIRS)
+            out = {}
+            for name in names:
+                out[name] = calls[name](eng)
+                if not full:
+                    assert b.table.size == max(PSI_BLOCK_MODES, eng.psi.shape[0] - 1)
+            runs.append((eng.M, eng.c_off, out))
+        (m, c_off, ref), *others = runs
+        for other_m, other_c_off, out in others:
+            assert (other_m, other_c_off) == (m, c_off)
+            for name, (vals, n_terms, bound) in ref.items():
+                assert np.array_equal(out[name][0], vals) and out[name][1:] == (n_terms, bound)
+
+    def test_cutoff_above_n_max_still_fails(self):
+        """A cutoff the table cannot reach fails as before, growing nothing."""
+        b = build_basis(SpectralParams(0.0, 0.5), 300)
+        eng = PairEngine(b, AGREEMENT_PAIRS)
+        with pytest.raises(TailBoundFailure, match=r"heat tail cannot reach tol=1\.00e-12 at "
+                                                    r"t=1\.000e-06 with 300 modes"):
+            eng.heat_values(1e-6, 1e-12)
+        assert b.table.size == PSI_BLOCK_MODES and eng.psi.shape[0] == 0
+
     def test_coordinates_checked_at_construction(self):
         for basis in blocked_bases():
             with pytest.raises(DomainError, match="open interval"):
@@ -1306,7 +1344,7 @@ class TestExpRows:
         cases += [(PairEngine(shared_basis(nu, n_max=3000), grid), 0.0) for nu in (-0.5, 0.5)]
         for eng, d in cases:
             lo = eng.n_min
-            sq = np.sqrt(eng._shifted(d))
+            sq = np.sqrt(eng._shifted(d, eng.n_max + 1))
             sums = []  # (row, multipliers of the modes n_min..N)
             for t in np.geomspace(1e-4, 1.0, 9):
                 for rescale in (0.0, 3.0):

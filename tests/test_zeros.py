@@ -172,17 +172,17 @@ class TestNewtonCertificate:
     @pytest.mark.parametrize("nu, shift", [(-0.5, 0.0), (0.5, 0.5)])
     def test_closed_form_zeros_to_rounding(self, nu, shift):
         # H = 1/2: J_{-1/2,1/2} zeros are n pi, J_{1/2,1/2} zeros (n - 1/2) pi.
-        table = build_zero_table(SpectralParams(nu, 0.5), 3000)
+        table = build_zero_table(SpectralParams(nu, 0.5), 3000).upto(3000)
         ref = math.pi * (np.arange(1, 3001) - shift)
         assert np.max(np.abs(table.zeros[1:] - ref) / ref) <= 1e-15
 
     @pytest.mark.parametrize("nu", [-0.9, 0.0, 3.0])
     def test_every_bracket_certified(self, nu):
-        assert_certified(build_zero_table(SpectralParams(nu, 0.5), 3000))
+        assert_certified(build_zero_table(SpectralParams(nu, 0.5), 3000).upto(3000))
 
     @pytest.mark.parametrize("nu, h", [(-0.75, -1.5), (-0.5, 0.5), (0.2, -1.0)])
     def test_n0_and_regimes_certified(self, nu, h):
-        assert_certified(build_zero_table(SpectralParams(nu, h), 200))
+        assert_certified(build_zero_table(SpectralParams(nu, h), 200).upto(200))
 
     def test_sequential_scan_fallback(self, monkeypatch):
         import scipy.special as sp
@@ -200,7 +200,7 @@ class TestNewtonCertificate:
 
     def test_forced_certificate_failure_bisects(self, monkeypatch):
         p = SpectralParams(0.3, 0.5)
-        reference = build_zero_table(p, 300)
+        reference = build_zero_table(p, 300).upto(300)
         nus = np.linspace(-0.95, -0.55, 9)
         z0_reference = i_zeros(nus, 0.5)[0]
         newton = zeros_mod._newton
@@ -220,8 +220,10 @@ class TestNewtonCertificate:
 
         monkeypatch.setattr(zeros_mod, "_newton", off_by_a_little)
         monkeypatch.setattr(zeros_mod, "_bisect", spy)
-        table = build_zero_table(p, 300)
-        assert fallbacks == [100, 100]  # every third J_nu, then J_{nu,H}, zero: one call each
+        table = build_zero_table(p, 300).upto(300)
+        # Every third J_nu, then J_{nu,H}, zero: one call each, for the first
+        # block of 128 and the 172 modes it grows by.
+        assert fallbacks == [43, 43, 58, 58]
         assert_certified(table)
         ref = reference.zeros[1:]
         assert np.all(np.abs(table.zeros[1:] - ref) <= np.maximum(1e-13, 4.0 * np.spacing(ref)))
@@ -255,7 +257,7 @@ class TestNewtonCertificate:
         """z_n near n = 31,800, where z_n approaches the 1e5 cap of bessel_j."""
         mp = pytest.importorskip("mpmath").mp
         mp.dps = 30
-        table = build_zero_table(SpectralParams(nu, 0.5), 31800)
+        table = build_zero_table(SpectralParams(nu, 0.5), 31800).upto(31800)
         nu_, h_ = mp.mpf(nu), mp.mpf(0.5)
         robin = lambda x: x * mp.besselj(nu_, x, 1) + h_ * mp.besselj(nu_, x)
         for n in (31790, 31799, 31800):
@@ -361,6 +363,31 @@ class TestZeroTable:
             with pytest.raises(ConsistencyError, match=what):
                 self.rebuild(table, **change)
 
+        # The same checks on a block past the first, at its seam too: a
+        # rejected block leaves the table as it was.
+        grown, k = build_zero_table(SpectralParams(nu, h), 300), zeros_mod.PSI_BLOCK_MODES
+        seam = grown.hi[k] - 0.5 * (grown.hi[k] - grown.lo[k])
+        in_block = [  # (what, the part of (zeros, lo, hi, sign) changed, its entry, new value)
+            ("residual", 0, 5, lambda z, lo, hi: z[5] + 1e-3),
+            ("lo < z < hi", 0, 5, lambda z, lo, hi: hi[5]),
+            ("below the next one", 1, 0, lambda z, lo, hi: seam),
+            ("width", 1, 5, lambda z, lo, hi: z[5] - 2.0 * grown.tol),
+            ("sign", 3, 7, lambda z, lo, hi: 0.0),
+        ]
+        robin_zeros = zeros_mod._robin_zeros
+        for what, part, i, value in in_block:
+            def broken(*args):
+                out = [v.copy() for v in robin_zeros(*args)]
+                out[part][i] = value(*out[:3])
+                return tuple(out)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(zeros_mod, "_robin_zeros", broken)
+                with pytest.raises(ConsistencyError, match=what):
+                    grown.upto(300)
+            assert grown.size == k and grown.c.size == grown.eigen.size == k + 1
+        assert grown.upto(300).size == 300
+
 
     @pytest.mark.parametrize("nu, h", OFFSET_CASES)
     def test_freq_offset_bounds_every_n(self, nu, h):
@@ -371,7 +398,7 @@ class TestZeroTable:
         params = SpectralParams(nu, h)
         offsets = {build_zero_table(params, n).freq_offset for n in (300, 800, 3000)}
         assert len(offsets) == 1
-        z = build_zero_table(params, 6000).zeros[1:]
+        z = build_zero_table(params, 6000).upto(6000).zeros[1:]
         assert np.all(np.arange(1, z.size + 1) - z / math.pi <= offsets.pop())
 
 
