@@ -72,13 +72,9 @@ def inner_product_rule(n: int, left_exponent: float, right_exponent: float = 0.0
 
 # Row stores kept per basis (psi_rows), the oldest dropped first.
 PSI_STORES_PER_BASIS = 4
-# Relative allowance on the closed-form sup bound for the rounding of the
-# Bessel values it bounds and of its own evaluation.
+# Relative allowance on the closed-form sup bounds for the rounding of the
+# values they bound and of their own evaluation.
 SUP_ROUNDING = 1e-12
-# The Jacobi sup rule: JACOBI_SUP_SAFETY times the maximum of the first
-# JACOBI_PROBE_MODES + 1 modes over a probe grid and the requested points.
-JACOBI_PROBE_MODES = 48
-JACOBI_SUP_SAFETY = 1.5
 
 
 def _check_open(x: np.ndarray) -> None:
@@ -110,9 +106,10 @@ class RowStore:
 
 @dataclass
 class _Basis:
-    """What kernels.PairEngine reads of either basis, spectrum() and the row
-    stores of psi_rows, kept on the basis with its engines. _rows(x, lo, hi),
-    set at construction, is bound to the basis arrays, not the basis, so a
+    """What kernels.PairEngine reads of either basis, spectrum(), sup(xs) and
+    the row stores of psi_rows, kept on the basis with its engines. _rows(x,
+    lo, hi), set at construction with end_exponents (p, q), mode^2 ~ x^p near
+    0 and (1 - x)^q near 1, is bound to the basis arrays, not the basis, so a
     basis and the engines on it are freed by refcounting."""
 
     # Row stores per point set, keyed by the points' bytes (psi_rows).
@@ -185,6 +182,7 @@ class BasisSpec(_Basis):
         if self.n_max > self.table.n_max:
             raise DomainError(f"basis n_max {self.n_max} exceeds table n_max {self.table.n_max}")
         self._rows = partial(_bessel_rows, self.table)
+        self.end_exponents = (2.0 * self.params.nu + 1.0, 0.0)
 
     @property
     def c(self) -> np.ndarray:
@@ -217,6 +215,39 @@ class BasisSpec(_Basis):
     def split_constant(self) -> float:
         """_split_constant(nu) (nu > 1/2), computed on first use, then kept."""
         return _split_constant(self.params.nu)
+
+    def sup(self, xs: np.ndarray) -> float:
+        """certified_sup for the psi system, before SUP_ROUNDING: the max over
+        all modes n >= n_min and points of xs of a bound on |psi_n(x)|. For
+        n >= 1, psi_n(x) = a_n sqrt(r) J_nu(r), a_n = c_n / sqrt(z_n), r = z_n x,
+        and sqrt(r) |J_nu(r)| <= G:
+          - |nu| <= 1/2: r (J_nu^2 + Y_nu^2) <= 2/pi (Watson §13.74), G = sqrt(2/pi);
+          - nu > 1/2: G = _split_constant(nu), kept on the basis;
+          - -1 < nu < -1/2: the modulus does not increase in r (Watson §13.74),
+            so G = modulus(z_n min(xs)).
+        The modes n <= K = min(n_max, PSI_BLOCK_MODES) use their own a_n
+        and z_n; modes n > K use _tail_amplitude and, for nu < -1/2, the
+        modulus at z_K min(xs), so M is the same at every n_max >=
+        PSI_BLOCK_MODES. The n=0 mode (MINUS, ZERO) is a sum of powers x^p
+        with positive coefficients, convex in log x, so its maximum over xs
+        is at min(xs) or max(xs) and is taken there exactly.
+        """
+        nu, k, table = self.params.nu, min(self.n_max, PSI_BLOCK_MODES), self.table
+        z = table.upto(k).zeros[1 : k + 1]
+        amp = table.c[1 : k + 1] / np.sqrt(z)
+        x_lo, x_hi = float(xs.min()), float(xs.max())
+        if abs(nu) <= 0.5:
+            g = g_tail = math.sqrt(2.0 / math.pi)
+        elif nu > 0.5:
+            g = g_tail = self.split_constant
+        else:
+            g = bessel_modulus(nu, z * x_lo)
+            g_tail = bessel_modulus(nu, z[-1] * x_lo)
+        m = max(float(np.max(amp * g, initial=0.0)), _tail_amplitude(self) * g_tail)
+        if self.params.regime is not Regime.PLUS:
+            m = max(m, float(np.max(np.abs(_psi0(self.params, table.c[0], table.zeros[0],
+                                                     np.array([x_lo, x_hi]))))))
+        return m
 
     def psi_prime_matrix(self, x: np.ndarray) -> np.ndarray:
         """Derivatives psi_n'(x) through the Bessel recurrence identities, for
@@ -267,7 +298,7 @@ def eval_psi(b: BasisSpec, n: int, x):
 
 @dataclass
 class JacobiBasisSpec(_Basis):
-    """Constants C_k, eigenvalues Lambda_k and evaluation for the Phi system."""
+    """Constants C_k, eigenvalues Lambda_k, evaluation and sup for the Phi system."""
 
     jp: JacobiParams
     k_max: int
@@ -283,15 +314,11 @@ class JacobiBasisSpec(_Basis):
         log_num[0] = gammaln(a + b + 2.0)
         if self.k_max >= 1:
             log_num[1:] = np.log(2.0 * k[1:] + a + b + 1.0) + gammaln(k[1:] + a + b + 1.0)
-        log_c2 = (
-            math.log(math.pi)
-            + log_num
-            + gammaln(k + 1.0)
-            - gammaln(k + a + 1.0)
-            - gammaln(k + b + 1.0)
-        )
+        log_c2 = (math.log(math.pi) + log_num + gammaln(k + 1.0) - gammaln(k + a + 1.0)
+                  - gammaln(k + b + 1.0))
         self.C = np.exp(0.5 * log_c2)
         self._rows = partial(_jacobi_rows, self.jp, self.C)
+        self.end_exponents = (2.0 * a + 1.0, 2.0 * b + 1.0)
         self.Lambda = math.pi**2 * (k + (a + b + 1.0) / 2.0) ** 2
         self.Lambda.flags.writeable = False
         if np.any(np.diff(self.Lambda) < 0.0):
@@ -311,17 +338,45 @@ class JacobiBasisSpec(_Basis):
         k_upper = self.k_max if k_upper is None else min(k_upper, self.k_max)
         return self._rows(np.asarray(x, dtype=float), 0, k_upper + 1)
 
-    @cached_property
-    def probe_sup(self) -> float:
-        """max |Phi_k| over the fixed 10^4-point probe grid, computed on first
-        use (never at construction) and then kept on the basis."""
-        return self._probe_max(np.linspace(1e-4, 1.0 - 1e-4, 10_000))
+    def sup(self, xs: np.ndarray) -> float:
+        """certified_sup for the Phi system, before SUP_ROUNDING. At (a, b) =
+        (alpha, beta), u = cos(pi x) and p_k orthonormal for the weight
+        (1 - u)^a (1 + u)^b, Phi_k(x)^2 = pi (1 - u)^{a+1/2} (1 + u)^{b+1/2}
+        p_k(u)^2, for every k at most
+          - a, b >= -1/2: 2 pi e (2 + sqrt(a^2 + b^2)), implied by Erdelyi,
+            Magnus and Nevai (SIAM J. Math. Anal. 25 (1994) 602-614);
+          - a < -1/2 = b: A_k^2 sin(pi x/2)^{2a+1}, A_k = C_k binom(k - 1/2, k)
+            = C_k max |P_k^{a,b}| (Szego, Orthogonal Polynomials, Thm 7.32.1),
+            the falling endpoint factor taken at min(xs) as for the Bessel
+            system at nu < -1/2, sup_k A_k from _szego_amplitude; b < -1/2 = a
+            mirrors it (x -> 1 - x, cos(pi x/2)^{b+1/2} at max(xs)).
+        Other (a, b) have no stated bound here (DomainError)."""
+        a, b = self.jp.alpha, self.jp.beta
+        if min(a, b) >= -0.5:
+            return math.sqrt(2.0 * math.pi * math.e * (2.0 + math.hypot(a, b)))
+        if max(a, b) != -0.5:
+            raise DomainError(f"no stated sup bound for the Jacobi system at (alpha, beta) = "
+                              f"({a:g}, {b:g}): one exists for alpha, beta >= -1/2 and for "
+                              "min(alpha, beta) < -1/2 = max(alpha, beta)")
+        if a < b:
+            return _szego_amplitude(a) * math.sin(0.5 * math.pi * float(xs.min())) ** (a + 0.5)
+        return _szego_amplitude(b) * math.cos(0.5 * math.pi * float(xs.max())) ** (b + 0.5)
 
-    def _probe_max(self, x: np.ndarray) -> float:
-        """max |Phi_k(x)| over the first JACOBI_PROBE_MODES + 1 modes, evaluating
-        only those."""
-        vals = self.phi_matrix(x, JACOBI_PROBE_MODES)
-        return float(np.max(np.abs(vals)))
+
+def _szego_amplitude(a: float) -> float:
+    """sup_k A_k, A_k = C_k binom(k - 1/2, k) at (alpha, beta) = (a, -1/2),
+    -1 < a < -1/2. With q = a + 1/2, A_k^2 = (2k + q)/(k + q) Gamma(k + q + 1)
+    Gamma(k + 1/2) / (Gamma(k + q + 1/2) Gamma(k + 1)), in closed form for
+    k < K = 16. Wendel's x/sqrt(x + 1/2) <= Gamma(x + 1/2)/Gamma(x) <=
+    sqrt(x), x > 0 (Amer. Math. Monthly 55 (1948) 563-564), at x = k + q +
+    1/2 and k + 1/2, and sqrt(uv) <= (u + v)/2 give A_k^2 <= (2k + q)/(k + q)
+    (2k + q + 3/2)/(2k + 1), two positive factors falling in k (q < 0 < q +
+    1/2): its value at K bounds every later A_k^2 (A_k -> sqrt(2))."""
+    q, k = a + 0.5, np.arange(17, dtype=float)  # k < K in closed form, then the bound at K
+    a2 = (2.0 * k + q) / (k + q) * np.exp(gammaln(k + q + 1.0) - gammaln(k + q + 0.5)
+                                          + gammaln(k + 0.5) - gammaln(k + 1.0))
+    a2[-1] = (2.0 * k[-1] + q) / (k[-1] + q) * (2.0 * k[-1] + q + 1.5) / (2.0 * k[-1] + 1.0)
+    return math.sqrt(float(np.max(a2)))
 
 
 def build_jacobi_basis(jp: JacobiParams, k_max: int) -> JacobiBasisSpec:
@@ -413,72 +468,21 @@ def _tail_amplitude(b: BasisSpec) -> float:
     return math.sqrt(2.0 / (w * r))
 
 
-def _bessel_sup(b: BasisSpec, xs: np.ndarray) -> float:
-    """max over all modes n >= n_min and points of xs of a bound on |psi_n(x)|.
-
-    For n >= 1, psi_n(x) = a_n sqrt(r) J_nu(r) with a_n = c_n / sqrt(z_n) and
-    r = z_n x, and sqrt(r) |J_nu(r)| <= G:
-      - |nu| <= 1/2: r (J_nu^2 + Y_nu^2) <= 2/pi (Watson §13.74), G = sqrt(2/pi);
-      - nu > 1/2: G = _split_constant(nu), kept on the basis;
-      - -1 < nu < -1/2: the modulus does not increase in r (Watson §13.74),
-        so G = modulus(z_n min(xs)).
-    The modes n <= K = min(n_max, PSI_BLOCK_MODES) use their own a_n
-    and z_n; modes n > K use _tail_amplitude and, for nu < -1/2, the modulus
-    at z_K min(xs), so M is the same at every n_max >= PSI_BLOCK_MODES.
-    The n=0 mode (MINUS, ZERO) is a sum of powers x^p with positive
-    coefficients, convex in log x, so its maximum over xs is at min(xs) or
-    max(xs) and is taken there exactly.
-    """
-    _check_open(xs)
-    if xs.size == 0:
-        return 0.0
-    nu, k, table = b.params.nu, min(b.n_max, PSI_BLOCK_MODES), b.table
-    z = table.upto(k).zeros[1 : k + 1]
-    amp = table.c[1 : k + 1] / np.sqrt(z)
-    x_lo, x_hi = float(xs.min()), float(xs.max())
-    if abs(nu) <= 0.5:
-        g = g_tail = math.sqrt(2.0 / math.pi)
-    elif nu > 0.5:
-        g = g_tail = b.split_constant
-    else:
-        g = bessel_modulus(nu, z * x_lo)
-        g_tail = bessel_modulus(nu, z[-1] * x_lo)
-    m = max(float(np.max(amp * g, initial=0.0)), _tail_amplitude(b) * g_tail)
-    if b.params.regime is not Regime.PLUS:
-        m = max(m, float(np.max(np.abs(_psi0(b.params, table.c[0], table.zeros[0],
-                                                  np.array([x_lo, x_hi]))))))
-    return (1.0 + SUP_ROUNDING) * m
-
-
 def certified_sup(basis, xs: np.ndarray) -> float:
-    """Uniform bound M >= |basis_n(x)| for every mode n and every point x in xs.
-
-    Series truncation certificates bound each term they leave out by M^2
-    (or M times a coefficient bound), so M covers the modes beyond n_max too.
-    For the Bessel system M comes from the stated bounds of _bessel_sup
-    (Watson §3.31 and §13.74 for sqrt(r) J_nu(r), _tail_amplitude for the
-    modes beyond n_max), enlarged by SUP_ROUNDING for floating-point
-    rounding; it depends on xs only through min(xs) (nu < -1/2) and the n=0
-    mode. For the Jacobi system no stated bound covers every (alpha, beta),
-    and M is JACOBI_SUP_SAFETY times the maximum of the first
-    JACOBI_PROBE_MODES + 1 modes over a 10^4-point probe grid (kept on the
-    basis) and xs, an empirical bound.
-    """
+    """Uniform bound M >= |basis_n(x)| for every mode n, those beyond n_max
+    too (series truncation certificates bound each term they leave out by M^2,
+    or M times a coefficient bound), and every point x in xs (checked to lie
+    in (0,1); M = 0 for none): the stated bound of the basis (BasisSpec.sup,
+    JacobiBasisSpec.sup), which reads only the extreme points of xs, enlarged
+    by SUP_ROUNDING for floating-point rounding."""
     xs = np.asarray(xs, dtype=float)
-    if isinstance(basis, JacobiBasisSpec):
-        coord = basis._probe_max(xs) if xs.size else 0.0
-        return JACOBI_SUP_SAFETY * max(basis.probe_sup, coord)
-    return _bessel_sup(basis, xs)
+    _check_open(xs)
+    return (1.0 + SUP_ROUNDING) * basis.sup(xs) if xs.size else 0.0
 
 
 def gram_matrix(basis, n_points: int = 512) -> np.ndarray:
-    """Gram matrix of the basis under a graded quadrature rule."""
-    if isinstance(basis, JacobiBasisSpec):
-        left = 2.0 * basis.jp.alpha + 1.0
-        right = 2.0 * basis.jp.beta + 1.0
-        rule = inner_product_rule(n_points, left, right)
-        mat = basis.phi_matrix(rule.nodes)
-    else:
-        rule = inner_product_rule(n_points, 2.0 * basis.params.nu + 1.0)
-        mat = basis.psi_matrix(rule.nodes)[basis.n_min :]
+    """Gram matrix of the modes n_min..n_max under a rule graded to end_exponents."""
+    rule = inner_product_rule(n_points, *basis.end_exponents)
+    _, n_min, n_max, *_ = basis.spectrum()
+    mat = basis._rows(rule.nodes, n_min, n_max + 1)
     return (mat * rule.weights[None, :]) @ mat.T

@@ -6,16 +6,16 @@ negative powers (computed both as a spectral series and as a time integral
 of the Poisson kernel), and semigroup application to functions.
 
 Truncation strategy: M = certified_sup(basis, coordinates) bounds |psi_n|
-at the evaluation points for every mode, the ones beyond n_max included. For
-the Bessel system it is a stated bound (Watson §3.31 and §13.74 for
-sqrt(r) J_nu(r), an energy argument for the normalizing constants beyond
-n_max; see basis.certified_sup), for the Jacobi system 1.5 times a probe
-maximum. An engine fixes M at construction and never changes it; a pair
-product above M^2 is a broken invariant and raises ConsistencyError in
-PairEngine._pair_products, which forms the products of every sum. The
-series cutoff N is chosen so that M^2 times a closed-form tail comparison
-(Gaussian tail for heat multipliers, geometric for Poisson, incomplete-gamma
-for potentials) is below the requested tolerance.
+at the evaluation points for every mode, the ones beyond n_max included, a
+stated bound of each basis (Watson §3.31 and §13.74 and an energy argument
+for the Bessel system, Erdelyi-Magnus-Nevai or Szego's endpoint maximum for
+the Jacobi system; see basis.certified_sup). An engine fixes M at
+construction and never changes it; a pair product above M^2 is a broken
+invariant and raises ConsistencyError in PairEngine._pair_products, which
+forms the products of every sum. The series cutoff N is chosen so that M^2
+times a closed-form tail comparison (Gaussian tail for heat multipliers,
+geometric for Poisson, incomplete-gamma for potentials) is below the
+requested tolerance.
 
 For times too small for the available mode budget, the Poisson kernel is
 evaluated by exact subordination, H_t = int_0^inf m_t(u) e^{-d^2 u} G_u du

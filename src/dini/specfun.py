@@ -78,31 +78,29 @@ class JacobiParams:
             )
 
 
-def _check_order(nu) -> None:
-    if not np.all(np.asarray(nu) > -1.0):  # the least order, or NaN, fails
+def _check_args(name: str, nu, xs: np.ndarray, x_max: float, above=DomainError) -> None:
+    """nu > -1 and 0 < x <= x_max at every x, an empty xs passing: NaN fails
+    both comparisons of each test, and x above x_max, +inf too, raises above."""
+    if not (nu > -1.0 if isinstance(nu, float) else np.all(np.asarray(nu) > -1.0)):
         raise DomainError(f"order must exceed -1, got {np.min(nu)}")
+    if xs.size and not (xs.min() > 0.0 and xs.max() <= x_max):
+        if xs.min() > 0.0:
+            raise above(f"{name} supports x <= {x_max:g}")
+        raise DomainError(f"{name} requires x > 0, got {xs.min()}")
 
 
 def bessel_j(nu: float, x):
     """Bessel function of the first kind J_nu on (0, 1e5]."""
-    _check_order(nu)
     xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0):
-        raise DomainError("bessel_j requires x > 0")
-    if np.any(xs > X_MAX_J):
-        raise DomainError(f"bessel_j supports x <= {X_MAX_J:g}")
+    _check_args("bessel_j", nu, xs, X_MAX_J)
     out = _jv(nu, xs)
     return float(out) if np.isscalar(x) else out
 
 
 def bessel_i(nu, x):
     """Modified Bessel function I_nu of the first kind (nu a number or array) on (0, 700]."""
-    _check_order(nu)
     xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0):
-        raise DomainError("bessel_i requires x > 0")
-    if np.any(xs > X_MAX_I):
-        raise OverflowRangeError(f"bessel_i overflows beyond x = {X_MAX_I:g}")
+    _check_args("bessel_i", nu, xs, X_MAX_I, OverflowRangeError)
     out = _iv(nu, xs)
     return float(out) if np.isscalar(x) and np.isscalar(nu) else out
 
@@ -111,12 +109,8 @@ def bessel_modulus(nu: float, x):
     """sqrt(x (J_nu(x)^2 + Y_nu(x)^2)) = sqrt(x) |H^(1)_nu(x)| on (0, 1e5]; it
     bounds sqrt(x) |J_nu(x)|. The modulus is even in nu (|H^(1)_{-nu}| =
     |H^(1)_nu|), and is evaluated at |nu|."""
-    _check_order(nu)
     xs = np.asarray(x, dtype=float)
-    if np.any(xs <= 0.0):
-        raise DomainError("bessel_modulus requires x > 0")
-    if np.any(xs > X_MAX_J):
-        raise DomainError(f"bessel_modulus supports x <= {X_MAX_J:g}")
+    _check_args("bessel_modulus", nu, xs, X_MAX_J)
     out = np.sqrt(xs) * np.abs(_hankel1(abs(nu), xs))
     return float(out) if np.isscalar(x) else out
 

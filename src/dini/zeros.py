@@ -256,9 +256,10 @@ class ZeroTable:
     def _keep(self, a: int, zeros, lo, hi, sign, j_zeros) -> None:
         """Check the certificate of slots a.. of the arrays, form their c and
         eigen, and keep the arrays, read-only."""
-        p, n = self.params, np.arange(a, zeros.size)
-        k = max(a, 1)
-        res = np.append(np.zeros(k - a), np.abs(bessel_jh(p, zeros[k:])) / (1.0 + zeros[k:]))
+        p, n, k = self.params, np.arange(a, zeros.size), max(a, 1)
+        zn, j_nu = zeros[k:], bessel_j(p.nu, zeros[k:])  # for the residual (bessel_jh) and c
+        robin = (p.h + p.nu) * j_nu - zn * bessel_j(p.nu + 1.0, zn)
+        res = np.append(np.zeros(k - a), np.abs(robin) / (1.0 + zn))
         max_residual = max(self.max_residual, float(np.max(res)))
         j, has = n >= 1, (n >= 1) | (p.regime is Regime.MINUS)
         z, l, h, below = zeros[a:], lo[a:], hi[a:], np.arange(max(a - 1, 1), zeros.size - 1)
@@ -275,11 +276,11 @@ class ZeroTable:
         ):
             if not np.all(ok):
                 raise ConsistencyError(f"zero certificate fails at n = {at[np.argmin(ok)]}: {what}")
-        (c, eigen), zn = np.zeros((2, zeros.size - a)), zeros[k:]
+        c, eigen = np.zeros((2, zeros.size - a))
         rad = zn * zn - p.nu * p.nu + p.h * p.h
         if np.any(rad <= 0.0):
             raise ConsistencyError("normalization radicand z_n^2 - nu^2 + H^2 is not positive")
-        c[k - a :] = math.sqrt(2.0) / np.abs(bessel_j(p.nu, zn)) * zn / np.sqrt(rad)
+        c[k - a :] = math.sqrt(2.0) / np.abs(j_nu) * zn / np.sqrt(rad)
         eigen[k - a :] = zn * zn
         if a == 0 and p.regime is Regime.MINUS:
             z0, rad0 = zeros[0], zeros[0] * zeros[0] + p.nu * p.nu - p.h * p.h

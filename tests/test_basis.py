@@ -228,13 +228,6 @@ class TestNormalizationConstants:
         assert np.all(np.diff(b.eigen[b.n_min :]) > 0.0)
 
 
-def union_grid_sup(basis, xs):
-    """The Jacobi M: the first 48 modes on the 10^4-point grid united with
-    xs, times 1.5."""
-    grid = np.union1d(np.linspace(1e-4, 1.0 - 1e-4, 10_000), np.asarray(xs, dtype=float))
-    return 1.5 * float(np.max(np.abs(basis.phi_matrix(grid)[: min(48, basis.k_max) + 1])))
-
-
 SUP_COORDS = (
     np.array([0.3, 0.6]),
     np.array([1e-7, 3e-6, 5e-5, 0.5]),
@@ -245,13 +238,57 @@ SUP_COORDS = (
 
 # PLUS, ZERO, MINUS (nu = 0, H = -1), nu = 3 and nu = -0.9 (MINUS).
 ORACLE_BASES = [(0.0, 0.5), (-0.5, 0.5), (0.0, -1.0), (3.0, 0.5), (-0.9, 0.5)]
+# Both routes of the Jacobi bound: (alpha, -1/2) and its mirror image with
+# alpha < -1/2 (Szego), and alpha, beta >= -1/2 (Erdelyi-Magnus-Nevai).
+JACOBI_SUP_PARAMS = ([(a, -0.5) for a in (-0.95, -0.75, -0.6)]
+                     + [(-0.5, b) for b in (-0.95, -0.75, -0.6)]
+                     + [(a, b) for a in (-0.5, 0.0, 0.7, 2.0, 5.0)
+                        for b in (-0.5, 0.0, 0.7, 2.0, 5.0)])
 
 
 class TestCertifiedSup:
-    def test_jacobi_bit_identical_to_union_grid(self):
-        b = build_jacobi_basis(JacobiParams(0.7, -0.5), 60)
+    @pytest.mark.parametrize("a, b", JACOBI_SUP_PARAMS)
+    def test_jacobi_bound_holds(self, a, b):
+        """The stated M of a 60-mode Jacobi basis bounds Phi_k for k <= 400 on
+        a 2e4-point grid and for k <= 3000 at each of SUP_COORDS."""
+        jp = JacobiParams(a, b)
+        small = build_jacobi_basis(jp, 60)
+        grid = np.linspace(1e-4, 1.0 - 1e-4, 20_000)
+        assert np.max(np.abs(build_jacobi_basis(jp, 400).phi_matrix(grid))) <= certified_sup(
+            small, grid)
+        big = build_jacobi_basis(jp, 3000)
         for xs in SUP_COORDS:
-            assert certified_sup(b, xs) == union_grid_sup(b, xs)
+            assert float(np.max(np.abs(big.phi_matrix(xs)))) <= certified_sup(small, xs)
+
+    @pytest.mark.parametrize("a, b", [(-0.75, -0.5), (-0.5, -0.75)])
+    def test_jacobi_endpoint_bound_is_sharp(self, a, b):
+        """Below alpha = -1/2 the bound is attained at the far end: with
+        every point near it, M is A_1 = C_1 binom(1/2, 1) up to the rounding
+        allowance, and Phi_1 there is within 1e-12 of it."""
+        q = min(a, b) + 0.5
+        a1 = math.sqrt((2.0 + q) * math.gamma(1.0 + q) * math.gamma(1.5) / math.gamma(1.5 + q))
+        xs = np.array([1.0 - 1e-7]) if a < b else np.array([1e-7])
+        jb = build_jacobi_basis(JacobiParams(a, b), 60)
+        m = certified_sup(jb, xs)
+        assert a1 <= m <= a1 * (1.0 + 1e-11)
+        assert abs(jb.phi_matrix(xs)[1, 0]) == pytest.approx(a1, rel=1e-12)
+
+    def test_jacobi_values_of_the_stated_bounds(self):
+        """alpha, beta >= -1/2: M^2 = 2 pi e (2 + sqrt(alpha^2 + beta^2)) at
+        any points."""
+        xs = np.linspace(0.01, 0.99, 20)
+        for a, b in ((-0.5, -0.5), (0.7, -0.5), (2.0, 5.0)):
+            m = math.sqrt(2.0 * math.pi * math.e * (2.0 + math.hypot(a, b)))
+            jb = build_jacobi_basis(JacobiParams(a, b), 30)
+            assert certified_sup(jb, xs) == certified_sup(jb, xs[5:9]) == pytest.approx(m, 1e-11)
+
+    @pytest.mark.parametrize("a, b", [(-0.75, 0.3), (0.3, -0.75), (-0.75, -0.75), (-0.9, -0.6)])
+    def test_jacobi_without_stated_bound_refused(self, a, b):
+        jb = build_jacobi_basis(JacobiParams(a, b), 30)
+        with pytest.raises(DomainError, match=r"alpha, beta >= -1/2 and for min\(alpha, beta\)"):
+            certified_sup(jb, np.array([0.3, 0.6]))
+        with pytest.raises(DomainError, match="no stated sup bound"):
+            PairEngine(jb, [(0.3, 0.6)])
 
     @pytest.mark.parametrize("nu,h", ORACLE_BASES)
     def test_bound_holds_on_dense_grid(self, nu, h):
@@ -351,19 +388,17 @@ class TestCertifiedSup:
         build_jacobi_basis(JacobiParams(0.7, -0.5), 60)
         assert probes() == 0
 
-    def test_probe_evaluated_once_per_basis(self, monkeypatch):
-        """Only the Jacobi rule uses a probe, kept per basis; Bessel engines
-        evaluate none."""
-        probes = self._count_probe_evaluations(monkeypatch)
+    def test_engines_evaluate_no_probe(self, monkeypatch):
+        """An engine's sup bound evaluates no probe grid, on the Bessel basis
+        and on both routes of the Jacobi bound."""
         b = build_basis(SpectralParams(0.7, 0.5), 60)
-        PairEngine(b, [(0.3, 0.6)])
-        assert probes() == 0
         jb = build_jacobi_basis(JacobiParams(0.7, -0.5), 60)
-        PairEngine(jb, [(0.3, 0.6)])
-        PairEngine(jb, [(0.1, 0.2), (0.4, 0.9)])
-        assert probes() == 1
-        PairEngine(build_jacobi_basis(JacobiParams(0.7, -0.5), 60), [(0.3, 0.6)])
-        assert probes() == 2
+        jb_low = build_jacobi_basis(JacobiParams(-0.75, -0.5), 60)
+        probes = self._count_probe_evaluations(monkeypatch)
+        for basis in (b, jb, jb_low):
+            PairEngine(basis, [(0.3, 0.6)])
+            PairEngine(basis, [(0.1, 0.2), (0.4, 0.9)])
+        assert probes() == 0
 
 
 class TestMpmathConstants:

@@ -238,6 +238,17 @@ class TestKernelCommand:
         )
         assert code == 0
 
+    def test_jacobi_heat_without_stated_bound_exits_2(self, capsys):
+        """(alpha, beta) = (-0.75, 0.3) is outside both stated Jacobi sup
+        bounds; the message names where they hold."""
+        code, _, err = run_cli(
+            ["kernel", "--kind", "jacobi-heat", "--nu", "-0.75", "--beta", "0.3",
+             "--t", "0.05", "--grid", "4", "--out", "-"],
+            capsys,
+        )
+        assert code == 2
+        assert "alpha, beta >= -1/2 and for min(alpha, beta) < -1/2 = max(alpha, beta)" in err
+
     def test_usage_error(self, capsys):
         code, _, _ = run_cli(["kernel", "--kind", "nope", "--nu", "0"], capsys)
         assert code == 2

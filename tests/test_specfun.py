@@ -149,6 +149,25 @@ class TestBesselI:
                 bessel_i(np.array([-0.5, bad, 0.3]), np.ones(3))
 
 
+class TestArgumentGuards:
+    """NaN and +-inf arguments and NaN orders raise DomainError from each
+    Bessel evaluation; an empty argument array passes."""
+
+    @pytest.mark.parametrize("f", [bessel_j, bessel_i, bessel_modulus])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument(self, f, bad):
+        for x in (bad, np.array([0.5, bad, 2.0]), np.array([[bad]])):
+            with pytest.raises(DomainError):
+                f(0.5, x)
+
+    @pytest.mark.parametrize("f", [bessel_j, bessel_i, bessel_modulus])
+    def test_nan_order_and_empty_argument(self, f):
+        for nu in (math.nan, np.float64(math.nan), np.array([0.5, math.nan])):
+            with pytest.raises(DomainError, match="order must exceed -1"):
+                f(nu, 1.0)
+        assert f(0.5, np.array([])).shape == (0,)
+
+
 class TestRobinCombinations:
     def test_cosine_zero(self):
         p = SpectralParams(-0.5, 0.5)
