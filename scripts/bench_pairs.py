@@ -11,7 +11,9 @@ seed, one pair of runs: `python3 bench/run.py --workload W --seed S
 and the change first in odd ones. The file records every run's end-to-end
 metrics, each side's median and quartiles and, per metric, how many pairs
 the change won (better by the direction that HEAD_DIR/BENCHMARK.json gives;
-ties count for neither). Running again with the same --label and another
+ties count for neither). --out-dir is created if it is missing, and the file
+is written again after every pair, holding the pairs run so far, so a run
+cut short keeps them. Running again with the same --label and another
 --workload adds that workload to the file. With --schema-of REF the written
 file is checked to carry every key of REF (a BENCH_*.json), and a missing
 key is exit 1.
@@ -65,7 +67,10 @@ def side_record(results: list) -> dict:
     }
 
 
-def run_pairs(base: Path, head: Path, workload: str, seeds: list, seconds: float) -> dict:
+def run_pairs(base: Path, head: Path, workload: str, seeds: list, seconds: float,
+              save) -> None:
+    """Run one pair per seed and pass save the record of the pairs run so
+    far after each one."""
     better = {m["name"]: m["better"]
               for m in json.loads((head / "BENCHMARK.json").read_text())["end_to_end"]}
     results = {side: [] for side in SIDES}
@@ -76,15 +81,15 @@ def run_pairs(base: Path, head: Path, workload: str, seeds: list, seconds: float
         for side in order:
             results[side].append(run_once(base if side == "parent" else head, workload, seed,
                                           seconds))
+        record = {"seeds": seeds[: i + 1], "pairs": i + 1, "first": list(first)}
+        record |= {side: side_record(results[side]) for side in SIDES}
+        wins = {}
+        for m, direction in better.items():
+            pairs = zip(record["parent"]["runs"][m], record["change"]["runs"][m])
+            wins[m] = sum((c > p) if direction == "higher" else (c < p) for p, c in pairs)
+        record["change_wins"] = wins
+        save(record)
         sys.stderr.write(f"{workload} pair {i + 1}/{len(seeds)} (seed {seed}) done\n")
-    record = {"seeds": seeds, "pairs": len(seeds), "first": first}
-    record |= {side: side_record(results[side]) for side in SIDES}
-    wins = {}
-    for m, direction in better.items():
-        pairs = zip(record["parent"]["runs"][m], record["change"]["runs"][m])
-        wins[m] = sum((c > p) if direction == "higher" else (c < p) for p, c in pairs)
-    record["change_wins"] = wins
-    return record
 
 
 def machine() -> str:
@@ -142,6 +147,7 @@ def main(argv=None) -> int:
     ap.add_argument("--schema-of", type=Path, help="a BENCH_*.json whose keys the file must have")
     args = ap.parse_args(argv)
     base, head = args.base.resolve(), args.head.resolve()
+    args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / f"BENCH_{args.label}.json"
     doc = json.loads(out.read_text()) if out.exists() else {}
     if doc.get("seconds", args.seconds) != args.seconds:
@@ -156,9 +162,11 @@ def main(argv=None) -> int:
         "parent_commit": commit(base),
         "change_commit": commit(head),
     }
-    doc.setdefault("workloads", {})[args.workload] = run_pairs(base, head, args.workload,
-                                                               args.seeds, args.seconds)
-    out.write_text(json.dumps(doc, indent=1) + "\n")
+    def save(record: dict) -> None:
+        doc.setdefault("workloads", {})[args.workload] = record
+        out.write_text(json.dumps(doc, indent=1) + "\n")
+
+    run_pairs(base, head, args.workload, args.seeds, args.seconds, save)
     if args.schema_of:
         missing = dict.fromkeys(missing_keys(doc, json.loads(args.schema_of.read_text())))
         if missing:

@@ -61,6 +61,7 @@ from .specfun import (
     bessel_i,
     bessel_ih,
     bessel_j,
+    bessel_j_pair,
     bessel_jh,
     jacobi_poly,
 )

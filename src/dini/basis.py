@@ -28,6 +28,7 @@ from .specfun import (
     SpectralParams,
     bessel_i,
     bessel_j,
+    bessel_j_pair,
     bessel_modulus,
     jacobi_poly_all,
 )
@@ -259,10 +260,9 @@ class BasisSpec(_Basis):
         sq = np.sqrt(x)
         zx = z[:, None] * x[None, :]
         out = np.zeros((self.n_max + 1, x.size))
-        out[1:] = c[1:, None] * sq[None, :] * (
-            ((p.nu + 0.5) / x)[None, :] * bessel_j(p.nu, zx)
-            - z[:, None] * bessel_j(p.nu + 1.0, zx)
-        )
+        j_nu, j_next = bessel_j_pair(p.nu, zx)
+        out[1:] = c[1:, None] * sq[None, :] * (((p.nu + 0.5) / x)[None, :] * j_nu
+                                               - z[:, None] * j_next)
         if p.regime is Regime.MINUS:
             z0 = self.table.zeros[0]
             out[0] = c[0] * sq * (
@@ -452,8 +452,9 @@ def _tail_amplitude(b: BasisSpec) -> float:
     A, B = p.nu * p.nu - p.h * p.h, p.nu * p.nu - 0.25
     C = A + p.h - 0.5
     if B < 0.0:
-        u = math.sqrt(z) * bessel_j(p.nu, z)
-        du = math.sqrt(z) * ((p.nu + 0.5) / z * bessel_j(p.nu, z) - bessel_j(p.nu + 1.0, z))
+        j_nu, j_next = bessel_j_pair(p.nu, z)
+        u = math.sqrt(z) * j_nu
+        du = math.sqrt(z) * ((p.nu + 0.5) / z * j_nu - j_next)
         w = u * u + du * du / (1.0 - B / s)
     elif s > B:
         w = 2.0 / math.pi

@@ -20,7 +20,15 @@ import numpy as np
 
 from .errors import BracketScanFailure, ConsistencyError, DomainError
 from .numerics import csv_text
-from .specfun import Regime, SpectralParams, bessel_i, bessel_j, bessel_jh, robin_and_slope
+from .specfun import (
+    Regime,
+    SpectralParams,
+    bessel_i,
+    bessel_j,
+    bessel_j_pair,
+    bessel_jh,
+    robin_and_slope,
+)
 
 RESIDUAL_SCALE = 1e-10
 Z0_SEARCH_CAP = 512.0  # I_nu overflows beyond 700
@@ -149,8 +157,8 @@ def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13, start=0, after=0.0
     f = lambda x: bessel_j(nu, x)
 
     def fdf(x, _):
-        a = bessel_j(nu, x)
-        return a, (nu / x) * a - bessel_j(nu + 1.0, x)
+        a, b = bessel_j_pair(nu, x)
+        return a, (nu / x) * a - b
 
     beta = (np.arange(start + 1, start + count + 1) + 0.5 * nu - 0.25) * math.pi
     g = np.where(beta <= 1.0, beta, beta - (4.0 * nu * nu - 1.0) / (8.0 * beta))
@@ -257,8 +265,9 @@ class ZeroTable:
         """Check the certificate of slots a.. of the arrays, form their c and
         eigen, and keep the arrays, read-only."""
         p, n, k = self.params, np.arange(a, zeros.size), max(a, 1)
-        zn, j_nu = zeros[k:], bessel_j(p.nu, zeros[k:])  # for the residual (bessel_jh) and c
-        robin = (p.h + p.nu) * j_nu - zn * bessel_j(p.nu + 1.0, zn)
+        zn = zeros[k:]
+        j_nu, j_next = bessel_j_pair(p.nu, zn)  # for the residual (bessel_jh) and c
+        robin = (p.h + p.nu) * j_nu - zn * j_next
         res = np.append(np.zeros(k - a), np.abs(robin) / (1.0 + zn))
         max_residual = max(self.max_residual, float(np.max(res)))
         j, has = n >= 1, (n >= 1) | (p.regime is Regime.MINUS)

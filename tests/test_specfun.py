@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from dini.errors import DomainError, OverflowRangeError
 from dini.specfun import (
+    HANKEL_TERMS,
     X_MAX_J,
     JacobiParams,
     Regime,
@@ -14,12 +16,22 @@ from dini.specfun import (
     bessel_i,
     bessel_ih,
     bessel_j,
+    bessel_j_pair,
     bessel_jh,
     bessel_modulus,
     jacobi_poly,
     robin_and_slope,
 )
+from dini.specfun import _hankel_order as hankel_order
 from dini.zeros import build_zero_table
+
+# The orders of the Hankel tests: the MINUS and ZERO regimes, the closed
+# forms at +-1/2, 1.5 and 2.5, and the large orders of the 3000-mode zero
+# tables.
+HANKEL_NUS = [-0.9, -0.75, -0.5, 0.0, 0.3, 0.5, 1.5, 2.5, 3.0, 20.0, 30.0]
+# The stated targets above R(nu), in units of the envelope sqrt(2/(pi x)):
+# first neglected terms at most 2^-53, absolute terms of the sums at most 2.
+REMAINDER, SUM_BOUND = 2.0**-53, 2.0
 
 
 class TestSpectralParams:
@@ -91,10 +103,100 @@ class TestBesselJ:
         # J_nu(x) ~ sqrt(2/(pi x)) cos(...): scale by max(|J|, x^{-1/2}) so
         # that the error near a zero of J is measured on the envelope's scale.
         err = np.abs(bessel_j(nu, x) - ref) / np.maximum(np.abs(ref), x**-0.5)
-        # Above x = 100 scipy's jv is within a few ulp (<= 3.5e-16 measured);
-        # below it, fractional orders lose up to 3.1e-14 (nu = 0.3, x ~ 14).
-        assert np.max(err[x >= 100.0]) <= 1e-14
-        assert np.max(err[x < 100.0]) <= 1e-13
+        # From R(nu) (about 19 at these orders) on, the Hankel sums hold
+        # their stated error; below it scipy's jv at fractional orders
+        # loses up to 3.1e-14 (nu = 0.3, x ~ 14).
+        above = x >= hankel_order(nu)[0]
+        assert np.max(err[above]) <= 1e-14
+        assert np.max(err[~above]) <= 1e-13
+
+
+def hankel_coefficients(nu, count):
+    """a_0..a_{count-1}(nu) of DLMF 10.17.1 at 30 digits."""
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(30):
+        a, mu = [mp.mpf(1)], 4 * mp.mpf(nu) ** 2
+        for k in range(1, count):
+            a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8 * k))
+    return a
+
+
+class TestHankel:
+    """J_nu from the Hankel expansion at x >= R(nu) (``_hankel_order``)."""
+
+    @pytest.mark.parametrize("nu", HANKEL_NUS)
+    def test_agrees_with_mpmath_above_r(self, nu):
+        mp = pytest.importorskip("mpmath").mp
+        r = hankel_order(nu)[0]
+        x = np.concatenate([r * (1.0 + np.geomspace(1e-12, 1e-2, 12)),
+                            np.geomspace(r, X_MAX_J, 60)])
+        with mp.workdps(30):
+            ref = np.array([float(mp.besselj(nu, mp.mpf(v))) for v in x])
+        # The stated truncation bound plus the rounding of sums whose
+        # absolute terms total at most SUM_BOUND, in units of the envelope.
+        err = np.abs(bessel_j(nu, x) - ref) / np.sqrt(2.0 / (np.pi * x))
+        assert np.max(err) <= REMAINDER + 16 * SUM_BOUND * 2.0**-53
+
+    @pytest.mark.parametrize("nu", HANKEL_NUS)
+    def test_first_neglected_terms_at_r(self, nu):
+        """R(nu) meets both stated tests and is the least x >= 1 that does;
+        l meets DLMF 10.17(iii)'s l >= max(|nu|/2 - 1/4, 1) and l >= |nu| -
+        1/2; the coefficients are DLMF's."""
+        mp = pytest.importorskip("mpmath").mp
+        r, coef, _, _ = hankel_order(nu)
+        ell = max(HANKEL_TERMS, math.ceil(abs(nu) - 0.5))
+        assert ell >= max(abs(nu) / 2 - 0.25, 1.0) and ell >= abs(nu) - 0.5
+        a = hankel_coefficients(nu, 2 * ell + 2)
+        with mp.workdps(30):
+            def tests(x):
+                x = mp.mpf(x)
+                tail = abs(a[2 * ell]) / x ** (2 * ell) + abs(a[2 * ell + 1]) / x ** (2 * ell + 1)
+                total = sum(abs(a[k]) / x**k for k in range(2 * ell))
+                return tail <= REMAINDER, total <= SUM_BOUND
+            assert all(tests(r))
+            assert r == 1.0 or not all(tests(r * (1 - 1e-8)))
+        # Rows e_P, o_P, e_Q, o_Q in 1/x^4, highest power first.
+        signed = [float((-1) ** (k // 2) * a[k]) for k in range(2 * ell)]
+        for row, start in enumerate((0, 2, 1, 3)):
+            want = signed[start : 2 * ell : 4][::-1]
+            got = coef[row, coef.shape[1] - len(want) :]
+            assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+            assert np.all(coef[row, : coef.shape[1] - len(want)] == 0.0)
+
+    def test_large_orders_stay_on_jv(self):
+        # From nu ~ 92.5 on the coefficients a_k overflow binary64, so no x
+        # passes the stated tests and jv serves every x.
+        assert hankel_order(100.0)[0] == math.inf
+        x = np.geomspace(1.0, X_MAX_J, 50)
+        assert np.array_equal(bessel_j(100.0, x), jv(100.0, x))
+
+    @pytest.mark.parametrize("nu", [-0.9, -0.5, 0.0, 0.5, 1.5, 2.5, 11.7, 30.0])
+    def test_pair_equals_two_single_calls(self, nu):
+        r = min(hankel_order(nu)[0], hankel_order(nu + 1.0)[0])
+        x = np.concatenate([np.geomspace(1e-3, X_MAX_J, 3001),
+                            np.linspace(0.5 * r, 3.0 * r, 1001)])
+        j_nu, j_next = bessel_j_pair(nu, x)
+        assert np.array_equal(j_nu, bessel_j(nu, x))
+        assert np.array_equal(j_next, bessel_j(nu + 1.0, x))
+        for v in x[::250]:
+            assert bessel_j_pair(nu, float(v)) == (bessel_j(nu, float(v)),
+                                                    bessel_j(nu + 1.0, float(v)))
+
+    @pytest.mark.parametrize("nu", [-0.75, 0.0, 2.5, 20.0])
+    def test_scalar_array_and_slices_same_bits(self, nu):
+        """A value depends only on (nu, x): not on the size, shape, stride or
+        order of the array, nor on whether x is a scalar."""
+        rng = np.random.default_rng(7)
+        x = np.concatenate([np.geomspace(1e-3, X_MAX_J, 20_000), rng.uniform(1.0, 40.0, 4_000)])
+        full = bessel_j(nu, x)
+        for part in (slice(None, None, 7), slice(3, 1000), slice(None, None, -1),
+                     slice(19_990, 20_010), slice(5, 6)):
+            assert np.array_equal(bessel_j(nu, x[part]), full[part])
+        assert np.array_equal(bessel_j(nu, x[:24_000].reshape(120, 200)),
+                              full[:24_000].reshape(120, 200))
+        assert np.array_equal(bessel_j(nu, x.reshape(-1, 1)[::3]), full[::3].reshape(-1, 1))
+        for i in range(0, x.size, 997):
+            assert bessel_j(nu, float(x[i])) == full[i]
 
 
 class TestBesselModulus:
