@@ -43,6 +43,10 @@ def run(outdir: Path) -> int:
 
     step("zero-bound", ["verify-zero-bound", "--nu-grid", "32",
                         "--out", str(outdir / "zero_bound.json")])
+    # Large order: the first J_nu brackets come from the step-pi scan; at
+    # H = nu the zeros are those of J_{nu-1}.
+    step("zeros nu=100 H=100", ["zeros", "--nu", "100", "--h", "100", "--n-max", "3000",
+                                "--out", str(outdir / "zeros_nu100_h100.csv")])
     for nu in SANDWICH_NUS:
         step(f"sandwich nu={nu}",
              ["verify-sandwich", "--nu", nu, "--t", "0.01,0.1,0.5,1",

@@ -1,26 +1,32 @@
 """Zeros of the Robin combinations J_{nu,H} and I_{nu,H}.
 
 For n >= 1 the zeros z_n of J_{nu,H} are bracketed by interlacing: between
-consecutive zeros of J_nu there is exactly one zero of J_{nu,H}, and the sign
-of J_{nu,H} at the zeros of J_nu alternates. The J_nu zeros come from McMahon
-brackets with a dense-scan fallback. When nu + H < 0 the single positive zero
-z_0 of I_{nu,H} is bracketed on a doubling grid, for many nu at once; when
-nu + H = 0, z_0 = 0. Every zero is refined by ``_refine``, the package's only
-root refiner: bracketed Newton, a sign certificate, an array bisection of the
-failures.
+consecutive zeros of J_nu there is exactly one zero of J_{nu,H}. The zeros
+of J_nu are not refined, only bracketed (``_j_brackets``): McMahon's
+brackets where a stated argument shows that each holds its own zero, and a
+scan in steps of pi from max(nu, 0) where they do not (the first zeros at
+large nu). One ``bessel_j_pair`` call at the bracket ends gives the signs of
+J_nu and of J_{nu,H}; z_n is refined in the gap between two J_nu brackets,
+and a J_nu zero only where z_n lies in its bracket. A table grows while its
+brackets lie below X_MAX_J, the range of ``bessel_j`` (about 31,800 modes),
+and refuses a mode above with DomainError. When nu + H < 0 the single
+positive zero z_0 of I_{nu,H} is bracketed on a doubling grid, for many nu
+at once; when nu + H = 0, z_0 = 0. Every zero is refined by ``_refine``, the
+package's only root refiner: bracketed Newton, a sign certificate, an array
+bisection of the failures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from .errors import BracketScanFailure, ConsistencyError, DomainError
 from .numerics import csv_text
 from .specfun import (
+    X_MAX_J,
     Regime,
     SpectralParams,
     bessel_i,
@@ -39,23 +45,6 @@ BISECTION_STEPS = 200
 # which bounds those temporaries at PSI_BLOCK_MODES x points; also the modes
 # of a zero table's first block, from which its freq_offset is stated.
 PSI_BLOCK_MODES = 128
-
-
-def _scan_first_sign_change(
-    f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, what: str, n: int = 8192
-) -> tuple[float, float, int]:
-    """First sign-change cell of f on an n-point grid over [lo, hi], sign at its low end."""
-    grid = np.linspace(lo, hi, n)
-    signs = np.sign(f(grid))
-    flips = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if flips.size == 0:
-        step = (hi - lo) / (n - 1)
-        raise BracketScanFailure(
-            f"{what}: no sign change found on ({lo:.6g}, {hi:.6g}) at resolution {step:.3g}",
-            scan_step=step,
-        )
-    i = int(flips[0])
-    return float(grid[i]), float(grid[i + 1]), int(signs[i])
 
 
 def _newton(fdf, x, lo, hi, s_lo, tol):
@@ -143,52 +132,171 @@ def _refine(f, fdf, x0, lo, hi, s_lo, tol):
     return x, a, b
 
 
-def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13, start=0, after=0.0) -> np.ndarray:
-    """The ``count`` positive zeros of J_nu after the first ``start`` ones
-    (the last of which is ``after``), certified by ``_refine``.
+def _mcmahon(nu: float, k: np.ndarray) -> np.ndarray:
+    """McMahon's guesses g_k = beta - (4 nu^2 - 1)/(8 beta), beta = (k + nu/2
+    - 1/4) pi, for the zeros j_k of J_nu (DLMF 10.21.19); beta where beta <= 1."""
+    beta = (k + 0.5 * nu - 0.25) * math.pi
+    return np.where(beta <= 1.0, beta, beta - (4.0 * nu * nu - 1.0) / (8.0 * beta))
 
-    The McMahon brackets [g - 0.6, g + 0.6] are sign-tested as arrays; they
-    are disjoint, since the guesses g are more than 2.7 apart, and lie above
-    ``after``. A bracket without a sign change is replaced, in order, by a
-    dense scan above the previous bracket or ``after`` (small k at large
-    nu). Each zero is refined on its own."""
-    if count < 1:
-        raise DomainError("count must be >= 1")
-    f = lambda x: bessel_j(nu, x)
+
+def _refine_j(nu: float, x0, lo, hi, s_lo, tol):
+    """``_refine`` on J_nu, with J_nu' = (nu/x) J_nu - J_{nu+1}."""
 
     def fdf(x, _):
         a, b = bessel_j_pair(nu, x)
         return a, (nu / x) * a - b
 
-    beta = (np.arange(start + 1, start + count + 1) + 0.5 * nu - 0.25) * math.pi
-    g = np.where(beta <= 1.0, beta, beta - (4.0 * nu * nu - 1.0) / (8.0 * beta))
-    lo, hi = np.maximum(g - 0.6, 1e-9), g + 0.6
-    s_lo, s_hi = np.sign(f(lo)), np.sign(f(hi))
-    for k in np.flatnonzero(s_lo * s_hi >= 0):
-        prev = hi[k - 1] if k else after
-        first = prev + max(1e-9, 1e-6 * prev) if prev > 0 else 1e-8
-        what = f"J_nu zeros at nu = {nu:g}: zero k = {start + k + 1} not bracketed"
-        lo[k], hi[k], s_lo[k] = _scan_first_sign_change(f, first, g[k] + 2.5, what)
-    if np.any(lo[1:] <= hi[:-1]) or lo[0] <= after:
-        raise BracketScanFailure("J_nu zero brackets overlap")
-    return _refine(lambda x, _: f(x), fdf, g, lo, hi, s_lo, tol)[0]
+    return _refine(lambda x, _: bessel_j(nu, x), fdf, x0, lo, hi, s_lo, tol)
 
 
-def _robin_zeros(p: SpectralParams, nodes: np.ndarray, count: int, tol: float):
-    """(zeros, lo, hi, sign at lo) of J_{nu,H} in the first ``count`` cells
-    of the ascending ``nodes`` (0+, zeros of J_nu) where it changes sign,
-    refined from the midpoint m shifted by (H - 1/2)/m, the zero's offset."""
-    f = lambda x: bessel_jh(p, x)
-    signs = np.sign(f(nodes))
-    cells = np.flatnonzero(signs[:-1] * signs[1:] < 0)
-    if cells.size < count:
-        raise BracketScanFailure(f"found {cells.size} interlacing cells above {nodes[0]:.6g}, "
-                                 f"need {count}")
-    cells = cells[:count]
-    lo, hi, s_lo = nodes[cells], nodes[cells + 1], signs[cells]
-    mid = 0.5 * (lo + hi)
+def _scan(nu: float, x0: float, end: float):
+    """(lo, hi, sign of J_nu at lo) of the cells of the grid x0 + i pi, cut
+    at ``end``, where J_nu changes sign. For |nu| >= 1/2 consecutive zeros
+    lie at least pi apart (``_j_brackets``), so a cell holds one zero if its
+    ends differ in sign and none otherwise (a zero at a grid point raises)."""
+    x = np.append(x0 + math.pi * np.arange(max(1, math.ceil((end - x0) / math.pi))), end)
+    s = np.sign(bessel_j(nu, x))
+    if np.any(s == 0):
+        raise BracketScanFailure(f"J_nu zeros at nu = {nu:g}: J_nu(x) = 0 at the scan point "
+                                 f"x = {float(x[s == 0][0])!r}", scan_step=math.pi)
+    cells = np.flatnonzero(s[:-1] != s[1:])
+    return x[cells], x[cells + 1], s[cells]
+
+
+def _j_brackets(nu: float, start: int, count: int, tol: float, after: float = 0.0):
+    """(lo, hi, sign, v): signed brackets of the zeros j_k of J_nu, k = start
+    + 1..start + count, each holding j_k and no other zero, above ``after``
+    (the top of j_start's bracket; 0 if start = 0). J_nu > 0 on (0, j_1) and
+    changes sign at each zero, so ``sign`` = (-1)^(k-1) at lo and the
+    opposite at hi. v = (J_nu, J_{nu+1}) at the points lo, hi and (if after >
+    0) after, from one ``bessel_j_pair`` call (two if a bracket needs a scan).
+
+    The McMahon brackets [g - 0.6, g + 0.6] (g - 0.6 >= pi/4 - 0.6 > 0) are
+    kept where they have those signs and can hold no zero but j_k. With u =
+    sqrt(x) J_nu and the Pruefer angle theta(j_m) = m pi of
+    ``_offset_bound``, phi = theta - x rises from phi(0+) = 0 to (1/4 -
+    nu/2) pi for |nu| < 1/2, so j_m lies in [(m + nu/2 - 1/4) pi, m pi], and
+    a bracket above (k - 1) pi and below (k + 3/4 + nu/2) pi can hold only
+    j_k. For |nu| >= 1/2, phi does not rise, so consecutive zeros are at
+    least pi apart: a bracket (1.2 wide) holds one zero, and the interval
+    from the previous bracket's top to lo holds none when it is less than
+    pi wide and has the same sign at both ends; for k = 1 it starts
+    at max(nu, 1e-9), below j_1 (j_1 > nu for nu >= 0, and j_1^2 > 4 (nu +
+    1) >= 4.4e-16 by Rayleigh's sum of j_k^-2 = 1/(4 (nu + 1)), Watson
+    §15.51). Where a bracket fails (the first zeros at large nu, where
+    McMahon's series has not converged), for |nu| >= 1/2 the zeros from the
+    top of the last kept bracket below it up to the next run of kept
+    brackets (or, after the last bracket, past j_{start+count}: phi >= (1/4
+    - nu/2) pi gives j_k <= (k + nu/2 - 1/4) pi) are taken from ``_scan``
+    and refined (``_refine_j``); the kept brackets above take their index
+    from that count. A failure at |nu| < 1/2 raises BracketScanFailure."""
+    k = np.arange(start + 1, start + count + 1)
+    g = _mcmahon(nu, k)
+    lo, hi = g - 0.6, g + 0.6
+    tail = [after] if after > 0 else []
+    v = np.stack(bessel_j_pair(nu, np.concatenate([lo, hi, tail])))
+    sign = np.where(k % 2, 1.0, -1.0)
+    floor = max(after, nu, 1e-9)
+    s, prev = np.sign(v[0]), np.append(floor, hi[:-1])
+    ok = (s[:count] == sign) & (s[count : 2 * count] == -sign) & (lo > np.maximum(prev, floor))
+    if abs(nu) < 0.5:
+        ok &= (lo > (k - 1) * math.pi) & (hi < (k + 0.75 + 0.5 * nu) * math.pi)
+    else:
+        ok &= lo - prev < math.pi
+    bad = np.flatnonzero(~ok)
+    if bad.size == 0:
+        return lo, hi, sign, v
+    if abs(nu) < 0.5:
+        raise BracketScanFailure(f"J_nu zeros at nu = {nu:g}: zero k = {start + bad[0] + 1} "
+                                 "not bracketed")
+    f0, f1 = int(bad[0]), int(bad[-1]) + 1  # the McMahon brackets f0..f1 - 1 are replaced
+    # Up to the next kept bracket, or past j_{start+count} <= (start + count + nu/2 - 1/4) pi.
+    end = lo[f1] if f1 < count else (start + count + 0.5 * nu + 0.75) * math.pi
+    a, b, sa = _scan(nu, float(prev[f0]), end)
+    m = a.size
+    if np.any(sa != np.where((start + f0 + np.arange(m)) % 2, -1.0, 1.0)) or (
+            f1 < count and (f1 - f0 - m) % 2) or (f1 == count and m < f1 - f0):
+        raise ConsistencyError(f"J_nu zeros at nu = {nu:g}: the signs of the scan above "
+                               f"x = {float(prev[f0])!r} do not alternate")
+    _, a, b = _refine_j(nu, 0.5 * (a + b), a, b, sa, tol)
+    lo, hi = (np.concatenate([x[:f0], y, x[f1:]])[:count] for x, y in ((lo, a), (hi, b)))
+    if lo.size < count:  # the scan found fewer zeros than it replaced brackets
+        more = _j_brackets(nu, start + lo.size, count - lo.size, tol, float(hi[-1]))
+        lo, hi = np.concatenate([lo, more[0]]), np.concatenate([hi, more[1]])
+    return lo, hi, sign, np.stack(bessel_j_pair(nu, np.concatenate([lo, hi, tail])))
+
+
+def bessel_j_zeros(nu: float, count: int, tol: float = 1e-13) -> np.ndarray:
+    """The first ``count`` positive zeros of J_nu, each refined by
+    ``_refine_j`` in its bracket from ``_j_brackets``, from McMahon's guess."""
+    if count < 1:
+        raise DomainError("count must be >= 1")
+    lo, hi, sign, _ = _j_brackets(nu, 0, count, tol)
+    return _refine_j(nu, _mcmahon(nu, np.arange(1, count + 1)), lo, hi, sign, tol)[0]
+
+
+def _mode_cap(p: SpectralParams) -> int:
+    """The highest mode n whose cell's upper J_nu bracket (McMahon's, for
+    the zero j_{n+1} unless PLUS) lies below X_MAX_J, the top of ``bessel_j``:
+    g_k + 0.6 <= X_MAX_J, solved for beta (g rises with beta)."""
+    y, c = X_MAX_J - 0.6, 4.0 * p.nu * p.nu - 1.0
+    k = math.floor(0.5 * (y + math.sqrt(y * y + 0.5 * c)) / math.pi - 0.5 * p.nu + 0.25) + 1
+    while k > 0 and _mcmahon(p.nu, k) + 0.6 > X_MAX_J:
+        k -= 1
+    return max(k - int(p.regime is not Regime.PLUS), 0)
+
+
+def _robin_zeros(p: SpectralParams, tol: float, size: int, top: int, j_lo, j_hi, j_sign):
+    """(zeros, lo, hi, sign at lo) of J_{nu,H} for the modes size + 1..top,
+    and the J_nu brackets (j_lo, j_hi, j_sign) extended to the cell of top.
+
+    z_n lies in cell m = n (n + 1 unless PLUS) between the J_nu zeros j_{m-1}
+    and j_m (j_0 = 0), the only zero there (interlacing). Its gap [top of
+    bracket m - 1, bottom of bracket m] holds it when J_{nu,H} changes sign
+    there: the signs come from the J_nu, J_{nu+1} values of
+    ``_j_brackets``, and at 0+ J_{nu,H} has the sign of nu + H. Where a gap
+    has no sign change, z_n lies in a neighbouring bracket: the J_nu zeros
+    of both are refined (``_refine_j``), which narrows the brackets to
+    x -/+ d, and the gap is tested again. z_n is refined in its gap from
+    the midpoint mid shifted by (H - 1/2)/mid, the zero's offset."""
+    c0 = int(p.regime is not Regime.PLUS)
+    cap = _mode_cap(p)
+    if top > cap:
+        raise DomainError(f"zero table at nu = {p.nu:g}, H = {p.h:g}: mode {top} needs J_nu "
+                          f"above x = {X_MAX_J:g}, the range of bessel_j; the largest usable "
+                          f"--n-max is {cap}")
+    have, count = j_lo.size, top + c0 - j_lo.size
+    after = float(j_hi[-1]) if have else 0.0
+    lo, hi, sign, v = _j_brackets(p.nu, have, count, tol, after)
+    j_lo, j_hi, j_sign = (np.concatenate(t) for t in ((j_lo, lo), (j_hi, hi), (j_sign, sign)))
+    x = np.concatenate([lo, hi, [after] if have else []])
+    r = (p.h + p.nu) * v[0] - x * v[1]  # J_{nu,H}, as bessel_jh forms it
+    # J_{nu,H} at the bottom and the top of J bracket i at slot i; slot 0 is 0+.
+    f_lo = np.concatenate([np.full(have + 1, np.nan), r[:count]])
+    f_hi = np.concatenate([[np.sign(p.nu + p.h)], np.full(have, np.nan), r[count : 2 * count]])
+    if have:
+        f_hi[have] = r[-1]
+    m = np.arange(size + c0 + 1, top + c0 + 1)
+    flat = np.sign(f_hi[m - 1]) * np.sign(f_lo[m]) >= 0
+    if np.any(flat):
+        ks = np.unique(np.concatenate([m[flat] - 1, m[flat]]))
+        ks = ks[ks >= 1]
+        i = ks - 1
+        _, a, b = _refine_j(p.nu, 0.5 * (j_lo[i] + j_hi[i]), j_lo[i], j_hi[i], j_sign[i], tol)
+        x = np.concatenate([a, b])
+        va = np.stack(bessel_j_pair(p.nu, x))
+        r = (p.h + p.nu) * va[0] - x * va[1]
+        j_lo[i], j_hi[i], f_lo[ks], f_hi[ks] = a, b, r[: ks.size], r[ks.size :]
+        flat = np.sign(f_hi[m - 1]) * np.sign(f_lo[m]) >= 0
+        if np.any(flat):
+            raise BracketScanFailure(f"J_{{nu,H}} at nu = {p.nu:g}, H = {p.h:g} does not change "
+                                     f"sign in cell {int(m[flat][0])} outside its J_nu zeros")
+    g_lo, g_hi, s_lo = np.concatenate([[0.0], j_hi])[m - 1], j_lo[m - 1], np.sign(f_hi[m - 1])
+    mid = 0.5 * (g_lo + g_hi)
     fdf = lambda x, _: robin_and_slope(p.nu, p.h, x)
-    return (*_refine(lambda x, _: f(x), fdf, mid + (p.h - 0.5) / mid, lo, hi, s_lo, tol), s_lo)
+    z, a, b = _refine(lambda x, _: bessel_jh(p, x), fdf, mid + (p.h - 0.5) / mid, g_lo, g_hi,
+                      s_lo, tol)
+    return z, a, b, s_lo, j_lo, j_hi, j_sign
 
 
 @dataclass
@@ -203,18 +311,23 @@ class ZeroTable:
     the bracket [lo, hi] of z_n and the sign at lo (-sign at hi), or 0, 0, 0
     without a bracket (n=0 unless MINUS). A bracket is x -/+ d around the
     refined x, d = max(0.45 tol, 2 ulp), in the cell of x and signed as at
-    its ends, or bisected where that test fails; J_{nu,H} cells lie between
-    zeros of J_nu (``j_zeros``; 0 below the first). Construction and growth
-    raise ``ConsistencyError``, keeping nothing new, unless each new slot
-    has |J_{nu,H}(z_n)| / (1 + z_n) <= RESIDUAL_SCALE, sign +-1, lo < z <
-    hi, hi - lo <= max(tol, 4 ulp(hi)), and bracket n >= 1 lies in cell n
-    of [0, j_zeros] (n + 1 unless PLUS), below bracket n + 1 (z_0 may exceed
-    z_1: 1.92 > 1.81 at nu = -0.75, H = -1.5). ``c[n]`` = sqrt(2) z_n /
-    (|J_nu(z_n)| sqrt(z_n^2 - nu^2 + H^2)) and ``eigen[n]`` = (-1)^{n==0}
-    z_n^2 rise strictly from n_min (c[0] = sqrt(2 (nu + 1)) at ZERO; slot 0
-    is 0 at PLUS); the arrays are read-only. ``pi_offset_sup`` = max |z_n -
-    pi*n| over the stored n; ``freq_offset`` (``_offset_bound``, from the
-    first block) is a c >= 0 with z_n >= pi*(n - c) for every n >= 1.
+    its ends, or bisected where that test fails. The J_{nu,H} cells lie
+    between signed brackets of the zeros of J_nu (``_j_brackets``): entry
+    m - 1 of ``j_lo``, ``j_hi``, ``j_sign`` is [lo, hi] of j_m and the sign
+    of J_nu at lo (-j_sign at hi), McMahon's [g - 0.6, g + 0.6] or a refined
+    x -/+ d. Construction and growth raise ``ConsistencyError``, keeping
+    nothing new, unless each new slot has |J_{nu,H}(z_n)| / (1 + z_n) <=
+    RESIDUAL_SCALE, sign +-1, lo < z < hi, hi - lo <= max(tol, 4 ulp(hi)),
+    and bracket n >= 1 lies in its cell m = n (n + 1 unless PLUS), j_hi[m -
+    2] <= lo and hi <= j_lo[m - 1] (above 0 for m = 1), below bracket n + 1
+    (z_0 may exceed z_1: 1.92 > 1.81 at nu = -0.75, H = -1.5); and unless
+    the J brackets ascend without overlap, each with j_sign = (-1)^(m-1)
+    (J_nu > 0 below j_1). ``c[n]`` = sqrt(2) z_n / (|J_nu(z_n)| sqrt(z_n^2 -
+    nu^2 + H^2)) and ``eigen[n]`` = (-1)^{n==0} z_n^2 rise strictly from
+    n_min (c[0] = sqrt(2 (nu + 1)) at ZERO; slot 0 is 0 at PLUS); the
+    arrays are read-only. ``pi_offset_sup`` = max |z_n - pi*n| over the
+    stored n; ``freq_offset`` (``_offset_bound``, from the first block) is a
+    c >= 0 with z_n >= pi*(n - c) for every n >= 1.
     """
 
     params: SpectralParams
@@ -224,7 +337,9 @@ class ZeroTable:
     lo: np.ndarray
     hi: np.ndarray
     sign: np.ndarray
-    j_zeros: np.ndarray
+    j_lo: np.ndarray
+    j_hi: np.ndarray
+    j_sign: np.ndarray
     c: np.ndarray = field(init=False)
     eigen: np.ndarray = field(init=False)
     freq_offset: float = field(init=False)
@@ -234,7 +349,7 @@ class ZeroTable:
     def __post_init__(self):
         self.c = self.eigen = np.zeros(0)
         self.max_residual = self.pi_offset_sup = 0.0
-        self._keep(0, self.zeros, self.lo, self.hi, self.sign, self.j_zeros)
+        self._keep(0, self.zeros, self.lo, self.hi, self.sign, self.j_lo, self.j_hi, self.j_sign)
         self.freq_offset = _offset_bound(self.params, self.zeros)
 
     @property
@@ -248,22 +363,17 @@ class ZeroTable:
 
     def upto(self, n: int) -> "ZeroTable":
         """The table grown to mode min(n, n_max), never shrunk; returns it.
-        The J_nu zeros and the cells continue from the last ones stored."""
+        The J_nu brackets and the cells continue from the last ones stored."""
         top, size = min(n, self.n_max), self.size
         if top > size:
-            p, c0 = self.params, int(self.params.regime is not Regime.PLUS)
-            j = self.j_zeros
-            if j.size < top + c0:
-                more = bessel_j_zeros(p.nu, top + c0 - j.size, self.tol, j.size, float(j[-1]))
-                j = np.concatenate([j, more])
-            new = _robin_zeros(p, j[size + c0 - 1 :], top - size, self.tol)
+            new = _robin_zeros(self.params, self.tol, size, top, self.j_lo, self.j_hi, self.j_sign)
             old = (self.zeros, self.lo, self.hi, self.sign)
-            self._keep(size + 1, *map(np.concatenate, zip(old, new)), j)
+            self._keep(size + 1, *map(np.concatenate, zip(old, new[:4])), *new[4:])
         return self
 
-    def _keep(self, a: int, zeros, lo, hi, sign, j_zeros) -> None:
-        """Check the certificate of slots a.. of the arrays, form their c and
-        eigen, and keep the arrays, read-only."""
+    def _keep(self, a: int, zeros, lo, hi, sign, j_lo, j_hi, j_sign) -> None:
+        """Check the certificate of slots a.. of the arrays and of the J_nu
+        brackets, form their c and eigen, and keep the arrays, read-only."""
         p, n, k = self.params, np.arange(a, zeros.size), max(a, 1)
         zn = zeros[k:]
         j_nu, j_next = bessel_j_pair(p.nu, zn)  # for the residual (bessel_jh) and c
@@ -272,19 +382,27 @@ class ZeroTable:
         max_residual = max(self.max_residual, float(np.max(res)))
         j, has = n >= 1, (n >= 1) | (p.regime is Regime.MINUS)
         z, l, h, below = zeros[a:], lo[a:], hi[a:], np.arange(max(a - 1, 1), zeros.size - 1)
-        cells = np.concatenate([[0.0], j_zeros])
-        cell = n + (p.regime is not Regime.PLUS)  # [cells[cell - 1], cells[cell]]
-        own = (np.searchsorted(cells, l, "right") == cell) & (np.searchsorted(cells, h) == cell)
-        for what, at, ok in (
-            (f"residual {max_residual:.3e} > {RESIDUAL_SCALE:.1e}", n, res <= RESIDUAL_SCALE),
-            ("sign +-1 where bracketed, else 0", n, np.abs(sign[a:]) == has),
-            ("bracket below the next one", below, hi[below] < lo[below + 1]),
-            ("bracket in its own interlacing cell", n, ~j | (own & (cell < cells.size))),
-            ("lo < z < hi", n, ~has | ((l < z) & (z < h))),
-            ("width <= max(tol, 4 ulp)", n, ~has | (h - l <= np.fmax(self.tol, 4 * np.spacing(h)))),
+        m = np.arange(1, j_lo.size + 1)
+        cell = n + (p.regime is not Regime.PLUS)  # between J_nu brackets cell - 1 and cell
+        i = np.clip(cell, 1, m.size) - 1
+        own = (cell <= m.size) & (np.concatenate([[0.0], j_hi])[i] <= l) & (h <= j_lo[i])
+        for what, (name, at), ok in (
+            (f"residual {max_residual:.3e} > {RESIDUAL_SCALE:.1e}", ("n", n),
+             res <= RESIDUAL_SCALE),
+            ("sign +-1 where bracketed, else 0", ("n", n), np.abs(sign[a:]) == has),
+            ("bracket below the next one", ("n", below), hi[below] < lo[below + 1]),
+            ("bracket in its own interlacing cell", ("n", n), ~j | own),
+            ("lo < z < hi", ("n", n), ~has | ((l < z) & (z < h))),
+            ("width <= max(tol, 4 ulp)", ("n", n),
+             ~has | (h - l <= np.fmax(self.tol, 4 * np.spacing(h)))),
+            ("J_nu bracket of j_m signed (-1)^(m-1) at its bottom", ("m", m),
+             j_sign == np.where(m % 2, 1.0, -1.0)),
+            ("J_nu brackets ascending, apart", ("m", m),
+             (j_lo < j_hi) & (j_lo > np.append(0.0, j_hi[:-1]))),
         ):
             if not np.all(ok):
-                raise ConsistencyError(f"zero certificate fails at n = {at[np.argmin(ok)]}: {what}")
+                raise ConsistencyError(f"zero certificate fails at {name} = "
+                                       f"{at[np.argmin(ok)]}: {what}")
         c, eigen = np.zeros((2, zeros.size - a))
         rad = zn * zn - p.nu * p.nu + p.h * p.h
         if np.any(rad <= 0.0):
@@ -303,10 +421,11 @@ class ZeroTable:
             raise ConsistencyError("eigenvalues are not strictly increasing")
         offset = np.abs(zeros[k:] - math.pi * np.arange(k, zeros.size))
         self.pi_offset_sup = max(self.pi_offset_sup, float(np.max(offset)))
-        arrays = (zeros, lo, hi, sign, j_zeros, c, eigen)
+        arrays = (zeros, lo, hi, sign, j_lo, j_hi, j_sign, c, eigen)
         for v in arrays:
             v.flags.writeable = False
-        self.zeros, self.lo, self.hi, self.sign, self.j_zeros, self.c, self.eigen = arrays
+        (self.zeros, self.lo, self.hi, self.sign, self.j_lo, self.j_hi, self.j_sign, self.c,
+         self.eigen) = arrays
         self.max_residual = max_residual
 
     def to_csv(self, out) -> None:
@@ -351,30 +470,22 @@ def build_zero_table(p: SpectralParams, n_max: int, tol: float = 1e-13) -> ZeroT
     """The zero table of p capped at n_max, holding its first block: z_n for
     n = n_min..min(n_max, PSI_BLOCK_MODES); ``ZeroTable.upto`` grows it.
 
-    The cells are the intervals between 0+ and the zeros of J_nu where
-    J_{nu,H} changes sign (the table's certificate checks that they are
-    consecutive and that (0+, j_1) is one exactly in the PLUS regime).
-    z_0 comes from ``i_zeros``.
+    z_n (n >= 1) comes from ``_robin_zeros`` in its interlacing cell, and
+    z_0 from ``i_zeros``.
     """
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     if not (math.isfinite(tol) and tol >= 1e-13):
         raise DomainError(f"tol must be finite and >= 1e-13, got {tol}")
-    k = min(n_max, PSI_BLOCK_MODES)
-    j = bessel_j_zeros(p.nu, k + (p.regime is not Regime.PLUS), tol)
-    eps0 = min(1e-3 * j[0], 0.05)
-    if p.regime is Regime.PLUS:
-        # Near the ZERO regime the first zero collapses like
-        # sqrt(2 (nu+1)(nu+H)); probe below it so the sign at 0+ is seen.
-        eps0 = min(eps0, 0.3 * math.sqrt(2.0 * (p.nu + 1.0) * (p.nu + p.h)))
+    k, none = min(n_max, PSI_BLOCK_MODES), np.zeros(0)
     zeros, a, b, sign = np.zeros((4, k + 1))
-    zeros[1:], a[1:], b[1:], sign[1:] = _robin_zeros(p, np.concatenate([[eps0], j]), k, tol)
+    zeros[1:], a[1:], b[1:], sign[1:], *j = _robin_zeros(p, tol, 0, k, none, none, none)
     if p.regime is Regime.MINUS:
         zeros[:1], a[:1], b[:1] = i_zeros(np.array([p.nu]), p.h, tol)
         sign[0] = -1
     elif p.regime is Regime.PLUS:
         zeros[0] = np.nan
-    return ZeroTable(p, n_max, tol, zeros, a, b, sign, j)
+    return ZeroTable(p, n_max, tol, zeros, a, b, sign, *j)
 
 
 def i_zeros(nus: np.ndarray, h: float, tol: float = 1e-13):

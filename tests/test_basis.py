@@ -54,7 +54,7 @@ class TestGrowth:
         monkeypatch.setattr(zeros_module, "PSI_BLOCK_MODES", n_max)
         one = build_basis(p, n_max)
         assert one.table.size == n_max
-        for name in ("zeros", "lo", "hi", "sign", "j_zeros", "c", "eigen"):
+        for name in ("zeros", "lo", "hi", "sign", "j_lo", "j_hi", "j_sign", "c", "eigen"):
             assert np.array_equal(getattr(b.table, name), getattr(one.table, name), equal_nan=True)
         assert b.table.max_residual == one.table.max_residual
         assert np.array_equal(b.psi_rows(x).rows, one.psi_matrix(x))

@@ -57,12 +57,32 @@ class TestZerosCommand:
         assert path.read_bytes() == out.encode()
         assert b"\r" not in path.read_bytes()
 
-    def test_zero_scan_failure_names_stage(self, capsys):
-        # The J_nu zero scan fails above nu ~ 30; the message names the stage,
-        # the order and the zero it could not bracket.
-        code, _, err = run_cli(["zeros", "--nu", "40", "--n-max", "50", "--out", "-"], capsys)
-        assert code == 2
-        assert re.search(r"J_nu zeros at nu = 40: zero k = \d+ not bracketed", err)
+    def test_large_orders_exit_zero(self, capsys):
+        # The first zeros at large nu come from the step-pi scan; at H = nu,
+        # z_n = j_{nu-1,n} (x J_nu' + nu J_nu = x J_{nu-1}).
+        import scipy.special as sp
+
+        for args, order in ((["--nu", "40", "--n-max", "50"], None),
+                            (["--nu", "100", "--n-max", "3000"], None),
+                            (["--nu", "100", "--h", "100", "--n-max", "3000"], 99)):
+            code, out, _ = run_cli(["zeros", *args, "--out", "-"], capsys)
+            assert code == 0
+            rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+            assert [int(row[2]) for row in rows] == list(range(1, len(rows) + 1))
+            if order is not None:
+                z = np.array([float(row[3]) for row in rows])
+                assert np.max(np.abs(z - sp.jn_zeros(order, z.size)) / z) <= 1e-12
+
+    def test_mode_cap_names_the_mode_and_the_largest_n_max(self, capsys):
+        # Modes whose J_nu brackets pass bessel_j's 1e5 are refused when the
+        # table grows to them, not when --n-max is parsed.
+        code, out, err = run_cli(["zeros", "--nu", "0", "--n-max", "40000", "--out", "-"], capsys)
+        assert code == 2 and out == ""
+        assert re.search(r"mode 40000 needs J_nu above x = 100000, the range of bessel_j; "
+                         r"the largest usable --n-max is 3183\d$", err.strip())
+        code, out, _ = run_cli(["kernel", "--kind", "heat", "--nu", "0.5", "--t", "0.001",
+                                "--grid", "4", "--n-max", "40000", "--out", "-"], capsys)
+        assert code == 0 and out
 
     def test_mode_budget_above_former_cap(self, capsys):
         # z_3500 ~ 1.1e4 lies beyond the former bessel_j cap of 1e4.

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import dini.zeros as zeros_mod
 from dini.errors import BracketScanFailure, ConsistencyError, DomainError
-from dini.specfun import Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh
+from dini.specfun import X_MAX_J, Regime, SpectralParams, bessel_ih, bessel_j, bessel_jh
 from dini.zeros import (
     ZeroTable,
     bessel_j_zeros,
@@ -60,10 +60,7 @@ class TestBuildZeroTable:
     def test_interlacing(self):
         p = SpectralParams(0.7, 0.5)
         table = build_zero_table(p, 30)
-        j = table.j_zeros
-        for n in range(1, 30):
-            inside = np.sum((j > table.zeros[n]) & (j < table.zeros[n + 1]))
-            assert inside == 1
+        assert_j_brackets_interlace(table, 30)
 
     def test_residuals(self):
         for nu, h in ((-0.9, 0.5), (0.0, 2.0), (3.0, -1.0)):
@@ -122,10 +119,24 @@ class TestBuildZeroTable:
     def test_interlacing_property(self, nu, h):
         p = SpectralParams(nu, h)
         table = build_zero_table(p, 8)
-        j = table.j_zeros
-        for n in range(1, 8):
-            inside = np.sum((j > table.zeros[n]) & (j < table.zeros[n + 1]))
-            assert inside == 1
+        assert_j_brackets_interlace(table, 8)
+
+
+def assert_j_brackets_interlace(table, count):
+    """Exactly one J_nu bracket lies strictly between z_n and z_{n+1} for n
+    < count; J_nu has the stored signs at its ends, and on a grid of step
+    0.01 (zeros lie more than 1.5 apart) it changes sign once in each
+    bracket and nowhere else."""
+    lo, hi, nu = table.j_lo, table.j_hi, table.params.nu
+    for n in range(1, count):
+        inside = np.sum((lo > table.zeros[n]) & (hi < table.zeros[n + 1]))
+        assert inside == 1
+    assert np.array_equal(np.sign(bessel_j(nu, lo)), table.j_sign)
+    assert np.array_equal(np.sign(bessel_j(nu, hi)), -table.j_sign)
+    x = np.sort(np.concatenate([np.arange(1e-3, hi[-1], 0.01), lo, hi]))
+    s = np.sign(bessel_j(nu, x))
+    flips = x[1:][s[1:] != s[:-1]]
+    assert flips.size == lo.size and np.all((lo < flips) & (flips <= hi))
 
 
 class TestIZeros:
@@ -146,9 +157,14 @@ class TestIZeros:
 def assert_certified(table):
     """Every stored bracket encloses its zero, has width <= max(tol, 4 ulp),
     lies in its interlacing cell and carries the signs the function has at
-    its ends."""
+    its ends; so does every J_nu bracket, which alternate in sign from +
+    (J_nu > 0 below j_1) and ascend without overlap."""
     p = table.params
-    cells = np.concatenate([[0.0], table.j_zeros])
+    j_lo, j_hi, j_sign = table.j_lo, table.j_hi, table.j_sign
+    assert np.array_equal(np.sign(bessel_j(p.nu, j_lo)), j_sign)
+    assert np.array_equal(np.sign(bessel_j(p.nu, j_hi)), -j_sign)
+    assert np.array_equal(j_sign, (-1.0) ** np.arange(j_lo.size))
+    assert np.all(j_lo < j_hi) and np.all(j_hi[:-1] < j_lo[1:])
     for n in range(table.n_min, table.n_max + 1):
         lo, hi, sign, z = table.lo[n], table.hi[n], table.sign[n], table.zeros[n]
         if n == 0 and p.regime is Regime.ZERO:
@@ -159,11 +175,12 @@ def assert_certified(table):
         f = bessel_ih if n == 0 else bessel_jh
         assert (np.sign(f(p, lo)), np.sign(f(p, hi))) == (sign, -sign)
         assert sign in (-1, 1)
-    # Cell k of the J_{nu,H} zeros: exactly one J_nu zero between neighbours.
+    # Cell m of z_n (m = n, n + 1 unless PLUS): above the m - 1 J_nu brackets
+    # below it and below bracket m, so exactly one J_nu zero between neighbours.
     lo, hi = table.lo[1:], table.hi[1:]
-    first = np.searchsorted(cells, lo) - 1
-    assert np.all(hi <= cells[first + 1])
-    assert np.all(np.diff(first) == 1)
+    below = np.searchsorted(j_hi, lo, "right")
+    assert np.all(hi <= j_lo[below])
+    assert np.array_equal(below, np.arange(lo.size) + (p.regime is not Regime.PLUS))
 
 
 class TestNewtonCertificate:
@@ -188,13 +205,13 @@ class TestNewtonCertificate:
         import scipy.special as sp
 
         scans = []
-        original = zeros_mod._scan_first_sign_change
+        original = zeros_mod._scan
         monkeypatch.setattr(
-            zeros_mod, "_scan_first_sign_change",
-            lambda f, lo, hi, what: scans.append(lo) or original(f, lo, hi, what),
+            zeros_mod, "_scan",
+            lambda nu, x0, end: scans.append(x0) or original(nu, x0, end),
         )
         ours = bessel_j_zeros(10.0, 200)
-        assert scans  # the McMahon bracket of j_1 misses it at nu = 10
+        assert scans == [10.0]  # the McMahon bracket of j_1 misses it at nu = 10
         ref = sp.jn_zeros(10, 200)
         assert np.max(np.abs(ours - ref) / ref) <= 1e-14
 
@@ -221,9 +238,9 @@ class TestNewtonCertificate:
         monkeypatch.setattr(zeros_mod, "_newton", off_by_a_little)
         monkeypatch.setattr(zeros_mod, "_bisect", spy)
         table = build_zero_table(p, 300).upto(300)
-        # Every third J_nu, then J_{nu,H}, zero: one call each, for the first
-        # block of 128 and the 172 modes it grows by.
-        assert fallbacks == [43, 43, 58, 58]
+        # Every third J_{nu,H} zero: one call for the first block of 128 and
+        # one for the 172 modes it grows by (no J_nu zero is refined here).
+        assert fallbacks == [43, 58]
         assert_certified(table)
         ref = reference.zeros[1:]
         assert np.all(np.abs(table.zeros[1:] - ref) <= np.maximum(1e-13, 4.0 * np.spacing(ref)))
@@ -339,7 +356,7 @@ class TestZeroTable:
     @staticmethod
     def rebuild(table, **changes):
         fields = dict(zeros=table.zeros, lo=table.lo, hi=table.hi, sign=table.sign,
-                      j_zeros=table.j_zeros)
+                      j_lo=table.j_lo, j_hi=table.j_hi, j_sign=table.j_sign)
         fields = {k: v.copy() for k, v in fields.items()}
         for name, (n, value) in changes.items():
             fields[name][n] = value
@@ -350,12 +367,16 @@ class TestZeroTable:
         table = build_zero_table(SpectralParams(nu, h), 20)
         self.rebuild(table)  # an unchanged copy passes
         lo, hi, z = table.lo, table.hi, table.zeros
+        cell = 5 + (table.params.regime is not Regime.PLUS)  # J brackets cell - 1, cell hold z_5
         broken = [
             ("residual", dict(zeros=(5, z[5] + 1e-3))),
             ("lo < z < hi", dict(zeros=(5, hi[5]))),
             ("below the next one", dict(lo=(6, hi[5] - 0.5 * (hi[5] - lo[5])))),
             ("width", dict(lo=(5, z[5] - 2.0 * table.tol))),
-            ("interlacing cell", dict(j_zeros=(slice(None), np.append(table.j_zeros[1:], 1e9)))),
+            ("interlacing cell", dict(j_lo=(cell - 1, lo[5]))),  # J bracket cell reaches z_5
+            ("interlacing cell", dict(j_hi=(cell - 2, hi[5]))),
+            ("J_nu bracket of j_m signed", dict(j_sign=(3, -table.j_sign[3]))),
+            ("J_nu brackets ascending", dict(j_hi=(3, table.j_lo[3]))),
             ("sign", dict(sign=(7, 0))),
             ("sign", dict(sign=(0, 1.0 - abs(table.sign[0])))),  # slot 0: bracketed iff MINUS
         ]
@@ -400,6 +421,88 @@ class TestZeroTable:
         assert len(offsets) == 1
         z = build_zero_table(params, 6000).upto(6000).zeros[1:]
         assert np.all(np.arange(1, z.size + 1) - z / math.pi <= offsets.pop())
+
+
+class TestLargeOrder:
+    """Orders where McMahon's series has not converged for the first zeros:
+    those zeros come from the step-pi scan, and every J_nu bracket is
+    certified to hold its own zero."""
+
+    def test_bessel_j_zeros_at_nu_40(self):
+        import scipy.special as sp
+
+        ours, ref = bessel_j_zeros(40.0, 50), sp.jn_zeros(40, 50)
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-14
+
+    def test_kept_brackets_take_their_index_from_the_scan(self, monkeypatch):
+        # Guesses g_k = j_{k-2} (k >= 3): brackets 1 and 2 fail, the scan
+        # below bracket 3 finds no zero, so bracket k holds j_{k-2}, and the
+        # last two zeros come from a second scan above the last bracket.
+        import scipy.special as sp
+
+        ref = sp.jn_zeros(10, 40)
+        monkeypatch.setattr(zeros_mod, "_mcmahon",
+                            lambda nu, k: np.where(k >= 3, ref[np.maximum(k, 3) - 3], 10.5))
+        ours = bessel_j_zeros(10.0, 40)
+        assert np.max(np.abs(ours - ref) / ref) <= 1e-14
+
+    @pytest.mark.parametrize("nu, n_max", [(40.0, 50), (100.0, 3000)])
+    def test_tables_against_neighbouring_orders(self, nu, n_max):
+        # x J_nu' + nu J_nu = x J_{nu-1} and x J_nu' - nu J_nu = -x J_{nu+1}:
+        # at H = nu, z_n = j_{nu-1,n}; at H = -nu (the ZERO regime), j_{nu+1,n}.
+        import scipy.special as sp
+
+        for h, order in ((nu, int(nu) - 1), (-nu, int(nu) + 1)):
+            table = build_zero_table(SpectralParams(nu, h), n_max).upto(n_max)
+            ref = sp.jn_zeros(order, n_max)
+            assert np.max(np.abs(table.zeros[1:] - ref) / ref) <= 1e-14
+            assert_certified(table)
+
+    def test_mcmahon_bracket_holding_a_later_zero_is_not_kept(self):
+        # At nu = 100 McMahon's bracket 7 holds j_9, with the signs of j_7;
+        # brackets 1-69 are replaced by the scan from nu, which counts them.
+        import scipy.special as sp
+
+        table = build_zero_table(SpectralParams(100.0, 0.5), 200)
+        ref = sp.jn_zeros(100, table.j_lo.size)
+        g7 = float(zeros_mod._mcmahon(100.0, 7))
+        assert g7 - 0.6 < ref[8] < g7 + 0.6
+        assert np.all((table.j_lo <= ref * (1 + 1e-14)) & (ref * (1 - 1e-14) <= table.j_hi))
+
+
+class TestModeCap:
+    """A table grows only while its J_nu brackets lie below X_MAX_J."""
+
+    @pytest.mark.parametrize("nu, h", [(0.0, 0.5), (-0.75, -1.5)])
+    def test_cap_is_the_last_mode_below_x_max(self, nu, h):
+        p = SpectralParams(nu, h)
+        cap = zeros_mod._mode_cap(p)
+        table = build_zero_table(p, cap + 1).upto(cap)
+        assert table.size == cap and table.j_hi[-1] <= X_MAX_J
+        assert zeros_mod._mcmahon(nu, table.j_hi.size + 1) + 0.6 > X_MAX_J
+        with pytest.raises(DomainError, match=rf"mode {cap + 1} needs J_nu above x = 100000.*"
+                                              rf"largest usable --n-max is {cap}$"):
+            table.upto(cap + 1)
+        assert table.size == cap
+
+
+class TestBesselWork:
+    """The zero stage costs few Bessel points per zero: two at the ends of
+    each McMahon bracket (which give the J_nu and the J_{nu,H} signs), the
+    Newton steps and certificate of the J_{nu,H} zero, and the residual."""
+
+    @pytest.mark.parametrize("nu", [-0.75, 0.0, 3.0, 20.0])
+    def test_points_and_calls_per_table(self, nu, monkeypatch):
+        import dini.specfun as specfun
+
+        calls, original = [], specfun._bessel_js
+        monkeypatch.setattr(specfun, "_bessel_js",
+                            lambda orders, xs: calls.append(xs.size) or original(orders, xs))
+        build_zero_table(SpectralParams(nu, 0.5), 3000).upto(3000)
+        # 6.5 to 7.1 points per zero and 12 to 24 calls at this change; 10.8
+        # to 25.8 points and 24 to 62 calls when each J_nu zero was refined.
+        assert sum(calls) / 3000 <= 7.5
+        assert len(calls) <= 25
 
 
 class TestX0Bound:
