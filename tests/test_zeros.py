@@ -367,7 +367,8 @@ class TestZeroTable:
         table = build_zero_table(SpectralParams(nu, h), 20)
         self.rebuild(table)  # an unchanged copy passes
         lo, hi, z = table.lo, table.hi, table.zeros
-        cell = 5 + (table.params.regime is not Regime.PLUS)  # J brackets cell - 1, cell hold z_5
+        # z_5 lies between J brackets cell - 1 and cell.
+        cell = 5 + (table.params.regime is not Regime.PLUS)
         broken = [
             ("residual", dict(zeros=(5, z[5] + 1e-3))),
             ("lo < z < hi", dict(zeros=(5, hi[5]))),
